@@ -3,5 +3,3 @@ structures, with a formal-mode layer recovering quantum-affine current
 relations."""
 
 __version__ = "0.1.0"
-
-from .kernels import BACKEND as KERNEL_BACKEND  # noqa: F401

@@ -22,16 +22,18 @@ Conventions fixed here and used everywhere:
                             * l_bl(x2) Phi_a(x1)
 
   so for n = 2 the word Phi_1(x1) l_21(x2) rewrites into the four terms
-  Rinv[a,b -> 1,2] l_b1(x2) Phi_a(x1), a,b in {1,2}.  All other rules are
-  spelled out in the rule functions below with the same reading.
+  Rinv[a,b -> 1,2] l_b1(x2) Phi_a(x1), a,b in {1,2}.  All ten relations
+  are stated once, in the table RELATIONS below, with the same reading.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, KindError, ShapeError, SingularError
+from .errors import (BudgetError, DomainError, KindError, ShapeError,
+                     SingularError)
 from .rmatrix import RMatrix, unitarity_residual
 from .symfield import RatExpr, VARS, Z, mono_from_pairs, q_power
 
@@ -43,8 +45,6 @@ PHISTAR = "PhiStar"
 PHI = "Phi"
 
 KIND_RANK = {LSTAR: 0, LSTARINV: 0, L: 1, LINV: 1, PHISTAR: 2, PHI: 3}
-MATRIX_KINDS = frozenset((LSTAR, LSTARINV, L, LINV))
-VECTOR_KINDS = frozenset((PHISTAR, PHI))
 ALL_KINDS = frozenset(KIND_RANK)
 
 FLAVOR_KINDS = {
@@ -96,6 +96,13 @@ def _h_neg(a: tuple) -> tuple:
     return (-a[0], -a[1], -a[2], -a[3])
 
 
+def charge_shift(slot: int, steps: int) -> tuple:
+    """Doubled shift q^(steps/2 * c_slot) of one charge slot (1..3)."""
+    h = [0, 0, 0, 0]
+    h[slot] = steps
+    return tuple(h)
+
+
 def shift_arg(arg: ArgShift, dh: tuple) -> ArgShift:
     return ArgShift(arg.var, _h_add(arg.h, dh))
 
@@ -122,13 +129,6 @@ def _ratio_mono(x: ArgShift, y: ArgShift, extra: tuple = NO_SHIFT) -> tuple:
     merged = dict(base)
     for v, e in zpart:
         merged[v] = merged.get(v, 0) + e
-    return mono_from_pairs(merged.items())
-
-
-def _arg_mono(x: ArgShift, extra: tuple = NO_SHIFT) -> tuple:
-    h = _h_add(x.h, extra)
-    merged = dict(q_power(*h))
-    merged[x.var] = merged.get(x.var, 0) + 1
     return mono_from_pairs(merged.items())
 
 
@@ -333,9 +333,131 @@ class Toggles:
         return cls(**kw)
 
 
-RELATION_IDS = ("PhiPhi", "PhiL", "LL", "LstarLstar", "LLstar",
-                "PhistarPhistar", "PhistarLstar", "PhiPhistar",
-                "PhistarL", "PhiLstar")
+# ---------------------------------------------------------------------------
+# the defining relations
+# ---------------------------------------------------------------------------
+
+class Contraction(NamedTuple):
+    """matrix[ins -> outs]((x_num / x_den) q^(steps/2 * c_t)), with matrix
+    "R" or "Rinv", each slot a pair of index letters, and c_t the charge of
+    the leg the relation is read on."""
+
+    matrix: str
+    ins: str
+    outs: str
+    num: int
+    den: int
+    steps: int = 0
+
+
+class Side(NamedTuple):
+    """A word of two generator patterns (kind, index letters, argument
+    number 1 or 2), optionally contracted.  One slot of the contraction
+    holds free indices of the relation; the letters of the other slot
+    occur only in the word and are summed."""
+
+    word: tuple
+    matrix: Contraction = None
+
+
+class BracketTerm(NamedTuple):
+    """sign/(q - q^-1) delta((x1/x2) q^(delta_steps/2 * c_t))
+    gen(x_arg q^(arg_steps/2 * c_t))."""
+
+    sign: int
+    delta_steps: int
+    gen: tuple
+    arg_steps: int
+
+
+class Relation(NamedTuple):
+    """lhs = rhs, or lhs - rhs = the sum of the bracket terms; a relation
+    with bracket terms has its out-of-order word on the lhs."""
+
+    rid: str
+    free: str
+    lhs: Side
+    rhs: Side
+    bracket: tuple = ()
+
+
+# A kind picked by a toggle: (Toggles attribute, corrected, literal).
+_LL_STAR_KIND = ("ll_star", L, LSTAR)
+_CROSS_BRACKET_KIND = ("cross_bracket", L, LSTAR)
+
+# The single statement of every defining relation: contractions, charge
+# shifts, R21 readings (R21[a,b -> c,d] = R[b,a -> d,c], written out as
+# index letters) and toggled kinds.  Templates and exchange rules are both
+# read off these rows.
+RELATIONS = (
+    # R(x1/x2)[a,b -> i,j] Phi_a(x1) Phi_b(x2) = Phi_j(x2) Phi_i(x1)
+    Relation("PhiPhi", "ij",
+             Side(((PHI, "a", 1), (PHI, "b", 2)),
+                  Contraction("R", "ab", "ij", 1, 2)),
+             Side(((PHI, "j", 2), (PHI, "i", 1)))),
+    # Phi_i(x1) l_kl(x2)
+    #   = Rinv((x1/x2) q^(c/2))[a,b -> i,k] l_bl(x2) Phi_a(x1)
+    Relation("PhiL", "ikl",
+             Side(((PHI, "i", 1), (L, "kl", 2))),
+             Side(((L, "bl", 2), (PHI, "a", 1)),
+                  Contraction("Rinv", "ab", "ik", 1, 2, 1))),
+    # R(x1/x2)[i,k -> m,p] l_ij(x1) l_kl(x2)
+    #   = R(x1/x2)[j,l -> a,b] l_pb(x2) l_ma(x1)
+    Relation("LL", "mpjl",
+             Side(((L, "ij", 1), (L, "kl", 2)),
+                  Contraction("R", "ik", "mp", 1, 2)),
+             Side(((L, "pb", 2), (L, "ma", 1)),
+                  Contraction("R", "jl", "ab", 1, 2))),
+    Relation("LstarLstar", "mpjl",
+             Side(((LSTAR, "ij", 1), (LSTAR, "kl", 2)),
+                  Contraction("R", "ik", "mp", 1, 2)),
+             Side(((LSTAR, "pb", 2), (LSTAR, "ma", 1)),
+                  Contraction("R", "jl", "ab", 1, 2))),
+    # R((x1/x2) q^-c)[i,k -> m,p] l_ij(x1) lstar_kl(x2)
+    #   = R((x1/x2) q^c)[j,l -> a,b] lstar_pb(x2) l_ma(x1)
+    # (the literal text has lstar_ma on the right)
+    Relation("LLstar", "mpjl",
+             Side(((L, "ij", 1), (LSTAR, "kl", 2)),
+                  Contraction("R", "ik", "mp", 1, 2, -2)),
+             Side(((LSTAR, "pb", 2), (_LL_STAR_KIND, "ma", 1)),
+                  Contraction("R", "jl", "ab", 1, 2, 2))),
+    # Phistar_j(x2) Phistar_i(x1)
+    #   = R(x2/x1)[j,i -> b,a] Phistar_a(x1) Phistar_b(x2)
+    Relation("PhistarPhistar", "ij",
+             Side(((PHISTAR, "j", 2), (PHISTAR, "i", 1))),
+             Side(((PHISTAR, "a", 1), (PHISTAR, "b", 2)),
+                  Contraction("R", "ji", "ba", 2, 1))),
+    # lstar_ks(x2) Phistar_t(x1)
+    #   = R21((x2/x1) q^(-c/2))[t,s -> i,l] Phistar_i(x1) lstar_kl(x2)
+    Relation("PhistarLstar", "tks",
+             Side(((LSTAR, "ks", 2), (PHISTAR, "t", 1))),
+             Side(((PHISTAR, "i", 1), (LSTAR, "kl", 2)),
+                  Contraction("R", "st", "li", 2, 1, -1))),
+    # Phi_i(x1) Phistar_j(x2) - Phistar_j(x2) Phi_i(x1)
+    #   = 1/(q-q^-1) [ delta((x1/x2) q^-c) lstar_ij(x2 q^(c/2))
+    #                  - delta((x1/x2) q^c) l_ij(x1 q^(c/2)) ]
+    # (the literal text has lstar in the second term too)
+    Relation("PhiPhistar", "ij",
+             Side(((PHI, "i", 1), (PHISTAR, "j", 2))),
+             Side(((PHISTAR, "j", 2), (PHI, "i", 1))),
+             (BracketTerm(1, -2, (LSTAR, "ij", 2), 1),
+              BracketTerm(-1, 2, (_CROSS_BRACKET_KIND, "ij", 1), 1))),
+    # R21((x2/x1) q^(-c/2))[a,b -> j,k] l_ij(x1) Phistar_k(x2)
+    #   = Phistar_b(x2) l_ia(x1)
+    Relation("PhistarL", "iab",
+             Side(((L, "ij", 1), (PHISTAR, "k", 2)),
+                  Contraction("R", "ba", "kj", 2, 1, -1)),
+             Side(((PHISTAR, "b", 2), (L, "ia", 1)))),
+    # R((x1/x2) q^(c/2))[i,k -> m,p] lstar_ij(x1) Phi_k(x2)
+    #   = Phi_p(x2) lstar_mj(x1)
+    Relation("PhiLstar", "mjp",
+             Side(((LSTAR, "ij", 1), (PHI, "k", 2)),
+                  Contraction("R", "ik", "mp", 1, 2, 1)),
+             Side(((PHI, "p", 2), (LSTAR, "mj", 1)))),
+)
+
+RELATION_IDS = tuple(rel.rid for rel in RELATIONS)
+_RELATION_BY_ID = {rel.rid: rel for rel in RELATIONS}
 
 FLAVOR_RELATIONS = {
     "particle": ("PhiPhi",),
@@ -370,7 +492,8 @@ class RewriteSystem:
         self._inv_at_cache: dict = {}
         q2 = RatExpr.var("s", 2)
         self.qfactor = (q2 - q2.inverse()).inverse()  # 1/(q - q^-1)
-        self._rules = self._build_rule_table()
+        self._rules = dict(_orient(_RELATION_BY_ID[rid], self.toggles)
+                           for rid in FLAVOR_RELATIONS[flavor])
 
     # -- cached entry evaluation -------------------------------------------
 
@@ -399,21 +522,6 @@ class RewriteSystem:
 
     # -- rule table ----------------------------------------------------------
 
-    def _build_rule_table(self) -> dict:
-        rules = {(PHI, PHI): _rule_phi_phi}
-        if self.flavor in ("extended", "double"):
-            rules[(PHI, L)] = _rule_phi_l
-            rules[(L, L)] = _rule_ll
-        if self.flavor == "double":
-            rules[(LSTAR, LSTAR)] = _rule_lstar_lstar
-            rules[(L, LSTAR)] = _rule_l_lstar
-            rules[(PHISTAR, PHISTAR)] = _rule_phistar_phistar
-            rules[(PHISTAR, LSTAR)] = _rule_phistar_lstar
-            rules[(PHI, PHISTAR)] = _rule_phi_phistar
-            rules[(PHISTAR, L)] = _rule_phistar_l
-            rules[(PHI, LSTAR)] = _rule_phi_lstar
-        return rules
-
     def rule_for(self, g1: GenOcc, g2: GenOcc):
         return self._rules.get((g1.kind, g2.kind))
 
@@ -435,226 +543,116 @@ def _index_by_input(entries: dict) -> dict:
     return out
 
 
-def build_rules(R: RMatrix, flavor: str, toggles: Toggles = None,
-                check_unitarity: bool = True) -> RewriteSystem:
-    return RewriteSystem(R, flavor, toggles, check_unitarity)
-
-
 # ---------------------------------------------------------------------------
-# the rule functions
+# reading a relation row
 #
-# Each takes (rs, g1, g2, leg) for an adjacent out-of-order pair g1 g2 in
-# 0-based leg ``leg`` and returns a list of (coeff, extra_deltas, occs).
-# ``t`` below is the leg's own charge slot (leg + 1).
+# The template of a relation is its row read at x1 = z1, x2 = z2 on leg 0.
+# Its oriented rule is the row solved for the side whose word is out of
+# canonical order: the other side, times the inverse of the solved side's
+# contraction when it has one (R^-1 for R and back, input and output slots
+# swapped), with the bracket terms moved across.  A rule is a pair
+# (relation, index of the solved side); ``rule_pieces`` applies it to an
+# adjacent pair g1 g2 on 0-based leg ``leg``, whose own charge slot is
+# leg + 1, and returns a list of (coeff, extra_deltas, occs).
 # ---------------------------------------------------------------------------
 
-def _e_t(leg: int, steps: int) -> tuple:
-    """Doubled shift q^(steps/2 * c_t) for leg's own charge."""
-    h = [0, 0, 0, 0]
-    h[leg + 1] = steps
-    return tuple(h)
+_INVERSE = {"R": "Rinv", "Rinv": "R"}
 
 
-def _rule_phi_phi(rs, g1, g2, leg):
-    # Phi_j(Y) Phi_i(X), Y above X:
-    #   -> sum_ab R[a,b -> i,j](X/Y) Phi_a(X) Phi_b(Y)
-    j, i = g1.row, g2.row
-    y, x = g1.arg, g2.arg
-    ent = rs.r_at(_ratio_mono(x, y))
-    out = []
-    for (a, b) in rs._r_by_out.get((i, j), ()):
-        c = ent[(a, b, i, j)]
+def _kind(kind, toggles: Toggles) -> str:
+    if isinstance(kind, str):
+        return kind
+    attr, corrected, literal = kind
+    return corrected if getattr(toggles, attr) == "corrected" else literal
+
+
+def _occ(pattern, env: dict, x, toggles: Toggles, dh=None) -> GenOcc:
+    kind, letters, arg = pattern
+    col = env[letters[1]] if len(letters) == 2 else 0
+    a = x[arg] if dh is None else shift_arg(x[arg], dh)
+    return GenOcc(_kind(kind, toggles), env[letters[0]], col, a)
+
+
+def _orient(rel: Relation, toggles: Toggles):
+    """(kinds of the out-of-order word, rule) for one relation; the rule
+    solves the first side whose word is out of canonical order."""
+    x = (None, _z(1), _z(2))
+    for s, side in enumerate((rel.lhs, rel.rhs)):
+        g1, g2 = (GenOcc(_kind(kind, toggles), 0, 0, x[arg])
+                  for kind, _, arg in side.word)
+        if _pair_out_of_order(g1, g2):
+            return (g1.kind, g2.kind), (rel, s)
+
+
+def _factor(rs: "RewriteSystem", m: Contraction, x, slot: int,
+            solve: bool = False):
+    """A contraction evaluated at its argument: (entries, index by input,
+    index by output, input letters, output letters).  ``solve`` reads the
+    inverse matrix with the slots swapped."""
+    name, ins, outs = m.matrix, m.ins, m.outs
+    if solve:
+        name, ins, outs = _INVERSE[name], outs, ins
+    argm = _ratio_mono(x[m.num], x[m.den], charge_shift(slot, m.steps))
+    if name == "R":
+        return rs.r_at(argm), rs._r_by_in, rs._r_by_out, ins, outs
+    return rs.rinv_at(argm), rs._rinv_by_in, rs._rinv_by_out, ins, outs
+
+
+def _contract(factors, env: dict, coeff=None):
+    """Yield (coefficient, bindings) for every nonzero product of entries:
+    each factor is looked up through its bound slot and binds the letters
+    of the other.  The coefficient is None when there is no factor."""
+    if not factors:
+        yield coeff, env
+        return
+    ent, by_in, by_out, ins, outs = factors[0]
+    forward = ins[0] in env
+    known, new = (ins, outs) if forward else (outs, ins)
+    kv = (env[known[0]], env[known[1]])
+    for nv in (by_in if forward else by_out).get(kv, ()):
+        c = ent[kv + nv if forward else nv + kv]
         if c.is_zero():
             continue
-        out.append((c, (), (GenOcc(PHI, a, 0, x), GenOcc(PHI, b, 0, y))))
-    return out
+        sub = dict(env)
+        sub[new[0]], sub[new[1]] = nv
+        yield from _contract(factors[1:], sub,
+                             c if coeff is None else coeff * c)
 
 
-def _rule_phi_l(rs, g1, g2, leg):
-    # Phi_i(X) l_kl(Y) -> sum_ab Rinv[a,b -> i,k]((X/Y) q^(c/2)) l_bl(Y)
-    # Phi_a(X)
-    i = g1.row
-    k, l = g2.row, g2.col
-    x, y = g1.arg, g2.arg
-    ent = rs.rinv_at(_ratio_mono(x, y, _e_t(leg, 1)))
-    out = []
-    for (a, b) in rs._rinv_by_out.get((i, k), ()):
-        c = ent[(a, b, i, k)]
-        if c.is_zero():
-            continue
-        out.append((c, (), (GenOcc(L, b, l, y), GenOcc(PHI, a, 0, x))))
-    return out
+def _word_terms(rs: "RewriteSystem", word, factors, env: dict, x):
+    return [(_R1 if c is None else c, (),
+             tuple(_occ(p, sub, x, rs.toggles) for p in word))
+            for c, sub in _contract(factors, env)]
 
 
-def _rule_ll_generic(rs, g1, g2, kind):
-    # kind_rs(Y) kind_uv(X)
-    #   -> sum R[i,k -> u,r](X/Y) Rinv[v,s -> c,d](X/Y) kind_ic(X) kind_kd(Y)
-    # (the right-multiplied R of the relation contracts through its input
-    # slot, so the inverse entries here carry the old columns as input)
-    r, s_ = g1.row, g1.col
-    u, v = g2.row, g2.col
-    y, x = g1.arg, g2.arg
-    argm = _ratio_mono(x, y)
-    rent = rs.r_at(argm)
-    rinv = rs.rinv_at(argm)
-    out = []
-    for (i, k) in rs._r_by_out.get((u, r), ()):
-        c1 = rent[(i, k, u, r)]
-        if c1.is_zero():
-            continue
-        for (c, d) in rs._rinv_by_in.get((v, s_), ()):
-            c2 = rinv[(v, s_, c, d)]
-            if c2.is_zero():
-                continue
-            out.append((c1 * c2, (),
-                        (GenOcc(kind, i, c, x), GenOcc(kind, k, d, y))))
-    return out
+def _bracket_terms(rs: "RewriteSystem", rel: Relation, env: dict, x,
+                   slot: int):
+    deltas = [make_delta(x[1], x[2], charge_shift(slot, b.delta_steps))
+              for b in rel.bracket]
+    degenerate = None in deltas  # surfaced via the term flag downstream
+    return [(rs.qfactor if b.sign > 0 else -rs.qfactor,
+             ("degenerate",) if degenerate else (d,),
+             (_occ(b.gen, env, x, rs.toggles,
+                   charge_shift(slot, b.arg_steps)),))
+            for b, d in zip(rel.bracket, deltas)]
 
 
-def _rule_ll(rs, g1, g2, leg):
-    return _rule_ll_generic(rs, g1, g2, L)
-
-
-def _rule_lstar_lstar(rs, g1, g2, leg):
-    return _rule_ll_generic(rs, g1, g2, LSTAR)
-
-
-def _rule_l_lstar(rs, g1, g2, leg):
-    # l_ij(X) lstar_kl(Y) -> sum Rinv[m,p -> i,k]((X/Y) q^-c)
-    #                            R[j,l -> a,b]((X/Y) q^c) lstar_pb(Y) ?_ma(X)
-    # where ? = L for the corrected right-hand side, Lstar for the literal.
-    i, j = g1.row, g1.col
-    k, l = g2.row, g2.col
-    x, y = g1.arg, g2.arg
-    rinv = rs.rinv_at(_ratio_mono(x, y, _e_t(leg, -2)))
-    rent = rs.r_at(_ratio_mono(x, y, _e_t(leg, 2)))
-    second = L if rs.toggles.ll_star == "corrected" else LSTAR
-    out = []
-    for (m, p) in rs._rinv_by_out.get((i, k), ()):
-        c1 = rinv[(m, p, i, k)]
-        if c1.is_zero():
-            continue
-        for (a, b) in rs._r_by_in.get((j, l), ()):
-            c2 = rent[(j, l, a, b)]
-            if c2.is_zero():
-                continue
-            out.append((c1 * c2, (),
-                        (GenOcc(LSTAR, p, b, y), GenOcc(second, m, a, x))))
-    return out
-
-
-def _rule_phistar_phistar(rs, g1, g2, leg):
-    # Phistar_j(Y) Phistar_i(X) -> sum R[j,i -> b,a](Y/X) Phistar_a(X)
-    # Phistar_b(Y)
-    j, i = g1.row, g2.row
-    y, x = g1.arg, g2.arg
-    ent = rs.r_at(_ratio_mono(y, x))
-    out = []
-    for (b, a), c in _iter_by_input(ent, (j, i)):
-        out.append((c, (),
-                    (GenOcc(PHISTAR, a, 0, x), GenOcc(PHISTAR, b, 0, y))))
-    return out
-
-
-def _iter_by_input(entries: dict, inp: tuple):
-    i, j = inp
-    for (a, b, k, l), c in entries.items():
-        if (a, b) == (i, j) and not c.is_zero():
-            yield (k, l), c
-
-
-def _rule_phistar_lstar(rs, g1, g2, leg):
-    # Phistar_t(X) lstar_ks(Y)
-    #   -> sum R21inv[t,s -> a,b]((Y/X) q^(-c/2)) lstar_kb(Y) Phistar_a(X)
-    # with R21inv[a,b -> c,d] = Rinv[b,a -> d,c].
-    t = g1.row
-    k, s_ = g2.row, g2.col
-    x, y = g1.arg, g2.arg
-    rinv = rs.rinv_at(_ratio_mono(y, x, _e_t(leg, -1)))
-    out = []
-    for (s2, t2, b2, a2), c in rinv.items():
-        # Rinv[s2,t2 -> b2,a2] = R21inv[t2,s2 -> a2,b2]; match (t2,s2)=(t,s)
-        if (t2, s2) != (t, s_) or c.is_zero():
-            continue
-        out.append((c, (),
-                    (GenOcc(LSTAR, k, b2, y), GenOcc(PHISTAR, a2, 0, x))))
-    return out
-
-
-def _rule_phi_phistar(rs, g1, g2, leg):
-    # Phi_i(X) Phistar_j(Y) -> Phistar_j(Y) Phi_i(X)
-    #   + 1/(q-q^-1) [ delta((X/Y) q^-c) lstar_ij(Y q^(c/2))
-    #                  - delta((X/Y) q^c)  l_ij(X q^(c/2)) ]
-    # (corrected set; the literal text has lstar in the second term too).
-    i, j = g1.row, g2.row
-    x, y = g1.arg, g2.arg
-    out = [(_R1, (), (GenOcc(PHISTAR, j, 0, y), GenOcc(PHI, i, 0, x)))]
-    second_kind = L if rs.toggles.cross_bracket == "corrected" else LSTAR
-    d1 = make_delta(x, y, _e_t(leg, -2))
-    occ1 = GenOcc(LSTAR, i, j, shift_arg(y, _e_t(leg, 1)))
-    d2 = make_delta(x, y, _e_t(leg, 2))
-    occ2 = GenOcc(second_kind, i, j, shift_arg(x, _e_t(leg, 1)))
-    if d1 is None or d2 is None:
-        # degenerate formal delta: surfaced via the term flag downstream
-        out.append((rs.qfactor, ("degenerate",), (occ1,)))
-        out.append((-rs.qfactor, ("degenerate",), (occ2,)))
-    else:
-        out.append((rs.qfactor, (d1,), (occ1,)))
-        out.append((-rs.qfactor, (d2,), (occ2,)))
-    return out
-
-
-def _rule_phistar_l(rs, g1, g2, leg):
-    # Phistar_b(Y) l_ia(X)
-    #   -> sum R21[a,b -> j,k]((Y/X) q^(-c/2)) l_ij(X) Phistar_k(Y)
-    # with R21[a,b -> j,k] = R[b,a -> k,j].
-    b = g1.row
-    i, a = g2.row, g2.col
-    y, x = g1.arg, g2.arg
-    ent = rs.r_at(_ratio_mono(y, x, _e_t(leg, -1)))
-    out = []
-    for (b2, a2, k2, j2), c in ent.items():
-        if (a2, b2) != (a, b) or c.is_zero():
-            continue
-        out.append((c, (),
-                    (GenOcc(L, i, j2, x), GenOcc(PHISTAR, k2, 0, y))))
-    return out
-
-
-def _rule_phi_lstar(rs, g1, g2, leg):
-    # Phi_p(Y) lstar_mj(X)
-    #   -> sum R[i,k -> m,p]((X/Y) q^(c/2)) lstar_ij(X) Phi_k(Y)
-    p = g1.row
-    m, j = g2.row, g2.col
-    y, x = g1.arg, g2.arg
-    ent = rs.r_at(_ratio_mono(x, y, _e_t(leg, 1)))
-    out = []
-    for (i, k) in rs._r_by_out.get((m, p), ()):
-        c = ent[(i, k, m, p)]
-        if c.is_zero():
-            continue
-        out.append((c, (),
-                    (GenOcc(LSTAR, i, j, x), GenOcc(PHI, k, 0, y))))
-    return out
-
-
-def ascending_phi_swap(rs, g1: GenOcc, g2: GenOcc):
-    """The Phi exchange relation read on an ascending pair (used by the
-    involutivity probe, never by the deterministic scheduler):
-
-        Phi_i(X) Phi_j(Y), X below Y
-          -> sum_ab R[a,b -> j,i](Y/X) Phi_a(Y) Phi_b(X)
-    """
-    i, j = g1.row, g2.row
-    x, y = g1.arg, g2.arg
-    ent = rs.r_at(_ratio_mono(y, x))
-    out = []
-    for (a, b) in rs._r_by_out.get((j, i), ()):
-        c = ent[(a, b, j, i)]
-        if c.is_zero():
-            continue
-        out.append((c, (), (GenOcc(PHI, a, 0, y), GenOcc(PHI, b, 0, x))))
-    return out
+def rule_pieces(rs: "RewriteSystem", rule, g1: GenOcc, g2: GenOcc,
+                leg: int):
+    rel, solved = rule
+    sides = (rel.lhs, rel.rhs)
+    env: dict = {}
+    x = [None, None, None]
+    for (_, letters, arg), g in zip(sides[solved].word, (g1, g2)):
+        env[letters[0]] = g.row
+        if len(letters) == 2:
+            env[letters[1]] = g.col
+        x[arg] = g.arg
+    slot = leg + 1
+    factors = [_factor(rs, side.matrix, x, slot, solve=(s == solved))
+               for s, side in enumerate(sides) if side.matrix]
+    return (_word_terms(rs, sides[1 - solved].word, factors, env, x)
+            + _bracket_terms(rs, rel, env, x, slot))
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +686,6 @@ def term_measure(key) -> tuple:
                         word[a].arg.var > word[b].arg.var:
                     var_inv += 1
     return (total, kind_inv, var_inv)
-
-
-def multiply(a: Element, b: Element) -> Element:
-    """Legwise concatenation product (canonicalized, not normal ordered)."""
-    return a * b
 
 
 def _find_contraction(e: Element, n: int):
@@ -757,7 +750,7 @@ def _apply_at(e: Element, rs: RewriteSystem, key, coeff, li, pos, rule,
     del out[key]
     result = Element(e.nlegs, out, e.smarks)
     before = term_measure(key) if trace is not None else None
-    pieces = rule(rs, g1, g2, li)
+    pieces = rule_pieces(rs, rule, g1, g2, li)
     add: dict = {}
     for rcoeff, extra_deltas, occs in pieces:
         nflag = flag
@@ -794,7 +787,8 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
     while True:
         steps += 1
         if steps > max_steps:
-            raise RuntimeError("normal_order exceeded the step budget")
+            raise BudgetError(
+                f"normal_order exceeded its budget of {max_steps} steps")
         found = _find_contraction(e, rs.n)
         if found is not None:
             group, newkey, coeff, keep = found
@@ -888,171 +882,30 @@ def _z(i: int) -> ArgShift:
     return ArgShift(Z[i - 1], NO_SHIFT)
 
 
+def _element(terms) -> Element:
+    out = Element(1)
+    for coeff, deltas, occs in terms:
+        out._accumulate(out.terms, (FLAG_NONE, deltas, (occs,)), coeff)
+    return out
+
+
 def relation_sides(rs: RewriteSystem, relation_id: str):
     """Yield (free-index tuple, lhs Element, rhs Element) for the named
     defining relation, instantiated at spectral variables z1, z2."""
-    n = rs.n
-    x1, x2 = _z(1), _z(2)
-    rng = range(1, n + 1)
-
-    if relation_id == "PhiPhi":
-        ent = rs.r_at(_ratio_mono(x1, x2))
-        for i in rng:
-            for j in rng:
-                lhs = Element.zero()
-                for (a, b) in rs._r_by_out.get((i, j), ()):
-                    lhs = lhs + Element.word(
-                        (GenOcc(PHI, a, 0, x1), GenOcc(PHI, b, 0, x2)),
-                        coeff=ent[(a, b, i, j)])
-                rhs = Element.word((GenOcc(PHI, j, 0, x2),
-                                    GenOcc(PHI, i, 0, x1)))
-                yield (i, j), lhs, rhs
-
-    elif relation_id == "PhiL":
-        rinv = rs.rinv_at(_ratio_mono(x1, x2, _e_t(0, 1)))
-        for i in rng:
-            for k in rng:
-                for l in rng:
-                    lhs = Element.word((GenOcc(PHI, i, 0, x1),
-                                        GenOcc(L, k, l, x2)))
-                    rhs = Element.zero()
-                    for (a, b) in rs._rinv_by_out.get((i, k), ()):
-                        rhs = rhs + Element.word(
-                            (GenOcc(L, b, l, x2), GenOcc(PHI, a, 0, x1)),
-                            coeff=rinv[(a, b, i, k)])
-                    yield (i, k, l), lhs, rhs
-
-    elif relation_id in ("LL", "LstarLstar"):
-        # sum_ik R[i,k -> m,p](u) kind_ij(x1) kind_kl(x2)
-        #   = sum_ab R[j,l -> a,b](u) kind_pb(x2) kind_ma(x1)
-        kind = L if relation_id == "LL" else LSTAR
-        ent = rs.r_at(_ratio_mono(x1, x2))
-        for m in rng:
-            for p in rng:
-                for j in rng:
-                    for l in rng:
-                        lhs = Element.zero()
-                        for (i, k) in rs._r_by_out.get((m, p), ()):
-                            lhs = lhs + Element.word(
-                                (GenOcc(kind, i, j, x1),
-                                 GenOcc(kind, k, l, x2)),
-                                coeff=ent[(i, k, m, p)])
-                        rhs = Element.zero()
-                        for (a, b) in rs._r_by_in.get((j, l), ()):
-                            rhs = rhs + Element.word(
-                                (GenOcc(kind, p, b, x2),
-                                 GenOcc(kind, m, a, x1)),
-                                coeff=ent[(j, l, a, b)])
-                        yield (m, p, j, l), lhs, rhs
-
-    elif relation_id == "LLstar":
-        lo = rs.r_at(_ratio_mono(x1, x2, _e_t(0, -2)))
-        hi = rs.r_at(_ratio_mono(x1, x2, _e_t(0, 2)))
-        second = L if rs.toggles.ll_star == "corrected" else LSTAR
-        for m in rng:
-            for p in rng:
-                for j in rng:
-                    for l in rng:
-                        lhs = Element.zero()
-                        for (i, k) in rs._r_by_out.get((m, p), ()):
-                            lhs = lhs + Element.word(
-                                (GenOcc(L, i, j, x1),
-                                 GenOcc(LSTAR, k, l, x2)),
-                                coeff=lo[(i, k, m, p)])
-                        rhs = Element.zero()
-                        for (a, b) in rs._r_by_in.get((j, l), ()):
-                            rhs = rhs + Element.word(
-                                (GenOcc(LSTAR, p, b, x2),
-                                 GenOcc(second, m, a, x1)),
-                                coeff=hi[(j, l, a, b)])
-                        yield (m, p, j, l), lhs, rhs
-
-    elif relation_id == "PhistarPhistar":
-        ent = rs.r_at(_ratio_mono(x2, x1))
-        for i in rng:
-            for j in rng:
-                lhs = Element.word((GenOcc(PHISTAR, j, 0, x2),
-                                    GenOcc(PHISTAR, i, 0, x1)))
-                rhs = Element.zero()
-                for (jj, ii, bb, aa), c in ent.items():
-                    if (jj, ii) != (j, i) or c.is_zero():
-                        continue
-                    rhs = rhs + Element.word(
-                        (GenOcc(PHISTAR, aa, 0, x1),
-                         GenOcc(PHISTAR, bb, 0, x2)), coeff=c)
-                yield (i, j), lhs, rhs
-
-    elif relation_id == "PhistarLstar":
-        # lstar_ks(x2) Phistar_t(x1)
-        #   = sum R21[t,s -> i,l]((x2/x1) q^(-c/2)) Phistar_i(x1)
-        #     lstar_kl(x2), with R21[t,s -> i,l] = R[s,t -> l,i]
-        ent = rs.r_at(_ratio_mono(x2, x1, _e_t(0, -1)))
-        for t in rng:
-            for k in rng:
-                for s_ in rng:
-                    lhs = Element.word((GenOcc(LSTAR, k, s_, x2),
-                                        GenOcc(PHISTAR, t, 0, x1)))
-                    rhs = Element.zero()
-                    for (s2, t2, l2, i2), c in ent.items():
-                        if (s2, t2) != (s_, t) or c.is_zero():
-                            continue
-                        rhs = rhs + Element.word(
-                            (GenOcc(PHISTAR, i2, 0, x1),
-                             GenOcc(LSTAR, k, l2, x2)), coeff=c)
-                    yield (t, k, s_), lhs, rhs
-
-    elif relation_id == "PhiPhistar":
-        second_kind = (L if rs.toggles.cross_bracket == "corrected"
-                       else LSTAR)
-        for i in rng:
-            for j in rng:
-                lhs = (Element.word((GenOcc(PHI, i, 0, x1),
-                                     GenOcc(PHISTAR, j, 0, x2)))
-                       - Element.word((GenOcc(PHISTAR, j, 0, x2),
-                                       GenOcc(PHI, i, 0, x1))))
-                d1 = make_delta(x1, x2, _e_t(0, -2))
-                d2 = make_delta(x1, x2, _e_t(0, 2))
-                rhs = Element.word(
-                    (GenOcc(LSTAR, i, j, shift_arg(x2, _e_t(0, 1))),),
-                    coeff=rs.qfactor, deltas=(d1,))
-                rhs = rhs + Element.word(
-                    (GenOcc(second_kind, i, j, shift_arg(x1, _e_t(0, 1))),),
-                    coeff=-rs.qfactor, deltas=(d2,))
-                yield (i, j), lhs, rhs
-
-    elif relation_id == "PhistarL":
-        ent = rs.r_at(_ratio_mono(x2, x1, _e_t(0, -1)))
-        for i in rng:
-            for a in rng:
-                for b in rng:
-                    lhs = Element.zero()
-                    for (b2, a2, k2, j2), c in ent.items():
-                        if (a2, b2) != (a, b) or c.is_zero():
-                            continue
-                        lhs = lhs + Element.word(
-                            (GenOcc(L, i, j2, x1),
-                             GenOcc(PHISTAR, k2, 0, x2)), coeff=c)
-                    rhs = Element.word((GenOcc(PHISTAR, b, 0, x2),
-                                        GenOcc(L, i, a, x1)))
-                    yield (i, a, b), lhs, rhs
-
-    elif relation_id == "PhiLstar":
-        ent = rs.r_at(_ratio_mono(x1, x2, _e_t(0, 1)))
-        for m in rng:
-            for j in rng:
-                for p in rng:
-                    lhs = Element.zero()
-                    for (i, k) in rs._r_by_out.get((m, p), ()):
-                        lhs = lhs + Element.word(
-                            (GenOcc(LSTAR, i, j, x1),
-                             GenOcc(PHI, k, 0, x2)),
-                            coeff=ent[(i, k, m, p)])
-                    rhs = Element.word((GenOcc(PHI, p, 0, x2),
-                                        GenOcc(LSTAR, m, j, x1)))
-                    yield (m, j, p), lhs, rhs
-
-    else:
+    rel = _RELATION_BY_ID.get(relation_id)
+    if rel is None:
         raise KindError(f"unknown relation {relation_id!r}")
+    x = (None, _z(1), _z(2))
+    sides = (rel.lhs, rel.rhs)
+    factors = [[_factor(rs, side.matrix, x, 1)] if side.matrix else []
+               for side in sides]
+    for idx in itertools.product(range(1, rs.n + 1), repeat=len(rel.free)):
+        env = dict(zip(rel.free, idx))
+        lhs, rhs = (_element(_word_terms(rs, side.word, f, env, x))
+                    for side, f in zip(sides, factors))
+        if rel.bracket:
+            lhs, rhs = lhs - rhs, _element(_bracket_terms(rs, rel, env, x, 1))
+        yield idx, lhs, rhs
 
 
 def relation_self_residual(rs: RewriteSystem, relation_id: str):
@@ -1060,9 +913,7 @@ def relation_self_residual(rs: RewriteSystem, relation_id: str):
     sound rule table returns all-zero elements."""
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
-        res = delta_normalize(normal_order(lhs - rhs, rs))
-        res = delta_normalize(res)
-        out.append((idx, res))
+        out.append((idx, delta_normalize(normal_order(lhs - rhs, rs))))
     return out
 
 
@@ -1070,21 +921,18 @@ def relation_self_residual(rs: RewriteSystem, relation_id: str):
 # braid consistency
 # ---------------------------------------------------------------------------
 
-def _apply_samekind_at(e: Element, rs: RewriteSystem, pos: int,
-                       ascending: bool = False) -> Element:
+def _apply_samekind_at(e: Element, rs: RewriteSystem, pos: int) -> Element:
     """Apply the Phi exchange at word position ``pos`` of leg 0 to every
-    term (bypasses the deterministic scheduler)."""
+    term, whatever the order of the pair (bypasses the deterministic
+    scheduler)."""
     out: dict = {}
     acc = Element(e.nlegs, out, e.smarks)
     for key, coeff in e.terms.items():
         flag, deltas, legs = key
         word = legs[0]
         g1, g2 = word[pos], word[pos + 1]
-        if ascending:
-            pieces = ascending_phi_swap(rs, g1, g2)
-        else:
-            pieces = _rule_phi_phi(rs, g1, g2, 0)
-        for rcoeff, _, occs in pieces:
+        for rcoeff, _, occs in rule_pieces(rs, rs.rule_for(g1, g2), g1, g2,
+                                           0):
             nword = word[:pos] + tuple(occs) + word[pos + 2:]
             nkey = (flag, deltas, (nword,) + legs[1:])
             acc._accumulate(out, nkey, coeff * rcoeff)
@@ -1099,8 +947,8 @@ def braid_consistency(R: RMatrix, flavor: str = "particle",
       ordered along the two distinct transposition sequences (leftmost
       first, positions 0-1-0, vs rightmost first, 1-0-1); with the
       Yang-Baxter equation holding the results agree;
-    * involutivity: one descending swap followed by the ascending reading
-      of the same relation must return the original word; this is exactly
+    * involutivity: the Phi exchange applied twice, descending and then
+      ascending, must return the original word; this is exactly
       unitarity and catches scalar instances, whose Yang-Baxter equation
       is vacuous.
     """
@@ -1126,7 +974,7 @@ def braid_consistency(R: RMatrix, flavor: str = "particle",
             w = Element.word((GenOcc(PHI, j, 0, _z(2)),
                               GenOcc(PHI, i, 0, _z(1))))
             once = _apply_samekind_at(w, rs, 0)
-            back = _apply_samekind_at(once, rs, 0, ascending=True)
+            back = _apply_samekind_at(once, rs, 0)
             invol_residual += len((back - w).terms)
     return {
         "path_residual_terms": path_residual,

@@ -34,21 +34,20 @@ _TOGGLE_RE = re.compile(r"^toggle\s+([a-z-]+)\s*=\s*(\w+)$")
 
 
 def _split_statements(line: str):
-    """Split on ';' outside square brackets (entry indices contain one)."""
+    """Split on ';' outside square brackets (entry indices contain one);
+    returns (0-based start column, statement) pairs."""
     out = []
     depth = 0
-    cur = []
-    for ch in line:
+    start = 0
+    for pos, ch in enumerate(line):
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
-        if ch == ";" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
+        elif ch == ";" and depth == 0:
+            out.append((start, line[start:pos]))
+            start = pos + 1
+    out.append((start, line[start:]))
     return out
 
 
@@ -61,7 +60,8 @@ def parse_rspec(text: str):
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        for stmt in _split_statements(line):
+        for start, stmt in _split_statements(line):
+            start += len(stmt) - len(stmt.lstrip())
             stmt = stmt.strip()
             if not stmt:
                 continue
@@ -87,15 +87,15 @@ def parse_rspec(text: str):
                 if n is None or var is None:
                     raise ParseError("n= and var= must precede entries",
                                      lineno, 1)
-                i, j, k, l = (int(m.group(t)) for t in range(1, 5))
-                for t in (i, j, k, l):
-                    if not 1 <= t <= n:
-                        raise IndexError(
-                            f"entry index {t} out of range 1..{n} "
-                            f"(line {lineno})")
+                idx = tuple(int(m.group(t)) for t in range(1, 5))
+                for t, v in enumerate(idx, start=1):
+                    if not 1 <= v <= n:
+                        raise ParseError(
+                            f"entry index {v} out of range 1..{n}",
+                            lineno, start + m.start(t) + 1)
                 val = parse_expr(m.group(5), line_offset=lineno)
                 if not val.is_zero():
-                    entries[(i, j, k, l)] = val
+                    entries[idx] = val
                 continue
             raise ParseError(f"cannot parse statement {stmt!r}", lineno, 1)
     if n is None or var is None:
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
 
     try:
         R, name, flags, toggles = _load(args)
-    except (RhopfError, IndexError, OSError) as exc:
+    except (RhopfError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

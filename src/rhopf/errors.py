@@ -42,6 +42,10 @@ class UnsupportedRule(RhopfError):
     """A rewrite or Hopf table entry that is not defined was requested."""
 
 
+class BudgetError(RhopfError):
+    """A computation ran past its step budget."""
+
+
 class ExpansionError(RhopfError):
     """A series expansion was requested in a direction where it does not
     exist."""

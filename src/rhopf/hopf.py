@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from .algebra import (ArgShift, Element, GenOcc, L, LINV, LSTAR,
                       LSTARINV, PHI, PHISTAR, RewriteSystem, _z,
-                      delta_normalize, normal_order, relation_sides)
+                      charge_shift, delta_normalize, normal_order,
+                      relation_sides, shift_arg)
 from .errors import ShapeError, UnsupportedRule
 from .symfield import RatExpr
 
@@ -27,12 +28,6 @@ _R1 = RatExpr.from_int(1)
 _R0 = RatExpr.from_int(0)
 
 MAX_LEGS = 3
-
-
-def _slot_shift(slot: int, steps: int) -> tuple:
-    h = [0, 0, 0, 0]
-    h[slot] = steps
-    return tuple(h)
 
 
 def _identity_map(extra: dict = None) -> dict:
@@ -65,23 +60,23 @@ class HopfTables:
     def coproduct_fragments(self, g: GenOcc, slot1: int, slot2: int):
         n = self.n
         a = g.arg
-        e1 = lambda k: _slot_shift(slot1, k)  # noqa: E731
-        e2 = lambda k: _slot_shift(slot2, k)  # noqa: E731
+        e1 = lambda k: charge_shift(slot1, k)  # noqa: E731
+        e2 = lambda k: charge_shift(slot2, k)  # noqa: E731
         k_, i, j = g.kind, g.row, g.col
         if k_ == PHI:
             frags = [((g,), ())]
             for m in range(1, n + 1):
                 frags.append((
-                    (GenOcc(L, i, m, _shift(a, e1(1))),),
-                    (GenOcc(PHI, m, 0, _shift(a, e1(2))),)))
+                    (GenOcc(L, i, m, shift_arg(a, e1(1))),),
+                    (GenOcc(PHI, m, 0, shift_arg(a, e1(2))),)))
             return frags
         if k_ == L:
-            return [((GenOcc(L, i, m, _shift(a, e2(-1))),),
-                     (GenOcc(L, m, j, _shift(a, e1(1))),))
+            return [((GenOcc(L, i, m, shift_arg(a, e2(-1))),),
+                     (GenOcc(L, m, j, shift_arg(a, e1(1))),))
                     for m in range(1, n + 1)]
         if k_ == LSTAR:
-            return [((GenOcc(LSTAR, i, m, _shift(a, e2(1))),),
-                     (GenOcc(LSTAR, m, j, _shift(a, e1(-1))),))
+            return [((GenOcc(LSTAR, i, m, shift_arg(a, e2(1))),),
+                     (GenOcc(LSTAR, m, j, shift_arg(a, e1(-1))),))
                     for m in range(1, n + 1)]
         if k_ == PHISTAR:
             corrected = self.rs.toggles.phistar_coproduct == "corrected"
@@ -89,16 +84,16 @@ class HopfTables:
             for m in range(1, n + 1):
                 row, col = (m, i) if corrected else (i, m)
                 frags.append((
-                    (GenOcc(PHISTAR, m, 0, _shift(a, e2(2))),),
-                    (GenOcc(LSTAR, row, col, _shift(a, e2(1))),)))
+                    (GenOcc(PHISTAR, m, 0, shift_arg(a, e2(2))),),
+                    (GenOcc(LSTAR, row, col, shift_arg(a, e2(1))),)))
             return frags
         if k_ == LINV:
-            return [((GenOcc(LINV, m, j, _shift(a, e2(-1))),),
-                     (GenOcc(LINV, i, m, _shift(a, e1(1))),))
+            return [((GenOcc(LINV, m, j, shift_arg(a, e2(-1))),),
+                     (GenOcc(LINV, i, m, shift_arg(a, e1(1))),))
                     for m in range(1, n + 1)]
         if k_ == LSTARINV:
-            return [((GenOcc(LSTARINV, m, j, _shift(a, e2(1))),),
-                     (GenOcc(LSTARINV, i, m, _shift(a, e1(-1))),))
+            return [((GenOcc(LSTARINV, m, j, shift_arg(a, e2(1))),),
+                     (GenOcc(LSTARINV, i, m, shift_arg(a, e1(-1))),))
                     for m in range(1, n + 1)]
         raise UnsupportedRule(f"no coproduct table for kind {k_}")
 
@@ -114,7 +109,7 @@ class HopfTables:
     def antipode_fragments(self, g: GenOcc, slot: int):
         n = self.n
         a = g.arg
-        et = lambda k: _slot_shift(slot, k)  # noqa: E731
+        et = lambda k: charge_shift(slot, k)  # noqa: E731
         k_, i, j = g.kind, g.row, g.col
         if k_ == L:
             return [(_R1, (GenOcc(LINV, i, j, a),))]
@@ -122,19 +117,15 @@ class HopfTables:
             return [(_R1, (GenOcc(LSTARINV, i, j, a),))]
         if k_ == PHI:
             # one-leg reading: -sum_m Linv_im(z q^(-c/2)) Phi_m(z q^(-c))
-            return [(-_R1, (GenOcc(LINV, i, m, _shift(a, et(-1))),
-                            GenOcc(PHI, m, 0, _shift(a, et(-2)))))
+            return [(-_R1, (GenOcc(LINV, i, m, shift_arg(a, et(-1))),
+                            GenOcc(PHI, m, 0, shift_arg(a, et(-2)))))
                     for m in range(1, n + 1)]
         if k_ == PHISTAR:
             # one-leg reading: -sum_m Phistar_m(z q^-c) Lstarinv_mi(z q^(-c/2))
-            return [(-_R1, (GenOcc(PHISTAR, m, 0, _shift(a, et(-2))),
-                            GenOcc(LSTARINV, m, i, _shift(a, et(-1)))))
+            return [(-_R1, (GenOcc(PHISTAR, m, 0, shift_arg(a, et(-2))),
+                            GenOcc(LSTARINV, m, i, shift_arg(a, et(-1)))))
                     for m in range(1, n + 1)]
         raise UnsupportedRule(f"no antipode table for kind {k_}")
-
-
-def _shift(arg: ArgShift, dh: tuple) -> ArgShift:
-    return ArgShift(arg.var, tuple(x + y for x, y in zip(arg.h, dh)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +362,7 @@ def check_hom_on_relation(rs: RewriteSystem, tables: HopfTables,
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
         diff = coproduct(lhs - rhs, tables, 0)
-        res = delta_normalize(normal_order(diff, rs))
-        res = delta_normalize(res)
-        out.append((idx, res))
+        out.append((idx, delta_normalize(normal_order(diff, rs))))
     return out
 
 

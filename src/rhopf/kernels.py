@@ -1,13 +1,10 @@
-"""Pure-Python term-map kernels for sparse Laurent polynomials.
+"""Term-map kernels for sparse Laurent polynomials.
 
 A monomial is a tuple of (variable-index, exponent) pairs, sorted by
 variable index, with no zero exponents.  A polynomial is a dict mapping
 monomials to (arbitrary-precision) integer coefficients, with no zero
-coefficients.  These functions are the hot inner loop of the whole engine;
-a Cython twin with the same signatures lives in ``_poly_c.pyx``.
+coefficients.  These functions are the hot inner loop of the whole engine.
 """
-
-BACKEND = "python"
 
 
 def mono_mul(a, b):

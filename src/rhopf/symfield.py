@@ -730,19 +730,6 @@ def _subst_frac(terms: dict, frac: dict) -> dict:
 # field-level operations
 # ---------------------------------------------------------------------------
 
-def arith(a: RatExpr, b: RatExpr, op: str) -> RatExpr:
-    """Field arithmetic dispatch: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise DomainError(f"unknown op {op!r}")
-
-
 def clear_denominators(entries, var: str) -> LaurentPoly:
     """LCM of the reduced denominators in ``var`` over the remaining field.
 

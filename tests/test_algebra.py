@@ -9,9 +9,9 @@ import pytest
 from rhopf.algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
                            LSTAR, NO_SHIFT, PHI, PHISTAR, RewriteSystem,
                            braid_consistency, delta_normalize,
-                           make_delta, multiply, normal_order,
+                           make_delta, normal_order,
                            relation_self_residual, term_measure, FLAVOR_RELATIONS)
-from rhopf.errors import KindError, ShapeError
+from rhopf.errors import BudgetError, KindError, RhopfError, ShapeError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
 from rhopf.symfield import RatExpr, Z
@@ -88,12 +88,12 @@ def test_kind_error_for_flavor_p():
         normal_order(e, rs)
 
 
-# -- multiply ----------------------------------------------------------------
+# -- multiplication ----------------------------------------------------------
 
 def test_multiply_unit():
     a = Element.word((_phi(1, Z1),))
-    assert multiply(a, Element.unit()) == a
-    assert multiply(Element.unit(), a) == a
+    assert a * Element.unit() == a
+    assert Element.unit() * a == a
 
 
 def test_multiply_concatenates_and_scales():
@@ -101,21 +101,21 @@ def test_multiply_concatenates_and_scales():
     g = parse_expr("z1 + 1")
     a = Element.word((_phi(1, Z1),)).scale(f)
     b = Element.word((_l(1, 1, Z2),)).scale(g)
-    out = multiply(a, b)
+    out = a * b
     assert out == Element.word((_phi(1, Z1), _l(1, 1, Z2))).scale(f * g)
 
 
 def test_multiply_two_legs():
     a = Element.word((_phi(1, Z1),), nlegs=2, leg=0)
     b = Element(2, {("", (), ((_l(1, 1, Z2),), (_phi(1, Z2),))): R1})
-    out = multiply(a, b)
+    out = a * b
     key = ("", (), ((_phi(1, Z1), _l(1, 1, Z2)), (_phi(1, Z2),)))
     assert out == Element(2, {key: R1})
 
 
 def test_multiply_shape_error():
     with pytest.raises(ShapeError):
-        multiply(Element.unit(1), Element.unit(2))
+        Element.unit(1) * Element.unit(2)
 
 
 # -- normal ordering and contraction -----------------------------------------
@@ -269,6 +269,18 @@ def test_normal_order_idempotent_fuzzed():
             continue
         assert normal_order(once, rs) == once
         done += 1
+
+
+def test_step_budget_raises_typed_error():
+    rs = _scalar_rs("particle")
+    # two rewrites: (z3, z1) then (z3, z2)
+    e = Element.word((_phi(1, Z3), _phi(1, Z1), _phi(1, Z2)))
+    with pytest.raises(BudgetError) as err:
+        normal_order(e, rs, max_steps=1)
+    assert isinstance(err.value, RhopfError)
+    out = normal_order(e, rs, max_steps=3)
+    assert [w for (_, _, (w,)) in out.terms] == [
+        (_phi(1, Z1), _phi(1, Z2), _phi(1, Z3))]
 
 
 def test_singular_argument_raises():

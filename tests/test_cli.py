@@ -109,8 +109,10 @@ def test_parse_rspec_syntax_error_location():
 
 
 def test_parse_rspec_index_error():
-    with pytest.raises(IndexError):
-        parse_rspec("n=1; var=x; R[1,2;1,1]=x")
+    with pytest.raises(ParseError) as err:
+        parse_rspec("n=1; var=x\nR[1,1;1,1]=x; R[1,2;1,1]=x")
+    assert err.value.line == 2
+    assert err.value.col == 19  # the "2" in R[1,2;1,1]
 
 
 def test_parse_rspec_empty_row_rejected():

@@ -80,15 +80,15 @@ def test_substitute_rejects_fractional_exponent():
         f.substitute({"z1": {"s": Fraction(1, 2)}})
 
 
-def test_arith_dispatch_and_div_by_zero():
+def test_field_operators_and_div_by_zero():
     a = parse_expr("x + 1")
     b = parse_expr("x - 1")
-    assert sf.arith(a, b, "add") == parse_expr("2*x")
-    assert sf.arith(a, b, "sub") == parse_expr("2")
-    assert sf.arith(a, b, "mul") == parse_expr("x^2 - 1")
-    assert sf.arith(a, b, "div") == parse_expr("(x+1)/(x-1)")
+    assert a + b == parse_expr("2*x")
+    assert a - b == parse_expr("2")
+    assert a * b == parse_expr("x^2 - 1")
+    assert a / b == parse_expr("(x+1)/(x-1)")
     with pytest.raises(DomainError):
-        sf.arith(a, RatExpr.from_int(0), "div")
+        a / RatExpr.from_int(0)
 
 
 def test_clear_denominators_single():
