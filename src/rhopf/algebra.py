@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import (BudgetError, DomainError, KindError, ShapeError,
                      SingularError)
-from .rmatrix import RMatrix, unitarity_residual
+from .rmatrix import RMatrix, entries_at, unitarity_residual
 from .symfield import RatExpr, VARS, Z, mono_from_pairs, q_power
 
 LSTAR = "Lstar"
@@ -513,8 +513,7 @@ class RewriteSystem:
 
     def _subs_entries(self, entries: dict, argm: tuple) -> dict:
         try:
-            return {k: v.subs_monomial(self.R.var, argm)
-                    for k, v in entries.items()}
+            return entries_at(entries, self.R.var, argm)
         except DomainError as exc:
             raise SingularError(
                 f"R-matrix entry singular at the symbolic argument "
@@ -559,10 +558,13 @@ def _index_by_input(entries: dict) -> dict:
 _INVERSE = {"R": "Rinv", "Rinv": "R"}
 
 
-def _kind(kind, toggles: Toggles) -> str:
-    if isinstance(kind, str):
-        return kind
-    attr, corrected, literal = kind
+def toggled(value, toggles: Toggles):
+    """A table entry as read under ``toggles``: the entry itself, or for a
+    toggled entry (Toggles attribute, corrected, literal) the reading the
+    toggle picks."""
+    if isinstance(value, str):
+        return value
+    attr, corrected, literal = value
     return corrected if getattr(toggles, attr) == "corrected" else literal
 
 
@@ -570,7 +572,7 @@ def _occ(pattern, env: dict, x, toggles: Toggles, dh=None) -> GenOcc:
     kind, letters, arg = pattern
     col = env[letters[1]] if len(letters) == 2 else 0
     a = x[arg] if dh is None else shift_arg(x[arg], dh)
-    return GenOcc(_kind(kind, toggles), env[letters[0]], col, a)
+    return GenOcc(toggled(kind, toggles), env[letters[0]], col, a)
 
 
 def _orient(rel: Relation, toggles: Toggles):
@@ -578,7 +580,7 @@ def _orient(rel: Relation, toggles: Toggles):
     solves the first side whose word is out of canonical order."""
     x = (None, _z(1), _z(2))
     for s, side in enumerate((rel.lhs, rel.rhs)):
-        g1, g2 = (GenOcc(_kind(kind, toggles), 0, 0, x[arg])
+        g1, g2 = (GenOcc(toggled(kind, toggles), 0, 0, x[arg])
                   for kind, _, arg in side.word)
         if _pair_out_of_order(g1, g2):
             return (g1.kind, g2.kind), (rel, s)

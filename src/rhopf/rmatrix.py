@@ -55,8 +55,18 @@ class RMatrix:
 
     def at(self, arg: tuple) -> dict:
         """Entries with the spectral variable replaced by a monomial."""
-        return {key: v.subs_monomial(self.var, arg)
-                for key, v in self.entries.items()}
+        return entries_at(self.entries, self.var, arg)
+
+    def _dense(self):
+        """(row-major index pairs, the n^2 x n^2 matrix with row (k,l) and
+        column (i,j) holding R[i,j -> k,l])."""
+        pairs = [(i, j) for i in range(1, self.n + 1)
+                 for j in range(1, self.n + 1)]
+        idx = {p: a for a, p in enumerate(pairs)}
+        mat = [[_R0] * len(pairs) for _ in pairs]
+        for (i, j, k, l), v in self.entries.items():
+            mat[idx[(k, l)]][idx[(i, j)]] = v
+        return pairs, mat
 
     def inverse_entries(self) -> dict:
         """Entries of R(x)^-1 over the function field."""
@@ -67,14 +77,10 @@ class RMatrix:
                     raise SingularError("zero diagonal entry")
                 out[key] = v.inverse()
             return out
-        n2 = self.n * self.n
-        pairs = [(i, j) for i in range(1, self.n + 1)
-                 for j in range(1, self.n + 1)]
-        idx = {p: a for a, p in enumerate(pairs)}
-        mat = [[_R0] * n2 for _ in range(n2)]
-        for (i, j, k, l), v in self.entries.items():
-            mat[idx[(k, l)]][idx[(i, j)]] = v
-        inv = _invert_dense(mat)
+        pairs, mat = self._dense()
+        _, inv = _eliminate(mat, invert=True)
+        if inv is None:
+            raise SingularError("matrix is singular over the function field")
         out = {}
         for r, (k, l) in enumerate(pairs):
             for c, (i, j) in enumerate(pairs):
@@ -92,66 +98,42 @@ class RMatrix:
             if seen < self.n * self.n:
                 return _R0
             return det
-        n2 = self.n * self.n
-        pairs = [(i, j) for i in range(1, self.n + 1)
-                 for j in range(1, self.n + 1)]
-        idx = {p: a for a, p in enumerate(pairs)}
-        mat = [[_R0] * n2 for _ in range(n2)]
-        for (i, j, k, l), v in self.entries.items():
-            mat[idx[(k, l)]][idx[(i, j)]] = v
-        return _determinant_dense(mat)
+        return _eliminate(self._dense()[1], invert=False)[0]
 
 
-def _invert_dense(mat):
-    """Gauss-Jordan inverse of a dense RatExpr matrix."""
+def entries_at(entries: dict, var: str, arg: tuple) -> dict:
+    """Entries with the variable ``var`` replaced by a monomial."""
+    return {key: v.subs_monomial(var, arg) for key, v in entries.items()}
+
+
+def _eliminate(mat, invert: bool):
+    """Gauss-Jordan elimination of a dense RatExpr matrix: (determinant,
+    inverse), the inverse rows carried along only when ``invert``; a
+    singular matrix gives (0, None)."""
     n = len(mat)
     a = [row[:] for row in mat]
-    inv = [[_R1 if i == j else _R0 for j in range(n)] for i in range(n)]
+    inv = [[_R1 if i == j else _R0 for j in range(n)] if invert else []
+           for i in range(n)]
+    det = _R1
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()),
+                   None)
         if piv is None:
-            raise SingularError("matrix is singular over the function field")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
+            return _R0, None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            inv[col], inv[piv] = inv[piv], inv[col]
+            det = -det
+        det = det * a[col][col]
         p = a[col][col].inverse()
         a[col] = [v * p for v in a[col]]
         inv[col] = [v * p for v in inv[col]]
         for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
             f = a[r][col]
-            a[r] = [a[r][c] - f * a[col][c] for c in range(n)]
-            inv[r] = [inv[r][c] - f * inv[col][c] for c in range(n)]
-    return inv
-
-
-def _determinant_dense(mat):
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = _R1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            return _R0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        p = a[col][col].inverse()
-        for r in range(col + 1, n):
-            if a[r][col].is_zero():
-                continue
-            f = a[r][col] * p
-            a[r] = [a[r][c] - f * a[col][c] for c in range(n)]
-    return det
+            if r != col and not f.is_zero():
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return det, inv
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,21 @@ def test_cli_malformed_spec_exits_2(tmp_path):
     assert main(["check-r", "--spec", str(spec)]) == 2
 
 
+def test_cli_spec_unknown_variable_exits_2(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("n=1; var=foo\nR[1,1;1,1] = 1\n")
+    assert main(["check-r", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(line 1, col 10)" in err
+
+
+def test_cli_spec_not_utf8_exits_2(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_bytes(b"n=1; var=x\nR[1,1;1,1] = x  # \xff\n")
+    assert main(["check-r", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_bad_toggle_exits_2():
     assert main(["check-r", "--instance", "example1",
                  "--toggle", "nonsense=corrected"]) == 2

@@ -1,0 +1,62 @@
+"""Grammar fuzz: text built from the alphabets of the expression, element
+and spec-file grammars either parses or raises a RhopfError, never any
+other exception."""
+
+from hypothesis import given, settings, strategies as st
+
+from rhopf.cli import parse_rspec
+from rhopf.elemio import parse_element
+from rhopf.errors import RhopfError
+from rhopf.expr import parse_expr
+
+_EXPR = ("x", "q", "s", "u1", "z1", "z9", "w", "foo", "0", "1", "2", "^",
+         "-", "+", "*", "/", "(", ")", " ", ".", "@")
+_ELEMENT = ("Phi", "PhiStar", "L", "LStar", "LInv", "LStarInv", "delta",
+            "Bogus", "[", "]", "(", ")", "{", "}", ",", "*", "/", "+", "-",
+            "(x)", "q[", "z1", "z2", "x", "q", "0", "1", "2", "-1", " ")
+_SPEC = ("n=", "var=", "name=", "toggle ", "ll-star", "=", "literal",
+         "R[", "]", ",", ";", "#", "\n", " ", "x", "q", "foo", "(", ")",
+         "1", "2", "-", "*", "/", "^")
+
+_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+def _text(alphabet):
+    return st.lists(st.sampled_from(alphabet), max_size=16).map("".join)
+
+
+def _parses_or_typed_error(parse, text):
+    try:
+        parse(text)
+    except RhopfError:
+        pass
+
+
+@_SETTINGS
+@given(_text(_EXPR))
+def test_fuzz_parse_expr(text):
+    _parses_or_typed_error(parse_expr, text)
+
+
+@_SETTINGS
+@given(_text(_ELEMENT))
+def test_fuzz_parse_element(text):
+    _parses_or_typed_error(parse_element, text)
+
+
+_entry = st.builds("R[{},{};{},{}]={}".format, *[st.sampled_from("012")] * 4,
+                   st.one_of(st.sampled_from(("x", "1", "q/(x - 1)")),
+                             _text(_EXPR)))
+
+
+@_SETTINGS
+@given(st.sampled_from((1, 2)), st.sampled_from(("x", "q", "z1", "foo")),
+       st.lists(st.one_of(_entry, _text(_SPEC)), max_size=4),
+       st.sampled_from(("; ", "\n")))
+def test_fuzz_parse_rspec(n, var, statements, sep):
+    """Fuzzed statements between a header and a diagonal that would make
+    the spec complete."""
+    diagonal = [f"R[{i},{j};{i},{j}]=x" for i in range(1, n + 1)
+                for j in range(1, n + 1)]
+    text = sep.join([f"n={n}; var={var}"] + statements + diagonal)
+    _parses_or_typed_error(parse_rspec, text)

@@ -90,24 +90,36 @@ def test_antipode_qc_inverts_charge():
     assert out == Element.unit(1, RatExpr.var("u1", -2))
 
 
-def test_antipode_phi_scalar_one_leg_form():
-    rs, tb = _setup()
-    out = resolve_antipode_marks(antipode_apply(_gen(PHI, 1), tb, 0))
-    expected = Element.word(
-        (GenOcc(LINV, 1, 1, ArgShift(Z1, (0, -1, 0, 0))),
-         GenOcc(PHI, 1, 0, ArgShift(Z1, (0, -2, 0, 0)))),
-        coeff=RatExpr.from_int(-1))
-    assert out == expected
+def _one_leg_antipode(first, second, n):
+    """-sum_m first(m) second(m), m = 1..n: the one-leg antipode form."""
+    out = Element.zero()
+    for m in range(1, n + 1):
+        out = out + Element.word((first(m), second(m)),
+                                 coeff=RatExpr.from_int(-1))
+    return out
 
 
-def test_antipode_phistar_scalar_one_leg_form():
-    rs, tb = _setup()
-    out = resolve_antipode_marks(antipode_apply(_gen(PHISTAR, 1), tb, 0))
-    expected = Element.word(
-        (GenOcc(PHISTAR, 1, 0, ArgShift(Z1, (0, -2, 0, 0))),
-         GenOcc(LSTARINV, 1, 1, ArgShift(Z1, (0, -1, 0, 0)))),
-        coeff=RatExpr.from_int(-1))
-    assert out == expected
+@pytest.mark.parametrize("name", ["example1", "example2-n2"])
+def test_antipode_phi_scalar_one_leg_form(name):
+    rs, tb = _setup(name)
+    for i in range(1, rs.n + 1):
+        out = resolve_antipode_marks(antipode_apply(_gen(PHI, i), tb, 0))
+        expected = _one_leg_antipode(
+            lambda m: GenOcc(LINV, i, m, ArgShift(Z1, (0, -1, 0, 0))),
+            lambda m: GenOcc(PHI, m, 0, ArgShift(Z1, (0, -2, 0, 0))), rs.n)
+        assert out == expected
+
+
+@pytest.mark.parametrize("name", ["example1", "example2-n2"])
+def test_antipode_phistar_scalar_one_leg_form(name):
+    rs, tb = _setup(name)
+    for i in range(1, rs.n + 1):
+        out = resolve_antipode_marks(antipode_apply(_gen(PHISTAR, i), tb, 0))
+        expected = _one_leg_antipode(
+            lambda m: GenOcc(PHISTAR, m, 0, ArgShift(Z1, (0, -2, 0, 0))),
+            lambda m: GenOcc(LSTARINV, m, i, ArgShift(Z1, (0, -1, 0, 0))),
+            rs.n)
+        assert out == expected
 
 
 def test_antipode_missing_table_entry():
@@ -140,6 +152,28 @@ def test_merge_contracts_antipode_on_l():
 def test_merge_of_plain_units():
     e = Element.unit(2)
     assert merge_legs(e, 0) == Element.unit(1)
+
+
+@pytest.mark.parametrize("name,leg,expected", [
+    ("coproduct", 0, "u1^3*u2^3*u3^2"),
+    ("coproduct", 1, "u1^3*u2^2*u3^2"),
+    ("counit", 0, "u1^2*u2"),
+    ("counit", 1, "u1^3*u2"),
+    ("merge", 0, "u1^5*u2"),
+    ("merge", 1, "u1^3*u2^3"),
+])
+def test_leg_maps_renumber_the_charges_above(name, leg, expected):
+    """The charge of every leg above the split, removed or merged legs
+    moves with its leg; distinct exponents per leg catch a swapped map."""
+    rs, tb = _setup()
+    if name == "coproduct":
+        out = coproduct(Element.unit(2, parse_expr("u1^3*u2^2")), tb, leg)
+    else:
+        e = Element.unit(3, parse_expr("u1^3*u2^2*u3"))
+        out = (counit_apply(e, tb, leg) if name == "counit"
+               else merge_legs(e, leg))
+    assert out == Element.unit(out.nlegs, parse_expr(expected))
+    assert out.nlegs == (3 if name == "coproduct" else 2)
 
 
 def test_coassociativity_phi_frozen_three_leg_form():
