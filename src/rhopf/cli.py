@@ -308,7 +308,9 @@ def main(argv=None) -> int:
                         "homomorphism checks, Hopf axioms")
     _add_common(p2)
     p2.add_argument("--flavor", default="double",
-                    choices=("particle", "extended", "double"))
+                    choices=("extended", "double"),
+                    help="the particle flavor has no coproduct: the "
+                         "coproduct of Phi needs L")
 
     p3 = sub.add_parser("verify-modes", help="mode-level consistency and "
                         "the scalar reference comparison")
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
         try:
             rs = RewriteSystem(R, args.flavor, toggles,
                                check_unitarity=False)
-            e = parse_element(args.element)
+            e = parse_element(args.element, n=R.n)
             out = delta_normalize(normal_order(e, rs))
             sys.stdout.write(format_element(out) + "\n")
             return 0

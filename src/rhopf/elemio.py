@@ -88,17 +88,19 @@ _TOKEN = re.compile(
     r"\s*(?:(\(x\))|(\{)|(delta)|([A-Za-z][A-Za-z]*)|(-?\d+)|(.))")
 
 
-def parse_element(text: str, nlegs: int = None) -> Element:
+def parse_element(text: str, nlegs: int = None, n: int = None) -> Element:
     """Parse the element grammar; the leg count is inferred from the first
-    term unless given."""
-    parser = _ElementParser(text)
+    term unless given.  With ``n``, every generator index must lie in
+    1..n."""
+    parser = _ElementParser(text, n)
     return parser.parse(nlegs)
 
 
 class _ElementParser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, n: int = None):
         self.text = text
         self.pos = 0
+        self.n = n
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -127,6 +129,15 @@ class _ElementParser:
             self._error("expected integer")
         self.pos += m.end()
         return int(m.group(0))
+
+    def _index(self) -> int:
+        self._skip_ws()
+        start = self.pos
+        i = self._int()
+        if self.n is not None and not 1 <= i <= self.n:
+            self.pos = start
+            self._error(f"generator index {i} out of range 1..{self.n}")
+        return i
 
     def _ident(self):
         self._skip_ws()
@@ -209,10 +220,10 @@ class _ElementParser:
             if name in _TEXT_KIND:
                 kind = _TEXT_KIND[name]
                 self._expect("[")
-                row = self._int()
+                row = self._index()
                 col = 0
                 if self._eat(","):
-                    col = self._int()
+                    col = self._index()
                 self._expect("]")
                 self._expect("(")
                 var = self._zvar()

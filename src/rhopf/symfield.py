@@ -17,8 +17,9 @@ structural comparison of canonical forms.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 
 from . import kernels
 from .errors import DomainError, ExponentError
@@ -262,56 +263,76 @@ def _pos_leading(terms: dict) -> dict:
     return terms
 
 
+def _desc_key(m: tuple) -> tuple:
+    """Heap key under which the lex-leading monomial is the smallest."""
+    key = [0] * NVARS
+    for v, e in m:
+        key[NVARS - 1 - v] = -e
+    return tuple(key)
+
+
 def divexact(p: dict, d: dict) -> dict:
-    """Exact division of term maps; raises DomainError if not exact."""
+    """Exact division of ordinary term maps in Z[vars]; raises DomainError
+    if the quotient is not an ordinary polynomial with integer
+    coefficients."""
     if not d:
         raise DomainError("division by zero polynomial")
     if not p:
         return {}
-    # long division over the rationals, then check integrality; in an
-    # exact division the leading monomial is divisible at every step, so
-    # a failed divisibility check means the division is inexact
-    rem = {m: Fraction(c) for m, c in p.items()}
+    # long division over the integers: in an exact division every quotient
+    # term is the leading term of the remainder over that of d, so a
+    # monomial or an integer that does not divide means the division is
+    # inexact.  The terms below each leading one only ever get smaller, so
+    # a heap of remainder monomials yields the leading ones in order.
+    rem = dict(p)
+    heap = [(_desc_key(m), m) for m in rem]
+    heapq.heapify(heap)
     dm = max(d, key=mono_key)
     dc = d[dm]
     dm_inv = mono_inv(dm)
+    rest = [(m2, c2) for m2, c2 in d.items() if m2 != dm]
     quot: dict = {}
-    while rem:
-        m = max(rem, key=mono_key)
-        c = rem[m]
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = rem.pop(m, 0)
+        if not c:
+            continue
         qm = kernels.mono_mul(m, dm_inv)
         if any(e < 0 for _, e in qm):
             raise DomainError("inexact polynomial division")
-        qc = c / dc
-        quot[qm] = quot.get(qm, Fraction(0)) + qc
-        for m2, c2 in d.items():
+        qc, r = divmod(c, dc)
+        if r:
+            raise DomainError("inexact polynomial division")
+        quot[qm] = qc
+        for m2, c2 in rest:
             mm = kernels.mono_mul(qm, m2)
-            val = rem.get(mm, Fraction(0)) - qc * c2
-            if val:
-                rem[mm] = val
-            elif mm in rem:
-                del rem[mm]
-    out = {}
-    for m, c in quot.items():
-        if c:
-            if c.denominator != 1:
-                raise DomainError("inexact polynomial division")
-            out[m] = int(c)
-    return out
+            old = rem.get(mm)
+            if old is None:
+                rem[mm] = -qc * c2
+                heapq.heappush(heap, (_desc_key(mm), mm))
+            else:
+                rem[mm] = old - qc * c2
+    return quot
+
+
+def _vexp(m: tuple, v: int) -> int:
+    for u, e in m:
+        if u == v:
+            return e
+    return 0
+
+
+def _without(m: tuple, v: int) -> tuple:
+    return tuple(pair for pair in m if pair[0] != v)
 
 
 def _deg(terms: dict, v: int) -> int:
-    return max((dict(m).get(v, 0) for m in terms), default=-1)
+    return max((_vexp(m, v) for m in terms), default=-1)
 
 
 def _coeff_of(terms: dict, v: int, d: int) -> dict:
-    out = {}
-    for m, c in terms.items():
-        md = dict(m)
-        if md.get(v, 0) == d:
-            md.pop(v, None)
-            out[mono_from_pairs(md.items())] = c
-    return out
+    return {(_without(m, v) if d else m): c for m, c in terms.items()
+            if _vexp(m, v) == d}
 
 
 def _vcontent(terms: dict, v: int):
@@ -414,59 +435,62 @@ def _subresultant(a: dict, b: dict, v: int) -> dict:
 
 
 _EVAL_POINTS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# three attempts; variable u is evaluated at _POINTS[attempt][u]
+_POINTS = tuple(tuple(_EVAL_POINTS[(u + 5 * a) % len(_EVAL_POINTS)]
+                      for u in range(NVARS)) for a in range(3))
+_PRIME = 2 ** 61 - 1
 
 
-def _specialize(terms: dict, v: int, attempt: int) -> dict:
-    """Evaluate every variable except v at fixed integer points; returns a
-    univariate map degree -> int."""
-    out: dict = {}
+def _specialize(terms: dict, v: int, points: tuple) -> dict:
+    """Image in GF(_PRIME)[v]: every variable u except v evaluated at the
+    integer points[u]; returns a univariate map degree -> nonzero
+    residue."""
+    sums: dict = {}
     for m, c in terms.items():
         d = 0
-        val = c
         for u, e in m:
             if u == v:
                 d = e
             else:
-                val *= _EVAL_POINTS[(u + 5 * attempt) % len(_EVAL_POINTS)] \
-                    ** e
-        s = out.get(d, 0) + val
-        if s:
-            out[d] = s
-        elif d in out:
-            del out[d]
+                c *= points[u] ** e
+        sums[d] = sums.get(d, 0) + c
+    out = {}
+    for d, c in sums.items():
+        c %= _PRIME
+        if c:
+            out[d] = c
     return out
 
 
 def _univar_gcd_degree(pu: dict, qu: dict) -> int:
-    """Degree of gcd of univariate maps degree -> int (Euclid over Q)."""
-    fa = {d: Fraction(c) for d, c in pu.items()}
-    fb = {d: Fraction(c) for d, c in qu.items()}
-    if max(fa, default=-1) < max(fb, default=-1):
-        fa, fb = fb, fa
-    while fb:
-        da, db = max(fa), max(fb)
-        lb = fb[db]
-        while fa and max(fa) >= db:
-            d = max(fa)
-            f = fa[d] / lb
-            for d2, c2 in fb.items():
-                key = d - db + d2
-                val = fa.get(key, Fraction(0)) - f * c2
-                if val:
-                    fa[key] = val
-                elif key in fa:
-                    del fa[key]
-        fa, fb = fb, fa
-    return max(fa, default=0)
+    """Degree of the gcd of nonzero univariate maps degree -> residue
+    (Euclid over GF(_PRIME))."""
+    a = [pu.get(d, 0) for d in range(max(pu) + 1)]
+    b = [qu.get(d, 0) for d in range(max(qu) + 1)]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            f = a[-1] * inv % _PRIME
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % _PRIME
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 def _vdeg_bound(p: dict, q: dict, v: int):
-    """Sound upper bound for deg_v(gcd) via degree-preserving
-    specialization; None when no degree-preserving point was found."""
+    """Sound upper bound for deg_v(gcd) via a specialization that keeps
+    deg_v of both operands: the image of the gcd divides both images and
+    keeps its own degree, so it divides their gcd.  None when no
+    degree-preserving point was found."""
     dp, dq = _deg(p, v), _deg(q, v)
-    for attempt in range(3):
-        pu = _specialize(p, v, attempt)
-        qu = _specialize(q, v, attempt)
+    for points in _POINTS:
+        pu = _specialize(p, v, points)
+        qu = _specialize(q, v, points)
         if max(pu, default=-1) == dp and max(qu, default=-1) == dq:
             return _univar_gcd_degree(pu, qu)
     return None
@@ -474,14 +498,25 @@ def _vdeg_bound(p: dict, q: dict, v: int):
 
 def _gcd_primitive(p: dict, q: dict) -> dict:
     """GCD of integer-primitive ordinary term maps, primitive result."""
-    pvars = LaurentPoly(p).variables() | LaurentPoly(q).variables()
+    pv, qv = LaurentPoly(p).variables(), LaurentPoly(q).variables()
+    pvars = pv | qv
     if not pvars:
         return dict(_ONE_TERMS)
     if len(p) == 1 or len(q) == 1:
         return _mono_gcd_with(p, q)
+    # coprimality certificate: every variable of the gcd occurs in both
+    # operands, so a proven degree bound of 0 in each shared variable
+    # leaves only a constant, and the operands are primitive
+    bounds: dict = {}
+    for u in sorted(pv & qv):
+        bounds[u] = _vdeg_bound(p, q, u)
+        if bounds[u] != 0:
+            break
+    else:
+        return dict(_ONE_TERMS)
     # main variable: smallest maximum degree keeps the sequence short
     v = min(pvars, key=lambda u: (max(_deg(p, u), _deg(q, u)), u))
-    bound = _vdeg_bound(p, q, v)
+    bound = bounds[v] if v in bounds else _vdeg_bound(p, q, v)
     if bound == 0:
         # the gcd is free of v: it equals the gcd of the v-contents
         return _pos_leading(poly_gcd(_vcontent(p, v), _vcontent(q, v)))
@@ -495,15 +530,77 @@ def _gcd_primitive(p: dict, q: dict) -> dict:
         divexact(a, b)
         raw = b
     except DomainError:
-        raw = _subresultant(a, b, v)
-        rc = _vcontent(raw, v)
-        if rc != _ONE_TERMS:
-            raw = divexact(raw, rc)
-        ic = _int_content(raw)
-        if ic not in (0, 1):
-            raw = _div_int(raw, ic)
+        raw = _heugcd(a, b, v)
+        if raw is None:
+            raw = _subresultant(a, b, v)
+            rc = _vcontent(raw, v)
+            if rc != _ONE_TERMS:
+                raw = divexact(raw, rc)
+            ic = _int_content(raw)
+            if ic not in (0, 1):
+                raw = _div_int(raw, ic)
     out = kernels.poly_mul(cont, raw)
     return _pos_leading(out)
+
+
+def _eval_at(terms: dict, v: int, xi: int) -> dict:
+    """Term map with variable v set to the integer xi."""
+    out: dict = {}
+    for m, c in terms.items():
+        e = _vexp(m, v)
+        if e:
+            m = _without(m, v)
+        val = out.get(m, 0) + c * xi ** e
+        if val:
+            out[m] = val
+        elif m in out:
+            del out[m]
+    return out
+
+
+def _xi_adic(terms: dict, v: int, xi: int) -> dict:
+    """Inverse of ``_eval_at``: expand every integer coefficient in base xi
+    with digits in (-xi/2, xi/2], digit i becoming the coefficient of v^i."""
+    out: dict = {}
+    half = xi // 2
+    for m, c in terms.items():
+        i = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[kernels.mono_mul(m, ((v, i),)) if i else m] = r
+            c = (c - r) // xi
+            i += 1
+    return out
+
+
+_HEU_ATTEMPTS = 6
+
+
+def _heugcd(a: dict, b: dict, v: int):
+    """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989): the gcd of
+    integer-primitive ordinary term maps, reconstructed from the gcd of
+    their values at v = xi; None when no xi gives a common divisor.
+
+    With xi >= 2 + 2*min(|a|, |b|) (largest coefficient), a candidate G
+    that divides both is the gcd: gcd = G*h with h(xi) dividing the
+    content of the digits, at most xi/2, while a factor of a that is not
+    an integer has a larger value at xi (Cauchy's root bound, applied to
+    h's leading form in the other variables and then to h in v)."""
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    for _ in range(_HEU_ATTEMPTS):
+        gamma = poly_gcd(_eval_at(a, v, xi), _eval_at(b, v, xi))
+        cand = _xi_adic(gamma, v, xi)
+        cand = _pos_leading(_div_int(cand, _int_content(cand)))
+        try:
+            divexact(b, cand)
+            divexact(a, cand)
+            return cand
+        except DomainError:
+            xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
 
 
 def poly_lcm(p: dict, q: dict) -> dict:
@@ -578,33 +675,83 @@ class RatExpr:
     def variables(self) -> set:
         return self.num.variables() | self.den.variables()
 
+    @staticmethod
+    def _canonical(nt: dict, dt: dict) -> "RatExpr":
+        """Wrap term maps that are already in canonical form."""
+        out = RatExpr.__new__(RatExpr)
+        out.num = LaurentPoly(nt)
+        out.den = LaurentPoly(dt)
+        out._hash = None
+        return out
+
     # -- field operations ---------------------------------------------------
+    #
+    # The operators build canonical results from canonical operands without
+    # the gcd of the raw cross product (Henrici, JACM 1956; Knuth, TAOCP
+    # vol. 2, 4.5.1).  Denominators have no monomial factor, so a gcd with
+    # one only needs the ordinary part of the other operand; quotients of
+    # denominators by their positive-leading gcds keep a positive leading
+    # coefficient, and so do their products.
 
     def __add__(self, other):
         if isinstance(other, int):
             other = RatExpr.from_int(other)
-        return RatExpr(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        return self._add(other, kernels.poly_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = RatExpr.from_int(other)
-        return RatExpr(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+        return self._add(other, kernels.poly_sub)
+
+    def _add(self, other, combine) -> "RatExpr":
+        """a/b (+ or -) c/d.  With g = gcd(b, d), b = g*b1, d = g*d1, the
+        sum t = a*d1 + c*b1 is coprime to b1 and d1, so only gcd(t, g)
+        can cancel: the whole of b when b == d, nothing when g == 1."""
+        a, b = self.num.terms, self.den.terms
+        c, d = other.num.terms, other.den.terms
+        if b == d:
+            g, b1, d1 = b, _ONE_TERMS, _ONE_TERMS
+        elif b == _ONE_TERMS or d == _ONE_TERMS:
+            g, b1, d1 = _ONE_TERMS, b, d
+        else:
+            g = poly_gcd(b, d)
+            if g == _ONE_TERMS:
+                b1, d1 = b, d
+            else:
+                b1, d1 = divexact(b, g), divexact(d, g)
+        t = combine(kernels.poly_mul(a, d1) if d1 != _ONE_TERMS else a,
+                    kernels.poly_mul(c, b1) if b1 != _ONE_TERMS else c)
+        if not t:
+            return RatExpr._canonical({}, dict(_ONE_TERMS))
+        if g != _ONE_TERMS:
+            t, g = _cancel(t, g)
+        den = g
+        for part in (b1, d1):
+            if part != _ONE_TERMS:
+                den = kernels.poly_mul(den, part)
+        return RatExpr._canonical(t, den)
 
     def __neg__(self):
-        out = RatExpr.__new__(RatExpr)
-        out.num = -self.num
-        out.den = self.den
-        out._hash = None
-        return out
+        return RatExpr._canonical(kernels.poly_neg(self.num.terms),
+                                  self.den.terms)
 
     def __mul__(self, other):
+        """(a/b)*(c/d) = (a/g1)*(c/g2) / ((b/g2)*(d/g1)) with g1 = gcd(a, d)
+        and g2 = gcd(c, b), each skipped when its denominator is 1."""
         if isinstance(other, int):
             other = RatExpr.from_int(other)
-        return RatExpr(self.num * other.num, self.den * other.den)
+        a, b = self.num.terms, self.den.terms
+        c, d = other.num.terms, other.den.terms
+        if not a or not c:
+            return RatExpr._canonical({}, dict(_ONE_TERMS))
+        if d != _ONE_TERMS:
+            a, d = _cancel(a, d)
+        if b != _ONE_TERMS:
+            c, b = _cancel(c, b)
+        return RatExpr._canonical(kernels.poly_mul(a, c),
+                                  kernels.poly_mul(b, d))
 
     __rmul__ = __mul__
 
@@ -613,19 +760,28 @@ class RatExpr:
             other = RatExpr.from_int(other)
         if other.is_zero():
             raise DomainError("division by zero")
-        return RatExpr(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self) -> "RatExpr":
+        """d/n with n's monomial part moved to the numerator and the sign
+        chosen so that the new denominator leads positive."""
         if self.is_zero():
             raise DomainError("inverse of zero")
-        return RatExpr(self.den, self.num)
+        shift, n_ord = _strip_mono(self.num.terms)
+        d = kernels.poly_scale(self.den.terms, 1, mono_inv(shift))
+        if n_ord[max(n_ord, key=mono_key)] < 0:
+            return RatExpr._canonical(kernels.poly_neg(d),
+                                      kernels.poly_neg(n_ord))
+        return RatExpr._canonical(d, n_ord)
 
     def __pow__(self, e: int):
         if e == 0:
             return RatExpr.from_int(1)
         if e < 0:
             return self.inverse() ** (-e)
-        return RatExpr(self.num ** e, self.den ** e)
+        # powers of coprime polynomials stay coprime
+        return RatExpr._canonical((self.num ** e).terms,
+                                  (self.den ** e).terms)
 
     # -- comparisons --------------------------------------------------------
 
@@ -681,6 +837,20 @@ class RatExpr:
             frac[VAR_INDEX[name]] = vec
         return RatExpr(LaurentPoly(_subst_frac(self.num.terms, frac)),
                        LaurentPoly(_subst_frac(self.den.terms, frac)))
+
+
+def _cancel(t: dict, den: dict) -> tuple:
+    """(t/h, den/h) for a nonzero Laurent term map t and a denominator in
+    canonical form, with h = gcd(t, den); den/h keeps a positive leading
+    coefficient."""
+    shift, t_ord = _strip_mono(t)
+    h = poly_gcd(t_ord, den)
+    if h == _ONE_TERMS:
+        return t, den
+    t_ord = divexact(t_ord, h)
+    if shift:
+        t_ord = kernels.poly_scale(t_ord, 1, shift)
+    return t_ord, divexact(den, h)
 
 
 def _subst_var(terms: dict, v: int, target: tuple) -> dict:

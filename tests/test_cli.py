@@ -226,3 +226,26 @@ def test_cli_normal_order_subcommand(capsys):
     expected = normal_order(
         parse_element("Phi[1](z2) Phi[1](z1)"), rs)
     assert got == expected
+
+
+def test_cli_normal_order_index_out_of_range_exits_2(capsys):
+    code = main(["normal-order", "--instance", "example2-n2",
+                 "Phi[0](z2) Phi[7](z1)"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(line 1, col 5)" in err
+    code = main(["normal-order", "--instance", "example2-n2",
+                 "Phi[2](z2) L[1,3](z1)"])
+    assert code == 2
+    assert "(line 1, col 16)" in capsys.readouterr().err
+
+
+def test_cli_verify_hopf_particle_flavor_is_a_usage_error(capsys):
+    # the particle algebra has no coproduct: the coproduct of Phi needs L
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-hopf", "--instance", "example1",
+              "--flavor", "particle"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'particle'" in capsys.readouterr().err
+    assert main(["normal-order", "--instance", "example1", "--flavor",
+                 "particle", "Phi[1](z2) Phi[1](z1)"]) == 0

@@ -1,10 +1,14 @@
 """Grammar fuzz: text built from the alphabets of the expression, element
 and spec-file grammars either parses or raises a RhopfError, never any
-other exception."""
+other exception; the normal-order command line always ends in exit code
+0, 1 or 2."""
+
+import contextlib
+import io
 
 from hypothesis import given, settings, strategies as st
 
-from rhopf.cli import parse_rspec
+from rhopf.cli import main, parse_rspec
 from rhopf.elemio import parse_element
 from rhopf.errors import RhopfError
 from rhopf.expr import parse_expr
@@ -60,3 +64,40 @@ def test_fuzz_parse_rspec(n, var, statements, sep):
                 for j in range(1, n + 1)]
     text = sep.join([f"n={n}; var={var}"] + statements + diagonal)
     _parses_or_typed_error(parse_rspec, text)
+
+
+_CLI_GENERATOR = ("Phi[1](z1)", "Phi[2](z2)", "PhiStar[1](z2)",
+                  "L[1,2](z1)", "LStar[2,1](z2)", "LInv[1,1](z1)",
+                  "Phi[1](z2*q[0,1,0,0])", "{q}*Phi[1](z3)", "delta(z1/z2)",
+                  "Phi[0](z1)", "L[1,7](z1)")
+_CLI_JUNK = ("(x)", "+", "-", "1", "0", " ", "Bogus", "[", ")", "{", "z1")
+_cli_word = st.lists(st.sampled_from(_CLI_GENERATOR), min_size=1,
+                     max_size=3).map(" ".join)
+_cli_element = st.one_of(
+    st.lists(_cli_word, min_size=1, max_size=2).map(" + ".join),
+    st.lists(st.sampled_from(_CLI_GENERATOR + _CLI_JUNK),
+             max_size=4).map(" ".join))
+
+
+@_SETTINGS
+@given(st.sampled_from(("example1", "example2-n2")),
+       st.sampled_from(("particle", "extended", "double", "double",
+                        "bogus")),
+       st.lists(st.sampled_from(("ll-star=literal", "cross-bracket=literal",
+                                 "ybe-middle=corrected", "ll-star=bogus",
+                                 "bogus=literal", "noequals")), max_size=2),
+       _cli_element)
+def test_fuzz_cli_normal_order_exit_codes(instance, flavor, toggles, text):
+    """Every run ends in exit code 0, 1 or 2; an exception other than the
+    usage error's SystemExit would escape ``main`` and fail the test."""
+    argv = ["normal-order", "--instance", instance, "--flavor", flavor]
+    for toggle in toggles:
+        argv += ["--toggle", toggle]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv + ["--", text])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in sink.getvalue()

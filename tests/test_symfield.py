@@ -1,12 +1,14 @@
 """Field arithmetic against independent oracles, plus randomized
 ring-axiom checks."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rhopf import symfield as sf
+from rhopf import kernels, symfield as sf
 from rhopf.errors import DomainError, ExponentError
 from rhopf.expr import parse_expr
 from rhopf.symfield import LaurentPoly, RatExpr
@@ -181,3 +183,174 @@ def test_cross_multiplication_agrees_with_canonical_equality():
 def test_zero_denominator_rejected():
     with pytest.raises(DomainError):
         RatExpr(LaurentPoly.from_int(1), LaurentPoly.from_int(0))
+
+
+# -- operators and gcd routes against the full normalisation ------------------
+
+_FIELD_VARS = (sf.S, sf.U[0], sf.Z[0], sf.Z[1])
+
+
+def _poly(draw, lo=-2, hi=2, max_terms=3):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = draw(st.lists(st.integers(lo, hi), min_size=len(_FIELD_VARS),
+                             max_size=len(_FIELD_VARS)))
+        m = sf.mono_from_pairs(zip(_FIELD_VARS, exps))
+        c = terms.get(m, 0) + draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        if c:
+            terms[m] = c
+        else:
+            terms.pop(m, None)
+    return LaurentPoly(terms)
+
+
+@st.composite
+def _fraction_pairs(draw):
+    """Two fractions whose denominators share a drawn factor, so that the
+    operators meet equal, coprime and partly shared denominators."""
+    shared = draw(st.sampled_from((None, "poly", "same")))
+    h = _poly(draw)
+    while h.is_zero():
+        h = _poly(draw)
+
+    def fraction():
+        num, den = _poly(draw), _poly(draw)
+        while den.is_zero():
+            den = _poly(draw)
+        if shared == "poly":
+            den = den * h
+        elif shared == "same":
+            den = h
+        if draw(st.booleans()):
+            num = num * h
+        return RatExpr(num, den)
+    return fraction(), fraction()
+
+
+_ORACLE = settings(max_examples=150, deadline=None, database=None)
+
+
+@_ORACLE
+@given(_fraction_pairs())
+def test_operators_equal_full_normalisation(pair):
+    a, b = pair
+    assert a + b == RatExpr(a.num * b.den + b.num * a.den, a.den * b.den)
+    assert a - b == RatExpr(a.num * b.den - b.num * a.den, a.den * b.den)
+    assert a * b == RatExpr(a.num * b.num, a.den * b.den)
+    if not b.is_zero():
+        assert a / b == RatExpr(a.num * b.den, a.den * b.num)
+        assert b.inverse() == RatExpr(b.den, b.num)
+    assert a ** 2 == RatExpr(a.num * a.num, a.den * a.den)
+
+
+def _subresultant_gcd(p, q):
+    """poly_gcd's subresultant route taken unconditionally: integer
+    contents, v-contents, the subresultant sequence, primitive part."""
+    cp, cq = sf._int_content(p), sf._int_content(q)
+    c = math.gcd(cp, cq)
+    p, q = sf._div_int(p, cp), sf._div_int(q, cq)
+    shared = LaurentPoly(p).variables() & LaurentPoly(q).variables()
+    if not shared or len(p) == 1 or len(q) == 1:
+        return {m: k * c for m, k in sf.poly_gcd(p, q).items()}
+    v = max(shared)
+    contp, contq = sf._vcontent(p, v), sf._vcontent(q, v)
+    a, b = sf.divexact(p, contp), sf.divexact(q, contq)
+    if sf._deg(a, v) < sf._deg(b, v):
+        a, b = b, a
+    raw = sf._subresultant(a, b, v)
+    raw = sf.divexact(raw, sf._vcontent(raw, v))
+    raw = sf._div_int(raw, sf._int_content(raw))
+    g = kernels.poly_mul(sf.poly_gcd(contp, contq), raw)
+    return sf._pos_leading({m: k * c for m, k in g.items()})
+
+
+@st.composite
+def _ordinary_with_common_factor(draw):
+    g = _poly(draw, 0, 2, 3)
+    p, q = _poly(draw, 0, 2, 3), _poly(draw, 0, 2, 3)
+    assume(not (g.is_zero() or p.is_zero() or q.is_zero()))
+    return (p * g).terms, (q * g).terms
+
+
+@_ORACLE
+@given(_ordinary_with_common_factor())
+def test_poly_gcd_equals_subresultant_route(pq):
+    p, q = pq
+    assert sf.poly_gcd(p, q) == _subresultant_gcd(p, q)
+
+
+@_ORACLE
+@given(_ordinary_with_common_factor())
+def test_poly_gcd_equals_sympy_up_to_sign(pq):
+    sympy = pytest.importorskip("sympy")
+    syms = [sympy.Symbol(sf.VARS[v]) for v in range(sf.NVARS)]
+
+    def to_sympy(terms):
+        return sympy.Add(*[c * sympy.Mul(*[syms[v] ** e for v, e in m])
+                           for m, c in terms.items()])
+    p, q = pq
+    ours = sympy.expand(to_sympy(sf.poly_gcd(p, q)))
+    ref = sympy.expand(sympy.gcd(to_sympy(p), to_sympy(q)))
+    assert ours == ref or ours == -ref
+
+
+def test_gcd_of_sixvertex_binomial_products():
+    """Denominators of the six-vertex checks are products of binomials in
+    z1, z2, q and the charges; two operands sharing two such factors."""
+    f1 = parse_expr("q^2*u2^2*z2 - u1^2*z1").num
+    f2 = parse_expr("q^2*u1^2*z1 - z2").num
+    f3 = parse_expr("z1 - q^2*z2").num
+    f4 = parse_expr("q^4*u1^2*u2^2*z1*z2 - 1").num
+    f5 = parse_expr("u2^2*z2 - q^2*u1^2*z1").num
+    p, q = (f1 * f2 * f3).terms, (f1 * f2 * f4 * f5).terms
+    common = sf._pos_leading((f1 * f2).terms)
+    assert sf.poly_gcd(p, q) == common
+    assert _subresultant_gcd(p, q) == common
+    v = sf.Z[1]
+    assert sf._heugcd(p, q, v) == common
+    # the coprime cofactors get a certificate, not a sequence
+    assert sf.poly_gcd((f3 * f5).terms, f4.terms) == {(): 1}
+    a = RatExpr(LaurentPoly.from_int(1), f1 * f2 * f3)
+    b = RatExpr(f3, f1 * f4)
+    assert a + b == RatExpr(f1 * f4 + f3 * f1 * f2 * f3,
+                            f1 * f2 * f3 * f1 * f4)
+    assert (a * b).den.terms == sf._pos_leading((f1 * f1 * f2 * f4).terms)
+
+
+def test_heugcd_moves_on_when_the_values_share_a_spurious_factor():
+    # at the first point xi = 34 the cofactors x - 4 and -(x^2 + 4) take
+    # values with a common factor 10, so gcd(a(34), b(34)) = 10 * g(34)
+    # reconstructs no divisor; the next point gives g = 4x^3 + 3x
+    a = parse_expr("4*x^4 - 16*x^3 + 3*x^2 - 12*x").num.terms
+    b = parse_expr("-4*x^5 - 19*x^3 - 12*x").num.terms
+    g = parse_expr("4*x^3 + 3*x").num.terms
+    assert math.gcd(sf._eval_at(a, sf.X, 34)[()],
+                    sf._eval_at(b, sf.X, 34)[()]) == \
+        10 * sf._eval_at(g, sf.X, 34)[()]
+    assert sf._heugcd(a, b, sf.X) == g
+    assert sf.poly_gcd(a, b) == g
+
+
+def test_divexact_integer_long_division():
+    x_sq = parse_expr("x^2 - 1").num.terms
+    assert sf.divexact(x_sq, parse_expr("x - 1").num.terms) == \
+        parse_expr("x + 1").num.terms
+    with pytest.raises(DomainError):
+        sf.divexact(parse_expr("2*x + 1").num.terms, {(): 2})
+    with pytest.raises(DomainError):
+        sf.divexact(x_sq, parse_expr("x - 2").num.terms)
+
+
+@_ORACLE
+@given(_ordinary_with_common_factor())
+def test_poly_gcd_subresultant_fallback(pq):
+    """With GCDHEU giving up every time, the subresultant fallback gives
+    the same gcd."""
+    p, q = pq
+    expected = sf.poly_gcd(p, q)
+    heugcd = sf._heugcd
+    sf._heugcd = lambda a, b, v: None
+    try:
+        assert sf.poly_gcd(p, q) == expected
+    finally:
+        sf._heugcd = heugcd
