@@ -35,7 +35,8 @@ from typing import NamedTuple
 from .errors import (BudgetError, DomainError, KindError, ShapeError,
                      SingularError)
 from .rmatrix import RMatrix, entries_at, unitarity_residual
-from .symfield import RatExpr, VARS, Z, mono_from_pairs, q_power
+from .symfield import (RatExpr, VARS, Z, accumulate, mono_from_pairs,
+                       q_power)
 
 LSTAR = "Lstar"
 LSTARINV = "Lstarinv"
@@ -46,6 +47,8 @@ PHI = "Phi"
 
 KIND_RANK = {LSTAR: 0, LSTARINV: 0, L: 1, LINV: 1, PHISTAR: 2, PHI: 3}
 ALL_KINDS = frozenset(KIND_RANK)
+# vector kinds carry one index (col = 0), matrix kinds two
+VECTOR_KINDS = frozenset((PHI, PHISTAR))
 
 FLAVOR_KINDS = {
     "particle": frozenset((PHI,)),
@@ -68,7 +71,7 @@ class ArgShift(NamedTuple):
 
 
 class GenOcc(NamedTuple):
-    """One generator occurrence; vector kinds use row only (col = 0)."""
+    """One generator occurrence; VECTOR_KINDS use row only (col = 0)."""
 
     kind: str
     row: int
@@ -198,30 +201,18 @@ class Element:
 
     # -- linear structure ---------------------------------------------------
 
-    def _accumulate(self, out: dict, key, coeff: RatExpr):
-        cur = out.get(key)
-        if cur is None:
-            if not coeff.is_zero():
-                out[key] = coeff
-        else:
-            cur = cur + coeff
-            if cur.is_zero():
-                del out[key]
-            else:
-                out[key] = cur
-
     def __add__(self, other: "Element") -> "Element":
         self._check_compat(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            self._accumulate(out, key, c)
+            accumulate(out, key, c)
         return Element(self.nlegs, out, self.smarks)
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_compat(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            self._accumulate(out, key, -c)
+            accumulate(out, key, -c)
         return Element(self.nlegs, out, self.smarks)
 
     def __neg__(self) -> "Element":
@@ -248,7 +239,7 @@ class Element:
                 flag = fa or fb
                 deltas = tuple(sorted(da + db))
                 legs = tuple(wa + wb for wa, wb in zip(la, lb))
-                self._accumulate(out, (flag, deltas, legs), ca * cb)
+                accumulate(out, (flag, deltas, legs), ca * cb)
         return Element(self.nlegs, out, self.smarks)
 
     # -- charge-reference transforms ----------------------------------------
@@ -287,7 +278,7 @@ class Element:
             if len(nl) != nlegs:
                 raise ShapeError("charge map cannot change leg count")
             nc = c.substitute(bindings) if bindings else c
-            self._accumulate(out, (flag, nd, nl), nc)
+            accumulate(out, (flag, nd, nl), nc)
         smarks = self.smarks if new_smarks is None else new_smarks
         return Element(nlegs, out, smarks)
 
@@ -750,7 +741,6 @@ def _apply_at(e: Element, rs: RewriteSystem, key, coeff, li, pos, rule,
     g1, g2 = word[pos], word[pos + 1]
     out = dict(e.terms)
     del out[key]
-    result = Element(e.nlegs, out, e.smarks)
     before = term_measure(key) if trace is not None else None
     pieces = rule_pieces(rs, rule, g1, g2, li)
     add: dict = {}
@@ -767,10 +757,10 @@ def _apply_at(e: Element, rs: RewriteSystem, key, coeff, li, pos, rule,
                 legs[:li] + (nword,) + legs[li + 1:])
         if trace is not None:
             trace.append((before, term_measure(nkey)))
-        result._accumulate(add, nkey, coeff * rcoeff)
+        accumulate(add, nkey, coeff * rcoeff)
     for k, c in add.items():
-        result._accumulate(result.terms, k, c)
-    return result
+        accumulate(out, k, c)
+    return Element(e.nlegs, out, e.smarks)
 
 
 def normal_order(e: Element, rs: RewriteSystem, trace=None,
@@ -797,12 +787,12 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
             out = dict(e.terms)
             for k in group:
                 del out[k]
-            e = Element(e.nlegs, out, e.smarks)
             if keep:
                 if trace is not None:
                     trace.append((term_measure(group[0]),
                                   term_measure(newkey)))
-                e._accumulate(e.terms, newkey, coeff)
+                accumulate(out, newkey, coeff)
+            e = Element(e.nlegs, out, e.smarks)
             continue
         found = _find_rewrite(e, rs)
         if found is None:
@@ -825,11 +815,10 @@ def delta_normalize(e: Element) -> Element:
     """Use each delta's support to rewrite its term:
     f(z_a) delta((z_a/z_b) q^s) = f(z_b q^-s) delta((z_a/z_b) q^s)."""
     out: dict = {}
-    acc = Element(e.nlegs, out, e.smarks)
     for key, coeff in e.terms.items():
         flag, deltas, legs = key
         if flag or not deltas:
-            acc._accumulate(out, key, coeff)
+            accumulate(out, key, coeff)
             continue
         ok = True
         done: list = []
@@ -868,11 +857,11 @@ def delta_normalize(e: Element) -> Element:
                 np.append(DeltaFactor(a2, b2, h2))
             pend = sorted(np)
         if not ok:
-            acc._accumulate(out, (FLAG_CONTRADICTORY, deltas, legs), coeff)
+            accumulate(out, (FLAG_CONTRADICTORY, deltas, legs), coeff)
             continue
         # drop exact duplicates produced by the rewriting
         dedup = tuple(sorted(set(done)))
-        acc._accumulate(out, (FLAG_NONE, dedup, cur_legs), cur_coeff)
+        accumulate(out, (FLAG_NONE, dedup, cur_legs), cur_coeff)
     return Element(e.nlegs, out, e.smarks)
 
 
@@ -885,10 +874,10 @@ def _z(i: int) -> ArgShift:
 
 
 def _element(terms) -> Element:
-    out = Element(1)
+    out: dict = {}
     for coeff, deltas, occs in terms:
-        out._accumulate(out.terms, (FLAG_NONE, deltas, (occs,)), coeff)
-    return out
+        accumulate(out, (FLAG_NONE, deltas, (occs,)), coeff)
+    return Element(1, out)
 
 
 def relation_sides(rs: RewriteSystem, relation_id: str):
@@ -928,7 +917,6 @@ def _apply_samekind_at(e: Element, rs: RewriteSystem, pos: int) -> Element:
     term, whatever the order of the pair (bypasses the deterministic
     scheduler)."""
     out: dict = {}
-    acc = Element(e.nlegs, out, e.smarks)
     for key, coeff in e.terms.items():
         flag, deltas, legs = key
         word = legs[0]
@@ -937,7 +925,7 @@ def _apply_samekind_at(e: Element, rs: RewriteSystem, pos: int) -> Element:
                                            0):
             nword = word[:pos] + tuple(occs) + word[pos + 2:]
             nkey = (flag, deltas, (nword,) + legs[1:])
-            acc._accumulate(out, nkey, coeff * rcoeff)
+            accumulate(out, nkey, coeff * rcoeff)
     return Element(e.nlegs, out, e.smarks)
 
 

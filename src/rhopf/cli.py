@@ -96,7 +96,8 @@ def parse_rspec(text: str):
                         raise ParseError(
                             f"entry index {v} out of range 1..{n}",
                             lineno, start + m.start(t) + 1)
-                val = parse_expr(m.group(5), line_offset=lineno)
+                val = parse_expr(m.group(5),
+                                 (lineno, start + m.start(5) + 1))
                 if not val.is_zero():
                     entries[idx] = val
                 continue
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
             window = SeriesWindow(args.window, args.margin)
             _plan_verify_modes(R, args.flavor, toggles, window, report,
                                is_example1=(name == "example1"))
-    except (RhopfError, IndexError) as exc:
+    except RhopfError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return _emit(report, args)

@@ -12,7 +12,8 @@ Grammar (whitespace insignificant between tokens):
     arg      := zvar ['*' shift]
     shift    := 'q[' int ',' int ',' int ',' int ']'
 
-KIND is one of Phi, PhiStar, L, LStar, LInv, LStarInv; zvar is a spectral
+KIND is one of Phi, PhiStar, L, LStar, LInv, LStarInv; the vector kinds
+Phi and PhiStar take one index, the matrix kinds two.  zvar is a spectral
 variable name (z1..z9, x, w); the four integers of a shift are the doubled
 coefficients of (1, c1, c2, c3) in the q-exponent.
 """
@@ -22,9 +23,9 @@ from __future__ import annotations
 import re
 
 from .algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
-                      LSTAR, LSTARINV, NO_SHIFT, PHI, PHISTAR)
+                      LSTAR, LSTARINV, NO_SHIFT, PHI, PHISTAR, VECTOR_KINDS)
 from .errors import ParseError
-from .expr import format_ratexpr, parse_expr
+from .expr import format_ratexpr, locate, parse_expr
 from .symfield import RatExpr, VAR_INDEX, VARS
 
 _KIND_TEXT = {PHI: "Phi", PHISTAR: "PhiStar", L: "L", LSTAR: "LStar",
@@ -42,8 +43,7 @@ def _fmt_shift(h: tuple) -> str:
 
 def _fmt_occ(g: GenOcc) -> str:
     kind = _KIND_TEXT[g.kind]
-    idx = f"{g.row}" if g.col == 0 and g.kind in (PHI, PHISTAR) \
-        else f"{g.row},{g.col}"
+    idx = f"{g.row}" if g.kind in VECTOR_KINDS else f"{g.row},{g.col}"
     return f"{kind}[{idx}]({VARS[g.arg.var]}{_fmt_shift(g.arg.h)})"
 
 
@@ -84,10 +84,6 @@ def format_element(e: Element) -> str:
     return out
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(\(x\))|(\{)|(delta)|([A-Za-z][A-Za-z]*)|(-?\d+)|(.))")
-
-
 def parse_element(text: str, nlegs: int = None, n: int = None) -> Element:
     """Parse the element grammar; the leg count is inferred from the first
     term unless given.  With ``n``, every generator index must lie in
@@ -107,9 +103,7 @@ class _ElementParser:
             self.pos += 1
 
     def _error(self, msg):
-        line = self.text.count("\n", 0, self.pos) + 1
-        col = self.pos - (self.text.rfind("\n", 0, self.pos) + 1) + 1
-        raise ParseError(msg, line, col)
+        raise ParseError(msg, *locate(self.text, self.pos, (1, 1)))
 
     def _eat(self, lit: str) -> bool:
         self._skip_ws()
@@ -182,8 +176,8 @@ class _ElementParser:
             self.pos += 1
         if depth:
             self._error("unterminated coefficient")
-        inner = self.text[start:self.pos - 1]
-        coeff = parse_expr(inner)
+        coeff = parse_expr(self.text[start:self.pos - 1],
+                           locate(self.text, start, (1, 1)))
         self._expect("*")
         return coeff
 
@@ -221,9 +215,13 @@ class _ElementParser:
                 kind = _TEXT_KIND[name]
                 self._expect("[")
                 row = self._index()
-                col = 0
-                if self._eat(","):
-                    col = self._index()
+                vector = kind in VECTOR_KINDS
+                two = self._eat(",")
+                if two == vector:
+                    self._skip_ws()
+                    self._error(f"{name} takes "
+                                + ("one index" if vector else "two indices"))
+                col = self._index() if two else 0
                 self._expect("]")
                 self._expect("(")
                 var = self._zvar()

@@ -18,19 +18,23 @@ _IDENTS = set(VARS) | {"q"}
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
 
+def locate(text: str, pos: int, origin: tuple) -> tuple:
+    """Line and column of text[pos], given the (line, column) ``origin``
+    of text[0] in the enclosing text."""
+    line, col = origin
+    nl = text.rfind("\n", 0, pos)
+    if nl < 0:
+        return line, col + pos
+    return line + text.count("\n", 0, pos), pos - nl
+
+
 class _Tokenizer:
-    def __init__(self, text: str, line_offset: int = 1):
+    def __init__(self, text: str, origin: tuple):
         self.text = text
-        self.pos = 0
-        self.line_offset = line_offset
+        self.origin = origin
         self.tokens = []
         self._scan()
         self.idx = 0
-
-    def _loc(self, pos: int):
-        line = self.text.count("\n", 0, pos) + self.line_offset
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
 
     def _scan(self):
         pos = 0
@@ -62,8 +66,7 @@ class _Tokenizer:
 
     def error(self, message: str, tok=None):
         tok = tok or self.peek()
-        line, col = self._loc(tok[2])
-        raise ParseError(message, line, col)
+        raise ParseError(message, *locate(self.text, tok[2], self.origin))
 
 
 def _parse_exponent(tz: _Tokenizer) -> int:
@@ -143,8 +146,10 @@ def _parse_sum(tz: _Tokenizer) -> RatExpr:
     return out
 
 
-def parse_expr(text: str, line_offset: int = 1) -> RatExpr:
-    tz = _Tokenizer(text, line_offset)
+def parse_expr(text: str, origin: tuple = (1, 1)) -> RatExpr:
+    """Parse ``text``; ``origin`` is the (line, column) of its first
+    character in the enclosing text, so errors point into that text."""
+    tz = _Tokenizer(text, origin)
     out = _parse_sum(tz)
     if tz.peek()[0] != "end":
         tz.error("trailing input")

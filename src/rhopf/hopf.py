@@ -27,11 +27,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import (Element, GenOcc, L, LINV, LSTAR, LSTARINV, PHI,
-                      PHISTAR, RewriteSystem, _z, charge_shift,
+                      PHISTAR, RewriteSystem, VECTOR_KINDS, _z, charge_shift,
                       delta_normalize, normal_order, relation_sides,
                       shift_arg, toggled)
 from .errors import ShapeError, UnsupportedRule
-from .symfield import RatExpr
+from .symfield import RatExpr, accumulate
 
 MAX_LEGS = 3
 
@@ -41,26 +41,23 @@ MAX_LEGS = 3
 # ---------------------------------------------------------------------------
 
 class KindRow(NamedTuple):
-    """A generator kind and its report label.  A vector kind has one index
-    (col = 0) and counit 0; a matrix kind has counit delta_ij."""
+    """A generator kind and its report label.  A vector kind (VECTOR_KINDS)
+    has one index and counit 0; a matrix kind has counit delta_ij."""
 
     kind: str
     label: str
-    vector: bool = False
     starred: bool = False  # only in the double flavor
     inverse: bool = False  # an inverse kind, which has no antipode row
 
 
 KINDS = (
-    KindRow(PHI, "Phi", vector=True),
+    KindRow(PHI, "Phi"),
     KindRow(L, "L"),
     KindRow(LINV, "Linv", inverse=True),
-    KindRow(PHISTAR, "PhiStar", vector=True, starred=True),
+    KindRow(PHISTAR, "PhiStar", starred=True),
     KindRow(LSTAR, "LStar", starred=True),
     KindRow(LSTARINV, "LStarInv", starred=True, inverse=True),
 )
-
-_VECTOR_KINDS = frozenset(row.kind for row in KINDS if row.vector)
 
 
 def generator_list(rs: RewriteSystem, include_inverses: bool = False):
@@ -75,8 +72,9 @@ def generator_list(rs: RewriteSystem, include_inverses: bool = False):
                 (row.inverse and not include_inverses):
             continue
         for i in range(1, n + 1):
-            for j in (0,) if row.vector else range(1, n + 1):
-                label = row.label + (f"[{i}]" if row.vector else f"[{i},{j}]")
+            vector = row.kind in VECTOR_KINDS
+            for j in (0,) if vector else range(1, n + 1):
+                label = row.label + (f"[{i}]" if vector else f"[{i},{j}]")
                 out.append((label,
                             Element.word((GenOcc(row.kind, i, j, _z(1)),))))
     return out
@@ -186,7 +184,7 @@ class HopfTables:
 
 
 def _counit(g: GenOcc):
-    return [] if g.kind in _VECTOR_KINDS or g.row != g.col else [(1, ())]
+    return [] if g.kind in VECTOR_KINDS or g.row != g.col else [(1, ())]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def _splice(e: Element, leg: int, removed: int, own: dict, marks: tuple,
                       for c, new in images for pc, pnew in pieces(g)]
         for c, new in images:
             key = (flag, deltas, legs[:leg] + new + legs[leg + removed:])
-            out._accumulate(out.terms, key, coeff if c == 1 else coeff * c)
+            accumulate(out.terms, key, coeff if c == 1 else coeff * c)
     return out
 
 

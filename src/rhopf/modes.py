@@ -15,6 +15,7 @@ asserts the sum is zero.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .algebra import (FLAVOR_RELATIONS, L, LSTAR, RewriteSystem,
 from .errors import DomainError, ExpansionError
 from .expr import parse_expr
 from .rmatrix import RMatrix
-from .symfield import (LaurentPoly, RatExpr, Z, mono_from_pairs,
+from .symfield import (LaurentPoly, RatExpr, Z, accumulate, mono_from_pairs,
                        poly_lcm, q_power)
 
 _Z1, _Z2 = Z[0], Z[1]
@@ -88,8 +89,15 @@ def _clearing_factor(elements) -> LaurentPoly:
 def _emit_element(e, window: SeriesWindow, clear: LaurentPoly,
                   sign: int, out: dict, kindsets: dict):
     """Accumulate the mode expansion of ``sign * clear * e`` into ``out``,
-    a dict slot -> {mode word -> coefficient}."""
+    a dict slot -> {mode word -> coefficient}.
+
+    A piece c z1^a z2^b of a term's cleared coefficient reaches slot (m, k)
+    when each variable carrying a generator has its slot coordinate
+    anywhere in the window, and each variable without one has it at minus
+    its exponent; a generator's mode is its slot coordinate plus its
+    variable's exponent."""
     lim = window.N - window.margin
+    span = range(-lim, lim + 1)
     cf = RatExpr(clear)
     for (flag, deltas, legs), coeff in e.terms.items():
         if flag:
@@ -97,14 +105,9 @@ def _emit_element(e, window: SeriesWindow, clear: LaurentPoly,
         if len(deltas) > 1:
             raise ExpansionError("multiple formal deltas in one term")
         word = legs[0]
-        by_var: dict = {}
-        for pos, g in enumerate(word):
-            if g.arg.var in by_var:
-                raise ExpansionError(
-                    "two occurrences share a spectral variable")
-            by_var[g.arg.var] = (pos, g)
-        c = coeff * cf
-        pieces = _z_split(c)
+        gvars = {g.arg.var for g in word}
+        if len(gvars) < len(word):
+            raise ExpansionError("two occurrences share a spectral variable")
         dchoices = [(0, _R1)]
         if deltas:
             d = deltas[0]
@@ -114,47 +117,27 @@ def _emit_element(e, window: SeriesWindow, clear: LaurentPoly,
             dchoices = [(nu, RatExpr.from_mono(
                 q_power(*(x * nu for x in d.h))))
                         for nu in range(-window.N, window.N + 1)]
-        for a, b, sc in pieces:
+        kinds = tuple(sorted(g.kind for g in word))
+        for a, b, sc in _z_split(coeff * cf):
             for nu, dcoef in dchoices:
-                aa, bb = a + nu, b - nu
-                for m in range(-lim, lim + 1):
-                    for k in range(-lim, lim + 1):
-                        occs = []
-                        ok = True
-                        for v, exp, target in ((_Z1, aa, m), (_Z2, bb, k)):
-                            if v in by_var:
-                                pos, g = by_var[v]
-                                p = target + exp
-                                occs.append((pos, g, p))
-                            elif exp != -target:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        wkey = []
-                        mult = sc * dcoef
-                        for pos, g, p in sorted(occs):
-                            wkey.append((g.kind, g.row, g.col, p))
-                            if any(g.arg.h):
-                                # G(z q^sigma): mode p picks up q^(-p sigma)
-                                mult = mult * RatExpr.from_mono(
-                                    q_power(*(-p * x for x in g.arg.h)))
-                        slot = out.setdefault((m, k), {})
-                        key = tuple(wkey)
-                        cur = slot.get(key)
-                        val = mult if sign > 0 else -mult
-                        if cur is None:
-                            if not val.is_zero():
-                                slot[key] = val
-                        else:
-                            cur = cur + val
-                            if cur.is_zero():
-                                del slot[key]
-                            else:
-                                slot[key] = cur
-                        if not deltas:
-                            kindsets.setdefault((m, k), set()).add(
-                                tuple(sorted(g.kind for g in word)))
+                base = sc * dcoef if sign > 0 else -(sc * dcoef)
+                exps = (a + nu, b - nu)
+                axes = [span if v in gvars else [-x] if abs(x) <= lim else []
+                        for v, x in zip((_Z1, _Z2), exps)]
+                for m, k in itertools.product(*axes):
+                    modes = {_Z1: m + exps[0], _Z2: k + exps[1]}
+                    mult = base
+                    wkey = []
+                    for g in word:
+                        p = modes[g.arg.var]
+                        wkey.append((g.kind, g.row, g.col, p))
+                        if any(g.arg.h):
+                            # G(z q^sigma): mode p picks up q^(-p sigma)
+                            mult = mult * RatExpr.from_mono(
+                                q_power(*(-p * x for x in g.arg.h)))
+                    accumulate(out.setdefault((m, k), {}), tuple(wkey), mult)
+                    if not deltas:
+                        kindsets.setdefault((m, k), set()).add(kinds)
 
 
 def mode_expand_relation(rs: RewriteSystem, relation_id: str,
@@ -275,18 +258,8 @@ def _emit_poly_pair(lhs: RatExpr, rhs: RatExpr, window: SeriesWindow):
                     pair = [(0 if order == (0, 1) else 1, p1),
                             (1 if order == (0, 1) else 0, p2)]
                     word = tuple(("X", p) for _, p in sorted(pair))
-                    slot = slots.setdefault((m, k), {})
-                    cur = slot.get(word)
-                    val = sc if sign > 0 else -sc
-                    if cur is None:
-                        if not val.is_zero():
-                            slot[word] = val
-                    else:
-                        cur = cur + val
-                        if cur.is_zero():
-                            del slot[word]
-                        else:
-                            slot[word] = cur
+                    accumulate(slots.setdefault((m, k), {}), word,
+                               sc if sign > 0 else -sc)
     return {s: d for s, d in slots.items() if d}
 
 

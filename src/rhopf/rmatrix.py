@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SingularError
-from .symfield import (LaurentPoly, RatExpr, S, VAR_INDEX, clear_denominators,
-                       mono)
+from .symfield import (LaurentPoly, RatExpr, S, VAR_INDEX, accumulate,
+                       clear_denominators, mono)
 
 _R0 = RatExpr.from_int(0)
 _R1 = RatExpr.from_int(1)
@@ -159,17 +159,7 @@ def _compose(after: dict, before: dict) -> dict:
             if not arow:
                 continue
             for tout, v2 in arow.items():
-                s = acc.get(tout)
-                prod = v1 * v2
-                if s is None:
-                    if not prod.is_zero():
-                        acc[tout] = prod
-                else:
-                    s = s + prod
-                    if s.is_zero():
-                        del acc[tout]
-                    else:
-                        acc[tout] = s
+                accumulate(acc, tout, v1 * v2)
         if not acc:
             del out[tin]
     return out

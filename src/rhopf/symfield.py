@@ -122,17 +122,6 @@ class LaurentPoly:
                 out.add(v)
         return out
 
-    def leading(self) -> tuple:
-        """(monomial, coefficient) of the lex-leading term."""
-        m = max(self.terms, key=mono_key)
-        return m, self.terms[m]
-
-    def content(self) -> int:
-        c = 0
-        for k in self.terms.values():
-            c = int_gcd(c, abs(k))
-        return c
-
     def min_exponents(self) -> tuple:
         """Monomial of per-variable minimum exponents (the monomial part)."""
         lows: dict = {}
@@ -147,14 +136,6 @@ class LaurentPoly:
                 if v not in lows:
                     lows[v] = min(0, e)
         return mono_from_pairs(lows.items())
-
-    def is_ordinary(self) -> bool:
-        return all(e > 0 for m in self.terms for _, e in m)
-
-    def degree_in(self, v: int) -> int:
-        if not self.terms:
-            return 0
-        return max((dict(m).get(v, 0) for m in self.terms), default=0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -899,6 +880,18 @@ def _subst_frac(terms: dict, frac: dict) -> dict:
 # ---------------------------------------------------------------------------
 # field-level operations
 # ---------------------------------------------------------------------------
+
+def accumulate(out: dict, key, coeff: RatExpr):
+    """Add ``coeff`` into the sparse map ``out`` at ``key``, keeping only
+    nonzero values."""
+    cur = out.get(key)
+    if cur is not None:
+        coeff = cur + coeff
+    if coeff.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = coeff
+
 
 def clear_denominators(entries, var: str) -> LaurentPoly:
     """LCM of the reduced denominators in ``var`` over the remaining field.

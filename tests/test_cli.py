@@ -5,15 +5,17 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rhopf.algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LSTAR,
-                           NO_SHIFT, PHI, RewriteSystem, normal_order)
+from rhopf.algebra import (ALL_KINDS, VECTOR_KINDS, ArgShift, DeltaFactor,
+                           Element, GenOcc, L, LSTAR, NO_SHIFT, PHI,
+                           RewriteSystem, normal_order)
 from rhopf.cli import main, parse_rspec
 from rhopf.elemio import format_element, parse_element
 from rhopf.errors import ParseError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
-from rhopf.symfield import RatExpr, Z
+from rhopf.symfield import VAR_INDEX, LaurentPoly, RatExpr, Z, mono
 
 Z1, Z2 = Z[0], Z[1]
 
@@ -43,6 +45,75 @@ def test_element_round_trip_multileg_and_unit():
     key = ("", (), ((GenOcc(PHI, 1, 0, ArgShift(Z1, NO_SHIFT)),), ()))
     e = Element(2, {key: RatExpr.from_int(1)}) + Element.unit(2)
     assert _round_trip(e) == e
+
+
+_ZVARS = [VAR_INDEX[name] for name in ("z1", "z2", "z9", "x", "w")]
+_shift = st.one_of(st.just(NO_SHIFT),
+                   st.tuples(*[st.integers(-3, 3)] * 4))
+_occ = st.builds(
+    lambda kind, row, col, var, h: GenOcc(
+        kind, row, 0 if kind in VECTOR_KINDS else col, ArgShift(var, h)),
+    st.sampled_from(sorted(ALL_KINDS)), st.integers(1, 3),
+    st.integers(1, 3), st.sampled_from(_ZVARS), _shift)
+_delta = st.builds(lambda ab, h: DeltaFactor(*sorted(ab), h),
+                   st.lists(st.sampled_from(_ZVARS), min_size=2, max_size=2,
+                            unique=True), _shift)
+_small = st.sampled_from(("s", "x", "z1", "u1"))
+_coeff = st.one_of(
+    st.sampled_from((1, -1, 2, -3)).map(RatExpr.from_int),
+    st.builds(lambda c, v, e, d: RatExpr(
+        LaurentPoly({mono(**{v: e}): c, (): 1}),
+        LaurentPoly({(): d}) if d else LaurentPoly({mono(s=2): 1, (): -1})),
+        st.sampled_from((1, -2, 3)), _small, st.integers(-2, 2),
+        st.sampled_from((0, 1, 2)))).filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def _elements(draw):
+    nlegs = draw(st.sampled_from((1, 2)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        legs = tuple(tuple(draw(st.lists(_occ, max_size=2)))
+                     for _ in range(nlegs))
+        deltas = tuple(sorted(draw(st.lists(_delta, max_size=2))))
+        terms[("", deltas, legs)] = draw(_coeff)
+    return Element(nlegs, terms)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_elements())
+def test_element_round_trip_property(e):
+    """Every kind, shifts, deltas and field coefficients on one or two
+    legs print to text that parses back to the same element."""
+    assert _round_trip(e) == e
+
+
+def test_element_index_count_per_kind():
+    """Vector kinds take one index and matrix kinds two; the error points
+    at the index."""
+    for text, msg, col in (("L[1](z2)", "L takes two indices", 4),
+                           ("Phi[1,2](z2)", "Phi takes one index", 7),
+                           ("PhiStar[2, 1](z1)", "PhiStar takes one index",
+                            12),
+                           ("LStar[1 ](z1)", "LStar takes two indices", 9)):
+        with pytest.raises(ParseError) as err:
+            parse_element(text)
+        assert str(err.value).startswith(msg)
+        assert (err.value.line, err.value.col) == (1, col)
+    assert parse_element("LInv[ 1 , 2 ](z1)") == Element.word(
+        (GenOcc("Linv", 1, 2, ArgShift(Z1, NO_SHIFT)),))
+
+
+def test_element_coefficient_error_counts_from_the_element_text():
+    with pytest.raises(ParseError) as err:
+        parse_element("Phi[1](z2) + {q + foo} * Phi[2](z1)")
+    assert (err.value.line, err.value.col) == (1, 19)
+    with pytest.raises(ParseError) as err:
+        parse_element("Phi[1](z2)\n + {q +\n  foo} * Phi[2](z1)")
+    assert (err.value.line, err.value.col) == (3, 3)
+    with pytest.raises(ParseError) as err:
+        parse_element("Phi[1](z2)\n + {q + z1^} * Phi[2](z1)")
+    assert (err.value.line, err.value.col) == (2, 12)
 
 
 def test_element_parse_errors():
@@ -106,6 +177,15 @@ def test_parse_rspec_syntax_error_location():
     with pytest.raises(ParseError) as err:
         parse_rspec("n=1; var=x\nR[1,1;1,1] = (x -")
     assert err.value.line == 2
+
+
+def test_parse_rspec_value_error_counts_from_the_spec_text():
+    with pytest.raises(ParseError) as err:
+        parse_rspec("n=1\nvar=x\nR[1,1;1,1] = (x - q)/(x + foo)")
+    assert (err.value.line, err.value.col) == (3, 27)
+    with pytest.raises(ParseError) as err:
+        parse_rspec("n=1; var=x; R[1,1;1,1] = (x - q)/(x + foo)  # c")
+    assert (err.value.line, err.value.col) == (1, 39)
 
 
 def test_parse_rspec_index_error():
@@ -238,6 +318,19 @@ def test_cli_normal_order_index_out_of_range_exits_2(capsys):
                  "Phi[2](z2) L[1,3](z1)"])
     assert code == 2
     assert "(line 1, col 16)" in capsys.readouterr().err
+
+
+def test_cli_normal_order_index_count_exits_2(capsys):
+    code = main(["normal-order", "--instance", "example2-n2",
+                 "L[1](z2) Phi[2](z1)"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: L takes two indices (line 1, col 4)")
+    code = main(["normal-order", "--instance", "example2-n2",
+                 "Phi[1,2](z2) Phi[1](z1)"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Phi takes one index (line 1, col 7)")
 
 
 def test_cli_verify_hopf_particle_flavor_is_a_usage_error(capsys):

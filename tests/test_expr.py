@@ -50,6 +50,17 @@ def test_error_reports_location():
         parse_expr("(x + 1")
 
 
+def test_error_location_counts_from_the_origin():
+    """With the origin of the text in an enclosing text, positions on the
+    first line are shifted by its column, later lines only by its line."""
+    with pytest.raises(ParseError) as err:
+        parse_expr("x + foo", (4, 10))
+    assert (err.value.line, err.value.col) == (4, 14)
+    with pytest.raises(ParseError) as err:
+        parse_expr("x +\n z1 * foo", (4, 10))
+    assert (err.value.line, err.value.col) == (5, 7)
+
+
 def test_printer_round_trips_random_expressions():
     rng = random.Random(424)
     vs = [sf.S, sf.X, sf.Z[0], sf.Z[8], sf.W, sf.U[0]]

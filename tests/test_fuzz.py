@@ -1,11 +1,12 @@
 """Grammar fuzz: text built from the alphabets of the expression, element
 and spec-file grammars either parses or raises a RhopfError, never any
-other exception; the normal-order command line always ends in exit code
-0, 1 or 2."""
+other exception; the normal-order, check-r, verify-hopf and verify-modes
+command lines always end in exit code 0, 1 or 2."""
 
 import contextlib
 import io
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhopf.cli import main, parse_rspec
@@ -53,16 +54,23 @@ _entry = st.builds("R[{},{};{},{}]={}".format, *[st.sampled_from("012")] * 4,
                              _text(_EXPR)))
 
 
-@_SETTINGS
-@given(st.sampled_from((1, 2)), st.sampled_from(("x", "q", "z1", "foo")),
-       st.lists(st.one_of(_entry, _text(_SPEC)), max_size=4),
-       st.sampled_from(("; ", "\n")))
-def test_fuzz_parse_rspec(n, var, statements, sep):
+def _spec_text(n, var, statements, sep):
     """Fuzzed statements between a header and a diagonal that would make
     the spec complete."""
     diagonal = [f"R[{i},{j};{i},{j}]=x" for i in range(1, n + 1)
                 for j in range(1, n + 1)]
-    text = sep.join([f"n={n}; var={var}"] + statements + diagonal)
+    return sep.join([f"n={n}; var={var}"] + statements + diagonal)
+
+
+_spec = st.builds(_spec_text, st.sampled_from((1, 2)),
+                  st.sampled_from(("x", "q", "z1", "foo")),
+                  st.lists(st.one_of(_entry, _text(_SPEC)), max_size=4),
+                  st.sampled_from(("; ", "\n")))
+
+
+@_SETTINGS
+@given(_spec)
+def test_fuzz_parse_rspec(text):
     _parses_or_typed_error(parse_rspec, text)
 
 
@@ -79,25 +87,70 @@ _cli_element = st.one_of(
              max_size=4).map(" ".join))
 
 
+_toggles = st.lists(st.sampled_from((
+    "ll-star=literal", "cross-bracket=literal", "phistar-coproduct=literal",
+    "ybe-middle=literal", "ybe-middle=corrected", "ll-star=bogus",
+    "bogus=literal", "noequals")), max_size=2)
+
+
+def _with_toggles(argv, toggles):
+    return argv + [arg for t in toggles for arg in ("--toggle", t)]
+
+
+def _exit_code(argv):
+    """Exit code of one command line; an exception other than the usage
+    error's SystemExit would escape ``main`` and fail the test."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in sink.getvalue()
+    return code
+
+
 @_SETTINGS
 @given(st.sampled_from(("example1", "example2-n2")),
        st.sampled_from(("particle", "extended", "double", "double",
                         "bogus")),
-       st.lists(st.sampled_from(("ll-star=literal", "cross-bracket=literal",
-                                 "ybe-middle=corrected", "ll-star=bogus",
-                                 "bogus=literal", "noequals")), max_size=2),
-       _cli_element)
+       _toggles, _cli_element)
 def test_fuzz_cli_normal_order_exit_codes(instance, flavor, toggles, text):
-    """Every run ends in exit code 0, 1 or 2; an exception other than the
-    usage error's SystemExit would escape ``main`` and fail the test."""
-    argv = ["normal-order", "--instance", instance, "--flavor", flavor]
-    for toggle in toggles:
-        argv += ["--toggle", toggle]
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        try:
-            code = main(argv + ["--", text])
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2)
-    assert "Traceback" not in sink.getvalue()
+    argv = _with_toggles(["normal-order", "--instance", instance,
+                          "--flavor", flavor], toggles)
+    assert _exit_code(argv + ["--", text]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.rspec"
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_spec, _toggles)
+def test_fuzz_cli_check_r_exit_codes(spec_path, text, toggles):
+    spec_path.write_text(text, encoding="utf-8")
+    argv = ["check-r", "--spec", str(spec_path)]
+    assert _exit_code(_with_toggles(argv, toggles)) in (0, 1, 2)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.sampled_from(("example1", "identity", "broken-nonunitary")),
+       st.sampled_from(("extended", "double", "particle")), _toggles)
+def test_fuzz_cli_verify_hopf_exit_codes(instance, flavor, toggles):
+    argv = ["verify-hopf", "--instance", instance, "--flavor", flavor]
+    assert _exit_code(_with_toggles(argv, toggles)) in (0, 1, 2)
+
+
+_window = st.sampled_from((-1, 0, 1, 2, 3))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.sampled_from(("example1", "example2-n2")),
+       st.sampled_from(("particle", "extended", "double")), _window,
+       _window, _toggles)
+def test_fuzz_cli_verify_modes_exit_codes(instance, flavor, window, margin,
+                                          toggles):
+    argv = ["verify-modes", "--instance", instance, "--flavor", flavor,
+            "--window", str(window), "--margin", str(margin)]
+    assert _exit_code(_with_toggles(argv, toggles)) in (0, 1, 2)

@@ -294,6 +294,45 @@ def test_poly_gcd_equals_sympy_up_to_sign(pq):
     assert ours == ref or ours == -ref
 
 
+@_ORACLE
+@given(_fraction_pairs())
+def test_canonical_forms_equal_sympy_cancel(pair):
+    """Each operator's result, its Laurent monomials cleared into an
+    ordinary pair, is the pair sympy's cancel (the polynomial-ring routine
+    behind sympy.cancel) reduces the unreduced sum, difference, product or
+    quotient to, up to one constant factor; the two parts share no integer
+    content."""
+    sympy = pytest.importorskip("sympy")
+    ring, *_ = sympy.ring([sf.VARS[v] for v in _FIELD_VARS], sympy.ZZ)
+
+    def ordinary(frac):
+        """(num, den) in the ring, both multiplied by one monomial."""
+        lows = {}
+        for m in list(frac.num.terms) + list(frac.den.terms):
+            for v, e in m:
+                lows[v] = min(lows.get(v, 0), e)
+        clear = sf.mono_from_pairs((v, -e) for v, e in lows.items())
+        return tuple(ring({tuple(dict(m).get(v, 0) for v in _FIELD_VARS): c
+                           for m, c in kernels.poly_scale(
+                               part.terms, 1, clear).items()})
+                     for part in (frac.num, frac.den))
+
+    a, b = pair
+    (an, ad), (bn, bd) = ordinary(a), ordinary(b)
+    cases = [(a + b, an * bd + bn * ad, ad * bd),
+             (a - b, an * bd - bn * ad, ad * bd),
+             (a * b, an * bn, ad * bd)]
+    if not b.is_zero():
+        cases.append((a / b, an * bd, ad * bn))
+    for ours, ref_num, ref_den in cases:
+        assert ours.den.min_exponents() == ()
+        num, den = ordinary(ours)
+        p, q = ref_num.cancel(ref_den)
+        assert num * q == den * p
+        assert num.monoms() == p.monoms() and den.monoms() == q.monoms()
+        assert math.gcd(num.content(), den.content()) == 1
+
+
 def test_gcd_of_sixvertex_binomial_products():
     """Denominators of the six-vertex checks are products of binomials in
     z1, z2, q and the charges; two operands sharing two such factors."""
