@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .errors import (BudgetError, DomainError, KindError, ShapeError,
                      SingularError)
 from .rmatrix import RMatrix, entries_at, unitarity_residual
-from .symfield import (RatExpr, VARS, Z, accumulate, mono_from_pairs,
+from .symfield import (RatExpr, U, Z, accumulate, mono_from_pairs,
                        q_power)
 
 LSTAR = "Lstar"
@@ -145,12 +145,11 @@ FLAG_DEGENERATE = "degenerate-delta"
 class Element:
     """Canonical sum of terms over a fixed number of tensor legs."""
 
-    __slots__ = ("nlegs", "terms", "smarks")
+    __slots__ = ("nlegs", "terms")
 
-    def __init__(self, nlegs: int, terms=None, smarks=None):
+    def __init__(self, nlegs: int, terms=None):
         self.nlegs = nlegs
         self.terms = terms if terms is not None else {}
-        self.smarks = smarks if smarks is not None else (False,) * nlegs
 
     # -- constructors -------------------------------------------------------
 
@@ -182,10 +181,10 @@ class Element:
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.nlegs == other.nlegs
-                and self.smarks == other.smarks and self.terms == other.terms)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nlegs, self.smarks,
+        return hash((self.nlegs,
                      tuple(sorted(self.terms.items(),
                                   key=lambda kv: kv[0]))))
 
@@ -196,8 +195,6 @@ class Element:
         if self.nlegs != other.nlegs:
             raise ShapeError(
                 f"leg count mismatch: {self.nlegs} vs {other.nlegs}")
-        if self.smarks != other.smarks:
-            raise ShapeError("antipode marks differ between operands")
 
     # -- linear structure ---------------------------------------------------
 
@@ -206,33 +203,28 @@ class Element:
         out = dict(self.terms)
         for key, c in other.terms.items():
             accumulate(out, key, c)
-        return Element(self.nlegs, out, self.smarks)
+        return Element(self.nlegs, out)
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_compat(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
             accumulate(out, key, -c)
-        return Element(self.nlegs, out, self.smarks)
+        return Element(self.nlegs, out)
 
     def __neg__(self) -> "Element":
-        return Element(self.nlegs, {k: -c for k, c in self.terms.items()},
-                       self.smarks)
+        return Element(self.nlegs, {k: -c for k, c in self.terms.items()})
 
     def scale(self, coeff: RatExpr) -> "Element":
         if coeff.is_zero():
-            return Element(self.nlegs, {}, self.smarks)
+            return Element(self.nlegs)
         return Element(self.nlegs,
-                       {k: c * coeff for k, c in self.terms.items()},
-                       self.smarks)
+                       {k: c * coeff for k, c in self.terms.items()})
 
     # -- multiplication (legwise concatenation, no normal ordering) ---------
 
     def __mul__(self, other: "Element") -> "Element":
         self._check_compat(other)
-        if any(self.smarks):
-            raise ShapeError("cannot multiply elements with pending "
-                             "antipode marks")
         out: dict = {}
         for (fa, da, la), ca in self.terms.items():
             for (fb, db, lb), cb in other.terms.items():
@@ -240,22 +232,17 @@ class Element:
                 deltas = tuple(sorted(da + db))
                 legs = tuple(wa + wb for wa, wb in zip(la, lb))
                 accumulate(out, (flag, deltas, legs), ca * cb)
-        return Element(self.nlegs, out, self.smarks)
+        return Element(self.nlegs, out)
 
     # -- charge-reference transforms ----------------------------------------
 
-    def map_charges(self, cmap: dict, new_nlegs=None,
-                    new_smarks=None) -> "Element":
+    def map_charges(self, cmap: dict) -> "Element":
         """Apply the linear substitution c_i -> sum_j cmap[i][j] c_j to every
-        q-shift (arguments, deltas) and the matching u-substitution to every
-        coefficient."""
-        bindings = {}
-        for i, row in cmap.items():
-            if row == {i: 1}:
-                continue
-            bindings[f"u{i}"] = {f"u{j}": e for j, e in row.items() if e}
-            if not bindings[f"u{i}"]:
-                bindings[f"u{i}"] = {"s": 0}
+        q-shift (arguments, deltas) and the matching substitution
+        u_i -> prod_j u_j^cmap[i][j] to every coefficient."""
+        targets = {U[i - 1]: mono_from_pairs((U[j - 1], e)
+                                             for j, e in row.items())
+                   for i, row in cmap.items() if row != {i: 1}}
 
         def hmap(h):
             new = [h[0], 0, 0, 0]
@@ -268,19 +255,15 @@ class Element:
             return tuple(new)
 
         out: dict = {}
-        nlegs = self.nlegs if new_nlegs is None else new_nlegs
         for (flag, deltas, legs), c in self.terms.items():
             nd = tuple(sorted(
                 DeltaFactor(d.avar, d.bvar, hmap(d.h)) for d in deltas))
             nl = tuple(tuple(GenOcc(g.kind, g.row, g.col,
                                     ArgShift(g.arg.var, hmap(g.arg.h)))
                              for g in w) for w in legs)
-            if len(nl) != nlegs:
-                raise ShapeError("charge map cannot change leg count")
-            nc = c.substitute(bindings) if bindings else c
+            nc = c.subs_monomial(targets) if targets else c
             accumulate(out, (flag, nd, nl), nc)
-        smarks = self.smarks if new_smarks is None else new_smarks
-        return Element(nlegs, out, smarks)
+        return Element(self.nlegs, out)
 
     def __repr__(self):
         return f"Element(nlegs={self.nlegs}, terms={len(self.terms)})"
@@ -760,7 +743,7 @@ def _apply_at(e: Element, rs: RewriteSystem, key, coeff, li, pos, rule,
         accumulate(add, nkey, coeff * rcoeff)
     for k, c in add.items():
         accumulate(out, k, c)
-    return Element(e.nlegs, out, e.smarks)
+    return Element(e.nlegs, out)
 
 
 def normal_order(e: Element, rs: RewriteSystem, trace=None,
@@ -792,7 +775,7 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
                     trace.append((term_measure(group[0]),
                                   term_measure(newkey)))
                 accumulate(out, newkey, coeff)
-            e = Element(e.nlegs, out, e.smarks)
+            e = Element(e.nlegs, out)
             continue
         found = _find_rewrite(e, rs)
         if found is None:
@@ -837,7 +820,7 @@ def delta_normalize(e: Element) -> Element:
             dh = _h_neg(d.h)
             target = mono_from_pairs(
                 [(d.bvar, 1)] + list(q_power(*dh)))
-            cur_coeff = cur_coeff.subs_monomial(VARS[d.avar], target)
+            cur_coeff = cur_coeff.subs_monomial({d.avar: target})
             cur_legs = tuple(
                 tuple(g._replace(arg=_subst_var_arg(g.arg, d.avar, d.bvar,
                                                     dh))
@@ -862,7 +845,7 @@ def delta_normalize(e: Element) -> Element:
         # drop exact duplicates produced by the rewriting
         dedup = tuple(sorted(set(done)))
         accumulate(out, (FLAG_NONE, dedup, cur_legs), cur_coeff)
-    return Element(e.nlegs, out, e.smarks)
+    return Element(e.nlegs, out)
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +909,7 @@ def _apply_samekind_at(e: Element, rs: RewriteSystem, pos: int) -> Element:
             nword = word[:pos] + tuple(occs) + word[pos + 2:]
             nkey = (flag, deltas, (nword,) + legs[1:])
             accumulate(out, nkey, coeff * rcoeff)
-    return Element(e.nlegs, out, e.smarks)
+    return Element(e.nlegs, out)
 
 
 def braid_consistency(R: RMatrix, flavor: str = "particle",

@@ -26,13 +26,15 @@ from .algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
                       LSTAR, LSTARINV, NO_SHIFT, PHI, PHISTAR, VECTOR_KINDS)
 from .errors import ParseError
 from .expr import format_ratexpr, locate, parse_expr
-from .symfield import RatExpr, VAR_INDEX, VARS
+from .symfield import RatExpr, VAR_INDEX, VARS, W, X, Z
 
 _KIND_TEXT = {PHI: "Phi", PHISTAR: "PhiStar", L: "L", LSTAR: "LStar",
               LINV: "LInv", LSTARINV: "LStarInv"}
 _TEXT_KIND = {v: k for k, v in _KIND_TEXT.items()}
 
 _R1 = RatExpr.from_int(1)
+
+_SPECTRAL = frozenset((X, W) + Z)
 
 
 def _fmt_shift(h: tuple) -> str:
@@ -156,10 +158,13 @@ class _ElementParser:
         return tuple(h)
 
     def _zvar(self) -> int:
-        name = self._ident()
-        if name is None or name not in VAR_INDEX:
-            self._error("expected a spectral variable")
-        return VAR_INDEX[name]
+        self._skip_ws()
+        start = self.pos
+        var = VAR_INDEX.get(self._ident())
+        if var not in _SPECTRAL:
+            self.pos = start
+            self._error("expected a spectral variable (z1..z9, x, w)")
+        return var
 
     def _coeff(self) -> RatExpr:
         self._skip_ws()

@@ -10,11 +10,6 @@ class DomainError(RhopfError):
     denominator depending on a disallowed variable, ...)."""
 
 
-class ExponentError(RhopfError):
-    """A substitution produced a non-integral exponent after the s^2 = q
-    convention."""
-
-
 class ParseError(RhopfError):
     """Syntax error in an expression, element or R-matrix spec file."""
 

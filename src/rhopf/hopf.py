@@ -8,18 +8,15 @@ kinds and delta_ij on the matrix kinds of KINDS.
 Charge bookkeeping.  A q-shift may reference any leg's charge c_t.  Each
 structural map replaces legs of every term by new legs (``_splice``),
 substitutes linear forms for the charges of the replaced legs and
-renumbers the charges of the legs above them:
+renumbers the charges of the legs above them; the substitution acts on
+every leg of the term and on its coefficient (u_t = q^(c_t/2)):
 
 * splitting leg t (coproduct):  c_t -> c_t + c_(t+1), higher legs shift up;
   the rows' c1/c2 mean the two new legs.
 * counit on leg t:  c_t -> 0, higher legs shift down.
-* antipode on leg t:  no substitution; the leg is marked.
-* merging legs t, t+1:  both charges map to the merged leg's c, except
-  references to a marked leg, which map to -c (the group-like q^c is
-  inverted by the antipode).  To make that single merge rule exact, the
-  antipode rows store their own-charge steps with the opposite sign of the
-  one-leg formulas written beside them; ``resolve_antipode_marks``
-  converts a marked element back to the one-leg reading.
+* antipode on leg t:  c_t -> -c_t, since the group-like q^c is inverted;
+  the rows hold the one-leg formulas written beside them.
+* merging legs t, t+1:  both charges map to the merged leg's c.
 """
 
 from __future__ import annotations
@@ -132,19 +129,18 @@ COPRODUCT = {
                        Factor(LSTARINV, "im", 1, (-1, 0)))),
 }
 
-# S of a generator on a leg of charge c, in pre-merge form: each row's
-# own-charge steps are the negatives of the one-leg formula beside it.
+# S of a generator on a leg of charge c.
 ANTIPODE = {
     # S L_ij(x) = Linv_ij(x)
     L: HopfRow((Factor(LINV, "ij", 0, (0,)),)),
     # S Lstar_ij(x) = Lstarinv_ij(x)
     LSTAR: HopfRow((Factor(LSTARINV, "ij", 0, (0,)),)),
     # S Phi_i(x) = -sum_m Linv_im(x q^(-c/2)) Phi_m(x q^-c)
-    PHI: HopfRow((Factor(LINV, "im", 0, (1,)),
-                  Factor(PHI, "m", 0, (2,))), sign=-1),
+    PHI: HopfRow((Factor(LINV, "im", 0, (-1,)),
+                  Factor(PHI, "m", 0, (-2,))), sign=-1),
     # S Phistar_i(x) = -sum_m Phistar_m(x q^-c) Lstarinv_mi(x q^(-c/2))
-    PHISTAR: HopfRow((Factor(PHISTAR, "m", 0, (2,)),
-                      Factor(LSTARINV, "mi", 0, (1,))), sign=-1),
+    PHISTAR: HopfRow((Factor(PHISTAR, "m", 0, (-2,)),
+                      Factor(LSTARINV, "mi", 0, (-1,))), sign=-1),
 }
 
 
@@ -191,28 +187,27 @@ def _counit(g: GenOcc):
 # structural maps
 # ---------------------------------------------------------------------------
 
-def _splice(e: Element, leg: int, removed: int, own: dict, marks: tuple,
+def _splice(e: Element, leg: int, removed: int, own: dict, added: int,
             pieces, reverse: bool = False) -> Element:
     """Replace legs ``leg`` .. ``leg + removed - 1`` of every term by
-    ``len(marks)`` new legs with antipode marks ``marks``.  The generators of
-    the replaced words, in order (reversed for the anti-homomorphism), go
-    to the (int coeff, new legs) pairs ``pieces(g)``, multiplied out.
+    ``added`` new legs.  The generators of the replaced words, in order
+    (reversed for the anti-homomorphism), go to the (int coeff, new legs)
+    pairs ``pieces(g)``, multiplied out.
     ``own`` maps the charges of the replaced legs; every charge slot above
     them moves by the change in leg count, as far as the slots reach."""
     if not 0 <= leg <= e.nlegs - removed:
         raise ShapeError(f"no leg {leg}")
     t = leg + 1
-    shift = len(marks) - removed
+    shift = added - removed
     cmap = {k: {k + shift: 1} for k in range(t + removed, MAX_LEGS + 1)
             if shift and k + shift <= MAX_LEGS}
     cmap.update(own)
     if cmap:
         e = e.map_charges(cmap)
-    out = Element(e.nlegs + shift, {},
-                  e.smarks[:leg] + marks + e.smarks[leg + removed:])
+    out = Element(e.nlegs + shift)
     for (flag, deltas, legs), coeff in e.terms.items():
         word = sum(legs[leg:leg + removed], ())
-        images = [(1, ((),) * len(marks))]
+        images = [(1, ((),) * added)]
         for g in reversed(word) if reverse else word:
             images = [(c * pc, tuple(a + b for a, b in zip(new, pnew)))
                       for c, new in images for pc, pnew in pieces(g)]
@@ -227,42 +222,32 @@ def coproduct(e: Element, tables: HopfTables, leg: int = 0) -> Element:
     if e.nlegs + 1 > MAX_LEGS:
         raise ShapeError(f"cannot exceed {MAX_LEGS} legs")
     t = leg + 1
-    return _splice(e, leg, 1, {t: {t: 1, t + 1: 1}}, (False, False),
+    return _splice(e, leg, 1, {t: {t: 1, t + 1: 1}}, 2,
                    lambda g: tables.image(COPRODUCT, "coproduct", g,
                                           (t, t + 1)))
 
 
 def counit_apply(e: Element, tables: HopfTables, leg: int = 0) -> Element:
     """Replace one leg by its counit value and renumber."""
-    return _splice(e, leg, 1, {leg + 1: {}}, (), _counit)
+    return _splice(e, leg, 1, {leg + 1: {}}, 0, _counit)
 
 
 def antipode_apply(e: Element, tables: HopfTables, leg: int = 0) -> Element:
-    """Anti-homomorphism on one leg; the leg is marked and the pending
-    charge negation is performed by ``merge_legs`` (or by
-    ``resolve_antipode_marks`` for standalone use)."""
-    return _splice(e, leg, 1, {}, (True,),
+    """Anti-homomorphism on one leg, which negates that leg's charge."""
+    t = leg + 1
+    return _splice(e, leg, 1, {t: {t: -1}}, 1,
                    lambda g: tables.image(ANTIPODE, "antipode", g,
-                                          (leg + 1,)), reverse=True)
+                                          (t,)), reverse=True)
 
 
 def merge_legs(e: Element, leg: int = 0) -> Element:
     """Concatenate legs ``leg`` and ``leg + 1``; charge references to the
-    merged legs become the new leg's charge, negated for a leg carrying an
-    antipode mark."""
+    merged legs become the new leg's charge."""
     if not 0 <= leg < e.nlegs - 1:
         raise ShapeError(f"cannot merge at leg {leg}")
     t = leg + 1
-    own = {t + k: {t: -1 if e.smarks[leg + k] else 1} for k in (0, 1)}
-    return _splice(e, leg, 2, own, (False,), lambda g: [(1, ((g,),))])
-
-
-def resolve_antipode_marks(e: Element) -> Element:
-    """Negate the marked legs' own-charge references and clear the marks
-    (the one-leg reading of a standalone antipode image)."""
-    cmap = {leg + 1: {leg + 1: -1}
-            for leg, marked in enumerate(e.smarks) if marked}
-    return e.map_charges(cmap, new_smarks=(False,) * e.nlegs)
+    return _splice(e, leg, 2, {t: {t: 1}, t + 1: {t: 1}}, 1,
+                   lambda g: [(1, ((g,),))])
 
 
 # ---------------------------------------------------------------------------

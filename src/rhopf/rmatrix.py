@@ -103,7 +103,8 @@ class RMatrix:
 
 def entries_at(entries: dict, var: str, arg: tuple) -> dict:
     """Entries with the variable ``var`` replaced by a monomial."""
-    return {key: v.subs_monomial(var, arg) for key, v in entries.items()}
+    smap = {VAR_INDEX[var]: arg}
+    return {key: v.subs_monomial(smap) for key, v in entries.items()}
 
 
 def _eliminate(mat, invert: bool):

@@ -18,11 +18,10 @@ structural comparison of canonical forms.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 
 from . import kernels
-from .errors import DomainError, ExponentError
+from .errors import DomainError
 
 VARS = ("s", "u1", "u2", "u3", "x",
         "z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8", "z9", "w")
@@ -70,12 +69,6 @@ def mono_key(m: tuple) -> tuple:
         key[v] = e
     key.reverse()
     return tuple(key)
-
-
-def mono_str(m: tuple) -> str:
-    if not m:
-        return "1"
-    return "*".join(f"{VARS[v]}^{e}" if e != 1 else VARS[v] for v, e in m)
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +178,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.terms!r})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms, key=mono_key, reverse=True):
-            c = self.terms[m]
-            if m:
-                head = mono_str(m) if abs(c) == 1 else f"{abs(c)}*{mono_str(m)}"
-            else:
-                head = str(abs(c))
-            bits.append(("-" if c < 0 else "+", head))
-        sign, head = bits[0]
-        out = ("-" if sign == "-" else "") + head
-        for sign, head in bits[1:]:
-            out += f" {sign} {head}"
-        return out
 
 
 ZERO = LaurentPoly.from_int(0)
@@ -784,40 +760,13 @@ class RatExpr:
     def __repr__(self):
         return f"RatExpr({self.num!r}, {self.den!r})"
 
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
     # -- substitution -------------------------------------------------------
 
-    def subs_monomial(self, var: str, m: tuple) -> "RatExpr":
-        """Replace an invertible variable by a monomial (fast exact path)."""
-        v = VAR_INDEX[var]
-        return RatExpr(LaurentPoly(_subst_var(self.num.terms, v, m)),
-                       LaurentPoly(_subst_var(self.den.terms, v, m)))
-
-    def substitute(self, bindings: dict) -> "RatExpr":
-        """Simultaneous substitution var -> fractional monomial.
-
-        ``bindings`` maps variable names to dicts {var-name: Fraction-or-int
-        exponent}.  All exponents of the result must come out integral,
-        otherwise ExponentError is raised.
-        """
-        frac = {}
-        for name, target in bindings.items():
-            if name not in VAR_INDEX:
-                raise DomainError(f"unknown variable {name!r}")
-            vec = {}
-            for tname, e in target.items():
-                if tname not in VAR_INDEX:
-                    raise DomainError(f"unknown variable {tname!r}")
-                e = Fraction(e)
-                if e:
-                    vec[VAR_INDEX[tname]] = e
-            frac[VAR_INDEX[name]] = vec
-        return RatExpr(LaurentPoly(_subst_frac(self.num.terms, frac)),
-                       LaurentPoly(_subst_frac(self.den.terms, frac)))
+    def subs_monomial(self, smap: dict) -> "RatExpr":
+        """Simultaneous substitution: ``smap`` maps a variable index to the
+        monomial that replaces the variable."""
+        return RatExpr(LaurentPoly(_subst(self.num.terms, smap)),
+                       LaurentPoly(_subst(self.den.terms, smap)))
 
 
 def _cancel(t: dict, den: dict) -> tuple:
@@ -834,41 +783,13 @@ def _cancel(t: dict, den: dict) -> tuple:
     return t_ord, divexact(den, h)
 
 
-def _subst_var(terms: dict, v: int, target: tuple) -> dict:
+def _subst(terms: dict, smap: dict) -> dict:
     out: dict = {}
     for m, c in terms.items():
-        md = dict(m)
-        e = md.pop(v, 0)
-        base = mono_from_pairs(md.items())
-        if e:
-            base = kernels.mono_mul(base, kernels.mono_pow(target, e))
-        val = out.get(base, 0) + c
-        if val:
-            out[base] = val
-        elif base in out:
-            del out[base]
-    return out
-
-
-def _subst_frac(terms: dict, frac: dict) -> dict:
-    out: dict = {}
-    for m, c in terms.items():
-        vec: dict = {}
+        base = tuple((v, e) for v, e in m if v not in smap)
         for v, e in m:
-            if v in frac:
-                for tv, te in frac[v].items():
-                    vec[tv] = vec.get(tv, Fraction(0)) + te * e
-            else:
-                vec[v] = vec.get(v, Fraction(0)) + e
-        pairs = []
-        for v, e in vec.items():
-            if e:
-                if Fraction(e).denominator != 1:
-                    raise ExponentError(
-                        f"non-integral exponent {e} of {VARS[v]} after "
-                        "substitution")
-                pairs.append((v, int(e)))
-        base = mono_from_pairs(pairs)
+            if v in smap:
+                base = kernels.mono_mul(base, kernels.mono_pow(smap[v], e))
         val = out.get(base, 0) + c
         if val:
             out[base] = val

@@ -14,7 +14,7 @@ from rhopf.algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
 from rhopf.errors import BudgetError, KindError, RhopfError, ShapeError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
-from rhopf.symfield import RatExpr, Z
+from rhopf.symfield import RatExpr, X, Z, mono
 
 Z1, Z2, Z3 = Z[0], Z[1], Z[2]
 R1 = RatExpr.from_int(1)
@@ -53,8 +53,8 @@ def test_phi_l_rule_scalar():
     out = normal_order(e, rs)
     # oracle: inverse entry at (z1/z2) q^(c/2), built independently;
     # q^(c/2) is the charge variable u1
-    coeff = parse_expr("(x*q^2 - 1)/(x - q^2)").substitute(
-        {"x": {"z1": 1, "z2": -1, "u1": 1}})
+    coeff = parse_expr("(x*q^2 - 1)/(x - q^2)").subs_monomial(
+        {X: mono(z1=1, z2=-1, u1=1)})
     expected = Element.word((_l(1, 1, Z2), _phi(1, Z1)), coeff=coeff)
     assert out == expected
 
@@ -173,7 +173,7 @@ def test_delta_forces_coefficient_cancellation():
     d = DeltaFactor(Z1, Z2, (0, -2, 0, 0))
     f = parse_expr("z1*z2 + q")
     # f(z1,z2) delta - f(z2 q^c, z2) delta = 0
-    fsub = f.substitute({"z1": {"z2": 1, "u1": 2}})
+    fsub = f.subs_monomial({Z1: mono(z2=1, u1=2)})
     e = (Element(1, {("", (d,), ((),)): f})
          - Element(1, {("", (d,), ((),)): fsub}))
     assert delta_normalize(e).is_zero()

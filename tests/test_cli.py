@@ -333,6 +333,19 @@ def test_cli_normal_order_index_count_exits_2(capsys):
     assert err.startswith("error: Phi takes one index (line 1, col 7)")
 
 
+def test_cli_normal_order_non_spectral_argument_exits_2(capsys):
+    # s = q^(1/2) and the charge variables u_t are field variables, not
+    # spectral arguments
+    code = main(["normal-order", "--instance", "example1",
+                 "Phi[1](z1) Phi[1](s)"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected a spectral variable "
+                          "(z1..z9, x, w) (line 1, col 19)")
+    for text in ("L[1,1](u1)", "delta(z1/u2)"):
+        assert main(["normal-order", "--instance", "example1", text]) == 2
+
+
 def test_cli_verify_hopf_particle_flavor_is_a_usage_error(capsys):
     # the particle algebra has no coproduct: the coproduct of Phi needs L
     with pytest.raises(SystemExit) as exc:

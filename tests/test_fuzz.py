@@ -18,7 +18,8 @@ _EXPR = ("x", "q", "s", "u1", "z1", "z9", "w", "foo", "0", "1", "2", "^",
          "-", "+", "*", "/", "(", ")", " ", ".", "@")
 _ELEMENT = ("Phi", "PhiStar", "L", "LStar", "LInv", "LStarInv", "delta",
             "Bogus", "[", "]", "(", ")", "{", "}", ",", "*", "/", "+", "-",
-            "(x)", "q[", "z1", "z2", "x", "q", "0", "1", "2", "-1", " ")
+            "(x)", "q[", "z1", "z2", "x", "q", "s", "u1", "0", "1", "2", "-1",
+            " ")
 _SPEC = ("n=", "var=", "name=", "toggle ", "ll-star", "=", "literal",
          "R[", "]", ",", ";", "#", "\n", " ", "x", "q", "foo", "(", ")",
          "1", "2", "-", "*", "/", "^")
@@ -77,7 +78,7 @@ def test_fuzz_parse_rspec(text):
 _CLI_GENERATOR = ("Phi[1](z1)", "Phi[2](z2)", "PhiStar[1](z2)",
                   "L[1,2](z1)", "LStar[2,1](z2)", "LInv[1,1](z1)",
                   "Phi[1](z2*q[0,1,0,0])", "{q}*Phi[1](z3)", "delta(z1/z2)",
-                  "Phi[0](z1)", "L[1,7](z1)")
+                  "Phi[0](z1)", "L[1,7](z1)", "Phi[1](s)", "L[1,1](u1)")
 _CLI_JUNK = ("(x)", "+", "-", "1", "0", " ", "Bogus", "[", ")", "{", "z1")
 _cli_word = st.lists(st.sampled_from(_CLI_GENERATOR), min_size=1,
                      max_size=3).map(" ".join)

@@ -10,8 +10,7 @@ from rhopf.errors import ShapeError, UnsupportedRule
 from rhopf.expr import parse_expr
 from rhopf.hopf import (HopfTables, antipode_apply, check_axioms,
                         check_counit, check_hom_on_relation, coproduct,
-                        counit_apply, generator_list, merge_legs,
-                        resolve_antipode_marks)
+                        counit_apply, generator_list, merge_legs)
 from rhopf.instances import get_instance
 from rhopf.symfield import RatExpr, Z
 
@@ -79,14 +78,14 @@ def test_counit_value_of_unit():
 
 def test_antipode_l_maps_to_inverse_kind():
     rs, tb = _setup()
-    out = resolve_antipode_marks(antipode_apply(_gen(L, 1, 1), tb, 0))
+    out = antipode_apply(_gen(L, 1, 1), tb, 0)
     assert out == _gen(LINV, 1, 1)
 
 
 def test_antipode_qc_inverts_charge():
     rs, tb = _setup()
     qc = Element.unit(1, RatExpr.var("u1", 2))
-    out = resolve_antipode_marks(antipode_apply(qc, tb, 0))
+    out = antipode_apply(qc, tb, 0)
     assert out == Element.unit(1, RatExpr.var("u1", -2))
 
 
@@ -103,7 +102,7 @@ def _one_leg_antipode(first, second, n):
 def test_antipode_phi_scalar_one_leg_form(name):
     rs, tb = _setup(name)
     for i in range(1, rs.n + 1):
-        out = resolve_antipode_marks(antipode_apply(_gen(PHI, i), tb, 0))
+        out = antipode_apply(_gen(PHI, i), tb, 0)
         expected = _one_leg_antipode(
             lambda m: GenOcc(LINV, i, m, ArgShift(Z1, (0, -1, 0, 0))),
             lambda m: GenOcc(PHI, m, 0, ArgShift(Z1, (0, -2, 0, 0))), rs.n)
@@ -114,12 +113,30 @@ def test_antipode_phi_scalar_one_leg_form(name):
 def test_antipode_phistar_scalar_one_leg_form(name):
     rs, tb = _setup(name)
     for i in range(1, rs.n + 1):
-        out = resolve_antipode_marks(antipode_apply(_gen(PHISTAR, i), tb, 0))
+        out = antipode_apply(_gen(PHISTAR, i), tb, 0)
         expected = _one_leg_antipode(
             lambda m: GenOcc(PHISTAR, m, 0, ArgShift(Z1, (0, -2, 0, 0))),
             lambda m: GenOcc(LSTARINV, m, i, ArgShift(Z1, (0, -1, 0, 0))),
             rs.n)
         assert out == expected
+
+
+def test_antipode_negates_its_leg_charge_on_every_leg():
+    """S on leg 1 maps c2 -> -c2 in leg 0's argument and in the
+    coefficient too, not only in the images of its own leg."""
+    rs, tb = _setup()
+    z2 = Z[1]
+    e = Element(2, {("", (), (
+        (GenOcc(PHI, 1, 0, ArgShift(Z1, (0, 1, 2, 0))),),
+        (GenOcc(PHI, 1, 0, ArgShift(z2, (0, 0, 1, 0))),))):
+        parse_expr("u2^3*z1 + u1")})
+    out = antipode_apply(e, tb, 1)
+    expected = Element(2, {("", (), (
+        (GenOcc(PHI, 1, 0, ArgShift(Z1, (0, 1, -2, 0))),),
+        (GenOcc(LINV, 1, 1, ArgShift(z2, (0, 0, -2, 0))),
+         GenOcc(PHI, 1, 0, ArgShift(z2, (0, 0, -3, 0)))))):
+        parse_expr("-u2^-3*z1 - u1")})
+    assert out == expected
 
 
 def test_antipode_missing_table_entry():

@@ -11,7 +11,7 @@ from rhopf.modes import (SeriesWindow, check_mode_consistency,
                          drinfeld_compare, load_reference_relations,
                          mode_allowed, mode_expand_relation)
 from rhopf.rmatrix import RMatrix
-from rhopf.symfield import RatExpr
+from rhopf.symfield import RatExpr, X, mono
 
 
 def _rs(name="example1", flavor="double", toggles=None):
@@ -55,8 +55,8 @@ def test_phi_phi_slots_match_series_oracle():
     assert RatExpr(entry["clearing_factor"]) == parse_expr("q^2*z1 - z2") \
         or RatExpr(entry["clearing_factor"]) == parse_expr("z2 - q^2*z1")
     # oracle polynomials: clearing factor times each side's coefficient
-    lhs_poly = parse_expr("(x - q^2)/(x*q^2 - 1)").substitute(
-        {"x": {"z1": 1, "z2": -1}}) * RatExpr(entry["clearing_factor"])
+    lhs_poly = parse_expr("(x - q^2)/(x*q^2 - 1)").subs_monomial(
+        {X: mono(z1=1, z2=-1)}) * RatExpr(entry["clearing_factor"])
     rhs_poly = RatExpr(entry["clearing_factor"])
     for (m, k) in [(0, 0), (1, -1), (-2, 3), (2, 2)]:
         got = entry["slots"].get((m, k), {})

@@ -7,7 +7,7 @@ from rhopf.expr import parse_expr
 from rhopf.instances import PASSING_INSTANCES, get_instance
 from rhopf.rmatrix import (RMatrix, clear_poles, unitarity_residual,
                            ybe_residual)
-from rhopf.symfield import RatExpr, VAR_INDEX
+from rhopf.symfield import RatExpr, VAR_INDEX, X, mono
 
 
 def test_ybe_identity_is_zero():
@@ -28,12 +28,12 @@ def test_diagonal_ybe_matches_entrywise_product_oracle():
     # both sides of the equation are the entrywise product of the three
     # diagonal factors; verify the engine agrees on a sample entry
     R = get_instance("example2-n2")
-    z = {"x": {"z1": 1}}
-    w = {"x": {"z2": 1}}
-    zw = {"x": {"z1": 1, "z2": 1}}
+    z = {X: mono(z1=1)}
+    w = {X: mono(z2=1)}
+    zw = {X: mono(z1=1, z2=1)}
     f11 = R.entry(1, 2, 1, 2)
-    lhs = (f11.substitute(z) * R.entry(1, 1, 1, 1).substitute(zw)
-           * R.entry(2, 1, 2, 1).substitute(w))
+    lhs = (f11.subs_monomial(z) * R.entry(1, 1, 1, 1).subs_monomial(zw)
+           * R.entry(2, 1, 2, 1).subs_monomial(w))
     res = ybe_residual(R, "prod")
     assert res == {}
     assert not lhs.is_zero()  # sanity: the oracle product is nontrivial
@@ -70,7 +70,6 @@ def test_unitarity_monomial_vs_affine_scalar():
 
 def test_left_and_right_inverse_agree_for_unitary_instances():
     from rhopf.rmatrix import _as_map2, _compose, _map_sub
-    from rhopf.symfield import mono
     for name in PASSING_INSTANCES:
         R = get_instance(name)
         x = mono(**{R.var: 1})
