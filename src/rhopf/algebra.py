@@ -183,11 +183,6 @@ class Element:
         return (isinstance(other, Element) and self.nlegs == other.nlegs
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.nlegs,
-                     tuple(sorted(self.terms.items(),
-                                  key=lambda kv: kv[0]))))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 

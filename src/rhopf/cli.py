@@ -17,14 +17,14 @@ from .algebra import (FLAVOR_RELATIONS, RewriteSystem, Toggles,
                       braid_consistency, delta_normalize, normal_order,
                       relation_self_residual)
 from .elemio import format_element, parse_element
-from .errors import ParseError, RhopfError
+from .errors import DomainError, ParseError, RhopfError
 from .expr import _format_poly, format_ratexpr, parse_expr
 from .hopf import AXIOMS, HopfTables, check_axioms, check_hom_on_relation
 from .instances import INSTANCE_NAMES, get_instance, instance_flags
 from .modes import SeriesWindow, check_mode_consistency, drinfeld_compare
 from .rmatrix import RMatrix, clear_poles, unitarity_residual, ybe_residual
 from .report import FAIL, PASS, SKIPPED, CheckResult, VerificationReport
-from .symfield import VAR_INDEX
+from .symfield import SPECTRAL, VAR_INDEX, variables
 
 _ENTRY_RE = re.compile(
     r"^R\[\s*(\d+)\s*,\s*(\d+)\s*;\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")
@@ -67,29 +67,34 @@ def parse_rspec(text: str):
             m = _ASSIGN_RE.match(stmt)
             if m:
                 key, val = m.group(1), m.group(2)
+                col = start + m.start(2) + 1
                 if key == "n":
                     if not val.isdigit() or int(val) < 1:
                         raise ParseError("n must be a positive integer",
-                                         lineno, 1)
+                                         lineno, col)
                     n = int(val)
                 elif key == "var":
-                    if val not in VAR_INDEX:
+                    if VAR_INDEX.get(val) not in SPECTRAL:
                         raise ParseError(
-                            f"unknown variable {val!r} for var=", lineno,
-                            start + m.start(2) + 1)
+                            f"var= must be a spectral variable (z1..z9, x, "
+                            f"w), not {val!r}", lineno, col)
                     var = val
                 else:
                     name = val
                 continue
             m = _TOGGLE_RE.match(stmt)
             if m:
+                try:
+                    Toggles.from_dict({m.group(1): m.group(2)})
+                except DomainError as exc:
+                    raise ParseError(str(exc), lineno, start + 1) from exc
                 toggles[m.group(1)] = m.group(2)
                 continue
             m = _ENTRY_RE.match(stmt)
             if m:
                 if n is None or var is None:
                     raise ParseError("n= and var= must precede entries",
-                                     lineno, 1)
+                                     lineno, start + 1)
                 idx = tuple(int(m.group(t)) for t in range(1, 5))
                 for t, v in enumerate(idx, start=1):
                     if not 1 <= v <= n:
@@ -101,7 +106,8 @@ def parse_rspec(text: str):
                 if not val.is_zero():
                     entries[idx] = val
                 continue
-            raise ParseError(f"cannot parse statement {stmt!r}", lineno, 1)
+            raise ParseError(f"cannot parse statement {stmt!r}", lineno,
+                             start + 1)
     if n is None or var is None:
         raise ParseError("missing n= or var= header", 1, 1)
     rows = {(k, l) for (_, _, k, l) in entries}
@@ -168,10 +174,10 @@ def _plan_check_r(R: RMatrix, toggles: Toggles, report: VerificationReport):
 
     def poles():
         cleared = clear_poles(R)
-        f_note = "f = " + _format_poly(cleared.f.terms)
+        f_note = "f = " + _format_poly(cleared.f)
         vidx = VAR_INDEX[R.var]
         bad = [key for key, v in cleared.rprime.items()
-               if vidx in v.den.variables()]
+               if vidx in variables(v.den)]
         residual = f"entries with uncleared poles: {sorted(bad)}"
         return not bad, residual if bad else None, f_note
     _timed(report, "clear-poles", poles)

@@ -26,15 +26,13 @@ from .algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
                       LSTAR, LSTARINV, NO_SHIFT, PHI, PHISTAR, VECTOR_KINDS)
 from .errors import ParseError
 from .expr import format_ratexpr, locate, parse_expr
-from .symfield import RatExpr, VAR_INDEX, VARS, W, X, Z
+from .symfield import SPECTRAL, RatExpr, VAR_INDEX, VARS
 
 _KIND_TEXT = {PHI: "Phi", PHISTAR: "PhiStar", L: "L", LSTAR: "LStar",
               LINV: "LInv", LSTARINV: "LStarInv"}
 _TEXT_KIND = {v: k for k, v in _KIND_TEXT.items()}
 
 _R1 = RatExpr.from_int(1)
-
-_SPECTRAL = frozenset((X, W) + Z)
 
 
 def _fmt_shift(h: tuple) -> str:
@@ -161,7 +159,7 @@ class _ElementParser:
         self._skip_ws()
         start = self.pos
         var = VAR_INDEX.get(self._ident())
-        if var not in _SPECTRAL:
+        if var not in SPECTRAL:
             self.pos = start
             self._error("expected a spectral variable (z1..z9, x, w)")
         return var

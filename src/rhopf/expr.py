@@ -192,9 +192,9 @@ def _format_poly(terms: dict) -> str:
 
 
 def format_ratexpr(a: RatExpr) -> str:
-    num = _format_poly(a.num.terms)
-    if a.den.is_one():
-        if len(a.num.terms) > 1:
+    num = _format_poly(a.num)
+    if a.den == {(): 1}:
+        if len(a.num) > 1:
             return f"({num})"
         return num
-    return f"({num})/({_format_poly(a.den.terms)})"
+    return f"({num})/({_format_poly(a.den)})"

@@ -24,8 +24,8 @@ from .algebra import (FLAVOR_RELATIONS, L, LSTAR, RewriteSystem,
 from .errors import DomainError, ExpansionError
 from .expr import parse_expr
 from .rmatrix import RMatrix
-from .symfield import (LaurentPoly, RatExpr, Z, accumulate, mono_from_pairs,
-                       poly_lcm, q_power)
+from .symfield import (RatExpr, Z, accumulate, denominator_lcm,
+                       mono_from_pairs, q_power, variables)
 
 _Z1, _Z2 = Z[0], Z[1]
 _R1 = RatExpr.from_int(1)
@@ -63,30 +63,21 @@ def _z_split(c: RatExpr) -> list:
     """Decompose a coefficient with z-free denominator as
     [(alpha, beta, s-u-coefficient)] over monomials z1^alpha z2^beta."""
     den = c.den
-    if den.variables() & {_Z1, _Z2}:
+    if variables(den) & {_Z1, _Z2}:
         raise ExpansionError("coefficient denominator still involves the "
                              "spectral variables")
     groups: dict = {}
-    for m, k in c.num.terms.items():
+    for m, k in c.num.items():
         md = dict(m)
         a = md.pop(_Z1, 0)
         b = md.pop(_Z2, 0)
         rest = mono_from_pairs(md.items())
         groups.setdefault((a, b), {})[rest] = k
-    return [(a, b, RatExpr(LaurentPoly(terms), den))
+    return [(a, b, RatExpr(terms, den))
             for (a, b), terms in sorted(groups.items())]
 
 
-def _clearing_factor(elements) -> LaurentPoly:
-    """LCM of all coefficient denominators across the given elements."""
-    acc = {(): 1}
-    for e in elements:
-        for _, c in e.terms.items():
-            acc = poly_lcm(acc, c.den.terms)
-    return LaurentPoly(acc)
-
-
-def _emit_element(e, window: SeriesWindow, clear: LaurentPoly,
+def _emit_element(e, window: SeriesWindow, clear: dict,
                   sign: int, out: dict, kindsets: dict):
     """Accumulate the mode expansion of ``sign * clear * e`` into ``out``,
     a dict slot -> {mode word -> coefficient}.
@@ -151,7 +142,8 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     """
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
-        clear = _clearing_factor((lhs, rhs))
+        clear = denominator_lcm([*lhs.terms.values(),
+                                 *rhs.terms.values()])
         slots: dict = {}
         lhs_kinds: dict = {}
         rhs_kinds: dict = {}

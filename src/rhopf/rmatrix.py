@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SingularError
-from .symfield import (LaurentPoly, RatExpr, S, VAR_INDEX, accumulate,
-                       clear_denominators, mono)
+from .symfield import (RatExpr, S, VAR_INDEX, accumulate, clear_denominators,
+                       mono)
 
 _R0 = RatExpr.from_int(0)
 _R1 = RatExpr.from_int(1)
@@ -45,9 +45,6 @@ class RMatrix:
     def entry(self, i, j, k, l) -> RatExpr:
         return self.entries.get((i, j, k, l), _R0)
 
-    def is_diagonal(self) -> bool:
-        return all(i == k and j == l for (i, j, k, l) in self.entries)
-
     def flip(self) -> "RMatrix":
         """R21, with R21[i,j -> k,l] = R[j,i -> l,k]."""
         flipped = {(j, i, l, k): v for (i, j, k, l), v in self.entries.items()}
@@ -70,13 +67,6 @@ class RMatrix:
 
     def inverse_entries(self) -> dict:
         """Entries of R(x)^-1 over the function field."""
-        if self.is_diagonal():
-            out = {}
-            for key, v in self.entries.items():
-                if v.is_zero():
-                    raise SingularError("zero diagonal entry")
-                out[key] = v.inverse()
-            return out
         pairs, mat = self._dense()
         _, inv = _eliminate(mat, invert=True)
         if inv is None:
@@ -89,15 +79,6 @@ class RMatrix:
         return out
 
     def determinant(self) -> RatExpr:
-        if self.is_diagonal():
-            det = _R1
-            seen = 0
-            for v in self.entries.values():
-                det = det * v
-                seen += 1
-            if seen < self.n * self.n:
-                return _R0
-            return det
         return _eliminate(self._dense()[1], invert=False)[0]
 
 
@@ -142,7 +123,7 @@ class ClearedRMatrix:
     """R' = f * R with f the minimal pole-clearing polynomial."""
 
     base: RMatrix
-    f: LaurentPoly
+    f: dict  # term map
     rprime: dict = field(repr=False)  # (i,j,k,l) -> RatExpr
 
 

@@ -1,7 +1,8 @@
 """Exact arithmetic in the coefficient field.
 
 Elements are reduced fractions of multivariate Laurent polynomials over the
-integers.  The variable alphabet is fixed:
+integers, each polynomial a term map as in ``kernels``.  The variable
+alphabet is fixed:
 
     s < u1 < u2 < u3 < x < z1 < ... < z9 < w
 
@@ -33,6 +34,9 @@ U = (VAR_INDEX["u1"], VAR_INDEX["u2"], VAR_INDEX["u3"])
 X = VAR_INDEX["x"]
 Z = tuple(VAR_INDEX[f"z{i}"] for i in range(1, 10))
 W = VAR_INDEX["w"]
+# the variables that may carry a spectral parameter: a generator's
+# argument, or the ratio variable of an R-matrix
+SPECTRAL = frozenset((X, W) + Z)
 
 _ONE_TERMS = {(): 1}
 
@@ -71,117 +75,25 @@ def mono_key(m: tuple) -> tuple:
     return tuple(key)
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials
-# ---------------------------------------------------------------------------
-
-class LaurentPoly:
-    """Immutable sparse Laurent polynomial with integer coefficients."""
-
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = terms
-        self._hash = None
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n: int) -> "LaurentPoly":
-        return cls({(): n} if n else {})
-
-    @classmethod
-    def var(cls, name: str, power: int = 1) -> "LaurentPoly":
-        return cls({mono(**{name: power}): 1})
-
-    @classmethod
-    def from_mono(cls, m: tuple, coeff: int = 1) -> "LaurentPoly":
-        return cls({m: coeff} if coeff else {})
-
-    # -- predicates / views -------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == _ONE_TERMS
-
-    def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
-
-    def min_exponents(self) -> tuple:
-        """Monomial of per-variable minimum exponents (the monomial part)."""
-        lows: dict = {}
-        for i, m in enumerate(self.terms):
-            md = dict(m)
-            if i == 0:
-                lows = md
-                continue
-            for v in list(lows):
-                lows[v] = min(lows[v], md.get(v, 0))
-            for v, e in md.items():
-                if v not in lows:
-                    lows[v] = min(0, e)
-        return mono_from_pairs(lows.items())
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        return LaurentPoly(kernels.poly_add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return LaurentPoly(kernels.poly_sub(self.terms, other.terms))
-
-    def __neg__(self):
-        return LaurentPoly(kernels.poly_neg(self.terms))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly(kernels.poly_scale(self.terms, other, ()))
-        return LaurentPoly(kernels.poly_mul(self.terms, other.terms))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise DomainError("negative power of a polynomial; use RatExpr")
-        out = LaurentPoly.from_int(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def shift(self, m: tuple, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly(kernels.poly_scale(self.terms, coeff, m))
-
-    # -- comparisons --------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({(): other} if other else {})
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items(),
-                                           key=lambda t: mono_key(t[0]))))
-        return self._hash
-
-    def __repr__(self):
-        return f"LaurentPoly({self.terms!r})"
+def variables(terms) -> set:
+    """Indices of the variables occurring in a term map."""
+    return {v for m in terms for v, _ in m}
 
 
-ZERO = LaurentPoly.from_int(0)
-ONE = LaurentPoly.from_int(1)
+def min_exponents(monos) -> tuple:
+    """Monomial of per-variable minimum exponents over the monomials of a
+    term map (its monomial part); a variable missing from a monomial
+    counts as exponent 0."""
+    it = iter(monos)
+    lows = dict(next(it, ()))
+    for m in it:
+        md = dict(m)
+        for v in list(lows):
+            lows[v] = min(lows[v], md.get(v, 0))
+        for v, e in md.items():
+            if v not in lows:
+                lows[v] = min(0, e)
+    return mono_from_pairs(lows.items())
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +102,7 @@ ONE = LaurentPoly.from_int(1)
 
 def _strip_mono(terms: dict) -> tuple:
     """Factor a term map as monomial * ordinary-part with zero min exponents."""
-    p = LaurentPoly(terms)
-    lows = p.min_exponents()
+    lows = min_exponents(terms)
     if not lows:
         return (), terms
     inv = mono_inv(lows)
@@ -342,27 +253,15 @@ def poly_gcd(p: dict, q: dict) -> dict:
     return _pos_leading(g)
 
 
-def _mono_gcd_with(p: dict, q: dict) -> dict:
-    """GCD when at least one argument is a single term: the per-variable
-    minimum exponent monomial (integer contents are 1 here)."""
-    lows: dict = None
-    for terms in (p, q):
-        for m in terms:
-            md = dict(m)
-            if lows is None:
-                lows = md
-                continue
-            for v in list(lows):
-                lows[v] = min(lows[v], md.get(v, 0))
-                if lows[v] == 0:
-                    del lows[v]
-    return {mono_from_pairs(lows.items()): 1}
-
-
 def _poly_pow(p: dict, e: int) -> dict:
+    """p^e for an integer e >= 0, by repeated squaring."""
     out = dict(_ONE_TERMS)
-    for _ in range(e):
-        out = kernels.poly_mul(out, p)
+    while e:
+        if e & 1:
+            out = kernels.poly_mul(out, p)
+        e >>= 1
+        if e:
+            p = kernels.poly_mul(p, p)
     return out
 
 
@@ -455,12 +354,14 @@ def _vdeg_bound(p: dict, q: dict, v: int):
 
 def _gcd_primitive(p: dict, q: dict) -> dict:
     """GCD of integer-primitive ordinary term maps, primitive result."""
-    pv, qv = LaurentPoly(p).variables(), LaurentPoly(q).variables()
+    pv, qv = variables(p), variables(q)
     pvars = pv | qv
     if not pvars:
         return dict(_ONE_TERMS)
     if len(p) == 1 or len(q) == 1:
-        return _mono_gcd_with(p, q)
+        # a single term: the gcd is the common monomial part (integer
+        # contents are 1 here)
+        return {min_exponents([*p, *q]): 1}
     # coprimality certificate: every variable of the gcd occurs in both
     # operands, so a proven degree bound of 0 in each shared variable
     # leaves only a constant, and the operands are primitive
@@ -576,17 +477,15 @@ def poly_lcm(p: dict, q: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 class RatExpr:
-    """Reduced fraction of Laurent polynomials, always in canonical form."""
+    """Reduced fraction of Laurent polynomials, always in canonical form:
+    ``num`` and ``den`` are term maps."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
-        if den.is_zero():
+    def __init__(self, num: dict, den: dict = _ONE_TERMS):
+        if not den:
             raise DomainError("zero denominator")
-        nt, dt = self._normalize(num.terms, den.terms)
-        self.num = LaurentPoly(nt)
-        self.den = LaurentPoly(dt)
-        self._hash = None
+        self.num, self.den = self._normalize(num, den)
 
     @staticmethod
     def _normalize(nt: dict, dt: dict) -> tuple:
@@ -611,34 +510,33 @@ class RatExpr:
 
     @classmethod
     def from_int(cls, n: int) -> "RatExpr":
-        return cls(LaurentPoly.from_int(n))
+        return cls({(): n} if n else {})
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "RatExpr":
-        return cls(LaurentPoly.var(name, power))
+        return cls({mono(**{name: power}): 1})
 
     @classmethod
     def from_mono(cls, m: tuple, coeff: int = 1) -> "RatExpr":
-        return cls(LaurentPoly.from_mono(m, coeff))
+        return cls({m: coeff} if coeff else {})
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
     def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
+        return self.num == _ONE_TERMS and self.den == _ONE_TERMS
 
     def variables(self) -> set:
-        return self.num.variables() | self.den.variables()
+        return variables(self.num) | variables(self.den)
 
     @staticmethod
     def _canonical(nt: dict, dt: dict) -> "RatExpr":
         """Wrap term maps that are already in canonical form."""
         out = RatExpr.__new__(RatExpr)
-        out.num = LaurentPoly(nt)
-        out.den = LaurentPoly(dt)
-        out._hash = None
+        out.num = nt
+        out.den = dt
         return out
 
     # -- field operations ---------------------------------------------------
@@ -666,8 +564,8 @@ class RatExpr:
         """a/b (+ or -) c/d.  With g = gcd(b, d), b = g*b1, d = g*d1, the
         sum t = a*d1 + c*b1 is coprime to b1 and d1, so only gcd(t, g)
         can cancel: the whole of b when b == d, nothing when g == 1."""
-        a, b = self.num.terms, self.den.terms
-        c, d = other.num.terms, other.den.terms
+        a, b = self.num, self.den
+        c, d = other.num, other.den
         if b == d:
             g, b1, d1 = b, _ONE_TERMS, _ONE_TERMS
         elif b == _ONE_TERMS or d == _ONE_TERMS:
@@ -691,16 +589,15 @@ class RatExpr:
         return RatExpr._canonical(t, den)
 
     def __neg__(self):
-        return RatExpr._canonical(kernels.poly_neg(self.num.terms),
-                                  self.den.terms)
+        return RatExpr._canonical(kernels.poly_neg(self.num), self.den)
 
     def __mul__(self, other):
         """(a/b)*(c/d) = (a/g1)*(c/g2) / ((b/g2)*(d/g1)) with g1 = gcd(a, d)
         and g2 = gcd(c, b), each skipped when its denominator is 1."""
         if isinstance(other, int):
             other = RatExpr.from_int(other)
-        a, b = self.num.terms, self.den.terms
-        c, d = other.num.terms, other.den.terms
+        a, b = self.num, self.den
+        c, d = other.num, other.den
         if not a or not c:
             return RatExpr._canonical({}, dict(_ONE_TERMS))
         if d != _ONE_TERMS:
@@ -724,8 +621,8 @@ class RatExpr:
         chosen so that the new denominator leads positive."""
         if self.is_zero():
             raise DomainError("inverse of zero")
-        shift, n_ord = _strip_mono(self.num.terms)
-        d = kernels.poly_scale(self.den.terms, 1, mono_inv(shift))
+        shift, n_ord = _strip_mono(self.num)
+        d = kernels.poly_scale(self.den, 1, mono_inv(shift))
         if n_ord[max(n_ord, key=mono_key)] < 0:
             return RatExpr._canonical(kernels.poly_neg(d),
                                       kernels.poly_neg(n_ord))
@@ -737,25 +634,22 @@ class RatExpr:
         if e < 0:
             return self.inverse() ** (-e)
         # powers of coprime polynomials stay coprime
-        return RatExpr._canonical((self.num ** e).terms,
-                                  (self.den ** e).terms)
+        return RatExpr._canonical(_poly_pow(self.num, e),
+                                  _poly_pow(self.den, e))
 
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.num == other and self.den.is_one()
+            return (self.num == ({(): other} if other else {})
+                    and self.den == _ONE_TERMS)
         return (isinstance(other, RatExpr)
                 and self.num == other.num and self.den == other.den)
 
     def cross_equal(self, other: "RatExpr") -> bool:
         """Equality by cross-multiplication (must agree with ``==``)."""
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return (kernels.poly_mul(self.num, other.den)
+                == kernels.poly_mul(other.num, self.den))
 
     def __repr__(self):
         return f"RatExpr({self.num!r}, {self.den!r})"
@@ -765,8 +659,7 @@ class RatExpr:
     def subs_monomial(self, smap: dict) -> "RatExpr":
         """Simultaneous substitution: ``smap`` maps a variable index to the
         monomial that replaces the variable."""
-        return RatExpr(LaurentPoly(_subst(self.num.terms, smap)),
-                       LaurentPoly(_subst(self.den.terms, smap)))
+        return RatExpr(_subst(self.num, smap), _subst(self.den, smap))
 
 
 def _cancel(t: dict, den: dict) -> tuple:
@@ -814,7 +707,16 @@ def accumulate(out: dict, key, coeff: RatExpr):
         out[key] = coeff
 
 
-def clear_denominators(entries, var: str) -> LaurentPoly:
+def denominator_lcm(coeffs) -> dict:
+    """LCM of the denominators of the given RatExprs: primitive, with a
+    positive leading coefficient and no monomial factor."""
+    acc = dict(_ONE_TERMS)
+    for c in coeffs:
+        acc = poly_lcm(acc, c.den)
+    return acc
+
+
+def clear_denominators(entries, var: str) -> dict:
     """LCM of the reduced denominators in ``var`` over the remaining field.
 
     Every entry's denominator may involve only ``var`` and s (i.e. q); the
@@ -822,21 +724,14 @@ def clear_denominators(entries, var: str) -> LaurentPoly:
     """
     if not entries:
         raise DomainError("clear_denominators of empty entry list")
-    v = VAR_INDEX[var]
-    allowed = {v, S}
-    acc = dict(_ONE_TERMS)
+    allowed = {VAR_INDEX[var], S}
     for entry in entries:
-        dvars = entry.den.variables()
+        dvars = variables(entry.den)
         if not dvars <= allowed:
             bad = ", ".join(VARS[i] for i in sorted(dvars - allowed))
             raise DomainError(
                 f"denominator involves disallowed variable(s): {bad}")
-        acc = poly_lcm(acc, entry.den.terms)
-    _, ord_part = _strip_mono(acc)
-    ic = _int_content(ord_part)
-    if ic not in (0, 1):
-        ord_part = _div_int(ord_part, ic)
-    return LaurentPoly(_pos_leading(ord_part))
+    return denominator_lcm(entries)
 
 
 def q_power(h0: int = 0, h1: int = 0, h2: int = 0, h3: int = 0) -> tuple:

@@ -15,7 +15,7 @@ from rhopf.elemio import format_element, parse_element
 from rhopf.errors import ParseError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
-from rhopf.symfield import VAR_INDEX, LaurentPoly, RatExpr, Z, mono
+from rhopf.symfield import VAR_INDEX, RatExpr, Z, mono
 
 Z1, Z2 = Z[0], Z[1]
 
@@ -62,8 +62,8 @@ _small = st.sampled_from(("s", "x", "z1", "u1"))
 _coeff = st.one_of(
     st.sampled_from((1, -1, 2, -3)).map(RatExpr.from_int),
     st.builds(lambda c, v, e, d: RatExpr(
-        LaurentPoly({mono(**{v: e}): c, (): 1}),
-        LaurentPoly({(): d}) if d else LaurentPoly({mono(s=2): 1, (): -1})),
+        {mono(**{v: e}): c, (): 1},
+        {(): d} if d else {mono(s=2): 1, (): -1}),
         st.sampled_from((1, -2, 3)), _small, st.integers(-2, 2),
         st.sampled_from((0, 1, 2)))).filter(lambda c: not c.is_zero())
 
@@ -195,6 +195,15 @@ def test_parse_rspec_index_error():
     assert err.value.col == 19  # the "2" in R[1,2;1,1]
 
 
+def test_parse_rspec_statement_errors_point_into_the_statement():
+    for text, pos in (("var=x; n=0", (1, 10)),
+                      ("n=1; var=x;  bogus stuff", (1, 14)),
+                      ("n=1\n  R[1,1;1,1] = x; var=x", (2, 3))):
+        with pytest.raises(ParseError) as err:
+            parse_rspec(text)
+        assert (err.value.line, err.value.col) == pos
+
+
 def test_parse_rspec_empty_row_rejected():
     with pytest.raises(ParseError):
         parse_rspec("n=2; var=x; R[1,1;1,1]=x")
@@ -277,11 +286,30 @@ def test_cli_malformed_spec_exits_2(tmp_path):
 
 
 def test_cli_spec_unknown_variable_exits_2(tmp_path, capsys):
+    """var= takes a spectral variable only: s (= q^(1/2)) and u1
+    (= q^(c_1/2)) are field constants, so example1's unitary matrix
+    written in one of them is an error, not a matrix whose spectral
+    variable coincides with the constant."""
     spec = tmp_path / "bad.spec"
-    spec.write_text("n=1; var=foo\nR[1,1;1,1] = 1\n")
-    assert main(["check-r", "--spec", str(spec)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "(line 1, col 10)" in err
+    for var in ("foo", "s", "u1"):
+        spec.write_text(f"n=1; var={var}\n"
+                        f"R[1,1;1,1] = ({var} - q^2)/({var}*q^2 - 1)\n")
+        assert main(["check-r", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(line 1, col 10)" in err
+    R, _ = parse_rspec("n=1; var=w\nR[1,1;1,1] = (w - q^2)/(w*q^2 - 1)")
+    assert R.var == "w"
+
+
+def test_cli_spec_toggle_error_has_position(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    for toggle, msg in (("ll-star=bogus", "must be 'corrected' or 'literal'"),
+                        ("bogus-name=literal", "unknown toggle")):
+        spec.write_text(f"n=1; var=x\n  toggle {toggle}\nR[1,1;1,1] = x\n")
+        assert main(["check-r", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and msg in err
+        assert "(line 2, col 3)" in err
 
 
 def test_cli_spec_not_utf8_exits_2(tmp_path, capsys):

@@ -64,7 +64,7 @@ def _spec_text(n, var, statements, sep):
 
 
 _spec = st.builds(_spec_text, st.sampled_from((1, 2)),
-                  st.sampled_from(("x", "q", "z1", "foo")),
+                  st.sampled_from(("x", "q", "z1", "foo", "s", "u1", "w")),
                   st.lists(st.one_of(_entry, _text(_SPEC)), max_size=4),
                   st.sampled_from(("; ", "\n")))
 

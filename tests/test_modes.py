@@ -29,12 +29,11 @@ def _rs(name="example1", flavor="double", toggles=None):
 def series_slot_oracle(poly: RatExpr, word_order, window, m, k):
     out = {}
     lim = window.N
-    for mono, c in poly.num.terms.items():
+    for mono, c in poly.num.items():
         d = dict(mono)
         a = d.pop(5, 0)   # z1 has variable index 5
         b = d.pop(6, 0)   # z2 has variable index 6
-        rest = RatExpr(type(poly.num)({tuple(sorted(d.items())): c}),
-                       poly.den)
+        rest = RatExpr({tuple(sorted(d.items())): c}, poly.den)
         for mp in range(-lim, lim + 1):
             for kp in range(-lim, lim + 1):
                 if a - mp == -m and b - kp == -k:

@@ -10,7 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from rhopf import kernels, symfield as sf
 from rhopf.errors import DomainError
 from rhopf.expr import parse_expr
-from rhopf.symfield import LaurentPoly, RatExpr
+from rhopf.symfield import RatExpr
+
+add, sub, mul = kernels.poly_add, kernels.poly_sub, kernels.poly_mul
 
 
 # -- independent oracle: naive convolution product of {(xexp, sexp): int} --
@@ -22,14 +24,6 @@ def conv_mul(p, q):
             key = (a1 + a2, b1 + b2)
             out[key] = out.get(key, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
-
-
-def to_xs(expr_poly: LaurentPoly):
-    out = {}
-    for m, c in expr_poly.terms.items():
-        d = dict(m)
-        out[(d.get(sf.X, 0), d.get(sf.S, 0))] = c
-    return out
 
 
 def test_inverse_pair_is_one():
@@ -119,11 +113,10 @@ def test_clear_denominators_coprime_pair_up_to_unit():
     expected = parse_expr("(x*q^2 - 1)*(x*q^-1 - 1)")
     ratio = RatExpr(f) / expected
     # equal up to a unit monomial in q
-    assert len(ratio.num.terms) == 1 and len(ratio.den.terms) == 1
+    assert len(ratio.num) == 1 and len(ratio.den) == 1
     # oracle: the two denominators are coprime (gcd is a unit), so the
     # lcm is their product
-    g = sf.poly_gcd(parse_expr("x*q^2 - 1").num.terms,
-                    parse_expr("x - q^2").num.terms)
+    g = sf.poly_gcd(parse_expr("x*q^2 - 1").num, parse_expr("x - q^2").num)
     assert list(g.values()) == [1]
 
 
@@ -132,7 +125,7 @@ def test_clear_denominators_output_clears_every_entry():
                ("(x - q^2)/(x*q^2 - 1)", "(x - q^-1)/(x*q^-1 - 1)", "q/x")]
     f = RatExpr(sf.clear_denominators(entries, "x"))
     for e in entries:
-        assert sf.X not in (e * f).den.variables()
+        assert sf.X not in sf.variables((e * f).den)
 
 
 def test_clear_denominators_rejects_foreign_variable():
@@ -148,10 +141,10 @@ def _random_ratexpr(rng):
                 [(v, rng.randint(-2, 2)) for v in
                  rng.sample([sf.S, sf.X, sf.Z[0]], rng.randint(0, 2))])
             terms[m] = rng.randint(-5, 5) or 1
-        return LaurentPoly(terms)
+        return terms
     num = rand_poly()
     den = rand_poly()
-    while den.is_zero():
+    while not den:
         den = rand_poly()
     return RatExpr(num, den)
 
@@ -182,7 +175,7 @@ def test_cross_multiplication_agrees_with_canonical_equality():
         scale = _random_ratexpr(rng)
         while scale.is_zero():
             scale = _random_ratexpr(rng)
-        b = RatExpr(a.num * scale.num, a.den * scale.num)
+        b = RatExpr(mul(a.num, scale.num), mul(a.den, scale.num))
         assert a == b and a.cross_equal(b)
         c = a + RatExpr.from_int(1)
         assert (a == c) == a.cross_equal(c)
@@ -190,7 +183,7 @@ def test_cross_multiplication_agrees_with_canonical_equality():
 
 def test_zero_denominator_rejected():
     with pytest.raises(DomainError):
-        RatExpr(LaurentPoly.from_int(1), LaurentPoly.from_int(0))
+        RatExpr({(): 1}, {})
 
 
 # -- operators and gcd routes against the full normalisation ------------------
@@ -209,7 +202,7 @@ def _poly(draw, lo=-2, hi=2, max_terms=3):
             terms[m] = c
         else:
             terms.pop(m, None)
-    return LaurentPoly(terms)
+    return terms
 
 
 @st.composite
@@ -218,19 +211,19 @@ def _fraction_pairs(draw):
     operators meet equal, coprime and partly shared denominators."""
     shared = draw(st.sampled_from((None, "poly", "same")))
     h = _poly(draw)
-    while h.is_zero():
+    while not h:
         h = _poly(draw)
 
     def fraction():
         num, den = _poly(draw), _poly(draw)
-        while den.is_zero():
+        while not den:
             den = _poly(draw)
         if shared == "poly":
-            den = den * h
+            den = mul(den, h)
         elif shared == "same":
             den = h
         if draw(st.booleans()):
-            num = num * h
+            num = mul(num, h)
         return RatExpr(num, den)
     return fraction(), fraction()
 
@@ -242,13 +235,15 @@ _ORACLE = settings(max_examples=150, deadline=None, database=None)
 @given(_fraction_pairs())
 def test_operators_equal_full_normalisation(pair):
     a, b = pair
-    assert a + b == RatExpr(a.num * b.den + b.num * a.den, a.den * b.den)
-    assert a - b == RatExpr(a.num * b.den - b.num * a.den, a.den * b.den)
-    assert a * b == RatExpr(a.num * b.num, a.den * b.den)
+    assert a + b == RatExpr(add(mul(a.num, b.den), mul(b.num, a.den)),
+                            mul(a.den, b.den))
+    assert a - b == RatExpr(sub(mul(a.num, b.den), mul(b.num, a.den)),
+                            mul(a.den, b.den))
+    assert a * b == RatExpr(mul(a.num, b.num), mul(a.den, b.den))
     if not b.is_zero():
-        assert a / b == RatExpr(a.num * b.den, a.den * b.num)
+        assert a / b == RatExpr(mul(a.num, b.den), mul(a.den, b.num))
         assert b.inverse() == RatExpr(b.den, b.num)
-    assert a ** 2 == RatExpr(a.num * a.num, a.den * a.den)
+    assert a ** 2 == RatExpr(mul(a.num, a.num), mul(a.den, a.den))
 
 
 def _subresultant_gcd(p, q):
@@ -257,7 +252,7 @@ def _subresultant_gcd(p, q):
     cp, cq = sf._int_content(p), sf._int_content(q)
     c = math.gcd(cp, cq)
     p, q = sf._div_int(p, cp), sf._div_int(q, cq)
-    shared = LaurentPoly(p).variables() & LaurentPoly(q).variables()
+    shared = sf.variables(p) & sf.variables(q)
     if not shared or len(p) == 1 or len(q) == 1:
         return {m: k * c for m, k in sf.poly_gcd(p, q).items()}
     v = max(shared)
@@ -276,8 +271,8 @@ def _subresultant_gcd(p, q):
 def _ordinary_with_common_factor(draw):
     g = _poly(draw, 0, 2, 3)
     p, q = _poly(draw, 0, 2, 3), _poly(draw, 0, 2, 3)
-    assume(not (g.is_zero() or p.is_zero() or q.is_zero()))
-    return (p * g).terms, (q * g).terms
+    assume(g and p and q)
+    return mul(p, g), mul(q, g)
 
 
 @_ORACLE
@@ -316,13 +311,13 @@ def test_canonical_forms_equal_sympy_cancel(pair):
     def ordinary(frac):
         """(num, den) in the ring, both multiplied by one monomial."""
         lows = {}
-        for m in list(frac.num.terms) + list(frac.den.terms):
+        for m in list(frac.num) + list(frac.den):
             for v, e in m:
                 lows[v] = min(lows.get(v, 0), e)
         clear = sf.mono_from_pairs((v, -e) for v, e in lows.items())
         return tuple(ring({tuple(dict(m).get(v, 0) for v in _FIELD_VARS): c
                            for m, c in kernels.poly_scale(
-                               part.terms, 1, clear).items()})
+                               part, 1, clear).items()})
                      for part in (frac.num, frac.den))
 
     a, b = pair
@@ -333,7 +328,7 @@ def test_canonical_forms_equal_sympy_cancel(pair):
     if not b.is_zero():
         cases.append((a / b, an * bd, ad * bn))
     for ours, ref_num, ref_den in cases:
-        assert ours.den.min_exponents() == ()
+        assert sf.min_exponents(ours.den) == ()
         num, den = ordinary(ours)
         p, q = ref_num.cancel(ref_den)
         assert num * q == den * p
@@ -349,28 +344,28 @@ def test_gcd_of_sixvertex_binomial_products():
     f3 = parse_expr("z1 - q^2*z2").num
     f4 = parse_expr("q^4*u1^2*u2^2*z1*z2 - 1").num
     f5 = parse_expr("u2^2*z2 - q^2*u1^2*z1").num
-    p, q = (f1 * f2 * f3).terms, (f1 * f2 * f4 * f5).terms
-    common = sf._pos_leading((f1 * f2).terms)
+    p, q = mul(mul(f1, f2), f3), mul(mul(mul(f1, f2), f4), f5)
+    common = sf._pos_leading(mul(f1, f2))
     assert sf.poly_gcd(p, q) == common
     assert _subresultant_gcd(p, q) == common
     v = sf.Z[1]
     assert sf._heugcd(p, q, v) == common
     # the coprime cofactors get a certificate, not a sequence
-    assert sf.poly_gcd((f3 * f5).terms, f4.terms) == {(): 1}
-    a = RatExpr(LaurentPoly.from_int(1), f1 * f2 * f3)
-    b = RatExpr(f3, f1 * f4)
-    assert a + b == RatExpr(f1 * f4 + f3 * f1 * f2 * f3,
-                            f1 * f2 * f3 * f1 * f4)
-    assert (a * b).den.terms == sf._pos_leading((f1 * f1 * f2 * f4).terms)
+    assert sf.poly_gcd(mul(f3, f5), f4) == {(): 1}
+    a = RatExpr({(): 1}, mul(mul(f1, f2), f3))
+    b = RatExpr(f3, mul(f1, f4))
+    assert a + b == RatExpr(add(mul(f1, f4), mul(mul(mul(f3, f1), f2), f3)),
+                            mul(mul(mul(mul(f1, f2), f3), f1), f4))
+    assert (a * b).den == sf._pos_leading(mul(mul(mul(f1, f1), f2), f4))
 
 
 def test_heugcd_moves_on_when_the_values_share_a_spurious_factor():
     # at the first point xi = 34 the cofactors x - 4 and -(x^2 + 4) take
     # values with a common factor 10, so gcd(a(34), b(34)) = 10 * g(34)
     # reconstructs no divisor; the next point gives g = 4x^3 + 3x
-    a = parse_expr("4*x^4 - 16*x^3 + 3*x^2 - 12*x").num.terms
-    b = parse_expr("-4*x^5 - 19*x^3 - 12*x").num.terms
-    g = parse_expr("4*x^3 + 3*x").num.terms
+    a = parse_expr("4*x^4 - 16*x^3 + 3*x^2 - 12*x").num
+    b = parse_expr("-4*x^5 - 19*x^3 - 12*x").num
+    g = parse_expr("4*x^3 + 3*x").num
     assert math.gcd(sf._eval_at(a, sf.X, 34)[()],
                     sf._eval_at(b, sf.X, 34)[()]) == \
         10 * sf._eval_at(g, sf.X, 34)[()]
@@ -379,13 +374,13 @@ def test_heugcd_moves_on_when_the_values_share_a_spurious_factor():
 
 
 def test_divexact_integer_long_division():
-    x_sq = parse_expr("x^2 - 1").num.terms
-    assert sf.divexact(x_sq, parse_expr("x - 1").num.terms) == \
-        parse_expr("x + 1").num.terms
+    x_sq = parse_expr("x^2 - 1").num
+    assert sf.divexact(x_sq, parse_expr("x - 1").num) == \
+        parse_expr("x + 1").num
     with pytest.raises(DomainError):
-        sf.divexact(parse_expr("2*x + 1").num.terms, {(): 2})
+        sf.divexact(parse_expr("2*x + 1").num, {(): 2})
     with pytest.raises(DomainError):
-        sf.divexact(x_sq, parse_expr("x - 2").num.terms)
+        sf.divexact(x_sq, parse_expr("x - 2").num)
 
 
 @_ORACLE
