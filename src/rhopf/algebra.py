@@ -459,6 +459,7 @@ class RewriteSystem:
         self._rinv_by_in = _index_by_input(self._rinv)
         self._at_cache: dict = {}
         self._inv_at_cache: dict = {}
+        self._pieces_cache: dict = {}
         q2 = RatExpr.var("s", 2)
         self.qfactor = (q2 - q2.inverse()).inverse()  # 1/(q - q^-1)
         self._rules = dict(_orient(_RELATION_BY_ID[rid], self.toggles)
@@ -493,6 +494,16 @@ class RewriteSystem:
     def rule_for(self, g1: GenOcc, g2: GenOcc):
         return self._rules.get((g1.kind, g2.kind))
 
+    def pieces(self, g1: GenOcc, g2: GenOcc, leg: int) -> tuple:
+        """``rule_pieces`` of the rule for g1 g2, cached: the rule is fixed
+        by the two kinds, and the same pairs recur on every check."""
+        key = (g1, g2, leg)
+        out = self._pieces_cache.get(key)
+        if out is None:
+            out = tuple(rule_pieces(self, self.rule_for(g1, g2), g1, g2, leg))
+            self._pieces_cache[key] = out
+        return out
+
     def allowed_kinds(self) -> frozenset:
         return FLAVOR_KINDS[self.flavor]
 
@@ -521,7 +532,8 @@ def _index_by_input(entries: dict) -> dict:
 # swapped), with the bracket terms moved across.  A rule is a pair
 # (relation, index of the solved side); ``rule_pieces`` applies it to an
 # adjacent pair g1 g2 on 0-based leg ``leg``, whose own charge slot is
-# leg + 1, and returns a list of (coeff, extra_deltas, occs).
+# leg + 1, and returns a list of (coeff, extra_deltas, occs);
+# ``RewriteSystem.pieces`` caches it.
 # ---------------------------------------------------------------------------
 
 _INVERSE = {"R": "Rinv", "Rinv": "R"}
@@ -703,16 +715,13 @@ def _find_rewrite(e: Element, rs: RewriteSystem):
         for li, word in enumerate(legs):
             for pos in range(len(word) - 1):
                 g1, g2 = word[pos], word[pos + 1]
-                if not _pair_out_of_order(g1, g2):
-                    continue
-                rule = rs.rule_for(g1, g2)
-                if rule is None:
-                    continue
-                return key, coeff, li, pos, rule
+                if (_pair_out_of_order(g1, g2)
+                        and rs.rule_for(g1, g2) is not None):
+                    return key, coeff, li, pos
     return None
 
 
-def _apply_at(e: Element, rs: RewriteSystem, key, coeff, li, pos, rule,
+def _apply_at(e: Element, rs: RewriteSystem, key, coeff, li, pos,
               trace=None) -> Element:
     flag, deltas, legs = key
     word = legs[li]
@@ -720,9 +729,8 @@ def _apply_at(e: Element, rs: RewriteSystem, key, coeff, li, pos, rule,
     out = dict(e.terms)
     del out[key]
     before = term_measure(key) if trace is not None else None
-    pieces = rule_pieces(rs, rule, g1, g2, li)
     add: dict = {}
-    for rcoeff, extra_deltas, occs in pieces:
+    for rcoeff, extra_deltas, occs in rs.pieces(g1, g2, li):
         nflag = flag
         nd = list(deltas)
         for d in extra_deltas:
@@ -775,8 +783,8 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
         found = _find_rewrite(e, rs)
         if found is None:
             return e
-        key, coeff, li, pos, rule = found
-        e = _apply_at(e, rs, key, coeff, li, pos, rule, trace)
+        key, coeff, li, pos = found
+        e = _apply_at(e, rs, key, coeff, li, pos, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -899,8 +907,7 @@ def _apply_samekind_at(e: Element, rs: RewriteSystem, pos: int) -> Element:
         flag, deltas, legs = key
         word = legs[0]
         g1, g2 = word[pos], word[pos + 1]
-        for rcoeff, _, occs in rule_pieces(rs, rs.rule_for(g1, g2), g1, g2,
-                                           0):
+        for rcoeff, _, occs in rs.pieces(g1, g2, 0):
             nword = word[:pos] + tuple(occs) + word[pos + 2:]
             nkey = (flag, deltas, (nword,) + legs[1:])
             accumulate(out, nkey, coeff * rcoeff)

@@ -24,7 +24,7 @@ from .instances import INSTANCE_NAMES, get_instance, instance_flags
 from .modes import SeriesWindow, check_mode_consistency, drinfeld_compare
 from .rmatrix import RMatrix, clear_poles, unitarity_residual, ybe_residual
 from .report import FAIL, PASS, SKIPPED, CheckResult, VerificationReport
-from .symfield import SPECTRAL, VAR_INDEX, variables
+from .symfield import SPECTRAL, VAR_INDEX, reset_memo, variables
 
 _ENTRY_RE = re.compile(
     r"^R\[\s*(\d+)\s*,\s*(\d+)\s*;\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")
@@ -301,6 +301,9 @@ def _emit(report: VerificationReport, args) -> int:
 
 
 def main(argv=None) -> int:
+    # each run starts cold, so its work does not depend on earlier runs in
+    # the same process
+    reset_memo()
     parser = argparse.ArgumentParser(
         prog="rhopf",
         description="exact verification of R-matrix exchange algebras and "

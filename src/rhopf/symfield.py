@@ -581,7 +581,7 @@ class RatExpr:
         if not t:
             return RatExpr._canonical({}, dict(_ONE_TERMS))
         if g != _ONE_TERMS:
-            t, g = _cancel(t, g)
+            t, g = _cancel(t, g) or (t, g)
         den = g
         for part in (b1, d1):
             if part != _ONE_TERMS:
@@ -601,9 +601,9 @@ class RatExpr:
         if not a or not c:
             return RatExpr._canonical({}, dict(_ONE_TERMS))
         if d != _ONE_TERMS:
-            a, d = _cancel(a, d)
+            a, d = _cancel_product(a, d)
         if b != _ONE_TERMS:
-            c, b = _cancel(c, b)
+            c, b = _cancel_product(c, b)
         return RatExpr._canonical(kernels.poly_mul(a, c),
                                   kernels.poly_mul(b, d))
 
@@ -662,18 +662,43 @@ class RatExpr:
         return RatExpr(_subst(self.num, smap), _subst(self.den, smap))
 
 
-def _cancel(t: dict, den: dict) -> tuple:
+def _cancel(t: dict, den: dict):
     """(t/h, den/h) for a nonzero Laurent term map t and a denominator in
     canonical form, with h = gcd(t, den); den/h keeps a positive leading
-    coefficient."""
+    coefficient.  None when t and den are coprime."""
     shift, t_ord = _strip_mono(t)
     h = poly_gcd(t_ord, den)
     if h == _ONE_TERMS:
-        return t, den
+        return None
     t_ord = divexact(t_ord, h)
     if shift:
         t_ord = kernels.poly_scale(t_ord, 1, shift)
     return t_ord, divexact(den, h)
+
+
+# Rule application multiplies coefficients by the same few R and R^-1
+# entries over and over, so the cross-cancellations of products repeat.
+# Each distinct (t, den) pair is cancelled once and looked up afterwards;
+# a coprime pair, by far the most common, stores only None.  The memo
+# shares the term maps it returns, which is sound because no term map is
+# mutated once built.  Sums are not memoized: their operand pairs repeat
+# less and are larger, so the memo would cost more memory than it saves
+# time.  ``reset_memo`` empties it.
+_PRODUCT_CANCELS: dict = {}
+
+
+def _cancel_product(t: dict, den: dict) -> tuple:
+    """(t/h, den/h) as ``_cancel``, through the product memo."""
+    key = (frozenset(t.items()), frozenset(den.items()))
+    if key not in _PRODUCT_CANCELS:
+        _PRODUCT_CANCELS[key] = _cancel(t, den)
+    return _PRODUCT_CANCELS[key] or (t, den)
+
+
+def reset_memo():
+    """Forget every memoized product cancellation, so that a run starts
+    cold whatever ran before it in the process."""
+    _PRODUCT_CANCELS.clear()
 
 
 def _subst(terms: dict, smap: dict) -> dict:

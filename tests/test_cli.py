@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rhopf import symfield
 from rhopf.algebra import (ALL_KINDS, VECTOR_KINDS, ArgShift, DeltaFactor,
                            Element, GenOcc, L, LSTAR, NO_SHIFT, PHI,
                            RewriteSystem, normal_order)
@@ -245,6 +246,25 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert main(["verify-hopf", "--instance", "example1",
                      "--flavor", "double", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):
+    """A run redoes every product cancellation an earlier run in the same
+    process memoized, so its work does not depend on what ran before."""
+    calls = []
+    gcd = symfield.poly_gcd
+
+    def counted(p, q):
+        calls.append(1)
+        return gcd(p, q)
+
+    monkeypatch.setattr(symfield, "poly_gcd", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert main(["verify-hopf", "--instance", "example2-n2"]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_verify_hopf_literal_toggle_fails(tmp_path):

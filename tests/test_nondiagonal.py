@@ -6,11 +6,14 @@ that symmetric matrices cannot: the transpose of a right-multiplied R,
 and the product vs ratio middle argument of the Yang-Baxter check.
 """
 
+import itertools
+
 import pytest
 
-from rhopf.algebra import (FLAVOR_RELATIONS, Element, RewriteSystem, Toggles,
-                           _apply_at, braid_consistency, relation_sides,
-                           relation_self_residual)
+from rhopf.algebra import (ALL_KINDS, FLAVOR_RELATIONS, VECTOR_KINDS,
+                           Element, GenOcc, RewriteSystem, Toggles, _apply_at,
+                           _z, braid_consistency, relation_sides,
+                           relation_self_residual, rule_pieces)
 from rhopf.expr import parse_expr
 from rhopf.hopf import HopfTables, check_axioms, check_hom_on_relation
 from rhopf.instances import get_instance
@@ -63,12 +66,21 @@ def test_sixvertex_full_double_verification(sixv):
 SOLVED_SIDE = {"LL": 1, "LstarLstar": 1, "LLstar": 0, "PhistarLstar": 1}
 
 
+def _occs(kind, n, arg):
+    """Every index choice of one generator of ``kind`` at ``arg``."""
+    cols = (0,) if kind in VECTOR_KINDS else range(1, n + 1)
+    return [GenOcc(kind, row, col, arg)
+            for row in range(1, n + 1) for col in cols]
+
+
 @pytest.mark.parametrize("toggles", [Toggles(), Toggles(ll_star="literal")],
                          ids=["corrected", "ll-star-literal"])
 @pytest.mark.parametrize("name", ["example2-n3", "six-vertex"])
 def test_solved_rules_invert_the_contraction(name, toggles, sixv):
     """One application of the rule to each term of the out-of-order side
-    gives back the other side exactly, with no further ordering."""
+    gives back the other side exactly, with no further ordering; and the
+    cached pieces of every ruled pair, on legs 0 and 1, are those of a
+    fresh ``rule_pieces`` call, in the same order."""
     R = sixv if name == "six-vertex" else get_instance(name)
     rs = RewriteSystem(R, "double", toggles)
     for rid, solved in SOLVED_SIDE.items():
@@ -76,7 +88,19 @@ def test_solved_rules_invert_the_contraction(name, toggles, sixv):
             sides = (lhs, rhs)
             out = Element.zero()
             for key, coeff in sides[solved].terms.items():
-                g1, g2 = key[2][0]
                 out = out + _apply_at(Element(1, {key: coeff}), rs, key,
-                                      coeff, 0, 0, rs.rule_for(g1, g2))
+                                      coeff, 0, 0)
             assert out == sides[1 - solved], (rid, idx)
+    ruled = 0
+    for k1, k2 in itertools.product(sorted(ALL_KINDS), repeat=2):
+        for g1 in _occs(k1, rs.n, _z(2)):
+            for g2 in _occs(k2, rs.n, _z(1)):
+                rule = rs.rule_for(g1, g2)
+                if rule is None:
+                    continue
+                ruled += 1
+                for leg in (0, 1):
+                    first = rs.pieces(g1, g2, leg)
+                    assert rs.pieces(g1, g2, leg) is first
+                    assert list(first) == rule_pieces(rs, rule, g1, g2, leg)
+    assert ruled

@@ -246,6 +246,36 @@ def test_operators_equal_full_normalisation(pair):
     assert a ** 2 == RatExpr(mul(a.num, a.num), mul(a.den, a.den))
 
 
+@st.composite
+def _products_sharing_a_numerator(draw):
+    """A fraction x and two partners with one numerator: one partner's
+    denominator carries a factor h of x's numerator, the other's need not.
+    So equal numerators meet denominators with and without a common
+    factor."""
+    h = _poly(draw)
+    assume(sf.variables(h))
+
+    def nonzero():
+        p = _poly(draw)
+        assume(p)
+        return p
+    x = RatExpr(mul(nonzero(), h), nonzero())
+    f = nonzero()
+    return x, RatExpr(f, mul(nonzero(), h)), RatExpr(f, nonzero())
+
+
+@_ORACLE
+@given(_products_sharing_a_numerator())
+def test_memoized_products_equal_full_normalisation(xyz):
+    """Every product, also one repeated through a warm memo, equals the
+    constructor's normalisation of the raw product."""
+    x, y1, y2 = xyz
+    sf.reset_memo()
+    pairs = [(x, y1), (y1, x), (x, y2), (y2, x), (x, x), (y1, y2)]
+    for a, b in pairs + pairs:
+        assert a * b == RatExpr(mul(a.num, b.num), mul(a.den, b.den))
+
+
 def _subresultant_gcd(p, q):
     """poly_gcd's subresultant route taken unconditionally: integer
     contents, v-contents, the subresultant sequence, primitive part."""
