@@ -28,6 +28,7 @@ Conventions fixed here and used everywhere:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -59,6 +60,9 @@ FLAVOR_KINDS = {
 _INV_PAIRS = {(L, LINV), (LINV, L), (LSTAR, LSTARINV), (LSTARINV, LSTAR)}
 
 _R1 = RatExpr.from_int(1)
+
+# the most tensor legs an element has; leg t carries the charge slot c_t
+MAX_LEGS = 3
 
 NO_SHIFT = (0, 0, 0, 0)
 
@@ -100,7 +104,8 @@ def _h_neg(a: tuple) -> tuple:
 
 
 def charge_shift(slot: int, steps: int) -> tuple:
-    """Doubled shift q^(steps/2 * c_slot) of one charge slot (1..3)."""
+    """Doubled shift q^(steps/2 * c_slot) of one charge slot
+    (1..MAX_LEGS)."""
     h = [0, 0, 0, 0]
     h[slot] = steps
     return tuple(h)
@@ -495,12 +500,18 @@ class RewriteSystem:
         return self._rules.get((g1.kind, g2.kind))
 
     def pieces(self, g1: GenOcc, g2: GenOcc, leg: int) -> tuple:
-        """``rule_pieces`` of the rule for g1 g2, cached: the rule is fixed
-        by the two kinds, and the same pairs recur on every check."""
+        """The (coeff, extra_deltas, occs) that replace g1 g2, cached: the
+        oriented inverse contraction for an inverse pair, else
+        ``rule_pieces`` of the rule for the two kinds.  The same pairs
+        recur on every check."""
         key = (g1, g2, leg)
         out = self._pieces_cache.get(key)
         if out is None:
-            out = tuple(rule_pieces(self, self.rule_for(g1, g2), g1, g2, leg))
+            if (g1.kind, g2.kind) in _INV_PAIRS:
+                out = _contraction_pieces(self.n, g1, g2)
+            else:
+                out = tuple(rule_pieces(self, self.rule_for(g1, g2), g1, g2,
+                                        leg))
             self._pieces_cache[key] = out
         return out
 
@@ -639,121 +650,96 @@ def rule_pieces(rs: "RewriteSystem", rule, g1: GenOcc, g2: GenOcc,
 
 
 # ---------------------------------------------------------------------------
-# ordering, measure, scheduling
+# ordering, measure, term-local reduction
 # ---------------------------------------------------------------------------
 
 def _pair_out_of_order(g1: GenOcc, g2: GenOcc) -> bool:
-    r1, r2 = KIND_RANK[g1.kind], KIND_RANK[g2.kind]
-    if r1 > r2:
-        return True
-    if g1.kind == g2.kind and g1.arg.var > g2.arg.var:
-        return True
-    return False
+    return (KIND_RANK[g1.kind] > KIND_RANK[g2.kind]
+            or (g1.kind == g2.kind and g1.arg.var > g2.arg.var))
+
+
+def _matched(g1: GenOcc, g2: GenOcc) -> bool:
+    """An inverse pair X Y at one argument, contracted over the column of
+    X and the row of Y (the middle index)."""
+    return ((g1.kind, g2.kind) in _INV_PAIRS and g1.arg == g2.arg
+            and g1.col == g2.row)
+
+
+def _contraction_pieces(n: int, g1: GenOcc, g2: GenOcc) -> tuple:
+    """sum_v X[i,v] Y[v,j] = delta_ij, oriented on its v = n term:
+    X[i,n] Y[n,j] -> delta_ij - sum_{v<n} X[i,v] Y[v,j]."""
+    unit = ((_R1, (), ()),) if g1.row == g2.col else ()
+    return unit + tuple((-_R1, (), (g1._replace(col=v), g2._replace(row=v)))
+                        for v in range(1, n))
 
 
 def term_measure(key) -> tuple:
-    """(total length, kind inversions, var inversions): the termination
-    measure, strictly lexicographically decreasing under every rewrite."""
+    """(total length, kind inversions, var inversions, sum of the middle
+    indices of matched inverse pairs): the termination measure, strictly
+    lexicographically decreasing under every rule of the corrected
+    readings."""
     _, _, legs = key
     total = 0
     kind_inv = 0
     var_inv = 0
+    middle = 0
     for word in legs:
         total += len(word)
-        for a in range(len(word)):
-            for b in range(a + 1, len(word)):
-                ra, rb = KIND_RANK[word[a].kind], KIND_RANK[word[b].kind]
-                if ra > rb:
+        for a, ga in enumerate(word):
+            for gb in word[a + 1:]:
+                if KIND_RANK[ga.kind] > KIND_RANK[gb.kind]:
                     kind_inv += 1
-                elif word[a].kind == word[b].kind and \
-                        word[a].arg.var > word[b].arg.var:
+                elif ga.kind == gb.kind and ga.arg.var > gb.arg.var:
                     var_inv += 1
-    return (total, kind_inv, var_inv)
+        middle += sum(g1.col for g1, g2 in zip(word, word[1:])
+                      if _matched(g1, g2))
+    return (total, kind_inv, var_inv, middle)
 
 
-def _find_contraction(e: Element, n: int):
-    """First complete inverse-product contraction, in canonical term order.
-
-    Detects sum_v f * X_av Y_vb with (X, Y) an inverse pair at the same
-    argument, adjacent in one leg, the contraction running over the column
-    of X and the row of Y with equal coefficients f.
-    """
-    for key, coeff in e.sorted_terms():
-        flag, deltas, legs = key
-        for li, word in enumerate(legs):
-            for pos in range(len(word) - 1):
-                g1, g2 = word[pos], word[pos + 1]
-                if (g1.kind, g2.kind) not in _INV_PAIRS:
-                    continue
-                if g1.arg != g2.arg or g1.col != g2.row:
-                    continue
-                group = []
-                ok = True
-                for v in range(1, n + 1):
-                    w2 = list(word)
-                    w2[pos] = g1._replace(col=v)
-                    w2[pos + 1] = g2._replace(row=v)
-                    k2 = (flag, deltas,
-                          legs[:li] + (tuple(w2),) + legs[li + 1:])
-                    c2 = e.terms.get(k2)
-                    if c2 is None or c2 != coeff:
-                        ok = False
-                        break
-                    group.append(k2)
-                if ok:
-                    reduced = word[:pos] + word[pos + 2:]
-                    newkey = (flag, deltas,
-                              legs[:li] + (reduced,) + legs[li + 1:])
-                    keep = g1.row == g2.col
-                    return group, newkey, coeff, keep
+def _redex(legs, rs: RewriteSystem):
+    """(leg, position) of the leftmost reducible pair of a term: a matched
+    inverse pair whose middle index is n, or a ruled out-of-order pair;
+    legs in order, positions left to right.  None in normal form."""
+    for li, word in enumerate(legs):
+        for pos, (g1, g2) in enumerate(zip(word, word[1:])):
+            if ((g1.col == rs.n and _matched(g1, g2))
+                    or (_pair_out_of_order(g1, g2)
+                        and rs.rule_for(g1, g2) is not None)):
+                return li, pos
     return None
 
 
-def _find_rewrite(e: Element, rs: RewriteSystem):
-    for key, coeff in e.sorted_terms():
-        _, _, legs = key
-        for li, word in enumerate(legs):
-            for pos in range(len(word) - 1):
-                g1, g2 = word[pos], word[pos + 1]
-                if (_pair_out_of_order(g1, g2)
-                        and rs.rule_for(g1, g2) is not None):
-                    return key, coeff, li, pos
-    return None
-
-
-def _apply_at(e: Element, rs: RewriteSystem, key, coeff, li, pos,
-              trace=None) -> Element:
+def rewrite_term(key, rs: RewriteSystem, li: int, pos: int):
+    """Yield (key, coefficient) of every term that the rule for the pair at
+    positions ``pos``, ``pos + 1`` of leg ``li`` puts in place of the term
+    ``key`` taken with coefficient 1."""
     flag, deltas, legs = key
     word = legs[li]
-    g1, g2 = word[pos], word[pos + 1]
-    out = dict(e.terms)
-    del out[key]
-    before = term_measure(key) if trace is not None else None
-    add: dict = {}
-    for rcoeff, extra_deltas, occs in rs.pieces(g1, g2, li):
-        nflag = flag
-        nd = list(deltas)
-        for d in extra_deltas:
-            if d == "degenerate":
-                nflag = FLAG_DEGENERATE
-            else:
-                nd.append(d)
-        nword = word[:pos] + tuple(occs) + word[pos + 2:]
-        nkey = (nflag, tuple(sorted(nd)),
-                legs[:li] + (nword,) + legs[li + 1:])
-        if trace is not None:
-            trace.append((before, term_measure(nkey)))
-        accumulate(add, nkey, coeff * rcoeff)
-    for k, c in add.items():
-        accumulate(out, k, c)
-    return Element(e.nlegs, out)
+    for rcoeff, extra, occs in rs.pieces(word[pos], word[pos + 1], li):
+        head = ((FLAG_DEGENERATE, deltas) if "degenerate" in extra
+                else (flag, tuple(sorted(deltas + extra))))
+        nword = word[:pos] + occs + word[pos + 2:]
+        yield head + (legs[:li] + (nword,) + legs[li + 1:],), rcoeff
+
+
+def _priority(key) -> tuple:
+    """Heap order: decreasing measure, then the term key."""
+    return tuple(-m for m in term_measure(key))
 
 
 def normal_order(e: Element, rs: RewriteSystem, trace=None,
                  max_steps: int = 200000) -> Element:
-    """Deterministic normal form: repeatedly contract inverse products and
-    rewrite the leftmost out-of-order adjacent pair (leftmost unfinished
-    leg, first term in canonical order) until no rule applies."""
+    """Deterministic normal form by term-local reduction: every term is
+    rewritten at its leftmost reducible pair (``_redex``) until none is
+    left.  Since every rule is term-local, the order in which pending terms
+    are taken does not change the result; finished terms are summed, since
+    a term may come back.  Pending terms are taken in order of decreasing
+    ``term_measure``.  Under the corrected readings every rule strictly
+    decreases it, so a term is taken after every contribution to it has
+    arrived, and is rewritten once, or never when it cancels to zero; the
+    literal ``ll-star`` rule can raise it (its ``L`` becomes an ``LStar``
+    behind earlier ``L``-kinds), and a term may then be taken again.
+    ``max_steps`` bounds the number of rule applications."""
     allowed = rs.allowed_kinds()
     for (_, _, legs) in e.terms:
         for word in legs:
@@ -761,30 +747,32 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
                 if g.kind not in allowed:
                     raise KindError(
                         f"kind {g.kind} not in flavor {rs.flavor}")
+    pending = dict(e.terms)
+    heap = [(_priority(key), key) for key in pending]
+    heapq.heapify(heap)
+    out: dict = {}
     steps = 0
-    while True:
+    while heap:
+        _, key = heapq.heappop(heap)
+        coeff = pending.pop(key, None)
+        if coeff is None:
+            continue  # cancelled, or a second entry of a term taken
+        found = _redex(key[2], rs)
+        if found is None:
+            accumulate(out, key, coeff)
+            continue
         steps += 1
         if steps > max_steps:
             raise BudgetError(
                 f"normal_order exceeded its budget of {max_steps} steps")
-        found = _find_contraction(e, rs.n)
-        if found is not None:
-            group, newkey, coeff, keep = found
-            out = dict(e.terms)
-            for k in group:
-                del out[k]
-            if keep:
-                if trace is not None:
-                    trace.append((term_measure(group[0]),
-                                  term_measure(newkey)))
-                accumulate(out, newkey, coeff)
-            e = Element(e.nlegs, out)
-            continue
-        found = _find_rewrite(e, rs)
-        if found is None:
-            return e
-        key, coeff, li, pos = found
-        e = _apply_at(e, rs, key, coeff, li, pos, trace)
+        before = term_measure(key) if trace is not None else None
+        for nkey, rcoeff in rewrite_term(key, rs, *found):
+            if trace is not None:
+                trace.append((before, term_measure(nkey)))
+            if nkey not in pending:
+                heapq.heappush(heap, (_priority(nkey), nkey))
+            accumulate(pending, nkey, coeff * rcoeff)
+    return Element(e.nlegs, out)
 
 
 # ---------------------------------------------------------------------------
@@ -898,22 +886,6 @@ def relation_self_residual(rs: RewriteSystem, relation_id: str):
 # braid consistency
 # ---------------------------------------------------------------------------
 
-def _apply_samekind_at(e: Element, rs: RewriteSystem, pos: int) -> Element:
-    """Apply the Phi exchange at word position ``pos`` of leg 0 to every
-    term, whatever the order of the pair (bypasses the deterministic
-    scheduler)."""
-    out: dict = {}
-    for key, coeff in e.terms.items():
-        flag, deltas, legs = key
-        word = legs[0]
-        g1, g2 = word[pos], word[pos + 1]
-        for rcoeff, _, occs in rs.pieces(g1, g2, 0):
-            nword = word[:pos] + tuple(occs) + word[pos + 2:]
-            nkey = (flag, deltas, (nword,) + legs[1:])
-            accumulate(out, nkey, coeff * rcoeff)
-    return Element(e.nlegs, out)
-
-
 def braid_consistency(R: RMatrix, flavor: str = "particle",
                       toggles: Toggles = None) -> dict:
     """Two independent probes of the rule table's coherence:
@@ -929,6 +901,16 @@ def braid_consistency(R: RMatrix, flavor: str = "particle",
     """
     rs = RewriteSystem(R, flavor, toggles, check_unitarity=False)
     n = R.n
+
+    def exchange(e: Element, pos: int) -> Element:
+        # the Phi exchange at ``pos`` of leg 0 on every term, whatever the
+        # order of the pair
+        out: dict = {}
+        for key, coeff in e.terms.items():
+            for nkey, rcoeff in rewrite_term(key, rs, 0, pos):
+                accumulate(out, nkey, coeff * rcoeff)
+        return Element(e.nlegs, out)
+
     path_residual = 0
     for i3 in range(1, n + 1):
         for i2 in range(1, n + 1):
@@ -938,18 +920,18 @@ def braid_consistency(R: RMatrix, flavor: str = "particle",
                                   GenOcc(PHI, i1, 0, _z(1))))
                 left = w
                 for pos in (0, 1, 0):
-                    left = _apply_samekind_at(left, rs, pos)
+                    left = exchange(left, pos)
                 right = w
                 for pos in (1, 0, 1):
-                    right = _apply_samekind_at(right, rs, pos)
+                    right = exchange(right, pos)
                 path_residual += len((left - right).terms)
     invol_residual = 0
     for j in range(1, n + 1):
         for i in range(1, n + 1):
             w = Element.word((GenOcc(PHI, j, 0, _z(2)),
                               GenOcc(PHI, i, 0, _z(1))))
-            once = _apply_samekind_at(w, rs, 0)
-            back = _apply_samekind_at(once, rs, 0)
+            once = exchange(w, 0)
+            back = exchange(once, 0)
             invol_residual += len((back - w).terms)
     return {
         "path_residual_terms": path_residual,

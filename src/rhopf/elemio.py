@@ -5,7 +5,7 @@ Grammar (whitespace insignificant between tokens):
 
     element  := term (('+' | '-') term)*
     term     := ['{' field-expr '}' '*'] factors
-    factors  := factor+ with tensor legs separated by '(x)'
+    factors  := factor+ on at most 3 tensor legs separated by '(x)'
     factor   := KIND '[' int [',' int] ']' '(' arg ')'
               | 'delta' '(' zvar '/' zvar ['*' shift] ')'
               | '1'
@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import re
 
-from .algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
-                      LSTAR, LSTARINV, NO_SHIFT, PHI, PHISTAR, VECTOR_KINDS)
+from .algebra import (MAX_LEGS, ArgShift, DeltaFactor, Element, GenOcc, L,
+                      LINV, LSTAR, LSTARINV, NO_SHIFT, PHI, PHISTAR,
+                      VECTOR_KINDS)
 from .errors import ParseError
 from .expr import format_ratexpr, locate, parse_expr
 from .symfield import SPECTRAL, RatExpr, VAR_INDEX, VARS
@@ -191,7 +192,10 @@ class _ElementParser:
         saw_unit = False
         while True:
             self._skip_ws()
-            if self._eat("(x)"):
+            if self.text.startswith("(x)", self.pos):
+                if len(legs) == MAX_LEGS:
+                    self._error(f"at most {MAX_LEGS} tensor legs")
+                self.pos += 3
                 legs.append([])
                 continue
             if (self.pos < len(self.text) and self.text[self.pos] == "1"):

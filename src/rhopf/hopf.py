@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import (Element, GenOcc, L, LINV, LSTAR, LSTARINV, PHI,
-                      PHISTAR, RewriteSystem, VECTOR_KINDS, _z, charge_shift,
-                      delta_normalize, normal_order, relation_sides,
-                      shift_arg, toggled)
+from .algebra import (MAX_LEGS, Element, GenOcc, L, LINV, LSTAR, LSTARINV,
+                      PHI, PHISTAR, RewriteSystem, VECTOR_KINDS, _z,
+                      charge_shift, delta_normalize, normal_order,
+                      relation_sides, shift_arg, toggled)
 from .errors import ShapeError, UnsupportedRule
 from .symfield import RatExpr, accumulate
-
-MAX_LEGS = 3
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ import pytest
 
 from rhopf.algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
                            LSTAR, NO_SHIFT, PHI, PHISTAR, RewriteSystem,
-                           braid_consistency, delta_normalize,
+                           VECTOR_KINDS, braid_consistency, delta_normalize,
                            make_delta, normal_order,
                            relation_self_residual, term_measure, FLAVOR_RELATIONS)
+from rhopf.elemio import parse_element
 from rhopf.errors import BudgetError, KindError, RhopfError, ShapeError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
@@ -150,6 +151,19 @@ def test_incomplete_contraction_does_not_fire():
     assert normal_order(e, rs) == e  # sum over the middle index missing
 
 
+@pytest.mark.parametrize("flavor,text,expected", [
+    ("extended", "LInv[1,2](z1) L[2,1](z1)", "1 - LInv[1,1](z1) L[1,1](z1)"),
+    ("double", "L[1,2](z2) LInv[2,1](z2)", "1 - L[1,1](z2) LInv[1,1](z2)"),
+    ("double", "L[2,2](z2) LInv[2,1](z2)", "- L[2,1](z2) LInv[1,1](z2)"),
+    ("double", "LStarInv[2,2](z1) LStar[2,2](z1)",
+     "1 - LStarInv[2,1](z1) LStar[1,2](z1)"),
+])
+def test_inverse_contraction_oriented_on_index_n(flavor, text, expected):
+    """X[i,n] Y[n,j] -> delta_ij - sum_{v<n} X[i,v] Y[v,j] on one term."""
+    rs = RewriteSystem(get_instance("example2-n2"), flavor)
+    assert normal_order(parse_element(text), rs) == parse_element(expected)
+
+
 # -- delta normalization ------------------------------------------------------
 
 def test_delta_absorbs_ratio_prefactor():
@@ -230,7 +244,7 @@ def _random_word(rng, rs, kinds, length):
         var = rng.choice([Z1, Z2, Z3])
         h = (rng.choice([-2, -1, 0, 1, 2]), rng.choice([-1, 0, 1]), 0, 0)
         row = rng.randint(1, rs.n)
-        col = rng.randint(1, rs.n) if kind in (L, LSTAR) else 0
+        col = 0 if kind in VECTOR_KINDS else rng.randint(1, rs.n)
         occs.append(GenOcc(kind, row, col, ArgShift(var, h)))
     return Element.word(tuple(occs))
 
@@ -239,8 +253,10 @@ def test_termination_measure_decreases_fuzzed():
     from rhopf.errors import SingularError
     rng = random.Random(99)
     systems = [(_scalar_rs("double"), [PHI, PHISTAR, L, LSTAR]),
-               (RewriteSystem(get_instance("example2-n2"), "extended"), [PHI, L])]
+               (RewriteSystem(get_instance("example2-n2"), "extended"),
+                [PHI, L, LINV])]
     steps = 0
+    contractions = 0
     while steps < 800:
         rs, kinds = systems[rng.randrange(2)]
         e = _random_word(rng, rs, kinds, rng.randint(2, 4))
@@ -251,8 +267,10 @@ def test_termination_measure_decreases_fuzzed():
             continue  # rule hit a pole of an entry at a symbolic argument
         for before, after in trace:
             assert after < before
+            contractions += after[:3] == before[:3]
         steps += len(trace)
     assert steps >= 800
+    assert contractions  # only a contraction keeps the first three parts
 
 
 def test_normal_order_idempotent_fuzzed():
@@ -281,6 +299,7 @@ def test_step_budget_raises_typed_error():
     out = normal_order(e, rs, max_steps=3)
     assert [w for (_, _, (w,)) in out.terms] == [
         (_phi(1, Z1), _phi(1, Z2), _phi(1, Z3))]
+    assert normal_order(e, rs, max_steps=2) == out  # one per application
 
 
 def test_singular_argument_raises():
@@ -296,9 +315,15 @@ def test_singular_argument_raises():
 
 def test_term_measure_components():
     key = ("", (), ((_phi(1, Z2), _phi(1, Z1)),))
-    assert term_measure(key) == (2, 0, 1)
+    assert term_measure(key) == (2, 0, 1, 0)
     key = ("", (), ((_phi(1, Z1), _l(1, 1, Z2)),))
-    assert term_measure(key) == (2, 1, 0)
+    assert term_measure(key) == (2, 1, 0, 0)
+    # the middle index of a matched inverse pair, on any leg
+    arg = ArgShift(Z1, NO_SHIFT)
+    pair = (GenOcc(LINV, 1, 2, arg), _l(2, 1, Z1))
+    assert term_measure(("", (), ((), pair))) == (2, 0, 0, 2)
+    unmatched = (GenOcc(LINV, 1, 2, arg), _l(1, 1, Z1))
+    assert term_measure(("", (), (unmatched,))) == (2, 0, 0, 0)
 
 
 def test_braid_consistency_instances():

@@ -381,6 +381,17 @@ def test_cli_normal_order_index_count_exits_2(capsys):
     assert err.startswith("error: Phi takes one index (line 1, col 7)")
 
 
+def test_cli_normal_order_fourth_leg_exits_2(capsys):
+    # charges exist for three legs only; the fourth leg's '(x)' is the error
+    code = main(["normal-order", "--instance", "example1",
+                 "1 (x) 1 (x) 1 (x) Phi[1](z2) Phi[1](z1)"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: at most 3 tensor legs (line 1, col 15)")
+    assert main(["normal-order", "--instance", "example1",
+                 "1 (x) 1 (x) Phi[1](z2) Phi[1](z1)"]) == 0
+
+
 def test_cli_normal_order_non_spectral_argument_exits_2(capsys):
     # s = q^(1/2) and the charge variables u_t are field variables, not
     # spectral arguments
