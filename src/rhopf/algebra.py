@@ -9,9 +9,12 @@ Conventions fixed here and used everywhere:
   index.  Every exchange relation below is oriented toward this order.
 
 * Argument shifts.  A generator argument is z_v * q^sigma where sigma =
-  h0/2 + (h1/2) c_1 + (h2/2) c_2 + (h3/2) c_3 with integer h's (stored
-  doubled so everything stays integral; c_t is the central charge of
-  tensor leg t, realized in the coefficient field as u_t = q^(c_t/2)).
+  h0/2 + (h1/2) c_1 + (h2/2) c_2 + (h3/2) c_3 with integer h's; c_t is the
+  central charge of tensor leg t.  The q-power is stored as the monomial
+  s^h0 u1^h1 u2^h2 u3^h3 of the coefficient field (s = q^(1/2), u_t =
+  q^(c_t/2)), the same monomials coefficients use, so one substitution
+  (``subs_term``) moves charges and delta supports through arguments,
+  deltas and coefficients alike.
 
 * Matrix-index contraction.  With R[i,j -> k,l] the coefficient of
   e_k (x) e_l in R(e_i (x) e_j), the row index of an L-type generator is
@@ -36,8 +39,9 @@ from typing import NamedTuple
 from .errors import (BudgetError, DomainError, KindError, ShapeError,
                      SingularError)
 from .rmatrix import RMatrix, entries_at, unitarity_residual
-from .symfield import (RatExpr, U, Z, accumulate, mono_from_pairs,
-                       q_power)
+from .kernels import mono_mul
+from .symfield import (RatExpr, U, Z, accumulate, mono_from_pairs, mono_inv,
+                       subs_mono)
 
 LSTAR = "Lstar"
 LSTARINV = "Lstarinv"
@@ -64,14 +68,11 @@ _R1 = RatExpr.from_int(1)
 # the most tensor legs an element has; leg t carries the charge slot c_t
 MAX_LEGS = 3
 
-NO_SHIFT = (0, 0, 0, 0)
-
-
 class ArgShift(NamedTuple):
-    """Spectral variable index plus a doubled q-shift linear form."""
+    """Spectral variable index plus a q-power: the argument z_var * q."""
 
     var: int
-    h: tuple = NO_SHIFT
+    q: tuple = ()
 
 
 class GenOcc(NamedTuple):
@@ -84,60 +85,58 @@ class GenOcc(NamedTuple):
 
 
 class DeltaFactor(NamedTuple):
-    """delta((z_a / z_b) * q^(h/2-form)) with avar < bvar."""
+    """delta((z_a / z_b) * q) with avar <= bvar, as ``make_delta`` orients
+    it."""
 
     avar: int
     bvar: int
-    h: tuple
-
-
-def _h_add(a: tuple, b: tuple) -> tuple:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
-def _h_sub(a: tuple, b: tuple) -> tuple:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-
-
-def _h_neg(a: tuple) -> tuple:
-    return (-a[0], -a[1], -a[2], -a[3])
+    q: tuple
 
 
 def charge_shift(slot: int, steps: int) -> tuple:
-    """Doubled shift q^(steps/2 * c_slot) of one charge slot
+    """The q-power q^(steps/2 * c_slot) = u_slot^steps of one charge slot
     (1..MAX_LEGS)."""
-    h = [0, 0, 0, 0]
-    h[slot] = steps
-    return tuple(h)
+    return ((U[slot - 1], steps),) if steps else ()
 
 
-def shift_arg(arg: ArgShift, dh: tuple) -> ArgShift:
-    return ArgShift(arg.var, _h_add(arg.h, dh))
+def make_delta(x: ArgShift, y: ArgShift, extra: tuple) -> DeltaFactor:
+    """delta((X/Y) q^extra), oriented so that avar <= bvar: the argument is
+    inverted on a swap, since delta(w) = delta(1/w).  avar == bvar leaves
+    a delta of a q-power alone, which ``delta_normalize`` resolves."""
+    q = mono_mul(mono_mul(x.q, mono_inv(y.q)), extra)
+    if x.var > y.var:
+        return DeltaFactor(y.var, x.var, mono_inv(q))
+    return DeltaFactor(x.var, y.var, q)
 
 
-def make_delta(x: ArgShift, y: ArgShift, extra: tuple):
-    """delta((X/Y) q^(extra/2-form)); None when the ratio degenerates."""
-    h = _h_add(_h_sub(x.h, y.h), extra)
-    a, b = x.var, y.var
-    if a == b:
-        return None
-    if a > b:
-        a, b = b, a
-        h = _h_neg(h)
-    return DeltaFactor(a, b, h)
+def _arg_mono(x: ArgShift) -> tuple:
+    # the q-power's variables (s, u1..u3) sort before every spectral one
+    return x.q + ((x.var, 1),)
 
 
-def _ratio_mono(x: ArgShift, y: ArgShift, extra: tuple = NO_SHIFT) -> tuple:
-    """Monomial for (X/Y) * q^(extra/2-form) in the coefficient field."""
-    h = _h_add(_h_sub(x.h, y.h), extra)
-    pairs = {x.var: 1}
-    pairs[y.var] = pairs.get(y.var, 0) - 1
-    base = q_power(*h)
-    zpart = mono_from_pairs(pairs.items())
-    merged = dict(base)
-    for v, e in zpart:
-        merged[v] = merged.get(v, 0) + e
-    return mono_from_pairs(merged.items())
+def _ratio_mono(x: ArgShift, y: ArgShift, extra: tuple) -> tuple:
+    """Monomial for (X/Y) * q^extra in the coefficient field."""
+    return mono_mul(mono_mul(_arg_mono(x), mono_inv(_arg_mono(y))), extra)
+
+
+def _subs_arg(x: ArgShift, smap: dict) -> ArgShift:
+    """z_var * q under the substitution ``smap``, which sends a spectral
+    variable to a spectral variable times a q-power."""
+    m = subs_mono(_arg_mono(x), smap)
+    return ArgShift(m[-1][0], m[:-1])
+
+
+def subs_term(key, coeff: RatExpr, smap: dict):
+    """(key, coefficient) of a term under the simultaneous substitution
+    ``smap`` (variable index -> monomial), applied alike to the arguments,
+    the deltas and the coefficient."""
+    flag, deltas, legs = key
+    nd = tuple(sorted(make_delta(_subs_arg(ArgShift(d.avar, d.q), smap),
+                                 _subs_arg(ArgShift(d.bvar), smap), ())
+                      for d in deltas))
+    nl = tuple(tuple(g._replace(arg=_subs_arg(g.arg, smap)) for g in w)
+               for w in legs)
+    return (flag, nd, nl), coeff.subs_monomial(smap)
 
 
 FLAG_NONE = ""
@@ -188,9 +187,6 @@ class Element:
         return (isinstance(other, Element) and self.nlegs == other.nlegs
                 and self.terms == other.terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
     def _check_compat(self, other: "Element"):
         if self.nlegs != other.nlegs:
             raise ShapeError(
@@ -237,32 +233,14 @@ class Element:
     # -- charge-reference transforms ----------------------------------------
 
     def map_charges(self, cmap: dict) -> "Element":
-        """Apply the linear substitution c_i -> sum_j cmap[i][j] c_j to every
-        q-shift (arguments, deltas) and the matching substitution
-        u_i -> prod_j u_j^cmap[i][j] to every coefficient."""
-        targets = {U[i - 1]: mono_from_pairs((U[j - 1], e)
-                                             for j, e in row.items())
-                   for i, row in cmap.items() if row != {i: 1}}
-
-        def hmap(h):
-            new = [h[0], 0, 0, 0]
-            for i in (1, 2, 3):
-                if not h[i]:
-                    continue
-                row = cmap.get(i, {i: 1})
-                for j, e in row.items():
-                    new[j] += h[i] * e
-            return tuple(new)
-
+        """Apply the linear substitution c_i -> sum_j cmap[i][j] c_j, that
+        is u_i -> prod_j u_j^cmap[i][j], to every term."""
+        smap = {U[i - 1]: mono_from_pairs((U[j - 1], e)
+                                          for j, e in row.items())
+                for i, row in cmap.items() if row != {i: 1}}
         out: dict = {}
-        for (flag, deltas, legs), c in self.terms.items():
-            nd = tuple(sorted(
-                DeltaFactor(d.avar, d.bvar, hmap(d.h)) for d in deltas))
-            nl = tuple(tuple(GenOcc(g.kind, g.row, g.col,
-                                    ArgShift(g.arg.var, hmap(g.arg.h)))
-                             for g in w) for w in legs)
-            nc = c.subs_monomial(targets) if targets else c
-            accumulate(out, (flag, nd, nl), nc)
+        for key, c in self.terms.items():
+            accumulate(out, *subs_term(key, c, smap))
         return Element(self.nlegs, out)
 
     def __repr__(self):
@@ -279,32 +257,26 @@ TOGGLE_NAMES = ("cross-bracket", "ll-star", "ybe-middle", "phistar-coproduct")
 @dataclass(frozen=True)
 class Toggles:
     """Convention switches between the corrected and the literal relation
-    set; the default corrected set is the one the verification forces."""
+    set; the default corrected set is the one the verification forces.
+    ``literal`` holds the names of the toggles set to the literal
+    reading."""
 
-    cross_bracket: str = "corrected"
-    ll_star: str = "corrected"
-    ybe_middle: str = "corrected"
-    phistar_coproduct: str = "corrected"
+    literal: frozenset = frozenset()
 
     def as_dict(self) -> dict:
-        return {
-            "cross-bracket": self.cross_bracket,
-            "ll-star": self.ll_star,
-            "ybe-middle": self.ybe_middle,
-            "phistar-coproduct": self.phistar_coproduct,
-        }
+        return {name: "literal" if name in self.literal else "corrected"
+                for name in TOGGLE_NAMES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Toggles":
-        kw = {}
         for name, val in d.items():
             if name not in TOGGLE_NAMES:
                 raise DomainError(f"unknown toggle {name!r}")
             if val not in ("corrected", "literal"):
                 raise DomainError(
                     f"toggle {name!r} must be 'corrected' or 'literal'")
-            kw[name.replace("-", "_")] = val
-        return cls(**kw)
+        return cls(frozenset(name for name, val in d.items()
+                             if val == "literal"))
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +327,9 @@ class Relation(NamedTuple):
     bracket: tuple = ()
 
 
-# A kind picked by a toggle: (Toggles attribute, corrected, literal).
-_LL_STAR_KIND = ("ll_star", L, LSTAR)
-_CROSS_BRACKET_KIND = ("cross_bracket", L, LSTAR)
+# A kind picked by a toggle: (toggle name, corrected, literal).
+_LL_STAR_KIND = ("ll-star", L, LSTAR)
+_CROSS_BRACKET_KIND = ("cross-bracket", L, LSTAR)
 
 # The single statement of every defining relation: contractions, charge
 # shifts, R21 readings (R21[a,b -> c,d] = R[b,a -> d,c], written out as
@@ -552,18 +524,18 @@ _INVERSE = {"R": "Rinv", "Rinv": "R"}
 
 def toggled(value, toggles: Toggles):
     """A table entry as read under ``toggles``: the entry itself, or for a
-    toggled entry (Toggles attribute, corrected, literal) the reading the
-    toggle picks."""
+    toggled entry (toggle name, corrected, literal) the reading the toggle
+    picks."""
     if isinstance(value, str):
         return value
-    attr, corrected, literal = value
-    return corrected if getattr(toggles, attr) == "corrected" else literal
+    name, corrected, literal = value
+    return literal if name in toggles.literal else corrected
 
 
-def _occ(pattern, env: dict, x, toggles: Toggles, dh=None) -> GenOcc:
+def _occ(pattern, env: dict, x, toggles: Toggles, dq=()) -> GenOcc:
     kind, letters, arg = pattern
     col = env[letters[1]] if len(letters) == 2 else 0
-    a = x[arg] if dh is None else shift_arg(x[arg], dh)
+    a = x[arg]._replace(q=mono_mul(x[arg].q, dq))
     return GenOcc(toggled(kind, toggles), env[letters[0]], col, a)
 
 
@@ -623,7 +595,8 @@ def _bracket_terms(rs: "RewriteSystem", rel: Relation, env: dict, x,
                    slot: int):
     deltas = [make_delta(x[1], x[2], charge_shift(slot, b.delta_steps))
               for b in rel.bracket]
-    degenerate = None in deltas  # surfaced via the term flag downstream
+    # equal arguments: surfaced via the term flag downstream
+    degenerate = any(d.avar == d.bvar for d in deltas)
     return [(rs.qfactor if b.sign > 0 else -rs.qfactor,
              ("degenerate",) if degenerate else (d,),
              (_occ(b.gen, env, x, rs.toggles,
@@ -779,63 +752,29 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
 # formal-delta normalization
 # ---------------------------------------------------------------------------
 
-def _subst_var_arg(arg: ArgShift, avar: int, bvar: int, dh: tuple):
-    if arg.var != avar:
-        return arg
-    return ArgShift(bvar, _h_add(arg.h, dh))
-
-
 def delta_normalize(e: Element) -> Element:
     """Use each delta's support to rewrite its term:
-    f(z_a) delta((z_a/z_b) q^s) = f(z_b q^-s) delta((z_a/z_b) q^s)."""
+    f(z_a) delta((z_a/z_b) q) = f(z_b q^-1) delta((z_a/z_b) q).  Each
+    substitution also rewrites the deltas still pending."""
     out: dict = {}
     for key, coeff in e.terms.items():
-        flag, deltas, legs = key
-        if flag or not deltas:
-            accumulate(out, key, coeff)
-            continue
-        ok = True
+        flag, pend, legs = key
         done: list = []
-        pend = sorted(deltas)
-        cur_coeff = coeff
-        cur_legs = legs
-        while pend:
-            d = pend.pop(0)
-            if d.avar == d.bvar:
-                if any(d.h):
-                    flag = FLAG_CONTRADICTORY
-                    ok = False
-                    break
-                continue  # delta(1) left by a duplicate: merged
-            done.append(d)
-            dh = _h_neg(d.h)
-            target = mono_from_pairs(
-                [(d.bvar, 1)] + list(q_power(*dh)))
-            cur_coeff = cur_coeff.subs_monomial({d.avar: target})
-            cur_legs = tuple(
-                tuple(g._replace(arg=_subst_var_arg(g.arg, d.avar, d.bvar,
-                                                    dh))
-                      for g in w) for w in cur_legs)
-            np = []
-            for d2 in pend:
-                a2, b2, h2 = d2
-                if a2 == d.avar:
-                    a2 = d.bvar
-                    h2 = _h_add(h2, dh)
-                if b2 == d.avar:
-                    b2 = d.bvar
-                    h2 = _h_sub(h2, dh)
-                if a2 > b2:
-                    a2, b2 = b2, a2
-                    h2 = _h_neg(h2)
-                np.append(DeltaFactor(a2, b2, h2))
-            pend = sorted(np)
-        if not ok:
-            accumulate(out, (FLAG_CONTRADICTORY, deltas, legs), coeff)
-            continue
-        # drop exact duplicates produced by the rewriting
-        dedup = tuple(sorted(set(done)))
-        accumulate(out, (FLAG_NONE, dedup, cur_legs), cur_coeff)
+        c = coeff
+        while pend and not flag:
+            d, pend = pend[0], pend[1:]
+            if d.avar != d.bvar:
+                done.append(d)
+                smap = {d.avar: mono_mul(mono_inv(d.q), ((d.bvar, 1),))}
+                (_, pend, legs), c = subs_term((flag, pend, legs), c, smap)
+            elif d.q:
+                flag = FLAG_CONTRADICTORY
+            # else delta(1), left by a duplicate: merged
+        if flag:
+            accumulate(out, (flag,) + key[1:], coeff)
+        else:
+            # drop exact duplicates produced by the rewriting
+            accumulate(out, (FLAG_NONE, tuple(sorted(set(done))), legs), c)
     return Element(e.nlegs, out)
 
 
@@ -844,7 +783,7 @@ def delta_normalize(e: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 def _z(i: int) -> ArgShift:
-    return ArgShift(Z[i - 1], NO_SHIFT)
+    return ArgShift(Z[i - 1])
 
 
 def _element(terms) -> Element:
@@ -886,9 +825,9 @@ def relation_self_residual(rs: RewriteSystem, relation_id: str):
 # braid consistency
 # ---------------------------------------------------------------------------
 
-def braid_consistency(R: RMatrix, flavor: str = "particle",
-                      toggles: Toggles = None) -> dict:
-    """Two independent probes of the rule table's coherence:
+def braid_consistency(R: RMatrix) -> dict:
+    """Two independent probes of the particle rule table's coherence (no
+    toggle reads its one relation, PhiPhi):
 
     * path agreement: the fully reversed word Phi(x3) Phi(x2) Phi(x1) is
       ordered along the two distinct transposition sequences (leftmost
@@ -899,7 +838,7 @@ def braid_consistency(R: RMatrix, flavor: str = "particle",
       unitarity and catches scalar instances, whose Yang-Baxter equation
       is vacuous.
     """
-    rs = RewriteSystem(R, flavor, toggles, check_unitarity=False)
+    rs = RewriteSystem(R, "particle", check_unitarity=False)
     n = R.n
 
     def exchange(e: Element, pos: int) -> Element:

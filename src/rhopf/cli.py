@@ -159,7 +159,7 @@ def _timed(report: VerificationReport, check_id: str, fn, advisory=False):
 # ---------------------------------------------------------------------------
 
 def _plan_check_r(R: RMatrix, toggles: Toggles, report: VerificationReport):
-    normative = "prod" if toggles.ybe_middle == "corrected" else "ratio"
+    normative = "ratio" if "ybe-middle" in toggles.literal else "prod"
     for middle in ("prod", "ratio"):
         def ybe(middle=middle):
             res = ybe_residual(R, middle)
@@ -186,7 +186,7 @@ def _plan_check_r(R: RMatrix, toggles: Toggles, report: VerificationReport):
 def _plan_verify_hopf(R: RMatrix, flavor: str, toggles: Toggles,
                       report: VerificationReport):
     def braid():
-        res = braid_consistency(R, "particle", toggles)
+        res = braid_consistency(R)
         txt = (f"path terms: {res['path_residual_terms']}, involutivity "
                f"terms: {res['involutivity_residual_terms']}")
         return res["agree"], txt

@@ -14,20 +14,20 @@ Grammar (whitespace insignificant between tokens):
 
 KIND is one of Phi, PhiStar, L, LStar, LInv, LStarInv; the vector kinds
 Phi and PhiStar take one index, the matrix kinds two.  zvar is a spectral
-variable name (z1..z9, x, w); the four integers of a shift are the doubled
-coefficients of (1, c1, c2, c3) in the q-exponent.
+variable name (z1..z9, x, w).  A shift is the text of a q-power monomial:
+q[h0,h1,h2,h3] is s^h0 u1^h1 u2^h2 u3^h3 = q^(h0/2 + h1/2 c1 + h2/2 c2 +
+h3/2 c3), the doubled coefficients of (1, c1, c2, c3) in the q-exponent.
 """
 
 from __future__ import annotations
 
 import re
 
-from .algebra import (MAX_LEGS, ArgShift, DeltaFactor, Element, GenOcc, L,
-                      LINV, LSTAR, LSTARINV, NO_SHIFT, PHI, PHISTAR,
-                      VECTOR_KINDS)
+from .algebra import (MAX_LEGS, ArgShift, Element, GenOcc, L, LINV, LSTAR,
+                      LSTARINV, PHI, PHISTAR, VECTOR_KINDS, make_delta)
 from .errors import ParseError
 from .expr import format_ratexpr, locate, parse_expr
-from .symfield import SPECTRAL, RatExpr, VAR_INDEX, VARS
+from .symfield import S, SPECTRAL, U, RatExpr, VAR_INDEX, VARS, q_power
 
 _KIND_TEXT = {PHI: "Phi", PHISTAR: "PhiStar", L: "L", LSTAR: "LStar",
               LINV: "LInv", LSTARINV: "LStarInv"}
@@ -36,32 +36,44 @@ _TEXT_KIND = {v: k for k, v in _KIND_TEXT.items()}
 _R1 = RatExpr.from_int(1)
 
 
-def _fmt_shift(h: tuple) -> str:
-    if h == NO_SHIFT:
-        return ""
-    return "*q[%d,%d,%d,%d]" % h
+def _doubled(q: tuple) -> tuple:
+    """The text vector (h0, h1, h2, h3) of the q-power s^h0 u1^h1 u2^h2
+    u3^h3."""
+    exps = dict(q)
+    return tuple(exps.get(v, 0) for v in (S,) + U)
 
 
-def _fmt_occ(g: GenOcc) -> str:
-    kind = _KIND_TEXT[g.kind]
-    idx = f"{g.row}" if g.kind in VECTOR_KINDS else f"{g.row},{g.col}"
-    return f"{kind}[{idx}]({VARS[g.arg.var]}{_fmt_shift(g.arg.h)})"
+def _text_key(key) -> tuple:
+    """A term key with every q-power as its text vector: the order in which
+    terms, and the deltas of a term, are printed.  It is not the order of
+    the monomials themselves."""
+    flag, deltas, legs = key
+    return (flag,
+            tuple(sorted((d.avar, d.bvar, _doubled(d.q)) for d in deltas)),
+            tuple(tuple((g.kind, g.row, g.col, g.arg.var, _doubled(g.arg.q))
+                        for g in word) for word in legs))
 
 
-def _fmt_delta(d: DeltaFactor) -> str:
-    return (f"delta({VARS[d.avar]}/{VARS[d.bvar]}"
-            f"{_fmt_shift(d.h)})")
+def _fmt_arg(var: int, h: tuple) -> str:
+    return VARS[var] + ("*q[%d,%d,%d,%d]" % h if any(h) else "")
+
+
+def _fmt_occ(kind, row, col, var, h) -> str:
+    idx = f"{row}" if kind in VECTOR_KINDS else f"{row},{col}"
+    return f"{_KIND_TEXT[kind]}[{idx}]({_fmt_arg(var, h)})"
 
 
 def format_element(e: Element) -> str:
     if e.is_zero():
         return "0"
     bits = []
-    for (flag, deltas, legs), coeff in e.sorted_terms():
-        factors = [_fmt_delta(d) for d in deltas]
+    for (flag, deltas, legs), coeff in sorted(
+            (_text_key(key), c) for key, c in e.terms.items()):
+        factors = [f"delta({VARS[a]}/{_fmt_arg(b, h)})"
+                   for a, b, h in deltas]
         leg_txt = []
         for word in legs:
-            leg_txt.append(" ".join(_fmt_occ(g) for g in word) or "1")
+            leg_txt.append(" ".join(_fmt_occ(*g) for g in word) or "1")
         factors.append(" (x) ".join(leg_txt))
         body = " ".join(factors)
         if coeff == _R1:
@@ -145,16 +157,16 @@ class _ElementParser:
     def _shift(self) -> tuple:
         save = self.pos
         if not self._eat("*"):
-            return NO_SHIFT
+            return ()
         if not self._eat("q["):
             self.pos = save
-            return NO_SHIFT
+            return ()
         h = [self._int()]
         for _ in range(3):
             self._expect(",")
             h.append(self._int())
         self._expect("]")
-        return tuple(h)
+        return q_power(*h)
 
     def _zvar(self) -> int:
         self._skip_ws()
@@ -211,12 +223,9 @@ class _ElementParser:
                 a = self._zvar()
                 self._expect("/")
                 b = self._zvar()
-                h = self._shift()
+                q = self._shift()
                 self._expect(")")
-                if a > b:
-                    a, b = b, a
-                    h = tuple(-x for x in h)
-                deltas.append(DeltaFactor(a, b, h))
+                deltas.append(make_delta(ArgShift(a, q), ArgShift(b), ()))
                 continue
             if name in _TEXT_KIND:
                 kind = _TEXT_KIND[name]
@@ -232,9 +241,9 @@ class _ElementParser:
                 self._expect("]")
                 self._expect("(")
                 var = self._zvar()
-                h = self._shift()
+                q = self._shift()
                 self._expect(")")
-                legs[-1].append(GenOcc(kind, row, col, ArgShift(var, h)))
+                legs[-1].append(GenOcc(kind, row, col, ArgShift(var, q)))
                 continue
             self.pos = save
             break

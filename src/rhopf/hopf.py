@@ -26,8 +26,9 @@ from typing import NamedTuple
 from .algebra import (MAX_LEGS, Element, GenOcc, L, LINV, LSTAR, LSTARINV,
                       PHI, PHISTAR, RewriteSystem, VECTOR_KINDS, _z,
                       charge_shift, delta_normalize, normal_order,
-                      relation_sides, shift_arg, toggled)
+                      relation_sides, toggled)
 from .errors import ShapeError, UnsupportedRule
+from .kernels import mono_mul
 from .symfield import RatExpr, accumulate
 
 
@@ -79,7 +80,7 @@ class Factor(NamedTuple):
     """kind_letters(x q^(sum_k steps[k]/2 c'_k)) on new leg ``leg``, with x
     the argument of the mapped generator and c'_k the charge of new leg k.
     The letters read i, j (the mapped generator's indices) and the summed
-    m; a toggled reading is (Toggles attribute, corrected, literal)."""
+    m; a toggled reading is (toggle name, corrected, literal)."""
 
     kind: str
     letters: object
@@ -116,7 +117,7 @@ COPRODUCT = {
     #                      + sum_m Phistar_m(x q^c2) (x) Lstar_mi(x q^(c2/2))
     # (the literal text has Lstar_im)
     PHISTAR: HopfRow((Factor(PHISTAR, "m", 0, (0, 2)),
-                      Factor(LSTAR, ("phistar_coproduct", "mi", "im"), 1,
+                      Factor(LSTAR, ("phistar-coproduct", "mi", "im"), 1,
                              (0, 1))), keep=1),
     # Delta Linv_ij(x) = sum_m Linv_mj(x q^(-c2/2)) (x) Linv_im(x q^(c1/2))
     LINV: HopfRow((Factor(LINV, "mj", 0, (0, -1)),
@@ -161,16 +162,18 @@ class HopfTables:
         if row.keep is not None:
             out.append((1, tuple((g,) if k == row.keep else ()
                                  for k in range(nlegs))))
-        factors = [(f, toggled(f.letters, self.rs.toggles))
-                   for f in row.factors]
-        summed = any("m" in letters for _, letters in factors)
+        factors = []
+        for f in row.factors:
+            q = g.arg.q
+            for slot, steps in zip(slots, f.steps):
+                q = mono_mul(q, charge_shift(slot, steps))
+            factors.append((f, toggled(f.letters, self.rs.toggles),
+                            g.arg._replace(q=q)))
+        summed = any("m" in letters for _, letters, _ in factors)
         for m in range(1, self.n + 1) if summed else (0,):
             env = {"i": g.row, "j": g.col, "m": m}
             legs = [()] * nlegs
-            for f, letters in factors:
-                a = g.arg
-                for slot, steps in zip(slots, f.steps):
-                    a = shift_arg(a, charge_shift(slot, steps))
+            for f, letters, a in factors:
                 col = env[letters[1]] if len(letters) == 2 else 0
                 legs[f.leg] += (GenOcc(f.kind, env[letters[0]], col, a),)
             out.append((row.sign, tuple(legs)))

@@ -23,9 +23,10 @@ from .algebra import (FLAVOR_RELATIONS, L, LSTAR, RewriteSystem,
                       relation_sides, relation_self_residual)
 from .errors import DomainError, ExpansionError
 from .expr import parse_expr
+from .kernels import mono_pow
 from .rmatrix import RMatrix
 from .symfield import (RatExpr, Z, accumulate, denominator_lcm,
-                       mono_from_pairs, q_power, variables)
+                       mono_from_pairs, variables)
 
 _Z1, _Z2 = Z[0], Z[1]
 _R1 = RatExpr.from_int(1)
@@ -104,9 +105,8 @@ def _emit_element(e, window: SeriesWindow, clear: dict,
             d = deltas[0]
             if {d.avar, d.bvar} - {_Z1, _Z2}:
                 raise ExpansionError("delta outside the template variables")
-            # delta((z1/z2) q^(h/2)) = sum_nu z1^nu z2^-nu q^(nu h / 2)
-            dchoices = [(nu, RatExpr.from_mono(
-                q_power(*(x * nu for x in d.h))))
+            # delta((z1/z2) q) = sum_nu z1^nu z2^-nu q^nu
+            dchoices = [(nu, RatExpr.from_mono(mono_pow(d.q, nu)))
                         for nu in range(-window.N, window.N + 1)]
         kinds = tuple(sorted(g.kind for g in word))
         for a, b, sc in _z_split(coeff * cf):
@@ -122,10 +122,10 @@ def _emit_element(e, window: SeriesWindow, clear: dict,
                     for g in word:
                         p = modes[g.arg.var]
                         wkey.append((g.kind, g.row, g.col, p))
-                        if any(g.arg.h):
-                            # G(z q^sigma): mode p picks up q^(-p sigma)
+                        if g.arg.q:
+                            # G(z q): mode p picks up q^-p
                             mult = mult * RatExpr.from_mono(
-                                q_power(*(-p * x for x in g.arg.h)))
+                                mono_pow(g.arg.q, -p))
                     accumulate(out.setdefault((m, k), {}), tuple(wkey), mult)
                     if not deltas:
                         kindsets.setdefault((m, k), set()).add(kinds)
@@ -168,8 +168,7 @@ def _apply_triangularity(word_map: dict) -> dict:
     return out
 
 
-def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow,
-                           triangular: bool = True) -> dict:
+def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     """Consistency of the truncated mode presentation.
 
     Per relation of the active flavor this verifies: (a) the rational
@@ -193,14 +192,13 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow,
                 rk = entry["rhs_kinds"].get(slot, set())
                 if lk and rk and lk != rk:
                     kind_mismatches += 1
-            if triangular:
-                for slot, wm in entry["slots"].items():
-                    surv = _apply_triangularity(wm)
-                    if len(surv) == 1:
-                        word = next(iter(surv))
-                        if all(k in (L, LSTAR) and p == 0 and r == cc
-                               for (k, r, cc, p) in word):
-                            contradictions += 1
+            for slot, wm in entry["slots"].items():
+                surv = _apply_triangularity(wm)
+                if len(surv) == 1:
+                    word = next(iter(surv))
+                    if all(k in (L, LSTAR) and p == 0 and r == cc
+                           for (k, r, cc, p) in word):
+                        contradictions += 1
         ok = current_zero and kind_mismatches == 0 and contradictions == 0
         report["relations"].append({
             "relation": rid,
@@ -223,11 +221,11 @@ _DATA = os.path.join(os.path.dirname(__file__), "data",
                      "drinfeld_uqsl2.txt")
 
 
-def load_reference_relations(path: str = _DATA) -> dict:
+def load_reference_relations() -> dict:
     """Parse the reference relation file: ``name: lhs | rhs`` meaning
     lhs(z1,z2) X(z1) X(z2) = rhs(z1,z2) X(z2) X(z1)."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(_DATA, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:

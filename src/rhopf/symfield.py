@@ -701,13 +701,20 @@ def reset_memo():
     _PRODUCT_CANCELS.clear()
 
 
+def subs_mono(m: tuple, smap: dict) -> tuple:
+    """A monomial under the simultaneous substitution ``smap`` (variable
+    index -> monomial)."""
+    out = tuple((v, e) for v, e in m if v not in smap)
+    for v, e in m:
+        if v in smap:
+            out = kernels.mono_mul(out, kernels.mono_pow(smap[v], e))
+    return out
+
+
 def _subst(terms: dict, smap: dict) -> dict:
     out: dict = {}
     for m, c in terms.items():
-        base = tuple((v, e) for v, e in m if v not in smap)
-        for v, e in m:
-            if v in smap:
-                base = kernels.mono_mul(base, kernels.mono_pow(smap[v], e))
+        base = subs_mono(m, smap)
         val = out.get(base, 0) + c
         if val:
             out[base] = val

@@ -20,7 +20,7 @@ from rhopf.instances import PASSING_INSTANCES, get_instance
 from rhopf.modes import SeriesWindow, drinfeld_compare
 from rhopf.rmatrix import RMatrix, clear_poles, unitarity_residual, \
     ybe_residual
-from rhopf.symfield import RatExpr, Z
+from rhopf.symfield import RatExpr, Z, q_power
 
 
 def _report(criterion, ok, elapsed, budget):
@@ -76,8 +76,8 @@ def test_criterion_4_double_hopf_structure_and_negative_control():
         ok &= all(r.is_zero()
                   for _, r in check_hom_on_relation(rs, tables, rid))
     # literal-text toggles must each break at least one check
-    for tog in (Toggles(cross_bracket="literal"),
-                Toggles(ll_star="literal")):
+    for tog in (Toggles.from_dict({"cross-bracket": "literal"}),
+                Toggles.from_dict({"ll-star": "literal"})):
         rs_l = RewriteSystem(get_instance("example1"), "double", tog)
         tb_l = HopfTables(rs_l)
         failed = 0
@@ -122,7 +122,7 @@ def _random_word(rng, rs, kinds, length):
         h = (rng.choice([-2, -1, 0, 1, 2]), rng.choice([-1, 0, 1]), 0, 0)
         row = rng.randint(1, rs.n)
         col = rng.randint(1, rs.n) if kind in (L, LSTAR) else 0
-        occs.append(GenOcc(kind, row, col, ArgShift(var, h)))
+        occs.append(GenOcc(kind, row, col, ArgShift(var, q_power(*h))))
     return Element.word(tuple(occs))
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from rhopf.algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
-                           LSTAR, NO_SHIFT, PHI, PHISTAR, RewriteSystem,
+                           LSTAR, PHI, PHISTAR, RewriteSystem,
                            VECTOR_KINDS, braid_consistency, delta_normalize,
                            make_delta, normal_order,
                            relation_self_residual, term_measure, FLAVOR_RELATIONS)
@@ -15,22 +15,22 @@ from rhopf.elemio import parse_element
 from rhopf.errors import BudgetError, KindError, RhopfError, ShapeError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
-from rhopf.symfield import RatExpr, X, Z, mono
+from rhopf.symfield import RatExpr, X, Z, mono, q_power
 
 Z1, Z2, Z3 = Z[0], Z[1], Z[2]
 R1 = RatExpr.from_int(1)
 
 
-def _phi(i, var, h=NO_SHIFT):
-    return GenOcc(PHI, i, 0, ArgShift(var, h))
+def _phi(i, var, q=()):
+    return GenOcc(PHI, i, 0, ArgShift(var, q))
 
 
-def _phistar(i, var, h=NO_SHIFT):
-    return GenOcc(PHISTAR, i, 0, ArgShift(var, h))
+def _phistar(i, var, q=()):
+    return GenOcc(PHISTAR, i, 0, ArgShift(var, q))
 
 
-def _l(i, j, var, h=NO_SHIFT):
-    return GenOcc(L, i, j, ArgShift(var, h))
+def _l(i, j, var, q=()):
+    return GenOcc(L, i, j, ArgShift(var, q))
 
 
 def _scalar_rs(flavor="double", toggles=None):
@@ -66,11 +66,12 @@ def test_phi_phistar_rule_scalar_delta_terms():
     out = normal_order(e, rs)
     qf = parse_expr("q/(q^2 - 1)")
     swap = Element.word((_phistar(1, Z2), _phi(1, Z1)))
-    d1 = DeltaFactor(Z1, Z2, (0, -2, 0, 0))
-    d2 = DeltaFactor(Z1, Z2, (0, 2, 0, 0))
-    t1 = Element.word((GenOcc(LSTAR, 1, 1, ArgShift(Z2, (0, 1, 0, 0))),),
+    d1 = DeltaFactor(Z1, Z2, q_power(0, -2, 0, 0))
+    d2 = DeltaFactor(Z1, Z2, q_power(0, 2, 0, 0))
+    t1 = Element.word((GenOcc(LSTAR, 1, 1,
+                              ArgShift(Z2, q_power(0, 1, 0, 0))),),
                       coeff=qf, deltas=(d1,))
-    t2 = Element.word((GenOcc(L, 1, 1, ArgShift(Z1, (0, 1, 0, 0))),),
+    t2 = Element.word((GenOcc(L, 1, 1, ArgShift(Z1, q_power(0, 1, 0, 0))),),
                       coeff=-qf, deltas=(d2,))
     assert out == swap + t1 + t2
 
@@ -130,7 +131,7 @@ def test_normal_order_idempotent_on_examples():
 
 def test_inverse_contraction_n2():
     rs = RewriteSystem(get_instance("example2-n2"), "extended")
-    arg = ArgShift(Z1, NO_SHIFT)
+    arg = ArgShift(Z1)
     for i in (1, 2):
         for j in (1, 2):
             e = Element.zero()
@@ -146,7 +147,7 @@ def test_inverse_contraction_n2():
 
 def test_incomplete_contraction_does_not_fire():
     rs = RewriteSystem(get_instance("example2-n2"), "extended")
-    arg = ArgShift(Z1, NO_SHIFT)
+    arg = ArgShift(Z1)
     e = Element.word((GenOcc(LINV, 1, 1, arg), GenOcc(L, 1, 1, arg)))
     assert normal_order(e, rs) == e  # sum over the middle index missing
 
@@ -167,24 +168,26 @@ def test_inverse_contraction_oriented_on_index_n(flavor, text, expected):
 # -- delta normalization ------------------------------------------------------
 
 def test_delta_absorbs_ratio_prefactor():
-    d = DeltaFactor(Z1, Z2, NO_SHIFT)
+    d = DeltaFactor(Z1, Z2, ())
     e = Element(1, {("", (d,), ((),)): parse_expr("z1/z2")})
     out = delta_normalize(e)
     assert out == Element(1, {("", (d,), ((),)): R1})
 
 
 def test_delta_rewrites_argument_to_support():
-    d = DeltaFactor(Z1, Z2, (0, -2, 0, 0))  # delta((z1/z2) q^-c)
-    stay = Element.word((GenOcc(LSTAR, 1, 1, ArgShift(Z2, (0, 1, 0, 0))),),
+    d = DeltaFactor(Z1, Z2, q_power(0, -2, 0, 0))  # delta((z1/z2) q^-c)
+    stay = Element.word((GenOcc(LSTAR, 1, 1,
+                                ArgShift(Z2, q_power(0, 1, 0, 0))),),
                         deltas=(d,))
     assert delta_normalize(stay) == stay
-    move = Element.word((GenOcc(LSTAR, 1, 1, ArgShift(Z1, (0, -1, 0, 0))),),
+    move = Element.word((GenOcc(LSTAR, 1, 1,
+                                ArgShift(Z1, q_power(0, -1, 0, 0))),),
                         deltas=(d,))
     assert delta_normalize(move) == stay
 
 
 def test_delta_forces_coefficient_cancellation():
-    d = DeltaFactor(Z1, Z2, (0, -2, 0, 0))
+    d = DeltaFactor(Z1, Z2, q_power(0, -2, 0, 0))
     f = parse_expr("z1*z2 + q")
     # f(z1,z2) delta - f(z2 q^c, z2) delta = 0
     fsub = f.subs_monomial({Z1: mono(z2=1, u1=2)})
@@ -193,9 +196,25 @@ def test_delta_forces_coefficient_cancellation():
     assert delta_normalize(e).is_zero()
 
 
+@pytest.mark.parametrize("text,expected", [
+    # z1 -> z2 q^-c, then z2 -> z3, through the argument shifts
+    ("{z1/z2 + z2} * delta(z1/z2*q[0,2,0,0]) delta(z2/z3) "
+     "Phi[1](z1) L[1,1](z2*q[0,1,0,0])",
+     "{z3 + u1^-2} * delta(z1/z2*q[0,2,0,0]) delta(z2/z3) "
+     "Phi[1](z3*q[0,-2,0,0]) L[1,1](z3*q[0,1,0,0])"),
+    # z1 -> z2 q^-c turns the pending delta(z1/z3) into
+    # delta(z2/z3*q[0,-2,0,0]), whose support then sends z2 -> z3 q^c
+    ("{z1 + z3} * delta(z1/z2*q[0,2,0,0]) delta(z1/z3) Phi[1](z1)",
+     "{2*z3} * delta(z1/z2*q[0,2,0,0]) delta(z2/z3*q[0,-2,0,0]) "
+     "Phi[1](z3)"),
+], ids=["chain", "shared-variable"])
+def test_delta_support_chains_through_pending_deltas(text, expected):
+    assert delta_normalize(parse_element(text)) == parse_element(expected)
+
+
 def test_contradictory_deltas_flagged():
-    d1 = DeltaFactor(Z1, Z2, NO_SHIFT)
-    d2 = DeltaFactor(Z1, Z2, (2, 0, 0, 0))
+    d1 = DeltaFactor(Z1, Z2, ())
+    d2 = DeltaFactor(Z1, Z2, q_power(2, 0, 0, 0))
     e = Element(1, {("", (d1, d2), ((),)): R1})
     out = delta_normalize(e)
     assert len(out.terms) == 1
@@ -204,7 +223,7 @@ def test_contradictory_deltas_flagged():
 
 
 def test_duplicate_deltas_merged():
-    d = DeltaFactor(Z1, Z2, (2, 0, 0, 0))
+    d = DeltaFactor(Z1, Z2, q_power(2, 0, 0, 0))
     e = Element(1, {("", (d, d), ((),)): R1})
     out = delta_normalize(e)
     assert out == Element(1, {("", (d,), ((),)): R1})
@@ -219,9 +238,8 @@ def test_degenerate_delta_flagged_by_rule():
 
 
 def test_make_delta_orientation():
-    d = make_delta(ArgShift(Z2, NO_SHIFT), ArgShift(Z1, (0, 2, 0, 0)),
-                   NO_SHIFT)
-    assert d == DeltaFactor(Z1, Z2, (0, 2, 0, 0))
+    d = make_delta(ArgShift(Z2), ArgShift(Z1, q_power(0, 2, 0, 0)), ())
+    assert d == DeltaFactor(Z1, Z2, q_power(0, 2, 0, 0))
 
 
 # -- defining relations, termination, braid -----------------------------------
@@ -245,7 +263,7 @@ def _random_word(rng, rs, kinds, length):
         h = (rng.choice([-2, -1, 0, 1, 2]), rng.choice([-1, 0, 1]), 0, 0)
         row = rng.randint(1, rs.n)
         col = 0 if kind in VECTOR_KINDS else rng.randint(1, rs.n)
-        occs.append(GenOcc(kind, row, col, ArgShift(var, h)))
+        occs.append(GenOcc(kind, row, col, ArgShift(var, q_power(*h))))
     return Element.word(tuple(occs))
 
 
@@ -307,8 +325,8 @@ def test_singular_argument_raises():
     rs = _scalar_rs("extended")
     # Phi(z1 q) L(z1 q^(-1) q^(c/2)): the exchange evaluates the inverse
     # entry at exactly q^2, a pole of (x q^2 - 1)/(x - q^2)
-    e = Element.word((_phi(1, Z1, (2, 0, 0, 0)),
-                      _l(1, 1, Z1, (-2, 1, 0, 0))))
+    e = Element.word((_phi(1, Z1, q_power(2, 0, 0, 0)),
+                      _l(1, 1, Z1, q_power(-2, 1, 0, 0))))
     with pytest.raises(SingularError):
         normal_order(e, rs)
 
@@ -319,7 +337,7 @@ def test_term_measure_components():
     key = ("", (), ((_phi(1, Z1), _l(1, 1, Z2)),))
     assert term_measure(key) == (2, 1, 0, 0)
     # the middle index of a matched inverse pair, on any leg
-    arg = ArgShift(Z1, NO_SHIFT)
+    arg = ArgShift(Z1)
     pair = (GenOcc(LINV, 1, 2, arg), _l(2, 1, Z1))
     assert term_measure(("", (), ((), pair))) == (2, 0, 0, 2)
     unmatched = (GenOcc(LINV, 1, 2, arg), _l(1, 1, Z1))

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from rhopf import symfield
 from rhopf.algebra import (ALL_KINDS, VECTOR_KINDS, ArgShift, DeltaFactor,
-                           Element, GenOcc, L, LSTAR, NO_SHIFT, PHI,
+                           Element, GenOcc, L, LSTAR, PHI,
                            RewriteSystem, normal_order)
 from rhopf.cli import main, parse_rspec
 from rhopf.elemio import format_element, parse_element
 from rhopf.errors import ParseError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
-from rhopf.symfield import VAR_INDEX, RatExpr, Z, mono
+from rhopf.symfield import VAR_INDEX, RatExpr, Z, mono, q_power
 
 Z1, Z2 = Z[0], Z[1]
 
@@ -28,35 +28,46 @@ def _round_trip(e):
 
 
 def test_element_round_trip_simple():
-    e = Element.word((GenOcc(PHI, 1, 0, ArgShift(Z1, NO_SHIFT)),))
+    e = Element.word((GenOcc(PHI, 1, 0, ArgShift(Z1)),))
     assert _round_trip(e) == e
 
 
 def test_element_round_trip_with_coeff_shift_delta():
-    d = DeltaFactor(Z1, Z2, (0, -2, 0, 0))
-    e = Element.word((GenOcc(LSTAR, 1, 2, ArgShift(Z2, (0, 1, 0, 0))),),
+    d = DeltaFactor(Z1, Z2, q_power(0, -2, 0, 0))
+    e = Element.word((GenOcc(LSTAR, 1, 2, ArgShift(Z2, q_power(0, 1, 0, 0))),),
                      coeff=parse_expr("q/(q^2-1)"), deltas=(d,))
-    e = e + Element.word((GenOcc(PHI, 2, 0, ArgShift(Z1, (1, 0, 0, 0))),
-                          GenOcc(L, 1, 1, ArgShift(Z2, NO_SHIFT))),
+    e = e + Element.word((GenOcc(PHI, 2, 0, ArgShift(Z1, q_power(1, 0, 0, 0))),
+                          GenOcc(L, 1, 1, ArgShift(Z2))),
                          coeff=parse_expr("-3"))
     assert _round_trip(e) == e
 
 
+def test_terms_print_in_the_order_of_their_shift_text():
+    """Terms that differ only in a shift print in the order of the shift's
+    text vector q[h0,h1,h2,h3], not in that of the q-power monomials."""
+    text = ("L[1,1](z1*q[0,1,0,0]) + L[1,1](z1*q[0,-1,0,0]) "
+            "+ L[1,1](z1*q[1,0,0,0]) + L[1,1](z1*q[0,0,-1,0]) + L[1,1](z1)")
+    assert format_element(parse_element(text)) == (
+        "L[1,1](z1*q[0,-1,0,0]) + L[1,1](z1*q[0,0,-1,0]) + L[1,1](z1) "
+        "+ L[1,1](z1*q[0,1,0,0]) + L[1,1](z1*q[1,0,0,0])")
+
+
 def test_element_round_trip_multileg_and_unit():
-    key = ("", (), ((GenOcc(PHI, 1, 0, ArgShift(Z1, NO_SHIFT)),), ()))
+    key = ("", (), ((GenOcc(PHI, 1, 0, ArgShift(Z1)),), ()))
     e = Element(2, {key: RatExpr.from_int(1)}) + Element.unit(2)
     assert _round_trip(e) == e
 
 
 _ZVARS = [VAR_INDEX[name] for name in ("z1", "z2", "z9", "x", "w")]
-_shift = st.one_of(st.just(NO_SHIFT),
-                   st.tuples(*[st.integers(-3, 3)] * 4))
+_shift = st.one_of(st.just(()),
+                   st.tuples(*[st.integers(-3, 3)] * 4).map(
+                       lambda h: q_power(*h)))
 _occ = st.builds(
-    lambda kind, row, col, var, h: GenOcc(
-        kind, row, 0 if kind in VECTOR_KINDS else col, ArgShift(var, h)),
+    lambda kind, row, col, var, q: GenOcc(
+        kind, row, 0 if kind in VECTOR_KINDS else col, ArgShift(var, q)),
     st.sampled_from(sorted(ALL_KINDS)), st.integers(1, 3),
     st.integers(1, 3), st.sampled_from(_ZVARS), _shift)
-_delta = st.builds(lambda ab, h: DeltaFactor(*sorted(ab), h),
+_delta = st.builds(lambda ab, q: DeltaFactor(*sorted(ab), q),
                    st.lists(st.sampled_from(_ZVARS), min_size=2, max_size=2,
                             unique=True), _shift)
 _small = st.sampled_from(("s", "x", "z1", "u1"))
@@ -102,7 +113,7 @@ def test_element_index_count_per_kind():
         assert str(err.value).startswith(msg)
         assert (err.value.line, err.value.col) == (1, col)
     assert parse_element("LInv[ 1 , 2 ](z1)") == Element.word(
-        (GenOcc("Linv", 1, 2, ArgShift(Z1, NO_SHIFT)),))
+        (GenOcc("Linv", 1, 2, ArgShift(Z1)),))
 
 
 def test_element_coefficient_error_counts_from_the_element_text():

@@ -4,7 +4,7 @@ bookkeeping, axiom checks and relation homomorphism checks."""
 import pytest
 
 from rhopf.algebra import (ArgShift, Element, GenOcc, L, LINV, LSTARINV,
-                           NO_SHIFT, PHI, PHISTAR, RewriteSystem, Toggles,
+                           PHI, PHISTAR, RewriteSystem, Toggles,
                            FLAVOR_RELATIONS)
 from rhopf.errors import ShapeError, UnsupportedRule
 from rhopf.expr import parse_expr
@@ -12,7 +12,7 @@ from rhopf.hopf import (HopfTables, antipode_apply, check_axioms,
                         check_counit, check_hom_on_relation, coproduct,
                         counit_apply, generator_list, merge_legs)
 from rhopf.instances import get_instance
-from rhopf.symfield import RatExpr, Z
+from rhopf.symfield import RatExpr, Z, q_power
 
 Z1 = Z[0]
 R1 = RatExpr.from_int(1)
@@ -23,24 +23,24 @@ def _setup(name="example1", flavor="double", toggles=None):
     return rs, HopfTables(rs)
 
 
-def _gen(kind, i, j=0, h=NO_SHIFT):
-    return Element.word((GenOcc(kind, i, j, ArgShift(Z1, h)),))
+def _gen(kind, i, j=0, q=()):
+    return Element.word((GenOcc(kind, i, j, ArgShift(Z1, q)),))
 
 
 def test_coproduct_phi_scalar_structure():
     rs, tb = _setup()
     d = coproduct(_gen(PHI, 1), tb, 0)
-    t1 = ("", (), ((GenOcc(PHI, 1, 0, ArgShift(Z1, NO_SHIFT)),), ()))
-    t2 = ("", (), ((GenOcc(L, 1, 1, ArgShift(Z1, (0, 1, 0, 0))),),
-                   (GenOcc(PHI, 1, 0, ArgShift(Z1, (0, 2, 0, 0))),)))
+    t1 = ("", (), ((GenOcc(PHI, 1, 0, ArgShift(Z1)),), ()))
+    t2 = ("", (), ((GenOcc(L, 1, 1, ArgShift(Z1, q_power(0, 1, 0, 0))),),
+                   (GenOcc(PHI, 1, 0, ArgShift(Z1, q_power(0, 2, 0, 0))),)))
     assert d == Element(2, {t1: R1, t2: R1})
 
 
 def test_coproduct_l_scalar_structure():
     rs, tb = _setup()
     d = coproduct(_gen(L, 1, 1), tb, 0)
-    t = ("", (), ((GenOcc(L, 1, 1, ArgShift(Z1, (0, 0, -1, 0))),),
-                  (GenOcc(L, 1, 1, ArgShift(Z1, (0, 1, 0, 0))),)))
+    t = ("", (), ((GenOcc(L, 1, 1, ArgShift(Z1, q_power(0, 0, -1, 0))),),
+                  (GenOcc(L, 1, 1, ArgShift(Z1, q_power(0, 1, 0, 0))),)))
     assert d == Element(2, {t: R1})
 
 
@@ -104,8 +104,9 @@ def test_antipode_phi_scalar_one_leg_form(name):
     for i in range(1, rs.n + 1):
         out = antipode_apply(_gen(PHI, i), tb, 0)
         expected = _one_leg_antipode(
-            lambda m: GenOcc(LINV, i, m, ArgShift(Z1, (0, -1, 0, 0))),
-            lambda m: GenOcc(PHI, m, 0, ArgShift(Z1, (0, -2, 0, 0))), rs.n)
+            lambda m: GenOcc(LINV, i, m, ArgShift(Z1, q_power(0, -1, 0, 0))),
+            lambda m: GenOcc(PHI, m, 0,
+                             ArgShift(Z1, q_power(0, -2, 0, 0))), rs.n)
         assert out == expected
 
 
@@ -115,8 +116,10 @@ def test_antipode_phistar_scalar_one_leg_form(name):
     for i in range(1, rs.n + 1):
         out = antipode_apply(_gen(PHISTAR, i), tb, 0)
         expected = _one_leg_antipode(
-            lambda m: GenOcc(PHISTAR, m, 0, ArgShift(Z1, (0, -2, 0, 0))),
-            lambda m: GenOcc(LSTARINV, m, i, ArgShift(Z1, (0, -1, 0, 0))),
+            lambda m: GenOcc(PHISTAR, m, 0,
+                             ArgShift(Z1, q_power(0, -2, 0, 0))),
+            lambda m: GenOcc(LSTARINV, m, i,
+                             ArgShift(Z1, q_power(0, -1, 0, 0))),
             rs.n)
         assert out == expected
 
@@ -127,14 +130,14 @@ def test_antipode_negates_its_leg_charge_on_every_leg():
     rs, tb = _setup()
     z2 = Z[1]
     e = Element(2, {("", (), (
-        (GenOcc(PHI, 1, 0, ArgShift(Z1, (0, 1, 2, 0))),),
-        (GenOcc(PHI, 1, 0, ArgShift(z2, (0, 0, 1, 0))),))):
+        (GenOcc(PHI, 1, 0, ArgShift(Z1, q_power(0, 1, 2, 0))),),
+        (GenOcc(PHI, 1, 0, ArgShift(z2, q_power(0, 0, 1, 0))),))):
         parse_expr("u2^3*z1 + u1")})
     out = antipode_apply(e, tb, 1)
     expected = Element(2, {("", (), (
-        (GenOcc(PHI, 1, 0, ArgShift(Z1, (0, 1, -2, 0))),),
-        (GenOcc(LINV, 1, 1, ArgShift(z2, (0, 0, -2, 0))),
-         GenOcc(PHI, 1, 0, ArgShift(z2, (0, 0, -3, 0)))))):
+        (GenOcc(PHI, 1, 0, ArgShift(Z1, q_power(0, 1, -2, 0))),),
+        (GenOcc(LINV, 1, 1, ArgShift(z2, q_power(0, 0, -2, 0))),
+         GenOcc(PHI, 1, 0, ArgShift(z2, q_power(0, 0, -3, 0)))))):
         parse_expr("-u2^-3*z1 - u1")})
     assert out == expected
 
@@ -199,13 +202,13 @@ def test_coassociativity_phi_frozen_three_leg_form():
     lhs = coproduct(d, tb, 0)
     rhs = coproduct(d, tb, 1)
     assert lhs == rhs
-    phi = lambda h: (GenOcc(PHI, 1, 0, ArgShift(Z1, h)),)  # noqa: E731
-    ell = lambda h: (GenOcc(L, 1, 1, ArgShift(Z1, h)),)  # noqa: E731
+    phi = lambda *h: (GenOcc(PHI, 1, 0, ArgShift(Z1, q_power(*h))),)  # noqa
+    ell = lambda *h: (GenOcc(L, 1, 1, ArgShift(Z1, q_power(*h))),)  # noqa
     expected = Element(3, {
-        ("", (), (phi(NO_SHIFT), (), ())): R1,
-        ("", (), (ell((0, 1, 0, 0)), phi((0, 2, 0, 0)), ())): R1,
-        ("", (), (ell((0, 1, 0, 0)), ell((0, 2, 1, 0)),
-                  phi((0, 2, 2, 0)))): R1,
+        ("", (), (phi(), (), ())): R1,
+        ("", (), (ell(0, 1, 0, 0), phi(0, 2, 0, 0), ())): R1,
+        ("", (), (ell(0, 1, 0, 0), ell(0, 2, 1, 0),
+                  phi(0, 2, 2, 0))): R1,
     })
     assert lhs == expected
 
@@ -236,20 +239,22 @@ def test_hom_checks_all_ten_dep_relations_scalar():
 
 
 def test_literal_cross_bracket_fails_hom_check():
-    rs, tb = _setup("example1", "double", Toggles(cross_bracket="literal"))
+    rs, tb = _setup("example1", "double",
+                    Toggles.from_dict({"cross-bracket": "literal"}))
     res = check_hom_on_relation(rs, tb, "PhiPhistar")
     assert any(not r.is_zero() for _, r in res)
 
 
 def test_literal_ll_star_fails_hom_check():
-    rs, tb = _setup("example1", "double", Toggles(ll_star="literal"))
+    rs, tb = _setup("example1", "double",
+                    Toggles.from_dict({"ll-star": "literal"}))
     res = check_hom_on_relation(rs, tb, "LLstar")
     assert any(not r.is_zero() for _, r in res)
 
 
 def test_literal_phistar_coproduct_fails_axioms_for_n2():
     rs, tb = _setup("example2-n2", "double",
-                    Toggles(phistar_coproduct="literal"))
+                    Toggles.from_dict({"phistar-coproduct": "literal"}))
     results = dict(check_axioms(rs, tb))
     assert any(n for k, n in results.items() if k.startswith("coassoc"))
     assert any(n for k, n in results.items() if k.startswith("antipode"))

@@ -109,19 +109,19 @@ def test_cross_bracket_modes_scalar():
 
 
 def test_mode_consistency_example1():
-    rep = check_mode_consistency(_rs(), SeriesWindow(5, 1), triangular=True)
+    rep = check_mode_consistency(_rs(), SeriesWindow(5, 1))
     assert rep["consistent"]
 
 
 def test_mode_consistency_example2_n2():
     rep = check_mode_consistency(_rs("example2-n2", "extended"),
-                                 SeriesWindow(4, 1), triangular=True)
+                                 SeriesWindow(4, 1))
     assert rep["consistent"]
 
 
 def test_mode_consistency_flags_literal_ll_star():
-    rs = _rs(toggles=Toggles(ll_star="literal"))
-    rep = check_mode_consistency(rs, SeriesWindow(4, 1), triangular=True)
+    rs = _rs(toggles=Toggles.from_dict({"ll-star": "literal"}))
+    rep = check_mode_consistency(rs, SeriesWindow(4, 1))
     assert not rep["consistent"]
     bad = [r["relation"] for r in rep["relations"] if not r["consistent"]]
     assert bad == ["LLstar"]

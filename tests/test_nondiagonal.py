@@ -22,7 +22,7 @@ from rhopf.expr import parse_expr
 from rhopf.hopf import HopfTables, check_axioms, check_hom_on_relation
 from rhopf.instances import get_instance
 from rhopf.rmatrix import RMatrix, unitarity_residual, ybe_residual
-from rhopf.symfield import RatExpr
+from rhopf.symfield import RatExpr, q_power
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,8 @@ def _occs(kind, n, arg):
             for row in range(1, n + 1) for col in cols]
 
 
-@pytest.mark.parametrize("toggles", [Toggles(), Toggles(ll_star="literal")],
+@pytest.mark.parametrize("toggles", [
+    Toggles(), Toggles.from_dict({"ll-star": "literal"})],
                          ids=["corrected", "ll-star-literal"])
 @pytest.mark.parametrize("name", ["example2-n3", "six-vertex"])
 def test_solved_rules_invert_the_contraction(name, toggles, sixv):
@@ -114,8 +115,9 @@ def test_solved_rules_invert_the_contraction(name, toggles, sixv):
 def _random_gen(rng, n, kind=None, arg=None):
     kind = kind or rng.choice(sorted(ALL_KINDS))
     arg = arg or ArgShift(_z(rng.randint(1, 3)).var,
-                          (rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1)),
-                           rng.choice((-1, 0, 1)), 0))
+                          q_power(rng.choice((-1, 0, 1)),
+                                  rng.choice((-1, 0, 1)),
+                                  rng.choice((-1, 0, 1)), 0))
     col = 0 if kind in VECTOR_KINDS else rng.randint(1, n)
     return GenOcc(kind, rng.randint(1, n), col, arg)
 
@@ -188,7 +190,7 @@ def test_normal_order_sums_a_finished_term_that_comes_back():
     the measure, and lands on k, a normal form already taken from the heap.
     Both contributions to k must be summed."""
     rs = RewriteSystem(get_instance("example2-n2"), "double",
-                       Toggles(ll_star="literal"))
+                       Toggles.from_dict({"ll-star": "literal"}))
     t = parse_element("LInv[1,1](z3) LInv[1,1](z3) L[1,1](z1) LStar[1,1](z1)")
     k = parse_element(
         "LInv[1,1](z3) LInv[1,1](z3) LStar[1,1](z1) LStar[1,1](z1)")
