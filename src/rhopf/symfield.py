@@ -13,7 +13,10 @@ Later variables are more significant in the lexicographic order.
 Canonical form of a fraction: numerator and denominator share no factor,
 the denominator is an ordinary (non-Laurent) polynomial not divisible by
 any variable, and its leading coefficient is positive.  Equality is plain
-structural comparison of canonical forms.
+structural comparison of canonical forms.  A fraction also carries the
+factorization of its denominator into irreducibles when it is known (see
+"factored denominators"), and a sum of two such fractions cancels by
+trial division by the factors, with no gcd.
 """
 
 from __future__ import annotations
@@ -473,19 +476,241 @@ def poly_lcm(p: dict, q: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# factored denominators
+# ---------------------------------------------------------------------------
+#
+# A unit binomial m1 - m2 or m1 + m2 is +-m2*(M -+ 1) with M = m1/m2, and
+# with M = N^g for the gcd g of M's exponents, a unimodular change of
+# variables makes N one variable.  So N^g - 1 = prod_{d | g} Phi_d(N) and
+# N^g + 1 = prod_{d | 2g, d not | g} Phi_d(N) split it into irreducibles
+# over Z, the cyclotomic polynomials Phi_d evaluated at N.  A factor is
+# the pair (d, N), with N's exponent vector primitive and positive in its
+# most significant variable; ``factor_terms`` is Phi_d(N) cleared of
+# N's negative exponents, ordinary, monic and positive-leading.  A
+# factorization maps factors to exponents; a product of positive-leading
+# factors leads positive, so it expands to the canonical denominator.
+
+_CYCLOTOMIC: dict = {}
+
+
+def _divisors(n: int) -> list:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _cyclotomic(d: int) -> list:
+    """Coefficients of Phi_d, lowest degree first: y^d - 1 divided by
+    every Phi_e with e a proper divisor of d (all monic)."""
+    if d not in _CYCLOTOMIC:
+        p = [-1] + [0] * (d - 1) + [1]
+        for e in _divisors(d)[:-1]:
+            f = _cyclotomic(e)
+            quot = [0] * (len(p) - len(f) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = c = p[i + len(f) - 1]
+                for j, fj in enumerate(f):
+                    p[i + j] -= c * fj
+            p = quot
+        _CYCLOTOMIC[d] = p
+    return _CYCLOTOMIC[d]
+
+
+def _primitive_root(m: tuple) -> tuple:
+    """(N, g) with m = N^g or N^-g, g the gcd of m's exponents, and N
+    positive in its most significant variable."""
+    g = 0
+    for _, e in m:
+        g = int_gcd(g, e)
+    if m[-1][1] < 0:
+        g = -g
+    return tuple((v, e // g) for v, e in m), abs(g)
+
+
+_FACTOR_TERMS: dict = {}
+
+
+def factor_terms(f: tuple) -> dict:
+    """The ordinary term map of the factor f = (d, N)."""
+    out = _FACTOR_TERMS.get(f)
+    if out is None:
+        d, n = f
+        pos = tuple((v, e) for v, e in n if e > 0)
+        neg = tuple((v, -e) for v, e in n if e < 0)
+        coeffs = _cyclotomic(d)
+        top = len(coeffs) - 1
+        out = _FACTOR_TERMS[f] = {
+            kernels.mono_mul(kernels.mono_pow(pos, i),
+                             kernels.mono_pow(neg, top - i)): c
+            for i, c in enumerate(coeffs) if c}
+    return out
+
+
+def split_binomial(den: dict):
+    """Factorization of a canonical denominator: {} for 1, the cyclotomic
+    split of a binomial with unit coefficients, None for anything else."""
+    if len(den) != 2:
+        return {} if den == _ONE_TERMS else None
+    (m1, c1), (m2, c2) = den.items()
+    if abs(c1) != 1 or abs(c2) != 1:
+        return None
+    if mono_key(m1) < mono_key(m2):
+        m1, m2, c2 = m2, m1, c1
+    n, g = _primitive_root(kernels.mono_mul(m1, mono_inv(m2)))
+    if c2 < 0:
+        return {(d, n): 1 for d in _divisors(g)}
+    return {(d, n): 1 for d in _divisors(2 * g) if g % d}
+
+
+def _map_factors(fac: dict, smap: dict):
+    """The factorization of a denominator's image under the substitution
+    ``smap``: Phi_d(P^k) = prod Phi_e(P) over the e dividing d*k with
+    e / gcd(e, k) == d.  None when some N maps to 1 (a constant image)."""
+    out: dict = {}
+    for (d, n), e in fac.items():
+        image = subs_mono(n, smap)
+        if not image:
+            return None
+        p, k = _primitive_root(image)
+        for d2 in _divisors(d * k):
+            if d2 // int_gcd(d2, k) == d:
+                out[(d2, p)] = out.get((d2, p), 0) + e
+    return out
+
+
+def _fac_mul(fa: dict, fb: dict) -> dict:
+    """The factorization of a product (an operand itself when the other
+    is empty)."""
+    if not fb:
+        return fa
+    if not fa:
+        return fb
+    out = dict(fa)
+    for f, e in fb.items():
+        out[f] = out.get(f, 0) + e
+    return out
+
+
+def _fac_lcm(fa: dict, fb: dict) -> dict:
+    """The factorization of an lcm (fa itself when fb adds nothing)."""
+    out = fa
+    for f, e in fb.items():
+        if e > fa.get(f, 0):
+            if out is fa:
+                out = dict(fa)
+            out[f] = e
+    return out
+
+
+def _fac_sub(fac: dict, cut: dict) -> dict:
+    """The factorization of a quotient (fac itself when cut is empty)."""
+    if not cut:
+        return fac
+    out = dict(fac)
+    for f, e in cut.items():
+        if out[f] == e:
+            del out[f]
+        else:
+            out[f] -= e
+    return out
+
+
+# Expanded products of factors, keyed by their factorization; a run meets
+# few distinct denominators.  ``reset_memo`` empties it and
+# ``_FACTOR_TERMS``.
+_EXPANSIONS: dict = {}
+
+# Sums that took ``poly_gcd`` because an operand's denominator is not
+# factored; ``reset_memo`` zeroes it.
+SUM_GCD_FALLBACKS = 0
+
+
+def _expand(fac: dict) -> dict:
+    """The canonical denominator with factorization ``fac``."""
+    if not fac:
+        return _ONE_TERMS
+    key = frozenset(fac.items())
+    out = _EXPANSIONS.get(key)
+    if out is None:
+        out = dict(_ONE_TERMS)
+        for f, e in fac.items():
+            out = kernels.poly_mul(out, _poly_pow(factor_terms(f), e))
+        _EXPANSIONS[key] = out
+    return out
+
+
+def _vanishes(t: dict, f: tuple):
+    """Whether the factor f = (d, N) divides the term map t, decided by
+    one monomial substitution when d <= 2 and N has a variable v of
+    exponent +-1: then f is an associate of v - r for a signed monomial r
+    free of v (N = +-1 solved for v), and f divides t exactly when t
+    vanishes at v = r.  None when no such substitution exists."""
+    d, n = f
+    if d > 2:
+        return None
+    for v, e in n:
+        if e == 1 or e == -1:
+            break
+    else:
+        return None
+    rest = _without(n, v)
+    root = mono_inv(rest) if e == 1 else rest
+    flip = d == 2
+    powers: dict = {}
+    sums: dict = {}
+    for m, c in t.items():
+        for i, (u, k) in enumerate(m):
+            if u == v:
+                if k not in powers:
+                    powers[k] = kernels.mono_pow(root, k)
+                m = kernels.mono_mul(m[:i] + m[i + 1:], powers[k])
+                if flip and k & 1:
+                    c = -c
+                break
+        sums[m] = sums.get(m, 0) + c
+    return not any(sums.values())
+
+
+def _trial_cancel(t: dict, fac: dict) -> tuple:
+    """(t/h, h's factorization) for a nonzero Laurent term map t, with h
+    the greatest divisor of t among products of the factors in ``fac``
+    (each to at most its exponent there), found by trial division of t's
+    ordinary part; ``_vanishes`` skips a division that cannot be exact.
+    The factors are monic, so an exact quotient by one has integer
+    coefficients whatever t's integer content."""
+    shift, t_ord = _strip_mono(t)
+    cut: dict = {}
+    for f, e in fac.items():
+        ft = factor_terms(f)
+        for _ in range(e):
+            if _vanishes(t_ord, f) is False:
+                break
+            try:
+                t_ord = divexact(t_ord, ft)
+            except DomainError:
+                break
+            cut[f] = cut.get(f, 0) + 1
+    if not cut:
+        return t, cut
+    if shift:
+        t_ord = kernels.poly_scale(t_ord, 1, shift)
+    return t_ord, cut
+
+
+# ---------------------------------------------------------------------------
 # rational expressions
 # ---------------------------------------------------------------------------
 
 class RatExpr:
     """Reduced fraction of Laurent polynomials, always in canonical form:
-    ``num`` and ``den`` are term maps."""
+    ``num`` and ``den`` are term maps, and ``fac`` is the factorization of
+    ``den`` (see ``split_binomial``), or None when it is not known."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "fac")
 
     def __init__(self, num: dict, den: dict = _ONE_TERMS):
         if not den:
             raise DomainError("zero denominator")
         self.num, self.den = self._normalize(num, den)
+        self.fac = split_binomial(self.den)
 
     @staticmethod
     def _normalize(nt: dict, dt: dict) -> tuple:
@@ -532,11 +757,13 @@ class RatExpr:
         return variables(self.num) | variables(self.den)
 
     @staticmethod
-    def _canonical(nt: dict, dt: dict) -> "RatExpr":
-        """Wrap term maps that are already in canonical form."""
+    def _canonical(nt: dict, dt: dict, fac) -> "RatExpr":
+        """Wrap term maps that are already in canonical form, and the
+        factorization of ``dt`` or None."""
         out = RatExpr.__new__(RatExpr)
         out.num = nt
         out.den = dt
+        out.fac = fac
         return out
 
     # -- field operations ---------------------------------------------------
@@ -563,49 +790,86 @@ class RatExpr:
     def _add(self, other, combine) -> "RatExpr":
         """a/b (+ or -) c/d.  With g = gcd(b, d), b = g*b1, d = g*d1, the
         sum t = a*d1 + c*b1 is coprime to b1 and d1, so only gcd(t, g)
-        can cancel: the whole of b when b == d, nothing when g == 1."""
+        can cancel: the whole of b when b == d, nothing when g == 1.  With
+        both denominators factored, g takes the minimum of the exponents
+        and gcd(t, g) is found by trial division by g's factors; otherwise
+        ``_add_by_gcd`` takes both gcds with ``poly_gcd``."""
+        fb, fd = self.fac, other.fac
+        if fb is None or fd is None:
+            return self._add_by_gcd(other, combine)
+        g = {f: min(e, fd[f]) for f, e in fb.items() if f in fd}
+        if g:
+            b1, d1 = _expand(_fac_sub(fb, g)), _expand(_fac_sub(fd, g))
+        else:
+            b1, d1 = self.den, other.den
+        t = combine(kernels.poly_mul(self.num, d1)
+                    if d1 != _ONE_TERMS else self.num,
+                    kernels.poly_mul(other.num, b1)
+                    if b1 != _ONE_TERMS else other.num)
+        if not t:
+            return RatExpr._canonical({}, dict(_ONE_TERMS), {})
+        if g:
+            t, cut = _trial_cancel(t, g)
+            fac = _fac_sub(_fac_lcm(fb, fd), cut)
+        else:
+            fac = _fac_mul(fb, fd)
+        den = (self.den if fac is fb else other.den if fac is fd
+               else _expand(fac))
+        return RatExpr._canonical(t, den, fac)
+
+    def _add_by_gcd(self, other, combine) -> "RatExpr":
+        """``_add`` with an operand whose denominator is not factored."""
+        global SUM_GCD_FALLBACKS
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if b == d:
-            g, b1, d1 = b, _ONE_TERMS, _ONE_TERMS
-        elif b == _ONE_TERMS or d == _ONE_TERMS:
+        if b == _ONE_TERMS or d == _ONE_TERMS:
             g, b1, d1 = _ONE_TERMS, b, d
         else:
-            g = poly_gcd(b, d)
-            if g == _ONE_TERMS:
-                b1, d1 = b, d
+            SUM_GCD_FALLBACKS += 1
+            if b == d:
+                g, b1, d1 = b, _ONE_TERMS, _ONE_TERMS
             else:
-                b1, d1 = divexact(b, g), divexact(d, g)
+                g = poly_gcd(b, d)
+                if g == _ONE_TERMS:
+                    b1, d1 = b, d
+                else:
+                    b1, d1 = divexact(b, g), divexact(d, g)
         t = combine(kernels.poly_mul(a, d1) if d1 != _ONE_TERMS else a,
                     kernels.poly_mul(c, b1) if b1 != _ONE_TERMS else c)
         if not t:
-            return RatExpr._canonical({}, dict(_ONE_TERMS))
+            return RatExpr._canonical({}, dict(_ONE_TERMS), {})
         if g != _ONE_TERMS:
             t, g = _cancel(t, g) or (t, g)
         den = g
         for part in (b1, d1):
             if part != _ONE_TERMS:
                 den = kernels.poly_mul(den, part)
-        return RatExpr._canonical(t, den)
+        return RatExpr._canonical(t, den, split_binomial(den))
 
     def __neg__(self):
-        return RatExpr._canonical(kernels.poly_neg(self.num), self.den)
+        return RatExpr._canonical(kernels.poly_neg(self.num), self.den,
+                                  self.fac)
 
     def __mul__(self, other):
         """(a/b)*(c/d) = (a/g1)*(c/g2) / ((b/g2)*(d/g1)) with g1 = gcd(a, d)
-        and g2 = gcd(c, b), each skipped when its denominator is 1."""
+        and g2 = gcd(c, b), each skipped when its denominator is 1; a
+        factored denominator is the expansion of the summed exponents."""
         if isinstance(other, int):
             other = RatExpr.from_int(other)
-        a, b = self.num, self.den
-        c, d = other.num, other.den
+        a, b, fb = self.num, self.den, self.fac
+        c, d, fd = other.num, other.den, other.fac
         if not a or not c:
-            return RatExpr._canonical({}, dict(_ONE_TERMS))
+            return RatExpr._canonical({}, dict(_ONE_TERMS), {})
         if d != _ONE_TERMS:
-            a, d = _cancel_product(a, d)
+            a, d, fd = _cancel_product(a, d, fd)
         if b != _ONE_TERMS:
-            c, b = _cancel_product(c, b)
-        return RatExpr._canonical(kernels.poly_mul(a, c),
-                                  kernels.poly_mul(b, d))
+            c, b, fb = _cancel_product(c, b, fb)
+        if fb is None or fd is None:
+            return RatExpr._canonical(kernels.poly_mul(a, c),
+                                      kernels.poly_mul(b, d), None)
+        fac = _fac_mul(fb, fd)
+        den = b if fac is fb else d if fac is fd else _expand(fac)
+        return RatExpr._canonical(kernels.poly_mul(a, c), den, fac)
 
     __rmul__ = __mul__
 
@@ -624,9 +888,8 @@ class RatExpr:
         shift, n_ord = _strip_mono(self.num)
         d = kernels.poly_scale(self.den, 1, mono_inv(shift))
         if n_ord[max(n_ord, key=mono_key)] < 0:
-            return RatExpr._canonical(kernels.poly_neg(d),
-                                      kernels.poly_neg(n_ord))
-        return RatExpr._canonical(d, n_ord)
+            d, n_ord = kernels.poly_neg(d), kernels.poly_neg(n_ord)
+        return RatExpr._canonical(d, n_ord, split_binomial(n_ord))
 
     def __pow__(self, e: int):
         if e == 0:
@@ -634,8 +897,11 @@ class RatExpr:
         if e < 0:
             return self.inverse() ** (-e)
         # powers of coprime polynomials stay coprime
+        fac = self.fac
+        if fac is not None:
+            fac = {f: k * e for f, k in fac.items()}
         return RatExpr._canonical(_poly_pow(self.num, e),
-                                  _poly_pow(self.den, e))
+                                  _poly_pow(self.den, e), fac)
 
     # -- comparisons --------------------------------------------------------
 
@@ -658,8 +924,23 @@ class RatExpr:
 
     def subs_monomial(self, smap: dict) -> "RatExpr":
         """Simultaneous substitution: ``smap`` maps a variable index to the
-        monomial that replaces the variable."""
-        return RatExpr(_subst(self.num, smap), _subst(self.den, smap))
+        monomial that replaces the variable.  A factored denominator maps
+        factor by factor, and the numerator cancels against the images by
+        trial division."""
+        num, den = _subst(self.num, smap), _subst(self.den, smap)
+        fac = None if self.fac is None else _map_factors(self.fac, smap)
+        if fac is None or not num:
+            return RatExpr(num, den)
+        shift, den = _strip_mono(den)
+        if den[max(den, key=mono_key)] < 0:
+            num, den = kernels.poly_neg(num), kernels.poly_neg(den)
+        if shift:
+            num = kernels.poly_scale(num, 1, mono_inv(shift))
+        num, cut = _trial_cancel(num, fac)
+        if cut:
+            fac = _fac_sub(fac, cut)
+            den = _expand(fac)
+        return RatExpr._canonical(num, den, fac)
 
 
 def _cancel(t: dict, den: dict):
@@ -681,24 +962,39 @@ def _cancel(t: dict, den: dict):
 # Each distinct (t, den) pair is cancelled once and looked up afterwards;
 # a coprime pair, by far the most common, stores only None.  The memo
 # shares the term maps it returns, which is sound because no term map is
-# mutated once built.  Sums are not memoized: their operand pairs repeat
-# less and are larger, so the memo would cost more memory than it saves
-# time.  ``reset_memo`` empties it.
+# mutated once built.  Sums are not memoized: over factored denominators
+# they take no gcd (``RatExpr._add``).  ``reset_memo`` empties it.
 _PRODUCT_CANCELS: dict = {}
 
 
-def _cancel_product(t: dict, den: dict) -> tuple:
-    """(t/h, den/h) as ``_cancel``, through the product memo."""
+def _cancel_product(t: dict, den: dict, fac) -> tuple:
+    """(t/h, den/h, factorization of den/h) as ``_cancel``, through the
+    product memo.  A known factorization of den loses h's factors, found
+    once per memo entry by trial division of h."""
     key = (frozenset(t.items()), frozenset(den.items()))
     if key not in _PRODUCT_CANCELS:
-        _PRODUCT_CANCELS[key] = _cancel(t, den)
-    return _PRODUCT_CANCELS[key] or (t, den)
+        hit = _cancel(t, den)
+        _PRODUCT_CANCELS[key] = hit and [*hit, None]
+    hit = _PRODUCT_CANCELS[key]
+    if hit is None:
+        return t, den, fac
+    t, rest, cut = hit
+    if fac is None:
+        return t, rest, None
+    if cut is None:
+        hit[2] = cut = _trial_cancel(divexact(den, rest), fac)[1]
+    return t, rest, _fac_sub(fac, cut)
 
 
 def reset_memo():
-    """Forget every memoized product cancellation, so that a run starts
-    cold whatever ran before it in the process."""
+    """Forget every memoized product cancellation, factor and expanded
+    product of factors, so that a run starts cold whatever ran before it
+    in the process, and zero ``SUM_GCD_FALLBACKS``."""
+    global SUM_GCD_FALLBACKS
     _PRODUCT_CANCELS.clear()
+    _FACTOR_TERMS.clear()
+    _EXPANSIONS.clear()
+    SUM_GCD_FALLBACKS = 0
 
 
 def subs_mono(m: tuple, smap: dict) -> tuple:

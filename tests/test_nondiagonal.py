@@ -11,11 +11,13 @@ import random
 
 import pytest
 
+from rhopf import symfield
 from rhopf.algebra import (_INV_PAIRS, ALL_KINDS, FLAVOR_RELATIONS,
                            VECTOR_KINDS, ArgShift, Element, GenOcc,
                            RewriteSystem, Toggles, _z,
                            braid_consistency, normal_order, relation_sides,
                            relation_self_residual, rewrite_term, rule_pieces)
+from rhopf.cli import main
 from rhopf.elemio import parse_element
 from rhopf.errors import SingularError
 from rhopf.expr import parse_expr
@@ -55,6 +57,7 @@ def test_sixvertex_braid(sixv):
 
 
 def test_sixvertex_full_double_verification(sixv):
+    symfield.reset_memo()
     rs = RewriteSystem(sixv, "double")
     tables = HopfTables(rs)
     for rid in FLAVOR_RELATIONS["double"]:
@@ -64,6 +67,17 @@ def test_sixvertex_full_double_verification(sixv):
                    for _, r in check_hom_on_relation(rs, tables, rid)), rid
     for check_id, nterms in check_axioms(rs, tables):
         assert nterms == 0, check_id
+    # every denominator met is a product of split binomials, so no sum
+    # fell back to poly_gcd
+    assert symfield.SUM_GCD_FALLBACKS == 0
+
+
+def test_literal_ll_star_sums_take_no_gcd():
+    """The example2-n2 negative control fails as documented, and its sums
+    all cancel over factored denominators."""
+    assert main(["verify-hopf", "--instance", "example2-n2",
+                 "--toggle", "ll-star=literal"]) == 1
+    assert symfield.SUM_GCD_FALLBACKS == 0
 
 
 # The relations whose oriented rule inverts the contraction on its

@@ -3,9 +3,10 @@ ring-axiom checks."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rhopf import kernels, symfield as sf
 from rhopf.errors import DomainError
@@ -316,15 +317,16 @@ def test_poly_gcd_equals_subresultant_route(pq):
 @given(_ordinary_with_common_factor())
 def test_poly_gcd_equals_sympy_up_to_sign(pq):
     sympy = pytest.importorskip("sympy")
-    syms = [sympy.Symbol(sf.VARS[v]) for v in range(sf.NVARS)]
-
-    def to_sympy(terms):
-        return sympy.Add(*[c * sympy.Mul(*[syms[v] ** e for v, e in m])
-                           for m, c in terms.items()])
     p, q = pq
-    ours = sympy.expand(to_sympy(sf.poly_gcd(p, q)))
-    ref = sympy.expand(sympy.gcd(to_sympy(p), to_sympy(q)))
+    ours = sympy.expand(_to_sympy(sympy, sf.poly_gcd(p, q)))
+    ref = sympy.expand(sympy.gcd(_to_sympy(sympy, p), _to_sympy(sympy, q)))
     assert ours == ref or ours == -ref
+
+
+def _to_sympy(sympy, terms):
+    syms = [sympy.Symbol(sf.VARS[v]) for v in range(sf.NVARS)]
+    return sympy.Add(*[c * sympy.Mul(*[syms[v] ** e for v, e in m])
+                       for m, c in terms.items()])
 
 
 @_ORACLE
@@ -426,3 +428,125 @@ def test_poly_gcd_subresultant_fallback(pq):
         assert sf.poly_gcd(p, q) == expected
     finally:
         sf._heugcd = heugcd
+
+
+# -- factored denominators ----------------------------------------------------
+
+_SPLIT_CASES = ([f"s^{k} - 1" for k in range(1, 13)]
+                + [f"s^{k} + 1" for k in range(1, 13)]
+                + ["z1^2*s^4 - z2^2", "z1^2*s^4 + z2^2",       # gcd 2
+                   "u1^3*z2^3 - z1^3", "u1^3*z2^3 + z1^3",     # gcd 3
+                   "z1^4*s^8 - u2^4*z2^4", "z1^4 + s^4*z2^4",  # gcd 4
+                   "q*u1^2*z1 - z2", "x*q^3 + 1"])             # gcd 1
+
+
+def _expand_factors(fac):
+    out = {(): 1}
+    for f, e in fac.items():
+        for _ in range(e):
+            out = mul(out, sf.factor_terms(f))
+    return out
+
+
+@pytest.mark.parametrize("text", _SPLIT_CASES)
+def test_binomial_split_equals_sympy_factor_list(text):
+    """The cyclotomic split of a unit binomial is its factorization into
+    irreducibles over Z, and its factors multiply out to it."""
+    sympy = pytest.importorskip("sympy")
+    den = sf._pos_leading(parse_expr(text).num)
+    fac = sf.split_binomial(den)
+    assert _expand_factors(fac) == den
+
+    def up_to_sign(expr):
+        expr = sympy.expand(expr)
+        return frozenset((expr, -expr))
+    ours = Counter((up_to_sign(_to_sympy(sympy, sf.factor_terms(f))), e)
+                   for f, e in fac.items())
+    content, ref = sympy.factor_list(_to_sympy(sympy, den))
+    assert content in (1, -1)
+    assert ours == Counter((up_to_sign(g), e) for g, e in ref)
+
+
+# unit binomials, among them factors that split further and shared roots
+_BINOMIALS = ("s^2 - 1", "s^2 + 1", "s^4 - 1", "s^6 - 1", "z1^2*s^4 - z2^2",
+              "z1 - q*z2", "q*u1^2*z1 + z2", "u1^3*z2^3 - z1^3")
+# factors that are not unit binomials, so their sums fall back to poly_gcd
+_NOT_BINOMIALS = ("x^2 + x + 1", "3*x - 2")
+# substitutions that split, merge or (s -> 1) collapse factor images
+_SMAPS = ({sf.S: sf.mono(s=2)}, {sf.Z[0]: sf.mono(z1=2, z2=1)},
+          {sf.U[0]: sf.mono(u1=1, u2=1)}, {sf.S: ()})
+
+
+@st.composite
+def _binomial_fractions(draw, pool):
+    """Two fractions whose denominators are products of powers (up to 4)
+    of drawn pool factors, with a part drawn once and shared by both;
+    each denominator is built by products of inverses, as rule
+    application builds them, and a numerator may carry a pool factor."""
+    pool = [parse_expr(text) for text in pool]
+
+    def part(top, least):
+        return draw(st.lists(st.tuples(st.sampled_from(range(len(pool))),
+                                       st.integers(1, top)),
+                             min_size=least, max_size=1))
+    shared = part(4, 0)
+
+    def fraction():
+        frac = RatExpr(_poly(draw))
+        for i, k in shared + part(2, 1):
+            frac = frac * pool[i].inverse() ** k
+        if draw(st.booleans()):
+            frac = frac * draw(st.sampled_from(pool))
+        return frac
+    return fraction(), fraction()
+
+
+def _assert_factors_multiply_out(r):
+    if r.fac is not None:
+        assert _expand_factors(r.fac) == r.den
+
+
+def _check_sums(pair):
+    """Sum and difference against the constructor's full normalisation,
+    for the pair (a, c) and for (a, c - a), whose sum must cancel down to
+    c's denominator; the poly_gcd fallback counted exactly when an operand
+    is not factored and neither denominator is 1."""
+    a, c = pair
+    for b, op, combine in ((c, RatExpr.__sub__, sub),
+                           (c - a, RatExpr.__add__, add)):
+        before = sf.SUM_GCD_FALLBACKS
+        got = op(a, b)
+        assert got == RatExpr(combine(mul(a.num, b.den), mul(b.num, a.den)),
+                              mul(a.den, b.den))
+        _assert_factors_multiply_out(got)
+        fell_back = ((a.fac is None or b.fac is None)
+                     and a.den != {(): 1} and b.den != {(): 1})
+        assert sf.SUM_GCD_FALLBACKS == before + fell_back
+        for smap in _SMAPS:
+            try:
+                want = RatExpr(sf._subst(got.num, smap),
+                               sf._subst(got.den, smap))
+            except DomainError:
+                with pytest.raises(DomainError):
+                    got.subs_monomial(smap)
+                continue
+            image = got.subs_monomial(smap)
+            assert image == want
+            _assert_factors_multiply_out(image)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_binomial_fractions(_BINOMIALS))
+@example((parse_expr("1/(s^4 - 1)"), parse_expr("1/(s^2 + 1)")))
+def test_sums_over_split_binomials_equal_full_normalisation(pair):
+    a, b = pair
+    assert a.fac is not None and b.fac is not None
+    _assert_factors_multiply_out(a)
+    _assert_factors_multiply_out(b)
+    _check_sums(pair)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(_binomial_fractions(_BINOMIALS[:4] + _NOT_BINOMIALS))
+def test_sums_with_an_unfactored_denominator_equal_full_normalisation(pair):
+    _check_sums(pair)
