@@ -669,15 +669,20 @@ def term_measure(key) -> tuple:
     return (total, kind_inv, var_inv, middle)
 
 
+def _reducible(g1: GenOcc, g2: GenOcc, rs: RewriteSystem) -> bool:
+    """A matched inverse pair whose middle index is n, or a ruled
+    out-of-order pair."""
+    return ((g1.col == rs.n and _matched(g1, g2))
+            or (_pair_out_of_order(g1, g2)
+                and rs.rule_for(g1, g2) is not None))
+
+
 def _redex(legs, rs: RewriteSystem):
-    """(leg, position) of the leftmost reducible pair of a term: a matched
-    inverse pair whose middle index is n, or a ruled out-of-order pair;
-    legs in order, positions left to right.  None in normal form."""
+    """(leg, position) of the leftmost reducible pair of a term; legs in
+    order, positions left to right.  None in normal form."""
     for li, word in enumerate(legs):
         for pos, (g1, g2) in enumerate(zip(word, word[1:])):
-            if ((g1.col == rs.n and _matched(g1, g2))
-                    or (_pair_out_of_order(g1, g2)
-                        and rs.rule_for(g1, g2) is not None)):
+            if _reducible(g1, g2, rs):
                 return li, pos
     return None
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (FLAVOR_RELATIONS, L, LSTAR, RewriteSystem,
                       relation_sides, relation_self_residual)
 from .errors import DomainError, ExpansionError
 from .expr import parse_expr
-from .kernels import mono_pow
+from .kernels import mono_mul, mono_pow
 from .rmatrix import RMatrix
 from .symfield import (RatExpr, Z, accumulate, denominator_lcm,
                        mono_from_pairs, variables)
@@ -43,11 +44,17 @@ class SeriesWindow:
         if not self.N > self.margin >= 0:
             raise DomainError("need N > margin >= 0")
 
-    def slots(self):
-        lim = self.N - self.margin
-        for m in range(-lim, lim + 1):
-            for k in range(-lim, lim + 1):
-                yield (m, k)
+    @property
+    def lim(self) -> int:
+        """Slot coordinates run over -lim..lim."""
+        return self.N - self.margin
+
+    def slots(self, reach: tuple):
+        """The slots (m, k) of a reach, m-major: per variable, None for the
+        whole window, else one coordinate."""
+        span = range(-self.lim, self.lim + 1)
+        return itertools.product(*[span if r is None else (r,)
+                                   for r in reach])
 
 
 def mode_allowed(kind: str, row: int, col: int, p: int) -> bool:
@@ -78,19 +85,22 @@ def _z_split(c: RatExpr) -> list:
             for (a, b), terms in sorted(groups.items())]
 
 
-def _emit_element(e, window: SeriesWindow, clear: dict,
-                  sign: int, out: dict, kindsets: dict):
-    """Accumulate the mode expansion of ``sign * clear * e`` into ``out``,
-    a dict slot -> {mode word -> coefficient}.
+class _Piece(NamedTuple):
+    """One piece c z1^a z2^b of a term of a relation side, relative to the
+    slot: at slot (m, k) a generator over z1 has mode m + a, one over z2
+    mode k + b.  ``reach`` gives per variable None (a variable carrying a
+    generator: the whole window) or the one slot coordinate -exponent."""
 
-    A piece c z1^a z2^b of a term's cleared coefficient reaches slot (m, k)
-    when each variable carrying a generator has its slot coordinate
-    anywhere in the window, and each variable without one has it at minus
-    its exponent; a generator's mode is its slot coordinate plus its
-    variable's exponent."""
-    lim = window.N - window.margin
-    span = range(-lim, lim + 1)
-    cf = RatExpr(clear)
+    word: tuple  # GenOcc templates
+    exps: tuple  # (a, b)
+    coeff: RatExpr  # signed, cleared, delta power included
+    reach: tuple
+    delta: bool  # from a term with a formal delta
+
+
+def _pieces(e, window: SeriesWindow, cf: RatExpr, sign: int) -> list:
+    """The pieces of ``sign * cf * e`` that reach some window slot."""
+    out = []
     for (flag, deltas, legs), coeff in e.terms.items():
         if flag:
             raise ExpansionError(f"cannot expand a term flagged {flag!r}")
@@ -108,27 +118,42 @@ def _emit_element(e, window: SeriesWindow, clear: dict,
             # delta((z1/z2) q) = sum_nu z1^nu z2^-nu q^nu
             dchoices = [(nu, RatExpr.from_mono(mono_pow(d.q, nu)))
                         for nu in range(-window.N, window.N + 1)]
-        kinds = tuple(sorted(g.kind for g in word))
         for a, b, sc in _z_split(coeff * cf):
             for nu, dcoef in dchoices:
-                base = sc * dcoef if sign > 0 else -(sc * dcoef)
                 exps = (a + nu, b - nu)
-                axes = [span if v in gvars else [-x] if abs(x) <= lim else []
-                        for v, x in zip((_Z1, _Z2), exps)]
-                for m, k in itertools.product(*axes):
-                    modes = {_Z1: m + exps[0], _Z2: k + exps[1]}
-                    mult = base
-                    wkey = []
-                    for g in word:
-                        p = modes[g.arg.var]
-                        wkey.append((g.kind, g.row, g.col, p))
-                        if g.arg.q:
-                            # G(z q): mode p picks up q^-p
-                            mult = mult * RatExpr.from_mono(
-                                mono_pow(g.arg.q, -p))
-                    accumulate(out.setdefault((m, k), {}), tuple(wkey), mult)
-                    if not deltas:
-                        kindsets.setdefault((m, k), set()).add(kinds)
+                reach = tuple(None if v in gvars else -x
+                              for v, x in zip((_Z1, _Z2), exps))
+                if all(r is None or abs(r) <= window.lim for r in reach):
+                    base = sc * dcoef
+                    out.append(_Piece(word, exps, base if sign > 0 else -base,
+                                      reach, bool(deltas)))
+    return out
+
+
+def _expand(lhs, rhs, window: SeriesWindow):
+    """(clearing factor, lhs pieces, rhs pieces) of lhs = rhs: the factor
+    is the lcm of the coefficient denominators, and the rhs is negated."""
+    clear = denominator_lcm([*lhs.terms.values(), *rhs.terms.values()])
+    cf = RatExpr(clear)
+    return clear, _pieces(lhs, window, cf, +1), _pieces(rhs, window, cf, -1)
+
+
+def _word_at(piece: _Piece, slot: tuple) -> tuple:
+    """The mode word of a piece at a slot: (kind, row, col, mode) per
+    generator, its mode the slot coordinate plus the exponent."""
+    modes = {_Z1: slot[0] + piece.exps[0], _Z2: slot[1] + piece.exps[1]}
+    return tuple((g.kind, g.row, g.col, modes[g.arg.var])
+                 for g in piece.word)
+
+
+def _coeff_at(piece: _Piece, word: tuple) -> RatExpr:
+    """The coefficient of a piece's mode word: G(z q) at mode p picks up
+    q^-p."""
+    qm = ()
+    for g, (_k, _r, _c, p) in zip(piece.word, word):
+        if g.arg.q:
+            qm = mono_mul(qm, mono_pow(g.arg.q, -p))
+    return piece.coeff * RatExpr.from_mono(qm) if qm else piece.coeff
 
 
 def mode_expand_relation(rs: RewriteSystem, relation_id: str,
@@ -137,35 +162,73 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
 
     Returns a list of entries, one per free-index tuple, each a dict with
     ``slots`` (slot -> residual word map; zero map means the slot holds
-    identically), ``lhs_kinds``/``rhs_kinds`` (slot -> set of word kind
-    tuples, delta terms excluded) and the clearing factor used.
+    identically) and the clearing factor used.
     """
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
-        clear = denominator_lcm([*lhs.terms.values(),
-                                 *rhs.terms.values()])
+        clear, lp, rp = _expand(lhs, rhs, window)
         slots: dict = {}
-        lhs_kinds: dict = {}
-        rhs_kinds: dict = {}
-        _emit_element(lhs, window, clear, +1, slots, lhs_kinds)
-        _emit_element(rhs, window, clear, -1, slots, rhs_kinds)
-        slots = {s: d for s, d in slots.items() if d}
+        for piece in lp + rp:
+            for slot in window.slots(piece.reach):
+                word = _word_at(piece, slot)
+                accumulate(slots.setdefault(slot, {}), word,
+                           _coeff_at(piece, word))
         out.append({
             "indices": idx,
             "clearing_factor": clear,
-            "slots": slots,
-            "lhs_kinds": lhs_kinds,
-            "rhs_kinds": rhs_kinds,
+            "slots": {s: d for s, d in slots.items() if d},
         })
     return out
 
 
-def _apply_triangularity(word_map: dict) -> dict:
-    out = {}
-    for word, c in word_map.items():
-        if all(mode_allowed(k, r, cc, p) for (k, r, cc, p) in word):
-            out[word] = c
+def _kind_sets(pieces: list, window: SeriesWindow) -> dict:
+    """slot -> set of sorted generator-kind tuples of the delta-free pieces
+    reaching it, cancelling pieces included."""
+    by_reach: dict = {}
+    for piece in pieces:
+        if not piece.delta:
+            by_reach.setdefault(piece.reach, set()).add(
+                tuple(sorted(g.kind for g in piece.word)))
+    out: dict = {}
+    for reach, kinds in by_reach.items():
+        for slot in window.slots(reach):
+            out.setdefault(slot, set()).update(kinds)
     return out
+
+
+def _contradictions(pieces: list, window: SeriesWindow) -> int:
+    """Slots where, with triangularity imposed, one word survives and it is
+    a product of diagonal L/Lstar zero modes.  A piece's word has every
+    mode zero only at slot -(its exponents), so only those slots of pieces
+    with diagonal L/Lstar templates are summed."""
+    candidates = {tuple(-x for x in piece.exps) for piece in pieces
+                  if all(g.kind in (L, LSTAR) and g.row == g.col
+                         for g in piece.word)}
+    count = 0
+    for slot in candidates:
+        if max(map(abs, slot)) > window.lim:
+            continue
+        surv: dict = {}
+        for piece in pieces:
+            if all(r is None or r == c for r, c in zip(piece.reach, slot)):
+                word = _word_at(piece, slot)
+                if all(mode_allowed(*g) for g in word):
+                    accumulate(surv, word, _coeff_at(piece, word))
+        if len(surv) == 1 and all(k in (L, LSTAR) and p == 0 and r == c
+                                  for (k, r, c, p) in next(iter(surv))):
+            count += 1
+    return count
+
+
+def mode_counts(lhs, rhs, window: SeriesWindow) -> tuple:
+    """(slots checked, kind mismatches, contradictions) of one relation
+    entry lhs = rhs; see ``check_mode_consistency``."""
+    _, lp, rp = _expand(lhs, rhs, window)
+    lkinds = _kind_sets(lp, window)
+    rkinds = _kind_sets(rp, window)
+    mismatches = sum(1 for slot, kinds in lkinds.items()
+                     if slot in rkinds and rkinds[slot] != kinds)
+    return len(lkinds), mismatches, _contradictions(lp + rp, window)
 
 
 def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
@@ -177,28 +240,27 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     L-Lstar reading fails here: it equates an L Lstar word with Lstar
     Lstar words, which contradicts independent invertible zero modes);
     (c) with triangularity imposed, no slot degenerates to a single
-    surviving zero-mode product forced to vanish."""
+    surviving zero-mode product forced to vanish.
+
+    Each side is expanded once, relative to the slot (``_pieces``): a
+    piece's mode word at any slot is its generator templates with modes
+    "slot coordinate plus exponent", so no slot's word map is built for
+    (b) and (c).  The kind sets of (b) depend only on which pieces reach
+    a slot, never on coefficients, so they are read from the pieces'
+    reaches.  A surviving word of (c) has every mode zero, which a
+    piece's word has only at slot -(its exponents); the word maps are
+    summed exactly, and filtered, at those candidate slots alone.  The
+    counts are therefore those of the full per-slot expansion."""
     report = {"relations": [], "consistent": True}
     for rid in FLAVOR_RELATIONS[rs.flavor]:
         current_zero = all(r.is_zero()
                            for _, r in relation_self_residual(rs, rid))
-        kind_mismatches = 0
-        contradictions = 0
-        slots_checked = 0
-        for entry in mode_expand_relation(rs, rid, window):
-            for slot in entry["lhs_kinds"]:
-                slots_checked += 1
-                lk = entry["lhs_kinds"].get(slot, set())
-                rk = entry["rhs_kinds"].get(slot, set())
-                if lk and rk and lk != rk:
-                    kind_mismatches += 1
-            for slot, wm in entry["slots"].items():
-                surv = _apply_triangularity(wm)
-                if len(surv) == 1:
-                    word = next(iter(surv))
-                    if all(k in (L, LSTAR) and p == 0 and r == cc
-                           for (k, r, cc, p) in word):
-                        contradictions += 1
+        slots_checked = kind_mismatches = contradictions = 0
+        for _, lhs, rhs in relation_sides(rs, rid):
+            s, km, c = mode_counts(lhs, rhs, window)
+            slots_checked += s
+            kind_mismatches += km
+            contradictions += c
         ok = current_zero and kind_mismatches == 0 and contradictions == 0
         report["relations"].append({
             "relation": rid,
@@ -239,17 +301,15 @@ def load_reference_relations() -> dict:
 def _emit_poly_pair(lhs: RatExpr, rhs: RatExpr, window: SeriesWindow):
     """Mode slots of lhs(z1,z2) X(z1) X(z2) - rhs(z1,z2) X(z2) X(z1)."""
     slots: dict = {}
-    lim = window.N - window.margin
     for sign, poly, order in ((+1, lhs, (0, 1)), (-1, rhs, (1, 0))):
         for a, b, sc in _z_split(poly):
-            for m in range(-lim, lim + 1):
-                for k in range(-lim, lim + 1):
-                    p1, p2 = m + a, k + b
-                    pair = [(0 if order == (0, 1) else 1, p1),
-                            (1 if order == (0, 1) else 0, p2)]
-                    word = tuple(("X", p) for _, p in sorted(pair))
-                    accumulate(slots.setdefault((m, k), {}), word,
-                               sc if sign > 0 else -sc)
+            for m, k in window.slots((None, None)):
+                p1, p2 = m + a, k + b
+                pair = [(0 if order == (0, 1) else 1, p1),
+                        (1 if order == (0, 1) else 0, p2)]
+                word = tuple(("X", p) for _, p in sorted(pair))
+                accumulate(slots.setdefault((m, k), {}), word,
+                           sc if sign > 0 else -sc)
     return {s: d for s, d in slots.items() if d}
 
 

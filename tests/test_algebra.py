@@ -3,14 +3,17 @@ ordering, delta handling, termination and idempotence fuzz, braid
 probes."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from rhopf import algebra
 from rhopf.algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
-                           LSTAR, PHI, PHISTAR, RewriteSystem,
+                           LSTAR, LSTARINV, PHI, PHISTAR, RewriteSystem,
                            VECTOR_KINDS, braid_consistency, delta_normalize,
                            make_delta, normal_order,
                            relation_self_residual, term_measure, FLAVOR_RELATIONS)
+from rhopf.cli import main
 from rhopf.elemio import parse_element
 from rhopf.errors import BudgetError, KindError, RhopfError, ShapeError
 from rhopf.expr import parse_expr
@@ -350,3 +353,40 @@ def test_braid_consistency_instances():
     broken = braid_consistency(get_instance("broken-nonunitary"))
     assert not broken["agree"]
     assert broken["involutivity_residual_terms"] > 0
+
+
+# -- inverse-kind overlaps --------------------------------------------------
+
+SIXVERTEX_SPEC = str(Path(__file__).resolve().parents[1] / "verdictbench"
+                     / "sixvertex.rspec")
+
+
+def test_inverse_kind_terms_have_one_reducible_pair(monkeypatch):
+    """The inverse contraction and the exchange rules overlap without
+    resolving, so a term holding an inverse kind with two reducible pairs
+    has a normal form that depends on which pair is rewritten.  No such
+    term reaches the verify-hopf runs below: every term with an inverse
+    kind has at most one reducible pair."""
+    counts = []
+    redex = algebra._redex
+
+    def counting(legs, rs):
+        if any(g.kind in (LINV, LSTARINV) for word in legs for g in word):
+            counts.append(sum(algebra._reducible(g1, g2, rs)
+                              for word in legs
+                              for g1, g2 in zip(word, word[1:])))
+        return redex(legs, rs)
+
+    monkeypatch.setattr(algebra, "_redex", counting)
+    # the known overlap is counted: contraction at 0, exchange at 1
+    normal_order(parse_element("LInv[1,2](z2) L[2,1](z2) L[1,1](z1)"),
+                 RewriteSystem(get_instance("example2-n2"), "extended"))
+    assert counts[0] == 2
+    counts.clear()
+    for argv, code in (
+            (["--instance", "example2-n2", "--flavor", "double"], 0),
+            (["--spec", SIXVERTEX_SPEC, "--flavor", "double"], 0),
+            (["--instance", "example2-n2", "--toggle",
+              "phistar-coproduct=literal"], 1)):
+        assert main(["verify-hopf", *argv]) == code, argv
+    assert 1 in counts and max(counts) == 1

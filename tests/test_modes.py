@@ -1,17 +1,27 @@
 """Mode expansion: slots against a brute-force series oracle, consistency
 checks, triangularity, and the reference current-relation comparison."""
 
+import itertools
+from pathlib import Path
+
 import pytest
 
-from rhopf.algebra import L, LSTAR, PHI, PHISTAR, RewriteSystem, Toggles
-from rhopf.errors import DomainError
+from rhopf.algebra import (L, LSTAR, PHI, PHISTAR, ArgShift, Element, GenOcc,
+                           RewriteSystem, Toggles, relation_sides)
+from rhopf.cli import parse_rspec
+from rhopf.errors import DomainError, ExpansionError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
-from rhopf.modes import (SeriesWindow, check_mode_consistency,
+from rhopf.kernels import mono_pow
+from rhopf.modes import (SeriesWindow, _z_split, check_mode_consistency,
                          drinfeld_compare, load_reference_relations,
-                         mode_allowed, mode_expand_relation)
+                         mode_allowed, mode_counts, mode_expand_relation)
 from rhopf.rmatrix import RMatrix
-from rhopf.symfield import RatExpr, X, mono
+from rhopf.symfield import (RatExpr, X, Z, accumulate, denominator_lcm,
+                            mono)
+
+_Z1, _Z2 = Z[0], Z[1]
+_R1 = RatExpr.from_int(1)
 
 
 def _rs(name="example1", flavor="double", toggles=None):
@@ -186,3 +196,153 @@ def test_drinfeld_compare_q_cubed_control():
 def test_drinfeld_compare_rejects_matrix_instance():
     with pytest.raises(DomainError):
         drinfeld_compare(SeriesWindow(3, 1), get_instance("example2-n2"))
+
+
+# -- per-slot reference for the consistency counts ------------------------------
+#
+# The former emitter, verbatim: it builds the word map and the kind sets
+# of every window slot.  The counts of ``check_mode_consistency``, read
+# from relative pieces at candidate slots only, must equal the counts
+# taken over these full maps.
+
+def _emit_element(e, window: SeriesWindow, clear: dict,
+                  sign: int, out: dict, kindsets: dict):
+    lim = window.N - window.margin
+    span = range(-lim, lim + 1)
+    cf = RatExpr(clear)
+    for (flag, deltas, legs), coeff in e.terms.items():
+        if flag:
+            raise ExpansionError(f"cannot expand a term flagged {flag!r}")
+        if len(deltas) > 1:
+            raise ExpansionError("multiple formal deltas in one term")
+        word = legs[0]
+        gvars = {g.arg.var for g in word}
+        if len(gvars) < len(word):
+            raise ExpansionError("two occurrences share a spectral variable")
+        dchoices = [(0, _R1)]
+        if deltas:
+            d = deltas[0]
+            if {d.avar, d.bvar} - {_Z1, _Z2}:
+                raise ExpansionError("delta outside the template variables")
+            # delta((z1/z2) q) = sum_nu z1^nu z2^-nu q^nu
+            dchoices = [(nu, RatExpr.from_mono(mono_pow(d.q, nu)))
+                        for nu in range(-window.N, window.N + 1)]
+        kinds = tuple(sorted(g.kind for g in word))
+        for a, b, sc in _z_split(coeff * cf):
+            for nu, dcoef in dchoices:
+                base = sc * dcoef if sign > 0 else -(sc * dcoef)
+                exps = (a + nu, b - nu)
+                axes = [span if v in gvars else [-x] if abs(x) <= lim else []
+                        for v, x in zip((_Z1, _Z2), exps)]
+                for m, k in itertools.product(*axes):
+                    modes = {_Z1: m + exps[0], _Z2: k + exps[1]}
+                    mult = base
+                    wkey = []
+                    for g in word:
+                        p = modes[g.arg.var]
+                        wkey.append((g.kind, g.row, g.col, p))
+                        if g.arg.q:
+                            # G(z q): mode p picks up q^-p
+                            mult = mult * RatExpr.from_mono(
+                                mono_pow(g.arg.q, -p))
+                    accumulate(out.setdefault((m, k), {}), tuple(wkey), mult)
+                    if not deltas:
+                        kindsets.setdefault((m, k), set()).add(kinds)
+
+
+def _apply_triangularity(word_map: dict) -> dict:
+    out = {}
+    for word, c in word_map.items():
+        if all(mode_allowed(k, r, cc, p) for (k, r, cc, p) in word):
+            out[word] = c
+    return out
+
+
+def per_slot_counts(lhs, rhs, window):
+    """(slots checked, kind mismatches, contradiction slots) over the full
+    per-slot maps of lhs = rhs."""
+    clear = denominator_lcm([*lhs.terms.values(), *rhs.terms.values()])
+    slots: dict = {}
+    lhs_kinds: dict = {}
+    rhs_kinds: dict = {}
+    _emit_element(lhs, window, clear, +1, slots, lhs_kinds)
+    _emit_element(rhs, window, clear, -1, slots, rhs_kinds)
+    slots = {s: d for s, d in slots.items() if d}
+    kind_mismatches = 0
+    contradictions = []
+    slots_checked = 0
+    for slot in lhs_kinds:
+        slots_checked += 1
+        lk = lhs_kinds.get(slot, set())
+        rk = rhs_kinds.get(slot, set())
+        if lk and rk and lk != rk:
+            kind_mismatches += 1
+    for slot, wm in slots.items():
+        surv = _apply_triangularity(wm)
+        if len(surv) == 1:
+            word = next(iter(surv))
+            if all(k in (L, LSTAR) and p == 0 and r == cc
+                   for (k, r, cc, p) in word):
+                contradictions.append(slot)
+    return slots_checked, kind_mismatches, contradictions
+
+
+SIXVERTEX_SPEC = (Path(__file__).resolve().parents[1] / "verdictbench"
+                  / "sixvertex.rspec")
+
+LITERAL_LL_STAR = Toggles.from_dict({"ll-star": "literal"})
+
+
+@pytest.mark.parametrize("window", [(3, 1), (4, 1), (5, 2)],
+                         ids=lambda w: "w%d-%d" % w)
+@pytest.mark.parametrize("name, flavor, toggles", [
+    ("example1", "double", None),
+    ("example2-n2", "extended", None),
+    ("example2-n2", "extended", LITERAL_LL_STAR),
+    ("example2-n2", "double", None),
+    ("example2-n2", "double", LITERAL_LL_STAR),
+    ("six-vertex", "double", None),
+], ids=["example1", "n2-extended", "n2-extended-ll-star-literal",
+        "n2-double", "n2-double-ll-star-literal", "six-vertex"])
+def test_consistency_counts_match_per_slot_expansion(name, flavor, toggles,
+                                                     window):
+    R = (parse_rspec(SIXVERTEX_SPEC.read_text())[0] if name == "six-vertex"
+         else get_instance(name))
+    rs = RewriteSystem(R, flavor, toggles, check_unitarity=False)
+    w = SeriesWindow(*window)
+    rep = check_mode_consistency(rs, w)
+    for row in rep["relations"]:
+        want = [0, 0, 0]
+        for _, lhs, rhs in relation_sides(rs, row["relation"]):
+            checked, mismatched, bad = per_slot_counts(lhs, rhs, w)
+            want[0] += checked
+            want[1] += mismatched
+            want[2] += len(bad)
+        got = [row["slots_checked"], row["kind_mismatches"],
+               row["contradictions"]]
+        assert got == want, row["relation"]
+
+
+def _zero_mode_word(coeff: str) -> Element:
+    """coeff * L[1,1](z1) LStar[1,1](z2)."""
+    return Element.word((GenOcc(L, 1, 1, ArgShift(_Z1)),
+                         GenOcc(LSTAR, 1, 1, ArgShift(_Z2))),
+                        coeff=parse_expr(coeff))
+
+
+@pytest.mark.parametrize("lhs, rhs, slots", [
+    ("1", "0", [(0, 0)]),
+    ("z1^2/z2", "0", [(-2, 1)]),
+    # at (0, 0) the word with L mode 1 survives too; at (-1, 0) only the
+    # zero-mode word does
+    ("1 + z1", "0", [(-1, 0)]),
+    ("z1", "q*z1", [(-1, 0)]),
+    ("z1", "z1", []),
+    ("z1^4", "0", []),  # its zero-mode slot (-4, 0) is outside the window
+])
+def test_zero_mode_contradictions(lhs, rhs, slots):
+    lhs, rhs = _zero_mode_word(lhs), _zero_mode_word(rhs)
+    w = SeriesWindow(4, 1)
+    checked, mismatched, bad = per_slot_counts(lhs, rhs, w)
+    assert (checked, mismatched, bad) == (49, 0, slots)
+    assert mode_counts(lhs, rhs, w) == (checked, mismatched, len(bad))
