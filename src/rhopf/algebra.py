@@ -31,6 +31,7 @@ Conventions fixed here and used everywhere:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -40,8 +41,8 @@ from .errors import (BudgetError, DomainError, KindError, ShapeError,
                      SingularError)
 from .rmatrix import RMatrix, entries_at, unitarity_residual
 from .kernels import mono_mul
-from .symfield import (RatExpr, U, Z, accumulate, mono_from_pairs, mono_inv,
-                       subs_mono)
+from .symfield import (NVARS, RatExpr, U, Z, accumulate, mono, mono_from_pairs,
+                       mono_inv, mono_items, subs_mono)
 
 LSTAR = "Lstar"
 LSTARINV = "Lstarinv"
@@ -72,7 +73,7 @@ class ArgShift(NamedTuple):
     """Spectral variable index plus a q-power: the argument z_var * q."""
 
     var: int
-    q: tuple = ()
+    q: int = mono()
 
 
 class GenOcc(NamedTuple):
@@ -90,16 +91,21 @@ class DeltaFactor(NamedTuple):
 
     avar: int
     bvar: int
-    q: tuple
+    q: int
 
 
-def charge_shift(slot: int, steps: int) -> tuple:
+@functools.lru_cache(maxsize=None)
+def charge_shift(slot: int, steps: int) -> int:
     """The q-power q^(steps/2 * c_slot) = u_slot^steps of one charge slot
     (1..MAX_LEGS)."""
-    return ((U[slot - 1], steps),) if steps else ()
+    return mono_from_pairs(((U[slot - 1], steps),))
 
 
-def make_delta(x: ArgShift, y: ArgShift, extra: tuple) -> DeltaFactor:
+# each variable v as a monomial, v^1
+_VAR_MONO = tuple(mono_from_pairs(((v, 1),)) for v in range(NVARS))
+
+
+def make_delta(x: ArgShift, y: ArgShift, extra: int) -> DeltaFactor:
     """delta((X/Y) q^extra), oriented so that avar <= bvar: the argument is
     inverted on a swap, since delta(w) = delta(1/w).  avar == bvar leaves
     a delta of a q-power alone, which ``delta_normalize`` resolves."""
@@ -109,12 +115,11 @@ def make_delta(x: ArgShift, y: ArgShift, extra: tuple) -> DeltaFactor:
     return DeltaFactor(x.var, y.var, q)
 
 
-def _arg_mono(x: ArgShift) -> tuple:
-    # the q-power's variables (s, u1..u3) sort before every spectral one
-    return x.q + ((x.var, 1),)
+def _arg_mono(x: ArgShift) -> int:
+    return mono_mul(x.q, _VAR_MONO[x.var])
 
 
-def _ratio_mono(x: ArgShift, y: ArgShift, extra: tuple) -> tuple:
+def _ratio_mono(x: ArgShift, y: ArgShift, extra: int) -> int:
     """Monomial for (X/Y) * q^extra in the coefficient field."""
     return mono_mul(mono_mul(_arg_mono(x), mono_inv(_arg_mono(y))), extra)
 
@@ -122,8 +127,12 @@ def _ratio_mono(x: ArgShift, y: ArgShift, extra: tuple) -> tuple:
 def _subs_arg(x: ArgShift, smap: dict) -> ArgShift:
     """z_var * q under the substitution ``smap``, which sends a spectral
     variable to a spectral variable times a q-power."""
+    if x.var not in smap:
+        return ArgShift(x.var, subs_mono(x.q, smap))
     m = subs_mono(_arg_mono(x), smap)
-    return ArgShift(m[-1][0], m[:-1])
+    # the q-power's variables (s, u1..u3) sort before every spectral one
+    var = mono_items(m)[-1][0]
+    return ArgShift(var, mono_mul(m, mono_inv(_VAR_MONO[var])))
 
 
 def subs_term(key, coeff: RatExpr, smap: dict):
@@ -132,7 +141,8 @@ def subs_term(key, coeff: RatExpr, smap: dict):
     the deltas and the coefficient."""
     flag, deltas, legs = key
     nd = tuple(sorted(make_delta(_subs_arg(ArgShift(d.avar, d.q), smap),
-                                 _subs_arg(ArgShift(d.bvar), smap), ())
+                                 _subs_arg(ArgShift(d.bvar), smap),
+                                 mono())
                       for d in deltas))
     nl = tuple(tuple(g._replace(arg=_subs_arg(g.arg, smap)) for g in w)
                for w in legs)
@@ -532,7 +542,7 @@ def toggled(value, toggles: Toggles):
     return literal if name in toggles.literal else corrected
 
 
-def _occ(pattern, env: dict, x, toggles: Toggles, dq=()) -> GenOcc:
+def _occ(pattern, env: dict, x, toggles: Toggles, dq=mono()) -> GenOcc:
     kind, letters, arg = pattern
     col = env[letters[1]] if len(letters) == 2 else 0
     a = x[arg]._replace(q=mono_mul(x[arg].q, dq))
@@ -770,7 +780,7 @@ def delta_normalize(e: Element) -> Element:
             d, pend = pend[0], pend[1:]
             if d.avar != d.bvar:
                 done.append(d)
-                smap = {d.avar: mono_mul(mono_inv(d.q), ((d.bvar, 1),))}
+                smap = {d.avar: mono_mul(mono_inv(d.q), _VAR_MONO[d.bvar])}
                 (_, pend, legs), c = subs_term((flag, pend, legs), c, smap)
             elif d.q:
                 flag = FLAG_CONTRADICTORY
@@ -817,13 +827,18 @@ def relation_sides(rs: RewriteSystem, relation_id: str):
         yield idx, lhs, rhs
 
 
+def relation_residual(rs: RewriteSystem, lhs: Element,
+                      rhs: Element) -> Element:
+    """Normal-ordered, delta-normalized lhs - rhs: zero when the rule table
+    holds the relation lhs = rhs."""
+    return delta_normalize(normal_order(lhs - rhs, rs))
+
+
 def relation_self_residual(rs: RewriteSystem, relation_id: str):
-    """Normal-ordered, delta-normalized LHS - RHS for every free index; a
-    sound rule table returns all-zero elements."""
-    out = []
-    for idx, lhs, rhs in relation_sides(rs, relation_id):
-        out.append((idx, delta_normalize(normal_order(lhs - rhs, rs))))
-    return out
+    """``relation_residual`` for every free index of the named relation;
+    a sound rule table returns all-zero elements."""
+    return [(idx, relation_residual(rs, lhs, rhs))
+            for idx, lhs, rhs in relation_sides(rs, relation_id)]
 
 
 # ---------------------------------------------------------------------------

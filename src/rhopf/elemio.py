@@ -27,7 +27,8 @@ from .algebra import (MAX_LEGS, ArgShift, Element, GenOcc, L, LINV, LSTAR,
                       LSTARINV, PHI, PHISTAR, VECTOR_KINDS, make_delta)
 from .errors import ParseError
 from .expr import format_ratexpr, locate, parse_expr
-from .symfield import S, SPECTRAL, U, RatExpr, VAR_INDEX, VARS, q_power
+from .symfield import (S, SPECTRAL, U, RatExpr, VAR_INDEX, VARS, mono,
+                       mono_items, q_power)
 
 _KIND_TEXT = {PHI: "Phi", PHISTAR: "PhiStar", L: "L", LSTAR: "LStar",
               LINV: "LInv", LSTARINV: "LStarInv"}
@@ -36,17 +37,19 @@ _TEXT_KIND = {v: k for k, v in _KIND_TEXT.items()}
 _R1 = RatExpr.from_int(1)
 
 
-def _doubled(q: tuple) -> tuple:
+def _doubled(q: int) -> tuple:
     """The text vector (h0, h1, h2, h3) of the q-power s^h0 u1^h1 u2^h2
     u3^h3."""
-    exps = dict(q)
+    exps = dict(mono_items(q))
     return tuple(exps.get(v, 0) for v in (S,) + U)
 
 
 def _text_key(key) -> tuple:
-    """A term key with every q-power as its text vector: the order in which
-    terms, and the deltas of a term, are printed.  It is not the order of
-    the monomials themselves."""
+    """A term key with every q-power as its text vector (h0, h1, h2, h3):
+    the order in which terms, and the deltas of a term, are printed.  A
+    q-power monomial is one packed int that compares by its most
+    significant variable, u3, first; the text vector compares by h0
+    first, so the printed order is not the order of the monomials."""
     flag, deltas, legs = key
     return (flag,
             tuple(sorted((d.avar, d.bvar, _doubled(d.q)) for d in deltas)),
@@ -154,13 +157,13 @@ class _ElementParser:
         self.pos += m.end()
         return m.group(0)
 
-    def _shift(self) -> tuple:
+    def _shift(self) -> int:
         save = self.pos
         if not self._eat("*"):
-            return ()
+            return mono()
         if not self._eat("q["):
             self.pos = save
-            return ()
+            return mono()
         h = [self._int()]
         for _ in range(3):
             self._expect(",")
@@ -225,7 +228,7 @@ class _ElementParser:
                 b = self._zvar()
                 q = self._shift()
                 self._expect(")")
-                deltas.append(make_delta(ArgShift(a, q), ArgShift(b), ()))
+                deltas.append(make_delta(ArgShift(a, q), ArgShift(b), mono()))
                 continue
             if name in _TEXT_KIND:
                 kind = _TEXT_KIND[name]

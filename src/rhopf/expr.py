@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .symfield import RatExpr, S, VARS, mono_key
+from .symfield import RatExpr, S, VARS, mono, mono_items
 
 _IDENTS = set(VARS) | {"q"}
+_ONE_TERMS = {mono(): 1}
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
@@ -174,9 +175,9 @@ def _format_poly(terms: dict) -> str:
     if not terms:
         return "0"
     bits = []
-    for m in sorted(terms, key=mono_key, reverse=True):
+    for m in sorted(terms, reverse=True):
         c = terms[m]
-        factors = [_format_var(v, e) for v, e in m]
+        factors = [_format_var(v, e) for v, e in mono_items(m)]
         if not factors:
             body = str(abs(c))
         elif abs(c) == 1:
@@ -193,7 +194,7 @@ def _format_poly(terms: dict) -> str:
 
 def format_ratexpr(a: RatExpr) -> str:
     num = _format_poly(a.num)
-    if a.den == {(): 1}:
+    if a.den == _ONE_TERMS:
         if len(a.num) > 1:
             return f"({num})"
         return num

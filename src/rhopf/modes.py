@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import (FLAVOR_RELATIONS, L, LSTAR, RewriteSystem,
-                      relation_sides, relation_self_residual)
+                      relation_residual, relation_sides)
 from .errors import DomainError, ExpansionError
 from .expr import parse_expr
 from .kernels import mono_mul, mono_pow
 from .rmatrix import RMatrix
-from .symfield import (RatExpr, Z, accumulate, denominator_lcm,
-                       mono_from_pairs, variables)
+from .symfield import (RatExpr, Z, accumulate, denominator_lcm, mono,
+                       mono_from_pairs, mono_items, variables)
 
 _Z1, _Z2 = Z[0], Z[1]
 _R1 = RatExpr.from_int(1)
@@ -76,7 +76,7 @@ def _z_split(c: RatExpr) -> list:
                              "spectral variables")
     groups: dict = {}
     for m, k in c.num.items():
-        md = dict(m)
+        md = dict(mono_items(m))
         a = md.pop(_Z1, 0)
         b = md.pop(_Z2, 0)
         rest = mono_from_pairs(md.items())
@@ -149,7 +149,7 @@ def _word_at(piece: _Piece, slot: tuple) -> tuple:
 def _coeff_at(piece: _Piece, word: tuple) -> RatExpr:
     """The coefficient of a piece's mode word: G(z q) at mode p picks up
     q^-p."""
-    qm = ()
+    qm = mono()
     for g, (_k, _r, _c, p) in zip(piece.word, word):
         if g.arg.q:
             qm = mono_mul(qm, mono_pow(g.arg.q, -p))
@@ -250,13 +250,15 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     reaches.  A surviving word of (c) has every mode zero, which a
     piece's word has only at slot -(its exponents); the word maps are
     summed exactly, and filtered, at those candidate slots alone.  The
-    counts are therefore those of the full per-slot expansion."""
+    counts are therefore those of the full per-slot expansion.  Each
+    relation's sides are built once and serve (a) as well."""
     report = {"relations": [], "consistent": True}
     for rid in FLAVOR_RELATIONS[rs.flavor]:
-        current_zero = all(r.is_zero()
-                           for _, r in relation_self_residual(rs, rid))
+        sides = [(lhs, rhs) for _, lhs, rhs in relation_sides(rs, rid)]
+        residuals = [relation_residual(rs, lhs, rhs) for lhs, rhs in sides]
+        current_zero = all(r.is_zero() for r in residuals)
         slots_checked = kind_mismatches = contradictions = 0
-        for _, lhs, rhs in relation_sides(rs, rid):
+        for lhs, rhs in sides:
             s, km, c = mode_counts(lhs, rhs, window)
             slots_checked += s
             kind_mismatches += km

@@ -10,6 +10,19 @@ with q = s^2 (so half-integer q-powers stay integral in s) and
 u_t = q^(c_t/2) encoding the central-charge exponential of tensor leg t.
 Later variables are more significant in the lexicographic order.
 
+A monomial is a packed exponent vector (``kernels``): one int, whose
+32-bit field v holds the exponent of variable v as a balanced digit, so
+that products are integer sums, the unit monomial is 0 and integer order
+is the lexicographic order above.  Read with the bias Q (2^30 per field),
+a field is the unsigned digit e + 2^30.  Every exponent lies in
+[-2^30, 2^30); the kernels check it where they build a monomial, and here
+``mono_from_pairs``, ``subs_mono``, ``_xi_adic`` and ``divexact`` do,
+with ``DomainError`` on a violation (``_vanishes`` checks too, and leaves
+an out-of-bound case to the exact division).  Only this module
+and ``kernels`` know the format: other modules build monomials with
+``mono``, ``mono_from_pairs`` and ``q_power``, multiply them with
+``kernels.mono_mul``, and read them with ``mono_items``.
+
 Canonical form of a fraction: numerator and denominator share no factor,
 the denominator is an ordinary (non-Laurent) polynomial not divisible by
 any variable, and its leading coefficient is positive.  Equality is plain
@@ -26,6 +39,7 @@ from math import gcd as int_gcd, isqrt
 
 from . import kernels
 from .errors import DomainError
+from .kernels import BIAS, FIELD_BITS, FIELD_MASK, Q, TOPS, mono_inv
 
 VARS = ("s", "u1", "u2", "u3", "x",
         "z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8", "z9", "w")
@@ -41,62 +55,82 @@ W = VAR_INDEX["w"]
 # argument, or the ratio variable of an R-matrix
 SPECTRAL = frozenset((X, W) + Z)
 
-_ONE_TERMS = {(): 1}
+_ONE_TERMS = {0: 1}
+
+if NVARS != kernels.NFIELDS:
+    raise ImportError("the packed monomial format needs one field per "
+                      "variable")
+_SHIFT = tuple(FIELD_BITS * v for v in range(NVARS))
 
 
 # ---------------------------------------------------------------------------
-# monomials: sorted tuples of (var-index, nonzero exponent)
+# monomials: packed exponent vectors (see ``kernels``)
 # ---------------------------------------------------------------------------
 
-def mono(**exps) -> tuple:
+def mono(**exps) -> int:
     """Build a monomial from variable-name keyword exponents."""
     pairs = []
     for name, e in exps.items():
         if name not in VAR_INDEX:
             raise DomainError(f"unknown variable {name!r}")
-        if e:
-            pairs.append((VAR_INDEX[name], int(e)))
-    pairs.sort()
-    return tuple(pairs)
+        pairs.append((VAR_INDEX[name], int(e)))
+    return mono_from_pairs(pairs)
 
 
-def mono_from_pairs(pairs) -> tuple:
-    out = sorted((v, e) for v, e in pairs if e)
+def mono_from_pairs(pairs) -> int:
+    """The monomial prod v^e over (variable index, exponent) pairs; the
+    exponents of a repeated variable add."""
+    m = 0
+    for v, e in pairs:
+        if not -BIAS <= e < BIAS:
+            raise DomainError(f"exponent {e} of {VARS[v]} out of range "
+                              f"[-2^30, 2^30)")
+        m += e << _SHIFT[v]
+        if (m + Q) & TOPS:
+            kernels.overflow()
+    return m
+
+
+def mono_items(m: int) -> tuple:
+    """The (variable index, nonzero exponent) pairs of a monomial, by
+    increasing variable index: the one decoder of the packed format."""
+    b = m + Q
+    nz = b ^ Q  # nonzero exactly in the fields of nonzero exponents
+    out = []
+    while nz:
+        v = ((nz & -nz).bit_length() - 1) // FIELD_BITS
+        sh = _SHIFT[v]
+        out.append((v, (b >> sh & FIELD_MASK) - BIAS))
+        nz &= ~(FIELD_MASK << sh)
     return tuple(out)
-
-
-def mono_inv(m: tuple) -> tuple:
-    return tuple((v, -e) for v, e in m)
-
-
-def mono_key(m: tuple) -> tuple:
-    """Dense exponent vector, most significant variable first."""
-    key = [0] * NVARS
-    for v, e in m:
-        key[v] = e
-    key.reverse()
-    return tuple(key)
 
 
 def variables(terms) -> set:
     """Indices of the variables occurring in a term map."""
-    return {v for m in terms for v, _ in m}
+    nz = 0
+    for m in terms:
+        nz |= (m + Q) ^ Q
+    out = set()
+    while nz:
+        v = ((nz & -nz).bit_length() - 1) // FIELD_BITS
+        out.add(v)
+        nz &= ~(FIELD_MASK << _SHIFT[v])
+    return out
 
 
-def min_exponents(monos) -> tuple:
+def min_exponents(monos) -> int:
     """Monomial of per-variable minimum exponents over the monomials of a
     term map (its monomial part); a variable missing from a monomial
-    counts as exponent 0."""
+    counts as exponent 0.  All fields at once: in the biased digits,
+    (lo | TOPS) - b keeps bit 31 of a field exactly where lo >= b, and no
+    field borrows from the next."""
     it = iter(monos)
-    lows = dict(next(it, ()))
+    lo = next(it, 0) + Q
     for m in it:
-        md = dict(m)
-        for v in list(lows):
-            lows[v] = min(lows[v], md.get(v, 0))
-        for v, e in md.items():
-            if v not in lows:
-                lows[v] = min(0, e)
-    return mono_from_pairs(lows.items())
+        b = m + Q
+        ge = ((lo | TOPS) - b) & TOPS
+        lo ^= (lo ^ b) & ((ge >> 31) * FIELD_MASK)
+    return lo - Q
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +141,7 @@ def _strip_mono(terms: dict) -> tuple:
     """Factor a term map as monomial * ordinary-part with zero min exponents."""
     lows = min_exponents(terms)
     if not lows:
-        return (), terms
+        return 0, terms
     inv = mono_inv(lows)
     return lows, kernels.poly_scale(terms, 1, inv)
 
@@ -128,18 +162,12 @@ def _div_int(terms: dict, n: int) -> dict:
 def _pos_leading(terms: dict) -> dict:
     if not terms:
         return terms
-    m = max(terms, key=mono_key)
-    if terms[m] < 0:
+    if terms[max(terms)] < 0:
         return kernels.poly_neg(terms)
     return terms
 
 
-def _desc_key(m: tuple) -> tuple:
-    """Heap key under which the lex-leading monomial is the smallest."""
-    key = [0] * NVARS
-    for v, e in m:
-        key[NVARS - 1 - v] = -e
-    return tuple(key)
+_SIGNS = TOPS | Q
 
 
 def divexact(p: dict, d: dict) -> dict:
@@ -154,56 +182,56 @@ def divexact(p: dict, d: dict) -> dict:
     # term is the leading term of the remainder over that of d, so a
     # monomial or an integer that does not divide means the division is
     # inexact.  The terms below each leading one only ever get smaller, so
-    # a heap of remainder monomials yields the leading ones in order.
+    # a heap of negated remainder monomials yields the leading ones in
+    # order.  The quotient monomial of ordinary operands has every biased
+    # digit in [2^30, 2^31) exactly when no exponent is negative.
     rem = dict(p)
-    heap = [(_desc_key(m), m) for m in rem]
+    heap = [-m for m in rem]
     heapq.heapify(heap)
-    dm = max(d, key=mono_key)
+    dm = max(d)
     dc = d[dm]
-    dm_inv = mono_inv(dm)
     rest = [(m2, c2) for m2, c2 in d.items() if m2 != dm]
     quot: dict = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = -heapq.heappop(heap)
         c = rem.pop(m, 0)
         if not c:
             continue
-        qm = kernels.mono_mul(m, dm_inv)
-        if any(e < 0 for _, e in qm):
+        qm = m - dm
+        if (qm + Q) & _SIGNS != Q:
             raise DomainError("inexact polynomial division")
         qc, r = divmod(c, dc)
         if r:
             raise DomainError("inexact polynomial division")
         quot[qm] = qc
         for m2, c2 in rest:
-            mm = kernels.mono_mul(qm, m2)
+            mm = qm + m2
+            if (mm + Q) & TOPS:
+                kernels.overflow()
             old = rem.get(mm)
             if old is None:
                 rem[mm] = -qc * c2
-                heapq.heappush(heap, (_desc_key(mm), mm))
+                heapq.heappush(heap, -mm)
             else:
                 rem[mm] = old - qc * c2
     return quot
 
 
-def _vexp(m: tuple, v: int) -> int:
-    for u, e in m:
-        if u == v:
-            return e
-    return 0
-
-
-def _without(m: tuple, v: int) -> tuple:
-    return tuple(pair for pair in m if pair[0] != v)
+def _vexp(m: int, v: int) -> int:
+    return ((m + Q) >> _SHIFT[v] & FIELD_MASK) - BIAS
 
 
 def _deg(terms: dict, v: int) -> int:
-    return max((_vexp(m, v) for m in terms), default=-1)
+    sh = _SHIFT[v]
+    return max(((m + Q) >> sh & FIELD_MASK for m in terms),
+               default=BIAS - 1) - BIAS
 
 
 def _coeff_of(terms: dict, v: int, d: int) -> dict:
-    return {(_without(m, v) if d else m): c for m, c in terms.items()
-            if _vexp(m, v) == d}
+    sh = _SHIFT[v]
+    digit, cut = d + BIAS, d << sh
+    return {m - cut: c for m, c in terms.items()
+            if (m + Q) >> sh & FIELD_MASK == digit}
 
 
 def _vcontent(terms: dict, v: int):
@@ -229,7 +257,7 @@ def _prem(a: dict, b: dict, v: int) -> dict:
     while rem and _deg(rem, v) >= db:
         da = _deg(rem, v)
         la = _coeff_of(rem, v, da)
-        xshift = ((v, da - db),) if da != db else ()
+        xshift = mono_from_pairs(((v, da - db),))
         rem = kernels.poly_sub(
             kernels.poly_mul(lb, rem),
             kernels.poly_mul(kernels.poly_scale(la, 1, xshift), b))
@@ -307,7 +335,7 @@ def _specialize(terms: dict, v: int, points: tuple) -> dict:
     sums: dict = {}
     for m, c in terms.items():
         d = 0
-        for u, e in m:
+        for u, e in mono_items(m):
             if u == v:
                 d = e
             else:
@@ -410,7 +438,7 @@ def _eval_at(terms: dict, v: int, xi: int) -> dict:
     for m, c in terms.items():
         e = _vexp(m, v)
         if e:
-            m = _without(m, v)
+            m -= e << _SHIFT[v]
         val = out.get(m, 0) + c * xi ** e
         if val:
             out[m] = val
@@ -424,16 +452,18 @@ def _xi_adic(terms: dict, v: int, xi: int) -> dict:
     with digits in (-xi/2, xi/2], digit i becoming the coefficient of v^i."""
     out: dict = {}
     half = xi // 2
+    step = 1 << _SHIFT[v]
     for m, c in terms.items():
-        i = 0
         while c:
             r = c % xi
             if r > half:
                 r -= xi
             if r:
-                out[kernels.mono_mul(m, ((v, i),)) if i else m] = r
+                if (m + Q) & TOPS:
+                    kernels.overflow()
+                out[m] = r
             c = (c - r) // xi
-            i += 1
+            m += step
     return out
 
 
@@ -514,15 +544,11 @@ def _cyclotomic(d: int) -> list:
     return _CYCLOTOMIC[d]
 
 
-def _primitive_root(m: tuple) -> tuple:
+def _primitive_root(m: int) -> tuple:
     """(N, g) with m = N^g or N^-g, g the gcd of m's exponents, and N
-    positive in its most significant variable."""
-    g = 0
-    for _, e in m:
-        g = int_gcd(g, e)
-    if m[-1][1] < 0:
-        g = -g
-    return tuple((v, e // g) for v, e in m), abs(g)
+    positive in its most significant variable (so N > 0)."""
+    g = int_gcd(*(e for _, e in mono_items(m)))
+    return (m // g if m > 0 else m // -g), g
 
 
 _FACTOR_TERMS: dict = {}
@@ -533,8 +559,9 @@ def factor_terms(f: tuple) -> dict:
     out = _FACTOR_TERMS.get(f)
     if out is None:
         d, n = f
-        pos = tuple((v, e) for v, e in n if e > 0)
-        neg = tuple((v, -e) for v, e in n if e < 0)
+        items = mono_items(n)
+        pos = mono_from_pairs((v, e) for v, e in items if e > 0)
+        neg = mono_from_pairs((v, -e) for v, e in items if e < 0)
         coeffs = _cyclotomic(d)
         top = len(coeffs) - 1
         out = _FACTOR_TERMS[f] = {
@@ -552,7 +579,7 @@ def split_binomial(den: dict):
     (m1, c1), (m2, c2) = den.items()
     if abs(c1) != 1 or abs(c2) != 1:
         return None
-    if mono_key(m1) < mono_key(m2):
+    if m1 < m2:
         m1, m2, c2 = m2, m1, c1
     n, g = _primitive_root(kernels.mono_mul(m1, mono_inv(m2)))
     if c2 < 0:
@@ -642,29 +669,36 @@ def _vanishes(t: dict, f: tuple):
     one monomial substitution when d <= 2 and N has a variable v of
     exponent +-1: then f is an associate of v - r for a signed monomial r
     free of v (N = +-1 solved for v), and f divides t exactly when t
-    vanishes at v = r.  None when no such substitution exists."""
+    vanishes at v = r.  None when no such substitution exists, or when an
+    image monomial leaves the exponent bound (the caller's division then
+    decides)."""
     d, n = f
     if d > 2:
         return None
-    for v, e in n:
+    for v, e in mono_items(n):
         if e == 1 or e == -1:
             break
     else:
         return None
-    rest = _without(n, v)
+    sh = _SHIFT[v]
+    rest = n - (e << sh)
     root = mono_inv(rest) if e == 1 else rest
     flip = d == 2
     powers: dict = {}
     sums: dict = {}
     for m, c in t.items():
-        for i, (u, k) in enumerate(m):
-            if u == v:
-                if k not in powers:
-                    powers[k] = kernels.mono_pow(root, k)
-                m = kernels.mono_mul(m[:i] + m[i + 1:], powers[k])
-                if flip and k & 1:
-                    c = -c
-                break
+        k = ((m + Q) >> sh & FIELD_MASK) - BIAS
+        if k:
+            if k not in powers:
+                try:
+                    powers[k] = kernels.mono_pow(root, k) - (k << sh)
+                except DomainError:
+                    return None
+            m += powers[k]
+            if (m + Q) & TOPS:
+                return None
+            if flip and k & 1:
+                c = -c
         sums[m] = sums.get(m, 0) + c
     return not any(sums.values())
 
@@ -674,25 +708,31 @@ def _trial_cancel(t: dict, fac: dict) -> tuple:
     the greatest divisor of t among products of the factors in ``fac``
     (each to at most its exponent there), found by trial division of t's
     ordinary part; ``_vanishes`` skips a division that cannot be exact.
-    The factors are monic, so an exact quotient by one has integer
-    coefficients whatever t's integer content."""
-    shift, t_ord = _strip_mono(t)
+    It decides on the Laurent map as well as on its ordinary part (a
+    monomial does not vanish), so the monomial part is stripped only
+    before the first division that runs.  The factors are monic, so an
+    exact quotient by one has integer coefficients whatever t's integer
+    content."""
+    shift = None
+    cur = t
     cut: dict = {}
     for f, e in fac.items():
         ft = factor_terms(f)
         for _ in range(e):
-            if _vanishes(t_ord, f) is False:
+            if _vanishes(cur, f) is False:
                 break
+            if shift is None:
+                shift, cur = _strip_mono(cur)
             try:
-                t_ord = divexact(t_ord, ft)
+                cur = divexact(cur, ft)
             except DomainError:
                 break
             cut[f] = cut.get(f, 0) + 1
     if not cut:
         return t, cut
     if shift:
-        t_ord = kernels.poly_scale(t_ord, 1, shift)
-    return t_ord, cut
+        cur = kernels.poly_scale(cur, 1, shift)
+    return cur, cut
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +762,7 @@ class RatExpr:
         if g != _ONE_TERMS:
             n_ord = divexact(n_ord, g)
             d_ord = divexact(d_ord, g)
-        lead = max(d_ord, key=mono_key)
+        lead = max(d_ord)
         if d_ord[lead] < 0:
             n_ord = kernels.poly_neg(n_ord)
             d_ord = kernels.poly_neg(d_ord)
@@ -735,7 +775,7 @@ class RatExpr:
 
     @classmethod
     def from_int(cls, n: int) -> "RatExpr":
-        return cls({(): n} if n else {})
+        return cls({0: n} if n else {})
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "RatExpr":
@@ -887,7 +927,7 @@ class RatExpr:
             raise DomainError("inverse of zero")
         shift, n_ord = _strip_mono(self.num)
         d = kernels.poly_scale(self.den, 1, mono_inv(shift))
-        if n_ord[max(n_ord, key=mono_key)] < 0:
+        if n_ord[max(n_ord)] < 0:
             d, n_ord = kernels.poly_neg(d), kernels.poly_neg(n_ord)
         return RatExpr._canonical(d, n_ord, split_binomial(n_ord))
 
@@ -907,7 +947,7 @@ class RatExpr:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return (self.num == ({(): other} if other else {})
+            return (self.num == ({0: other} if other else {})
                     and self.den == _ONE_TERMS)
         return (isinstance(other, RatExpr)
                 and self.num == other.num and self.den == other.den)
@@ -932,7 +972,7 @@ class RatExpr:
         if fac is None or not num:
             return RatExpr(num, den)
         shift, den = _strip_mono(den)
-        if den[max(den, key=mono_key)] < 0:
+        if den[max(den)] < 0:
             num, den = kernels.poly_neg(num), kernels.poly_neg(den)
         if shift:
             num = kernels.poly_scale(num, 1, mono_inv(shift))
@@ -997,14 +1037,29 @@ def reset_memo():
     SUM_GCD_FALLBACKS = 0
 
 
-def subs_mono(m: tuple, smap: dict) -> tuple:
+def subs_mono(m: int, smap: dict) -> int:
     """A monomial under the simultaneous substitution ``smap`` (variable
-    index -> monomial)."""
-    out = tuple((v, e) for v, e in m if v not in smap)
-    for v, e in m:
-        if v in smap:
-            out = kernels.mono_mul(out, kernels.mono_pow(smap[v], e))
-    return out
+    index -> monomial): every exponent is read from m itself, and the
+    images are multiplied onto m with the substituted variables cleared,
+    so no image is substituted again."""
+    b = m + Q
+    img = 0
+    try:
+        for v, image in smap.items():
+            e = (b >> _SHIFT[v] & FIELD_MASK) - BIAS
+            if e:
+                m -= e << _SHIFT[v]
+                img = kernels.mono_mul(img, kernels.mono_pow(image, e))
+        return kernels.mono_mul(m, img) if img else m
+    except DomainError:
+        # a partial product left the bound: redo the sum of exponents in
+        # plain integers, so that only a result outside it raises
+        exps = dict(mono_items(b - Q))
+        out = {v: e for v, e in exps.items() if v not in smap}
+        for v, image in smap.items():
+            for u, k in mono_items(image):
+                out[u] = out.get(u, 0) + exps.get(v, 0) * k
+        return mono_from_pairs(out.items())
 
 
 def _subst(terms: dict, smap: dict) -> dict:
@@ -1062,6 +1117,6 @@ def clear_denominators(entries, var: str) -> dict:
     return denominator_lcm(entries)
 
 
-def q_power(h0: int = 0, h1: int = 0, h2: int = 0, h3: int = 0) -> tuple:
+def q_power(h0: int = 0, h1: int = 0, h2: int = 0, h3: int = 0) -> int:
     """Monomial for q^(h0/2 + h1/2*c1 + h2/2*c2 + h3/2*c3), h's doubled."""
     return mono_from_pairs(((S, h0), (U[0], h1), (U[1], h2), (U[2], h3)))

@@ -24,15 +24,15 @@ Z1, Z2, Z3 = Z[0], Z[1], Z[2]
 R1 = RatExpr.from_int(1)
 
 
-def _phi(i, var, q=()):
+def _phi(i, var, q=mono()):
     return GenOcc(PHI, i, 0, ArgShift(var, q))
 
 
-def _phistar(i, var, q=()):
+def _phistar(i, var, q=mono()):
     return GenOcc(PHISTAR, i, 0, ArgShift(var, q))
 
 
-def _l(i, j, var, q=()):
+def _l(i, j, var, q=mono()):
     return GenOcc(L, i, j, ArgShift(var, q))
 
 
@@ -171,7 +171,7 @@ def test_inverse_contraction_oriented_on_index_n(flavor, text, expected):
 # -- delta normalization ------------------------------------------------------
 
 def test_delta_absorbs_ratio_prefactor():
-    d = DeltaFactor(Z1, Z2, ())
+    d = DeltaFactor(Z1, Z2, mono())
     e = Element(1, {("", (d,), ((),)): parse_expr("z1/z2")})
     out = delta_normalize(e)
     assert out == Element(1, {("", (d,), ((),)): R1})
@@ -216,7 +216,7 @@ def test_delta_support_chains_through_pending_deltas(text, expected):
 
 
 def test_contradictory_deltas_flagged():
-    d1 = DeltaFactor(Z1, Z2, ())
+    d1 = DeltaFactor(Z1, Z2, mono())
     d2 = DeltaFactor(Z1, Z2, q_power(2, 0, 0, 0))
     e = Element(1, {("", (d1, d2), ((),)): R1})
     out = delta_normalize(e)
@@ -241,7 +241,7 @@ def test_degenerate_delta_flagged_by_rule():
 
 
 def test_make_delta_orientation():
-    d = make_delta(ArgShift(Z2), ArgShift(Z1, q_power(0, 2, 0, 0)), ())
+    d = make_delta(ArgShift(Z2), ArgShift(Z1, q_power(0, 2, 0, 0)), mono())
     assert d == DeltaFactor(Z1, Z2, q_power(0, 2, 0, 0))
 
 

@@ -59,7 +59,7 @@ def test_element_round_trip_multileg_and_unit():
 
 
 _ZVARS = [VAR_INDEX[name] for name in ("z1", "z2", "z9", "x", "w")]
-_shift = st.one_of(st.just(()),
+_shift = st.one_of(st.just(q_power()),
                    st.tuples(*[st.integers(-3, 3)] * 4).map(
                        lambda h: q_power(*h)))
 _occ = st.builds(
@@ -74,8 +74,8 @@ _small = st.sampled_from(("s", "x", "z1", "u1"))
 _coeff = st.one_of(
     st.sampled_from((1, -1, 2, -3)).map(RatExpr.from_int),
     st.builds(lambda c, v, e, d: RatExpr(
-        {mono(**{v: e}): c, (): 1},
-        {(): d} if d else {mono(s=2): 1, (): -1}),
+        {mono(**{v: e}): c, mono(): 1},
+        {mono(): d} if d else {mono(s=2): 1, mono(): -1}),
         st.sampled_from((1, -2, 3)), _small, st.integers(-2, 2),
         st.sampled_from((0, 1, 2)))).filter(lambda c: not c.is_zero())
 
@@ -314,6 +314,18 @@ def test_cli_malformed_spec_exits_2(tmp_path):
     spec = tmp_path / "bad.spec"
     spec.write_text("n=1; var=x; R[1,1;1,1] = (")
     assert main(["check-r", "--spec", str(spec)]) == 2
+
+
+def test_cli_spec_exponent_past_the_bound_exits_2(tmp_path, capsys):
+    """An exponent that does not fit a monomial field is a typed error,
+    not a wrapped exponent and not a crash."""
+    spec = tmp_path / "big.spec"
+    spec.write_text("n=1; var=x\nR[1,1;1,1] = (x^2000000000 - q^2)/"
+                    "(x*q^2 - 1)\n")
+    assert main(["check-r", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out of range" in err
+    assert "Traceback" not in err
 
 
 def test_cli_spec_unknown_variable_exits_2(tmp_path, capsys):

@@ -70,6 +70,7 @@ def test_printer_round_trips_random_expressions():
             m = mono_from_pairs([(v, rng.randint(-3, 3))
                                  for v in rng.sample(vs, rng.randint(0, 3))])
             terms[m] = rng.randint(-9, 9) or 3
-        den = {(): 1} if rng.random() < 0.5 else {(): 2, ((sf.X, 1),): 5}
+        den = ({sf.mono(): 1} if rng.random() < 0.5
+               else {sf.mono(): 2, sf.mono(x=1): 5})
         e = RatExpr(terms, den)
         assert parse_expr(format_ratexpr(e)) == e

@@ -23,7 +23,7 @@ def _setup(name="example1", flavor="double", toggles=None):
     return rs, HopfTables(rs)
 
 
-def _gen(kind, i, j=0, q=()):
+def _gen(kind, i, j=0, q=q_power()):
     return Element.word((GenOcc(kind, i, j, ArgShift(Z1, q)),))
 
 

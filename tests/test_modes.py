@@ -18,7 +18,7 @@ from rhopf.modes import (SeriesWindow, _z_split, check_mode_consistency,
                          mode_allowed, mode_counts, mode_expand_relation)
 from rhopf.rmatrix import RMatrix
 from rhopf.symfield import (RatExpr, X, Z, accumulate, denominator_lcm,
-                            mono)
+                            mono, mono_from_pairs, mono_items)
 
 _Z1, _Z2 = Z[0], Z[1]
 _R1 = RatExpr.from_int(1)
@@ -40,10 +40,10 @@ def series_slot_oracle(poly: RatExpr, word_order, window, m, k):
     out = {}
     lim = window.N
     for mono, c in poly.num.items():
-        d = dict(mono)
+        d = dict(mono_items(mono))
         a = d.pop(5, 0)   # z1 has variable index 5
         b = d.pop(6, 0)   # z2 has variable index 6
-        rest = RatExpr({tuple(sorted(d.items())): c}, poly.den)
+        rest = RatExpr({mono_from_pairs(d.items()): c}, poly.den)
         for mp in range(-lim, lim + 1):
             for kp in range(-lim, lim + 1):
                 if a - mp == -m and b - kp == -k:
