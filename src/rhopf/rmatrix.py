@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SingularError
-from .symfield import (RatExpr, S, VAR_INDEX, accumulate, clear_denominators,
+from .symfield import (RatExpr, S, VAR_INDEX, accumulate, denominator_lcm,
                        mono)
 
 _R0 = RatExpr.from_int(0)
@@ -223,9 +223,10 @@ def unitarity_residual(R: RMatrix) -> dict:
 
 
 def clear_poles(R: RMatrix) -> ClearedRMatrix:
-    """Minimal f with f*R pole-free in the spectral variable."""
-    entries = [v for v in R.entries.values()] or [_R1]
-    f = clear_denominators(entries, R.var)
+    """Minimal f with f*R pole-free in the spectral variable: the lcm of
+    the entries' denominators, which involve only the spectral variable
+    and q (``RMatrix`` checks it)."""
+    f = denominator_lcm(R.entries.values())
     fr = RatExpr(f)
     rprime = {key: v * fr for key, v in R.entries.items()}
     return ClearedRMatrix(base=R, f=f, rprime=rprime)

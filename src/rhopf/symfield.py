@@ -25,11 +25,12 @@ and ``kernels`` know the format: other modules build monomials with
 
 Canonical form of a fraction: numerator and denominator share no factor,
 the denominator is an ordinary (non-Laurent) polynomial not divisible by
-any variable, and its leading coefficient is positive.  Equality is plain
-structural comparison of canonical forms.  A fraction also carries the
-factorization of its denominator into irreducibles when it is known (see
-"factored denominators"), and a sum of two such fractions cancels by
-trial division by the factors, with no gcd.
+any variable, and its leading coefficient is positive.  The constructor
+reaches it from any fraction in two steps, ``_orient`` and ``_cancel``.
+Equality is plain structural comparison of canonical forms.  A fraction
+also carries the factorization of its denominator into irreducibles when
+it is known (see "factored denominators"), and a sum of two such
+fractions cancels by trial division by the factors, with no gcd.
 """
 
 from __future__ import annotations
@@ -396,19 +397,10 @@ def _gcd_primitive(p: dict, q: dict) -> dict:
     # coprimality certificate: every variable of the gcd occurs in both
     # operands, so a proven degree bound of 0 in each shared variable
     # leaves only a constant, and the operands are primitive
-    bounds: dict = {}
-    for u in sorted(pv & qv):
-        bounds[u] = _vdeg_bound(p, q, u)
-        if bounds[u] != 0:
-            break
-    else:
+    if all(_vdeg_bound(p, q, u) == 0 for u in sorted(pv & qv)):
         return dict(_ONE_TERMS)
     # main variable: smallest maximum degree keeps the sequence short
     v = min(pvars, key=lambda u: (max(_deg(p, u), _deg(q, u)), u))
-    bound = bounds[v] if v in bounds else _vdeg_bound(p, q, v)
-    if bound == 0:
-        # the gcd is free of v: it equals the gcd of the v-contents
-        return _pos_leading(poly_gcd(_vcontent(p, v), _vcontent(q, v)))
     contp, contq = _vcontent(p, v), _vcontent(q, v)
     cont = poly_gcd(contp, contq)
     a = divexact(p, contp) if contp != _ONE_TERMS else p
@@ -749,27 +741,13 @@ class RatExpr:
     def __init__(self, num: dict, den: dict = _ONE_TERMS):
         if not den:
             raise DomainError("zero denominator")
-        self.num, self.den = self._normalize(num, den)
-        self.fac = split_binomial(self.den)
-
-    @staticmethod
-    def _normalize(nt: dict, dt: dict) -> tuple:
-        if not nt:
-            return {}, dict(_ONE_TERMS)
-        shift_n, n_ord = _strip_mono(nt)
-        shift_d, d_ord = _strip_mono(dt)
-        g = poly_gcd(n_ord, d_ord)
-        if g != _ONE_TERMS:
-            n_ord = divexact(n_ord, g)
-            d_ord = divexact(d_ord, g)
-        lead = max(d_ord)
-        if d_ord[lead] < 0:
-            n_ord = kernels.poly_neg(n_ord)
-            d_ord = kernels.poly_neg(d_ord)
-        shift = kernels.mono_mul(shift_n, mono_inv(shift_d))
-        if shift:
-            n_ord = kernels.poly_scale(n_ord, 1, shift)
-        return n_ord, d_ord
+        if num:
+            num, den = _orient(num, den)
+            num, den = _cancel(num, den) or (num, den)
+        else:
+            den = _ONE_TERMS
+        self.num, self.den = num, den
+        self.fac = split_binomial(den)
 
     # -- constructors -------------------------------------------------------
 
@@ -828,15 +806,22 @@ class RatExpr:
         return self._add(other, kernels.poly_sub)
 
     def _add(self, other, combine) -> "RatExpr":
-        """a/b (+ or -) c/d.  With g = gcd(b, d), b = g*b1, d = g*d1, the
-        sum t = a*d1 + c*b1 is coprime to b1 and d1, so only gcd(t, g)
-        can cancel: the whole of b when b == d, nothing when g == 1.  With
-        both denominators factored, g takes the minimum of the exponents
-        and gcd(t, g) is found by trial division by g's factors; otherwise
-        ``_add_by_gcd`` takes both gcds with ``poly_gcd``."""
+        """a/b (+ or -) c/d.  With both denominators factored: with
+        g = gcd(b, d), b = g*b1, d = g*d1, the sum t = a*d1 + c*b1 is
+        coprime to b1 and d1, so only gcd(t, g) can cancel; g takes the
+        minimum of the exponents, and gcd(t, g) is found by trial division
+        by g's factors.  Otherwise the constructor reduces
+        (a*d +- c*b) / (b*d), a sum counted in ``SUM_GCD_FALLBACKS`` unless
+        a denominator is 1."""
+        global SUM_GCD_FALLBACKS
         fb, fd = self.fac, other.fac
         if fb is None or fd is None:
-            return self._add_by_gcd(other, combine)
+            b, d = self.den, other.den
+            if b != _ONE_TERMS and d != _ONE_TERMS:
+                SUM_GCD_FALLBACKS += 1
+            return RatExpr(combine(kernels.poly_mul(self.num, d),
+                                   kernels.poly_mul(other.num, b)),
+                           kernels.poly_mul(b, d))
         g = {f: min(e, fd[f]) for f, e in fb.items() if f in fd}
         if g:
             b1, d1 = _expand(_fac_sub(fb, g)), _expand(_fac_sub(fd, g))
@@ -856,35 +841,6 @@ class RatExpr:
         den = (self.den if fac is fb else other.den if fac is fd
                else _expand(fac))
         return RatExpr._canonical(t, den, fac)
-
-    def _add_by_gcd(self, other, combine) -> "RatExpr":
-        """``_add`` with an operand whose denominator is not factored."""
-        global SUM_GCD_FALLBACKS
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        if b == _ONE_TERMS or d == _ONE_TERMS:
-            g, b1, d1 = _ONE_TERMS, b, d
-        else:
-            SUM_GCD_FALLBACKS += 1
-            if b == d:
-                g, b1, d1 = b, _ONE_TERMS, _ONE_TERMS
-            else:
-                g = poly_gcd(b, d)
-                if g == _ONE_TERMS:
-                    b1, d1 = b, d
-                else:
-                    b1, d1 = divexact(b, g), divexact(d, g)
-        t = combine(kernels.poly_mul(a, d1) if d1 != _ONE_TERMS else a,
-                    kernels.poly_mul(c, b1) if b1 != _ONE_TERMS else c)
-        if not t:
-            return RatExpr._canonical({}, dict(_ONE_TERMS), {})
-        if g != _ONE_TERMS:
-            t, g = _cancel(t, g) or (t, g)
-        den = g
-        for part in (b1, d1):
-            if part != _ONE_TERMS:
-                den = kernels.poly_mul(den, part)
-        return RatExpr._canonical(t, den, split_binomial(den))
 
     def __neg__(self):
         return RatExpr._canonical(kernels.poly_neg(self.num), self.den,
@@ -925,11 +881,8 @@ class RatExpr:
         chosen so that the new denominator leads positive."""
         if self.is_zero():
             raise DomainError("inverse of zero")
-        shift, n_ord = _strip_mono(self.num)
-        d = kernels.poly_scale(self.den, 1, mono_inv(shift))
-        if n_ord[max(n_ord)] < 0:
-            d, n_ord = kernels.poly_neg(d), kernels.poly_neg(n_ord)
-        return RatExpr._canonical(d, n_ord, split_binomial(n_ord))
+        d, n = _orient(self.den, self.num)
+        return RatExpr._canonical(d, n, split_binomial(n))
 
     def __pow__(self, e: int):
         if e == 0:
@@ -971,11 +924,7 @@ class RatExpr:
         fac = None if self.fac is None else _map_factors(self.fac, smap)
         if fac is None or not num:
             return RatExpr(num, den)
-        shift, den = _strip_mono(den)
-        if den[max(den)] < 0:
-            num, den = kernels.poly_neg(num), kernels.poly_neg(den)
-        if shift:
-            num = kernels.poly_scale(num, 1, mono_inv(shift))
+        num, den = _orient(num, den)
         num, cut = _trial_cancel(num, fac)
         if cut:
             fac = _fac_sub(fac, cut)
@@ -983,10 +932,22 @@ class RatExpr:
         return RatExpr._canonical(num, den, fac)
 
 
+def _orient(num: dict, den: dict) -> tuple:
+    """num/den with den's monomial part moved into num and the sign
+    chosen so that den leads positive: the input ``_cancel`` takes."""
+    shift, den = _strip_mono(den)
+    if shift:
+        num = kernels.poly_scale(num, 1, mono_inv(shift))
+    if den[max(den)] < 0:
+        num, den = kernels.poly_neg(num), kernels.poly_neg(den)
+    return num, den
+
+
 def _cancel(t: dict, den: dict):
-    """(t/h, den/h) for a nonzero Laurent term map t and a denominator in
-    canonical form, with h = gcd(t, den); den/h keeps a positive leading
-    coefficient.  None when t and den are coprime."""
+    """(t/h, den/h) for a nonzero Laurent term map t and an ordinary
+    denominator with no monomial factor and a positive leading
+    coefficient, with h = gcd(t, den); den/h keeps both properties.  None
+    when t and den are coprime."""
     shift, t_ord = _strip_mono(t)
     h = poly_gcd(t_ord, den)
     if h == _ONE_TERMS:
@@ -1097,24 +1058,6 @@ def denominator_lcm(coeffs) -> dict:
     for c in coeffs:
         acc = poly_lcm(acc, c.den)
     return acc
-
-
-def clear_denominators(entries, var: str) -> dict:
-    """LCM of the reduced denominators in ``var`` over the remaining field.
-
-    Every entry's denominator may involve only ``var`` and s (i.e. q); the
-    result, multiplied onto each entry, leaves denominators free of ``var``.
-    """
-    if not entries:
-        raise DomainError("clear_denominators of empty entry list")
-    allowed = {VAR_INDEX[var], S}
-    for entry in entries:
-        dvars = variables(entry.den)
-        if not dvars <= allowed:
-            bad = ", ".join(VARS[i] for i in sorted(dvars - allowed))
-            raise DomainError(
-                f"denominator involves disallowed variable(s): {bad}")
-    return denominator_lcm(entries)
 
 
 def q_power(h0: int = 0, h1: int = 0, h2: int = 0, h3: int = 0) -> int:

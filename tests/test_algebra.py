@@ -385,6 +385,7 @@ def test_inverse_kind_terms_have_one_reducible_pair(monkeypatch):
     counts.clear()
     for argv, code in (
             (["--instance", "example2-n2", "--flavor", "double"], 0),
+            (["--instance", "example2-n3", "--flavor", "double"], 0),
             (["--spec", SIXVERTEX_SPEC, "--flavor", "double"], 0),
             (["--instance", "example2-n2", "--toggle",
               "phistar-coproduct=literal"], 1)):

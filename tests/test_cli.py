@@ -1,6 +1,7 @@
 """Element text round trips, spec-file ingestion, CLI plans, exit codes,
 report determinism and residual re-parsing."""
 
+import hashlib
 import json
 import re
 
@@ -342,6 +343,45 @@ def test_cli_spec_unknown_variable_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and "(line 1, col 10)" in err
     R, _ = parse_rspec("n=1; var=w\nR[1,1;1,1] = (w - q^2)/(w*q^2 - 1)")
     assert R.var == "w"
+
+
+def test_cli_spec_foreign_variable_exits_2(tmp_path, capsys):
+    """An entry may depend on the spectral variable and q only; the
+    R-matrix rejects any other variable before any check runs."""
+    spec = tmp_path / "bad.spec"
+    spec.write_text("n=1; var=x\nR[1,1;1,1] = 1/(x - w)\n")
+    assert main(["check-r", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "depends on variables other than x and q" in err
+
+
+# A unitary 1x1 matrix, R(x)*R(1/x) = 1, whose denominator is a trinomial
+# and so has no binomial factorization: its sums go through the
+# constructor's gcd.  The digests are those of the byte-stable reports.
+TRINOMIAL_SPEC = """n=1; var=x
+name=trinomial
+R[1,1;1,1] = (x^2 + x + q^2)/(q^2*x^2 + x + 1)
+"""
+TRINOMIAL_DIGESTS = {
+    "check-r":
+        "bc76183a27fa10827b015f0fc337a5e48a309a74edcec9c2073f398b606fa831",
+    "verify-hopf":
+        "e921ea9f6f0bbe2277aa010a345b64caadb457fe84b527639390c8882815e51b",
+    "verify-modes":
+        "0ca4278ecb4bd704a352257a9cdefa028fda12dfd20e721c538041343e2860a1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRINOMIAL_DIGESTS))
+def test_unfactored_denominator_end_to_end(command, tmp_path):
+    spec = tmp_path / "trinomial.spec"
+    spec.write_text(TRINOMIAL_SPEC)
+    out = tmp_path / "report.json"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 0
+    assert symfield.SUM_GCD_FALLBACKS > 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == TRINOMIAL_DIGESTS[command])
 
 
 def test_cli_spec_toggle_error_has_position(tmp_path, capsys):

@@ -52,6 +52,39 @@ def test_sixvertex_conditions_discriminate_middle_argument(sixv):
     assert ybe_residual(sixv, "ratio") != {}
 
 
+def _jimbo_entries(n):
+    """Jimbo's R-matrix for U_q(sl_n^) (Commun. Math. Phys. 102, 1986),
+    normalized as the six-vertex fixture: 1 on the diagonal, b on
+    R[i,j;i,j], and the c of the lower or upper triangle on R[i,j;j,i]."""
+    b = "q*(x - 1)/(x*q^2 - 1)"
+    c_lo = "(q^2 - 1)/(x*q^2 - 1)"
+    c_hi = "x*(q^2 - 1)/(x*q^2 - 1)"
+    entries = {}
+    for i in range(1, n + 1):
+        entries[(i, i, i, i)] = parse_expr("1")
+        for j in range(1, n + 1):
+            if i != j:
+                entries[(i, j, i, j)] = parse_expr(b)
+                entries[(i, j, j, i)] = parse_expr(c_lo if i < j else c_hi)
+    return entries
+
+
+def test_sl3_conditions_hold_and_fail_when_mutated(sixv):
+    """The n = 3 non-diagonal input: product-middle YBE and unitarity
+    hold, the ratio middle argument fails as for n = 2, and changing one
+    off-diagonal entry breaks both conditions."""
+    assert _jimbo_entries(2) == sixv.entries
+    entries = _jimbo_entries(3)
+    R = RMatrix(3, "x", entries, name="sl3")
+    assert ybe_residual(R, "prod") == {}
+    assert unitarity_residual(R) == {}
+    assert ybe_residual(R, "ratio") != {}
+    entries[(1, 3, 3, 1)] = parse_expr("(q^4 - 1)/(x*q^2 - 1)")
+    mutated = RMatrix(3, "x", entries, name="sl3-mutated")
+    assert ybe_residual(mutated, "prod") != {}
+    assert unitarity_residual(mutated) != {}
+
+
 def test_sixvertex_braid(sixv):
     assert braid_consistency(sixv)["agree"]
 
