@@ -447,6 +447,7 @@ class RewriteSystem:
         self._at_cache: dict = {}
         self._inv_at_cache: dict = {}
         self._pieces_cache: dict = {}
+        self.word_data = _WordData(self)
         q2 = RatExpr.var("s", 2)
         self.qfactor = (q2 - q2.inverse()).inverse()  # 1/(q - q^-1)
         self._rules = dict(_orient(_RELATION_BY_ID[rid], self.toggles)
@@ -499,6 +500,22 @@ class RewriteSystem:
 
     def allowed_kinds(self) -> frozenset:
         return FLAVOR_KINDS[self.flavor]
+
+
+class _WordData(dict):
+    """Leg word -> (``word_measure``, position of the leftmost reducible
+    pair or None), filled on first use: the rules of one system are fixed,
+    and the same words recur on every term of a check."""
+
+    def __init__(self, rs: RewriteSystem):
+        super().__init__()
+        self.rs = rs
+
+    def __missing__(self, word: tuple) -> tuple:
+        pos = next((p for p, (g1, g2) in enumerate(zip(word, word[1:]))
+                    if _reducible(g1, g2, self.rs)), None)
+        out = self[word] = (word_measure(word), pos)
+        return out
 
 
 def _index_by_output(entries: dict) -> dict:
@@ -656,27 +673,30 @@ def _contraction_pieces(n: int, g1: GenOcc, g2: GenOcc) -> tuple:
                         for v in range(1, n))
 
 
-def term_measure(key) -> tuple:
-    """(total length, kind inversions, var inversions, sum of the middle
-    indices of matched inverse pairs): the termination measure, strictly
-    lexicographically decreasing under every rule of the corrected
-    readings."""
-    _, _, legs = key
-    total = 0
+def word_measure(word) -> tuple:
+    """(length, kind inversions, var inversions, sum of the middle indices
+    of matched inverse pairs) of one leg word."""
     kind_inv = 0
     var_inv = 0
-    middle = 0
-    for word in legs:
-        total += len(word)
-        for a, ga in enumerate(word):
-            for gb in word[a + 1:]:
-                if KIND_RANK[ga.kind] > KIND_RANK[gb.kind]:
-                    kind_inv += 1
-                elif ga.kind == gb.kind and ga.arg.var > gb.arg.var:
-                    var_inv += 1
-        middle += sum(g1.col for g1, g2 in zip(word, word[1:])
-                      if _matched(g1, g2))
-    return (total, kind_inv, var_inv, middle)
+    for a, ga in enumerate(word):
+        for gb in word[a + 1:]:
+            if KIND_RANK[ga.kind] > KIND_RANK[gb.kind]:
+                kind_inv += 1
+            elif ga.kind == gb.kind and ga.arg.var > gb.arg.var:
+                var_inv += 1
+    middle = sum(g1.col for g1, g2 in zip(word, word[1:]) if _matched(g1, g2))
+    return (len(word), kind_inv, var_inv, middle)
+
+
+def term_measure(key) -> tuple:
+    """The termination measure: ``word_measure`` summed componentwise over
+    the legs, strictly lexicographically decreasing under every rule of
+    the corrected readings."""
+    sums = [0, 0, 0, 0]
+    for word in key[2]:
+        for i, m in enumerate(word_measure(word)):
+            sums[i] += m
+    return tuple(sums)
 
 
 def _reducible(g1: GenOcc, g2: GenOcc, rs: RewriteSystem) -> bool:
@@ -691,9 +711,9 @@ def _redex(legs, rs: RewriteSystem):
     """(leg, position) of the leftmost reducible pair of a term; legs in
     order, positions left to right.  None in normal form."""
     for li, word in enumerate(legs):
-        for pos, (g1, g2) in enumerate(zip(word, word[1:])):
-            if _reducible(g1, g2, rs):
-                return li, pos
+        pos = rs.word_data[word][1]
+        if pos is not None:
+            return li, pos
     return None
 
 
@@ -710,9 +730,24 @@ def rewrite_term(key, rs: RewriteSystem, li: int, pos: int):
         yield head + (legs[:li] + (nword,) + legs[li + 1:],), rcoeff
 
 
-def _priority(key) -> tuple:
+def _measure(legs, rs: RewriteSystem) -> tuple:
+    """``term_measure`` of a term with these legs, summed from the cached
+    word data in one loop: this runs once for every new term."""
+    data = rs.word_data
+    total = kind_inv = var_inv = middle = 0
+    for word in legs:
+        (a, b, c, d), _ = data[word]
+        total += a
+        kind_inv += b
+        var_inv += c
+        middle += d
+    return (total, kind_inv, var_inv, middle)
+
+
+def _priority(key, rs: RewriteSystem) -> tuple:
     """Heap order: decreasing measure, then the term key."""
-    return tuple(-m for m in term_measure(key))
+    total, kind_inv, var_inv, middle = _measure(key[2], rs)
+    return (-total, -kind_inv, -var_inv, -middle)
 
 
 def normal_order(e: Element, rs: RewriteSystem, trace=None,
@@ -736,7 +771,7 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
                     raise KindError(
                         f"kind {g.kind} not in flavor {rs.flavor}")
     pending = dict(e.terms)
-    heap = [(_priority(key), key) for key in pending]
+    heap = [(_priority(key, rs), key) for key in pending]
     heapq.heapify(heap)
     out: dict = {}
     steps = 0
@@ -753,12 +788,12 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
         if steps > max_steps:
             raise BudgetError(
                 f"normal_order exceeded its budget of {max_steps} steps")
-        before = term_measure(key) if trace is not None else None
+        before = _measure(key[2], rs) if trace is not None else None
         for nkey, rcoeff in rewrite_term(key, rs, *found):
             if trace is not None:
-                trace.append((before, term_measure(nkey)))
+                trace.append((before, _measure(nkey[2], rs)))
             if nkey not in pending:
-                heapq.heappush(heap, (_priority(nkey), nkey))
+                heapq.heappush(heap, (_priority(nkey, rs), nkey))
             accumulate(pending, nkey, coeff * rcoeff)
     return Element(e.nlegs, out)
 

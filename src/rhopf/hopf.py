@@ -150,10 +150,19 @@ class HopfTables:
     def __init__(self, rs: RewriteSystem):
         self.rs = rs
         self.n = rs.n
+        self._images: dict = {}
 
-    def image(self, rows: dict, name: str, g: GenOcc, slots: tuple):
-        """(int coeff, new legs) pairs of g's row in ``rows``; new leg k
-        has charge slot ``slots[k]``."""
+    def image(self, rows: dict, name: str, g: GenOcc, slots: tuple) -> tuple:
+        """(int coeff, new legs) pairs of g's row in ``rows``, the table
+        called ``name``; new leg k has charge slot ``slots[k]``.  Cached:
+        the same generators recur on every term of a check."""
+        key = (name, g, slots)
+        out = self._images.get(key)
+        if out is None:
+            out = self._images[key] = self._image(rows, name, g, slots)
+        return out
+
+    def _image(self, rows: dict, name: str, g: GenOcc, slots: tuple) -> tuple:
         row = rows.get(g.kind)
         if row is None:
             raise UnsupportedRule(f"no {name} table for kind {g.kind}")
@@ -177,7 +186,7 @@ class HopfTables:
                 col = env[letters[1]] if len(letters) == 2 else 0
                 legs[f.leg] += (GenOcc(f.kind, env[letters[0]], col, a),)
             out.append((row.sign, tuple(legs)))
-        return out
+        return tuple(out)
 
 
 def _counit(g: GenOcc):

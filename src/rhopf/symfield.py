@@ -333,14 +333,19 @@ def _specialize(terms: dict, v: int, points: tuple) -> dict:
     """Image in GF(_PRIME)[v]: every variable u except v evaluated at the
     integer points[u]; returns a univariate map degree -> nonzero
     residue."""
+    sh = _SHIFT[v]
+    not_v = ~(FIELD_MASK << sh)
     sums: dict = {}
     for m, c in terms.items():
-        d = 0
-        for u, e in mono_items(m):
-            if u == v:
-                d = e
-            else:
-                c *= points[u] ** e
+        # the nonzero exponent fields other than v's, read in place
+        b = m + Q
+        nz = (b ^ Q) & not_v
+        while nz:
+            u = ((nz & -nz).bit_length() - 1) // FIELD_BITS
+            shu = _SHIFT[u]
+            c *= points[u] ** ((b >> shu & FIELD_MASK) - BIAS)
+            nz &= ~(FIELD_MASK << shu)
+        d = (b >> sh & FIELD_MASK) - BIAS
         sums[d] = sums.get(d, 0) + c
     out = {}
     for d, c in sums.items():

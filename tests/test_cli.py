@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhopf import symfield
+from rhopf import algebra, hopf, symfield
 from rhopf.algebra import (ALL_KINDS, VECTOR_KINDS, ArgShift, DeltaFactor,
                            Element, GenOcc, L, LSTAR, PHI,
                            RewriteSystem, normal_order)
@@ -93,7 +93,8 @@ def _elements(draw):
     return Element(nlegs, terms)
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, database=None,
+          derandomize=True)
 @given(_elements())
 def test_element_round_trip_property(e):
     """Every kind, shifts, deltas and field coefficients on one or two
@@ -258,6 +259,30 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert main(["verify-hopf", "--instance", "example1",
                      "--flavor", "double", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_runs_in_one_process_take_the_same_rewrite_steps(tmp_path,
+                                                         monkeypatch):
+    """The word and image caches live with one run's rule table, so a
+    second run in the same process writes the same report and takes the
+    same ``normal_order`` steps as the first."""
+    steps = []
+    inner = algebra.normal_order
+
+    def traced(e, rs, trace=None, **kw):
+        return inner(e, rs, steps, **kw)
+
+    monkeypatch.setattr(algebra, "normal_order", traced)
+    monkeypatch.setattr(hopf, "normal_order", traced)
+    reports, runs = [], []
+    for name in ("a.json", "b.json"):
+        steps.clear()
+        assert main(["verify-hopf", "--instance", "example2-n2", "--flavor",
+                     "double", "--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name).read_bytes())
+        runs.append(list(steps))
+    assert reports[0] == reports[1]
+    assert runs[0] == runs[1] and runs[0]
 
 
 def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):

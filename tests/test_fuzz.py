@@ -24,7 +24,8 @@ _SPEC = ("n=", "var=", "name=", "toggle ", "ll-star", "=", "literal",
          "R[", "]", ",", ";", "#", "\n", " ", "x", "q", "foo", "(", ")",
          "1", "2", "-", "*", "/", "^")
 
-_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+_SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                     derandomize=True)
 
 
 def _text(alphabet):
@@ -127,7 +128,8 @@ def spec_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "fuzz.rspec"
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None,
+          derandomize=True)
 @given(_spec, _toggles)
 def test_fuzz_cli_check_r_exit_codes(spec_path, text, toggles):
     spec_path.write_text(text, encoding="utf-8")
@@ -135,7 +137,8 @@ def test_fuzz_cli_check_r_exit_codes(spec_path, text, toggles):
     assert _exit_code(_with_toggles(argv, toggles)) in (0, 1, 2)
 
 
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25, deadline=None, database=None,
+          derandomize=True)
 @given(st.sampled_from(("example1", "identity", "broken-nonunitary")),
        st.sampled_from(("extended", "double", "particle")), _toggles)
 def test_fuzz_cli_verify_hopf_exit_codes(instance, flavor, toggles):
@@ -146,7 +149,8 @@ def test_fuzz_cli_verify_hopf_exit_codes(instance, flavor, toggles):
 _window = st.sampled_from((-1, 0, 1, 2, 3))
 
 
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25, deadline=None, database=None,
+          derandomize=True)
 @given(st.sampled_from(("example1", "example2-n2")),
        st.sampled_from(("particle", "extended", "double")), _window,
        _window, _toggles)

@@ -224,7 +224,8 @@ def _fraction_pairs(draw):
     return fraction(), fraction()
 
 
-_ORACLE = settings(max_examples=150, deadline=None, database=None)
+_ORACLE = settings(max_examples=150, deadline=None, database=None,
+                   derandomize=True)
 
 
 @_ORACLE
@@ -561,7 +562,8 @@ def _check_sums(pair):
             _assert_factors_multiply_out(image)
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, database=None,
+          derandomize=True)
 @given(_binomial_fractions(_BINOMIALS))
 @example((parse_expr("1/(s^4 - 1)"), parse_expr("1/(s^2 + 1)")))
 def test_sums_over_split_binomials_equal_full_normalisation(pair):
@@ -572,7 +574,8 @@ def test_sums_over_split_binomials_equal_full_normalisation(pair):
     _check_sums(pair)
 
 
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30, deadline=None, database=None,
+          derandomize=True)
 @given(_binomial_fractions(_BINOMIALS[:4] + _NOT_BINOMIALS))
 def test_sums_with_an_unfactored_denominator_equal_full_normalisation(pair):
     _check_sums(pair)
