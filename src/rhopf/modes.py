@@ -18,19 +18,17 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .algebra import (FLAVOR_RELATIONS, L, LSTAR, RewriteSystem,
                       relation_residual, relation_sides)
 from .errors import DomainError, ExpansionError
 from .expr import parse_expr
-from .kernels import mono_mul, mono_pow
+from .kernels import mono_mul, mono_pow, poly_scale
 from .rmatrix import RMatrix
-from .symfield import (RatExpr, Z, accumulate, denominator_lcm, mono,
-                       mono_from_pairs, mono_items, variables)
+from .symfield import (_ONE_TERMS, RatExpr, Z, accumulate, clear_denominator,
+                       denominator_lcm, mono, mono_from_pairs, mono_items)
 
 _Z1, _Z2 = Z[0], Z[1]
-_R1 = RatExpr.from_int(1)
 
 
 @dataclass(frozen=True)
@@ -49,11 +47,15 @@ class SeriesWindow:
         """Slot coordinates run over -lim..lim."""
         return self.N - self.margin
 
+    @property
+    def span(self) -> range:
+        """The slot coordinates, -lim..lim."""
+        return range(-self.lim, self.lim + 1)
+
     def slots(self, reach: tuple):
         """The slots (m, k) of a reach, m-major: per variable, None for the
         whole window, else one coordinate."""
-        span = range(-self.lim, self.lim + 1)
-        return itertools.product(*[span if r is None else (r,)
+        return itertools.product(*[self.span if r is None else (r,)
                                    for r in reach])
 
 
@@ -67,39 +69,54 @@ def mode_allowed(kind: str, row: int, col: int, p: int) -> bool:
     return True
 
 
-def _z_split(c: RatExpr) -> list:
-    """Decompose a coefficient with z-free denominator as
-    [(alpha, beta, s-u-coefficient)] over monomials z1^alpha z2^beta."""
-    den = c.den
-    if variables(den) & {_Z1, _Z2}:
-        raise ExpansionError("coefficient denominator still involves the "
-                             "spectral variables")
+def _z_split(terms: dict) -> list:
+    """Decompose a Laurent polynomial as [(alpha, beta, s-u-terms)] over
+    monomials z1^alpha z2^beta."""
     groups: dict = {}
-    for m, k in c.num.items():
+    for m, k in terms.items():
         md = dict(mono_items(m))
         a = md.pop(_Z1, 0)
         b = md.pop(_Z2, 0)
         rest = mono_from_pairs(md.items())
         groups.setdefault((a, b), {})[rest] = k
-    return [(a, b, RatExpr(terms, den))
-            for (a, b), terms in sorted(groups.items())]
+    return [(a, b, sub) for (a, b), sub in sorted(groups.items())]
 
 
-class _Piece(NamedTuple):
+class _Piece:
     """One piece c z1^a z2^b of a term of a relation side, relative to the
     slot: at slot (m, k) a generator over z1 has mode m + a, one over z2
     mode k + b.  ``reach`` gives per variable None (a variable carrying a
-    generator: the whole window) or the one slot coordinate -exponent."""
+    generator: the whole window) or the one slot coordinate -exponent.
+    The coefficient c (signed, cleared, delta power included) is computed
+    on its first read, since the mode counts read few of them."""
 
-    word: tuple  # GenOcc templates
-    exps: tuple  # (a, b)
-    coeff: RatExpr  # signed, cleared, delta power included
-    reach: tuple
-    delta: bool  # from a term with a formal delta
+    __slots__ = ("word", "kinds", "exps", "reach", "delta", "_terms",
+                 "_den", "_scale", "_coeff")
+
+    def __init__(self, word, kinds, exps, reach, delta, terms, den, scale):
+        self.word = word  # GenOcc templates
+        self.kinds = kinds  # the sorted generator kinds of the word
+        self.exps = exps  # (a, b)
+        self.reach = reach
+        self.delta = delta  # from a term with a formal delta
+        self._terms = terms  # z-group of the cleared numerator
+        self._den = den  # integer denominator of the cleared coefficient
+        self._scale = scale  # (sign, q-power of the delta)
+        self._coeff = None
+
+    @property
+    def coeff(self) -> RatExpr:
+        if self._coeff is None:
+            self._coeff = RatExpr.from_laurent(
+                poly_scale(self._terms, *self._scale), self._den)
+        return self._coeff
 
 
-def _pieces(e, window: SeriesWindow, cf: RatExpr, sign: int) -> list:
-    """The pieces of ``sign * cf * e`` that reach some window slot."""
+def _pieces(e, window: SeriesWindow, clear: dict, sign: int) -> list:
+    """The pieces of ``sign * clear * e`` that reach some window slot.
+    The clearing factor is a multiple of every denominator's primitive
+    part, so a cleared coefficient is its numerator times an exact
+    quotient, with no gcd, over the denominator's integer content."""
     out = []
     for (flag, deltas, legs), coeff in e.terms.items():
         if flag:
@@ -110,23 +127,24 @@ def _pieces(e, window: SeriesWindow, cf: RatExpr, sign: int) -> list:
         gvars = {g.arg.var for g in word}
         if len(gvars) < len(word):
             raise ExpansionError("two occurrences share a spectral variable")
-        dchoices = [(0, _R1)]
+        kinds = tuple(sorted(g.kind for g in word))
+        dchoices = [(0, 0)]
         if deltas:
             d = deltas[0]
             if {d.avar, d.bvar} - {_Z1, _Z2}:
                 raise ExpansionError("delta outside the template variables")
             # delta((z1/z2) q) = sum_nu z1^nu z2^-nu q^nu
-            dchoices = [(nu, RatExpr.from_mono(mono_pow(d.q, nu)))
+            dchoices = [(nu, mono_pow(d.q, nu))
                         for nu in range(-window.N, window.N + 1)]
-        for a, b, sc in _z_split(coeff * cf):
-            for nu, dcoef in dchoices:
+        cleared, den = clear_denominator(coeff, clear)
+        for a, b, terms in _z_split(cleared):
+            for nu, dmono in dchoices:
                 exps = (a + nu, b - nu)
                 reach = tuple(None if v in gvars else -x
                               for v, x in zip((_Z1, _Z2), exps))
                 if all(r is None or abs(r) <= window.lim for r in reach):
-                    base = sc * dcoef
-                    out.append(_Piece(word, exps, base if sign > 0 else -base,
-                                      reach, bool(deltas)))
+                    out.append(_Piece(word, kinds, exps, reach, bool(deltas),
+                                      terms, den, (sign, dmono)))
     return out
 
 
@@ -134,8 +152,8 @@ def _expand(lhs, rhs, window: SeriesWindow):
     """(clearing factor, lhs pieces, rhs pieces) of lhs = rhs: the factor
     is the lcm of the coefficient denominators, and the rhs is negated."""
     clear = denominator_lcm([*lhs.terms.values(), *rhs.terms.values()])
-    cf = RatExpr(clear)
-    return clear, _pieces(lhs, window, cf, +1), _pieces(rhs, window, cf, -1)
+    return (clear, _pieces(lhs, window, clear, +1),
+            _pieces(rhs, window, clear, -1))
 
 
 def _word_at(piece: _Piece, slot: tuple) -> tuple:
@@ -153,7 +171,7 @@ def _coeff_at(piece: _Piece, word: tuple) -> RatExpr:
     for g, (_k, _r, _c, p) in zip(piece.word, word):
         if g.arg.q:
             qm = mono_mul(qm, mono_pow(g.arg.q, -p))
-    return piece.coeff * RatExpr.from_mono(qm) if qm else piece.coeff
+    return piece.coeff.mul_mono(qm) if qm else piece.coeff
 
 
 def mode_expand_relation(rs: RewriteSystem, relation_id: str,
@@ -181,36 +199,67 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     return out
 
 
-def _kind_sets(pieces: list, window: SeriesWindow) -> dict:
-    """slot -> set of sorted generator-kind tuples of the delta-free pieces
-    reaching it, cancelling pieces included."""
-    by_reach: dict = {}
-    for piece in pieces:
-        if not piece.delta:
-            by_reach.setdefault(piece.reach, set()).add(
-                tuple(sorted(g.kind for g in piece.word)))
-    out: dict = {}
-    for reach, kinds in by_reach.items():
-        for slot in window.slots(reach):
-            out.setdefault(slot, set()).update(kinds)
-    return out
+def _reaching(by_reach: dict, slot: tuple):
+    """The entries of a reach-keyed map that reach the slot (m, k): the
+    whole window, row m, column k and the cell itself."""
+    m, k = slot
+    for reach in ((None, None), (m, None), (None, k), (m, k)):
+        hit = by_reach.get(reach)
+        if hit is not None:
+            yield hit
+
+
+def _kind_counts(lp: list, rp: list, window: SeriesWindow) -> tuple:
+    """(slots with a delta-free lhs piece, those where both sides' sets of
+    generator-kind tuples differ), cancelling pieces included.  A slot
+    outside every row and column that some row, column or cell reach
+    pins has each side's whole-window kind set, so those slots are
+    counted by multiplication and only the pinned rows and columns are
+    visited."""
+    sides = []
+    for pieces in (lp, rp):
+        kinds: dict = {}
+        for piece in pieces:
+            if not piece.delta:
+                kinds.setdefault(piece.reach, set()).add(piece.kinds)
+        sides.append(kinds)
+    rows = {r[0] for side in sides for r in side if r[0] is not None}
+    cols = {r[1] for side in sides for r in side if r[1] is not None}
+    span = window.span
+    lw, rw = (side.get((None, None)) for side in sides)
+    generic = (len(span) - len(rows)) * (len(span) - len(cols))
+    checked = generic if lw else 0
+    mismatches = generic if lw and rw and lw != rw else 0
+    pinned = [(m, k) for m in rows for k in span]
+    pinned += [(m, k) for k in cols for m in span if m not in rows]
+    for slot in pinned:
+        lk, rk = (set().union(*_reaching(side, slot)) for side in sides)
+        if lk:
+            checked += 1
+            if rk and lk != rk:
+                mismatches += 1
+    return checked, mismatches
 
 
 def _contradictions(pieces: list, window: SeriesWindow) -> int:
     """Slots where, with triangularity imposed, one word survives and it is
     a product of diagonal L/Lstar zero modes.  A piece's word has every
     mode zero only at slot -(its exponents), so only those slots of pieces
-    with diagonal L/Lstar templates are summed."""
+    with diagonal L/Lstar templates are summed, over the pieces that reach
+    them; no other coefficient is read."""
     candidates = {tuple(-x for x in piece.exps) for piece in pieces
                   if all(g.kind in (L, LSTAR) and g.row == g.col
                          for g in piece.word)}
+    by_reach: dict = {}
+    for piece in pieces:
+        by_reach.setdefault(piece.reach, []).append(piece)
     count = 0
     for slot in candidates:
         if max(map(abs, slot)) > window.lim:
             continue
         surv: dict = {}
-        for piece in pieces:
-            if all(r is None or r == c for r, c in zip(piece.reach, slot)):
+        for group in _reaching(by_reach, slot):
+            for piece in group:
                 word = _word_at(piece, slot)
                 if all(mode_allowed(*g) for g in word):
                     accumulate(surv, word, _coeff_at(piece, word))
@@ -224,11 +273,7 @@ def mode_counts(lhs, rhs, window: SeriesWindow) -> tuple:
     """(slots checked, kind mismatches, contradictions) of one relation
     entry lhs = rhs; see ``check_mode_consistency``."""
     _, lp, rp = _expand(lhs, rhs, window)
-    lkinds = _kind_sets(lp, window)
-    rkinds = _kind_sets(rp, window)
-    mismatches = sum(1 for slot, kinds in lkinds.items()
-                     if slot in rkinds and rkinds[slot] != kinds)
-    return len(lkinds), mismatches, _contradictions(lp + rp, window)
+    return (*_kind_counts(lp, rp, window), _contradictions(lp + rp, window))
 
 
 def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
@@ -247,11 +292,14 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     "slot coordinate plus exponent", so no slot's word map is built for
     (b) and (c).  The kind sets of (b) depend only on which pieces reach
     a slot, never on coefficients, so they are read from the pieces'
-    reaches.  A surviving word of (c) has every mode zero, which a
-    piece's word has only at slot -(its exponents); the word maps are
-    summed exactly, and filtered, at those candidate slots alone.  The
-    counts are therefore those of the full per-slot expansion.  Each
-    relation's sides are built once and serve (a) as well."""
+    reach classes (whole window, one row, one column, one cell): slots
+    outside the pinned rows and columns are counted by multiplication.
+    A surviving word of (c) has every mode zero, which a piece's word
+    has only at slot -(its exponents); the word maps are summed exactly,
+    and filtered, at those candidate slots alone, and only there are
+    coefficients computed.  The counts are therefore those of the full
+    per-slot expansion.  Each relation's sides are built once and serve
+    (a) as well."""
     report = {"relations": [], "consistent": True}
     for rid in FLAVOR_RELATIONS[rs.flavor]:
         sides = [(lhs, rhs) for _, lhs, rhs in relation_sides(rs, rid)]
@@ -304,23 +352,31 @@ def _emit_poly_pair(lhs: RatExpr, rhs: RatExpr, window: SeriesWindow):
     """Mode slots of lhs(z1,z2) X(z1) X(z2) - rhs(z1,z2) X(z2) X(z1)."""
     slots: dict = {}
     for sign, poly, order in ((+1, lhs, (0, 1)), (-1, rhs, (1, 0))):
-        for a, b, sc in _z_split(poly):
+        if poly.den != _ONE_TERMS:
+            raise ExpansionError("a reference relation side has a "
+                                 "denominator")
+        for a, b, terms in _z_split(poly.num):
+            sc = RatExpr.from_laurent(poly_scale(terms, sign, mono()))
             for m, k in window.slots((None, None)):
                 p1, p2 = m + a, k + b
                 pair = [(0 if order == (0, 1) else 1, p1),
                         (1 if order == (0, 1) else 0, p2)]
                 word = tuple(("X", p) for _, p in sorted(pair))
-                accumulate(slots.setdefault((m, k), {}), word,
-                           sc if sign > 0 else -sc)
+                accumulate(slots.setdefault((m, k), {}), word, sc)
     return {s: d for s, d in slots.items() if d}
 
 
-def _normalize_word_map(wm: dict) -> dict:
-    if not wm:
-        return {}
-    first = min(wm)
-    inv = wm[first].inverse()
-    return {w: c * inv for w, c in wm.items()}
+def _proportional(em: dict, rm: dict) -> bool:
+    """Whether two word maps agree up to a common nonzero factor: the same
+    words, and every coefficient cross-multiplied against the leading
+    word's equal."""
+    if em.keys() != rm.keys():
+        return False
+    if not em:
+        return True
+    first = min(em)
+    ef, rf = em[first], rm[first]
+    return all(em[w] * rf == rm[w] * ef for w in em if w != first)
 
 
 def _erase_kind(wm: dict) -> dict:
@@ -331,8 +387,8 @@ def _erase_kind(wm: dict) -> dict:
 def drinfeld_compare(window: SeriesWindow, R: RMatrix = None) -> dict:
     """Coefficient-by-coefficient comparison of the scalar instance's
     cleared exchange relations against the reference current relations
-    (positive current = Phi, negative current = Phistar); each slot is
-    compared after scaling both word maps to a common leading unit."""
+    (positive current = Phi, negative current = Phistar); a slot matches
+    when its two word maps are proportional."""
     from .instances import get_instance
 
     if R is None:
@@ -347,9 +403,8 @@ def drinfeld_compare(window: SeriesWindow, R: RMatrix = None) -> dict:
         ref = _emit_poly_pair(*refs[refname], window)
         mismatched = []
         for slot in sorted(set(engine) | set(ref)):
-            em = _normalize_word_map(_erase_kind(engine.get(slot, {})))
-            rm = _normalize_word_map(ref.get(slot, {}))
-            if em != rm:
+            if not _proportional(_erase_kind(engine.get(slot, {})),
+                                 ref.get(slot, {})):
                 mismatched.append(slot)
         report["pairs"].append({
             "relation": rid,

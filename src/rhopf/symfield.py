@@ -768,6 +768,15 @@ class RatExpr:
     def from_mono(cls, m: tuple, coeff: int = 1) -> "RatExpr":
         return cls({m: coeff} if coeff else {})
 
+    @classmethod
+    def from_laurent(cls, terms: dict, n: int = 1) -> "RatExpr":
+        """terms / n for a Laurent term map and a positive integer n.  Over
+        1 the term map is already canonical; otherwise the constructor
+        cancels the integer gcd."""
+        if n == 1 or not terms:
+            return cls._canonical(terms, _ONE_TERMS, {})
+        return cls(terms, {0: n})
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -846,6 +855,12 @@ class RatExpr:
         den = (self.den if fac is fb else other.den if fac is fd
                else _expand(fac))
         return RatExpr._canonical(t, den, fac)
+
+    def mul_mono(self, m: int, sign: int = 1) -> "RatExpr":
+        """The product with the signed monomial sign * m, which stays
+        canonical: a denominator has no monomial factor."""
+        return RatExpr._canonical(kernels.poly_scale(self.num, sign, m),
+                                  self.den, self.fac)
 
     def __neg__(self):
         return RatExpr._canonical(kernels.poly_neg(self.num), self.den,
@@ -1058,11 +1073,30 @@ def accumulate(out: dict, key, coeff: RatExpr):
 
 def denominator_lcm(coeffs) -> dict:
     """LCM of the denominators of the given RatExprs: primitive, with a
-    positive leading coefficient and no monomial factor."""
+    positive leading coefficient and no monomial factor.  When every
+    denominator is factored, the lcm takes each factor to its highest
+    exponent, and its expansion is that canonical polynomial, with no
+    gcd; otherwise a ``poly_lcm`` fold finds it."""
+    coeffs = list(coeffs)
+    if all(c.fac is not None for c in coeffs):
+        fac: dict = {}
+        for c in coeffs:
+            fac = _fac_lcm(fac, c.fac)
+        return _expand(fac)
     acc = dict(_ONE_TERMS)
     for c in coeffs:
         acc = poly_lcm(acc, c.den)
     return acc
+
+
+def clear_denominator(c: RatExpr, clear: dict) -> tuple:
+    """(t, n) with c * clear = t / n, for a clearing factor from
+    ``denominator_lcm``.  That lcm is primitive, so it is a multiple of the
+    primitive part of c's denominator but leaves out its integer content
+    n; t is the numerator times the exact quotient, with no gcd, and is
+    not reduced against n."""
+    n = _int_content(c.den)
+    return kernels.poly_mul(c.num, divexact(clear, _div_int(c.den, n))), n
 
 
 def q_power(h0: int = 0, h1: int = 0, h2: int = 0, h3: int = 0) -> int:

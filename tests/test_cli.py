@@ -4,6 +4,7 @@ report determinism and residual re-parsing."""
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,6 +408,58 @@ def test_unfactored_denominator_end_to_end(command, tmp_path):
     assert symfield.SUM_GCD_FALLBACKS > 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == TRINOMIAL_DIGESTS[command])
+
+
+# Byte-stable ``verify-modes`` reports of inputs the benchmark does not
+# pin: (arguments, exit code, sha256 of the report).
+SIXVERTEX_SPEC = str(Path(__file__).resolve().parents[1] / "verdictbench"
+                     / "sixvertex.rspec")
+MODES_REPORTS = [
+    (["--spec", SIXVERTEX_SPEC, "--window", "5"], 0,
+     "15114b1ab14340a9eaa4894c8cf150f8ba0e2cdb9e4ab4591a1b1f2585eb1f76"),
+    (["--instance", "example2-n2", "--flavor", "extended"], 0,
+     "63ee08eb37c5d1b4cddada28953fca763155db1f4b448ba8557f880e67974035"),
+    (["--instance", "example2-n3", "--toggle", "ll-star=literal"], 1,
+     "7a0dd1d24673fc8b0aac39d12837191d8f71bacbafb8d6c3be0fc58c85085707"),
+    (["--instance", "example1", "--margin", "2"], 0,
+     "267cb3fa4ee0f6c871b9888d8a8f5abbfacfb47b8f74f9d24282b9ca7ffbbd53"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", MODES_REPORTS,
+                         ids=["six-vertex-w5", "n2-extended",
+                              "n3-ll-star-literal", "example1-margin2"])
+def test_verify_modes_reports_are_pinned(args, code, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-modes", *args, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# A 1x1 entry whose reduced denominator keeps the integer content 2,
+# which the primitive clearing factor leaves out: (toggles, exit code,
+# sha256 of the byte-stable ``verify-modes`` report).
+CONTENT_SPEC = "n=1; var=x\nR[1,1;1,1] = x/(2*x - 2)\n"
+CONTENT_REPORTS = [
+    ([], 0,
+     "cbef3a7e598ffcfd7a17c6da58869510fa87c3149d3afbd7a0789c4f4bc2dfa0"),
+    (["--toggle", "ll-star=literal"], 1,
+     "57d822820d59c27a05003efac1ed013155b7c0aa4de435deec76bad6ba3f4721"),
+]
+
+
+@pytest.mark.parametrize("toggles, code, digest", CONTENT_REPORTS,
+                         ids=["corrected", "ll-star-literal"])
+def test_verify_modes_denominator_with_integer_content(toggles, code,
+                                                       digest, tmp_path):
+    spec = tmp_path / "content.spec"
+    spec.write_text(CONTENT_SPEC)
+    out = tmp_path / "report.json"
+    assert main(["verify-modes", "--spec", str(spec), *toggles,
+                 "--out", str(out)]) == code
+    report = json.loads(out.read_text())
+    assert all("note" not in c for c in report["checks"]
+               if c["check_id"] == "mode-consistency")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_spec_toggle_error_has_position(tmp_path, capsys):

@@ -13,12 +13,13 @@ from rhopf.errors import DomainError, ExpansionError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
 from rhopf.kernels import mono_pow
-from rhopf.modes import (SeriesWindow, _z_split, check_mode_consistency,
+from rhopf.modes import (SeriesWindow, check_mode_consistency,
                          drinfeld_compare, load_reference_relations,
                          mode_allowed, mode_counts, mode_expand_relation)
 from rhopf.rmatrix import RMatrix
-from rhopf.symfield import (RatExpr, X, Z, accumulate, denominator_lcm,
-                            mono, mono_from_pairs, mono_items)
+from rhopf.symfield import (RatExpr, X, Z, accumulate, mono,
+                            mono_from_pairs, mono_items, poly_lcm)
+from test_nondiagonal import _jimbo_entries
 
 _Z1, _Z2 = Z[0], Z[1]
 _R1 = RatExpr.from_int(1)
@@ -200,10 +201,22 @@ def test_drinfeld_compare_rejects_matrix_instance():
 
 # -- per-slot reference for the consistency counts ------------------------------
 #
-# The former emitter, verbatim: it builds the word map and the kind sets
-# of every window slot.  The counts of ``check_mode_consistency``, read
-# from relative pieces at candidate slots only, must equal the counts
-# taken over these full maps.
+# The former emitter: it builds the word map and the kind sets of every
+# window slot.  The counts of ``check_mode_consistency``, read from
+# relative pieces at candidate slots only, must equal the counts taken over
+# these full maps.  The reference clears with its own ``poly_lcm`` fold and
+# splits the cleared coefficients through the constructor, so it shares no
+# code with the package's clearing and splitting.
+
+def _split_z(c: RatExpr) -> list:
+    """[(alpha, beta, coefficient of z1^alpha z2^beta)] of c."""
+    groups = {}
+    for m, k in c.num.items():
+        d = dict(mono_items(m))
+        a, b = d.pop(_Z1, 0), d.pop(_Z2, 0)
+        groups.setdefault((a, b), {})[mono_from_pairs(d.items())] = k
+    return [(a, b, RatExpr(t, c.den)) for (a, b), t in groups.items()]
+
 
 def _emit_element(e, window: SeriesWindow, clear: dict,
                   sign: int, out: dict, kindsets: dict):
@@ -228,7 +241,7 @@ def _emit_element(e, window: SeriesWindow, clear: dict,
             dchoices = [(nu, RatExpr.from_mono(mono_pow(d.q, nu)))
                         for nu in range(-window.N, window.N + 1)]
         kinds = tuple(sorted(g.kind for g in word))
-        for a, b, sc in _z_split(coeff * cf):
+        for a, b, sc in _split_z(coeff * cf):
             for nu, dcoef in dchoices:
                 base = sc * dcoef if sign > 0 else -(sc * dcoef)
                 exps = (a + nu, b - nu)
@@ -261,7 +274,9 @@ def _apply_triangularity(word_map: dict) -> dict:
 def per_slot_counts(lhs, rhs, window):
     """(slots checked, kind mismatches, contradiction slots) over the full
     per-slot maps of lhs = rhs."""
-    clear = denominator_lcm([*lhs.terms.values(), *rhs.terms.values()])
+    clear = {mono(): 1}
+    for c in [*lhs.terms.values(), *rhs.terms.values()]:
+        clear = poly_lcm(clear, c.den)
     slots: dict = {}
     lhs_kinds: dict = {}
     rhs_kinds: dict = {}
@@ -292,23 +307,63 @@ SIXVERTEX_SPEC = (Path(__file__).resolve().parents[1] / "verdictbench"
 
 LITERAL_LL_STAR = Toggles.from_dict({"ll-star": "literal"})
 
-
-@pytest.mark.parametrize("window", [(3, 1), (4, 1), (5, 2)],
-                         ids=lambda w: "w%d-%d" % w)
-@pytest.mark.parametrize("name, flavor, toggles", [
+_COUNT_CASES = [
     ("example1", "double", None),
     ("example2-n2", "extended", None),
     ("example2-n2", "extended", LITERAL_LL_STAR),
     ("example2-n2", "double", None),
     ("example2-n2", "double", LITERAL_LL_STAR),
     ("six-vertex", "double", None),
-], ids=["example1", "n2-extended", "n2-extended-ll-star-literal",
-        "n2-double", "n2-double-ll-star-literal", "six-vertex"])
+]
+_COUNT_IDS = ["example1", "n2-extended", "n2-extended-ll-star-literal",
+              "n2-double", "n2-double-ll-star-literal", "six-vertex"]
+
+
+def _count_param(case, case_id, window):
+    return pytest.param(*case, window, id="%s-w%d-%d" % (case_id, *window))
+
+
+# The six-vertex entries over denominators with integer content 2, 3 and
+# 4, which the primitive clearing factor leaves out of the cleared
+# coefficients.
+CONTENT_SPEC = """n=2; var=x
+R[1,1;1,1] = 1/2
+R[2,2;2,2] = 1
+R[1,2;1,2] = q*(x - 1)/(2*x*q^2 - 2)
+R[1,2;2,1] = (q^2 - 1)/(x*q^2 - 1)
+R[2,1;2,1] = q*(x - 1)/(4*x*q^2 - 4)
+R[2,1;1,2] = x*(q^2 - 1)/(3*x*q^2 - 3)
+"""
+
+
+def _matrix(name):
+    if name == "six-vertex":
+        return parse_rspec(SIXVERTEX_SPEC.read_text())[0]
+    if name == "integer-content":
+        return parse_rspec(CONTENT_SPEC)[0]
+    if name == "sl3":
+        return RMatrix(3, "x", _jimbo_entries(3), name="sl3")
+    return get_instance(name)
+
+
+@pytest.mark.parametrize("name, flavor, toggles, window", [
+    _count_param(case, case_id, window)
+    for window in [(3, 1), (4, 1), (5, 2)]
+    for case, case_id in zip(_COUNT_CASES, _COUNT_IDS)
+] + [
+    _count_param(("sl3", "double", None), "sl3", (3, 1)),
+    _count_param(("sl3", "double", LITERAL_LL_STAR), "sl3-ll-star-literal",
+                 (3, 1)),
+    _count_param(_COUNT_CASES[0], "example1", (8, 1)),
+    _count_param(_COUNT_CASES[5], "six-vertex", (6, 2)),
+    _count_param(("integer-content", "double", None), "integer-content",
+                 (3, 1)),
+    _count_param(("integer-content", "double", LITERAL_LL_STAR),
+                 "integer-content-ll-star-literal", (3, 1)),
+])
 def test_consistency_counts_match_per_slot_expansion(name, flavor, toggles,
                                                      window):
-    R = (parse_rspec(SIXVERTEX_SPEC.read_text())[0] if name == "six-vertex"
-         else get_instance(name))
-    rs = RewriteSystem(R, flavor, toggles, check_unitarity=False)
+    rs = RewriteSystem(_matrix(name), flavor, toggles, check_unitarity=False)
     w = SeriesWindow(*window)
     rep = check_mode_consistency(rs, w)
     for row in rep["relations"]:
@@ -321,6 +376,46 @@ def test_consistency_counts_match_per_slot_expansion(name, flavor, toggles,
         got = [row["slots_checked"], row["kind_mismatches"],
                row["contradictions"]]
         assert got == want, row["relation"]
+
+
+def _side(*terms):
+    """The sum of coefficient * word over (coefficient text, generators)
+    terms, a generator (kind, row, col, spectral variable)."""
+    out = Element(1)
+    for coeff, gens in terms:
+        out = out + Element.word(
+            tuple(GenOcc(k, r, c, ArgShift(v)) for k, r, c, v in gens),
+            coeff=parse_expr(coeff))
+    return out
+
+
+_BOTH = ((L, 1, 1, _Z1), (LSTAR, 1, 1, _Z2))  # reaches the whole window
+_ROW = ((LSTAR, 1, 1, _Z2),)  # a z1 power pins the row
+_COL = ((L, 1, 1, _Z1),)  # a z2 power pins the column
+_CELL = ()  # both powers pin the cell
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    # only the lhs has a whole-window piece; the rhs's row, column and
+    # cell reaches cross it and each other
+    ([("1", _BOTH), ("z2^2", _COL), ("z1*z2^-1", _CELL)],
+     [("z1^-1", _ROW), ("z2", _COL), ("z1*z2^2", _CELL), ("z1^2", _ROW)]),
+    # only the rhs has one
+    ([("z1^-1", _ROW), ("z2^-2", _COL), ("q*z1^2*z2", _CELL)],
+     [("1", _BOTH), ("z1", _ROW), ("z2^-2", _CELL)]),
+    # both, with different kinds, and reaches pinned on both sides
+    ([("1", _BOTH), ("z1^3", _ROW), ("z2", _COL)],
+     [("1", ((PHI, 1, 0, _Z1), (L, 1, 1, _Z2))), ("z2^-1", _COL),
+      ("z1^-1*z2", _CELL)]),
+    # both, with the same kinds, so only pinned slots can mismatch
+    ([("1", _BOTH), ("z1^-2*z2^2", _CELL)],
+     [("q", _BOTH), ("z1", _ROW), ("z2^3", _COL)]),
+], ids=["lhs-whole", "rhs-whole", "different-wholes", "same-wholes"])
+def test_reach_classes_count_as_the_per_slot_expansion(lhs, rhs):
+    lhs, rhs = _side(*lhs), _side(*rhs)
+    w = SeriesWindow(4, 1)
+    checked, mismatched, bad = per_slot_counts(lhs, rhs, w)
+    assert mode_counts(lhs, rhs, w) == (checked, mismatched, len(bad))
 
 
 def _zero_mode_word(coeff: str) -> Element:

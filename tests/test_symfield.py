@@ -579,3 +579,72 @@ def test_sums_over_split_binomials_equal_full_normalisation(pair):
 @given(_binomial_fractions(_BINOMIALS[:4] + _NOT_BINOMIALS))
 def test_sums_with_an_unfactored_denominator_equal_full_normalisation(pair):
     _check_sums(pair)
+
+
+# binomials whose splits share the factors s - 1, s + 1 and s^2 + 1
+_SHARING = ("s^2 - 1", "s^2 + 1", "s^4 - 1", "s - 1", "s^6 - 1",
+            "z1 - q*z2", "z1^2 - s^4*z2^2")
+
+
+@st.composite
+def _denominator_lists(draw):
+    """One to six fractions, each denominator a product of powers (up to
+    3) of binomials drawn from ``_SHARING``, so that operands hold shared
+    factors at different exponents; sometimes one operand also carries
+    an unfactored denominator."""
+    pool = [parse_expr(text) for text in _SHARING]
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        frac = RatExpr(_poly(draw, max_terms=2))
+        for i, k in draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                            st.integers(1, 3)),
+                                  min_size=1, max_size=2)):
+            frac = frac * pool[i].inverse() ** k
+        out.append(frac)
+    if draw(st.integers(0, 3)) == 0:
+        other = parse_expr(draw(st.sampled_from(_NOT_BINOMIALS)))
+        i = draw(st.integers(0, len(out) - 1))
+        out[i] = out[i] / other
+    return out
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          derandomize=True)
+@given(_denominator_lists())
+@example([parse_expr("1/(s^4 - 1)^2"), parse_expr("1/((s - 1)^3*(s + 1))")])
+def test_denominator_lcm_equals_the_poly_lcm_fold(coeffs):
+    """The lcm read from the factorizations (each factor at its highest
+    exponent) is the canonical polynomial a plain ``poly_lcm`` fold
+    gives; an unfactored operand takes the fold itself."""
+    want = {sf.mono(): 1}
+    for c in coeffs:
+        want = sf.poly_lcm(want, c.den)
+    assert sf.denominator_lcm(coeffs) == want
+
+
+@pytest.mark.parametrize("texts", [
+    ("x/(2*x - 2)",),
+    ("q/(2*x)", "3/(x - q)"),
+    ("(x - q^2)/(6*x*q^2 - 6)", "s/(4*x*q^2 - 4)", "x/(x^2 + x + 1)"),
+    ("(x + 1)/(x - 1)", "1/(x + 1)"),
+])
+def test_cleared_coefficients_keep_the_integer_content(texts):
+    """``denominator_lcm`` is primitive, so clearing a coefficient whose
+    denominator has integer content leaves that content over the cleared
+    numerator, and the result equals the product through the field."""
+    coeffs = [parse_expr(t) for t in texts]
+    clear = sf.denominator_lcm(coeffs)
+    for c in coeffs:
+        t, n = sf.clear_denominator(c, clear)
+        assert RatExpr.from_laurent(t, n) == c * RatExpr(clear)
+
+
+def test_laurent_constructor_and_monomial_product_are_canonical():
+    t = {sf.mono(x=-1, s=2): 4, sf.mono(s=1): -6}
+    assert RatExpr.from_laurent(t) == RatExpr(t)
+    assert RatExpr.from_laurent(t, 4) == RatExpr(t, {sf.mono(): 4})
+    assert RatExpr.from_laurent({}, 3) == RatExpr.from_int(0)
+    c = parse_expr("(x - q)/(3*x*s + 3)")
+    m = sf.mono(x=-2, s=1)
+    assert c.mul_mono(m, -1) == c * RatExpr({m: -1})
+    assert c.mul_mono(m, -1).fac == (c * RatExpr({m: -1})).fac
