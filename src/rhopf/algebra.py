@@ -4,9 +4,10 @@ handling and deterministic normal ordering.
 
 Conventions fixed here and used everywhere:
 
-* Generator kinds and canonical order:  Lstar(+-inv) < L(+-inv) < PhiStar
-  < Phi; within a kind, words are sorted by ascending spectral-variable
-  index.  Every exchange relation below is oriented toward this order.
+* Generator kinds and canonical order:  LStar, LStarInv < L, LInv <
+  PhiStar < Phi; within a kind, words are sorted by ascending
+  spectral-variable index.  Every exchange relation below is oriented
+  toward this order.
 
 * Argument shifts.  A generator argument is z_v * q^sigma where sigma =
   h0/2 + (h1/2) c_1 + (h2/2) c_2 + (h3/2) c_3 with integer h's; c_t is the
@@ -44,10 +45,11 @@ from .kernels import mono_mul
 from .symfield import (NVARS, RatExpr, U, Z, accumulate, mono, mono_from_pairs,
                        mono_inv, mono_items, subs_mono)
 
-LSTAR = "Lstar"
-LSTARINV = "Lstarinv"
+# a kind's name is its spelling in element text and in reports
+LSTAR = "LStar"
+LSTARINV = "LStarInv"
 L = "L"
-LINV = "Linv"
+LINV = "LInv"
 PHISTAR = "PhiStar"
 PHI = "Phi"
 
@@ -433,8 +435,6 @@ class RewriteSystem:
         self.n = R.n
         self.flavor = flavor
         self.toggles = toggles or Toggles()
-        if R.determinant().is_zero():
-            raise SingularError("R is singular; rules are not expressible")
         self._rinv = R.inverse_entries()
         if flavor == "double" and check_unitarity:
             if unitarity_residual(R):

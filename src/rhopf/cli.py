@@ -295,8 +295,12 @@ def _load(args):
 def _emit(report: VerificationReport, args) -> int:
     sys.stdout.write(report.text_summary())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(include_timings=args.timings))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json(include_timings=args.timings))
+        except OSError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
     return report.exit_code()
 
 
@@ -367,7 +371,7 @@ def main(argv=None) -> int:
         elif args.command == "verify-modes":
             window = SeriesWindow(args.window, args.margin)
             _plan_verify_modes(R, args.flavor, toggles, window, report,
-                               is_example1=(name == "example1"))
+                               is_example1=(args.instance == "example1"))
     except RhopfError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -18,6 +18,10 @@ _ONE_TERMS = {mono(): 1}
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
+# the deepest nesting of parentheses and unary minus signs a parse takes;
+# a parenthesis costs the parser five stack frames
+MAX_DEPTH = 100
+
 
 def locate(text: str, pos: int, origin: tuple) -> tuple:
     """Line and column of text[pos], given the (line, column) ``origin``
@@ -36,6 +40,7 @@ class _Tokenizer:
         self.tokens = []
         self._scan()
         self.idx = 0
+        self.depth = 0
 
     def _scan(self):
         pos = 0
@@ -65,30 +70,39 @@ class _Tokenizer:
         self.idx += 1
         return tok
 
+    def eat(self, text: str) -> bool:
+        """Take the next token if it is the punctuation character or
+        identifier ``text``."""
+        if self.peek()[1] == text:
+            self.idx += 1
+            return True
+        return False
+
+    def expect(self, text: str, message: str = None):
+        if not self.eat(text):
+            self.error(message or f"expected {text!r}")
+
     def error(self, message: str, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, *locate(self.text, tok[2], self.origin))
 
+    def nest(self, step: int):
+        """Enter (step 1) or leave (step -1) a parenthesis or unary minus;
+        the parser recurses once per level, so nesting is bounded."""
+        self.depth += step
+        if self.depth > MAX_DEPTH:
+            self.error("expression nested too deeply")
+
 
 def _parse_exponent(tz: _Tokenizer) -> int:
+    parens = tz.eat("(")
+    neg = tz.eat("-")
     kind, val, _ = tz.peek()
-    neg = False
-    parens = False
-    if kind == "(":
-        tz.next()
-        parens = True
-        kind, val, _ = tz.peek()
-    if kind == "-":
-        tz.next()
-        neg = True
-        kind, val, _ = tz.peek()
     if kind != "int":
         tz.error("expected integer exponent")
     tz.next()
     if parens:
-        if tz.peek()[0] != ")":
-            tz.error("expected ')' after exponent")
-        tz.next()
+        tz.expect(")", "expected ')' after exponent")
     return -val if neg else val
 
 
@@ -105,27 +119,29 @@ def _parse_atom(tz: _Tokenizer) -> RatExpr:
             return RatExpr.var("s", 2)
         return RatExpr.var(val)
     if kind == "(":
+        tz.nest(1)
         tz.next()
         out = _parse_sum(tz)
-        if tz.peek()[0] != ")":
-            tz.error("expected ')'")
-        tz.next()
+        tz.expect(")")
+        tz.nest(-1)
         return out
     tz.error("expected integer, identifier or '('")
 
 
 def _parse_factor(tz: _Tokenizer) -> RatExpr:
     base = _parse_atom(tz)
-    if tz.peek()[0] == "^":
-        tz.next()
+    if tz.eat("^"):
         return base ** _parse_exponent(tz)
     return base
 
 
 def _parse_unary(tz: _Tokenizer) -> RatExpr:
     if tz.peek()[0] == "-":
+        tz.nest(1)
         tz.next()
-        return -_parse_unary(tz)
+        out = -_parse_unary(tz)
+        tz.nest(-1)
+        return out
     return _parse_factor(tz)
 
 

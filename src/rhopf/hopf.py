@@ -36,43 +36,30 @@ from .symfield import RatExpr, accumulate
 # generator tables
 # ---------------------------------------------------------------------------
 
-class KindRow(NamedTuple):
-    """A generator kind and its report label.  A vector kind (VECTOR_KINDS)
-    has one index and counit 0; a matrix kind has counit delta_ij."""
-
-    kind: str
-    label: str
-    starred: bool = False  # only in the double flavor
-    inverse: bool = False  # an inverse kind, which has no antipode row
-
-
-KINDS = (
-    KindRow(PHI, "Phi"),
-    KindRow(L, "L"),
-    KindRow(LINV, "Linv", inverse=True),
-    KindRow(PHISTAR, "PhiStar", starred=True),
-    KindRow(LSTAR, "LStar", starred=True),
-    KindRow(LSTARINV, "LStarInv", starred=True, inverse=True),
-)
+# the generator kinds in the order generator_list lists them; a vector
+# kind (VECTOR_KINDS) has one index and counit 0, a matrix kind two and
+# counit delta_ij
+KINDS = (PHI, L, LINV, PHISTAR, LSTAR, LSTARINV)
 
 
 def generator_list(rs: RewriteSystem, include_inverses: bool = False):
     """(label, Element) pairs for every tabled generator at argument z1:
-    the charge element qc, then the kinds in KINDS order, the starred ones
-    only in the double flavor and the inverse ones only with
-    ``include_inverses``."""
+    the charge element qc, then the kinds of the flavor in KINDS order,
+    the inverse kinds LInv and LStarInv only with ``include_inverses``.
+    A label is the generator's text without its argument."""
     n = rs.n
+    kinds = rs.allowed_kinds()
+    if not include_inverses:
+        kinds -= {LINV, LSTARINV}
     out = [("qc", Element.unit(1, RatExpr.var("u1", 2)))]
-    for row in KINDS:
-        if (row.starred and rs.flavor != "double") or \
-                (row.inverse and not include_inverses):
+    for kind in KINDS:
+        if kind not in kinds:
             continue
+        vector = kind in VECTOR_KINDS
         for i in range(1, n + 1):
-            vector = row.kind in VECTOR_KINDS
             for j in (0,) if vector else range(1, n + 1):
-                label = row.label + (f"[{i}]" if vector else f"[{i},{j}]")
-                out.append((label,
-                            Element.word((GenOcc(row.kind, i, j, _z(1)),))))
+                label = kind + (f"[{i}]" if vector else f"[{i},{j}]")
+                out.append((label, Element.word((GenOcc(kind, i, j, _z(1)),))))
     return out
 
 

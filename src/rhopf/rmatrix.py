@@ -66,11 +66,12 @@ class RMatrix:
         return pairs, mat
 
     def inverse_entries(self) -> dict:
-        """Entries of R(x)^-1 over the function field."""
+        """Entries of R(x)^-1 over the function field, for the rewrite
+        rules."""
         pairs, mat = self._dense()
         _, inv = _eliminate(mat, invert=True)
         if inv is None:
-            raise SingularError("matrix is singular over the function field")
+            raise SingularError("R is singular; rules are not expressible")
         out = {}
         for r, (k, l) in enumerate(pairs):
             for c, (i, j) in enumerate(pairs):

@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from rhopf import algebra, hopf, symfield
 from rhopf.algebra import (ALL_KINDS, VECTOR_KINDS, ArgShift, DeltaFactor,
-                           Element, GenOcc, L, LSTAR, PHI,
+                           Element, GenOcc, L, LINV, LSTAR, PHI,
                            RewriteSystem, normal_order)
 from rhopf.cli import main, parse_rspec
 from rhopf.elemio import format_element, parse_element
 from rhopf.errors import ParseError
-from rhopf.expr import parse_expr
+from rhopf.expr import MAX_DEPTH, parse_expr
 from rhopf.instances import get_instance
 from rhopf.symfield import VAR_INDEX, RatExpr, Z, mono, q_power
 
@@ -116,7 +116,7 @@ def test_element_index_count_per_kind():
         assert str(err.value).startswith(msg)
         assert (err.value.line, err.value.col) == (1, col)
     assert parse_element("LInv[ 1 , 2 ](z1)") == Element.word(
-        (GenOcc("Linv", 1, 2, ArgShift(Z1)),))
+        (GenOcc(LINV, 1, 2, ArgShift(Z1)),))
 
 
 def test_element_coefficient_error_counts_from_the_element_text():
@@ -140,6 +140,25 @@ def test_element_parse_errors():
         parse_element("Phi[1](q)")  # not a spectral variable... parsed
     with pytest.raises(ParseError):
         parse_element("{x +} * Phi[1](z1)")
+    with pytest.raises(ParseError):
+        parse_element("{x + 1 * Phi[1](z1)")
+
+
+def test_element_unclosed_coefficient_ends_where_its_sum_does():
+    """The field grammar reads the coefficient from the element's own
+    tokens, so an unclosed brace is reported after the last term of the
+    sum."""
+    with pytest.raises(ParseError) as err:
+        parse_element("{x + 1")
+    assert str(err.value) == "expected '}' (line 1, col 7)"
+
+
+def test_element_whitespace_is_insignificant_between_tokens():
+    compact = "{q^2} * L[1,2](z1*q[0,-1,0,0]) (x) delta(z1/z2*q[1,0,0,0])"
+    spaced = ("{ q ^ 2 } * L [ 1 , 2 ] ( z1 * q [ 0 , - 1 , 0 , 0 ] ) ( x ) "
+              "delta ( z1 / z2 * q [ 1 , 0 , 0 , 0 ] )")
+    assert parse_element(spaced) == parse_element(compact)
+    assert parse_element("Phi[1](z1) (\n x\n ) 1").nlegs == 2
 
 
 def test_normal_ordered_output_reparses():
@@ -555,3 +574,66 @@ def test_cli_verify_hopf_particle_flavor_is_a_usage_error(capsys):
     assert "invalid choice: 'particle'" in capsys.readouterr().err
     assert main(["normal-order", "--instance", "example1", "--flavor",
                  "particle", "Phi[1](z2) Phi[1](z1)"]) == 0
+
+
+def test_cli_deep_nesting_exits_2(tmp_path, capsys):
+    """A field expression nested past the parser's bound, in a spec entry
+    or a normal-order coefficient, is a parse error at the token that
+    goes deeper, not a RecursionError."""
+    spec = tmp_path / "deep.spec"
+    for value in (400 * "(" + "x" + 400 * ")", 1000 * "-" + "x"):
+        spec.write_text(f"n=1; var=x\nR[1,1;1,1] = {value}\n")
+        assert main(["check-r", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "error: expression nested too deeply "
+            f"(line 2, col {14 + MAX_DEPTH})\n")
+    coeff = "{" + 400 * "(" + "q" + 400 * ")" + "} * Phi[1](z1)"
+    assert main(["normal-order", "--instance", "example1", coeff]) == 2
+    assert capsys.readouterr().err == (
+        f"error: expression nested too deeply (line 1, col {2 + MAX_DEPTH})\n")
+
+
+def test_cli_out_to_a_bad_path_exits_2(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main(["check-r", "--instance", "example1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+
+def test_cli_reference_comparison_is_for_the_builtin_example1(tmp_path):
+    """A spec named example1 is not the built-in scalar instance: the
+    2x2 identity under that name skips drinfeld-compare."""
+    spec = tmp_path / "identity.spec"
+    spec.write_text("n=2; var=x; name=example1\n"
+                    "R[1,1;1,1]=1; R[1,2;1,2]=1; R[2,1;2,1]=1; R[2,2;2,2]=1\n")
+    out = tmp_path / "report.json"
+    assert main(["verify-modes", "--spec", str(spec),
+                 "--out", str(out)]) == 0
+    checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["drinfeld-compare"]["status"] == "skipped"
+
+
+# A singular 2x2 spec: column (1,2) is zero.  (command, sha256 of the
+# byte-stable report, exit code 1); the braid-consistency, build-rules and
+# mode-consistency notes name the singular R.
+SINGULAR_SPEC = """n=2; var=x; name=singular
+R[1,1;1,1] = 1; R[1,1;1,2] = 1
+R[2,1;2,1] = 1; R[2,2;2,2] = 1
+"""
+SINGULAR_DIGESTS = {
+    "verify-hopf":
+        "8427bba3937075cf9b52f9f56431cfa30511fe5efddeb8d9aaa195a6b29c761a",
+    "verify-modes":
+        "cf52977ffc38bd19fcc4c2b97cd6b24cfff798e4ee074d8ad9c3515b8b4ed752",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGULAR_DIGESTS))
+def test_singular_spec_reports_are_pinned(command, tmp_path):
+    spec = tmp_path / "singular.spec"
+    spec.write_text(SINGULAR_SPEC)
+    out = tmp_path / "report.json"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 1
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == SINGULAR_DIGESTS[command])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rhopf.errors import ParseError
-from rhopf.expr import format_ratexpr, parse_expr
+from rhopf.expr import MAX_DEPTH, format_ratexpr, parse_expr
 from rhopf.symfield import RatExpr, mono_from_pairs
 from rhopf import symfield as sf
 
@@ -74,3 +74,21 @@ def test_printer_round_trips_random_expressions():
                else {sf.mono(): 2, sf.mono(x=1): 5})
         e = RatExpr(terms, den)
         assert parse_expr(format_ratexpr(e)) == e
+
+
+def test_nesting_past_the_bound_is_a_parse_error():
+    """The parser recurses once per parenthesis and unary minus; past
+    MAX_DEPTH levels the text is rejected at the token that goes deeper,
+    not by the interpreter's recursion limit."""
+    deep = MAX_DEPTH * "(" + "x" + MAX_DEPTH * ")"
+    assert parse_expr(deep) == parse_expr("x")
+    assert parse_expr(MAX_DEPTH * "-" + "x") == parse_expr("x")
+    for text in ("(" + deep + ")", 400 * "(" + "x" + 400 * ")",
+                 (MAX_DEPTH + 1) * "-" + "x", 1000 * "-" + "x"):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert str(err.value).startswith("expression nested too deeply")
+        assert (err.value.line, err.value.col) == (1, MAX_DEPTH + 1)
+    # the depth is the nesting, not the number of parentheses or signs
+    assert parse_expr(" + ".join(["-(-x)"] * 3 * MAX_DEPTH)) == parse_expr(
+        f"{3 * MAX_DEPTH}*x")

@@ -6,6 +6,7 @@ import pytest
 from rhopf.algebra import (ArgShift, Element, GenOcc, L, LINV, LSTARINV,
                            PHI, PHISTAR, RewriteSystem, Toggles,
                            FLAVOR_RELATIONS)
+from rhopf.elemio import format_element, parse_element
 from rhopf.errors import ShapeError, UnsupportedRule
 from rhopf.expr import parse_expr
 from rhopf.hopf import (HopfTables, antipode_apply, check_axioms,
@@ -265,3 +266,16 @@ def test_generator_list_covers_flavor():
     labels = [lab for lab, _ in generator_list(rs)]
     assert "qc" in labels and "PhiStar[2]" in labels \
         and "LStar[2,1]" in labels
+
+
+@pytest.mark.parametrize("flavor", ["extended", "double"])
+@pytest.mark.parametrize("inverses", [False, True])
+def test_generator_labels_are_element_text(flavor, inverses):
+    """A label is the generator's element text without its argument."""
+    rs, _ = _setup("example2-n2", flavor)
+    gens = generator_list(rs, inverses)[1:]
+    assert {label.split("[")[0] for label, _ in gens} \
+        == rs.allowed_kinds() - (set() if inverses else {LINV, LSTARINV})
+    for label, gen in gens:
+        assert parse_element(label + "(z1)", n=rs.n) == gen
+        assert format_element(gen) == label + "(z1)"
