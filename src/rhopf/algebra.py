@@ -43,7 +43,7 @@ from .errors import (BudgetError, DomainError, KindError, ShapeError,
 from .rmatrix import RMatrix, entries_at, unitarity_residual
 from .kernels import mono_mul
 from .symfield import (NVARS, RatExpr, U, Z, accumulate, mono, mono_from_pairs,
-                       mono_inv, mono_items, subs_mono)
+                       mono_inv, mono_items, subs_mono, support, var_mask)
 
 # a kind's name is its spelling in element text and in reports
 LSTAR = "LStar"
@@ -246,13 +246,21 @@ class Element:
 
     def map_charges(self, cmap: dict) -> "Element":
         """Apply the linear substitution c_i -> sum_j cmap[i][j] c_j, that
-        is u_i -> prod_j u_j^cmap[i][j], to every term."""
+        is u_i -> prod_j u_j^cmap[i][j], to every term.  A term whose
+        coefficient, arguments and deltas hold none of the remapped u_i
+        is its own image and passes through."""
         smap = {U[i - 1]: mono_from_pairs((U[j - 1], e)
                                           for j, e in row.items())
                 for i, row in cmap.items() if row != {i: 1}}
+        mask = var_mask(smap)
         out: dict = {}
         for key, c in self.terms.items():
-            accumulate(out, *subs_term(key, c, smap))
+            _, deltas, legs = key
+            if support(itertools.chain(
+                    c.num, c.den, (d.q for d in deltas),
+                    (g.arg.q for w in legs for g in w))) & mask:
+                key, c = subs_term(key, c, smap)
+            accumulate(out, key, c)
         return Element(self.nlegs, out)
 
     def __repr__(self):

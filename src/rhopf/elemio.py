@@ -218,6 +218,8 @@ def _term(tz: _Tokenizer, n: int):
             tz.expect("]")
             tz.expect("(")
             legs[-1].append(GenOcc(val, row, col, _arg(tz)))
+        elif kind == "ident" and _ahead(tz, val, "["):
+            tz.error(f"unknown generator kind {val!r}")
         else:
             break
     if not deltas and not any(legs) and not saw_unit and coeff == _R1:

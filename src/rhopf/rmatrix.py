@@ -208,9 +208,9 @@ def _map_sub(a: dict, b: dict) -> dict:
 
 
 def unitarity_residual(R: RMatrix) -> dict:
-    """R21(x) R(1/x) - Id as a sparse ((i,j),(k,l)) -> RatExpr dict."""
-    if R.determinant().is_zero():
-        raise SingularError("R is singular; unitarity is ill-posed")
+    """R21(x) R(1/x) - Id as a sparse ((i,j),(k,l)) -> RatExpr dict.  A
+    singular R always leaves a residual, since det(R21(x) R(1/x)) = 0, so
+    the determinant is taken only for a nonzero residual."""
     x = mono(**{R.var: 1})
     xinv = mono(**{R.var: -1})
     r21 = _as_map2(R.flip().at(x))
@@ -220,7 +220,10 @@ def unitarity_residual(R: RMatrix) -> dict:
     for i in range(1, R.n + 1):
         for j in range(1, R.n + 1):
             ident[(i, j)] = {(i, j): _R1}
-    return _map_sub(prod, ident)
+    res = _map_sub(prod, ident)
+    if res and R.determinant().is_zero():
+        raise SingularError("R is singular; unitarity is ill-posed")
+    return res
 
 
 def clear_poles(R: RMatrix) -> ClearedRMatrix:

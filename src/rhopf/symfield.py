@@ -30,7 +30,8 @@ reaches it from any fraction in two steps, ``_orient`` and ``_cancel``.
 Equality is plain structural comparison of canonical forms.  A fraction
 also carries the factorization of its denominator into irreducibles when
 it is known (see "factored denominators"), and a sum of two such
-fractions cancels by trial division by the factors, with no gcd.
+fractions, or a product with one, cancels by trial division by the
+factors, with no gcd.
 """
 
 from __future__ import annotations
@@ -106,11 +107,27 @@ def mono_items(m: int) -> tuple:
     return tuple(out)
 
 
+def support(monos) -> int:
+    """A mask nonzero exactly in the fields of the variables that occur
+    in some of the monomials: it meets ``var_mask(vs)`` exactly when one
+    of the variables vs occurs."""
+    nz = 0
+    for m in monos:
+        nz |= (m + Q) ^ Q
+    return nz
+
+
+def var_mask(vs) -> int:
+    """The bits of the fields of the variables of index in vs."""
+    out = 0
+    for v in vs:
+        out |= FIELD_MASK << _SHIFT[v]
+    return out
+
+
 def variables(terms) -> set:
     """Indices of the variables occurring in a term map."""
-    nz = 0
-    for m in terms:
-        nz |= (m + Q) ^ Q
+    nz = support(terms)
     out = set()
     while nz:
         v = ((nz & -nz).bit_length() - 1) // FIELD_BITS
@@ -990,12 +1007,21 @@ _PRODUCT_CANCELS: dict = {}
 
 def _cancel_product(t: dict, den: dict, fac) -> tuple:
     """(t/h, den/h, factorization of den/h) as ``_cancel``, through the
-    product memo.  A known factorization of den loses h's factors, found
-    once per memo entry by trial division of h."""
+    product memo.  A miss with den factored takes no gcd: its factors are
+    irreducible, pairwise coprime and monic, so h is the product of those
+    that divide t, each to at most its exponent, and ``_trial_cancel``
+    finds it.  An entry made by ``_cancel`` for an unfactored den learns
+    h's factors by trial division of h when a factored den first hits
+    it."""
     key = (frozenset(t.items()), frozenset(den.items()))
     if key not in _PRODUCT_CANCELS:
-        hit = _cancel(t, den)
-        _PRODUCT_CANCELS[key] = hit and [*hit, None]
+        if fac is None:
+            hit = _cancel(t, den)
+            hit = hit and [*hit, None]
+        else:
+            cur, cut = _trial_cancel(t, fac)
+            hit = [cur, _expand(_fac_sub(fac, cut)), cut] if cut else None
+        _PRODUCT_CANCELS[key] = hit
     hit = _PRODUCT_CANCELS[key]
     if hit is None:
         return t, den, fac

@@ -18,7 +18,8 @@ from rhopf.elemio import parse_element
 from rhopf.errors import BudgetError, KindError, RhopfError, ShapeError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
-from rhopf.symfield import RatExpr, X, Z, mono, q_power
+from rhopf.symfield import (RatExpr, U, X, Z, accumulate, mono,
+                            mono_from_pairs, mono_items, q_power)
 
 Z1, Z2, Z3 = Z[0], Z[1], Z[2]
 R1 = RatExpr.from_int(1)
@@ -391,3 +392,51 @@ def test_inverse_kind_terms_have_one_reducible_pair(monkeypatch):
               "phistar-coproduct=literal"], 1)):
         assert main(["verify-hopf", *argv]) == code, argv
     assert 1 in counts and max(counts) == 1
+
+
+
+# -- charge maps --------------------------------------------------------------
+
+# two-leg terms whose coefficients, arguments and deltas do and do not
+# carry the charges u1..u3
+_CHARGED = (
+    "{u1^2 + q} * Phi[1](z1) PhiStar[2](z2) (x) 1"
+    " + {(q - u2)/(q*u2 - 1)} * L[1,2](z1) (x) 1"
+    " + L[2,1](z1*q[1,1,0,0]) (x) Phi[1](z2)"
+    " + delta(z1/z2*q[0,0,-1,0]) Phi[2](z1) (x) 1"
+    " + {x/(x - q^2)} * Phi[2](z2) (x) L[1,1](z3*q[2,0,0,1])"
+    " + {u3 - 1} * LStar[2,2](z1) (x) PhiStar[1](z2*q[0,0,1,0])"
+    " + delta(z1/z3*q[1,0,0,0]) Phi[1](z1) (x) L[2,2](z2)"
+    " + {q/(u1*q - 1)} * Phi[2](z1) (x) PhiStar[1](z3)"
+    " + {z2/(u2*z1 + q)} * L[2,1](z2) (x) 1")
+_CHARGE_MAPS = ({1: {2: 1}, 2: {1: 1}}, {1: {1: 1, 2: 1}}, {2: {3: -1}},
+                {1: {1: 1}, 2: {2: 1, 3: 2}}, {1: {1: 1}})
+
+
+def _charges_held(key, coeff) -> set:
+    """The charge slots whose u occurs in a term's coefficient, argument
+    q-powers or delta q-powers."""
+    _, deltas, legs = key
+    qs = [d.q for d in deltas] + [g.arg.q for w in legs for g in w]
+    found = coeff.variables() | {v for q in qs for v, _ in mono_items(q)}
+    return {t for t in (1, 2, 3) if U[t - 1] in found}
+
+
+@pytest.mark.parametrize("cmap", _CHARGE_MAPS)
+def test_map_charges_equals_term_by_term_substitution(cmap):
+    """The charge map equals ``subs_term`` on every term, and a term that
+    holds none of the remapped charges passes through as it is."""
+    e = parse_element(_CHARGED)
+    smap = {U[i - 1]: mono_from_pairs((U[j - 1], k) for j, k in row.items())
+            for i, row in cmap.items() if row != {i: 1}}
+    want: dict = {}
+    for key, c in e.terms.items():
+        accumulate(want, *algebra.subs_term(key, c, smap))
+    got = e.map_charges(cmap)
+    assert got == Element(e.nlegs, want)
+    remapped = {i for i, row in cmap.items() if row != {i: 1}}
+    untouched = [key for key, c in e.terms.items()
+                 if not _charges_held(key, c) & remapped]
+    for key in untouched:
+        assert got.terms[key] is e.terms[key]
+    assert 0 < len(untouched) < len(e.terms) or not remapped

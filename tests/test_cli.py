@@ -144,6 +144,25 @@ def test_element_parse_errors():
         parse_element("{x + 1 * Phi[1](z1)")
 
 
+def test_element_unknown_kind_is_named(capsys):
+    """A name followed by an index list that is no generator kind is
+    reported as such, where it stands, also in an old spelling."""
+    for text, name, pos in (
+            ("Bogus[1](z1)", "Bogus", (1, 1)),
+            ("Lstar[1,1](z1)", "Lstar", (1, 1)),
+            ("Phi[1](z1) Linv[1,1](z1)", "Linv", (1, 12)),
+            ("Phi[1](z1) (x) LStarinv[1, 2](z2)", "LStarinv", (1, 16)),
+            ("Phi[1](z2)\n + {x} * Bogus [2](z1)", "Bogus", (2, 10))):
+        with pytest.raises(ParseError) as err:
+            parse_element(text)
+        assert str(err.value).startswith(f"unknown generator kind {name!r}")
+        assert (err.value.line, err.value.col) == pos
+    assert main(["normal-order", "--instance", "example1",
+                 "Lstar[1,1](z1)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown generator kind 'Lstar' (line 1, col 1)\n")
+
+
 def test_element_unclosed_coefficient_ends_where_its_sum_does():
     """The field grammar reads the coefficient from the element's own
     tokens, so an unclosed brace is reported after the last term of the
@@ -615,13 +634,15 @@ def test_cli_reference_comparison_is_for_the_builtin_example1(tmp_path):
 
 
 # A singular 2x2 spec: column (1,2) is zero.  (command, sha256 of the
-# byte-stable report, exit code 1); the braid-consistency, build-rules and
-# mode-consistency notes name the singular R.
+# byte-stable report, exit code 1); the unitarity, braid-consistency,
+# build-rules and mode-consistency notes name the singular R.
 SINGULAR_SPEC = """n=2; var=x; name=singular
 R[1,1;1,1] = 1; R[1,1;1,2] = 1
 R[2,1;2,1] = 1; R[2,2;2,2] = 1
 """
 SINGULAR_DIGESTS = {
+    "check-r":
+        "19a7fc6ee25159404db5fd540856b5fd5271e778240229f1f949bfc27b53f1be",
     "verify-hopf":
         "8427bba3937075cf9b52f9f56431cfa30511fe5efddeb8d9aaa195a6b29c761a",
     "verify-modes":

@@ -2,6 +2,8 @@
 
 import pytest
 
+from rhopf import rmatrix
+from rhopf.algebra import RewriteSystem
 from rhopf.errors import SingularError
 from rhopf.expr import parse_expr
 from rhopf.instances import PASSING_INSTANCES, get_instance
@@ -113,8 +115,41 @@ def test_clear_poles_denominators_free_of_var():
 def test_singular_matrix_rejected():
     R = RMatrix(2, "x", {(i, j, i, j): parse_expr("1")
                          for (i, j) in ((1, 1), (1, 2), (2, 1))})
-    with pytest.raises(SingularError):
+    with pytest.raises(SingularError) as err:
         unitarity_residual(R)
+    assert str(err.value) == "R is singular; unitarity is ill-posed"
+
+
+@pytest.mark.parametrize("flavor, calls", [("extended", [True]),
+                                           ("double", [True])])
+def test_rewrite_system_eliminates_once(flavor, calls, monkeypatch):
+    """Building the rules inverts R by one Gauss-Jordan pass; the double
+    flavor's unitarity check takes no determinant of a unitary R, whose
+    residual is zero."""
+    seen = []
+
+    def recording(mat, invert):
+        seen.append(invert)
+        return eliminate(mat, invert)
+    eliminate = rmatrix._eliminate
+    monkeypatch.setattr(rmatrix, "_eliminate", recording)
+    RewriteSystem(get_instance("example2-n3"), flavor)
+    assert seen == calls
+
+
+def test_nonunitary_residual_takes_the_determinant(monkeypatch):
+    """A nonzero residual is checked for a singular R, a zero one is not."""
+    seen = []
+
+    def recording(mat, invert):
+        seen.append(invert)
+        return eliminate(mat, invert)
+    eliminate = rmatrix._eliminate
+    monkeypatch.setattr(rmatrix, "_eliminate", recording)
+    assert unitarity_residual(get_instance("example1")) == {}
+    assert seen == []
+    assert unitarity_residual(get_instance("broken-nonunitary")) != {}
+    assert seen == [False]
 
 
 def test_inverse_entries_roundtrip_nondiagonal():

@@ -648,3 +648,83 @@ def test_laurent_constructor_and_monomial_product_are_canonical():
     m = sf.mono(x=-2, s=1)
     assert c.mul_mono(m, -1) == c * RatExpr({m: -1})
     assert c.mul_mono(m, -1).fac == (c * RatExpr({m: -1})).fac
+
+
+
+def _over(num, *dens):
+    """num over the product of the binomials dens[i][0] to the powers
+    dens[i][1], built by products of inverses so that it keeps its
+    factorization."""
+    out = parse_expr(num)
+    for text, k in dens:
+        out = out * parse_expr(text).inverse() ** k
+    return out
+
+
+@st.composite
+def _products_over_split_binomials(draw):
+    """Two fractions as ``_binomial_fractions`` draws them, each numerator
+    times one or two factors of the other's denominator that its own
+    lacks, each to an exponent below, at or above the one there: so a
+    product cancels nothing, part of a factor, all of it, or all of it
+    with some left in the numerator."""
+    a, c = draw(_binomial_fractions(_BINOMIALS))
+
+    def carrying(x, other):
+        factors = sorted(f for f in other.fac.items() if f[0] not in x.fac)
+        num = x.num
+        for f, e in draw(st.lists(st.sampled_from(factors), max_size=2,
+                                  unique=True) if factors else st.just([])):
+            k = e + draw(st.sampled_from((-1, 0, 1)))
+            num = mul(num, sf._poly_pow(sf.factor_terms(f), k))
+        return RatExpr._canonical(num, x.den, x.fac)
+    return carrying(a, c), carrying(c, a)
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          derandomize=True)
+@given(_products_over_split_binomials())
+@example((_over("(s^2 + 1)^2*s^-1", ("s^4 - 1", 1), ("z1 - q*z2", 2)),
+          _over("(s + 1)^3*(s^2 - s + 1)*z2^-2", ("s^2 + 1", 2))))
+def test_products_over_split_binomials_equal_full_normalisation(pair):
+    """A product of factored operands cancels by trial division over the
+    denominators' factors; cold and again through a warm memo it equals
+    the constructor's normalisation of the raw product, and its
+    factorization multiplies out to its denominator."""
+    a, c = pair
+    for x in pair:
+        assert x == RatExpr(x.num, x.den)
+        _assert_factors_multiply_out(x)
+    sf.reset_memo()
+    pairs = [(a, c), (c, a), (a, a), (c, c)]
+    for x, y in pairs + pairs:
+        got = x * y
+        assert got == RatExpr(mul(x.num, y.num), mul(x.den, y.den))
+        assert got.fac is not None
+        _assert_factors_multiply_out(got)
+
+
+def test_factored_products_take_no_poly_gcd(monkeypatch):
+    """A product whose denominators are factored cancels with no
+    ``poly_gcd``; one with an unfactored denominator still takes it."""
+    calls = []
+    poly_gcd = sf.poly_gcd
+
+    def counting(p, q):
+        calls.append(1)
+        return poly_gcd(p, q)
+    monkeypatch.setattr(sf, "poly_gcd", counting)
+    sf.reset_memo()
+    a = _over("(s^4 - 1)*z1", ("z1 - q*z2", 2))
+    b = _over("(z1 - q*z2)*s^-3", ("s^2 + 1", 1), ("s^6 - 1", 1))
+    c = _over("x*q^3 + 1", ("x^2*s^2 - 1", 1))
+    d = _over("s^2 + 1", ("x^2 + x + 1", 1))
+    assert None not in (a.fac, b.fac, c.fac) and d.fac is None
+    calls.clear()
+    pairs = ((a, b), (b, a), (b, c), (c, b), (a, c), (b, b))
+    products = [x * y for x, y in pairs]
+    assert calls == []
+    b * d
+    assert calls
+    for (x, y), got in zip(pairs, products):
+        assert got == RatExpr(mul(x.num, y.num), mul(x.den, y.den))
