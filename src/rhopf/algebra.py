@@ -43,7 +43,8 @@ from .errors import (BudgetError, DomainError, KindError, ShapeError,
 from .rmatrix import RMatrix, entries_at, unitarity_residual
 from .kernels import mono_mul
 from .symfield import (NVARS, RatExpr, U, Z, accumulate, mono, mono_from_pairs,
-                       mono_inv, mono_items, subs_mono, support, var_mask)
+                       mono_inv, mono_items, subs_mono, sum_fractions, support,
+                       var_mask)
 
 # a kind's name is its spelling in element text and in reports
 LSTAR = "LStar"
@@ -769,8 +770,11 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
     decreases it, so a term is taken after every contribution to it has
     arrived, and is rewritten once, or never when it cancels to zero; the
     literal ``ll-star`` rule can raise it (its ``L`` becomes an ``LStar``
-    behind earlier ``L``-kinds), and a term may then be taken again.
-    ``max_steps`` bounds the number of rule applications."""
+    behind earlier ``L``-kinds), and a term may then be taken again.  A
+    pending term keeps its contributions unsummed, and ``sum_fractions``
+    adds them once when the term is taken: most of these sums end at zero,
+    and a zero sum costs no division.  ``max_steps`` bounds the number of
+    rule applications."""
     allowed = rs.allowed_kinds()
     for (_, _, legs) in e.terms:
         for word in legs:
@@ -778,16 +782,16 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
                 if g.kind not in allowed:
                     raise KindError(
                         f"kind {g.kind} not in flavor {rs.flavor}")
-    pending = dict(e.terms)
+    pending = {key: [coeff] for key, coeff in e.terms.items()}
     heap = [(_priority(key, rs), key) for key in pending]
     heapq.heapify(heap)
     out: dict = {}
     steps = 0
     while heap:
         _, key = heapq.heappop(heap)
-        coeff = pending.pop(key, None)
-        if coeff is None:
-            continue  # cancelled, or a second entry of a term taken
+        coeff = sum_fractions(pending.pop(key))
+        if coeff.is_zero():
+            continue
         found = _redex(key[2], rs)
         if found is None:
             accumulate(out, key, coeff)
@@ -800,9 +804,13 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
         for nkey, rcoeff in rewrite_term(key, rs, *found):
             if trace is not None:
                 trace.append((before, _measure(nkey[2], rs)))
-            if nkey not in pending:
+            c = coeff * rcoeff
+            parts = pending.get(nkey)
+            if parts is None:
+                pending[nkey] = [c]
                 heapq.heappush(heap, (_priority(nkey, rs), nkey))
-            accumulate(pending, nkey, coeff * rcoeff)
+            else:
+                parts.append(c)
     return Element(e.nlegs, out)
 
 

@@ -29,9 +29,9 @@ any variable, and its leading coefficient is positive.  The constructor
 reaches it from any fraction in two steps, ``_orient`` and ``_cancel``.
 Equality is plain structural comparison of canonical forms.  A fraction
 also carries the factorization of its denominator into irreducibles when
-it is known (see "factored denominators"), and a sum of two such
-fractions, or a product with one, cancels by trial division by the
-factors, with no gcd.
+it is known (see "factored denominators"), and a sum of such fractions,
+or a product with one, cancels by trial division by the factors, with no
+gcd.
 """
 
 from __future__ import annotations
@@ -749,6 +749,47 @@ def _trial_cancel(t: dict, fac: dict) -> tuple:
     return cur, cut
 
 
+def _lcm_sum(ops) -> "RatExpr":
+    """The sum of the canonical fractions num / den over (num, den's
+    factorization) pairs, in one step over a common denominator (Knuth,
+    TAOCP vol. 2, 4.5.1): the lcm L of the denominators takes each factor
+    to its highest exponent, with no gcd, and the numerators times L/den
+    add to t.  A zero t takes no division.  Otherwise t is trial-divided
+    once, by the factors of L that two or more operands hold at L's
+    exponent: when one operand alone holds f there, every other operand's
+    num * L/den is a multiple of f, and its own is not (its numerator is
+    coprime to its denominator, and L/den lacks f), so f cannot divide
+    t."""
+    lcm: dict = {}
+    tied: dict = {}
+    for _, fac in ops:
+        for f, e in fac.items():
+            top = lcm.get(f, 0)
+            if e > top:
+                lcm[f] = e
+                tied[f] = False
+            elif e == top:
+                tied[f] = True
+    t: dict = {}
+    for num, fac in ops:
+        if fac != lcm:
+            num = kernels.poly_mul(num, _expand(_fac_sub(lcm, fac)))
+        for m, c in num.items():
+            s = t.get(m, 0) + c
+            if s:
+                t[m] = s
+            elif m in t:
+                del t[m]
+    if not t:
+        return RatExpr._canonical({}, dict(_ONE_TERMS), {})
+    fac = lcm
+    shared = {f: lcm[f] for f, tie in tied.items() if tie}
+    if shared:
+        t, cut = _trial_cancel(t, shared)
+        fac = _fac_sub(lcm, cut)
+    return RatExpr._canonical(t, _expand(fac), fac)
+
+
 # ---------------------------------------------------------------------------
 # rational expressions
 # ---------------------------------------------------------------------------
@@ -827,21 +868,18 @@ class RatExpr:
     def __add__(self, other):
         if isinstance(other, int):
             other = RatExpr.from_int(other)
-        return self._add(other, kernels.poly_add)
+        return self._add(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = RatExpr.from_int(other)
-        return self._add(other, kernels.poly_sub)
+        return self._add(other, True)
 
-    def _add(self, other, combine) -> "RatExpr":
-        """a/b (+ or -) c/d.  With both denominators factored: with
-        g = gcd(b, d), b = g*b1, d = g*d1, the sum t = a*d1 + c*b1 is
-        coprime to b1 and d1, so only gcd(t, g) can cancel; g takes the
-        minimum of the exponents, and gcd(t, g) is found by trial division
-        by g's factors.  Otherwise the constructor reduces
+    def _add(self, other, sub: bool) -> "RatExpr":
+        """a/b + c/d, or a/b - c/d when ``sub``: ``_lcm_sum`` when both
+        denominators are factored.  Otherwise the constructor reduces
         (a*d +- c*b) / (b*d), a sum counted in ``SUM_GCD_FALLBACKS`` unless
         a denominator is 1."""
         global SUM_GCD_FALLBACKS
@@ -850,28 +888,12 @@ class RatExpr:
             b, d = self.den, other.den
             if b != _ONE_TERMS and d != _ONE_TERMS:
                 SUM_GCD_FALLBACKS += 1
+            combine = kernels.poly_sub if sub else kernels.poly_add
             return RatExpr(combine(kernels.poly_mul(self.num, d),
                                    kernels.poly_mul(other.num, b)),
                            kernels.poly_mul(b, d))
-        g = {f: min(e, fd[f]) for f, e in fb.items() if f in fd}
-        if g:
-            b1, d1 = _expand(_fac_sub(fb, g)), _expand(_fac_sub(fd, g))
-        else:
-            b1, d1 = self.den, other.den
-        t = combine(kernels.poly_mul(self.num, d1)
-                    if d1 != _ONE_TERMS else self.num,
-                    kernels.poly_mul(other.num, b1)
-                    if b1 != _ONE_TERMS else other.num)
-        if not t:
-            return RatExpr._canonical({}, dict(_ONE_TERMS), {})
-        if g:
-            t, cut = _trial_cancel(t, g)
-            fac = _fac_sub(_fac_lcm(fb, fd), cut)
-        else:
-            fac = _fac_mul(fb, fd)
-        den = (self.den if fac is fb else other.den if fac is fd
-               else _expand(fac))
-        return RatExpr._canonical(t, den, fac)
+        c = kernels.poly_neg(other.num) if sub else other.num
+        return _lcm_sum(((self.num, fb), (c, fd)))
 
     def mul_mono(self, m: int, sign: int = 1) -> "RatExpr":
         """The product with the signed monomial sign * m, which stays
@@ -1001,7 +1023,7 @@ def _cancel(t: dict, den: dict):
 # a coprime pair, by far the most common, stores only None.  The memo
 # shares the term maps it returns, which is sound because no term map is
 # mutated once built.  Sums are not memoized: over factored denominators
-# they take no gcd (``RatExpr._add``).  ``reset_memo`` empties it.
+# they take no gcd (``_lcm_sum``).  ``reset_memo`` empties it.
 _PRODUCT_CANCELS: dict = {}
 
 
@@ -1095,6 +1117,17 @@ def accumulate(out: dict, key, coeff: RatExpr):
         out.pop(key, None)
     else:
         out[key] = coeff
+
+
+def sum_fractions(coeffs: list) -> RatExpr:
+    """The sum of a nonempty list of RatExprs: one ``_lcm_sum`` over all
+    of them when every denominator is factored, else the pairwise ``+``
+    from the left."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    if any(c.fac is None for c in coeffs):
+        return sum(coeffs[1:], coeffs[0])
+    return _lcm_sum([(c.num, c.fac) for c in coeffs])
 
 
 def denominator_lcm(coeffs) -> dict:

@@ -6,6 +6,7 @@ that symmetric matrices cannot: the transpose of a right-multiplied R,
 and the product vs ratio middle argument of the Yang-Baxter check.
 """
 
+import heapq
 import itertools
 import random
 
@@ -14,17 +15,19 @@ import pytest
 from rhopf import symfield
 from rhopf.algebra import (_INV_PAIRS, ALL_KINDS, FLAVOR_RELATIONS,
                            VECTOR_KINDS, ArgShift, Element, GenOcc,
-                           RewriteSystem, Toggles, _z,
-                           braid_consistency, normal_order, relation_sides,
-                           relation_self_residual, rewrite_term, rule_pieces)
+                           RewriteSystem, Toggles, _measure, _priority,
+                           _redex, _z, braid_consistency, normal_order,
+                           relation_sides, relation_self_residual,
+                           rewrite_term, rule_pieces)
 from rhopf.cli import main
 from rhopf.elemio import parse_element
 from rhopf.errors import SingularError
 from rhopf.expr import parse_expr
-from rhopf.hopf import HopfTables, check_axioms, check_hom_on_relation
+from rhopf.hopf import (HopfTables, check_axioms, check_hom_on_relation,
+                        coproduct)
 from rhopf.instances import get_instance
 from rhopf.rmatrix import RMatrix, unitarity_residual, ybe_residual
-from rhopf.symfield import RatExpr, q_power
+from rhopf.symfield import RatExpr, accumulate, q_power
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +250,65 @@ def test_normal_order_sums_a_finished_term_that_comes_back():
     assert list(nt.terms) == list(k.terms)
     assert normal_order(k, rs) == k
     assert normal_order(t + k, rs) == nt + k
+
+
+def _pairwise_normal_order(e, rs, trace):
+    """The reference engine: ``normal_order`` with each contribution added
+    to its pending term on arrival, by the pairwise ``+``.  Also returns
+    how many times a term already taken from the heap came back."""
+    pending = dict(e.terms)
+    heap = [(_priority(key, rs), key) for key in pending]
+    heapq.heapify(heap)
+    out, taken, back = {}, set(), 0
+    while heap:
+        _, key = heapq.heappop(heap)
+        coeff = pending.pop(key, None)
+        if coeff is None:
+            continue  # cancelled, or a second entry of a term taken
+        taken.add(key)
+        found = _redex(key[2], rs)
+        if found is None:
+            accumulate(out, key, coeff)
+            continue
+        before = _measure(key[2], rs)
+        for nkey, rcoeff in rewrite_term(key, rs, *found):
+            trace.append((before, _measure(nkey[2], rs)))
+            if nkey not in pending:
+                back += nkey in taken
+                heapq.heappush(heap, (_priority(nkey, rs), nkey))
+            accumulate(pending, nkey, coeff * rcoeff)
+    return Element(e.nlegs, out), back
+
+
+@pytest.mark.parametrize("toggles", [
+    Toggles(), Toggles.from_dict({"ll-star": "literal"})],
+                         ids=["corrected", "ll-star-literal"])
+def test_deferred_sums_agree_with_the_pairwise_engine(toggles, sixv):
+    """On the six-vertex matrix, ``normal_order`` (each pending term's
+    contributions summed once, when it is taken) gives the reference
+    engine's terms, in the same order and after the same rule
+    applications: on the coproducts of both sides of every relation and of
+    their difference, whose residuals are nonzero only under
+    ``ll-star=literal``, and on the coproduct of a word that holds L LStar
+    behind two LInv, where the literal rule brings taken terms back."""
+    rs = RewriteSystem(sixv, "double", toggles)
+    tables = HopfTables(rs)
+    word = parse_element(
+        "LInv[1,1](z3) LInv[1,1](z3) L[1,1](z1) LStar[1,1](z1)")
+    inputs = [(word, False)]
+    for rid in FLAVOR_RELATIONS["double"]:
+        for _, lhs, rhs in relation_sides(rs, rid):
+            inputs += [(lhs, False), (rhs, False), (lhs - rhs, True)]
+    back = nonzero = 0
+    for e, difference in inputs:
+        delta = coproduct(e, tables, 0)
+        trace, want_trace = [], []
+        got = normal_order(delta, rs, trace=trace)
+        want, came_back = _pairwise_normal_order(delta, rs, want_trace)
+        assert list(got.terms.items()) == list(want.terms.items()), e
+        assert trace == want_trace, e
+        back += came_back
+        nonzero += difference and not got.is_zero()
+    literal = toggles.as_dict()["ll-star"] == "literal"
+    assert (back > 0) == literal
+    assert (nonzero > 0) == literal

@@ -728,3 +728,86 @@ def test_factored_products_take_no_poly_gcd(monkeypatch):
     assert calls
     for (x, y), got in zip(pairs, products):
         assert got == RatExpr(mul(x.num, y.num), mul(x.den, y.den))
+
+
+@st.composite
+def _summand_lists(draw):
+    """The contributions of a pending term: one to five fractions over
+    products of powers (up to 2) of binomials from ``_SHARING``, built by
+    products of inverses as rule application builds them, so that they
+    share factors at equal and at different exponents; a numerator may
+    carry a pool factor.  One time in three the list closes with
+    y - (the sum of the others), so that it sums to 0 or to a fraction y
+    over a single pool factor, and one time in four one operand is
+    divided by a factor that is not a unit binomial."""
+    pool = [parse_expr(text) for text in _SHARING]
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        frac = RatExpr(_poly(draw, max_terms=2))
+        for i, k in draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                            st.integers(1, 2)),
+                                  min_size=1, max_size=2)):
+            frac = frac * pool[i].inverse() ** k
+        if draw(st.booleans()):
+            frac = frac * draw(st.sampled_from(pool))
+        out.append(frac)
+    close = draw(st.sampled_from((None, "zero", "fraction")))
+    if close:
+        y = RatExpr.from_int(0)
+        if close == "fraction":
+            y = RatExpr(_poly(draw, max_terms=2)) / draw(st.sampled_from(pool))
+        for c in out:
+            y = y - c
+        out.append(y)
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(out) - 1))
+        out[i] = out[i] / parse_expr(draw(st.sampled_from(_NOT_BINOMIALS)))
+    return draw(st.permutations(out))
+
+
+def _constructor_sum(coeffs):
+    """The constructor's normalisation of the sum over the product of the
+    denominators."""
+    num, den = {}, {sf.mono(): 1}
+    for c in coeffs:
+        num = add(mul(num, c.den), mul(c.num, den))
+        den = mul(den, c.den)
+    return RatExpr(num, den)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          derandomize=True)
+@given(_summand_lists())
+@example([_over("1", ("s - 1", 1)), _over("-1", ("s + 1", 1)),
+          _over("-2", ("s^2 - 1", 1))])
+@example([_over("s", ("s - 1", 2)), _over("-1", ("s - 1", 2)),
+          _over("1", ("s + 1", 1))])
+@example([_over("1", ("s - 1", 1)) / parse_expr("x^2 + x + 1"),
+          _over("-1", ("s - 1", 1)), _over("1", ("s + 1", 1))])
+def test_sum_fractions_equals_the_pairwise_fold_and_the_constructor(coeffs):
+    """The n-ary sum over the lcm of factored denominators equals the
+    pairwise fold and the constructor's normalisation over the product of
+    the denominators; its factorization multiplies out to its
+    denominator, and a factored list that sums to zero takes no trial
+    division.  An unfactored operand takes the pairwise fold."""
+    calls = []
+    trial_cancel = sf._trial_cancel
+
+    def counting(t, fac):
+        calls.append(fac)
+        return trial_cancel(t, fac)
+    sf._trial_cancel = counting
+    try:
+        got = sf.sum_fractions(coeffs)
+    finally:
+        sf._trial_cancel = trial_cancel
+    fold = coeffs[0]
+    for c in coeffs[1:]:
+        fold = fold + c
+    assert got == fold
+    assert got == _constructor_sum(coeffs)
+    if all(c.fac is not None for c in coeffs):
+        assert got.fac is not None
+        _assert_factors_multiply_out(got)
+        if got.is_zero():
+            assert calls == []
