@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .errors import (BudgetError, DomainError, KindError, ShapeError,
                      SingularError)
-from .rmatrix import RMatrix, entries_at, unitarity_residual
+from .rmatrix import RMatrix, entries_at
 from .kernels import mono_mul
 from .symfield import (NVARS, RatExpr, U, Z, accumulate, mono, mono_from_pairs,
                        mono_inv, mono_items, subs_mono, sum_fractions, support,
@@ -436,8 +436,7 @@ FLAVOR_RELATIONS = {
 class RewriteSystem:
     """Immutable rule table for one R-matrix and flavor."""
 
-    def __init__(self, R: RMatrix, flavor: str, toggles: Toggles = None,
-                 check_unitarity: bool = True):
+    def __init__(self, R: RMatrix, flavor: str, toggles: Toggles = None):
         if flavor not in FLAVOR_KINDS:
             raise KindError(f"unknown flavor {flavor!r}")
         self.R = R
@@ -445,10 +444,6 @@ class RewriteSystem:
         self.flavor = flavor
         self.toggles = toggles or Toggles()
         self._rinv = R.inverse_entries()
-        if flavor == "double" and check_unitarity:
-            if unitarity_residual(R):
-                raise DomainError(
-                    "the double flavor requires a unitary R-matrix")
         self._r_by_out = _index_by_output(R.entries)
         self._rinv_by_out = _index_by_output(self._rinv)
         self._r_by_in = _index_by_input(R.entries)
@@ -909,7 +904,7 @@ def braid_consistency(R: RMatrix) -> dict:
       unitarity and catches scalar instances, whose Yang-Baxter equation
       is vacuous.
     """
-    rs = RewriteSystem(R, "particle", check_unitarity=False)
+    rs = RewriteSystem(R, "particle")
     n = R.n
 
     def exchange(e: Element, pos: int) -> Element:

@@ -194,6 +194,8 @@ def _plan_verify_hopf(R: RMatrix, flavor: str, toggles: Toggles,
 
     try:
         rs = RewriteSystem(R, flavor, toggles)
+        if flavor == "double" and unitarity_residual(R):
+            raise DomainError("the double flavor requires a unitary R-matrix")
     except RhopfError as exc:
         report.add(CheckResult("build-rules", FAIL,
                                note=f"{type(exc).__name__}: {exc}"))
@@ -230,7 +232,7 @@ def _plan_verify_modes(R: RMatrix, flavor: str, toggles: Toggles,
                        window: SeriesWindow, report: VerificationReport,
                        is_example1: bool):
     def modes():
-        rs = RewriteSystem(R, flavor, toggles, check_unitarity=False)
+        rs = RewriteSystem(R, flavor, toggles)
         rep = check_mode_consistency(rs, window)
         bad = [r["relation"] for r in rep["relations"]
                if not r["consistent"]]
@@ -351,8 +353,7 @@ def main(argv=None) -> int:
 
     if args.command == "normal-order":
         try:
-            rs = RewriteSystem(R, args.flavor, toggles,
-                               check_unitarity=False)
+            rs = RewriteSystem(R, args.flavor, toggles)
             e = parse_element(args.element, n=R.n)
             out = delta_normalize(normal_order(e, rs))
             sys.stdout.write(format_element(out) + "\n")

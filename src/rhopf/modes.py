@@ -395,7 +395,7 @@ def drinfeld_compare(window: SeriesWindow, R: RMatrix = None) -> dict:
         R = get_instance("example1")
     if R.n != 1:
         raise DomainError("the reference comparison is scalar only")
-    rs = RewriteSystem(R, "double", check_unitarity=False)
+    rs = RewriteSystem(R, "double")
     refs = load_reference_relations()
     report = {"pairs": [], "match": True}
     for rid, refname in (("PhiPhi", "xplus"), ("PhistarPhistar", "xminus")):

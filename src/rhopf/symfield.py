@@ -17,10 +17,9 @@ is the lexicographic order above.  Read with the bias Q (2^30 per field),
 a field is the unsigned digit e + 2^30.  Every exponent lies in
 [-2^30, 2^30); the kernels check it where they build a monomial, and here
 ``mono_from_pairs``, ``subs_mono``, ``_xi_adic`` and ``divexact`` do,
-with ``DomainError`` on a violation (``_vanishes`` checks too, and leaves
-an out-of-bound case to the exact division).  Only this module
-and ``kernels`` know the format: other modules build monomials with
-``mono``, ``mono_from_pairs`` and ``q_power``, multiply them with
+with ``DomainError`` on a violation.  Only this module and ``kernels``
+know the format: other modules build monomials with ``mono``,
+``mono_from_pairs`` and ``q_power``, multiply them with
 ``kernels.mono_mul``, and read them with ``mono_items``.
 
 Canonical form of a fraction: numerator and denominator share no factor,
@@ -339,88 +338,15 @@ def _subresultant(a: dict, b: dict, v: int) -> dict:
             h = divexact(_poly_pow(g, delta), _poly_pow(h, delta - 1))
 
 
-_EVAL_POINTS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-# three attempts; variable u is evaluated at _POINTS[attempt][u]
-_POINTS = tuple(tuple(_EVAL_POINTS[(u + 5 * a) % len(_EVAL_POINTS)]
-                      for u in range(NVARS)) for a in range(3))
-_PRIME = 2 ** 61 - 1
-
-
-def _specialize(terms: dict, v: int, points: tuple) -> dict:
-    """Image in GF(_PRIME)[v]: every variable u except v evaluated at the
-    integer points[u]; returns a univariate map degree -> nonzero
-    residue."""
-    sh = _SHIFT[v]
-    not_v = ~(FIELD_MASK << sh)
-    sums: dict = {}
-    for m, c in terms.items():
-        # the nonzero exponent fields other than v's, read in place
-        b = m + Q
-        nz = (b ^ Q) & not_v
-        while nz:
-            u = ((nz & -nz).bit_length() - 1) // FIELD_BITS
-            shu = _SHIFT[u]
-            c *= points[u] ** ((b >> shu & FIELD_MASK) - BIAS)
-            nz &= ~(FIELD_MASK << shu)
-        d = (b >> sh & FIELD_MASK) - BIAS
-        sums[d] = sums.get(d, 0) + c
-    out = {}
-    for d, c in sums.items():
-        c %= _PRIME
-        if c:
-            out[d] = c
-    return out
-
-
-def _univar_gcd_degree(pu: dict, qu: dict) -> int:
-    """Degree of the gcd of nonzero univariate maps degree -> residue
-    (Euclid over GF(_PRIME))."""
-    a = [pu.get(d, 0) for d in range(max(pu) + 1)]
-    b = [qu.get(d, 0) for d in range(max(qu) + 1)]
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        inv = pow(b[-1], -1, _PRIME)
-        while len(a) >= len(b):
-            f = a[-1] * inv % _PRIME
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % _PRIME
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _vdeg_bound(p: dict, q: dict, v: int):
-    """Sound upper bound for deg_v(gcd) via a specialization that keeps
-    deg_v of both operands: the image of the gcd divides both images and
-    keeps its own degree, so it divides their gcd.  None when no
-    degree-preserving point was found."""
-    dp, dq = _deg(p, v), _deg(q, v)
-    for points in _POINTS:
-        pu = _specialize(p, v, points)
-        qu = _specialize(q, v, points)
-        if max(pu, default=-1) == dp and max(qu, default=-1) == dq:
-            return _univar_gcd_degree(pu, qu)
-    return None
-
-
 def _gcd_primitive(p: dict, q: dict) -> dict:
     """GCD of integer-primitive ordinary term maps, primitive result."""
-    pv, qv = variables(p), variables(q)
-    pvars = pv | qv
+    pvars = variables(p) | variables(q)
     if not pvars:
         return dict(_ONE_TERMS)
     if len(p) == 1 or len(q) == 1:
         # a single term: the gcd is the common monomial part (integer
         # contents are 1 here)
         return {min_exponents([*p, *q]): 1}
-    # coprimality certificate: every variable of the gcd occurs in both
-    # operands, so a proven degree bound of 0 in each shared variable
-    # leaves only a constant, and the operands are primitive
-    if all(_vdeg_bound(p, q, u) == 0 for u in sorted(pv & qv)):
-        return dict(_ONE_TERMS)
     # main variable: smallest maximum degree keeps the sequence short
     v = min(pvars, key=lambda u: (max(_deg(p, u), _deg(q, u)), u))
     contp, contq = _vcontent(p, v), _vcontent(q, v)
@@ -678,65 +604,18 @@ def _expand(fac: dict) -> dict:
     return out
 
 
-def _vanishes(t: dict, f: tuple):
-    """Whether the factor f = (d, N) divides the term map t, decided by
-    one monomial substitution when d <= 2 and N has a variable v of
-    exponent +-1: then f is an associate of v - r for a signed monomial r
-    free of v (N = +-1 solved for v), and f divides t exactly when t
-    vanishes at v = r.  None when no such substitution exists, or when an
-    image monomial leaves the exponent bound (the caller's division then
-    decides)."""
-    d, n = f
-    if d > 2:
-        return None
-    for v, e in mono_items(n):
-        if e == 1 or e == -1:
-            break
-    else:
-        return None
-    sh = _SHIFT[v]
-    rest = n - (e << sh)
-    root = mono_inv(rest) if e == 1 else rest
-    flip = d == 2
-    powers: dict = {}
-    sums: dict = {}
-    for m, c in t.items():
-        k = ((m + Q) >> sh & FIELD_MASK) - BIAS
-        if k:
-            if k not in powers:
-                try:
-                    powers[k] = kernels.mono_pow(root, k) - (k << sh)
-                except DomainError:
-                    return None
-            m += powers[k]
-            if (m + Q) & TOPS:
-                return None
-            if flip and k & 1:
-                c = -c
-        sums[m] = sums.get(m, 0) + c
-    return not any(sums.values())
-
-
 def _trial_cancel(t: dict, fac: dict) -> tuple:
     """(t/h, h's factorization) for a nonzero Laurent term map t, with h
     the greatest divisor of t among products of the factors in ``fac``
     (each to at most its exponent there), found by trial division of t's
-    ordinary part; ``_vanishes`` skips a division that cannot be exact.
-    It decides on the Laurent map as well as on its ordinary part (a
-    monomial does not vanish), so the monomial part is stripped only
-    before the first division that runs.  The factors are monic, so an
-    exact quotient by one has integer coefficients whatever t's integer
-    content."""
-    shift = None
-    cur = t
+    ordinary part: t's monomial part is stripped once, up front, and put
+    back on the quotient.  The factors are monic, so an exact quotient by
+    one has integer coefficients whatever t's integer content."""
+    shift, cur = _strip_mono(t)
     cut: dict = {}
     for f, e in fac.items():
         ft = factor_terms(f)
         for _ in range(e):
-            if _vanishes(cur, f) is False:
-                break
-            if shift is None:
-                shift, cur = _strip_mono(cur)
             try:
                 cur = divexact(cur, ft)
             except DomainError:

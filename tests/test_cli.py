@@ -658,3 +658,22 @@ def test_singular_spec_reports_are_pinned(command, tmp_path):
     assert main([command, "--spec", str(spec), "--out", str(out)]) == 1
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == SINGULAR_DIGESTS[command])
+
+
+# The double flavor's unitarity gate: broken-nonunitary fails its braid
+# involutivity and cannot build the rules.  sha256 of the byte-stable
+# report.
+NONUNITARY_DIGEST = \
+    "8b12c220bcf912ee73870dc4fe802c1fc744c4858a9db5c521268297a38b2860"
+
+
+def test_nonunitary_verify_hopf_report_is_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-hopf", "--instance", "broken-nonunitary",
+                 "--out", str(out)]) == 1
+    checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert {cid for cid, c in checks.items() if c["status"] == "fail"} \
+        == {"braid-consistency", "build-rules"}
+    assert checks["build-rules"]["note"] == \
+        "DomainError: the double flavor requires a unitary R-matrix"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NONUNITARY_DIGEST

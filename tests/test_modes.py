@@ -26,8 +26,7 @@ _R1 = RatExpr.from_int(1)
 
 
 def _rs(name="example1", flavor="double", toggles=None):
-    return RewriteSystem(get_instance(name), flavor, toggles,
-                         check_unitarity=False)
+    return RewriteSystem(get_instance(name), flavor, toggles)
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -363,7 +362,7 @@ def _matrix(name):
 ])
 def test_consistency_counts_match_per_slot_expansion(name, flavor, toggles,
                                                      window):
-    rs = RewriteSystem(_matrix(name), flavor, toggles, check_unitarity=False)
+    rs = RewriteSystem(_matrix(name), flavor, toggles)
     w = SeriesWindow(*window)
     rep = check_mode_consistency(rs, w)
     for row in rep["relations"]:

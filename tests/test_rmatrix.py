@@ -123,9 +123,8 @@ def test_singular_matrix_rejected():
 @pytest.mark.parametrize("flavor, calls", [("extended", [True]),
                                            ("double", [True])])
 def test_rewrite_system_eliminates_once(flavor, calls, monkeypatch):
-    """Building the rules inverts R by one Gauss-Jordan pass; the double
-    flavor's unitarity check takes no determinant of a unitary R, whose
-    residual is zero."""
+    """Building the rules inverts R by one Gauss-Jordan pass, whatever
+    the flavor, and takes no determinant."""
     seen = []
 
     def recording(mat, invert):

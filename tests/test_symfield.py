@@ -380,7 +380,7 @@ def test_gcd_of_sixvertex_binomial_products():
     assert _subresultant_gcd(p, q) == common
     v = sf.Z[1]
     assert sf._heugcd(p, q, v) == common
-    # the coprime cofactors get a certificate, not a sequence
+    # the coprime cofactors take the main route, which finds the gcd 1
     assert sf.poly_gcd(mul(f3, f5), f4) == {sf.mono(): 1}
     a = RatExpr({sf.mono(): 1}, mul(mul(f1, f2), f3))
     b = RatExpr(f3, mul(f1, f4))
@@ -390,9 +390,10 @@ def test_gcd_of_sixvertex_binomial_products():
 
 
 def test_gcd_of_the_workload_input_that_reaches_heugcd(monkeypatch):
-    """The benchmark workloads reach GCDHEU through this pair (met on
-    example2-n2 verify-hopf with ll-star=literal): neither operand divides
-    the other, so the gcd in the main variable z1 is GCDHEU's."""
+    """A pair met on example2-n2 verify-hopf with ll-star=literal while
+    its sums still took gcds; no benchmark workload reaches GCDHEU now,
+    so this pair keeps the route tested: neither operand divides the
+    other, so the gcd in the main variable z1 is GCDHEU's."""
     sympy = pytest.importorskip("sympy")
     a = parse_expr(
         "q^3*u2^6*z2^3 - q^4*u1^2*u2^4*z1*z2^2 - q^2*u2^4*z1*z2^2"
@@ -728,6 +729,53 @@ def test_factored_products_take_no_poly_gcd(monkeypatch):
     assert calls
     for (x, y), got in zip(pairs, products):
         assert got == RatExpr(mul(x.num, y.num), mul(x.den, y.den))
+
+
+@st.composite
+def _laurent_over_factors(draw):
+    """A factorization, of one to three ``_SHARING`` binomials each to a
+    power up to 3, and a Laurent term map t: an integer content times a
+    monomial with negative exponents times a drawn polynomial times each
+    factor to a power from 0 to one above its exponent, so that some
+    factors divide t fully, some in part and some not at all."""
+    pool = [parse_expr(text) for text in _SHARING]
+    frac = RatExpr.from_int(1)
+    for i, k in draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                        st.integers(1, 3)),
+                              min_size=1, max_size=3)):
+        frac = frac * pool[i].inverse() ** k
+    t = _poly(draw, max_terms=2)
+    while not t:
+        t = _poly(draw, max_terms=2)
+    for f, e in sorted(frac.fac.items()):
+        k = draw(st.integers(0, e + 1))
+        t = mul(t, sf._poly_pow(sf.factor_terms(f), k))
+    lows = draw(st.lists(st.integers(-3, 0), min_size=len(_FIELD_VARS),
+                         max_size=len(_FIELD_VARS)))
+    content = draw(st.sampled_from((1, 2, -3, 6)))
+    t = kernels.poly_scale(t, content,
+                           sf.mono_from_pairs(zip(_FIELD_VARS, lows)))
+    return t, frac.fac
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          derandomize=True)
+@given(_laurent_over_factors())
+@example((parse_expr("6*s^-2*z1^-1*(s - 1)^2*(s^2 + 1)*(z1 + 2)").num,
+          _over("1", ("s^4 - 1", 2), ("z1 - q*z2", 1)).fac))
+def test_trial_cancel_equals_gcd_cancellation(pair):
+    """Trial division of a Laurent t by the factors equals cancelling t's
+    ordinary part against their product by its gcd: the same quotient,
+    with t's monomial part put back, and a cut, within the exponents of
+    the factorization, that multiplies out to that gcd."""
+    t, fac = pair
+    lows = sf.min_exponents(t)
+    t_ord = kernels.poly_scale(t, 1, sf.mono_inv(lows))
+    h = sf.poly_gcd(t_ord, sf._expand(fac))
+    got, cut = sf._trial_cancel(t, fac)
+    assert got == kernels.poly_scale(sf.divexact(t_ord, h), 1, lows)
+    assert all(0 < e <= fac[f] for f, e in cut.items())
+    assert _expand_factors(cut) == h
 
 
 @st.composite

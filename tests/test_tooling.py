@@ -2,6 +2,7 @@
 module."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,55 @@ def test_unused_imports_finds_what_is_never_read():
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_helpers(sources: dict) -> list:
+    """(module, name) of every private module-level function or class
+    that no code of the package reads outside the helper's own body;
+    ``sources`` maps module names to their text.  A name read as an
+    attribute (``module._helper``) or imported (the unused-import check
+    makes the importer read it) counts as read."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute) and \
+                    isinstance(sub.ctx, ast.Load):
+                yield sub.attr
+            elif isinstance(sub, ast.ImportFrom):
+                yield from (alias.name for alias in sub.names)
+    read = Counter(name for tree in trees.values() for name in reads(tree))
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    node.name.startswith("_") and \
+                    not node.name.startswith("__") and \
+                    read[node.name] == list(reads(node)).count(node.name):
+                out.append((mod, node.name))
+    return sorted(out)
+
+
+def test_dead_helpers_finds_what_is_never_read():
+    sources = {
+        "a": ("def _used():\n    pass\n"
+              "def _dead():\n    return _used()\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Imported:\n    pass\n"
+              "def _by_attribute():\n    pass\n"
+              "def __getattr__(name):\n    pass\n"
+              "def public():\n    pass\n"
+              "_assigned = None\n"),
+        "b": ("from .a import _Imported\n"
+              "from . import a\n"
+              "def f():\n    return _Imported, a._by_attribute()\n"),
+    }
+    assert dead_helpers(sources) == [("a", "_dead"), ("a", "_recursive")]
+
+
+def test_no_dead_helpers():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert dead_helpers(sources) == []
