@@ -28,9 +28,10 @@ any variable, and its leading coefficient is positive.  The constructor
 reaches it from any fraction in two steps, ``_orient`` and ``_cancel``.
 Equality is plain structural comparison of canonical forms.  A fraction
 also carries the factorization of its denominator into irreducibles when
-it is known (see "factored denominators"), and a sum of such fractions,
-or a product with one, cancels by trial division by the factors, with no
-gcd.
+it is known (see "factored denominators").  A sum or a product of such
+fractions, and a substitution into one, reduces its raw result by trial
+division by the factors, with no gcd.  Products are memoized whole, by
+the values of their operands (``_PRODUCTS``).
 """
 
 from __future__ import annotations
@@ -610,7 +611,8 @@ def _trial_cancel(t: dict, fac: dict) -> tuple:
     (each to at most its exponent there), found by trial division of t's
     ordinary part: t's monomial part is stripped once, up front, and put
     back on the quotient.  The factors are monic, so an exact quotient by
-    one has integer coefficients whatever t's integer content."""
+    one has integer coefficients whatever t's integer content.  Its one
+    caller is ``_over_factors``."""
     shift, cur = _strip_mono(t)
     cut: dict = {}
     for f, e in fac.items():
@@ -628,27 +630,26 @@ def _trial_cancel(t: dict, fac: dict) -> tuple:
     return cur, cut
 
 
+def _over_factors(t: dict, fac: dict) -> "RatExpr":
+    """t / the expansion of ``fac``, in canonical form, for a nonzero
+    Laurent term map t: the factors that divide t are cut by
+    ``_trial_cancel``, the only gcd the fraction needs, because the factors
+    are irreducible, pairwise coprime and monic."""
+    t, cut = _trial_cancel(t, fac)
+    fac = _fac_sub(fac, cut)
+    return RatExpr._canonical(t, _expand(fac), fac)
+
+
 def _lcm_sum(ops) -> "RatExpr":
     """The sum of the canonical fractions num / den over (num, den's
     factorization) pairs, in one step over a common denominator (Knuth,
     TAOCP vol. 2, 4.5.1): the lcm L of the denominators takes each factor
     to its highest exponent, with no gcd, and the numerators times L/den
-    add to t.  A zero t takes no division.  Otherwise t is trial-divided
-    once, by the factors of L that two or more operands hold at L's
-    exponent: when one operand alone holds f there, every other operand's
-    num * L/den is a multiple of f, and its own is not (its numerator is
-    coprime to its denominator, and L/den lacks f), so f cannot divide
-    t."""
+    add to t.  A zero t takes no division; any other t is reduced over L
+    by ``_over_factors``."""
     lcm: dict = {}
-    tied: dict = {}
     for _, fac in ops:
-        for f, e in fac.items():
-            top = lcm.get(f, 0)
-            if e > top:
-                lcm[f] = e
-                tied[f] = False
-            elif e == top:
-                tied[f] = True
+        lcm = _fac_lcm(lcm, fac)
     t: dict = {}
     for num, fac in ops:
         if fac != lcm:
@@ -661,12 +662,7 @@ def _lcm_sum(ops) -> "RatExpr":
                 del t[m]
     if not t:
         return RatExpr._canonical({}, dict(_ONE_TERMS), {})
-    fac = lcm
-    shared = {f: lcm[f] for f, tie in tied.items() if tie}
-    if shared:
-        t, cut = _trial_cancel(t, shared)
-        fac = _fac_sub(lcm, cut)
-    return RatExpr._canonical(t, _expand(fac), fac)
+    return _over_factors(t, lcm)
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +672,10 @@ def _lcm_sum(ops) -> "RatExpr":
 class RatExpr:
     """Reduced fraction of Laurent polynomials, always in canonical form:
     ``num`` and ``den`` are term maps, and ``fac`` is the factorization of
-    ``den`` (see ``split_binomial``), or None when it is not known."""
+    ``den`` (see ``split_binomial``), or None when it is not known.
+    ``key`` is the value key of ``_value_key``, None until first used."""
 
-    __slots__ = ("num", "den", "fac")
+    __slots__ = ("num", "den", "fac", "key")
 
     def __init__(self, num: dict, den: dict = _ONE_TERMS):
         if not den:
@@ -690,6 +687,7 @@ class RatExpr:
             den = _ONE_TERMS
         self.num, self.den = num, den
         self.fac = split_binomial(den)
+        self.key = None
 
     # -- constructors -------------------------------------------------------
 
@@ -733,16 +731,14 @@ class RatExpr:
         out.num = nt
         out.den = dt
         out.fac = fac
+        out.key = None
         return out
 
     # -- field operations ---------------------------------------------------
     #
-    # The operators build canonical results from canonical operands without
-    # the gcd of the raw cross product (Henrici, JACM 1956; Knuth, TAOCP
-    # vol. 2, 4.5.1).  Denominators have no monomial factor, so a gcd with
-    # one only needs the ordinary part of the other operand; quotients of
-    # denominators by their positive-leading gcds keep a positive leading
-    # coefficient, and so do their products.
+    # The operators build canonical results from canonical operands.  Over
+    # factored denominators neither a sum nor a product takes a gcd: the
+    # raw result is reduced over the known factors (``_over_factors``).
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -785,25 +781,24 @@ class RatExpr:
                                   self.fac)
 
     def __mul__(self, other):
-        """(a/b)*(c/d) = (a/g1)*(c/g2) / ((b/g2)*(d/g1)) with g1 = gcd(a, d)
-        and g2 = gcd(c, b), each skipped when its denominator is 1; a
-        factored denominator is the expansion of the summed exponents."""
+        """(a/b)*(c/d) through the product memo; a miss reduces the raw
+        product a*c over the factors of b*d when both are factored, and
+        through the constructor otherwise."""
         if isinstance(other, int):
             other = RatExpr.from_int(other)
-        a, b, fb = self.num, self.den, self.fac
-        c, d, fd = other.num, other.den, other.fac
-        if not a or not c:
+        if not self.num or not other.num:
             return RatExpr._canonical({}, dict(_ONE_TERMS), {})
-        if d != _ONE_TERMS:
-            a, d, fd = _cancel_product(a, d, fd)
-        if b != _ONE_TERMS:
-            c, b, fb = _cancel_product(c, b, fb)
-        if fb is None or fd is None:
-            return RatExpr._canonical(kernels.poly_mul(a, c),
-                                      kernels.poly_mul(b, d), None)
-        fac = _fac_mul(fb, fd)
-        den = b if fac is fb else d if fac is fd else _expand(fac)
-        return RatExpr._canonical(kernels.poly_mul(a, c), den, fac)
+        key = (_value_key(self), _value_key(other))
+        out = _PRODUCTS.get(key)
+        if out is None:
+            t = kernels.poly_mul(self.num, other.num)
+            fb, fd = self.fac, other.fac
+            if fb is None or fd is None:
+                out = RatExpr(t, kernels.poly_mul(self.den, other.den))
+            else:
+                out = _over_factors(t, _fac_mul(fb, fd))
+            _PRODUCTS[key] = out
+        return out
 
     __rmul__ = __mul__
 
@@ -862,12 +857,7 @@ class RatExpr:
         fac = None if self.fac is None else _map_factors(self.fac, smap)
         if fac is None or not num:
             return RatExpr(num, den)
-        num, den = _orient(num, den)
-        num, cut = _trial_cancel(num, fac)
-        if cut:
-            fac = _fac_sub(fac, cut)
-            den = _expand(fac)
-        return RatExpr._canonical(num, den, fac)
+        return _over_factors(_orient(num, den)[0], fac)
 
 
 def _orient(num: dict, den: dict) -> tuple:
@@ -897,49 +887,33 @@ def _cancel(t: dict, den: dict):
 
 
 # Rule application multiplies coefficients by the same few R and R^-1
-# entries over and over, so the cross-cancellations of products repeat.
-# Each distinct (t, den) pair is cancelled once and looked up afterwards;
-# a coprime pair, by far the most common, stores only None.  The memo
-# shares the term maps it returns, which is sound because no term map is
-# mutated once built.  Sums are not memoized: over factored denominators
-# they take no gcd (``_lcm_sum``).  ``reset_memo`` empties it.
-_PRODUCT_CANCELS: dict = {}
+# entries over and over, so whole products repeat: a run meets a few
+# hundred distinct operand pairs.  ``__mul__`` looks each pair up by the
+# operands' value keys, and the memo shares the RatExprs it returns, which
+# is sound because no RatExpr or term map is mutated once built.  A key
+# holds the value itself, so it never goes stale when the memo is emptied,
+# and its factored flag keeps a product of a factored operand factored.
+# Sums are not memoized: over factored denominators they take no gcd
+# (``_lcm_sum``).  ``reset_memo`` empties it.
+_PRODUCTS: dict = {}
 
 
-def _cancel_product(t: dict, den: dict, fac) -> tuple:
-    """(t/h, den/h, factorization of den/h) as ``_cancel``, through the
-    product memo.  A miss with den factored takes no gcd: its factors are
-    irreducible, pairwise coprime and monic, so h is the product of those
-    that divide t, each to at most its exponent, and ``_trial_cancel``
-    finds it.  An entry made by ``_cancel`` for an unfactored den learns
-    h's factors by trial division of h when a factored den first hits
-    it."""
-    key = (frozenset(t.items()), frozenset(den.items()))
-    if key not in _PRODUCT_CANCELS:
-        if fac is None:
-            hit = _cancel(t, den)
-            hit = hit and [*hit, None]
-        else:
-            cur, cut = _trial_cancel(t, fac)
-            hit = [cur, _expand(_fac_sub(fac, cut)), cut] if cut else None
-        _PRODUCT_CANCELS[key] = hit
-    hit = _PRODUCT_CANCELS[key]
-    if hit is None:
-        return t, den, fac
-    t, rest, cut = hit
-    if fac is None:
-        return t, rest, None
-    if cut is None:
-        hit[2] = cut = _trial_cancel(divexact(den, rest), fac)[1]
-    return t, rest, _fac_sub(fac, cut)
+def _value_key(x: RatExpr) -> tuple:
+    """x's key in the product memo, built on first use: its numerator and
+    denominator as frozensets, and whether its factorization is unknown."""
+    key = x.key
+    if key is None:
+        key = x.key = (frozenset(x.num.items()), frozenset(x.den.items()),
+                       x.fac is None)
+    return key
 
 
 def reset_memo():
-    """Forget every memoized product cancellation, factor and expanded
-    product of factors, so that a run starts cold whatever ran before it
-    in the process, and zero ``SUM_GCD_FALLBACKS``."""
+    """Forget every memoized product, factor and expanded product of
+    factors, so that a run starts cold whatever ran before it in the
+    process, and zero ``SUM_GCD_FALLBACKS``."""
     global SUM_GCD_FALLBACKS
-    _PRODUCT_CANCELS.clear()
+    _PRODUCTS.clear()
     _FACTOR_TERMS.clear()
     _EXPANSIONS.clear()
     SUM_GCD_FALLBACKS = 0

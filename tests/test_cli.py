@@ -325,16 +325,21 @@ def test_runs_in_one_process_take_the_same_rewrite_steps(tmp_path,
 
 
 def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):
-    """A run redoes every product cancellation an earlier run in the same
-    process memoized, so its work does not depend on what ran before."""
+    """A run redoes every product an earlier run in the same process
+    memoized, so its work does not depend on what ran before: each memo
+    miss over factored denominators, and each sum over them, takes one
+    ``_over_factors``."""
     calls = []
-    gcd = symfield.poly_gcd
+    over_factors = symfield._over_factors
 
-    def counted(p, q):
+    def counted(t, fac):
         calls.append(1)
-        return gcd(p, q)
+        return over_factors(t, fac)
 
-    monkeypatch.setattr(symfield, "poly_gcd", counted)
+    monkeypatch.setattr(symfield, "_over_factors", counted)
+    # an empty memo, whatever earlier tests left in it: the first run is
+    # cold, so a memo that outlives a run shows as a smaller second count
+    monkeypatch.setattr(symfield, "_PRODUCTS", {})
     counts = []
     for _ in range(2):
         calls.clear()

@@ -731,6 +731,29 @@ def test_factored_products_take_no_poly_gcd(monkeypatch):
         assert got == RatExpr(mul(x.num, y.num), mul(x.den, y.den))
 
 
+def test_product_memo_tells_factored_from_unfactored_equal_values():
+    """Equal values that differ in whether their factorization is known
+    are two keys of the product memo: whichever is multiplied first, the
+    factored operand's product keeps its factorization, so sums over it
+    take the lcm route and no gcd fallback."""
+    x1, xq = parse_expr("x - 1").num, parse_expr("x - q").num
+    factored = RatExpr({sf.mono(): 1}, x1) * RatExpr({sf.mono(): 1}, xq)
+    unfactored = RatExpr({sf.mono(): 1}, mul(x1, xq))
+    assert factored == unfactored
+    assert factored.fac is not None and unfactored.fac is None
+    y = _over("z1", ("z1 - q*z2", 1))
+    for order in ((factored, unfactored), (unfactored, factored)):
+        sf.reset_memo()
+        products = [v * y for v in order]
+        got, other = products if order[0] is factored else products[::-1]
+        assert got == other
+        assert got.fac is not None
+        _assert_factors_multiply_out(got)
+        total = got + y - got * y
+        assert sf.SUM_GCD_FALLBACKS == 0
+        assert total == _constructor_sum([other, y, -(other * y)])
+
+
 @st.composite
 def _laurent_over_factors(draw):
     """A factorization, of one to three ``_SHARING`` binomials each to a
