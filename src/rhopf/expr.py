@@ -11,10 +11,9 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .symfield import RatExpr, S, VARS, mono, mono_items
+from .symfield import _ONE_TERMS, RatExpr, S, VARS, mono_items
 
 _IDENTS = set(VARS) | {"q"}
-_ONE_TERMS = {mono(): 1}
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 

@@ -83,7 +83,7 @@ class RMatrix:
         return _eliminate(self._dense()[1], invert=False)[0]
 
 
-def entries_at(entries: dict, var: str, arg: tuple) -> dict:
+def entries_at(entries: dict, var: str, arg: int) -> dict:
     """Entries with the variable ``var`` replaced by a monomial."""
     smap = {VAR_INDEX[var]: arg}
     return {key: v.subs_monomial(smap) for key, v in entries.items()}

@@ -743,32 +743,12 @@ class RatExpr:
     def __add__(self, other):
         if isinstance(other, int):
             other = RatExpr.from_int(other)
-        return self._add(other, False)
+        return sum_fractions([self, other])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = RatExpr.from_int(other)
-        return self._add(other, True)
-
-    def _add(self, other, sub: bool) -> "RatExpr":
-        """a/b + c/d, or a/b - c/d when ``sub``: ``_lcm_sum`` when both
-        denominators are factored.  Otherwise the constructor reduces
-        (a*d +- c*b) / (b*d), a sum counted in ``SUM_GCD_FALLBACKS`` unless
-        a denominator is 1."""
-        global SUM_GCD_FALLBACKS
-        fb, fd = self.fac, other.fac
-        if fb is None or fd is None:
-            b, d = self.den, other.den
-            if b != _ONE_TERMS and d != _ONE_TERMS:
-                SUM_GCD_FALLBACKS += 1
-            combine = kernels.poly_sub if sub else kernels.poly_add
-            return RatExpr(combine(kernels.poly_mul(self.num, d),
-                                   kernels.poly_mul(other.num, b)),
-                           kernels.poly_mul(b, d))
-        c = kernels.poly_neg(other.num) if sub else other.num
-        return _lcm_sum(((self.num, fb), (c, fd)))
+        return self + -other
 
     def mul_mono(self, m: int, sign: int = 1) -> "RatExpr":
         """The product with the signed monomial sign * m, which stays
@@ -973,14 +953,25 @@ def accumulate(out: dict, key, coeff: RatExpr):
 
 
 def sum_fractions(coeffs: list) -> RatExpr:
-    """The sum of a nonempty list of RatExprs: one ``_lcm_sum`` over all
-    of them when every denominator is factored, else the pairwise ``+``
-    from the left."""
+    """The sum of a nonempty list of RatExprs, and the one sum routine:
+    ``a + b`` is ``sum_fractions([a, b])``.  One ``_lcm_sum`` over all of
+    them when every denominator is factored; otherwise the pairwise ``+``
+    from the left, and for two operands a/b and c/d the constructor's
+    reduction of (a*d + c*b) / (b*d), a sum counted in
+    ``SUM_GCD_FALLBACKS`` unless a denominator is 1."""
+    global SUM_GCD_FALLBACKS
     if len(coeffs) == 1:
         return coeffs[0]
-    if any(c.fac is None for c in coeffs):
+    if all(c.fac is not None for c in coeffs):
+        return _lcm_sum([(c.num, c.fac) for c in coeffs])
+    if len(coeffs) > 2:
         return sum(coeffs[1:], coeffs[0])
-    return _lcm_sum([(c.num, c.fac) for c in coeffs])
+    (a, b), (c, d) = ((x.num, x.den) for x in coeffs)
+    if b != _ONE_TERMS and d != _ONE_TERMS:
+        SUM_GCD_FALLBACKS += 1
+    return RatExpr(kernels.poly_add(kernels.poly_mul(a, d),
+                                    kernels.poly_mul(c, b)),
+                   kernels.poly_mul(b, d))
 
 
 def denominator_lcm(coeffs) -> dict:

@@ -100,10 +100,13 @@ def test_word_data_equals_the_uncached_scan(literal, terms):
             assert rs.word_data[word] == (term_measure(("", (), (word,))),
                                           _leftmost(word, rs))
         scans = [_leftmost(word, rs) for word in legs]
-        assert algebra._redex(legs, rs) == next(
+        key = ("", (), legs)
+        neg, got_key, redex = algebra._heap_entry(key, rs)
+        assert tuple(-m for m in neg) == term_measure(key)
+        assert got_key == key
+        assert redex == next(
             ((li, pos) for li, pos in enumerate(scans) if pos is not None),
             None)
-        assert algebra._measure(legs, rs) == term_measure(("", (), legs))
 
 
 _ROWS = {"coproduct": (COPRODUCT, ((1, 2), (2, 3))),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhopf import algebra, hopf, symfield
+from rhopf import algebra, hopf, rmatrix, symfield
 from rhopf.algebra import (ALL_KINDS, VECTOR_KINDS, ArgShift, DeltaFactor,
                            Element, GenOcc, L, LINV, LSTAR, PHI,
                            RewriteSystem, normal_order)
@@ -275,6 +275,39 @@ def test_check_r_passes_and_writes_report(tmp_path, capsys):
                    "clear-poles"]
     assert all(c["status"] == "pass" for c in payload["checks"])
     assert "wall_time" not in json.dumps(payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-r", "--instance", "example1"],
+    ["verify-hopf", "--instance", "example1"]],
+                         ids=["check-r", "verify-hopf"])
+def test_timings_add_only_wall_times(argv, tmp_path):
+    """With ``--timings`` every check entry carries a float ``wall_time``;
+    without those keys the report is the same run's report without the
+    flag, byte for byte."""
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert main([*argv, "--timings", "--out", str(timed)]) == 0
+    payload = json.loads(timed.read_text())
+    assert payload["checks"]
+    for entry in payload["checks"]:
+        assert isinstance(entry.pop("wall_time"), float)
+    stripped = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert stripped.encode() == plain.read_bytes()
+
+
+def test_clear_poles_fails_when_a_pole_is_left(tmp_path, monkeypatch):
+    """A clearing factor of 1 leaves the pole of example1's one entry, and
+    clear-poles, alone among the checks, fails and names that entry."""
+    monkeypatch.setattr(rmatrix, "denominator_lcm", lambda coeffs: {0: 1})
+    out = tmp_path / "report.json"
+    assert main(["check-r", "--instance", "example1",
+                 "--out", str(out)]) == 1
+    by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [cid for cid, c in by_id.items() if c["status"] == "fail"] == \
+        ["clear-poles"]
+    assert by_id["clear-poles"]["residual"] == \
+        "entries with uncleared poles: [(1, 1, 1, 1)]"
 
 
 def test_check_r_fails_broken_and_residual_reparses(tmp_path):

@@ -15,8 +15,8 @@ import pytest
 from rhopf import symfield
 from rhopf.algebra import (_INV_PAIRS, ALL_KINDS, FLAVOR_RELATIONS,
                            VECTOR_KINDS, ArgShift, Element, GenOcc,
-                           RewriteSystem, Toggles, _measure, _priority,
-                           _redex, _z, braid_consistency, normal_order,
+                           RewriteSystem, Toggles, _heap_entry, _z,
+                           braid_consistency, normal_order,
                            relation_sides, relation_self_residual,
                            rewrite_term, rule_pieces)
 from rhopf.cli import main
@@ -256,26 +256,28 @@ def _pairwise_normal_order(e, rs, trace):
     """The reference engine: ``normal_order`` with each contribution added
     to its pending term on arrival, by the pairwise ``+``.  Also returns
     how many times a term already taken from the heap came back."""
+    def measure(entry):
+        return tuple(-m for m in entry[0])
     pending = dict(e.terms)
-    heap = [(_priority(key, rs), key) for key in pending]
+    heap = [_heap_entry(key, rs) for key in pending]
     heapq.heapify(heap)
     out, taken, back = {}, set(), 0
     while heap:
-        _, key = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        _, key, found = entry
         coeff = pending.pop(key, None)
         if coeff is None:
             continue  # cancelled, or a second entry of a term taken
         taken.add(key)
-        found = _redex(key[2], rs)
         if found is None:
             accumulate(out, key, coeff)
             continue
-        before = _measure(key[2], rs)
         for nkey, rcoeff in rewrite_term(key, rs, *found):
-            trace.append((before, _measure(nkey[2], rs)))
+            nentry = _heap_entry(nkey, rs)
+            trace.append((measure(entry), measure(nentry)))
             if nkey not in pending:
                 back += nkey in taken
-                heapq.heappush(heap, (_priority(nkey, rs), nkey))
+                heapq.heappush(heap, nentry)
             accumulate(pending, nkey, coeff * rcoeff)
     return Element(e.nlegs, out), back
 

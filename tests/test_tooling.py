@@ -41,12 +41,37 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _private_definitions(tree):
+    """(name, node) of every private module-level function, class and
+    constant (an upper-case name bound at module level) of a module, and
+    ("Class.name", node) of every private method of its classes."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                private(node.name):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and private(sub.name):
+                    yield f"{node.name}.{sub.name}", sub
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and private(sub.id) and \
+                            sub.id[1:].isupper():
+                        yield sub.id, node
+
+
 def dead_helpers(sources: dict) -> list:
-    """(module, name) of every private module-level function or class
-    that no code of the package reads outside the helper's own body;
-    ``sources`` maps module names to their text.  A name read as an
-    attribute (``module._helper``) or imported (the unused-import check
-    makes the importer read it) counts as read."""
+    """(module, name) of every private module-level function, class or
+    constant, and of every private method, that no code of the package
+    reads outside its own definition; ``sources`` maps module names to
+    their text.  A name read as an attribute (``module._helper``,
+    ``self._method``) or imported (the unused-import check makes the
+    importer read it) counts as read."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
 
     def reads(node):
@@ -61,12 +86,10 @@ def dead_helpers(sources: dict) -> list:
     read = Counter(name for tree in trees.values() for name in reads(tree))
     out = []
     for mod, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    node.name.startswith("_") and \
-                    not node.name.startswith("__") and \
-                    read[node.name] == list(reads(node)).count(node.name):
-                out.append((mod, node.name))
+        for qualname, node in _private_definitions(tree):
+            name = qualname.rpartition(".")[2]
+            if read[name] == list(reads(node)).count(name):
+                out.append((mod, qualname))
     return sorted(out)
 
 
@@ -85,6 +108,27 @@ def test_dead_helpers_finds_what_is_never_read():
               "def f():\n    return _Imported, a._by_attribute()\n"),
     }
     assert dead_helpers(sources) == [("a", "_dead"), ("a", "_recursive")]
+
+
+def test_dead_helpers_finds_private_methods_and_constants():
+    sources = {
+        "a": ("_READ = 1\n"
+              "_UNREAD: int = 2\n"
+              "_PAIR_A, _PAIR_B = 3, 4\n"
+              "_lower = 5\n"
+              "__all__ = ()\n"
+              "class C:\n"
+              "    def _used(self):\n        return _READ, _PAIR_A\n"
+              "    def _dead(self):\n        return self._used()\n"
+              "    def _recursive(self):\n        return self._recursive()\n"
+              "    def _by_attribute(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def public(self):\n        pass\n"),
+        "b": ("from .a import C\n"
+              "def f():\n    return C()._by_attribute()\n"),
+    }
+    assert dead_helpers(sources) == [("a", "C._dead"), ("a", "C._recursive"),
+                                     ("a", "_PAIR_B"), ("a", "_UNREAD")]
 
 
 def test_no_dead_helpers():
