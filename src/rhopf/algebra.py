@@ -43,8 +43,7 @@ from .errors import (BudgetError, DomainError, KindError, ShapeError,
 from .rmatrix import RMatrix, entries_at
 from .kernels import mono_mul
 from .symfield import (NVARS, RatExpr, U, Z, accumulate, mono, mono_from_pairs,
-                       mono_inv, mono_items, subs_mono, sum_fractions, support,
-                       var_mask)
+                       mono_inv, mono_items, subs_mono, sum_fractions)
 
 # a kind's name is its spelling in element text and in reports
 LSTAR = "LStar"
@@ -97,7 +96,7 @@ class DeltaFactor(NamedTuple):
     q: int
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def charge_shift(slot: int, steps: int) -> int:
     """The q-power q^(steps/2 * c_slot) = u_slot^steps of one charge slot
     (1..MAX_LEGS)."""
@@ -215,11 +214,7 @@ class Element:
         return Element(self.nlegs, out)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check_compat(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(out, key, -c)
-        return Element(self.nlegs, out)
+        return self + -other
 
     def __neg__(self) -> "Element":
         return Element(self.nlegs, {k: -c for k, c in self.terms.items()})
@@ -241,27 +236,6 @@ class Element:
                 deltas = tuple(sorted(da + db))
                 legs = tuple(wa + wb for wa, wb in zip(la, lb))
                 accumulate(out, (flag, deltas, legs), ca * cb)
-        return Element(self.nlegs, out)
-
-    # -- charge-reference transforms ----------------------------------------
-
-    def map_charges(self, cmap: dict) -> "Element":
-        """Apply the linear substitution c_i -> sum_j cmap[i][j] c_j, that
-        is u_i -> prod_j u_j^cmap[i][j], to every term.  A term whose
-        coefficient, arguments and deltas hold none of the remapped u_i
-        is its own image and passes through."""
-        smap = {U[i - 1]: mono_from_pairs((U[j - 1], e)
-                                          for j, e in row.items())
-                for i, row in cmap.items() if row != {i: 1}}
-        mask = var_mask(smap)
-        out: dict = {}
-        for key, c in self.terms.items():
-            _, deltas, legs = key
-            if support(itertools.chain(
-                    c.num, c.den, (d.q for d in deltas),
-                    (g.arg.q for w in legs for g in w))) & mask:
-                key, c = subs_term(key, c, smap)
-            accumulate(out, key, c)
         return Element(self.nlegs, out)
 
     def __repr__(self):
@@ -434,7 +408,18 @@ FLAVOR_RELATIONS = {
 
 
 class RewriteSystem:
-    """Immutable rule table for one R-matrix and flavor."""
+    """Immutable rule table for one R-matrix and flavor.  Its three
+    caches are ``functools.cache`` wrappers of private methods, bound per
+    system, since the rules of one system are fixed and the same
+    arguments recur on every term of a check:
+
+    * ``matrix_at(name, argm)``: the entries of the matrix ``name`` ("R"
+      or "Rinv") at the argument monomial ``argm``;
+    * ``pieces(g1, g2, leg)``: the (coeff, extra_deltas, occs) that
+      replace g1 g2 on leg ``leg``;
+    * ``word_data(word)``: a leg word's ``word_measure`` and the position
+      of its leftmost reducible pair, or None.
+    """
 
     def __init__(self, R: RMatrix, flavor: str, toggles: Toggles = None):
         if flavor not in FLAVOR_KINDS:
@@ -445,8 +430,9 @@ class RewriteSystem:
         self.toggles = toggles or Toggles()
         self.tables = {"R": _table(R.entries),
                        "Rinv": _table(R.inverse_entries())}
-        self._pieces_cache: dict = {}
-        self.word_data = _WordData(self)
+        self.matrix_at = functools.cache(self._matrix_at)
+        self.pieces = functools.cache(self._pieces)
+        self.word_data = functools.cache(self._word_data)
         q2 = RatExpr.var("s", 2)
         self.qfactor = (q2 - q2.inverse()).inverse()  # 1/(q - q^-1)
         self._rules = dict(_orient(_RELATION_BY_ID[rid], self.toggles)
@@ -454,20 +440,13 @@ class RewriteSystem:
 
     # -- cached entry evaluation -------------------------------------------
 
-    def matrix_at(self, name: str, argm: int) -> dict:
-        """The entries of the matrix ``name`` ("R" or "Rinv") at the
-        argument monomial ``argm``, evaluated once per argument."""
-        table = self.tables[name]
-        out = table.cache.get(argm)
-        if out is None:
-            try:
-                out = entries_at(table.entries, self.R.var, argm)
-            except DomainError as exc:
-                raise SingularError(
-                    f"R-matrix entry singular at the symbolic argument "
-                    f"{argm}") from exc
-            table.cache[argm] = out
-        return out
+    def _matrix_at(self, name: str, argm: int) -> dict:
+        try:
+            return entries_at(self.tables[name].entries, self.R.var, argm)
+        except DomainError as exc:
+            raise SingularError(
+                f"R-matrix entry singular at the symbolic argument "
+                f"{argm}") from exc
 
     def r_at(self, argm: int) -> dict:
         return self.matrix_at("R", argm)
@@ -477,21 +456,17 @@ class RewriteSystem:
     def rule_for(self, g1: GenOcc, g2: GenOcc):
         return self._rules.get((g1.kind, g2.kind))
 
-    def pieces(self, g1: GenOcc, g2: GenOcc, leg: int) -> tuple:
-        """The (coeff, extra_deltas, occs) that replace g1 g2, cached: the
-        oriented inverse contraction for an inverse pair, else
-        ``rule_pieces`` of the rule for the two kinds.  The same pairs
-        recur on every check."""
-        key = (g1, g2, leg)
-        out = self._pieces_cache.get(key)
-        if out is None:
-            if (g1.kind, g2.kind) in _INV_PAIRS:
-                out = _contraction_pieces(self.n, g1, g2)
-            else:
-                out = tuple(rule_pieces(self, self.rule_for(g1, g2), g1, g2,
-                                        leg))
-            self._pieces_cache[key] = out
-        return out
+    def _pieces(self, g1: GenOcc, g2: GenOcc, leg: int) -> tuple:
+        """The oriented inverse contraction for an inverse pair, else
+        ``rule_pieces`` of the rule for the two kinds."""
+        if (g1.kind, g2.kind) in _INV_PAIRS:
+            return _contraction_pieces(self.n, g1, g2)
+        return tuple(rule_pieces(self, self.rule_for(g1, g2), g1, g2, leg))
+
+    def _word_data(self, word: tuple) -> tuple:
+        pos = next((p for p, (g1, g2) in enumerate(zip(word, word[1:]))
+                    if _reducible(g1, g2, self)), None)
+        return word_measure(word), pos
 
     def allowed_kinds(self) -> frozenset:
         return FLAVOR_KINDS[self.flavor]
@@ -499,12 +474,11 @@ class RewriteSystem:
 
 class _Table(NamedTuple):
     """One matrix of a rule table: its entries, indexed by input pair and
-    by output pair, and its evaluations by argument monomial."""
+    by output pair."""
 
     entries: dict
     by_in: dict
     by_out: dict
-    cache: dict
 
 
 def _table(entries: dict) -> _Table:
@@ -513,23 +487,7 @@ def _table(entries: dict) -> _Table:
     for (i, j, k, l) in entries:
         by_in.setdefault((i, j), []).append((k, l))
         by_out.setdefault((k, l), []).append((i, j))
-    return _Table(entries, by_in, by_out, {})
-
-
-class _WordData(dict):
-    """Leg word -> (``word_measure``, position of the leftmost reducible
-    pair or None), filled on first use: the rules of one system are fixed,
-    and the same words recur on every term of a check."""
-
-    def __init__(self, rs: RewriteSystem):
-        super().__init__()
-        self.rs = rs
-
-    def __missing__(self, word: tuple) -> tuple:
-        pos = next((p for p, (g1, g2) in enumerate(zip(word, word[1:]))
-                    if _reducible(g1, g2, self.rs)), None)
-        out = self[word] = (word_measure(word), pos)
-        return out
+    return _Table(entries, by_in, by_out)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +688,7 @@ def _heap_entry(key, rs: RewriteSystem) -> tuple:
     total = kind_inv = var_inv = middle = 0
     redex = None
     for li, word in enumerate(key[2]):
-        (a, b, c, d), pos = rs.word_data[word]
+        (a, b, c, d), pos = rs.word_data(word)
         total += a
         kind_inv += b
         var_inv += c

@@ -223,7 +223,7 @@ def _plan_verify_hopf(R: RMatrix, flavor: str, toggles: Toggles,
     for axiom in AXIOMS:
         def axioms(axiom=axiom):
             bad = [check_id.split(":", 1)[1] for check_id, nterms
-                   in check_axioms(rs, tables, (axiom,)) if nterms]
+                   in check_axioms(tables, (axiom,)) if nterms]
             return not bad, ", ".join(bad) if bad else None
         _timed(report, f"axiom-{axiom}", axioms)
 

@@ -21,15 +21,18 @@ every leg of the term and on its coefficient (u_t = q^(c_t/2)):
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import NamedTuple
 
 from .algebra import (MAX_LEGS, Element, GenOcc, L, LINV, LSTAR, LSTARINV,
                       PHI, PHISTAR, RewriteSystem, VECTOR_KINDS, _z,
                       charge_shift, delta_normalize, normal_order,
-                      relation_sides, toggled)
+                      relation_sides, subs_term, toggled)
 from .errors import ShapeError, UnsupportedRule
 from .kernels import mono_mul
-from .symfield import RatExpr, accumulate
+from .symfield import (RatExpr, U, accumulate, mono_from_pairs, support,
+                       var_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -129,28 +132,23 @@ ANTIPODE = {
                       Factor(LSTARINV, "mi", 0, (-1,))), sign=-1),
 }
 
+_TABLES = {"coproduct": COPRODUCT, "antipode": ANTIPODE}
+
 
 class HopfTables:
     """The Hopf rows as read for one rewrite system: its n and its
-    ``phistar-coproduct`` toggle."""
+    ``phistar-coproduct`` toggle.  ``image(name, g, slots)`` is the
+    (int coeff, new legs) pairs of g's row in the table ``name``
+    ("coproduct" or "antipode"), new leg k of charge slot ``slots[k]``:
+    a ``functools.cache`` of ``_image``, since the same generators recur on
+    every term of a check."""
 
     def __init__(self, rs: RewriteSystem):
         self.rs = rs
-        self.n = rs.n
-        self._images: dict = {}
+        self.image = functools.cache(self._image)
 
-    def image(self, rows: dict, name: str, g: GenOcc, slots: tuple) -> tuple:
-        """(int coeff, new legs) pairs of g's row in ``rows``, the table
-        called ``name``; new leg k has charge slot ``slots[k]``.  Cached:
-        the same generators recur on every term of a check."""
-        key = (name, g, slots)
-        out = self._images.get(key)
-        if out is None:
-            out = self._images[key] = self._image(rows, name, g, slots)
-        return out
-
-    def _image(self, rows: dict, name: str, g: GenOcc, slots: tuple) -> tuple:
-        row = rows.get(g.kind)
+    def _image(self, name: str, g: GenOcc, slots: tuple) -> tuple:
+        row = _TABLES[name].get(g.kind)
         if row is None:
             raise UnsupportedRule(f"no {name} table for kind {g.kind}")
         nlegs = len(slots)
@@ -166,7 +164,7 @@ class HopfTables:
             factors.append((f, toggled(f.letters, self.rs.toggles),
                             g.arg._replace(q=q)))
         summed = any("m" in letters for _, letters, _ in factors)
-        for m in range(1, self.n + 1) if summed else (0,):
+        for m in range(1, self.rs.n + 1) if summed else (0,):
             env = {"i": g.row, "j": g.col, "m": m}
             legs = [()] * nlegs
             for f, letters, a in factors:
@@ -190,8 +188,11 @@ def _splice(e: Element, leg: int, removed: int, own: dict, added: int,
     ``added`` new legs.  The generators of the replaced words, in order
     (reversed for the anti-homomorphism), go to the (int coeff, new legs)
     pairs ``pieces(g)``, multiplied out.
-    ``own`` maps the charges of the replaced legs; every charge slot above
-    them moves by the change in leg count, as far as the slots reach."""
+    ``own`` maps the charges of the replaced legs, c_i -> sum_j own[i][j]
+    c_j; every charge slot above them moves by the change in leg count, as
+    far as the slots reach.  The charge map is the substitution u_i ->
+    prod_j u_j^cmap[i][j] (``subs_term``), made in the same pass; a term
+    that holds none of the remapped u_i keeps its coefficient object."""
     if not 0 <= leg <= e.nlegs - removed:
         raise ShapeError(f"no leg {leg}")
     t = leg + 1
@@ -199,10 +200,16 @@ def _splice(e: Element, leg: int, removed: int, own: dict, added: int,
     cmap = {k: {k + shift: 1} for k in range(t + removed, MAX_LEGS + 1)
             if shift and k + shift <= MAX_LEGS}
     cmap.update(own)
-    if cmap:
-        e = e.map_charges(cmap)
+    smap = {U[i - 1]: mono_from_pairs((U[j - 1], k) for j, k in row.items())
+            for i, row in cmap.items() if row != {i: 1}}
+    mask = var_mask(smap)
     out = Element(e.nlegs + shift)
-    for (flag, deltas, legs), coeff in e.terms.items():
+    for key, coeff in e.terms.items():
+        if support(itertools.chain(
+                coeff.num, coeff.den, (d.q for d in key[1]),
+                (g.arg.q for w in key[2] for g in w))) & mask:
+            key, coeff = subs_term(key, coeff, smap)
+        flag, deltas, legs = key
         word = sum(legs[leg:leg + removed], ())
         images = [(1, ((),) * added)]
         for g in reversed(word) if reverse else word:
@@ -220,11 +227,10 @@ def coproduct(e: Element, tables: HopfTables, leg: int = 0) -> Element:
         raise ShapeError(f"cannot exceed {MAX_LEGS} legs")
     t = leg + 1
     return _splice(e, leg, 1, {t: {t: 1, t + 1: 1}}, 2,
-                   lambda g: tables.image(COPRODUCT, "coproduct", g,
-                                          (t, t + 1)))
+                   lambda g: tables.image("coproduct", g, (t, t + 1)))
 
 
-def counit_apply(e: Element, tables: HopfTables, leg: int = 0) -> Element:
+def counit_apply(e: Element, leg: int = 0) -> Element:
     """Replace one leg by its counit value and renumber."""
     return _splice(e, leg, 1, {leg + 1: {}}, 0, _counit)
 
@@ -233,8 +239,7 @@ def antipode_apply(e: Element, tables: HopfTables, leg: int = 0) -> Element:
     """Anti-homomorphism on one leg, which negates that leg's charge."""
     t = leg + 1
     return _splice(e, leg, 1, {t: {t: -1}}, 1,
-                   lambda g: tables.image(ANTIPODE, "antipode", g,
-                                          (t,)), reverse=True)
+                   lambda g: tables.image("antipode", g, (t,)), reverse=True)
 
 
 def merge_legs(e: Element, leg: int = 0) -> Element:
@@ -251,28 +256,29 @@ def merge_legs(e: Element, leg: int = 0) -> Element:
 # axiom and homomorphism checks
 # ---------------------------------------------------------------------------
 
-def check_counit(rs: RewriteSystem, tables: HopfTables, gen: Element):
+def check_counit(tables: HopfTables, gen: Element):
     """(eps (x) id) Delta = id = (id (x) eps) Delta; returns residuals."""
     d = coproduct(gen, tables, 0)
-    return counit_apply(d, tables, 0) - gen, counit_apply(d, tables, 1) - gen
+    return counit_apply(d, 0) - gen, counit_apply(d, 1) - gen
 
 
-def check_coassoc(rs: RewriteSystem, tables: HopfTables, gen: Element):
+def check_coassoc(tables: HopfTables, gen: Element):
     """(Delta (x) id) Delta = (id (x) Delta) Delta; returns the residual
     as a one-element tuple."""
     d = coproduct(gen, tables, 0)
     return (coproduct(d, tables, 0) - coproduct(d, tables, 1),)
 
 
-def check_antipode(rs: RewriteSystem, tables: HopfTables, gen: Element):
+def check_antipode(tables: HopfTables, gen: Element):
     """m(S (x) id) Delta = eta eps = m(id (x) S) Delta; returns residuals."""
-    eps = counit_apply(gen, tables, 0)
+    eps = counit_apply(gen, 0)
     target = Element(1, {(flag, deltas, ((),)): c
                          for (flag, deltas, _), c in eps.terms.items()})
     d = coproduct(gen, tables, 0)
     return tuple(
         delta_normalize(normal_order(
-            merge_legs(antipode_apply(d, tables, leg), 0) - target, rs))
+            merge_legs(antipode_apply(d, tables, leg), 0) - target,
+            tables.rs))
         for leg in (0, 1))
 
 
@@ -290,7 +296,7 @@ def check_hom_on_relation(rs: RewriteSystem, tables: HopfTables,
 AXIOMS = ("counit", "coassoc", "antipode")
 
 
-def check_axioms(rs: RewriteSystem, tables: HopfTables, axioms=AXIOMS):
+def check_axioms(tables: HopfTables, axioms=AXIOMS):
     """("axiom:label", number of nonzero residual terms) for each selected
     axiom and each generator it covers; the antipode skips the inverse
     kinds, which have no antipode row."""
@@ -298,7 +304,7 @@ def check_axioms(rs: RewriteSystem, tables: HopfTables, axioms=AXIOMS):
     for axiom in axioms:
         # looked up at call time, so a rebound module global is the one run
         check = globals()[f"check_{axiom}"]
-        for label, gen in generator_list(rs, axiom != "antipode"):
-            nterms = sum(len(r.terms) for r in check(rs, tables, gen))
+        for label, gen in generator_list(tables.rs, axiom != "antipode"):
+            nterms = sum(len(r.terms) for r in check(tables, gen))
             results.append((f"{axiom}:{label}", nterms))
     return results

@@ -31,11 +31,13 @@ also carries the factorization of its denominator into irreducibles when
 it is known (see "factored denominators").  A sum or a product of such
 fractions, and a substitution into one, reduces its raw result by trial
 division by the factors, with no gcd.  Products are memoized whole, by
-the values of their operands (``_PRODUCTS``).
+the values of their operands (``_PRODUCTS``); every other memo of the
+module is a ``functools.cache``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from math import gcd as int_gcd, isqrt
 
@@ -461,28 +463,24 @@ def poly_lcm(p: dict, q: dict) -> dict:
 # factorization maps factors to exponents; a product of positive-leading
 # factors leads positive, so it expands to the canonical denominator.
 
-_CYCLOTOMIC: dict = {}
-
-
 def _divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+@functools.cache
 def _cyclotomic(d: int) -> list:
     """Coefficients of Phi_d, lowest degree first: y^d - 1 divided by
     every Phi_e with e a proper divisor of d (all monic)."""
-    if d not in _CYCLOTOMIC:
-        p = [-1] + [0] * (d - 1) + [1]
-        for e in _divisors(d)[:-1]:
-            f = _cyclotomic(e)
-            quot = [0] * (len(p) - len(f) + 1)
-            for i in range(len(quot) - 1, -1, -1):
-                quot[i] = c = p[i + len(f) - 1]
-                for j, fj in enumerate(f):
-                    p[i + j] -= c * fj
-            p = quot
-        _CYCLOTOMIC[d] = p
-    return _CYCLOTOMIC[d]
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in _divisors(d)[:-1]:
+        f = _cyclotomic(e)
+        quot = [0] * (len(p) - len(f) + 1)
+        for i in range(len(quot) - 1, -1, -1):
+            quot[i] = c = p[i + len(f) - 1]
+            for j, fj in enumerate(f):
+                p[i + j] -= c * fj
+        p = quot
+    return p
 
 
 def _primitive_root(m: int) -> tuple:
@@ -492,24 +490,19 @@ def _primitive_root(m: int) -> tuple:
     return (m // g if m > 0 else m // -g), g
 
 
-_FACTOR_TERMS: dict = {}
-
-
+@functools.cache
 def factor_terms(f: tuple) -> dict:
-    """The ordinary term map of the factor f = (d, N)."""
-    out = _FACTOR_TERMS.get(f)
-    if out is None:
-        d, n = f
-        items = mono_items(n)
-        pos = mono_from_pairs((v, e) for v, e in items if e > 0)
-        neg = mono_from_pairs((v, -e) for v, e in items if e < 0)
-        coeffs = _cyclotomic(d)
-        top = len(coeffs) - 1
-        out = _FACTOR_TERMS[f] = {
-            kernels.mono_mul(kernels.mono_pow(pos, i),
+    """The ordinary term map of the factor f = (d, N).  Memoized, like
+    ``_expansion``, until ``reset_memo``."""
+    d, n = f
+    items = mono_items(n)
+    pos = mono_from_pairs((v, e) for v, e in items if e > 0)
+    neg = mono_from_pairs((v, -e) for v, e in items if e < 0)
+    coeffs = _cyclotomic(d)
+    top = len(coeffs) - 1
+    return {kernels.mono_mul(kernels.mono_pow(pos, i),
                              kernels.mono_pow(neg, top - i)): c
             for i, c in enumerate(coeffs) if c}
-    return out
 
 
 def split_binomial(den: dict):
@@ -581,11 +574,6 @@ def _fac_sub(fac: dict, cut: dict) -> dict:
     return out
 
 
-# Expanded products of factors, keyed by their factorization; a run meets
-# few distinct denominators.  ``reset_memo`` empties it and
-# ``_FACTOR_TERMS``.
-_EXPANSIONS: dict = {}
-
 # Sums that took ``poly_gcd`` because an operand's denominator is not
 # factored; ``reset_memo`` zeroes it.
 SUM_GCD_FALLBACKS = 0
@@ -593,15 +581,16 @@ SUM_GCD_FALLBACKS = 0
 
 def _expand(fac: dict) -> dict:
     """The canonical denominator with factorization ``fac``."""
-    if not fac:
-        return _ONE_TERMS
-    key = frozenset(fac.items())
-    out = _EXPANSIONS.get(key)
-    if out is None:
-        out = dict(_ONE_TERMS)
-        for f, e in fac.items():
-            out = kernels.poly_mul(out, _poly_pow(factor_terms(f), e))
-        _EXPANSIONS[key] = out
+    return _expansion(frozenset(fac.items())) if fac else _ONE_TERMS
+
+
+@functools.cache
+def _expansion(fac: frozenset) -> dict:
+    """The expanded product of the (factor, exponent) pairs ``fac``: a run
+    meets few distinct denominators.  Memoized until ``reset_memo``."""
+    out = dict(_ONE_TERMS)
+    for f, e in fac:
+        out = kernels.poly_mul(out, _poly_pow(factor_terms(f), e))
     return out
 
 
@@ -693,15 +682,15 @@ class RatExpr:
 
     @classmethod
     def from_int(cls, n: int) -> "RatExpr":
-        return cls({0: n} if n else {})
+        return cls.from_laurent({0: n} if n else {})
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "RatExpr":
-        return cls({mono(**{name: power}): 1})
+        return cls.from_laurent({mono(**{name: power}): 1})
 
     @classmethod
     def from_mono(cls, m: tuple, coeff: int = 1) -> "RatExpr":
-        return cls({m: coeff} if coeff else {})
+        return cls.from_laurent({m: coeff} if coeff else {})
 
     @classmethod
     def from_laurent(cls, terms: dict, n: int = 1) -> "RatExpr":
@@ -873,8 +862,10 @@ def _cancel(t: dict, den: dict):
 # is sound because no RatExpr or term map is mutated once built.  A key
 # holds the value itself, so it never goes stale when the memo is emptied,
 # and its factored flag keeps a product of a factored operand factored.
-# Sums are not memoized: over factored denominators they take no gcd
-# (``_lcm_sum``).  ``reset_memo`` empties it.
+# It is the one memo that is not a ``functools.cache``: a RatExpr is not
+# hashable, so the key is built from the operands' values, not from the
+# argument list.  Sums are not memoized: over factored denominators they
+# take no gcd (``_lcm_sum``).  ``reset_memo`` empties it.
 _PRODUCTS: dict = {}
 
 
@@ -891,11 +882,12 @@ def _value_key(x: RatExpr) -> tuple:
 def reset_memo():
     """Forget every memoized product, factor and expanded product of
     factors, so that a run starts cold whatever ran before it in the
-    process, and zero ``SUM_GCD_FALLBACKS``."""
+    process, and zero ``SUM_GCD_FALLBACKS``.  The cyclotomic coefficients
+    of ``_cyclotomic`` depend on no input, and stay."""
     global SUM_GCD_FALLBACKS
     _PRODUCTS.clear()
-    _FACTOR_TERMS.clear()
-    _EXPANSIONS.clear()
+    factor_terms.cache_clear()
+    _expansion.cache_clear()
     SUM_GCD_FALLBACKS = 0
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rhopf import algebra
+from rhopf import algebra, hopf
 from rhopf.algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
                            LSTAR, LSTARINV, PHI, PHISTAR, RewriteSystem,
                            VECTOR_KINDS, braid_consistency, delta_normalize,
@@ -425,15 +425,16 @@ def _charges_held(key, coeff) -> set:
 
 @pytest.mark.parametrize("cmap", _CHARGE_MAPS)
 def test_map_charges_equals_term_by_term_substitution(cmap):
-    """The charge map equals ``subs_term`` on every term, and a term that
-    holds none of the remapped charges passes through as it is."""
+    """The charge map of ``hopf._splice``, with leg 0 replaced by itself,
+    equals ``subs_term`` on every term, and a term that holds none of the
+    remapped charges passes through as it is."""
     e = parse_element(_CHARGED)
     smap = {U[i - 1]: mono_from_pairs((U[j - 1], k) for j, k in row.items())
             for i, row in cmap.items() if row != {i: 1}}
     want: dict = {}
     for key, c in e.terms.items():
         accumulate(want, *algebra.subs_term(key, c, smap))
-    got = e.map_charges(cmap)
+    got = hopf._splice(e, 0, 1, cmap, 1, lambda g: [(1, ((g,),))])
     assert got == Element(e.nlegs, want)
     remapped = {i for i, row in cmap.items() if row != {i: 1}}
     untouched = [key for key, c in e.terms.items()

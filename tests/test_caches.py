@@ -97,7 +97,7 @@ def test_word_data_equals_the_uncached_scan(literal, terms):
     rs = _rs(literal)
     for legs in terms:
         for word in (w for leg in legs for w in _neighbours(leg)):
-            assert rs.word_data[word] == (term_measure(("", (), (word,))),
+            assert rs.word_data(word) == (term_measure(("", (), (word,))),
                                           _leftmost(word, rs))
         scans = [_leftmost(word, rs) for word in legs]
         key = ("", (), legs)
@@ -128,7 +128,7 @@ def test_image_equals_a_fresh_table(literal, calls):
     for name, rows, g, slots in calls:
         if g.kind not in rows:
             with pytest.raises(UnsupportedRule):
-                tables.image(rows, name, g, slots)
+                tables.image(name, g, slots)
             continue
-        fresh = HopfTables(tables.rs).image(rows, name, g, slots)
-        assert tables.image(rows, name, g, slots) == fresh
+        fresh = HopfTables(tables.rs).image(name, g, slots)
+        assert tables.image(name, g, slots) == fresh

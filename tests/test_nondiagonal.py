@@ -101,7 +101,7 @@ def test_sixvertex_full_double_verification(sixv):
                    for _, r in relation_self_residual(rs, rid)), rid
         assert all(r.is_zero()
                    for _, r in check_hom_on_relation(rs, tables, rid)), rid
-    for check_id, nterms in check_axioms(rs, tables):
+    for check_id, nterms in check_axioms(tables):
         assert nterms == 0, check_id
     # every denominator met is a product of split binomials, so no sum
     # fell back to poly_gcd

@@ -754,6 +754,20 @@ def test_product_memo_tells_factored_from_unfactored_equal_values():
         assert total == _constructor_sum([other, y, -(other * y)])
 
 
+
+def test_reset_memo_empties_the_run_scoped_caches():
+    """A sum over factored denominators fills the factor and expansion
+    caches, and ``reset_memo`` leaves both empty."""
+    sf.reset_memo()
+    total = (_over("z1", ("z1 - q*z2", 1), ("s^4 - 1", 1))
+             + _over("1", ("s^2 + 1", 2)))
+    assert total.fac is not None
+    assert sf.factor_terms.cache_info().currsize > 0
+    assert sf._expansion.cache_info().currsize > 0
+    sf.reset_memo()
+    assert sf.factor_terms.cache_info().currsize == 0
+    assert sf._expansion.cache_info().currsize == 0
+
 @st.composite
 def _laurent_over_factors(draw):
     """A factorization, of one to three ``_SHARING`` binomials each to a

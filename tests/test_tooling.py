@@ -135,3 +135,56 @@ def test_no_dead_helpers():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert dead_helpers(sources) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter) of every parameter of a function, method or
+    lambda that its body never reads; ``self`` and ``cls`` aside.  A
+    function is named by its dotted path of enclosing classes and
+    functions, a lambda as ``<lambda>`` under its enclosing one.  A read
+    inside a nested function or lambda counts as a read of the enclosing
+    parameter of that name."""
+    out = []
+
+    def visit(node, path):
+        for sub in ast.iter_child_nodes(node):
+            name = path
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.Lambda, ast.ClassDef)):
+                name = path + (getattr(sub, "name", "<lambda>"),)
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.Lambda)):
+                args = sub.args
+                params = [a.arg for a in (
+                    args.posonlyargs + args.args + [args.vararg]
+                    + args.kwonlyargs + [args.kwarg]) if a]
+                body = sub.body if isinstance(sub.body, list) else [sub.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                out.extend((".".join(name), p) for p in params
+                           if p not in ("self", "cls") and p not in read)
+            visit(sub, name)
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_unread_parameters_finds_what_is_never_read():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a, kw\n"
+              "class C:\n"
+              "    def m(self, x, y):\n        return lambda z: x\n"
+              "    @classmethod\n    def k(cls, w):\n"
+              "        def inner(v):\n            return w\n"
+              "        return inner\n"
+              "g = lambda u, t: u\n")
+    assert unread_parameters(source) == [
+        ("f", "b"), ("f", "args"), ("f", "c"), ("C.m", "y"),
+        ("C.m.<lambda>", "z"), ("C.k.inner", "v"), ("<lambda>", "t")]
+
+
+def test_no_unread_parameters():
+    found = [(path.stem + "." + func, param)
+             for path in sorted(SRC.glob("*.py"))
+             for func, param in unread_parameters(
+                 path.read_text(encoding="utf-8"))]
+    assert found == []
