@@ -27,7 +27,9 @@ Conventions fixed here and used everywhere:
 
   so for n = 2 the word Phi_1(x1) l_21(x2) rewrites into the four terms
   Rinv[a,b -> 1,2] l_b1(x2) Phi_a(x1), a,b in {1,2}.  All ten relations
-  are stated once, in the table RELATIONS below, with the same reading.
+  are stated once, in the table RELATIONS below, with the same reading;
+  their products of entries are read by ``rmatrix.contract``, the
+  routine the Yang-Baxter and unitarity residuals use too.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 from .errors import (BudgetError, DomainError, KindError, ShapeError,
                      SingularError)
-from .rmatrix import RMatrix, entries_at
+from .rmatrix import RMatrix, contract, entries_at, table
 from .kernels import mono_mul
 from .symfield import (NVARS, RatExpr, U, Z, accumulate, mono, mono_from_pairs,
                        mono_inv, mono_items, subs_mono, sum_fractions)
@@ -428,8 +430,8 @@ class RewriteSystem:
         self.n = R.n
         self.flavor = flavor
         self.toggles = toggles or Toggles()
-        self.tables = {"R": _table(R.entries),
-                       "Rinv": _table(R.inverse_entries())}
+        self.tables = {"R": table(R.entries),
+                       "Rinv": table(R.inverse_entries())}
         self.matrix_at = functools.cache(self._matrix_at)
         self.pieces = functools.cache(self._pieces)
         self.word_data = functools.cache(self._word_data)
@@ -470,24 +472,6 @@ class RewriteSystem:
 
     def allowed_kinds(self) -> frozenset:
         return FLAVOR_KINDS[self.flavor]
-
-
-class _Table(NamedTuple):
-    """One matrix of a rule table: its entries, indexed by input pair and
-    by output pair."""
-
-    entries: dict
-    by_in: dict
-    by_out: dict
-
-
-def _table(entries: dict) -> _Table:
-    by_in: dict = {}
-    by_out: dict = {}
-    for (i, j, k, l) in entries:
-        by_in.setdefault((i, j), []).append((k, l))
-        by_out.setdefault((k, l), []).append((i, j))
-    return _Table(entries, by_in, by_out)
 
 
 # ---------------------------------------------------------------------------
@@ -550,31 +534,10 @@ def _factor(rs: "RewriteSystem", m: Contraction, x, slot: int,
     return ent, table.by_in, table.by_out, ins, outs
 
 
-def _contract(factors, env: dict, coeff=None):
-    """Yield (coefficient, bindings) for every nonzero product of entries:
-    each factor is looked up through its bound slot and binds the letters
-    of the other.  The coefficient is None when there is no factor."""
-    if not factors:
-        yield coeff, env
-        return
-    ent, by_in, by_out, ins, outs = factors[0]
-    forward = ins[0] in env
-    known, new = (ins, outs) if forward else (outs, ins)
-    kv = (env[known[0]], env[known[1]])
-    for nv in (by_in if forward else by_out).get(kv, ()):
-        c = ent[kv + nv if forward else nv + kv]
-        if c.is_zero():
-            continue
-        sub = dict(env)
-        sub[new[0]], sub[new[1]] = nv
-        yield from _contract(factors[1:], sub,
-                             c if coeff is None else coeff * c)
-
-
 def _word_terms(rs: "RewriteSystem", word, factors, env: dict, x):
     return [(_R1 if c is None else c, (),
              tuple(_occ(p, sub, x, rs.toggles) for p in word))
-            for c, sub in _contract(factors, env)]
+            for c, sub in contract(factors, env)]
 
 
 def _bracket_terms(rs: "RewriteSystem", rel: Relation, env: dict, x,

@@ -101,15 +101,17 @@ def parse_rspec(text: str):
                         raise ParseError(
                             f"entry index {v} out of range 1..{n}",
                             lineno, start + m.start(t) + 1)
-                val = parse_expr(m.group(5),
-                                 (lineno, start + m.start(5) + 1))
-                if not val.is_zero():
-                    entries[idx] = val
+                if idx in entries:  # zero-valued statements count too
+                    raise ParseError("entry R[{},{};{},{}] is given twice"
+                                     .format(*idx), lineno, start + 1)
+                entries[idx] = parse_expr(m.group(5),
+                                          (lineno, start + m.start(5) + 1))
                 continue
             raise ParseError(f"cannot parse statement {stmt!r}", lineno,
                              start + 1)
     if n is None or var is None:
         raise ParseError("missing n= or var= header", 1, 1)
+    entries = {key: v for key, v in entries.items() if not v.is_zero()}
     rows = {(k, l) for (_, _, k, l) in entries}
     for k in range(1, n + 1):
         for l in range(1, n + 1):

@@ -384,15 +384,11 @@ def _erase_kind(wm: dict) -> dict:
             for w, c in wm.items()}
 
 
-def drinfeld_compare(window: SeriesWindow, R: RMatrix = None) -> dict:
+def drinfeld_compare(window: SeriesWindow, R: RMatrix) -> dict:
     """Coefficient-by-coefficient comparison of the scalar instance's
     cleared exchange relations against the reference current relations
     (positive current = Phi, negative current = Phistar); a slot matches
     when its two word maps are proportional."""
-    from .instances import get_instance
-
-    if R is None:
-        R = get_instance("example1")
     if R.n != 1:
         raise DomainError("the reference comparison is scalar only")
     rs = RewriteSystem(R, "double")

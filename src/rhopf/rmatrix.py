@@ -5,6 +5,12 @@ Index convention (fixed for spec files and all internal contractions):
 the first tensor factor most significant, i.e. as an n^2 x n^2 matrix the
 row is (k,l) and the column is (i,j), both row-major.
 
+``contract`` is the one routine that multiplies R entries: the rule and
+template readings of ``algebra.RELATIONS`` and the Yang-Baxter and
+unitarity residuals here are chains of factors read by it.  A factor
+names its input and output slots by index letters, and R21 is R read
+with the letters of both slots swapped (R21[a,b -> c,d] = R[b,a -> d,c]).
+
 The Yang-Baxter residual is computed with the product convention for the
 middle argument, R12(z) R13(z*w) R23(w), which is the one the braid
 consistency tests validate; the literal ratio variant R13(z/w) is computed
@@ -13,11 +19,13 @@ alongside for reporting.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, SingularError
-from .symfield import (RatExpr, S, VAR_INDEX, accumulate, denominator_lcm,
-                       mono)
+from .symfield import (RatExpr, S, VAR_INDEX, denominator_lcm, mono,
+                       sum_fractions)
 
 _R0 = RatExpr.from_int(0)
 _R1 = RatExpr.from_int(1)
@@ -44,11 +52,6 @@ class RMatrix:
 
     def entry(self, i, j, k, l) -> RatExpr:
         return self.entries.get((i, j, k, l), _R0)
-
-    def flip(self) -> "RMatrix":
-        """R21, with R21[i,j -> k,l] = R[j,i -> l,k]."""
-        flipped = {(j, i, l, k): v for (i, j, k, l), v in self.entries.items()}
-        return RMatrix(self.n, self.var, flipped, name=self.name + "_21")
 
     def at(self, arg: tuple) -> dict:
         """Entries with the spectral variable replaced by a monomial."""
@@ -129,44 +132,69 @@ class ClearedRMatrix:
 
 
 # ---------------------------------------------------------------------------
-# tensor-space composition helpers (dict maps input-tuple -> {output: val})
+# index contraction
 # ---------------------------------------------------------------------------
 
-def _compose(after: dict, before: dict) -> dict:
-    """(after o before)[in][out] = sum_mid before[in][mid] * after[mid][out]."""
+class Table(NamedTuple):
+    """One matrix in contraction form: its entries, indexed by input pair
+    and by output pair."""
+
+    entries: dict
+    by_in: dict
+    by_out: dict
+
+
+def table(entries: dict) -> Table:
+    by_in: dict = {}
+    by_out: dict = {}
+    for (i, j, k, l) in entries:
+        by_in.setdefault((i, j), []).append((k, l))
+        by_out.setdefault((k, l), []).append((i, j))
+    return Table(entries, by_in, by_out)
+
+
+def contract(factors, env: dict, coeff=None):
+    """Yield (coefficient, bindings) for every nonzero product of entries.
+    A factor is a ``Table`` of its entries at its argument followed by its
+    input and output letters.  It is looked up through its bound slot, the
+    input slot when its first letter is bound, and binds the letters of
+    the other, a letter bound before taking its new value.  Factors are
+    read in list order, so in a chain of operators the rightmost comes
+    first.  The coefficient is None when there is no factor."""
+    if not factors:
+        yield coeff, env
+        return
+    ent, by_in, by_out, ins, outs = factors[0]
+    forward = ins[0] in env
+    known, new = (ins, outs) if forward else (outs, ins)
+    kv = (env[known[0]], env[known[1]])
+    for nv in (by_in if forward else by_out).get(kv, ()):
+        c = ent[kv + nv if forward else nv + kv]
+        if c.is_zero():
+            continue
+        sub = dict(env)
+        sub[new[0]], sub[new[1]] = nv
+        yield from contract(factors[1:], sub,
+                            c if coeff is None else coeff * c)
+
+
+def _residual(n: int, ins: str, lhs, rhs) -> dict:
+    """lhs - rhs as a sparse (input indices, output indices) -> RatExpr
+    dict of its nonzero entries, over every input index tuple bound to the
+    letters ``ins``; a side is (its factors, its output letters)."""
     out: dict = {}
-    for tin, mids in before.items():
-        acc = out.setdefault(tin, {})
-        for mid, v1 in mids.items():
-            arow = after.get(mid)
-            if not arow:
-                continue
-            for tout, v2 in arow.items():
-                accumulate(acc, tout, v1 * v2)
-        if not acc:
-            del out[tin]
-    return out
-
-
-def _embed3(entries: dict, n: int, slot_a: int, slot_b: int) -> dict:
-    """Lift two-site entries onto sites (slot_a, slot_b) of V (x) V (x) V."""
-    out: dict = {}
-    others = [t for t in range(3) if t not in (slot_a, slot_b)]
-    spare = others[0]
-    for (i, j, k, l), v in entries.items():
-        for m in range(1, n + 1):
-            tin = [0, 0, 0]
-            tout = [0, 0, 0]
-            tin[slot_a], tin[slot_b], tin[spare] = i, j, m
-            tout[slot_a], tout[slot_b], tout[spare] = k, l, m
-            out.setdefault(tuple(tin), {})[tuple(tout)] = v
-    return out
-
-
-def _as_map2(entries: dict) -> dict:
-    out: dict = {}
-    for (i, j, k, l), v in entries.items():
-        out.setdefault((i, j), {})[(k, l)] = v
+    for tin in itertools.product(range(1, n + 1), repeat=len(ins)):
+        env = dict(zip(ins, tin))
+        terms: dict = {}
+        for (factors, outs), sign in ((lhs, 1), (rhs, -1)):
+            for c, sub in contract(factors, env):
+                c = _R1 if c is None else c
+                terms.setdefault(tuple(sub[t] for t in outs), []).append(
+                    c if sign > 0 else -c)
+        for tout, vals in terms.items():
+            v = sum_fractions(vals)
+            if not v.is_zero():
+                out[(tin, tout)] = v
     return out
 
 
@@ -178,49 +206,27 @@ def ybe_residual(R: RMatrix, middle: str = "prod") -> dict:
     ratio variables z1 (z) and z2 (w) are used.  Returns a sparse dict
     ((i,j,k) in, (a,b,c) out) -> RatExpr of the nonzero residual entries.
     """
-    z = mono(z1=1)
-    w = mono(z2=1)
     if middle == "prod":
         m = mono(z1=1, z2=1)
     elif middle == "ratio":
         m = mono(z1=1, z2=-1)
     else:
         raise DomainError(f"unknown middle-argument convention {middle!r}")
-    r12 = _embed3(R.at(z), R.n, 0, 1)
-    r13 = _embed3(R.at(m), R.n, 0, 2)
-    r23 = _embed3(R.at(w), R.n, 1, 2)
-    lhs = _compose(r12, _compose(r13, r23))
-    rhs = _compose(r23, _compose(r13, r12))
-    return _map_sub(lhs, rhs)
-
-
-def _map_sub(a: dict, b: dict) -> dict:
-    out: dict = {}
-    keys = set(a) | set(b)
-    for tin in keys:
-        ra = a.get(tin, {})
-        rb = b.get(tin, {})
-        for tout in set(ra) | set(rb):
-            v = ra.get(tout, _R0) - rb.get(tout, _R0)
-            if not v.is_zero():
-                out[(tin, tout)] = v
-    return out
+    r12, r13, r23 = (table(R.at(arg)) for arg in (mono(z1=1), m, mono(z2=1)))
+    # the rightmost factor acts first; rhs is the mirror chain
+    lhs = [(*r23, "bc", "BC"), (*r13, "aC", "Ac"), (*r12, "AB", "ab")]
+    rhs = [(*r12, "ab", "AB"), (*r13, "Ac", "aC"), (*r23, "BC", "bc")]
+    return _residual(R.n, "abc", (lhs, "abc"), (rhs, "abc"))
 
 
 def unitarity_residual(R: RMatrix) -> dict:
     """R21(x) R(1/x) - Id as a sparse ((i,j),(k,l)) -> RatExpr dict.  A
     singular R always leaves a residual, since det(R21(x) R(1/x)) = 0, so
     the determinant is taken only for a nonzero residual."""
-    x = mono(**{R.var: 1})
-    xinv = mono(**{R.var: -1})
-    r21 = _as_map2(R.flip().at(x))
-    rinv_arg = _as_map2(R.at(xinv))
-    prod = _compose(r21, rinv_arg)
-    ident = {}
-    for i in range(1, R.n + 1):
-        for j in range(1, R.n + 1):
-            ident[(i, j)] = {(i, j): _R1}
-    res = _map_sub(prod, ident)
+    at_inv, at_x = (table(R.at(mono(**{R.var: e}))) for e in (-1, 1))
+    # R(1/x), then R21(x), that is R(x) read with its letters swapped
+    product = [(*at_inv, "ab", "cd"), (*at_x, "dc", "fe")]
+    res = _residual(R.n, "ab", (product, "ef"), ([], "ab"))
     if res and R.determinant().is_zero():
         raise SingularError("R is singular; unitarity is ill-posed")
     return res

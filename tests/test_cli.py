@@ -262,6 +262,25 @@ def test_parse_rspec_empty_row_rejected():
         parse_rspec("n=2; var=x; R[1,1;1,1]=x")
 
 
+@pytest.mark.parametrize("first, second", [("5", "0"), ("0", "5"),
+                                           ("5", "5")])
+def test_parse_rspec_repeated_entry_rejected(first, second, tmp_path,
+                                             capsys):
+    """A repeated entry is an error at the repeated statement, whichever
+    of the two values is zero, and also when the two agree."""
+    text = ("n=2; var=x\nR[1,1;1,1] = 1; R[2,2;2,2] = 1\n"
+            "R[1,2;1,2] = 1; R[2,1;2,1] = 1\n"
+            f"R[1,2;2,1] = {first}\n  R[1,2;2,1] = {second}\n")
+    with pytest.raises(ParseError) as err:
+        parse_rspec(text)
+    assert (err.value.line, err.value.col) == (5, 3)
+    assert "entry R[1,2;2,1] is given twice" in str(err.value)
+    spec = tmp_path / "repeated.spec"
+    spec.write_text(text)
+    assert main(["check-r", "--spec", str(spec)]) == 2
+    assert "R[1,2;2,1] is given twice" in capsys.readouterr().err
+
+
 # -- CLI plans ----------------------------------------------------------------
 
 def test_check_r_passes_and_writes_report(tmp_path, capsys):

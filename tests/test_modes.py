@@ -182,8 +182,9 @@ def test_reference_file_parses():
 
 
 def test_drinfeld_compare_windows():
-    assert drinfeld_compare(SeriesWindow(5, 1))["match"]
-    assert drinfeld_compare(SeriesWindow(2, 1))["match"]
+    R = get_instance("example1")
+    assert drinfeld_compare(SeriesWindow(5, 1), R)["match"]
+    assert drinfeld_compare(SeriesWindow(2, 1), R)["match"]
 
 
 def test_drinfeld_compare_q_cubed_control():

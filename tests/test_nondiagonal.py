@@ -6,9 +6,11 @@ that symmetric matrices cannot: the transpose of a right-multiplied R,
 and the product vs ratio middle argument of the Yang-Baxter check.
 """
 
+import hashlib
 import heapq
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ from rhopf.algebra import (_INV_PAIRS, ALL_KINDS, FLAVOR_RELATIONS,
 from rhopf.cli import main
 from rhopf.elemio import parse_element
 from rhopf.errors import SingularError
-from rhopf.expr import parse_expr
+from rhopf.expr import format_ratexpr, parse_expr
 from rhopf.hopf import (HopfTables, check_axioms, check_hom_on_relation,
                         coproduct)
 from rhopf.instances import get_instance
@@ -86,6 +88,43 @@ def test_sl3_conditions_hold_and_fail_when_mutated(sixv):
     mutated = RMatrix(3, "x", entries, name="sl3-mutated")
     assert ybe_residual(mutated, "prod") != {}
     assert unitarity_residual(mutated) != {}
+
+
+# Byte-stable ``check-r`` reports that print Yang-Baxter and unitarity
+# residuals: (spec, toggles, exit code, sha256 of the report).  On
+# six-vertex the ratio middle argument leaves an advisory residual; on
+# the mutated sl3 matrix both conventions and unitarity fail, each
+# residual printed with its "... N more entries" tail where it is long.
+SIXVERTEX_SPEC = str(Path(__file__).resolve().parents[1] / "verdictbench"
+                     / "sixvertex.rspec")
+CHECK_R_REPORTS = [
+    (SIXVERTEX_SPEC, [], 0,
+     "f37cb23085b56f561489b8e7ae23effb53ee7034788c35a8253121d12df66861"),
+    (SIXVERTEX_SPEC, ["--toggle", "ybe-middle=literal"], 1,
+     "accf6b85d4e4591eec78c30c91ba9e7288697c45a64364895b40f015e565ca10"),
+    ("sl3-mutated", [], 1,
+     "7ac9da1ba764ebe355bd22c75b22d45542e242540f54a21fcd91681f758dd55a"),
+    ("sl3-mutated", ["--toggle", "ybe-middle=literal"], 1,
+     "f071d39abd9c0ba89b576d5f1668a649fa136c769cffdc21838e7f341280cf78"),
+]
+
+
+@pytest.mark.parametrize("spec, toggles, code, digest", CHECK_R_REPORTS,
+                         ids=["six-vertex", "six-vertex-ybe-literal",
+                              "sl3-mutated", "sl3-mutated-ybe-literal"])
+def test_check_r_residual_reports_are_pinned(spec, toggles, code, digest,
+                                             tmp_path):
+    if spec == "sl3-mutated":
+        entries = _jimbo_entries(3)
+        entries[(1, 3, 3, 1)] = parse_expr("(q^4 - 1)/(x*q^2 - 1)")
+        spec = tmp_path / "sl3-mutated.rspec"
+        spec.write_text("n=3; var=x; name=sl3-mutated\n" + "".join(
+            "R[{},{};{},{}] = {}\n".format(*key, format_ratexpr(v))
+            for key, v in sorted(entries.items())))
+    out = tmp_path / "report.json"
+    assert main(["check-r", "--spec", str(spec), *toggles,
+                 "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_sixvertex_braid(sixv):

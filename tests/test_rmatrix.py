@@ -7,8 +7,8 @@ from rhopf.algebra import RewriteSystem
 from rhopf.errors import SingularError
 from rhopf.expr import parse_expr
 from rhopf.instances import PASSING_INSTANCES, get_instance
-from rhopf.rmatrix import (RMatrix, clear_poles, unitarity_residual,
-                           ybe_residual)
+from rhopf.rmatrix import (RMatrix, _residual, clear_poles, table,
+                           unitarity_residual, ybe_residual)
 from rhopf.symfield import RatExpr, VAR_INDEX, X, mono, variables
 
 
@@ -71,17 +71,14 @@ def test_unitarity_monomial_vs_affine_scalar():
 
 
 def test_left_and_right_inverse_agree_for_unitary_instances():
-    from rhopf.rmatrix import _as_map2, _compose, _map_sub
     for name in PASSING_INSTANCES:
         R = get_instance(name)
-        x = mono(**{R.var: 1})
-        xinv = mono(**{R.var: -1})
-        flipped = _as_map2(R.flip().at(x))
-        at_inv = _as_map2(R.at(xinv))
-        ident = {(i, j): {(i, j): RatExpr.from_int(1)}
-                 for i in range(1, R.n + 1) for j in range(1, R.n + 1)}
-        assert _map_sub(_compose(flipped, at_inv), ident) == {}
-        assert _map_sub(_compose(at_inv, flipped), ident) == {}
+        at_x, at_inv = (table(R.at(mono(**{R.var: e}))) for e in (1, -1))
+        # R21(x) R(1/x), then R(1/x) R21(x); R21 is R with its letters
+        # swapped
+        for chain in ([(*at_inv, "ab", "cd"), (*at_x, "dc", "fe")],
+                      [(*at_x, "ba", "dc"), (*at_inv, "cd", "ef")]):
+            assert _residual(R.n, "ab", (chain, "ef"), ([], "ab")) == {}
 
 
 def test_clear_poles_scalar():
@@ -161,7 +158,6 @@ def test_inverse_entries_roundtrip_nondiagonal():
     R = RMatrix(2, "x", entries)
     inv = R.inverse_entries()
     # compose R o Rinv = identity
-    from rhopf.rmatrix import _as_map2, _compose
-    prod = _compose(_as_map2(R.entries), _as_map2(inv))
-    for tin, row in prod.items():
-        assert row == {tin: RatExpr.from_int(1)}
+    rinv, r = table(inv), table(R.entries)
+    chain = [(*rinv, "ab", "cd"), (*r, "cd", "ef")]
+    assert _residual(2, "ab", (chain, "ef"), ([], "ab")) == {}

@@ -41,6 +41,39 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def function_local_imports(source: str) -> list:
+    """Line of every import inside a function or class body; an import
+    under a module-level ``if`` or ``try`` is still at module level."""
+    out = []
+
+    def visit(node, nested):
+        for sub in ast.iter_child_nodes(node):
+            if nested and isinstance(sub, (ast.Import, ast.ImportFrom)):
+                out.append(sub.lineno)
+            visit(sub, nested or isinstance(
+                sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    visit(ast.parse(source), False)
+    return out
+
+
+def test_function_local_imports_finds_nested_imports():
+    source = ("import os\n"
+              "try:\n    import json\nexcept ImportError:\n    json = None\n"
+              "def f():\n    from re import match\n"
+              "    def g():\n        import sys\n    return match\n"
+              "class C:\n    import io\n"
+              "    def m(self):\n        if self:\n"
+              "            from . import a\n")
+    assert function_local_imports(source) == [7, 9, 12, 15]
+
+
+def test_no_function_local_imports():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in function_local_imports(
+                 path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 def _private_definitions(tree):
     """(name, node) of every private module-level function, class and
     constant (an upper-case name bound at module level) of a module, and
