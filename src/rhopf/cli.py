@@ -16,9 +16,9 @@ import time
 from .algebra import (FLAVOR_RELATIONS, RewriteSystem, Toggles,
                       braid_consistency, delta_normalize, normal_order,
                       relation_self_residual)
-from .elemio import format_element, parse_element
+from .elemio import _doubled, format_element, parse_element
 from .errors import DomainError, ParseError, RhopfError
-from .expr import _format_poly, format_ratexpr, parse_expr
+from .expr import _format_poly, _mono_text, format_ratexpr, parse_expr
 from .hopf import AXIOMS, HopfTables, check_axioms, check_hom_on_relation
 from .instances import INSTANCE_NAMES, get_instance, instance_flags
 from .modes import SeriesWindow, check_mode_consistency, drinfeld_compare
@@ -312,6 +312,8 @@ def main(argv=None) -> int:
     # each run starts cold, so its work does not depend on earlier runs in
     # the same process
     reset_memo()
+    _mono_text.cache_clear()
+    _doubled.cache_clear()
     parser = argparse.ArgumentParser(
         prog="rhopf",
         description="exact verification of R-matrix exchange algebras and "

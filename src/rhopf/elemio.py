@@ -25,6 +25,8 @@ coefficients of (1, c1, c2, c3) in the q-exponent.
 
 from __future__ import annotations
 
+import functools
+
 from .algebra import (ALL_KINDS, MAX_LEGS, ArgShift, Element, GenOcc,
                       VECTOR_KINDS, make_delta)
 from .expr import _parse_sum, _Tokenizer, format_ratexpr
@@ -34,9 +36,10 @@ from .symfield import (S, SPECTRAL, U, RatExpr, VAR_INDEX, VARS, mono,
 _R1 = RatExpr.from_int(1)
 
 
+@functools.cache
 def _doubled(q: int) -> tuple:
     """The text vector (h0, h1, h2, h3) of the q-power s^h0 u1^h1 u2^h2
-    u3^h3."""
+    u3^h3.  Memoized per run (``rhopf.cli.main`` clears it)."""
     exps = dict(mono_items(q))
     return tuple(exps.get(v, 0) for v in (S,) + U)
 

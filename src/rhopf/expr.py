@@ -8,6 +8,7 @@ q^(c_t/2).  The printer emits text that re-parses to an equal RatExpr.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .errors import ParseError
@@ -186,19 +187,27 @@ def _format_var(v: int, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
+@functools.cache
+def _mono_text(m: int) -> str:
+    """The factors of a monomial joined by '*', empty for the unit.  A
+    residual prints the same few monomials many times; memoized per run
+    (``rhopf.cli.main`` clears it)."""
+    return "*".join(_format_var(v, e) for v, e in mono_items(m))
+
+
 def _format_poly(terms: dict) -> str:
     if not terms:
         return "0"
     bits = []
     for m in sorted(terms, reverse=True):
         c = terms[m]
-        factors = [_format_var(v, e) for v, e in mono_items(m)]
-        if not factors:
+        text = _mono_text(m)
+        if not text:
             body = str(abs(c))
         elif abs(c) == 1:
-            body = "*".join(factors)
+            body = text
         else:
-            body = "*".join([str(abs(c))] + factors)
+            body = f"{abs(c)}*{text}"
         bits.append(("-" if c < 0 else "+", body))
     sign, body = bits[0]
     out = ("-" if sign == "-" else "") + body

@@ -30,9 +30,11 @@ Equality is plain structural comparison of canonical forms.  A fraction
 also carries the factorization of its denominator into irreducibles when
 it is known (see "factored denominators").  A sum or a product of such
 fractions, and a substitution into one, reduces its raw result by trial
-division by the factors, with no gcd.  Products are memoized whole, by
-the values of their operands (``_PRODUCTS``); every other memo of the
-module is a ``functools.cache``.
+division by the factors, with no gcd.  Products, and sums over factored
+denominators, are memoized whole (``_PRODUCTS``, ``_SUMS``): looked up by
+hashes of their operands' values, and a hit only when the stored operands
+equal the new ones.  Every other memo of the module is a
+``functools.cache``.
 """
 
 from __future__ import annotations
@@ -600,11 +602,21 @@ def _trial_cancel(t: dict, fac: dict) -> tuple:
     (each to at most its exponent there), found by trial division of t's
     ordinary part: t's monomial part is stripped once, up front, and put
     back on the quotient.  The factors are monic, so an exact quotient by
-    one has integer coefficients whatever t's integer content.  Its one
-    caller is ``_over_factors``."""
+    one has integer coefficients whatever t's integer content.  A factor
+    with a variable that the ordinary part lacks cannot divide it, since
+    f | t forces deg_v t >= deg_v f >= 1 for every v in f; every other
+    factor is tried by ``divexact``.  Its callers are ``_over_factors``
+    and a product-memo miss in ``RatExpr.__mul__``."""
+    if not fac:
+        return t, {}
     shift, cur = _strip_mono(t)
+    have = var_mask(variables(cur))
     cut: dict = {}
     for f, e in fac.items():
+        # the factor (d, N) has the variables of N; compare whole fields,
+        # since a field of (N + Q) ^ Q is nonzero only in some of its bits
+        if ((f[1] + Q) ^ Q) & ~have:
+            continue
         ft = factor_terms(f)
         for _ in range(e):
             try:
@@ -612,6 +624,8 @@ def _trial_cancel(t: dict, fac: dict) -> tuple:
             except DomainError:
                 break
             cut[f] = cut.get(f, 0) + 1
+        if f in cut:
+            have = var_mask(variables(cur))
     if not cut:
         return t, cut
     if shift:
@@ -623,7 +637,8 @@ def _over_factors(t: dict, fac: dict) -> "RatExpr":
     """t / the expansion of ``fac``, in canonical form, for a nonzero
     Laurent term map t: the factors that divide t are cut by
     ``_trial_cancel``, the only gcd the fraction needs, because the factors
-    are irreducible, pairwise coprime and monic."""
+    are irreducible, pairwise coprime and monic.  Sums and substitutions
+    end here."""
     t, cut = _trial_cancel(t, fac)
     fac = _fac_sub(fac, cut)
     return RatExpr._canonical(t, _expand(fac), fac)
@@ -662,7 +677,7 @@ class RatExpr:
     """Reduced fraction of Laurent polynomials, always in canonical form:
     ``num`` and ``den`` are term maps, and ``fac`` is the factorization of
     ``den`` (see ``split_binomial``), or None when it is not known.
-    ``key`` is the value key of ``_value_key``, None until first used."""
+    ``key`` is the memo key of ``_value_key``, None until first used."""
 
     __slots__ = ("num", "den", "fac", "key")
 
@@ -750,23 +765,30 @@ class RatExpr:
                                   self.fac)
 
     def __mul__(self, other):
-        """(a/b)*(c/d) through the product memo; a miss reduces the raw
-        product a*c over the factors of b*d when both are factored, and
-        through the constructor otherwise."""
+        """(a/b)*(c/d) through the product memo.  A miss with both
+        denominators factored cancels operand-wise (Henrici; Knuth, TAOCP
+        vol. 2, 4.5.1): a against d's factors and c against b's, since
+        gcd(ac, bd) = gcd(a, d) gcd(c, b) for canonical operands.  Any
+        other miss goes through the constructor."""
         if isinstance(other, int):
             other = RatExpr.from_int(other)
         if not self.num or not other.num:
             return RatExpr._canonical({}, dict(_ONE_TERMS), {})
         key = (_value_key(self), _value_key(other))
-        out = _PRODUCTS.get(key)
-        if out is None:
-            t = kernels.poly_mul(self.num, other.num)
-            fb, fd = self.fac, other.fac
-            if fb is None or fd is None:
-                out = RatExpr(t, kernels.poly_mul(self.den, other.den))
-            else:
-                out = _over_factors(t, _fac_mul(fb, fd))
-            _PRODUCTS[key] = out
+        hit = _PRODUCTS.get(key)
+        if hit is not None and _same(hit[0], self) and _same(hit[1], other):
+            return hit[2]
+        fb, fd = self.fac, other.fac
+        if fb is None or fd is None:
+            out = RatExpr(kernels.poly_mul(self.num, other.num),
+                          kernels.poly_mul(self.den, other.den))
+        else:
+            a, cut_d = _trial_cancel(self.num, fd)
+            c, cut_b = _trial_cancel(other.num, fb)
+            fac = _fac_mul(_fac_sub(fb, cut_b), _fac_sub(fd, cut_d))
+            out = RatExpr._canonical(kernels.poly_mul(a, c), _expand(fac),
+                                     fac)
+        _PRODUCTS[key] = (self, other, out)
         return out
 
     __rmul__ = __mul__
@@ -857,35 +879,49 @@ def _cancel(t: dict, den: dict):
 
 # Rule application multiplies coefficients by the same few R and R^-1
 # entries over and over, so whole products repeat: a run meets a few
-# hundred distinct operand pairs.  ``__mul__`` looks each pair up by the
-# operands' value keys, and the memo shares the RatExprs it returns, which
-# is sound because no RatExpr or term map is mutated once built.  A key
-# holds the value itself, so it never goes stale when the memo is emptied,
-# and its factored flag keeps a product of a factored operand factored.
-# It is the one memo that is not a ``functools.cache``: a RatExpr is not
-# hashable, so the key is built from the operands' values, not from the
-# argument list.  Sums are not memoized: over factored denominators they
-# take no gcd (``_lcm_sum``).  ``reset_memo`` empties it.
+# hundred distinct operand pairs.  The sums of ``normal_order`` repeat
+# too: a failing six-vertex run adds 2,189 lists of 421 distinct ones.
+# ``_PRODUCTS`` maps the pair of the operands' value keys to (operands,
+# product), and ``_SUMS`` maps the sorted value keys of an operand list,
+# a multiset, to (operands sorted by key, sum).  A value key is a hash,
+# so a hit also needs the stored operands to equal the new ones one by
+# one (``_same``) and, for a sum, to be as many: a collision is a miss,
+# never a wrong value.  The memos share the RatExprs they return, which
+# is sound because no RatExpr or term map is mutated once built.  The
+# factored flag of a key keeps a product of a factored operand factored.
+# They are not ``functools.cache``s, because a RatExpr is not hashable.
+# ``reset_memo`` empties both.
 _PRODUCTS: dict = {}
+_SUMS: dict = {}
 
 
-def _value_key(x: RatExpr) -> tuple:
-    """x's key in the product memo, built on first use: its numerator and
-    denominator as frozensets, and whether its factorization is unknown."""
+def _value_key(x: RatExpr) -> int:
+    """x's key in the memos, built on first use and kept: the hash of its
+    numerator and denominator as frozensets and of whether its
+    factorization is unknown.  It only finds a candidate (``_same``)."""
     key = x.key
     if key is None:
-        key = x.key = (frozenset(x.num.items()), frozenset(x.den.items()),
-                       x.fac is None)
+        key = x.key = hash((frozenset(x.num.items()),
+                            frozenset(x.den.items()), x.fac is None))
     return key
 
 
+def _same(a: RatExpr, b: RatExpr) -> bool:
+    """Whether a memo's stored operand a stands for b: equal numerators
+    and denominators, and a factorization known for both or for
+    neither."""
+    return a is b or (a.num == b.num and a.den == b.den
+                      and (a.fac is None) == (b.fac is None))
+
+
 def reset_memo():
-    """Forget every memoized product, factor and expanded product of
+    """Forget every memoized product, sum, factor and expanded product of
     factors, so that a run starts cold whatever ran before it in the
     process, and zero ``SUM_GCD_FALLBACKS``.  The cyclotomic coefficients
     of ``_cyclotomic`` depend on no input, and stay."""
     global SUM_GCD_FALLBACKS
     _PRODUCTS.clear()
+    _SUMS.clear()
     factor_terms.cache_clear()
     _expansion.cache_clear()
     SUM_GCD_FALLBACKS = 0
@@ -946,16 +982,25 @@ def accumulate(out: dict, key, coeff: RatExpr):
 
 def sum_fractions(coeffs: list) -> RatExpr:
     """The sum of a nonempty list of RatExprs, and the one sum routine:
-    ``a + b`` is ``sum_fractions([a, b])``.  One ``_lcm_sum`` over all of
-    them when every denominator is factored; otherwise the pairwise ``+``
-    from the left, and for two operands a/b and c/d the constructor's
-    reduction of (a*d + c*b) / (b*d), a sum counted in
-    ``SUM_GCD_FALLBACKS`` unless a denominator is 1."""
+    ``a + b`` is ``sum_fractions([a, b])``.  When every denominator is
+    factored, the sum memo (``_SUMS``), and on a miss one ``_lcm_sum``
+    over all of them; otherwise the pairwise ``+`` from the left, and for
+    two operands a/b and c/d the constructor's reduction of
+    (a*d + c*b) / (b*d), a sum counted in ``SUM_GCD_FALLBACKS`` unless a
+    denominator is 1."""
     global SUM_GCD_FALLBACKS
     if len(coeffs) == 1:
         return coeffs[0]
     if all(c.fac is not None for c in coeffs):
-        return _lcm_sum([(c.num, c.fac) for c in coeffs])
+        ops = sorted(coeffs, key=_value_key)
+        key = tuple(map(_value_key, ops))
+        hit = _SUMS.get(key)
+        if (hit is not None and len(hit[0]) == len(ops)
+                and all(map(_same, hit[0], ops))):
+            return hit[1]
+        out = _lcm_sum([(c.num, c.fac) for c in coeffs])
+        _SUMS[key] = (ops, out)
+        return out
     if len(coeffs) > 2:
         return sum(coeffs[1:], coeffs[0])
     (a, b), (c, d) = ((x.num, x.den) for x in coeffs)

@@ -377,21 +377,23 @@ def test_runs_in_one_process_take_the_same_rewrite_steps(tmp_path,
 
 
 def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):
-    """A run redoes every product an earlier run in the same process
-    memoized, so its work does not depend on what ran before: each memo
-    miss over factored denominators, and each sum over them, takes one
-    ``_over_factors``."""
+    """A run redoes every product and sum an earlier run in the same
+    process memoized, so its work does not depend on what ran before: a
+    memo that outlived a run would spare the second run trial divisions
+    (``_trial_cancel``), which every miss over factored denominators
+    takes."""
     calls = []
-    over_factors = symfield._over_factors
+    trial_cancel = symfield._trial_cancel
 
     def counted(t, fac):
         calls.append(1)
-        return over_factors(t, fac)
+        return trial_cancel(t, fac)
 
-    monkeypatch.setattr(symfield, "_over_factors", counted)
-    # an empty memo, whatever earlier tests left in it: the first run is
+    monkeypatch.setattr(symfield, "_trial_cancel", counted)
+    # empty memos, whatever earlier tests left in them: the first run is
     # cold, so a memo that outlives a run shows as a smaller second count
     monkeypatch.setattr(symfield, "_PRODUCTS", {})
+    monkeypatch.setattr(symfield, "_SUMS", {})
     counts = []
     for _ in range(2):
         calls.clear()

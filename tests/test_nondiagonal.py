@@ -9,6 +9,7 @@ and the product vs ratio middle argument of the Yang-Baxter check.
 import hashlib
 import heapq
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -125,6 +126,23 @@ def test_check_r_residual_reports_are_pinned(spec, toggles, code, digest,
     assert main(["check-r", "--spec", str(spec), *toggles,
                  "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# The literal L/L* exchange on six-vertex, the slowest negative control:
+# its residuals are the largest report the verdicts print.
+LL_STAR_LITERAL_REPORT = (
+    "da4a0195d37a50929ac77878dde0004743a55db5a8b45a072e9d152656f007ed")
+
+
+def test_sixvertex_literal_ll_star_report_is_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-hopf", "--spec", SIXVERTEX_SPEC,
+                 "--toggle", "ll-star=literal", "--out", str(out)]) == 1
+    failing = {c["check_id"] for c in json.loads(out.read_text())["checks"]
+               if c["status"] == "fail"}
+    assert failing == {"hom-LLstar", "hom-PhistarL", "hom-PhiLstar"}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        LL_STAR_LITERAL_REPORT
 
 
 def test_sixvertex_braid(sixv):

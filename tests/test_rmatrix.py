@@ -39,6 +39,15 @@ def test_diagonal_ybe_matches_entrywise_product_oracle():
     res = ybe_residual(R, "prod")
     assert res == {}
     assert not lhs.is_zero()  # sanity: the oracle product is nontrivial
+    # the engine's value of that entry: the YBE left chain R12(z1)
+    # R13(z1*z2) R23(z2) on the input (a, b, c) = (1, 2, 1), which R23
+    # reads at (2, 1), R13 at (1, 1) and R12 at (1, 2)
+    r12, r13, r23 = (table(R.at(arg)) for arg in
+                     (mono(z1=1), mono(z1=1, z2=1), mono(z2=1)))
+    chain = [(*r23, "bc", "BC"), (*r13, "aC", "Ac"), (*r12, "AB", "ab")]
+    [(value, env)] = rmatrix.contract(chain, {"a": 1, "b": 2, "c": 1})
+    assert (env["a"], env["b"], env["c"]) == (1, 2, 1)
+    assert value == lhs
 
 
 def test_perturbed_diagonal_entry_caught_by_unitarity_not_ybe():

@@ -1,0 +1,179 @@
+"""Shadow evaluation of the field's memos on live traffic.
+
+The product and sum memos answer a repeated operation with a result
+stored earlier, so a wrong hit returns a valid canonical value that is
+the wrong one; drawn inputs seldom repeat an operation, so the field
+oracles meet few hits.  Here every distinct product and sum of full
+``verify-hopf`` runs is recorded, hits included, and checked at two fixed
+rational points with ``fractions.Fraction``: ev(a) ev(b) = ev(a b) and
+the sum of the ev(a_i) is ev(sum a_i).  A point is skipped only where a
+denominator evaluates to exactly 0.  Monomials are decoded here, from the
+packed layout alone, not through ``symfield``."""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from rhopf import symfield
+from rhopf.cli import main
+from rhopf.symfield import RatExpr
+
+SIXVERTEX_SPEC = str(Path(__file__).resolve().parents[1] / "verdictbench"
+                     / "sixvertex.rspec")
+
+# the packed layout: one 32-bit field per variable of ``symfield.VARS``,
+# field v holding the exponent of variable v plus 2^30
+_BITS = 32
+_BIAS = 1 << 30
+_MASK = (1 << _BITS) - 1
+_NVARS = len(symfield.VARS)
+_OFFSET = sum(_BIAS << (_BITS * v) for v in range(_NVARS))
+
+
+def _exponents(m: int) -> list:
+    b = m + _OFFSET
+    return [(b >> (_BITS * v) & _MASK) - _BIAS for v in range(_NVARS)]
+
+
+# two points with no variable at 0 (a Laurent monomial divides by it)
+_POINTS = (tuple(Fraction(v + 2, 2 * v + 3) for v in range(_NVARS)),
+           tuple(Fraction(-(3 * v + 5), v + 7) for v in range(_NVARS)))
+
+
+class _Evaluator:
+    """Values of term maps at one point, memoized per monomial and per
+    term-map object (the records keep every object alive)."""
+
+    def __init__(self, point):
+        self.point = point
+        self.monos = {}
+        self.maps = {}
+
+    def mono(self, m: int) -> Fraction:
+        val = self.monos.get(m)
+        if val is None:
+            val = Fraction(1)
+            for x, e in zip(self.point, _exponents(m)):
+                if e:
+                    val *= x ** e
+            self.monos[m] = val
+        return val
+
+    def terms(self, t: dict) -> Fraction:
+        val = self.maps.get(id(t))
+        if val is None:
+            val = self.maps[id(t)] = sum(
+                (c * self.mono(m) for m, c in t.items()), Fraction(0))
+        return val
+
+    def __call__(self, x):
+        """x's value, or None where its denominator is 0."""
+        if isinstance(x, int):
+            return Fraction(x)
+        den = self.terms(x.den)
+        return None if den == 0 else self.terms(x.num) / den
+
+
+def _record(monkeypatch):
+    """Patch products and sums to record (operation, operands, result)
+    once per distinct triple of objects; returns the record list and the
+    per-kind call counts."""
+    records, seen = [], set()
+    calls = {"mul": 0, "sum": 0}
+
+    def keep(op, operands, out):
+        calls[op] += 1
+        key = (op, tuple(map(id, operands)), id(out))
+        if key not in seen:
+            seen.add(key)
+            records.append((op, operands, out))
+
+    mul = RatExpr.__mul__
+
+    def recorded_mul(self, other):
+        out = mul(self, other)
+        keep("mul", (self, other), out)
+        return out
+
+    sum_fractions = symfield.sum_fractions
+
+    def recorded_sum(coeffs):
+        out = sum_fractions(coeffs)
+        keep("sum", tuple(coeffs), out)
+        return out
+
+    monkeypatch.setattr(RatExpr, "__mul__", recorded_mul)
+    monkeypatch.setattr(RatExpr, "__rmul__", recorded_mul)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("rhopf") and \
+                vars(mod).get("sum_fractions") is sum_fractions:
+            monkeypatch.setattr(mod, "sum_fractions", recorded_sum)
+    return records, calls
+
+
+def _violations(records) -> tuple:
+    """(the records whose identity fails at a point, the number of checks
+    made)."""
+    evs = [_Evaluator(point) for point in _POINTS]
+    bad, checked = [], 0
+    for op, operands, out in records:
+        for ev in evs:
+            vals = [ev(x) for x in operands]
+            got = ev(out)
+            if got is None or None in vals:
+                continue
+            checked += 1
+            want = vals[0] * vals[1] if op == "mul" else sum(vals)
+            if want != got:
+                bad.append((op, operands, out))
+                break
+    return bad, checked
+
+
+def test_evaluator_decodes_the_packed_layout():
+    m = symfield.mono(s=-3, u2=2, x=1, w=-1)
+    exps = _exponents(m)
+    assert exps[symfield.S] == -3 and exps[symfield.U[1]] == 2
+    assert exps[symfield.X] == 1 and exps[symfield.W] == -1
+    assert sum(map(abs, exps)) == 7
+    ev = _Evaluator(_POINTS[0])
+    p = _POINTS[0]
+    assert ev.mono(m) == (p[symfield.S] ** -3 * p[symfield.U[1]] ** 2
+                          * p[symfield.X] / p[symfield.W])
+    assert ev(RatExpr({m: 2}, {0: 1, symfield.mono(x=1): -1})) == \
+        2 * ev.mono(m) / (1 - p[symfield.X])
+
+
+def test_memo_results_agree_with_shadow_evaluation(monkeypatch, tmp_path):
+    """Every product and sum of six-vertex ``verify-hopf`` (corrected and
+    with the literal L/L* exchange) and of example2-n3 evaluates
+    correctly, and the memos answered many of them."""
+    records, calls = _record(monkeypatch)
+    misses = {"mul": 0, "sum": 0}
+    for argv, code in (
+            (["--spec", SIXVERTEX_SPEC], 0),
+            (["--spec", SIXVERTEX_SPEC, "--toggle", "ll-star=literal"], 1),
+            (["--instance", "example2-n3"], 0)):
+        assert main(["verify-hopf", *argv,
+                     "--out", str(tmp_path / "r.json")]) == code
+        misses["mul"] += len(symfield._PRODUCTS)
+        misses["sum"] += len(symfield._SUMS)
+    for op in calls:
+        assert calls[op] > 2 * misses[op] > 0, op
+    bad, checked = _violations(records)
+    assert bad == []
+    assert checked > 1.9 * len(records)
+
+
+@pytest.mark.parametrize("op", ["mul", "sum"])
+def test_shadow_evaluation_catches_a_wrong_result(op):
+    """The check fails on a record whose stored result is another
+    value, as a wrong memo hit would return."""
+    a = RatExpr({symfield.mono(z1=1): 1}, {0: 1, symfield.mono(s=2): 1})
+    b = RatExpr({symfield.mono(x=-1): 3})
+    right = a * b if op == "mul" else symfield.sum_fractions([a, b])
+    assert _violations([(op, (a, b), right)])[0] == []
+    wrong = [(op, (a, b), right + 1)]
+    assert _violations(wrong)[0] == wrong

@@ -687,6 +687,10 @@ def _products_over_split_binomials(draw):
 @given(_products_over_split_binomials())
 @example((_over("(s^2 + 1)^2*s^-1", ("s^4 - 1", 1), ("z1 - q*z2", 2)),
           _over("(s + 1)^3*(s^2 - s + 1)*z2^-2", ("s^2 + 1", 2))))
+@example((_over("(s^2 + 1)*z1", ("z1 - q*z2", 1)),
+          _over("(z1 - q*z2)^2*s^-3", ("s^2 + 1", 2))))
+@example((_over("(s - 1)^2*(z1 - q*z2)*x^-1", ("s^2 + 1", 1), ("x - q", 2)),
+          _over("(x - q)*(s^2 + 1)^3", ("s - 1", 1), ("z1 - q*z2", 2))))
 def test_products_over_split_binomials_equal_full_normalisation(pair):
     """A product of factored operands cancels by trial division over the
     denominators' factors; cold and again through a warm memo it equals
@@ -764,9 +768,45 @@ def test_reset_memo_empties_the_run_scoped_caches():
     assert total.fac is not None
     assert sf.factor_terms.cache_info().currsize > 0
     assert sf._expansion.cache_info().currsize > 0
+    assert sf._SUMS
     sf.reset_memo()
     assert sf.factor_terms.cache_info().currsize == 0
     assert sf._expansion.cache_info().currsize == 0
+    assert sf._SUMS == {}
+
+
+def test_memo_hits_need_equal_operands_not_only_equal_keys():
+    """Keys are hashes, so two unequal values may share one.  Forged
+    here: a and b differ only in their denominators, and u is a's value
+    with its factorization unknown.  Whatever the memos hold, each
+    product and sum equals the constructor's normalisation, and a
+    factored operand's product stays factored."""
+    a = _over("z1", ("s^2 - 1", 1))
+    b = _over("z1", ("s^2 + 1", 1))
+    u = RatExpr(a.num, a.den)
+    u.fac = None
+    y = _over("z2 - 1", ("z1 - q*z2", 1))
+    for order in ((a, b, u), (b, a, u), (u, a, b)):
+        sf.reset_memo()
+        a.key = b.key = u.key = 7
+        for x in order:
+            got = x * y
+            assert got == RatExpr(mul(x.num, y.num), mul(x.den, y.den))
+            assert (got.fac is None) == (x.fac is None)
+        for x in order:
+            if x.fac is not None:
+                assert sf.sum_fractions([x, y]) == _constructor_sum([x, y])
+
+
+def test_sum_memo_keys_a_multiset():
+    """[a, a] and [a, a, a] have the same set of operands, but not the
+    same multiset: each sum is its own."""
+    a = _over("z1", ("s^2 - 1", 1))
+    b = _over("1", ("z1 - q*z2", 1))
+    sf.reset_memo()
+    for ops in ([a, a], [a, a, a], [a, b], [a, b, b], [b, a, a], [a, b]):
+        assert sf.sum_fractions(ops) == _constructor_sum(ops)
+
 
 @st.composite
 def _laurent_over_factors(draw):
@@ -800,6 +840,10 @@ def _laurent_over_factors(draw):
 @given(_laurent_over_factors())
 @example((parse_expr("6*s^-2*z1^-1*(s - 1)^2*(s^2 + 1)*(z1 + 2)").num,
           _over("1", ("s^4 - 1", 2), ("z1 - q*z2", 1)).fac))
+@example((parse_expr("x - s^4").num, _over("1", ("x - s^4", 1)).fac))
+@example((parse_expr("z1^-2*(z1*s^3 - u1^2*x)^2*(x - 1)").num,
+          _over("1", ("z1*s^3 - u1^2*x", 2), ("x - 1", 1),
+                ("z2 - u1", 1)).fac))
 def test_trial_cancel_equals_gcd_cancellation(pair):
     """Trial division of a Laurent t by the factors equals cancelling t's
     ordinary part against their product by its gcd: the same quotient,
@@ -813,6 +857,30 @@ def test_trial_cancel_equals_gcd_cancellation(pair):
     assert got == kernels.poly_scale(sf.divexact(t_ord, h), 1, lows)
     assert all(0 < e <= fac[f] for f, e in cut.items())
     assert _expand_factors(cut) == h
+
+
+def test_trial_division_skips_a_factor_with_a_variable_t_lacks(
+        monkeypatch):
+    """A factor with a variable absent from t's ordinary part cannot
+    divide it, and takes no ``divexact``; a factor over t's variables
+    still does."""
+    calls = []
+    divexact = sf.divexact
+
+    def counting(p, d):
+        calls.append(d)
+        return divexact(p, d)
+    monkeypatch.setattr(sf, "divexact", counting)
+    fac = _over("1", ("z1 - q*z2", 1), ("s^2 + 1", 1)).fac
+    t = parse_expr("z1^-1*(s^2 + 1)*(z1 + 3)").num
+    got, cut = sf._trial_cancel(t, fac)
+    assert len(calls) == 1
+    assert got == parse_expr("z1^-1*(z1 + 3)").num
+    assert cut == _over("1", ("s^2 + 1", 1)).fac
+    calls.clear()
+    t = parse_expr("(s^2 + 3)*(x + 1)").num
+    assert sf._trial_cancel(t, fac) == (t, {})
+    assert len(calls) == 1
 
 
 @st.composite

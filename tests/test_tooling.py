@@ -1,11 +1,14 @@
 """Source hygiene of the package, checked with the standard library's ast
-module."""
+module, and the cold start of its module-level caches."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from rhopf.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rhopf"
 
@@ -221,3 +224,62 @@ def test_no_unread_parameters():
              for func, param in unread_parameters(
                  path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def module_caches(source: str) -> list:
+    """Names of the module-level functions that ``functools.cache`` or
+    ``functools.lru_cache`` wraps, as a decorator (also called, or by its
+    bare name) or in a module-level assignment."""
+    def is_cache(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        name = node.attr if isinstance(node, ast.Attribute) else \
+            getattr(node, "id", None)
+        return name in ("cache", "lru_cache")
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(is_cache(dec) for dec in node.decorator_list):
+                out.append(node.name)
+        elif isinstance(node, ast.Assign) and \
+                isinstance(node.value, ast.Call) and is_cache(node.value):
+            out.extend(t.id for t in node.targets
+                       if isinstance(t, ast.Name))
+    return out
+
+
+def test_module_caches_finds_every_module_level_cache():
+    source = ("import functools\nfrom functools import cache\n"
+              "@functools.cache\ndef a(x):\n    return x\n"
+              "@cache\ndef b():\n    pass\n"
+              "@functools.lru_cache(maxsize=None)\ndef c():\n    pass\n"
+              "d = functools.cache(len)\n"
+              "@staticmethod\ndef e():\n    pass\n"
+              "class K:\n    @functools.cache\n    def m(self):\n"
+              "        pass\n"
+              "def f():\n    return functools.cache(f)\n")
+    assert module_caches(source) == ["a", "b", "c", "d"]
+
+
+# Module-level caches of values that depend on no input: the coefficients
+# of the cyclotomic polynomials and the q-power of a charge step.  Every
+# other one is run-scoped, or it would let one CLI run warm the next and
+# flatter a benchmark that repeats runs in one process.
+INPUT_FREE = {"_cyclotomic", "charge_shift"}
+
+
+def test_module_caches_are_input_free_or_start_cold(tmp_path, capsys):
+    caches = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+              for name in module_caches(path.read_text(encoding="utf-8"))}
+    assert INPUT_FREE <= {name for _, name in caches}
+    scoped = [getattr(importlib.import_module(f"rhopf.{mod}"), name)
+              for mod, name in sorted(caches) if name not in INPUT_FREE]
+    # a failing run with residuals warms every run-scoped cache
+    assert main(["verify-hopf", "--instance", "example2-n2", "--toggle",
+                 "ll-star=literal", "--out", str(tmp_path / "r.json")]) == 1
+    assert all(fn.cache_info().currsize for fn in scoped)
+    # the cold start of main comes before its arguments are read
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert [fn.__qualname__ for fn in scoped
+            if fn.cache_info().currsize] == []
