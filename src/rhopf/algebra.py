@@ -504,7 +504,7 @@ def toggled(value, toggles: Toggles):
 def _occ(pattern, env: dict, x, toggles: Toggles, dq=mono()) -> GenOcc:
     kind, letters, arg = pattern
     col = env[letters[1]] if len(letters) == 2 else 0
-    a = x[arg]._replace(q=mono_mul(x[arg].q, dq))
+    a = x[arg]._replace(q=mono_mul(x[arg].q, dq)) if dq else x[arg]
     return GenOcc(toggled(kind, toggles), env[letters[0]], col, a)
 
 
@@ -666,16 +666,19 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
     """Deterministic normal form by term-local reduction: every term is
     rewritten at its leftmost reducible pair until none is left.  Since
     every rule is term-local, the order in which pending terms are taken
-    does not change the result; finished terms are summed, since a term
-    may come back.  Pending terms are taken in order of decreasing
+    does not change the result.  A term with a reducible pair is pending:
+    pending terms are taken from a heap in order of decreasing
     ``term_measure``.  Under the corrected readings every rule strictly
     decreases it, so a term is taken after every contribution to it has
     arrived, and is rewritten once, or never when it cancels to zero; the
     literal ``ll-star`` rule can raise it (its ``L`` becomes an ``LStar``
     behind earlier ``L``-kinds), and a term may then be taken again.  A
-    pending term keeps its contributions unsummed, and ``sum_fractions``
-    adds them once when the term is taken: most of these sums end at zero,
-    and a zero sum costs no division.  ``max_steps`` bounds the number of
+    term in normal form is never rewritten, so it never enters the heap:
+    its contributions are summed once, at the end, and the normal forms
+    come out in the order of their heap entries, the order in which the
+    heap would take them.  A term keeps its contributions unsummed, and
+    ``sum_fractions`` adds them once: most of these sums end at zero, and
+    a zero sum costs no division.  ``max_steps`` bounds the number of
     rule applications."""
     allowed = rs.allowed_kinds()
     for (_, _, legs) in e.terms:
@@ -684,18 +687,26 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
                 if g.kind not in allowed:
                     raise KindError(
                         f"kind {g.kind} not in flavor {rs.flavor}")
-    pending = {key: [coeff] for key, coeff in e.terms.items()}
-    heap = [_heap_entry(key, rs) for key in pending]
+    # pending and normal-form terms: their contributions, and their heap
+    # entries
+    pending: dict = {}
+    heap: list = []
+    finished: dict = {}
+    entries: list = []
+    for key, coeff in e.terms.items():
+        entry = _heap_entry(key, rs)
+        if entry[2] is None:
+            finished[key] = [coeff]
+            entries.append(entry)
+        else:
+            pending[key] = [coeff]
+            heap.append(entry)
     heapq.heapify(heap)
-    out: dict = {}
     steps = 0
     while heap:
         neg, key, redex = heapq.heappop(heap)
         coeff = sum_fractions(pending.pop(key))
         if coeff.is_zero():
-            continue
-        if redex is None:
-            accumulate(out, key, coeff)
             continue
         steps += 1
         if steps > max_steps:
@@ -703,18 +714,27 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
                 f"normal_order exceeded its budget of {max_steps} steps")
         before = tuple(-m for m in neg) if trace is not None else None
         for nkey, rcoeff in rewrite_term(key, rs, *redex):
-            c = coeff * rcoeff
-            parts = pending.get(nkey)
+            c = coeff if rcoeff is _R1 else coeff * rcoeff
+            parts = pending.get(nkey) or finished.get(nkey)
             if parts is None:
-                pending[nkey] = [c]
                 entry = _heap_entry(nkey, rs)
-                heapq.heappush(heap, entry)
+                if entry[2] is None:
+                    finished[nkey] = [c]
+                    entries.append(entry)
+                else:
+                    pending[nkey] = [c]
+                    heapq.heappush(heap, entry)
             else:
                 parts.append(c)
                 entry = None
             if trace is not None:
                 entry = entry or _heap_entry(nkey, rs)
                 trace.append((before, tuple(-m for m in entry[0])))
+    out: dict = {}
+    for _, key, _ in sorted(entries):
+        coeff = sum_fractions(finished[key])
+        if not coeff.is_zero():
+            out[key] = coeff
     return Element(e.nlegs, out)
 
 

@@ -30,17 +30,22 @@ Equality is plain structural comparison of canonical forms.  A fraction
 also carries the factorization of its denominator into irreducibles when
 it is known (see "factored denominators").  A sum or a product of such
 fractions, and a substitution into one, reduces its raw result by trial
-division by the factors, with no gcd.  Products, and sums over factored
-denominators, are memoized whole (``_PRODUCTS``, ``_SUMS``): looked up by
-hashes of their operands' values, and a hit only when the stored operands
-equal the new ones.  Every other memo of the module is a
-``functools.cache``.
+division by the factors, with no gcd.
+
+Values are hash-consed for each run (``_VALUES``): the constructor and
+``RatExpr._canonical`` return the one object that holds a given
+numerator, denominator and factored-or-not, so such an object is never
+edited, and its serial number ``key`` names its value.  Products, and sums
+over factored denominators, are memoized whole (``_PRODUCTS``, ``_SUMS``)
+by their operands' serials, so a hit takes no equality test.  Every other
+memo of the module is a ``functools.cache``.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 from math import gcd as int_gcd, isqrt
 
 from . import kernels
@@ -604,13 +609,19 @@ def _trial_cancel(t: dict, fac: dict) -> tuple:
     back on the quotient.  The factors are monic, so an exact quotient by
     one has integer coefficients whatever t's integer content.  A factor
     with a variable that the ordinary part lacks cannot divide it, since
-    f | t forces deg_v t >= deg_v f >= 1 for every v in f; every other
-    factor is tried by ``divexact``.  Its callers are ``_over_factors``
-    and a product-memo miss in ``RatExpr.__mul__``."""
+    f | t forces deg_v t >= deg_v f >= 1 for every v in f.  Nor can one
+    whose lowest monomial does not divide the lowest monomial of the
+    ordinary part: in a monomial order the lowest term of a product is
+    the product of the lowest terms.  (The lowest coefficient of a factor
+    is the constant term of a cyclotomic polynomial, +-1, which divides
+    any integer.)  Every other factor is tried by ``divexact``.  Its
+    callers are ``_over_factors`` and a product-memo miss in
+    ``RatExpr.__mul__``."""
     if not fac:
         return t, {}
     shift, cur = _strip_mono(t)
     have = var_mask(variables(cur))
+    low = min(cur)
     cut: dict = {}
     for f, e in fac.items():
         # the factor (d, N) has the variables of N; compare whole fields,
@@ -618,11 +629,16 @@ def _trial_cancel(t: dict, fac: dict) -> tuple:
         if ((f[1] + Q) ^ Q) & ~have:
             continue
         ft = factor_terms(f)
+        flow = min(ft)
         for _ in range(e):
+            # the quotient's lowest monomial low - flow must be ordinary
+            if (low - flow + Q) & _SIGNS != Q:
+                break
             try:
                 cur = divexact(cur, ft)
             except DomainError:
                 break
+            low = min(cur)
             cut[f] = cut.get(f, 0) + 1
         if f in cut:
             have = var_mask(variables(cur))
@@ -676,12 +692,14 @@ def _lcm_sum(ops) -> "RatExpr":
 class RatExpr:
     """Reduced fraction of Laurent polynomials, always in canonical form:
     ``num`` and ``den`` are term maps, and ``fac`` is the factorization of
-    ``den`` (see ``split_binomial``), or None when it is not known.
-    ``key`` is the memo key of ``_value_key``, None until first used."""
+    ``den`` (see ``split_binomial``), or None when it is not known.  A
+    RatExpr is the run's one object for its value (``_VALUES``), so it
+    cannot be edited; ``key`` is its serial number, which no other
+    RatExpr has."""
 
     __slots__ = ("num", "den", "fac", "key")
 
-    def __init__(self, num: dict, den: dict = _ONE_TERMS):
+    def __new__(cls, num: dict, den: dict = _ONE_TERMS):
         if not den:
             raise DomainError("zero denominator")
         if num:
@@ -689,9 +707,11 @@ class RatExpr:
             num, den = _cancel(num, den) or (num, den)
         else:
             den = _ONE_TERMS
-        self.num, self.den = num, den
-        self.fac = split_binomial(den)
-        self.key = None
+        return RatExpr._canonical(num, den, split_binomial(den))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r} of a shared RatExpr to "
+                             f"{value!r}")
 
     # -- constructors -------------------------------------------------------
 
@@ -729,13 +749,23 @@ class RatExpr:
 
     @staticmethod
     def _canonical(nt: dict, dt: dict, fac) -> "RatExpr":
-        """Wrap term maps that are already in canonical form, and the
-        factorization of ``dt`` or None."""
-        out = RatExpr.__new__(RatExpr)
-        out.num = nt
-        out.den = dt
-        out.fac = fac
-        out.key = None
+        """The run's object for term maps that are already in canonical
+        form and the factorization of ``dt`` or None: the one in
+        ``_VALUES``, or a new one with the next serial number.  Equality
+        is tested here, once per value built, and never on a memo hit."""
+        factored = fac is not None
+        h = _value_hash(nt, dt, factored)
+        bucket = _VALUES.get(h, ())
+        for x in bucket:
+            if x.num == nt and x.den == dt and (x.fac is not None) == factored:
+                return x
+        out = object.__new__(RatExpr)
+        setattr_ = object.__setattr__
+        setattr_(out, "num", nt)
+        setattr_(out, "den", dt)
+        setattr_(out, "fac", fac)
+        setattr_(out, "key", next(_SERIALS))
+        _VALUES[h] = bucket + (out,)
         return out
 
     # -- field operations ---------------------------------------------------
@@ -774,10 +804,10 @@ class RatExpr:
             other = RatExpr.from_int(other)
         if not self.num or not other.num:
             return RatExpr._canonical({}, dict(_ONE_TERMS), {})
-        key = (_value_key(self), _value_key(other))
+        key = (self.key, other.key)
         hit = _PRODUCTS.get(key)
-        if hit is not None and _same(hit[0], self) and _same(hit[1], other):
-            return hit[2]
+        if hit is not None:
+            return hit
         fb, fd = self.fac, other.fac
         if fb is None or fd is None:
             out = RatExpr(kernels.poly_mul(self.num, other.num),
@@ -788,7 +818,7 @@ class RatExpr:
             fac = _fac_mul(_fac_sub(fb, cut_b), _fac_sub(fd, cut_d))
             out = RatExpr._canonical(kernels.poly_mul(a, c), _expand(fac),
                                      fac)
-        _PRODUCTS[key] = (self, other, out)
+        _PRODUCTS[key] = out
         return out
 
     __rmul__ = __mul__
@@ -881,45 +911,38 @@ def _cancel(t: dict, den: dict):
 # entries over and over, so whole products repeat: a run meets a few
 # hundred distinct operand pairs.  The sums of ``normal_order`` repeat
 # too: a failing six-vertex run adds 2,189 lists of 421 distinct ones.
-# ``_PRODUCTS`` maps the pair of the operands' value keys to (operands,
-# product), and ``_SUMS`` maps the sorted value keys of an operand list,
-# a multiset, to (operands sorted by key, sum).  A value key is a hash,
-# so a hit also needs the stored operands to equal the new ones one by
-# one (``_same``) and, for a sum, to be as many: a collision is a miss,
-# never a wrong value.  The memos share the RatExprs they return, which
-# is sound because no RatExpr or term map is mutated once built.  The
-# factored flag of a key keeps a product of a factored operand factored.
-# They are not ``functools.cache``s, because a RatExpr is not hashable.
-# ``reset_memo`` empties both.
+# Each RatExpr is the one object for its value (hash-consing; Filliatre
+# & Conchon, "Type-safe modular hash-consing", ML Workshop 2006):
+# ``_VALUES`` maps ``_value_hash`` of a numerator, a denominator and the
+# factored flag to the tuple of the objects with that hash, and
+# ``_canonical`` tells them apart by full equality, so a hash collision
+# only makes a bucket longer.  ``_SERIALS`` numbers the objects, and never
+# restarts, so a serial names one value even across ``reset_memo``.
+# ``_PRODUCTS`` maps the pair of the operands' serials to the product,
+# and ``_SUMS`` the sorted serials of an operand list, a multiset, to the
+# sum: a hit needs no test of its operands.  The factored flag is part of
+# a value, so a product of a factored operand stays factored.  Sharing is
+# sound because no RatExpr or term map is mutated once built; RatExpr
+# refuses every attribute write.  ``reset_memo`` empties all three.
+_VALUES: dict = {}
+_SERIALS = itertools.count()
 _PRODUCTS: dict = {}
 _SUMS: dict = {}
 
 
-def _value_key(x: RatExpr) -> int:
-    """x's key in the memos, built on first use and kept: the hash of its
-    numerator and denominator as frozensets and of whether its
-    factorization is unknown.  It only finds a candidate (``_same``)."""
-    key = x.key
-    if key is None:
-        key = x.key = hash((frozenset(x.num.items()),
-                            frozenset(x.den.items()), x.fac is None))
-    return key
-
-
-def _same(a: RatExpr, b: RatExpr) -> bool:
-    """Whether a memo's stored operand a stands for b: equal numerators
-    and denominators, and a factorization known for both or for
-    neither."""
-    return a is b or (a.num == b.num and a.den == b.den
-                      and (a.fac is None) == (b.fac is None))
+def _value_hash(num: dict, den: dict, factored: bool) -> int:
+    """The bucket of a value in ``_VALUES``."""
+    return hash((frozenset(num.items()), frozenset(den.items()), factored))
 
 
 def reset_memo():
-    """Forget every memoized product, sum, factor and expanded product of
-    factors, so that a run starts cold whatever ran before it in the
-    process, and zero ``SUM_GCD_FALLBACKS``.  The cyclotomic coefficients
-    of ``_cyclotomic`` depend on no input, and stay."""
+    """Forget every shared value, memoized product, sum, factor and
+    expanded product of factors, so that a run starts cold whatever ran
+    before it in the process, and zero ``SUM_GCD_FALLBACKS``.  The
+    cyclotomic coefficients of ``_cyclotomic`` depend on no input, and
+    stay; serial numbers are not reused."""
     global SUM_GCD_FALLBACKS
+    _VALUES.clear()
     _PRODUCTS.clear()
     _SUMS.clear()
     factor_terms.cache_clear()
@@ -992,14 +1015,10 @@ def sum_fractions(coeffs: list) -> RatExpr:
     if len(coeffs) == 1:
         return coeffs[0]
     if all(c.fac is not None for c in coeffs):
-        ops = sorted(coeffs, key=_value_key)
-        key = tuple(map(_value_key, ops))
-        hit = _SUMS.get(key)
-        if (hit is not None and len(hit[0]) == len(ops)
-                and all(map(_same, hit[0], ops))):
-            return hit[1]
-        out = _lcm_sum([(c.num, c.fac) for c in coeffs])
-        _SUMS[key] = (ops, out)
+        key = tuple(sorted([c.key for c in coeffs]))
+        out = _SUMS.get(key)
+        if out is None:
+            out = _SUMS[key] = _lcm_sum([(c.num, c.fac) for c in coeffs])
         return out
     if len(coeffs) > 2:
         return sum(coeffs[1:], coeffs[0])

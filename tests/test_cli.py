@@ -378,10 +378,11 @@ def test_runs_in_one_process_take_the_same_rewrite_steps(tmp_path,
 
 def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):
     """A run redoes every product and sum an earlier run in the same
-    process memoized, so its work does not depend on what ran before: a
-    memo that outlived a run would spare the second run trial divisions
-    (``_trial_cancel``), which every miss over factored denominators
-    takes."""
+    process memoized, and builds every value anew, so its work does not
+    depend on what ran before: a memo that outlived a run would spare the
+    second run trial divisions (``_trial_cancel``), which every miss over
+    factored denominators takes, and a value table that outlived it would
+    spare it serial numbers, which every new value takes."""
     calls = []
     trial_cancel = symfield._trial_cancel
 
@@ -394,12 +395,14 @@ def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):
     # cold, so a memo that outlives a run shows as a smaller second count
     monkeypatch.setattr(symfield, "_PRODUCTS", {})
     monkeypatch.setattr(symfield, "_SUMS", {})
+    monkeypatch.setattr(symfield, "_VALUES", {})
     counts = []
     for _ in range(2):
         calls.clear()
+        first = next(symfield._SERIALS)
         assert main(["verify-hopf", "--instance", "example2-n2"]) == 0
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append((len(calls), next(symfield._SERIALS) - first))
+    assert counts[0] == counts[1] and min(counts[0]) > 0
 
 
 def test_verify_hopf_literal_toggle_fails(tmp_path):

@@ -8,7 +8,8 @@ oracles meet few hits.  Here every distinct product and sum of full
 rational points with ``fractions.Fraction``: ev(a) ev(b) = ev(a b) and
 the sum of the ev(a_i) is ev(sum a_i).  A point is skipped only where a
 denominator evaluates to exactly 0.  Monomials are decoded here, from the
-packed layout alone, not through ``symfield``."""
+packed layout alone, not through ``symfield``.  The memos' results are
+also checked to be the shared value objects they stand for."""
 
 import sys
 from fractions import Fraction
@@ -165,6 +166,26 @@ def test_memo_results_agree_with_shadow_evaluation(monkeypatch, tmp_path):
     bad, checked = _violations(records)
     assert bad == []
     assert checked > 1.9 * len(records)
+
+
+def test_memo_results_are_the_shared_values(tmp_path):
+    """The memos hold no copies: after six-vertex ``verify-hopf`` with the
+    literal L/L* exchange, every product and sum they hold is the value
+    table's one object for its value, and the table holds each value
+    once."""
+    assert main(["verify-hopf", "--spec", SIXVERTEX_SPEC, "--toggle",
+                 "ll-star=literal", "--out", str(tmp_path / "r.json")]) == 1
+    results = [*symfield._PRODUCTS.values(), *symfield._SUMS.values()]
+    assert len(results) > 1000
+    for x in results:
+        assert RatExpr._canonical(x.num, x.den, x.fac) is x
+        bucket = symfield._VALUES[symfield._value_hash(
+            x.num, x.den, x.fac is not None)]
+        assert sum(y is x for y in bucket) == 1
+    for bucket in symfield._VALUES.values():
+        for i, x in enumerate(bucket):
+            assert not any(x == y and (x.fac is None) == (y.fac is None)
+                           for y in bucket[i + 1:])
 
 
 @pytest.mark.parametrize("op", ["mul", "sum"])

@@ -768,34 +768,73 @@ def test_reset_memo_empties_the_run_scoped_caches():
     assert total.fac is not None
     assert sf.factor_terms.cache_info().currsize > 0
     assert sf._expansion.cache_info().currsize > 0
-    assert sf._SUMS
+    assert sf._SUMS and sf._VALUES
     sf.reset_memo()
     assert sf.factor_terms.cache_info().currsize == 0
     assert sf._expansion.cache_info().currsize == 0
-    assert sf._SUMS == {}
+    assert sf._SUMS == {} and sf._VALUES == {}
 
 
-def test_memo_hits_need_equal_operands_not_only_equal_keys():
-    """Keys are hashes, so two unequal values may share one.  Forged
-    here: a and b differ only in their denominators, and u is a's value
-    with its factorization unknown.  Whatever the memos hold, each
-    product and sum equals the constructor's normalisation, and a
-    factored operand's product stays factored."""
+def test_values_are_told_apart_when_every_hash_collides(monkeypatch):
+    """The value table finds a candidate by hash and keeps it only when
+    it is equal, so with one hash for every value (forged here) each
+    product and sum still equals the constructor's normalisation, a
+    factored operand's product stays factored, and a factored value and
+    an unfactored equal one are two objects.  a and b differ only in
+    their denominators."""
+    monkeypatch.setattr(sf, "_value_hash", lambda num, den, factored: 7)
+    sf.reset_memo()
     a = _over("z1", ("s^2 - 1", 1))
     b = _over("z1", ("s^2 + 1", 1))
-    u = RatExpr(a.num, a.den)
-    u.fac = None
+    u = RatExpr._canonical(a.num, a.den, None)
     y = _over("z2 - 1", ("z1 - q*z2", 1))
-    for order in ((a, b, u), (b, a, u), (u, a, b)):
-        sf.reset_memo()
-        a.key = b.key = u.key = 7
-        for x in order:
-            got = x * y
-            assert got == RatExpr(mul(x.num, y.num), mul(x.den, y.den))
-            assert (got.fac is None) == (x.fac is None)
-        for x in order:
-            if x.fac is not None:
-                assert sf.sum_fractions([x, y]) == _constructor_sum([x, y])
+    assert a != b and a.den == sub(b.den, {0: 2})
+    assert u == a and u is not a and u.key != a.key
+    assert RatExpr._canonical(b.num, b.den, b.fac) is b
+    for x in (a, b, u, a, b, u):
+        got = x * y
+        assert got == RatExpr(mul(x.num, y.num), mul(x.den, y.den))
+        assert (got.fac is None) == (x.fac is None)
+        if x.fac is not None:
+            assert sf.sum_fractions([x, y]) == _constructor_sum([x, y])
+    assert len(sf._VALUES) == 1
+    sf.reset_memo()
+
+
+def test_values_with_equal_hashes_intern_apart():
+    """An int hashes modulo 2^61 - 1, so 2^64 = 8 there and the packed
+    monomials u2 and s^8 share a hash, and so do their values' buckets;
+    they are still two objects with two serials."""
+    sf.reset_memo()
+    u2, s8 = RatExpr.var("u2"), RatExpr.var("s", 8)
+    assert hash(sf.mono(u2=1)) == hash(sf.mono(s=8))
+    assert sf._value_hash(u2.num, u2.den, True) == \
+        sf._value_hash(s8.num, s8.den, True)
+    assert u2 is not s8 and u2.key != s8.key
+    assert RatExpr.var("u2") is u2 and RatExpr.var("s", 8) is s8
+    assert (u2 * s8).key == (s8 * u2).key
+
+
+def test_equal_values_are_one_object():
+    """The constructor returns the run's one object for a value, also
+    when it reaches the canonical form from another fraction."""
+    sf.reset_memo()
+    n, d = parse_expr("z1^2 - 1").num, parse_expr("z1 - 1").num
+    assert RatExpr(n, d) is RatExpr(n, d)
+    assert RatExpr(n, d) is RatExpr(parse_expr("z1 + 1").num)
+    assert RatExpr(n, d) is parse_expr("z1 + 1")
+    assert RatExpr.from_int(0) is RatExpr({}, d)
+
+
+def test_shared_values_cannot_be_edited():
+    """Every holder of a value shares its object, so no attribute of it
+    can be set, and a refused write leaves it as it was."""
+    x = _over("z1", ("s^2 - 1", 1))
+    num, den, fac, key = x.num, x.den, x.fac, x.key
+    for name in ("num", "den", "fac", "key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    assert (x.num, x.den, x.fac, x.key) == (num, den, fac, key)
 
 
 def test_sum_memo_keys_a_multiset():
@@ -841,6 +880,8 @@ def _laurent_over_factors(draw):
 @example((parse_expr("6*s^-2*z1^-1*(s - 1)^2*(s^2 + 1)*(z1 + 2)").num,
           _over("1", ("s^4 - 1", 2), ("z1 - q*z2", 1)).fac))
 @example((parse_expr("x - s^4").num, _over("1", ("x - s^4", 1)).fac))
+@example((parse_expr("s^3*z1*z2 + s").num,
+          _over("1", ("z1 - q*z2", 1)).fac))
 @example((parse_expr("z1^-2*(z1*s^3 - u1^2*x)^2*(x - 1)").num,
           _over("1", ("z1*s^3 - u1^2*x", 2), ("x - 1", 1),
                 ("z2 - u1", 1)).fac))
@@ -881,6 +922,35 @@ def test_trial_division_skips_a_factor_with_a_variable_t_lacks(
     t = parse_expr("(s^2 + 3)*(x + 1)").num
     assert sf._trial_cancel(t, fac) == (t, {})
     assert len(calls) == 1
+
+
+def test_trial_division_skips_a_factor_whose_lowest_term_cannot_divide(
+        monkeypatch):
+    """In a monomial order the lowest term of a product is the product of
+    the lowest terms, so a factor whose lowest monomial does not divide
+    that of t's ordinary part takes no ``divexact``, even when the
+    leading monomials divide: the ordinary part of s^3 z1 z2 + s is
+    s^2 z1 z2 + 1, and z1 - q z2 leads with s^2 z2 but its lowest
+    monomial is z1."""
+    calls = []
+    divexact = sf.divexact
+
+    def counting(p, d):
+        calls.append(d)
+        return divexact(p, d)
+    monkeypatch.setattr(sf, "divexact", counting)
+    fac = _over("1", ("z1 - q*z2", 2)).fac
+    ft = sf.factor_terms(next(iter(fac)))
+    assert min(ft) == sf.mono(z1=1) and max(ft) == sf.mono(s=2, z2=1)
+    t = parse_expr("s^3*z1*z2 + s").num
+    assert sf._trial_cancel(t, fac) == (t, {})
+    assert calls == []
+    # a factor that divides t once is tried twice: the lowest terms of
+    # the quotient z1 + 3 z2 and the factor divide, the division fails
+    t = parse_expr("(q*z2 - z1)*(z1 + 3*z2)").num
+    assert sf._trial_cancel(t, fac) == (parse_expr("z1 + 3*z2").num,
+                                        {next(iter(fac)): 1})
+    assert len(calls) == 2
 
 
 @st.composite
