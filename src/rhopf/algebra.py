@@ -44,8 +44,9 @@ from .errors import (BudgetError, DomainError, KindError, ShapeError,
                      SingularError)
 from .rmatrix import RMatrix, contract, entries_at, table
 from .kernels import mono_mul
-from .symfield import (NVARS, RatExpr, U, Z, accumulate, mono, mono_from_pairs,
-                       mono_inv, mono_items, subs_mono, sum_fractions)
+from .symfield import (NVARS, RatExpr, U, Z, _R1, accumulate, mono,
+                       mono_from_pairs, mono_inv, mono_items, subs_mono,
+                       sum_fractions)
 
 # a kind's name is its spelling in element text and in reports
 LSTAR = "LStar"
@@ -67,8 +68,6 @@ FLAVOR_KINDS = {
 }
 
 _INV_PAIRS = {(L, LINV), (LINV, L), (LSTAR, LSTARINV), (LSTARINV, LSTAR)}
-
-_R1 = RatExpr.from_int(1)
 
 # the most tensor legs an element has; leg t carries the charge slot c_t
 MAX_LEGS = 3
@@ -128,9 +127,14 @@ def _ratio_mono(x: ArgShift, y: ArgShift, extra: int) -> int:
     return mono_mul(mono_mul(_arg_mono(x), mono_inv(_arg_mono(y))), extra)
 
 
-def _subs_arg(x: ArgShift, smap: dict) -> ArgShift:
-    """z_var * q under the substitution ``smap``, which sends a spectral
-    variable to a spectral variable times a q-power."""
+@functools.cache
+def _subs_arg(x: ArgShift, items: tuple) -> ArgShift:
+    """z_var * q under the substitution with the (variable, monomial)
+    items ``items``, which sends a spectral variable to a spectral
+    variable times a q-power.  A run puts the same few charge maps and
+    delta supports into the same few arguments, so it is memoized per run
+    (``rhopf.cli.main`` clears it)."""
+    smap = dict(items)
     if x.var not in smap:
         return ArgShift(x.var, subs_mono(x.q, smap))
     m = subs_mono(_arg_mono(x), smap)
@@ -144,11 +148,12 @@ def subs_term(key, coeff: RatExpr, smap: dict):
     ``smap`` (variable index -> monomial), applied alike to the arguments,
     the deltas and the coefficient."""
     flag, deltas, legs = key
-    nd = tuple(sorted(make_delta(_subs_arg(ArgShift(d.avar, d.q), smap),
-                                 _subs_arg(ArgShift(d.bvar), smap),
+    items = tuple(smap.items())
+    nd = tuple(sorted(make_delta(_subs_arg(ArgShift(d.avar, d.q), items),
+                                 _subs_arg(ArgShift(d.bvar), items),
                                  mono())
                       for d in deltas))
-    nl = tuple(tuple(g._replace(arg=_subs_arg(g.arg, smap)) for g in w)
+    nl = tuple(tuple(g._replace(arg=_subs_arg(g.arg, items)) for g in w)
                for w in legs)
     return (flag, nd, nl), coeff.subs_monomial(smap)
 
@@ -410,17 +415,23 @@ FLAVOR_RELATIONS = {
 
 
 class RewriteSystem:
-    """Immutable rule table for one R-matrix and flavor.  Its three
+    """Immutable rule table for one R-matrix and flavor.  Its five
     caches are ``functools.cache`` wrappers of private methods, bound per
     system, since the rules of one system are fixed and the same
     arguments recur on every term of a check:
 
     * ``matrix_at(name, argm)``: the entries of the matrix ``name`` ("R"
       or "Rinv") at the argument monomial ``argm``;
+    * ``rule_at(rule, arg1, arg2, leg)``: what the arguments of a ruled
+      pair and its leg decide, before any index is read (see
+      ``rule_pieces``);
     * ``pieces(g1, g2, leg)``: the (coeff, extra_deltas, occs) that
       replace g1 g2 on leg ``leg``;
     * ``word_data(word)``: a leg word's ``word_measure`` and the position
-      of its leftmost reducible pair, or None.
+      of its leftmost reducible pair, or None;
+    * ``differences(relation_id)``: the (free indices, lhs - rhs) pairs
+      of a defining relation, from ``relation_sides``, which the
+      self-normalization and the homomorphism checks both read.
     """
 
     def __init__(self, R: RMatrix, flavor: str, toggles: Toggles = None):
@@ -433,8 +444,10 @@ class RewriteSystem:
         self.tables = {"R": table(R.entries),
                        "Rinv": table(R.inverse_entries())}
         self.matrix_at = functools.cache(self._matrix_at)
+        self.rule_at = functools.cache(self._rule_at)
         self.pieces = functools.cache(self._pieces)
         self.word_data = functools.cache(self._word_data)
+        self.differences = functools.cache(self._differences)
         q2 = RatExpr.var("s", 2)
         self.qfactor = (q2 - q2.inverse()).inverse()  # 1/(q - q^-1)
         self._rules = dict(_orient(_RELATION_BY_ID[rid], self.toggles)
@@ -458,12 +471,36 @@ class RewriteSystem:
     def rule_for(self, g1: GenOcc, g2: GenOcc):
         return self._rules.get((g1.kind, g2.kind))
 
+    def _rule_at(self, rule, arg1: ArgShift, arg2: ArgShift,
+                 leg: int) -> tuple:
+        """(factors, word, bracket) of ``rule`` applied to a pair with the
+        arguments arg1, arg2 on 0-based leg ``leg``, whose own charge slot
+        is leg + 1: the contractions evaluated at their arguments, the
+        patterns of the word that replaces the pair, and the bracket terms
+        as (coeff, extra_deltas, pattern); each pattern has its toggled
+        kind and its argument (``_at``)."""
+        rel, solved = rule
+        sides = (rel.lhs, rel.rhs)
+        x = [None, None, None]
+        for (_, _, arg), a in zip(sides[solved].word, (arg1, arg2)):
+            x[arg] = a
+        slot = leg + 1
+        factors = tuple(_factor(self, side.matrix, x, slot,
+                                solve=(s == solved))
+                        for s, side in enumerate(sides) if side.matrix)
+        word = tuple(_at(p, x, self.toggles) for p in sides[1 - solved].word)
+        return factors, word, _bracket_at(self, rel, x, slot)
+
     def _pieces(self, g1: GenOcc, g2: GenOcc, leg: int) -> tuple:
         """The oriented inverse contraction for an inverse pair, else
         ``rule_pieces`` of the rule for the two kinds."""
         if (g1.kind, g2.kind) in _INV_PAIRS:
             return _contraction_pieces(self.n, g1, g2)
         return tuple(rule_pieces(self, self.rule_for(g1, g2), g1, g2, leg))
+
+    def _differences(self, relation_id: str) -> tuple:
+        return tuple((idx, lhs - rhs)
+                     for idx, lhs, rhs in relation_sides(self, relation_id))
 
     def _word_data(self, word: tuple) -> tuple:
         pos = next((p for p, (g1, g2) in enumerate(zip(word, word[1:]))
@@ -482,10 +519,14 @@ class RewriteSystem:
 # canonical order: the other side, times the inverse of the solved side's
 # contraction when it has one (R^-1 for R and back, input and output slots
 # swapped), with the bracket terms moved across.  A rule is a pair
-# (relation, index of the solved side); ``rule_pieces`` applies it to an
-# adjacent pair g1 g2 on 0-based leg ``leg``, whose own charge slot is
-# leg + 1, and returns a list of (coeff, extra_deltas, occs);
-# ``RewriteSystem.pieces`` caches it.
+# (relation, index of the solved side).  A row is read in two steps:
+# first at its arguments and charge slot (``RewriteSystem.rule_at`` for a
+# rule, once per relation in ``relation_sides``), which evaluates the
+# contractions and resolves each generator pattern's kind and argument;
+# then at its indices, which ``contract`` binds.  ``rule_pieces`` applies
+# a rule to an adjacent pair g1 g2 on 0-based leg ``leg`` and returns a
+# list of (coeff, extra_deltas, occs); ``RewriteSystem.pieces`` caches
+# it.
 # ---------------------------------------------------------------------------
 
 _INVERSE = {"R": "Rinv", "Rinv": "R"}
@@ -501,11 +542,20 @@ def toggled(value, toggles: Toggles):
     return literal if name in toggles.literal else corrected
 
 
-def _occ(pattern, env: dict, x, toggles: Toggles, dq=mono()) -> GenOcc:
+def _at(pattern, x, toggles: Toggles, dq=mono()) -> tuple:
+    """A generator pattern read at the arguments ``x``: (its kind as
+    ``toggles`` read it, its index letters, its argument times q^dq)."""
+    kind, letters, arg = pattern
+    a = x[arg]._replace(q=mono_mul(x[arg].q, dq)) if dq else x[arg]
+    return toggled(kind, toggles), letters, a
+
+
+def _occ(pattern, env: dict) -> GenOcc:
+    """The generator of a pattern read by ``_at``, at the indices
+    ``env``."""
     kind, letters, arg = pattern
     col = env[letters[1]] if len(letters) == 2 else 0
-    a = x[arg]._replace(q=mono_mul(x[arg].q, dq)) if dq else x[arg]
-    return GenOcc(toggled(kind, toggles), env[letters[0]], col, a)
+    return GenOcc(kind, env[letters[0]], col, arg)
 
 
 def _orient(rel: Relation, toggles: Toggles):
@@ -534,41 +584,43 @@ def _factor(rs: "RewriteSystem", m: Contraction, x, slot: int,
     return ent, table.by_in, table.by_out, ins, outs
 
 
-def _word_terms(rs: "RewriteSystem", word, factors, env: dict, x):
-    return [(_R1 if c is None else c, (),
-             tuple(_occ(p, sub, x, rs.toggles) for p in word))
-            for c, sub in contract(factors, env)]
-
-
-def _bracket_terms(rs: "RewriteSystem", rel: Relation, env: dict, x,
-                   slot: int):
+def _bracket_at(rs: "RewriteSystem", rel: Relation, x, slot: int) -> tuple:
+    """(coeff, extra_deltas, pattern) of each bracket term of ``rel`` at
+    the arguments ``x`` on charge slot ``slot``, its pattern read by
+    ``_at``."""
     deltas = [make_delta(x[1], x[2], charge_shift(slot, b.delta_steps))
               for b in rel.bracket]
     # equal arguments: surfaced via the term flag downstream
     degenerate = any(d.avar == d.bvar for d in deltas)
-    return [(rs.qfactor if b.sign > 0 else -rs.qfactor,
-             ("degenerate",) if degenerate else (d,),
-             (_occ(b.gen, env, x, rs.toggles,
-                   charge_shift(slot, b.arg_steps)),))
-            for b, d in zip(rel.bracket, deltas)]
+    return tuple((rs.qfactor if b.sign > 0 else -rs.qfactor,
+                  ("degenerate",) if degenerate else (d,),
+                  _at(b.gen, x, rs.toggles, charge_shift(slot, b.arg_steps)))
+                 for b, d in zip(rel.bracket, deltas))
+
+
+def _word_terms(factors, word, env: dict) -> list:
+    """(coeff, (), occs) of the word of patterns ``word`` under the
+    evaluated contractions ``factors``, at the indices ``env``."""
+    return [(_R1 if c is None else c, (), tuple(_occ(p, sub) for p in word))
+            for c, sub in contract(factors, env)]
+
+
+def _bracket_terms(bracket, env: dict) -> list:
+    return [(c, extra, (_occ(p, env),)) for c, extra, p in bracket]
 
 
 def rule_pieces(rs: "RewriteSystem", rule, g1: GenOcc, g2: GenOcc,
-                leg: int):
+                leg: int) -> list:
+    """``rs.rule_at`` of the rule at the arguments of g1 g2 and the leg,
+    read at the indices of g1 g2."""
     rel, solved = rule
-    sides = (rel.lhs, rel.rhs)
+    factors, word, bracket = rs.rule_at(rule, g1.arg, g2.arg, leg)
     env: dict = {}
-    x = [None, None, None]
-    for (_, letters, arg), g in zip(sides[solved].word, (g1, g2)):
+    for (_, letters, _), g in zip((rel.lhs, rel.rhs)[solved].word, (g1, g2)):
         env[letters[0]] = g.row
         if len(letters) == 2:
             env[letters[1]] = g.col
-        x[arg] = g.arg
-    slot = leg + 1
-    factors = [_factor(rs, side.matrix, x, slot, solve=(s == solved))
-               for s, side in enumerate(sides) if side.matrix]
-    return (_word_terms(rs, sides[1 - solved].word, factors, env, x)
-            + _bracket_terms(rs, rel, env, x, slot))
+    return _word_terms(factors, word, env) + _bracket_terms(bracket, env)
 
 
 # ---------------------------------------------------------------------------
@@ -790,30 +842,31 @@ def relation_sides(rs: RewriteSystem, relation_id: str):
     if rel is None:
         raise KindError(f"unknown relation {relation_id!r}")
     x = (None, _z(1), _z(2))
-    sides = (rel.lhs, rel.rhs)
-    factors = [[_factor(rs, side.matrix, x, 1)] if side.matrix else []
-               for side in sides]
+    sides = [((_factor(rs, side.matrix, x, 1),) if side.matrix else (),
+              tuple(_at(p, x, rs.toggles) for p in side.word))
+             for side in (rel.lhs, rel.rhs)]
+    bracket = _bracket_at(rs, rel, x, 1)
     for idx in itertools.product(range(1, rs.n + 1), repeat=len(rel.free)):
         env = dict(zip(rel.free, idx))
-        lhs, rhs = (_element(_word_terms(rs, side.word, f, env, x))
-                    for side, f in zip(sides, factors))
+        lhs, rhs = (_element(_word_terms(factors, word, env))
+                    for factors, word in sides)
         if rel.bracket:
-            lhs, rhs = lhs - rhs, _element(_bracket_terms(rs, rel, env, x, 1))
+            lhs, rhs = lhs - rhs, _element(_bracket_terms(bracket, env))
         yield idx, lhs, rhs
 
 
-def relation_residual(rs: RewriteSystem, lhs: Element,
-                      rhs: Element) -> Element:
-    """Normal-ordered, delta-normalized lhs - rhs: zero when the rule table
-    holds the relation lhs = rhs."""
-    return delta_normalize(normal_order(lhs - rhs, rs))
+def relation_residual(rs: RewriteSystem, diff: Element) -> Element:
+    """Normal-ordered, delta-normalized lhs - rhs (``diff``) of a
+    relation: zero when the rule table holds the relation lhs = rhs."""
+    return delta_normalize(normal_order(diff, rs))
 
 
 def relation_self_residual(rs: RewriteSystem, relation_id: str):
-    """``relation_residual`` for every free index of the named relation;
-    a sound rule table returns all-zero elements."""
-    return [(idx, relation_residual(rs, lhs, rhs))
-            for idx, lhs, rhs in relation_sides(rs, relation_id)]
+    """``relation_residual`` for every free index of the named relation,
+    read from ``rs.differences``; a sound rule table returns all-zero
+    elements."""
+    return [(idx, relation_residual(rs, diff))
+            for idx, diff in rs.differences(relation_id)]
 
 
 # ---------------------------------------------------------------------------

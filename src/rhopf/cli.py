@@ -13,7 +13,7 @@ import re
 import sys
 import time
 
-from .algebra import (FLAVOR_RELATIONS, RewriteSystem, Toggles,
+from .algebra import (FLAVOR_RELATIONS, RewriteSystem, Toggles, _subs_arg,
                       braid_consistency, delta_normalize, normal_order,
                       relation_self_residual)
 from .elemio import _doubled, format_element, parse_element
@@ -312,6 +312,7 @@ def main(argv=None) -> int:
     # each run starts cold, so its work does not depend on earlier runs in
     # the same process
     reset_memo()
+    _subs_arg.cache_clear()
     _mono_text.cache_clear()
     _doubled.cache_clear()
     parser = argparse.ArgumentParser(

@@ -30,10 +30,8 @@ import functools
 from .algebra import (ALL_KINDS, MAX_LEGS, ArgShift, Element, GenOcc,
                       VECTOR_KINDS, make_delta)
 from .expr import _parse_sum, _Tokenizer, format_ratexpr
-from .symfield import (S, SPECTRAL, U, RatExpr, VAR_INDEX, VARS, mono,
-                       mono_items, q_power)
-
-_R1 = RatExpr.from_int(1)
+from .symfield import (S, SPECTRAL, U, VAR_INDEX, VARS, _R1, mono, mono_items,
+                       q_power)
 
 
 @functools.cache

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .algebra import (MAX_LEGS, Element, GenOcc, L, LINV, LSTAR, LSTARINV,
                       PHI, PHISTAR, RewriteSystem, VECTOR_KINDS, _z,
                       charge_shift, delta_normalize, normal_order,
-                      relation_sides, subs_term, toggled)
+                      relation_residual, subs_term, toggled)
 from .errors import ShapeError, UnsupportedRule
 from .kernels import mono_mul
 from .symfield import (RatExpr, U, accumulate, mono_from_pairs, support,
@@ -285,12 +285,10 @@ def check_antipode(tables: HopfTables, gen: Element):
 def check_hom_on_relation(rs: RewriteSystem, tables: HopfTables,
                           relation_id: str):
     """Delta(LHS) - Delta(RHS) for a defining relation, normal ordered and
-    delta normalized; list of (free indices, residual Element)."""
-    out = []
-    for idx, lhs, rhs in relation_sides(rs, relation_id):
-        diff = coproduct(lhs - rhs, tables, 0)
-        out.append((idx, delta_normalize(normal_order(diff, rs))))
-    return out
+    delta normalized; list of (free indices, residual Element).  LHS - RHS
+    is read from ``rs.differences``."""
+    return [(idx, relation_residual(rs, coproduct(diff, tables, 0)))
+            for idx, diff in rs.differences(relation_id)]
 
 
 AXIOMS = ("counit", "coassoc", "antipode")

@@ -303,7 +303,7 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     report = {"relations": [], "consistent": True}
     for rid in FLAVOR_RELATIONS[rs.flavor]:
         sides = [(lhs, rhs) for _, lhs, rhs in relation_sides(rs, rid)]
-        residuals = [relation_residual(rs, lhs, rhs) for lhs, rhs in sides]
+        residuals = [relation_residual(rs, lhs - rhs) for lhs, rhs in sides]
         current_zero = all(r.is_zero() for r in residuals)
         slots_checked = kind_mismatches = contradictions = 0
         for lhs, rhs in sides:

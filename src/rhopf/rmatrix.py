@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DomainError, SingularError
-from .symfield import (RatExpr, S, VAR_INDEX, denominator_lcm, mono,
+from .symfield import (RatExpr, S, VAR_INDEX, _R1, denominator_lcm, mono,
                        sum_fractions)
 
 _R0 = RatExpr.from_int(0)
-_R1 = RatExpr.from_int(1)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,9 @@ Values are hash-consed for each run (``_VALUES``): the constructor and
 numerator, denominator and factored-or-not, so such an object is never
 edited, and its serial number ``key`` names its value.  Products, and sums
 over factored denominators, are memoized whole (``_PRODUCTS``, ``_SUMS``)
-by their operands' serials, so a hit takes no equality test.  Every other
-memo of the module is a ``functools.cache``.
+by their operands' serials, so a hit takes no equality test, and so are
+substitutions (``_SUBSTS``), by the operand's serial and the map.  Every
+other memo of the module is a ``functools.cache``.
 """
 
 from __future__ import annotations
@@ -870,15 +871,22 @@ class RatExpr:
     # -- substitution -------------------------------------------------------
 
     def subs_monomial(self, smap: dict) -> "RatExpr":
-        """Simultaneous substitution: ``smap`` maps a variable index to the
-        monomial that replaces the variable.  A factored denominator maps
+        """Simultaneous substitution through the substitution memo
+        (``_SUBSTS``): ``smap`` maps a variable index to the monomial that
+        replaces the variable.  On a miss a factored denominator maps
         factor by factor, and the numerator cancels against the images by
         trial division."""
-        num, den = _subst(self.num, smap), _subst(self.den, smap)
-        fac = None if self.fac is None else _map_factors(self.fac, smap)
-        if fac is None or not num:
-            return RatExpr(num, den)
-        return _over_factors(_orient(num, den)[0], fac)
+        key = (self.key, tuple(smap.items()))
+        out = _SUBSTS.get(key)
+        if out is None:
+            num, den = _subst(self.num, smap), _subst(self.den, smap)
+            fac = None if self.fac is None else _map_factors(self.fac, smap)
+            if fac is None or not num:
+                out = RatExpr(num, den)
+            else:
+                out = _over_factors(_orient(num, den)[0], fac)
+            _SUBSTS[key] = out
+        return out
 
 
 def _orient(num: dict, den: dict) -> tuple:
@@ -920,14 +928,19 @@ def _cancel(t: dict, den: dict):
 # restarts, so a serial names one value even across ``reset_memo``.
 # ``_PRODUCTS`` maps the pair of the operands' serials to the product,
 # and ``_SUMS`` the sorted serials of an operand list, a multiset, to the
-# sum: a hit needs no test of its operands.  The factored flag is part of
-# a value, so a product of a factored operand stays factored.  Sharing is
-# sound because no RatExpr or term map is mutated once built; RatExpr
-# refuses every attribute write.  ``reset_memo`` empties all three.
+# sum: a hit needs no test of its operands.  Substitutions repeat as well:
+# every coproduct puts the same charge map into the same few coefficients,
+# and ``_SUBSTS`` maps an operand's serial and the map's (variable,
+# monomial) items to the image.  The factored flag is part of a value, so
+# a product of a factored operand stays factored.  Sharing is sound
+# because no RatExpr or term map is mutated once built; RatExpr refuses
+# every attribute write.  ``reset_memo`` empties the four tables and puts
+# back ``_R1``, the shared constant 1.
 _VALUES: dict = {}
 _SERIALS = itertools.count()
 _PRODUCTS: dict = {}
 _SUMS: dict = {}
+_SUBSTS: dict = {}
 
 
 def _value_hash(num: dict, den: dict, factored: bool) -> int:
@@ -936,18 +949,26 @@ def _value_hash(num: dict, den: dict, factored: bool) -> int:
 
 
 def reset_memo():
-    """Forget every shared value, memoized product, sum, factor and
-    expanded product of factors, so that a run starts cold whatever ran
-    before it in the process, and zero ``SUM_GCD_FALLBACKS``.  The
+    """Forget every shared value but ``_R1``, and every memoized product,
+    sum, substitution, factor and expanded product of factors, so that a
+    run starts cold whatever ran before it in the process, and zero
+    ``SUM_GCD_FALLBACKS``.  ``_R1`` is put back, so the constant 1 that
+    other modules bound at import stays the run's one object for 1.  The
     cyclotomic coefficients of ``_cyclotomic`` depend on no input, and
     stay; serial numbers are not reused."""
     global SUM_GCD_FALLBACKS
     _VALUES.clear()
+    _VALUES[_value_hash(_R1.num, _R1.den, True)] = (_R1,)
     _PRODUCTS.clear()
     _SUMS.clear()
+    _SUBSTS.clear()
     factor_terms.cache_clear()
     _expansion.cache_clear()
     SUM_GCD_FALLBACKS = 0
+
+
+# the constant 1, which other modules import; ``reset_memo`` keeps it
+_R1 = RatExpr.from_int(1)
 
 
 def subs_mono(m: int, smap: dict) -> int:

@@ -1,22 +1,24 @@
 """The per-run caches against their uncached definitions: the word data of
-a ``RewriteSystem`` (measure and leftmost reducible pair of a leg word)
-and the generator images of ``HopfTables``.  Each property draws many
-inputs against one shared cache, so an entry keyed on too little is read
-back for an input it does not belong to."""
+a ``RewriteSystem`` (measure and leftmost reducible pair of a leg word),
+its rules read at their arguments (``rule_at``) and the generator images
+of ``HopfTables``.  Each check puts many inputs through one shared cache,
+so an entry keyed on too little is read back for an input it does not
+belong to."""
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhopf import algebra
 from rhopf.algebra import (ArgShift, GenOcc, KIND_RANK, L, LINV, LSTAR,
-                           LSTARINV, RewriteSystem, Toggles, VECTOR_KINDS,
-                           charge_shift, term_measure)
+                           LSTARINV, PHI, RewriteSystem, TOGGLE_NAMES,
+                           Toggles, VECTOR_KINDS, charge_shift, term_measure)
 from rhopf.errors import UnsupportedRule
 from rhopf.hopf import ANTIPODE, COPRODUCT, HopfTables
 from rhopf.instances import get_instance
-from rhopf.symfield import Z, q_power
+from rhopf.symfield import U, Z, q_power
 
 _CACHED = settings(max_examples=150, deadline=None, database=None,
                    derandomize=True)
@@ -107,6 +109,58 @@ def test_word_data_equals_the_uncached_scan(literal, terms):
         assert redex == next(
             ((li, pos) for li, pos in enumerate(scans) if pos is not None),
             None)
+
+
+def test_rule_at_equals_the_uncached_reading():
+    """Every rule of every toggle's system, at every pair of arguments
+    from z1, z2 times 1 or q^(c1/2) and on every leg, read through the
+    system's cache equals the uncached ``_rule_at``: the calls interleave
+    legs, second arguments and toggles, so a key without the leg or the
+    second argument, or a cache shared between systems, serves an entry
+    read for another call."""
+    args = [ArgShift(var, q) for var in Z[:2] for q in sorted(_OTHER_Q)]
+    systems = [_rs(literal) for literal in ("",) + TOGGLE_NAMES]
+    checked = 0
+    for (a1, a2), leg, rs in itertools.product(
+            itertools.product(args, repeat=2), range(3), systems):
+        for rule in rs._rules.values():
+            got = rs.rule_at(rule, a1, a2, leg)
+            assert got == rs._rule_at(rule, a1, a2, leg), (rule[0].rid, leg)
+            checked += 1
+    assert checked == len(args) ** 2 * 3 * sum(len(rs._rules)
+                                               for rs in systems)
+
+
+def test_pieces_of_a_charge_shifted_row_read_each_leg():
+    """Phi L reads R^-1 at (x1/x2) q^(c/2), with c the charge of its own
+    leg: on a warm system the pieces of one pair on legs 0 and 1 are
+    those of cold systems, and carry u1 and u2 respectively."""
+    R = get_instance("example2-n2")
+    g1 = GenOcc(PHI, 1, 0, ArgShift(Z[0]))
+    g2 = GenOcc(L, 1, 2, ArgShift(Z[1]))
+    warm = RewriteSystem(R, "double")
+    for leg in (0, 1):
+        got = warm.pieces(g1, g2, leg)
+        assert got == RewriteSystem(R, "double").pieces(g1, g2, leg)
+        charges = set().union(*(c.variables() for c, _, _ in got)) & set(U)
+        assert charges == {U[leg]}, leg
+
+
+def test_toggled_kinds_are_read_per_system():
+    """The literal ``ll-star`` reading puts L* where the corrected one
+    keeps L, in the pieces of L(z2) L*(z1), whichever system read the
+    pair first."""
+    R = get_instance("example2-n2")
+    g1 = GenOcc(L, 1, 1, ArgShift(Z[1]))
+    g2 = GenOcc(LSTAR, 1, 1, ArgShift(Z[0]))
+    want = {"": {LSTAR, L}, "ll-star": {LSTAR}}
+    for order in (("", "ll-star"), ("ll-star", "")):
+        for literal in order:
+            toggles = Toggles(frozenset({literal} - {""}))
+            rs = RewriteSystem(R, "double", toggles)
+            kinds = {occ.kind for _, _, occs in rs.pieces(g1, g2, 0)
+                     for occ in occs}
+            assert kinds == want[literal], literal
 
 
 _ROWS = {"coproduct": (COPRODUCT, ((1, 2), (2, 3))),

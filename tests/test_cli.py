@@ -377,31 +377,45 @@ def test_runs_in_one_process_take_the_same_rewrite_steps(tmp_path,
 
 
 def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):
-    """A run redoes every product and sum an earlier run in the same
-    process memoized, and builds every value anew, so its work does not
-    depend on what ran before: a memo that outlived a run would spare the
-    second run trial divisions (``_trial_cancel``), which every miss over
-    factored denominators takes, and a value table that outlived it would
-    spare it serial numbers, which every new value takes."""
-    calls = []
+    """A run redoes every product, sum and substitution an earlier run in
+    the same process memoized, and builds every value anew, so its work
+    does not depend on what ran before: a memo that outlived a run would
+    spare the second run trial divisions (``_trial_cancel``), which every
+    product or sum missed over factored denominators takes, or monomial
+    substitutions (``subs_mono``), which every substitution missed in the
+    field or in an argument (``algebra._subs_arg``) takes, and a value
+    table that outlived it would spare it serial numbers, which every new
+    value takes."""
+    trials, substs = [], []
     trial_cancel = symfield._trial_cancel
+    subs_mono = symfield.subs_mono
 
-    def counted(t, fac):
-        calls.append(1)
+    def counted_trial(t, fac):
+        trials.append(1)
         return trial_cancel(t, fac)
 
-    monkeypatch.setattr(symfield, "_trial_cancel", counted)
+    def counted_subs(m, smap):
+        substs.append(1)
+        return subs_mono(m, smap)
+
+    monkeypatch.setattr(symfield, "_trial_cancel", counted_trial)
+    monkeypatch.setattr(symfield, "subs_mono", counted_subs)
+    monkeypatch.setattr(algebra, "subs_mono", counted_subs)
     # empty memos, whatever earlier tests left in them: the first run is
     # cold, so a memo that outlives a run shows as a smaller second count
     monkeypatch.setattr(symfield, "_PRODUCTS", {})
     monkeypatch.setattr(symfield, "_SUMS", {})
+    monkeypatch.setattr(symfield, "_SUBSTS", {})
     monkeypatch.setattr(symfield, "_VALUES", {})
+    algebra._subs_arg.cache_clear()
     counts = []
     for _ in range(2):
-        calls.clear()
+        trials.clear()
+        substs.clear()
         first = next(symfield._SERIALS)
         assert main(["verify-hopf", "--instance", "example2-n2"]) == 0
-        counts.append((len(calls), next(symfield._SERIALS) - first))
+        counts.append((len(trials), len(substs),
+                       next(symfield._SERIALS) - first))
     assert counts[0] == counts[1] and min(counts[0]) > 0
 
 

@@ -1,15 +1,18 @@
 """Shadow evaluation of the field's memos on live traffic.
 
-The product and sum memos answer a repeated operation with a result
-stored earlier, so a wrong hit returns a valid canonical value that is
-the wrong one; drawn inputs seldom repeat an operation, so the field
-oracles meet few hits.  Here every distinct product and sum of full
-``verify-hopf`` runs is recorded, hits included, and checked at two fixed
-rational points with ``fractions.Fraction``: ev(a) ev(b) = ev(a b) and
-the sum of the ev(a_i) is ev(sum a_i).  A point is skipped only where a
-denominator evaluates to exactly 0.  Monomials are decoded here, from the
-packed layout alone, not through ``symfield``.  The memos' results are
-also checked to be the shared value objects they stand for."""
+The product, sum and substitution memos answer a repeated operation with
+a result stored earlier, so a wrong hit returns a valid canonical value
+that is the wrong one; drawn inputs seldom repeat an operation, so the
+field oracles meet few hits.  Here every distinct product, sum and
+substitution of full ``verify-hopf`` runs is recorded, hits included, and
+checked at two fixed rational points with ``fractions.Fraction``: ev(a)
+ev(b) = ev(a b), the sum of the ev(a_i) is ev(sum a_i), and the image of
+a under a monomial map, evaluated at a point, is a evaluated at the
+point with each substituted variable set to its image's value there.  A
+point is skipped only where a denominator evaluates to exactly 0.
+Monomials are decoded here, from the packed layout alone, not through
+``symfield``.  The memos' results are also checked to be the shared value
+objects they stand for."""
 
 import sys
 from fractions import Fraction
@@ -78,15 +81,18 @@ class _Evaluator:
 
 
 def _record(monkeypatch):
-    """Patch products and sums to record (operation, operands, result)
-    once per distinct triple of objects; returns the record list and the
-    per-kind call counts."""
+    """Patch products, sums and substitutions to record (operation,
+    operands, result) once per distinct triple of objects, a
+    substitution's operands being its value and the (variable, monomial)
+    items of its map; returns the record list and the per-kind call
+    counts."""
     records, seen = [], set()
-    calls = {"mul": 0, "sum": 0}
+    calls = {"mul": 0, "sum": 0, "subs": 0}
 
     def keep(op, operands, out):
         calls[op] += 1
-        key = (op, tuple(map(id, operands)), id(out))
+        key = (op, tuple(x if isinstance(x, tuple) else id(x)
+                         for x in operands), id(out))
         if key not in seen:
             seen.add(key)
             records.append((op, operands, out))
@@ -105,8 +111,16 @@ def _record(monkeypatch):
         keep("sum", tuple(coeffs), out)
         return out
 
+    subs = RatExpr.subs_monomial
+
+    def recorded_subs(self, smap):
+        out = subs(self, smap)
+        keep("subs", (self, tuple(smap.items())), out)
+        return out
+
     monkeypatch.setattr(RatExpr, "__mul__", recorded_mul)
     monkeypatch.setattr(RatExpr, "__rmul__", recorded_mul)
+    monkeypatch.setattr(RatExpr, "subs_monomial", recorded_subs)
     for name, mod in list(sys.modules.items()):
         if name.startswith("rhopf") and \
                 vars(mod).get("sum_fractions") is sum_fractions:
@@ -118,10 +132,27 @@ def _violations(records) -> tuple:
     """(the records whose identity fails at a point, the number of checks
     made)."""
     evs = [_Evaluator(point) for point in _POINTS]
+    pushed = {}
+
+    def at_image(ev, items):
+        """The evaluator at ev's point with each variable of the map
+        ``items`` set to the value of its image there."""
+        key = (id(ev), items)
+        if key not in pushed:
+            point = list(ev.point)
+            for v, image in items:
+                point[v] = ev.mono(image)
+            pushed[key] = _Evaluator(tuple(point))
+        return pushed[key]
+
     bad, checked = [], 0
     for op, operands, out in records:
         for ev in evs:
-            vals = [ev(x) for x in operands]
+            if op == "subs":
+                x, items = operands
+                vals = [at_image(ev, items)(x)]
+            else:
+                vals = [ev(x) for x in operands]
             got = ev(out)
             if got is None or None in vals:
                 continue
@@ -148,11 +179,13 @@ def test_evaluator_decodes_the_packed_layout():
 
 
 def test_memo_results_agree_with_shadow_evaluation(monkeypatch, tmp_path):
-    """Every product and sum of six-vertex ``verify-hopf`` (corrected and
-    with the literal L/L* exchange) and of example2-n3 evaluates
-    correctly, and the memos answered many of them."""
+    """Every product, sum and substitution of six-vertex ``verify-hopf``
+    (corrected and with the literal L/L* exchange) and of example2-n3
+    evaluates correctly, and the memos answered many of them.  Some value
+    is substituted under more than one map, so a memo keyed by the value
+    alone would return a wrong image."""
     records, calls = _record(monkeypatch)
-    misses = {"mul": 0, "sum": 0}
+    misses = {"mul": 0, "sum": 0, "subs": 0}
     for argv, code in (
             (["--spec", SIXVERTEX_SPEC], 0),
             (["--spec", SIXVERTEX_SPEC, "--toggle", "ll-star=literal"], 1),
@@ -161,8 +194,14 @@ def test_memo_results_agree_with_shadow_evaluation(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "r.json")]) == code
         misses["mul"] += len(symfield._PRODUCTS)
         misses["sum"] += len(symfield._SUMS)
+        misses["subs"] += len(symfield._SUBSTS)
     for op in calls:
         assert calls[op] > 2 * misses[op] > 0, op
+    maps = {}
+    for op, operands, _ in records:
+        if op == "subs":
+            maps.setdefault(id(operands[0]), set()).add(operands[1])
+    assert max(map(len, maps.values())) > 1
     bad, checked = _violations(records)
     assert bad == []
     assert checked > 1.9 * len(records)
@@ -170,12 +209,13 @@ def test_memo_results_agree_with_shadow_evaluation(monkeypatch, tmp_path):
 
 def test_memo_results_are_the_shared_values(tmp_path):
     """The memos hold no copies: after six-vertex ``verify-hopf`` with the
-    literal L/L* exchange, every product and sum they hold is the value
-    table's one object for its value, and the table holds each value
-    once."""
+    literal L/L* exchange, every product, sum and substitution they hold
+    is the value table's one object for its value, and the table holds
+    each value once."""
     assert main(["verify-hopf", "--spec", SIXVERTEX_SPEC, "--toggle",
                  "ll-star=literal", "--out", str(tmp_path / "r.json")]) == 1
-    results = [*symfield._PRODUCTS.values(), *symfield._SUMS.values()]
+    results = [*symfield._PRODUCTS.values(), *symfield._SUMS.values(),
+               *symfield._SUBSTS.values()]
     assert len(results) > 1000
     for x in results:
         assert RatExpr._canonical(x.num, x.den, x.fac) is x
@@ -188,13 +228,23 @@ def test_memo_results_are_the_shared_values(tmp_path):
                            for y in bucket[i + 1:])
 
 
-@pytest.mark.parametrize("op", ["mul", "sum"])
+@pytest.mark.parametrize("op", ["mul", "sum", "subs"])
 def test_shadow_evaluation_catches_a_wrong_result(op):
     """The check fails on a record whose stored result is another
-    value, as a wrong memo hit would return."""
+    value, as a wrong memo hit would return; for a substitution, also on
+    the image under another map."""
     a = RatExpr({symfield.mono(z1=1): 1}, {0: 1, symfield.mono(s=2): 1})
     b = RatExpr({symfield.mono(x=-1): 3})
-    right = a * b if op == "mul" else symfield.sum_fractions([a, b])
-    assert _violations([(op, (a, b), right)])[0] == []
-    wrong = [(op, (a, b), right + 1)]
+    if op == "subs":
+        smap = {symfield.Z[0]: symfield.mono(z2=1, u1=2),
+                symfield.S: symfield.mono(s=-1)}
+        operands = (a, tuple(smap.items()))
+        right = a.subs_monomial(smap)
+        other = a.subs_monomial({symfield.Z[0]: symfield.mono(z2=1)})
+    else:
+        operands = (a, b)
+        right = a * b if op == "mul" else symfield.sum_fractions([a, b])
+        other = right + 1
+    assert _violations([(op, operands, right)])[0] == []
+    wrong = [(op, operands, other)]
     assert _violations(wrong)[0] == wrong

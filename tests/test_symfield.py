@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rhopf import kernels, symfield as sf
+from rhopf import algebra, elemio, kernels, rmatrix, symfield as sf
 from rhopf.errors import DomainError
 from rhopf.expr import parse_expr
 from rhopf.symfield import RatExpr
@@ -761,18 +761,38 @@ def test_product_memo_tells_factored_from_unfactored_equal_values():
 
 def test_reset_memo_empties_the_run_scoped_caches():
     """A sum over factored denominators fills the factor and expansion
-    caches, and ``reset_memo`` leaves both empty."""
+    caches, a product and a substitution fill their memos, and
+    ``reset_memo`` leaves them all empty and the value table holding the
+    shared constant 1 alone."""
     sf.reset_memo()
     total = (_over("z1", ("z1 - q*z2", 1), ("s^4 - 1", 1))
              + _over("1", ("s^2 + 1", 2)))
     assert total.fac is not None
+    image = (total * total).subs_monomial({sf.Z[0]: sf.mono(z2=1, u1=2)})
+    assert image.fac is not None
     assert sf.factor_terms.cache_info().currsize > 0
     assert sf._expansion.cache_info().currsize > 0
-    assert sf._SUMS and sf._VALUES
+    assert sf._SUMS and sf._PRODUCTS and sf._SUBSTS and sf._VALUES
     sf.reset_memo()
     assert sf.factor_terms.cache_info().currsize == 0
     assert sf._expansion.cache_info().currsize == 0
-    assert sf._SUMS == {} and sf._VALUES == {}
+    assert sf._SUMS == {} and sf._PRODUCTS == {} and sf._SUBSTS == {}
+    assert list(sf._VALUES.values()) == [(sf._R1,)]
+
+
+def test_the_constant_one_outlives_reset_memo():
+    """The constant 1 that ``algebra``, ``elemio`` and ``rmatrix`` bound
+    at import is the run's one object for 1 after ``reset_memo``, so
+    products with 1 are memoized once."""
+    for _ in range(2):
+        sf.reset_memo()
+        assert RatExpr.from_int(1) is sf._R1
+        assert algebra._R1 is elemio._R1 is rmatrix._R1 is sf._R1
+        assert RatExpr({0: 3}, {0: 3}) is sf._R1
+        x = _over("z1", ("s^2 + 1", 1))
+        before = len(sf._PRODUCTS)
+        assert x * RatExpr.from_int(1) is x * sf._R1
+        assert len(sf._PRODUCTS) == before + 1
 
 
 def test_values_are_told_apart_when_every_hash_collides(monkeypatch):

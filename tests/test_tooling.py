@@ -229,22 +229,30 @@ def test_no_unread_parameters():
 def module_caches(source: str) -> list:
     """Names of the module-level functions that ``functools.cache`` or
     ``functools.lru_cache`` wraps, as a decorator (also called, or by its
-    bare name) or in a module-level assignment."""
+    bare name) or in a module-level assignment, and of the module-level
+    names bound to an empty dict literal (``X = {}``, ``X: dict = {}``),
+    a hand-kept memo table."""
     def is_cache(node):
         if isinstance(node, ast.Call):
             node = node.func
         name = node.attr if isinstance(node, ast.Attribute) else \
             getattr(node, "id", None)
         return name in ("cache", "lru_cache")
+
+    def is_table(node):
+        return isinstance(node, ast.Dict) and not node.keys
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if any(is_cache(dec) for dec in node.decorator_list):
                 out.append(node.name)
-        elif isinstance(node, ast.Assign) and \
-                isinstance(node.value, ast.Call) and is_cache(node.value):
-            out.extend(t.id for t in node.targets
-                       if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                node.value is not None and (is_table(node.value) or (
+                    isinstance(node.value, ast.Call)
+                    and is_cache(node.value))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out.extend(t.id for t in targets if isinstance(t, ast.Name))
     return out
 
 
@@ -256,9 +264,11 @@ def test_module_caches_finds_every_module_level_cache():
               "d = functools.cache(len)\n"
               "@staticmethod\ndef e():\n    pass\n"
               "class K:\n    @functools.cache\n    def m(self):\n"
-              "        pass\n"
-              "def f():\n    return functools.cache(f)\n")
-    assert module_caches(source) == ["a", "b", "c", "d"]
+              "        pass\n    TABLE = {}\n"
+              "def f():\n    memo = {}\n    return functools.cache(f)\n"
+              "g = {}\nh: dict = {}\ni = j = {}\n"
+              "k = {1: 2}\nm: dict\nn = dict()\no = {**g}\n")
+    assert module_caches(source) == ["a", "b", "c", "d", "g", "h", "i", "j"]
 
 
 # Module-level caches of values that depend on no input: the coefficients
@@ -266,20 +276,34 @@ def test_module_caches_finds_every_module_level_cache():
 # other one is run-scoped, or it would let one CLI run warm the next and
 # flatter a benchmark that repeats runs in one process.
 INPUT_FREE = {"_cyclotomic", "charge_shift"}
+# The entries a cold start leaves in a run-scoped table: the value table
+# keeps the constant 1 (``symfield._R1``), which other modules bind at
+# import, so that it stays the one object for 1.
+KEPT = {"_VALUES": 1}
+
+
+def _size(cache) -> int:
+    return len(cache) if isinstance(cache, dict) else \
+        cache.cache_info().currsize
 
 
 def test_module_caches_are_input_free_or_start_cold(tmp_path, capsys):
     caches = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
               for name in module_caches(path.read_text(encoding="utf-8"))}
     assert INPUT_FREE <= {name for _, name in caches}
-    scoped = [getattr(importlib.import_module(f"rhopf.{mod}"), name)
-              for mod, name in sorted(caches) if name not in INPUT_FREE]
+    assert {(mod, name) for mod, name in caches if name[1:].isupper()} >= {
+        ("symfield", "_VALUES"), ("symfield", "_PRODUCTS"),
+        ("symfield", "_SUMS"), ("symfield", "_SUBSTS")}
+    scoped = {f"{mod}.{name}": (importlib.import_module(f"rhopf.{mod}"),
+                                name, KEPT.get(name, 0))
+              for mod, name in sorted(caches) if name not in INPUT_FREE}
     # a failing run with residuals warms every run-scoped cache
     assert main(["verify-hopf", "--instance", "example2-n2", "--toggle",
                  "ll-star=literal", "--out", str(tmp_path / "r.json")]) == 1
-    assert all(fn.cache_info().currsize for fn in scoped)
+    assert [name for name, (mod, attr, kept) in scoped.items()
+            if _size(getattr(mod, attr)) <= kept] == []
     # the cold start of main comes before its arguments are read
     with pytest.raises(SystemExit):
         main(["no-such-command"])
-    assert [fn.__qualname__ for fn in scoped
-            if fn.cache_info().currsize] == []
+    assert [name for name, (mod, attr, kept) in scoped.items()
+            if _size(getattr(mod, attr)) != kept] == []
