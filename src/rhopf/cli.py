@@ -21,7 +21,8 @@ from .errors import DomainError, ParseError, RhopfError
 from .expr import _format_poly, _mono_text, format_ratexpr, parse_expr
 from .hopf import AXIOMS, HopfTables, check_axioms, check_hom_on_relation
 from .instances import INSTANCE_NAMES, get_instance, instance_flags
-from .modes import SeriesWindow, check_mode_consistency, drinfeld_compare
+from .modes import (SeriesWindow, check_mode_consistency, drinfeld_compare,
+                    reset_mode_memo)
 from .rmatrix import RMatrix, clear_poles, unitarity_residual, ybe_residual
 from .report import FAIL, PASS, SKIPPED, CheckResult, VerificationReport
 from .symfield import SPECTRAL, VAR_INDEX, reset_memo, variables
@@ -315,6 +316,7 @@ def main(argv=None) -> int:
     _subs_arg.cache_clear()
     _mono_text.cache_clear()
     _doubled.cache_clear()
+    reset_mode_memo()
     parser = argparse.ArgumentParser(
         prog="rhopf",
         description="exact verification of R-matrix exchange algebras and "

@@ -82,20 +82,21 @@ def _z_split(terms: dict) -> list:
     return [(a, b, sub) for (a, b), sub in sorted(groups.items())]
 
 
-class _Piece:
-    """One piece c z1^a z2^b of a term of a relation side, relative to the
-    slot: at slot (m, k) a generator over z1 has mode m + a, one over z2
-    mode k + b.  ``reach`` gives per variable None (a variable carrying a
-    generator: the whole window) or the one slot coordinate -exponent.
-    The coefficient c (signed, cleared, delta power included) is computed
-    on its first read, since the mode counts read few of them."""
+class _Shape:
+    """What a piece takes from its coefficient, clearing factor, delta,
+    side and window, not from its word: the exponents (a, b) of
+    c z1^a z2^b relative to the slot (at slot (m, k) a generator over z1
+    has mode m + a, one over z2 mode k + b), the reach (per variable None
+    for a variable carrying a generator, the whole window, else the one
+    slot coordinate -exponent), whether it comes from a term with a formal
+    delta, and the coefficient c (signed, cleared, delta power included).
+    Every term with the same shape key shares the object, so c is computed
+    on its first read, once per shape: the mode counts read few of them."""
 
-    __slots__ = ("word", "kinds", "exps", "reach", "delta", "_terms",
-                 "_den", "_scale", "_coeff")
+    __slots__ = ("exps", "reach", "delta", "_terms", "_den", "_scale",
+                 "_coeff")
 
-    def __init__(self, word, kinds, exps, reach, delta, terms, den, scale):
-        self.word = word  # GenOcc templates
-        self.kinds = kinds  # the sorted generator kinds of the word
+    def __init__(self, exps, reach, delta, terms, den, scale):
         self.exps = exps  # (a, b)
         self.reach = reach
         self.delta = delta  # from a term with a formal delta
@@ -112,11 +113,84 @@ class _Piece:
         return self._coeff
 
 
-def _pieces(e, window: SeriesWindow, clear: dict, sign: int) -> list:
-    """The pieces of ``sign * clear * e`` that reach some window slot.
-    The clearing factor is a multiple of every denominator's primitive
-    part, so a cleared coefficient is its numerator times an exact
-    quotient, with no gcd, over the denominator's integer content."""
+class _Piece:
+    """One piece of a term of a relation side: the term's word and its
+    sorted generator kinds, paired with a shared ``_Shape``."""
+
+    __slots__ = ("word", "kinds", "exps", "reach", "delta", "shape")
+
+    def __init__(self, word, kinds, shape):
+        self.word = word  # GenOcc templates
+        self.kinds = kinds
+        self.exps = shape.exps
+        self.reach = shape.reach
+        self.delta = shape.delta
+        self.shape = shape
+
+    @property
+    def coeff(self) -> RatExpr:
+        return self.shape.coeff
+
+
+# Run-scoped memos of mode expansion, keyed by the coefficient's serial
+# (``RatExpr.key``, never reused) and the clearing factor's terms: only a
+# few coefficient values occur across a relation's free-index tuples (on
+# ``example2-n3`` at window 5, 774 cleared coefficients over 39 distinct
+# (coefficient, clearing factor) pairs).  ``_CLEARED`` holds the integer
+# content and z-split of a cleared coefficient, and ``_SHAPES`` the piece
+# shapes of one, further keyed by which template variables carry a
+# generator, the delta's q-power (None without a delta), the side's sign
+# and the window.  ``reset_mode_memo`` empties both; ``cli.main`` calls it
+# on entry.
+_CLEARED: dict = {}
+_SHAPES: dict = {}
+
+
+def reset_mode_memo():
+    """Forget every cleared split and piece shape, so that a run starts
+    cold."""
+    _CLEARED.clear()
+    _SHAPES.clear()
+
+
+def _shapes(coeff: RatExpr, clear: dict, ckey: frozenset, carried: tuple,
+            dq, sign: int, window: SeriesWindow) -> tuple:
+    """The shapes of ``sign * clear * coeff`` times a word whose template
+    variables z1, z2 carry a generator as flagged by ``carried``, and the
+    truncated delta with q-power ``dq`` (None for none), that reach some
+    window slot.  The clearing factor is a multiple of every denominator's
+    primitive part, so a cleared coefficient is its numerator times an
+    exact quotient, with no gcd, over the denominator's integer content."""
+    key = (coeff.key, ckey, carried, dq, sign, window)
+    out = _SHAPES.get(key)
+    if out is not None:
+        return out
+    split = _CLEARED.get((coeff.key, ckey))
+    if split is None:
+        cleared, den = clear_denominator(coeff, clear)
+        split = _CLEARED[coeff.key, ckey] = (den, _z_split(cleared))
+    den, groups = split
+    # delta((z1/z2) q) = sum_nu z1^nu z2^-nu q^nu
+    dchoices = [(0, 0)] if dq is None else [
+        (nu, mono_pow(dq, nu)) for nu in range(-window.N, window.N + 1)]
+    out = []
+    for a, b, terms in groups:
+        for nu, dmono in dchoices:
+            exps = (a + nu, b - nu)
+            reach = tuple(None if c else -x for c, x in zip(carried, exps))
+            if all(r is None or abs(r) <= window.lim for r in reach):
+                out.append(_Shape(exps, reach, dq is not None, terms, den,
+                                  (sign, dmono)))
+    out = _SHAPES[key] = tuple(out)
+    return out
+
+
+def _pieces(e, window: SeriesWindow, clear: dict, ckey: frozenset,
+            sign: int) -> list:
+    """The pieces of ``sign * clear * e`` that reach some window slot:
+    each term's word and kinds paired with the shapes of its coefficient
+    (``_shapes``), which terms with the same coefficient, variables and
+    delta share across the free-index tuples of a run."""
     out = []
     for (flag, deltas, legs), coeff in e.terms.items():
         if flag:
@@ -127,24 +201,16 @@ def _pieces(e, window: SeriesWindow, clear: dict, sign: int) -> list:
         gvars = {g.arg.var for g in word}
         if len(gvars) < len(word):
             raise ExpansionError("two occurrences share a spectral variable")
-        kinds = tuple(sorted(g.kind for g in word))
-        dchoices = [(0, 0)]
+        dq = None
         if deltas:
             d = deltas[0]
             if {d.avar, d.bvar} - {_Z1, _Z2}:
                 raise ExpansionError("delta outside the template variables")
-            # delta((z1/z2) q) = sum_nu z1^nu z2^-nu q^nu
-            dchoices = [(nu, mono_pow(d.q, nu))
-                        for nu in range(-window.N, window.N + 1)]
-        cleared, den = clear_denominator(coeff, clear)
-        for a, b, terms in _z_split(cleared):
-            for nu, dmono in dchoices:
-                exps = (a + nu, b - nu)
-                reach = tuple(None if v in gvars else -x
-                              for v, x in zip((_Z1, _Z2), exps))
-                if all(r is None or abs(r) <= window.lim for r in reach):
-                    out.append(_Piece(word, kinds, exps, reach, bool(deltas),
-                                      terms, den, (sign, dmono)))
+            dq = d.q
+        kinds = tuple(sorted(g.kind for g in word))
+        carried = (_Z1 in gvars, _Z2 in gvars)
+        out.extend(_Piece(word, kinds, shape) for shape in _shapes(
+            coeff, clear, ckey, carried, dq, sign, window))
     return out
 
 
@@ -152,8 +218,9 @@ def _expand(lhs, rhs, window: SeriesWindow):
     """(clearing factor, lhs pieces, rhs pieces) of lhs = rhs: the factor
     is the lcm of the coefficient denominators, and the rhs is negated."""
     clear = denominator_lcm([*lhs.terms.values(), *rhs.terms.values()])
-    return (clear, _pieces(lhs, window, clear, +1),
-            _pieces(rhs, window, clear, -1))
+    ckey = frozenset(clear.items())
+    return (clear, _pieces(lhs, window, clear, ckey, +1),
+            _pieces(rhs, window, clear, ckey, -1))
 
 
 def _word_at(piece: _Piece, slot: tuple) -> tuple:
@@ -290,10 +357,15 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     Each side is expanded once, relative to the slot (``_pieces``): a
     piece's mode word at any slot is its generator templates with modes
     "slot coordinate plus exponent", so no slot's word map is built for
-    (b) and (c).  The kind sets of (b) depend only on which pieces reach
-    a slot, never on coefficients, so they are read from the pieces'
-    reach classes (whole window, one row, one column, one cell): slots
-    outside the pinned rows and columns are counted by multiplication.
+    (b) and (c).  A piece pairs its term's word with a shape that every
+    free-index tuple with the same coefficient, clearing factor, carried
+    variables, delta and side shares for the run (``_shapes``): each
+    coefficient is cleared and split once per clearing factor, and each
+    piece coefficient computed at most once per shape.  The kind sets of
+    (b) depend only on which pieces reach a slot, never on coefficients,
+    so they are read from the pieces' reach classes (whole window, one
+    row, one column, one cell): slots outside the pinned rows and
+    columns are counted by multiplication.
     A surviving word of (c) has every mode zero, which a piece's word
     has only at slot -(its exponents); the word maps are summed exactly,
     and filtered, at those candidate slots alone, and only there are

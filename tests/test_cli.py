@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhopf import algebra, hopf, rmatrix, symfield
+from rhopf import algebra, hopf, modes, rmatrix, symfield
 from rhopf.algebra import (ALL_KINDS, VECTOR_KINDS, ArgShift, DeltaFactor,
                            Element, GenOcc, L, LINV, LSTAR, PHI,
                            RewriteSystem, normal_order)
@@ -417,6 +417,32 @@ def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):
         counts.append((len(trials), len(substs),
                        next(symfield._SERIALS) - first))
     assert counts[0] == counts[1] and min(counts[0]) > 0
+
+
+def test_each_mode_run_starts_with_cold_mode_tables(monkeypatch, capsys):
+    """A ``verify-modes`` run clears every coefficient an earlier run in
+    the same process cleared: a cleared split (``modes._CLEARED``) that
+    outlived a run would spare the second run ``clear_denominator``
+    calls, which every split missed takes."""
+    calls = []
+    clear_denominator = modes.clear_denominator
+
+    def counted(c, clear):
+        calls.append(1)
+        return clear_denominator(c, clear)
+
+    monkeypatch.setattr(modes, "clear_denominator", counted)
+    # empty tables, whatever earlier tests left in them: the first run is
+    # cold, so a table that outlives a run shows as a smaller second count
+    monkeypatch.setattr(modes, "_CLEARED", {})
+    monkeypatch.setattr(modes, "_SHAPES", {})
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert main(["verify-modes", "--instance", "example2-n3",
+                     "--window", "5"]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_verify_hopf_literal_toggle_fails(tmp_path):

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from rhopf.algebra import (L, LSTAR, PHI, PHISTAR, ArgShift, Element, GenOcc,
-                           RewriteSystem, Toggles, relation_sides)
+from rhopf import modes
+from rhopf.algebra import (FLAVOR_RELATIONS, L, LSTAR, PHI, PHISTAR, ArgShift,
+                           DeltaFactor, Element, GenOcc, RewriteSystem,
+                           Toggles, relation_sides)
 from rhopf.cli import parse_rspec
 from rhopf.errors import DomainError, ExpansionError
 from rhopf.expr import parse_expr
@@ -376,6 +378,118 @@ def test_consistency_counts_match_per_slot_expansion(name, flavor, toggles,
         got = [row["slots_checked"], row["kind_mismatches"],
                row["contradictions"]]
         assert got == want, row["relation"]
+
+
+# -- pinned consistency rows --------------------------------------------------
+#
+# The byte-stable ``verify-modes`` report records only pass or fail and the
+# failing relations, so its digests cannot tell counts apart.  These are
+# the full rows of ``check_mode_consistency`` (relation, current_level_zero,
+# slots_checked, kind_mismatches, contradictions, consistent) for the
+# inputs of the benchmark's ``verify-modes`` verdicts and two more, taken
+# before the mode tables went in; the flavor is the CLI's default, double.
+
+_DOUBLE_RELATIONS = ("PhiPhi", "PhiL", "LL", "LstarLstar", "LLstar",
+                     "PhistarPhistar", "PhistarLstar", "PhiPhistar",
+                     "PhistarL", "PhiLstar")
+
+
+def _rows(*counts, mismatched=()):
+    """The rows of the double flavor's relations, in report order, with
+    these slot counts, every current residual zero, no contradiction, and
+    kind mismatches on every slot of the relations named in
+    ``mismatched``."""
+    return [(rid, True, n, n if rid in mismatched else 0, 0,
+             rid not in mismatched)
+            for rid, n in zip(_DOUBLE_RELATIONS, counts, strict=True)]
+
+
+_PINNED_ROWS = {
+    ("example1", None, 5, 1): _rows(*[81] * 10),
+    ("example1", None, 8, 1): _rows(*[225] * 10),
+    ("example1", None, 5, 2): _rows(*[49] * 10),
+    ("example2-n2", None, 5, 1): _rows(
+        324, 648, 1296, 1296, 1296, 324, 648, 324, 648, 648),
+    ("example2-n2", "ll-star=literal", 5, 1): _rows(
+        324, 648, 1296, 1296, 1296, 324, 648, 324, 648, 648,
+        mismatched=("LLstar",)),
+    ("example2-n3", None, 5, 1): _rows(
+        729, 2187, 6561, 6561, 6561, 729, 2187, 729, 2187, 2187),
+}
+
+
+@pytest.mark.parametrize("name, toggle, n, margin", list(_PINNED_ROWS))
+def test_consistency_rows_are_pinned(name, toggle, n, margin):
+    toggles = Toggles.from_dict(dict([toggle.split("=")])) if toggle else None
+    rep = check_mode_consistency(RewriteSystem(get_instance(name), "double",
+                                               toggles),
+                                 SeriesWindow(n, margin))
+    rows = [tuple(row.values()) for row in rep["relations"]]
+    assert rows == _PINNED_ROWS[name, toggle, n, margin]
+    assert rep["consistent"] == all(row[-1] for row in rows)
+
+
+# -- the run-scoped mode tables against the uncached expansion ---------------
+#
+# A table that stores nothing makes every lookup of ``_shapes`` miss, so
+# the same code computes each piece from its own coefficient.  One warm
+# pass over several systems and windows, with the tables kept throughout,
+# must give the same pieces: a key that left out the window, the side's
+# sign, the clearing factor, the delta's q-power or the carried variables
+# would hand a piece a shape made for another.  No relation of the built-in
+# flavors has two terms that differ in the delta's q-power alone, or in
+# the carried variables alone, so a hand-built entry has both.
+
+class _Forgetful(dict):
+    """A memo table that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _delta_side(coeff: str) -> Element:
+    """coeff * (delta(z1/z2) L[1,1](z1) + delta(q z1/z2) L[1,1](z1)
+    + delta(q z1/z2) L[1,1](z2)): one coefficient, two delta q-powers and
+    two carried variables."""
+    out = Element(1)
+    for var, dq in ((_Z1, mono()), (_Z1, mono(s=2)), (_Z2, mono(s=2))):
+        out = out + Element.word((GenOcc(L, 1, 1, ArgShift(var)),),
+                                 coeff=parse_expr(coeff),
+                                 deltas=(DeltaFactor(_Z1, _Z2, dq),))
+    return out
+
+
+def _entries(rs: RewriteSystem) -> list:
+    return [(lhs, rhs) for rid in FLAVOR_RELATIONS[rs.flavor]
+            for _, lhs, rhs in relation_sides(rs, rid)]
+
+
+def _piece_rows(entries: list, window: SeriesWindow) -> list:
+    rows = []
+    for lhs, rhs in entries:
+        _, lp, rp = modes._expand(lhs, rhs, window)
+        rows.append([(p.word, p.kinds, p.exps, p.reach, p.delta, p.coeff)
+                     for p in lp + rp])
+    return rows
+
+
+def test_memoized_pieces_equal_uncached_ones(monkeypatch):
+    inputs = [_entries(RewriteSystem(_matrix(name), "double", toggles))
+              for name, toggles in (("example2-n2", None),
+                                    ("example2-n2", LITERAL_LL_STAR),
+                                    ("six-vertex", None),
+                                    ("integer-content", None))]
+    inputs.append([(_delta_side("z1 - q*z2"), _delta_side("q - 1"))])
+    windows = [SeriesWindow(3, 1), SeriesWindow(5, 2)]
+    monkeypatch.setattr(modes, "_CLEARED", _Forgetful())
+    monkeypatch.setattr(modes, "_SHAPES", _Forgetful())
+    uncached = [_piece_rows(entries, w) for entries in inputs for w in windows]
+    monkeypatch.setattr(modes, "_CLEARED", {})
+    monkeypatch.setattr(modes, "_SHAPES", {})
+    warm = [_piece_rows(entries, w) for entries in inputs for w in windows]
+    assert warm == uncached
+    # the tables were read: far fewer shapes were made than pieces
+    assert 0 < len(modes._SHAPES) < sum(map(len, itertools.chain(*warm))) / 4
 
 
 def _side(*terms):

@@ -293,15 +293,23 @@ def test_module_caches_are_input_free_or_start_cold(tmp_path, capsys):
     assert INPUT_FREE <= {name for _, name in caches}
     assert {(mod, name) for mod, name in caches if name[1:].isupper()} >= {
         ("symfield", "_VALUES"), ("symfield", "_PRODUCTS"),
-        ("symfield", "_SUMS"), ("symfield", "_SUBSTS")}
+        ("symfield", "_SUMS"), ("symfield", "_SUBSTS"),
+        ("modes", "_CLEARED"), ("modes", "_SHAPES")}
     scoped = {f"{mod}.{name}": (importlib.import_module(f"rhopf.{mod}"),
                                 name, KEPT.get(name, 0))
               for mod, name in sorted(caches) if name not in INPUT_FREE}
-    # a failing run with residuals warms every run-scoped cache
-    assert main(["verify-hopf", "--instance", "example2-n2", "--toggle",
-                 "ll-star=literal", "--out", str(tmp_path / "r.json")]) == 1
-    assert [name for name, (mod, attr, kept) in scoped.items()
-            if _size(getattr(mod, attr)) <= kept] == []
+    # a failing run with residuals of each kind warms every run-scoped
+    # cache: the Hopf checks fill the engine's, the mode checks the mode
+    # layer's
+    warm = set()
+    for argv in (["verify-hopf", "--instance", "example2-n2", "--toggle",
+                  "ll-star=literal"],
+                 ["verify-modes", "--instance", "example2-n2", "--toggle",
+                  "ll-star=literal"]):
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 1
+        warm |= {name for name, (mod, attr, kept) in scoped.items()
+                 if _size(getattr(mod, attr)) > kept}
+    assert sorted(set(scoped) - warm) == []
     # the cold start of main comes before its arguments are read
     with pytest.raises(SystemExit):
         main(["no-such-command"])
