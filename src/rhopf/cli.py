@@ -18,7 +18,7 @@ from .algebra import (FLAVOR_RELATIONS, RewriteSystem, Toggles, _subs_arg,
                       relation_self_residual)
 from .elemio import _doubled, format_element, parse_element
 from .errors import DomainError, ParseError, RhopfError
-from .expr import _format_poly, _mono_text, format_ratexpr, parse_expr
+from .expr import _TEXTS, _format_poly, _mono_text, format_ratexpr, parse_expr
 from .hopf import AXIOMS, HopfTables, check_axioms, check_hom_on_relation
 from .instances import INSTANCE_NAMES, get_instance, instance_flags
 from .modes import (SeriesWindow, check_mode_consistency, drinfeld_compare,
@@ -315,6 +315,7 @@ def main(argv=None) -> int:
     reset_memo()
     _subs_arg.cache_clear()
     _mono_text.cache_clear()
+    _TEXTS.clear()
     _doubled.cache_clear()
     reset_mode_memo()
     parser = argparse.ArgumentParser(

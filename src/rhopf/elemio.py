@@ -77,9 +77,9 @@ def format_element(e: Element) -> str:
             leg_txt.append(" ".join(_fmt_occ(*g) for g in word) or "1")
         factors.append(" (x) ".join(leg_txt))
         body = " ".join(factors)
-        if coeff == _R1:
+        if coeff == 1:
             txt = body
-        elif coeff == -_R1:
+        elif coeff == -1:
             txt = f"- {body}"
             bits.append(txt)
             continue

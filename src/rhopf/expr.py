@@ -216,7 +216,20 @@ def _format_poly(terms: dict) -> str:
     return out
 
 
+# the text of each coefficient by its serial number (``RatExpr.key``): a
+# residual prints few distinct coefficients many times.  Run-scoped
+# (``rhopf.cli.main`` clears it).
+_TEXTS: dict = {}
+
+
 def format_ratexpr(a: RatExpr) -> str:
+    text = _TEXTS.get(a.key)
+    if text is None:
+        text = _TEXTS[a.key] = _fraction_text(a)
+    return text
+
+
+def _fraction_text(a: RatExpr) -> str:
     num = _format_poly(a.num)
     if a.den == _ONE_TERMS:
         if len(a.num) > 1:

@@ -38,8 +38,9 @@ numerator, denominator and factored-or-not, so such an object is never
 edited, and its serial number ``key`` names its value.  Products, and sums
 over factored denominators, are memoized whole (``_PRODUCTS``, ``_SUMS``)
 by their operands' serials, so a hit takes no equality test, and so are
-substitutions (``_SUBSTS``), by the operand's serial and the map.  Every
-other memo of the module is a ``functools.cache``.
+substitutions (``_SUBSTS``), by the operand's serial and the map, and a
+product operand's trial division (``_CUTS``).  Every other memo of the
+module is a ``functools.cache``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, prod
 
 from . import kernels
 from .errors import DomainError
@@ -602,52 +603,69 @@ def _expansion(fac: frozenset) -> dict:
     return out
 
 
+# the point of ``_at_primes``: variable v at the v-th prime
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@functools.cache
+def _mono_at_primes(m: int) -> int:
+    """An ordinary monomial's value at ``_PRIMES``, until ``reset_memo``."""
+    return prod(_PRIMES[v] ** e for v, e in mono_items(m))
+
+
+def _at_primes(terms: dict) -> int:
+    """An ordinary term map's value at ``_PRIMES``, a ring homomorphism
+    Z[vars] -> Z."""
+    return sum(c * _mono_at_primes(m) for m, c in terms.items())
+
+
 def _trial_cancel(t: dict, fac: dict) -> tuple:
     """(t/h, h's factorization) for a nonzero Laurent term map t, with h
     the greatest divisor of t among products of the factors in ``fac``
     (each to at most its exponent there), found by trial division of t's
     ordinary part: t's monomial part is stripped once, up front, and put
     back on the quotient.  The factors are monic, so an exact quotient by
-    one has integer coefficients whatever t's integer content.  A factor
-    with a variable that the ordinary part lacks cannot divide it, since
-    f | t forces deg_v t >= deg_v f >= 1 for every v in f.  Nor can one
-    whose lowest monomial does not divide the lowest monomial of the
-    ordinary part: in a monomial order the lowest term of a product is
-    the product of the lowest terms.  (The lowest coefficient of a factor
-    is the constant term of a cyclotomic polynomial, +-1, which divides
-    any integer.)  Every other factor is tried by ``divexact``.  Its
-    callers are ``_over_factors`` and a product-memo miss in
-    ``RatExpr.__mul__``."""
+    one has integer coefficients whatever t's integer content.  One exact
+    evaluation at p = ``_PRIMES`` refutes most divisions that would fail:
+    f | t gives t = f g with g integral (Gauss's lemma; a factor has
+    content 1), so f(p) | t(p).  And f(p) != 0, since N(p) is a positive
+    rational other than 1 and the only positive real root of a cyclotomic
+    polynomial is that of Phi_1, 1.  t(p) is divided along with t; every
+    factor not refuted is tried by ``divexact``.  Its callers are
+    ``_over_factors`` and ``_cut``."""
     if not fac:
         return t, {}
     shift, cur = _strip_mono(t)
-    have = var_mask(variables(cur))
-    low = min(cur)
+    at = _at_primes(cur)
     cut: dict = {}
     for f, e in fac.items():
-        # the factor (d, N) has the variables of N; compare whole fields,
-        # since a field of (N + Q) ^ Q is nonzero only in some of its bits
-        if ((f[1] + Q) ^ Q) & ~have:
-            continue
         ft = factor_terms(f)
-        flow = min(ft)
+        fp = _at_primes(ft)
         for _ in range(e):
-            # the quotient's lowest monomial low - flow must be ordinary
-            if (low - flow + Q) & _SIGNS != Q:
+            if at % fp:
                 break
             try:
                 cur = divexact(cur, ft)
             except DomainError:
                 break
-            low = min(cur)
+            at //= fp
             cut[f] = cut.get(f, 0) + 1
-        if f in cut:
-            have = var_mask(variables(cur))
     if not cut:
         return t, cut
     if shift:
         cur = kernels.poly_scale(cur, 1, shift)
     return cur, cut
+
+
+def _cut(x: "RatExpr", fac: dict) -> tuple:
+    """``_trial_cancel`` of x's numerator by the factors ``fac``, memoized
+    in ``_CUTS`` by x's serial and the factor set: product-memo misses
+    repeat an operand against the same few denominators."""
+    key = (x.key, frozenset(fac.items()))
+    out = _CUTS.get(key)
+    if out is None:
+        out = _CUTS[key] = _trial_cancel(x.num, fac)
+    return out
 
 
 def _over_factors(t: dict, fac: dict) -> "RatExpr":
@@ -814,8 +832,8 @@ class RatExpr:
             out = RatExpr(kernels.poly_mul(self.num, other.num),
                           kernels.poly_mul(self.den, other.den))
         else:
-            a, cut_d = _trial_cancel(self.num, fd)
-            c, cut_b = _trial_cancel(other.num, fb)
+            a, cut_d = _cut(self, fd)
+            c, cut_b = _cut(other, fb)
             fac = _fac_mul(_fac_sub(fb, cut_b), _fac_sub(fd, cut_d))
             out = RatExpr._canonical(kernels.poly_mul(a, c), _expand(fac),
                                      fac)
@@ -931,16 +949,18 @@ def _cancel(t: dict, den: dict):
 # sum: a hit needs no test of its operands.  Substitutions repeat as well:
 # every coproduct puts the same charge map into the same few coefficients,
 # and ``_SUBSTS`` maps an operand's serial and the map's (variable,
-# monomial) items to the image.  The factored flag is part of a value, so
-# a product of a factored operand stays factored.  Sharing is sound
-# because no RatExpr or term map is mutated once built; RatExpr refuses
-# every attribute write.  ``reset_memo`` empties the four tables and puts
-# back ``_R1``, the shared constant 1.
+# monomial) items to the image, and ``_CUTS`` (``_cut``) a product
+# operand's serial and a factor set to its trial division.  The factored
+# flag is part of a value, so a product of a factored operand stays
+# factored.  Sharing is sound because no RatExpr or term map is mutated
+# once built; RatExpr refuses every attribute write.  ``reset_memo``
+# empties the five tables and puts back ``_R1``, the shared constant 1.
 _VALUES: dict = {}
 _SERIALS = itertools.count()
 _PRODUCTS: dict = {}
 _SUMS: dict = {}
 _SUBSTS: dict = {}
+_CUTS: dict = {}
 
 
 def _value_hash(num: dict, den: dict, factored: bool) -> int:
@@ -950,19 +970,22 @@ def _value_hash(num: dict, den: dict, factored: bool) -> int:
 
 def reset_memo():
     """Forget every shared value but ``_R1``, and every memoized product,
-    sum, substitution, factor and expanded product of factors, so that a
-    run starts cold whatever ran before it in the process, and zero
-    ``SUM_GCD_FALLBACKS``.  ``_R1`` is put back, so the constant 1 that
-    other modules bound at import stays the run's one object for 1.  The
-    cyclotomic coefficients of ``_cyclotomic`` depend on no input, and
-    stay; serial numbers are not reused."""
+    sum, substitution, cut, factor, expanded product of factors and
+    monomial value at the primes, so that a run starts cold whatever ran
+    before it in the process, and zero ``SUM_GCD_FALLBACKS``.  ``_R1`` is
+    put back, so the constant 1 that other modules bound at import stays
+    the run's one object for 1.  The cyclotomic coefficients of
+    ``_cyclotomic`` depend on no input, and stay; serial numbers are not
+    reused."""
     global SUM_GCD_FALLBACKS
     _VALUES.clear()
     _VALUES[_value_hash(_R1.num, _R1.den, True)] = (_R1,)
     _PRODUCTS.clear()
     _SUMS.clear()
     _SUBSTS.clear()
+    _CUTS.clear()
     factor_terms.cache_clear()
+    _mono_at_primes.cache_clear()
     _expansion.cache_clear()
     SUM_GCD_FALLBACKS = 0
 

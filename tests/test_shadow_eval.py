@@ -20,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from rhopf import symfield
+from rhopf import expr, symfield
 from rhopf.cli import main
+from rhopf.errors import DomainError
 from rhopf.symfield import RatExpr
 
 SIXVERTEX_SPEC = str(Path(__file__).resolve().parents[1] / "verdictbench"
@@ -248,3 +249,60 @@ def test_shadow_evaluation_catches_a_wrong_result(op):
     assert _violations([(op, operands, right)])[0] == []
     wrong = [(op, operands, other)]
     assert _violations(wrong)[0] == wrong
+
+
+def test_every_refuted_division_is_inexact(monkeypatch, tmp_path):
+    """Over six-vertex ``verify-hopf`` with the literal L/L* exchange,
+    every division that trial division refutes by its evaluation at the
+    primes, without a ``divexact``, is one that ``divexact`` rejects: the
+    factor does not divide the quotient left.  (The factors are pairwise
+    coprime, so dividing by the others does not change that.)"""
+    divexact, trial_cancel = symfield.divexact, symfield._trial_cancel
+    tried = []
+    refuted = []
+
+    def recorded_divexact(p, d):
+        tried.append(d)
+        return divexact(p, d)
+
+    def checked_trial(t, fac):
+        tried.clear()
+        out, cut = trial_cancel(t, fac)
+        rest = symfield._strip_mono(out)[1]
+        for f, e in fac.items():
+            ft = symfield.factor_terms(f)
+            if cut.get(f, 0) < e and sum(d is ft for d in tried) == \
+                    cut.get(f, 0):
+                refuted.append(f)
+                with pytest.raises(DomainError):
+                    divexact(rest, ft)
+        return out, cut
+
+    monkeypatch.setattr(symfield, "divexact", recorded_divexact)
+    monkeypatch.setattr(symfield, "_trial_cancel", checked_trial)
+    assert main(["verify-hopf", "--spec", SIXVERTEX_SPEC, "--toggle",
+                 "ll-star=literal", "--out", str(tmp_path / "r.json")]) == 1
+    assert len(refuted) > 1000
+
+
+def test_memoized_cuts_and_texts_equal_fresh_ones(tmp_path):
+    """After six-vertex ``verify-hopf`` with the literal L/L* exchange
+    and example2-n3, every trial division that ``_CUTS`` holds equals a
+    fresh ``_trial_cancel`` of its operand, found by serial among the
+    run's values, and every coefficient text that ``expr._TEXTS`` holds
+    equals a fresh formatting of its value."""
+    sizes = []
+    for argv, code in (
+            (["--spec", SIXVERTEX_SPEC, "--toggle", "ll-star=literal"], 1),
+            (["--instance", "example2-n3"], 0)):
+        assert main(["verify-hopf", *argv,
+                     "--out", str(tmp_path / "r.json")]) == code
+        values = {x.key: x for bucket in symfield._VALUES.values()
+                  for x in bucket}
+        for (serial, fac), cut in symfield._CUTS.items():
+            assert cut == symfield._trial_cancel(values[serial].num,
+                                                 dict(fac))
+        for serial, text in expr._TEXTS.items():
+            assert text == expr._fraction_text(values[serial])
+        sizes.append((len(symfield._CUTS), len(expr._TEXTS)))
+    assert sizes[0][0] > 500 and sizes[0][1] > 90 and sizes[1][0] > 100

@@ -920,11 +920,8 @@ def test_trial_cancel_equals_gcd_cancellation(pair):
     assert _expand_factors(cut) == h
 
 
-def test_trial_division_skips_a_factor_with_a_variable_t_lacks(
-        monkeypatch):
-    """A factor with a variable absent from t's ordinary part cannot
-    divide it, and takes no ``divexact``; a factor over t's variables
-    still does."""
+def _counting_divexact(monkeypatch) -> list:
+    """Patch ``divexact`` to record every divisor it is given."""
     calls = []
     divexact = sf.divexact
 
@@ -932,45 +929,88 @@ def test_trial_division_skips_a_factor_with_a_variable_t_lacks(
         calls.append(d)
         return divexact(p, d)
     monkeypatch.setattr(sf, "divexact", counting)
+    return calls
+
+
+def test_trial_division_skips_a_factor_with_a_variable_t_lacks(
+        monkeypatch):
+    """A factor is refuted, with no ``divexact``, when its value at the
+    primes does not divide that of t's ordinary part: with s, x, z1 and
+    z2 at 2, 11, 13 and 17, the factor q z2 - z1 has the value 55.  So a
+    factor over a variable that t lacks takes no division, and a factor
+    over t's variables is refuted too unless it may divide."""
+    calls = _counting_divexact(monkeypatch)
     fac = _over("1", ("z1 - q*z2", 1), ("s^2 + 1", 1)).fac
+    values = {sf._at_primes(sf.factor_terms(f)) for f in fac}
+    assert values == {55, 5}
+    # (s^2 + 1)(z1 + 3) is 5 * 16 there, so z1 - q z2 is refuted
     t = parse_expr("z1^-1*(s^2 + 1)*(z1 + 3)").num
     got, cut = sf._trial_cancel(t, fac)
-    assert len(calls) == 1
+    assert calls == [sf.factor_terms((4, sf.mono(s=1)))]
     assert got == parse_expr("z1^-1*(z1 + 3)").num
     assert cut == _over("1", ("s^2 + 1", 1)).fac
     calls.clear()
+    # (s^2 + 3)(x + 1) is 7 * 12: both are refuted
     t = parse_expr("(s^2 + 3)*(x + 1)").num
+    assert sf._at_primes(t) == 84
     assert sf._trial_cancel(t, fac) == (t, {})
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_trial_division_skips_a_factor_whose_lowest_term_cannot_divide(
         monkeypatch):
-    """In a monomial order the lowest term of a product is the product of
-    the lowest terms, so a factor whose lowest monomial does not divide
-    that of t's ordinary part takes no ``divexact``, even when the
-    leading monomials divide: the ordinary part of s^3 z1 z2 + s is
-    s^2 z1 z2 + 1, and z1 - q z2 leads with s^2 z2 but its lowest
-    monomial is z1."""
-    calls = []
-    divexact = sf.divexact
-
-    def counting(p, d):
-        calls.append(d)
-        return divexact(p, d)
-    monkeypatch.setattr(sf, "divexact", counting)
+    """The ordinary part of s^3 z1 z2 + s is s^2 z1 z2 + 1, of value
+    885 = 16 * 55 + 5 at the primes, so z1 - q z2 takes no ``divexact``
+    although its leading monomial s^2 z2 divides.  A factor that divides
+    t once is divided once, and t's value, divided along with t, refutes
+    the second try: (q z2 - z1)(z1 + 3 z2) is 55 * 64 there."""
+    calls = _counting_divexact(monkeypatch)
     fac = _over("1", ("z1 - q*z2", 2)).fac
     ft = sf.factor_terms(next(iter(fac)))
-    assert min(ft) == sf.mono(z1=1) and max(ft) == sf.mono(s=2, z2=1)
+    assert sf._at_primes(ft) == 55
     t = parse_expr("s^3*z1*z2 + s").num
     assert sf._trial_cancel(t, fac) == (t, {})
     assert calls == []
-    # a factor that divides t once is tried twice: the lowest terms of
-    # the quotient z1 + 3 z2 and the factor divide, the division fails
     t = parse_expr("(q*z2 - z1)*(z1 + 3*z2)").num
+    assert sf._at_primes(t) == 55 * 64
     assert sf._trial_cancel(t, fac) == (parse_expr("z1 + 3*z2").num,
                                         {next(iter(fac)): 1})
-    assert len(calls) == 2
+    assert calls == [ft]
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(range(sf.NVARS)),
+                          st.integers(-6, 6), st.integers(-6, 6)),
+                min_size=1, max_size=4),
+       st.sampled_from((1, -1)), st.integers(1, 12))
+@example([(sf.S, 1, 0)], -1, 1)
+@example([(sf.S, 2, 0), (sf.X, 0, 1)], 1, 12)
+def test_split_binomial_factors_never_vanish_at_the_primes(exps, sign, g):
+    """Every factor of a unit binomial m1 + sign m2, with m1 / m2 a g-th
+    power, has a nonzero value at the primes, so the evaluation of trial
+    division never divides by zero: N(p) is a positive rational other
+    than 1, and Phi_d has no positive real root but 1, for d = 1."""
+    m1 = sf.mono_from_pairs((v, g * a) for v, a, _ in exps)
+    m2 = sf.mono_from_pairs((v, g * b) for v, _, b in exps)
+    assume(m1 != m2)
+    fac = RatExpr({0: 1}, {m1: 1, m2: sign}).fac
+    assert fac
+    for f in fac:
+        assert sf._at_primes(sf.factor_terms(f)) != 0
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          derandomize=True)
+@given(_laurent_over_factors(), st.integers(0, 2), st.integers(1, 3))
+def test_evaluation_never_refutes_a_factor_of_a_multiple(pair, i, k):
+    """For g over the factors as drawn and f one of them, trial division
+    of f^k g by f to the exponent k cuts f exactly k times: the
+    evaluation refutes no division that succeeds."""
+    g, fac = pair
+    f = sorted(fac)[i % len(fac)]
+    t = mul(g, sf._poly_pow(sf.factor_terms(f), k))
+    assert sf._trial_cancel(t, {f: k}) == (g, {f: k})
 
 
 @st.composite

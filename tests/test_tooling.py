@@ -294,6 +294,7 @@ def test_module_caches_are_input_free_or_start_cold(tmp_path, capsys):
     assert {(mod, name) for mod, name in caches if name[1:].isupper()} >= {
         ("symfield", "_VALUES"), ("symfield", "_PRODUCTS"),
         ("symfield", "_SUMS"), ("symfield", "_SUBSTS"),
+        ("symfield", "_CUTS"), ("expr", "_TEXTS"),
         ("modes", "_CLEARED"), ("modes", "_SHAPES")}
     scoped = {f"{mod}.{name}": (importlib.import_module(f"rhopf.{mod}"),
                                 name, KEPT.get(name, 0))
