@@ -45,8 +45,8 @@ from .errors import (BudgetError, DomainError, KindError, ShapeError,
 from .rmatrix import RMatrix, contract, entries_at, table
 from .kernels import mono_mul
 from .symfield import (NVARS, RatExpr, U, Z, _R1, accumulate, mono,
-                       mono_from_pairs, mono_inv, mono_items, subs_mono,
-                       sum_fractions)
+                       mono_from_pairs, mono_inv, mono_items, run_memo,
+                       subs_mono, sum_fractions)
 
 # a kind's name is its spelling in element text and in reports
 LSTAR = "LStar"
@@ -127,13 +127,13 @@ def _ratio_mono(x: ArgShift, y: ArgShift, extra: int) -> int:
     return mono_mul(mono_mul(_arg_mono(x), mono_inv(_arg_mono(y))), extra)
 
 
+@run_memo
 @functools.cache
 def _subs_arg(x: ArgShift, items: tuple) -> ArgShift:
     """z_var * q under the substitution with the (variable, monomial)
     items ``items``, which sends a spectral variable to a spectral
     variable times a q-power.  A run puts the same few charge maps and
-    delta supports into the same few arguments, so it is memoized per run
-    (``rhopf.cli.main`` clears it)."""
+    delta supports into the same few arguments, so it is memoized."""
     smap = dict(items)
     if x.var not in smap:
         return ArgShift(x.var, subs_mono(x.q, smap))

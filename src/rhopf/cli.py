@@ -13,16 +13,15 @@ import re
 import sys
 import time
 
-from .algebra import (FLAVOR_RELATIONS, RewriteSystem, Toggles, _subs_arg,
+from .algebra import (FLAVOR_RELATIONS, RewriteSystem, Toggles,
                       braid_consistency, delta_normalize, normal_order,
                       relation_self_residual)
-from .elemio import _doubled, format_element, parse_element
+from .elemio import format_element, parse_element
 from .errors import DomainError, ParseError, RhopfError
-from .expr import _TEXTS, _format_poly, _mono_text, format_ratexpr, parse_expr
+from .expr import _format_poly, format_ratexpr, parse_expr
 from .hopf import AXIOMS, HopfTables, check_axioms, check_hom_on_relation
 from .instances import INSTANCE_NAMES, get_instance, instance_flags
-from .modes import (SeriesWindow, check_mode_consistency, drinfeld_compare,
-                    reset_mode_memo)
+from .modes import SeriesWindow, check_mode_consistency, drinfeld_compare
 from .rmatrix import RMatrix, clear_poles, unitarity_residual, ybe_residual
 from .report import FAIL, PASS, SKIPPED, CheckResult, VerificationReport
 from .symfield import SPECTRAL, VAR_INDEX, reset_memo, variables
@@ -58,6 +57,7 @@ def parse_rspec(text: str):
     name = ""
     toggles = {}
     entries = {}
+    headers = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         for start, stmt in _split_statements(line):
@@ -69,6 +69,10 @@ def parse_rspec(text: str):
             if m:
                 key, val = m.group(1), m.group(2)
                 col = start + m.start(2) + 1
+                if key in headers:
+                    raise ParseError(f"{key}= is given twice", lineno,
+                                     start + 1)
+                headers.add(key)
                 if key == "n":
                     if not val.isdigit() or int(val) < 1:
                         raise ParseError("n must be a positive integer",
@@ -313,11 +317,6 @@ def main(argv=None) -> int:
     # each run starts cold, so its work does not depend on earlier runs in
     # the same process
     reset_memo()
-    _subs_arg.cache_clear()
-    _mono_text.cache_clear()
-    _TEXTS.clear()
-    _doubled.cache_clear()
-    reset_mode_memo()
     parser = argparse.ArgumentParser(
         prog="rhopf",
         description="exact verification of R-matrix exchange algebras and "

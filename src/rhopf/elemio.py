@@ -31,13 +31,14 @@ from .algebra import (ALL_KINDS, MAX_LEGS, ArgShift, Element, GenOcc,
                       VECTOR_KINDS, make_delta)
 from .expr import _parse_sum, _Tokenizer, format_ratexpr
 from .symfield import (S, SPECTRAL, U, VAR_INDEX, VARS, _R1, mono, mono_items,
-                       q_power)
+                       q_power, run_memo)
 
 
+@run_memo
 @functools.cache
 def _doubled(q: int) -> tuple:
     """The text vector (h0, h1, h2, h3) of the q-power s^h0 u1^h1 u2^h2
-    u3^h3.  Memoized per run (``rhopf.cli.main`` clears it)."""
+    u3^h3."""
     exps = dict(mono_items(q))
     return tuple(exps.get(v, 0) for v in (S,) + U)
 

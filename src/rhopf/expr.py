@@ -12,7 +12,7 @@ import functools
 import re
 
 from .errors import ParseError
-from .symfield import _ONE_TERMS, RatExpr, S, VARS, mono_items
+from .symfield import _ONE_TERMS, RatExpr, S, VARS, mono_items, run_memo
 
 _IDENTS = set(VARS) | {"q"}
 
@@ -187,11 +187,11 @@ def _format_var(v: int, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
+@run_memo
 @functools.cache
 def _mono_text(m: int) -> str:
     """The factors of a monomial joined by '*', empty for the unit.  A
-    residual prints the same few monomials many times; memoized per run
-    (``rhopf.cli.main`` clears it)."""
+    residual prints the same few monomials many times."""
     return "*".join(_format_var(v, e) for v, e in mono_items(m))
 
 
@@ -217,9 +217,8 @@ def _format_poly(terms: dict) -> str:
 
 
 # the text of each coefficient by its serial number (``RatExpr.key``): a
-# residual prints few distinct coefficients many times.  Run-scoped
-# (``rhopf.cli.main`` clears it).
-_TEXTS: dict = {}
+# residual prints few distinct coefficients many times
+_TEXTS: dict = run_memo({})
 
 
 def format_ratexpr(a: RatExpr) -> str:

@@ -26,7 +26,8 @@ from .expr import parse_expr
 from .kernels import mono_mul, mono_pow, poly_scale
 from .rmatrix import RMatrix
 from .symfield import (_ONE_TERMS, RatExpr, Z, accumulate, clear_denominator,
-                       denominator_lcm, mono, mono_from_pairs, mono_items)
+                       denominator_lcm, mono, mono_from_pairs, mono_items,
+                       run_memo)
 
 _Z1, _Z2 = Z[0], Z[1]
 
@@ -140,17 +141,9 @@ class _Piece:
 # content and z-split of a cleared coefficient, and ``_SHAPES`` the piece
 # shapes of one, further keyed by which template variables carry a
 # generator, the delta's q-power (None without a delta), the side's sign
-# and the window.  ``reset_mode_memo`` empties both; ``cli.main`` calls it
-# on entry.
-_CLEARED: dict = {}
-_SHAPES: dict = {}
-
-
-def reset_mode_memo():
-    """Forget every cleared split and piece shape, so that a run starts
-    cold."""
-    _CLEARED.clear()
-    _SHAPES.clear()
+# and the window.
+_CLEARED: dict = run_memo({})
+_SHAPES: dict = run_memo({})
 
 
 def _shapes(coeff: RatExpr, clear: dict, ckey: frozenset, carried: tuple,

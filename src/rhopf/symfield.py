@@ -39,8 +39,11 @@ edited, and its serial number ``key`` names its value.  Products, and sums
 over factored denominators, are memoized whole (``_PRODUCTS``, ``_SUMS``)
 by their operands' serials, so a hit takes no equality test, and so are
 substitutions (``_SUBSTS``), by the operand's serial and the map, and a
-product operand's trial division (``_CUTS``).  Every other memo of the
-module is a ``functools.cache``.
+product operand's trial division (``_CUTS``).  Every memo of any module
+whose entries depend on a run's input, a dict or a ``functools.cache``, is
+registered with ``run_memo`` where it is defined, and ``reset_memo``
+empties them all.  Each memo, and GCDHEU in ``poly_gcd``, was measured to
+pay for itself (README).
 """
 
 from __future__ import annotations
@@ -74,6 +77,16 @@ if NVARS != kernels.NFIELDS:
     raise ImportError("the packed monomial format needs one field per "
                       "variable")
 _SHIFT = tuple(FIELD_BITS * v for v in range(NVARS))
+
+# the run-scoped memos; ``_cyclotomic`` and ``charge_shift`` are input-free
+_RUN_MEMOS: list = []
+
+
+def run_memo(memo):
+    """Register the dict or ``functools.cache`` function ``memo`` for
+    ``reset_memo`` to empty, and return it."""
+    _RUN_MEMOS.append(memo)
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +512,7 @@ def _primitive_root(m: int) -> tuple:
     return (m // g if m > 0 else m // -g), g
 
 
+@run_memo
 @functools.cache
 def factor_terms(f: tuple) -> dict:
     """The ordinary term map of the factor f = (d, N).  Memoized, like
@@ -593,6 +607,7 @@ def _expand(fac: dict) -> dict:
     return _expansion(frozenset(fac.items())) if fac else _ONE_TERMS
 
 
+@run_memo
 @functools.cache
 def _expansion(fac: frozenset) -> dict:
     """The expanded product of the (factor, exponent) pairs ``fac``: a run
@@ -607,6 +622,7 @@ def _expansion(fac: frozenset) -> dict:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+@run_memo
 @functools.cache
 def _mono_at_primes(m: int) -> int:
     """An ordinary monomial's value at ``_PRIMES``, until ``reset_memo``."""
@@ -955,12 +971,12 @@ def _cancel(t: dict, den: dict):
 # factored.  Sharing is sound because no RatExpr or term map is mutated
 # once built; RatExpr refuses every attribute write.  ``reset_memo``
 # empties the five tables and puts back ``_R1``, the shared constant 1.
-_VALUES: dict = {}
+_VALUES: dict = run_memo({})
 _SERIALS = itertools.count()
-_PRODUCTS: dict = {}
-_SUMS: dict = {}
-_SUBSTS: dict = {}
-_CUTS: dict = {}
+_PRODUCTS: dict = run_memo({})
+_SUMS: dict = run_memo({})
+_SUBSTS: dict = run_memo({})
+_CUTS: dict = run_memo({})
 
 
 def _value_hash(num: dict, den: dict, factored: bool) -> int:
@@ -969,24 +985,14 @@ def _value_hash(num: dict, den: dict, factored: bool) -> int:
 
 
 def reset_memo():
-    """Forget every shared value but ``_R1``, and every memoized product,
-    sum, substitution, cut, factor, expanded product of factors and
-    monomial value at the primes, so that a run starts cold whatever ran
-    before it in the process, and zero ``SUM_GCD_FALLBACKS``.  ``_R1`` is
-    put back, so the constant 1 that other modules bound at import stays
-    the run's one object for 1.  The cyclotomic coefficients of
-    ``_cyclotomic`` depend on no input, and stay; serial numbers are not
-    reused."""
+    """Empty every run-scoped memo (``run_memo``), so that a run starts
+    cold whatever ran before it in the process; put back ``_R1``, the one
+    object for 1 that other modules bound at import, and zero
+    ``SUM_GCD_FALLBACKS``.  Serial numbers are not reused."""
     global SUM_GCD_FALLBACKS
-    _VALUES.clear()
+    for memo in _RUN_MEMOS:
+        (memo.clear if isinstance(memo, dict) else memo.cache_clear)()
     _VALUES[_value_hash(_R1.num, _R1.den, True)] = (_R1,)
-    _PRODUCTS.clear()
-    _SUMS.clear()
-    _SUBSTS.clear()
-    _CUTS.clear()
-    factor_terms.cache_clear()
-    _mono_at_primes.cache_clear()
-    _expansion.cache_clear()
     SUM_GCD_FALLBACKS = 0
 
 

@@ -281,6 +281,31 @@ def test_parse_rspec_repeated_entry_rejected(first, second, tmp_path,
     assert "R[1,2;2,1] is given twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key, pos", [
+    # after n = 2 entries: the smaller n would put them out of range
+    ("n=2; var=x\nR[1,1;1,1] = 1; R[2,2;2,2] = 1\n"
+     "R[1,2;1,2] = 1; R[2,1;2,1] = 1\n  n=1\n", "n", (4, 3)),
+    # after x entries: a new variable would not match them
+    ("n=1; var=x\nR[1,1;1,1] = x\nvar=w; name=late\n", "var", (3, 1)),
+    # after one n = 1 entry: the larger n would leave rows empty
+    ("n=1; var=x; R[1,1;1,1] = x;  n=2\n", "n", (1, 30)),
+    # restated with the same value, and before any entry
+    ("var=x; n=1; var=x\nR[1,1;1,1] = x\n", "var", (1, 13)),
+    ("n=1; var=x; name=a\nname=b\nR[1,1;1,1] = x\n", "name", (2, 1))])
+def test_parse_rspec_repeated_header_rejected(text, key, pos, tmp_path,
+                                              capsys):
+    """A header stated twice is an error at the second statement, as a
+    repeated entry is, whatever came between the two."""
+    with pytest.raises(ParseError) as err:
+        parse_rspec(text)
+    assert (err.value.line, err.value.col) == pos
+    assert f"{key}= is given twice" in str(err.value)
+    spec = tmp_path / "repeated.spec"
+    spec.write_text(text)
+    assert main(["check-r", "--spec", str(spec)]) == 2
+    assert f"{key}= is given twice" in capsys.readouterr().err
+
+
 # -- CLI plans ----------------------------------------------------------------
 
 def test_check_r_passes_and_writes_report(tmp_path, capsys):
@@ -403,11 +428,7 @@ def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):
     monkeypatch.setattr(algebra, "subs_mono", counted_subs)
     # empty memos, whatever earlier tests left in them: the first run is
     # cold, so a memo that outlives a run shows as a smaller second count
-    monkeypatch.setattr(symfield, "_PRODUCTS", {})
-    monkeypatch.setattr(symfield, "_SUMS", {})
-    monkeypatch.setattr(symfield, "_SUBSTS", {})
-    monkeypatch.setattr(symfield, "_VALUES", {})
-    algebra._subs_arg.cache_clear()
+    symfield.reset_memo()
     counts = []
     for _ in range(2):
         trials.clear()
@@ -434,8 +455,7 @@ def test_each_mode_run_starts_with_cold_mode_tables(monkeypatch, capsys):
     monkeypatch.setattr(modes, "clear_denominator", counted)
     # empty tables, whatever earlier tests left in them: the first run is
     # cold, so a table that outlives a run shows as a smaller second count
-    monkeypatch.setattr(modes, "_CLEARED", {})
-    monkeypatch.setattr(modes, "_SHAPES", {})
+    symfield.reset_memo()
     counts = []
     for _ in range(2):
         calls.clear()

@@ -759,11 +759,16 @@ def test_product_memo_tells_factored_from_unfactored_equal_values():
 
 
 
+def _memo_size(memo) -> int:
+    return len(memo) if isinstance(memo, dict) else \
+        memo.cache_info().currsize
+
+
 def test_reset_memo_empties_the_run_scoped_caches():
     """A sum over factored denominators fills the factor and expansion
     caches, a product and a substitution fill their memos, and
-    ``reset_memo`` leaves them all empty and the value table holding the
-    shared constant 1 alone."""
+    ``reset_memo`` leaves every registered memo, of any module, empty but
+    the value table, which holds the shared constant 1 alone."""
     sf.reset_memo()
     total = (_over("z1", ("z1 - q*z2", 1), ("s^4 - 1", 1))
              + _over("1", ("s^2 + 1", 2)))
@@ -774,9 +779,8 @@ def test_reset_memo_empties_the_run_scoped_caches():
     assert sf._expansion.cache_info().currsize > 0
     assert sf._SUMS and sf._PRODUCTS and sf._SUBSTS and sf._VALUES
     sf.reset_memo()
-    assert sf.factor_terms.cache_info().currsize == 0
-    assert sf._expansion.cache_info().currsize == 0
-    assert sf._SUMS == {} and sf._PRODUCTS == {} and sf._SUBSTS == {}
+    assert [memo for memo in sf._RUN_MEMOS
+            if memo is not sf._VALUES and _memo_size(memo)] == []
     assert list(sf._VALUES.values()) == [(sf._R1,)]
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from rhopf import symfield
 from rhopf.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rhopf"
@@ -231,7 +232,8 @@ def module_caches(source: str) -> list:
     ``functools.lru_cache`` wraps, as a decorator (also called, or by its
     bare name) or in a module-level assignment, and of the module-level
     names bound to an empty dict literal (``X = {}``, ``X: dict = {}``),
-    a hand-kept memo table."""
+    a hand-kept memo table, also when it is registered as run-scoped
+    (``X: dict = run_memo({})``)."""
     def is_cache(node):
         if isinstance(node, ast.Call):
             node = node.func
@@ -240,6 +242,9 @@ def module_caches(source: str) -> list:
         return name in ("cache", "lru_cache")
 
     def is_table(node):
+        if isinstance(node, ast.Call) and len(node.args) == 1 and \
+                getattr(node.func, "id", None) == "run_memo":
+            node = node.args[0]
         return isinstance(node, ast.Dict) and not node.keys
     out = []
     for node in ast.parse(source).body:
@@ -267,8 +272,13 @@ def test_module_caches_finds_every_module_level_cache():
               "        pass\n    TABLE = {}\n"
               "def f():\n    memo = {}\n    return functools.cache(f)\n"
               "g = {}\nh: dict = {}\ni = j = {}\n"
-              "k = {1: 2}\nm: dict\nn = dict()\no = {**g}\n")
-    assert module_caches(source) == ["a", "b", "c", "d", "g", "h", "i", "j"]
+              "k = {1: 2}\nm: dict\nn = dict()\no = {**g}\n"
+              "p: dict = run_memo({})\nr = run_memo({})\n"
+              "@run_memo\n@functools.cache\ndef t():\n    pass\n"
+              "u = run_memo({1: 2})\nv = run_memo(len)\n"
+              "w = other({})\n")
+    assert module_caches(source) == ["a", "b", "c", "d", "g", "h", "i", "j",
+                                     "p", "r", "t"]
 
 
 # Module-level caches of values that depend on no input: the coefficients
@@ -299,6 +309,15 @@ def test_module_caches_are_input_free_or_start_cold(tmp_path, capsys):
     scoped = {f"{mod}.{name}": (importlib.import_module(f"rhopf.{mod}"),
                                 name, KEPT.get(name, 0))
               for mod, name in sorted(caches) if name not in INPUT_FREE}
+    # the run-scoped memos are, by identity, the ones registered where
+    # they are defined, so the one reset of ``main`` reaches each of them
+    registry = symfield._RUN_MEMOS
+    assert [name for name, (mod, attr, _) in scoped.items()
+            if not any(getattr(mod, attr) is m for m in registry)] == []
+    assert len(registry) == len(scoped)
+    assert not any(getattr(importlib.import_module(f"rhopf.{mod}"), name) is m
+                   for mod, name in caches if name in INPUT_FREE
+                   for m in registry)
     # a failing run with residuals of each kind warms every run-scoped
     # cache: the Hopf checks fill the engine's, the mode checks the mode
     # layer's
