@@ -15,7 +15,6 @@ asserts the sum is zero.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from .symfield import (_ONE_TERMS, RatExpr, Z, accumulate, clear_denominator,
                        run_memo)
 
 _Z1, _Z2 = Z[0], Z[1]
+_AXES = {_Z1: 0, _Z2: 1}  # the slot coordinate each variable reads
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,6 @@ class SeriesWindow:
     def span(self) -> range:
         """The slot coordinates, -lim..lim."""
         return range(-self.lim, self.lim + 1)
-
-    def slots(self, reach: tuple):
-        """The slots (m, k) of a reach, m-major: per variable, None for the
-        whole window, else one coordinate."""
-        return itertools.product(*[self.span if r is None else (r,)
-                                   for r in reach])
 
 
 def mode_allowed(kind: str, row: int, col: int, p: int) -> bool:
@@ -118,7 +112,8 @@ class _Piece:
     """One piece of a term of a relation side: the term's word and its
     sorted generator kinds, paired with a shared ``_Shape``."""
 
-    __slots__ = ("word", "kinds", "exps", "reach", "delta", "shape")
+    __slots__ = ("word", "kinds", "exps", "reach", "delta", "shape",
+                 "_template")
 
     def __init__(self, word, kinds, shape):
         self.word = word  # GenOcc templates
@@ -127,10 +122,28 @@ class _Piece:
         self.reach = shape.reach
         self.delta = shape.delta
         self.shape = shape
+        self._template = None
 
     @property
     def coeff(self) -> RatExpr:
         return self.shape.coeff
+
+    @property
+    def template(self) -> tuple:
+        """(gens, shifted), built on first read: per generator its kind,
+        row, column, the slot coordinate it reads (0 for z1, 1 for z2)
+        and that variable's exponent, so that its mode at slot s is
+        s[axis] + exponent (``_word``); and whether any generator's
+        argument carries a q-power, the only case in which a mode word's
+        coefficient is not the piece's (``_coeff_at``)."""
+        if self._template is None:
+            gens = []
+            for g in self.word:
+                axis = _AXES[g.arg.var]
+                gens.append((g.kind, g.row, g.col, axis, self.exps[axis]))
+            self._template = (tuple(gens),
+                              any(g.arg.q for g in self.word))
+        return self._template
 
 
 # Run-scoped memos of mode expansion, keyed by the coefficient's serial
@@ -216,17 +229,16 @@ def _expand(lhs, rhs, window: SeriesWindow):
             _pieces(rhs, window, clear, ckey, -1))
 
 
-def _word_at(piece: _Piece, slot: tuple) -> tuple:
-    """The mode word of a piece at a slot: (kind, row, col, mode) per
-    generator, its mode the slot coordinate plus the exponent."""
-    modes = {_Z1: slot[0] + piece.exps[0], _Z2: slot[1] + piece.exps[1]}
-    return tuple((g.kind, g.row, g.col, modes[g.arg.var])
-                 for g in piece.word)
+def _word(gens: tuple, slot: tuple) -> tuple:
+    """The mode word of a piece template's generators at a slot: (kind,
+    row, col, mode) per generator, its mode the slot coordinate it reads
+    plus the exponent."""
+    return tuple([(k, r, c, slot[axis] + e) for k, r, c, axis, e in gens])
 
 
 def _coeff_at(piece: _Piece, word: tuple) -> RatExpr:
-    """The coefficient of a piece's mode word: G(z q) at mode p picks up
-    q^-p."""
+    """The coefficient of a shifted piece's mode word: G(z q) at mode p
+    picks up q^-p."""
     qm = mono()
     for g, (_k, _r, _c, p) in zip(piece.word, word):
         if g.arg.q:
@@ -242,15 +254,21 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     ``slots`` (slot -> residual word map; zero map means the slot holds
     identically) and the clearing factor used.
     """
+    span = window.span
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
         clear, lp, rp = _expand(lhs, rhs, window)
         slots: dict = {}
         for piece in lp + rp:
-            for slot in window.slots(piece.reach):
-                word = _word_at(piece, slot)
-                accumulate(slots.setdefault(slot, {}), word,
-                           _coeff_at(piece, word))
+            gens, shifted = piece.template
+            coeff = piece.coeff
+            r1, r2 = piece.reach
+            for m in span if r1 is None else (r1,):
+                for k in span if r2 is None else (r2,):
+                    slot = (m, k)
+                    word = _word(gens, slot)
+                    accumulate(slots.setdefault(slot, {}), word,
+                               _coeff_at(piece, word) if shifted else coeff)
         out.append({
             "indices": idx,
             "clearing_factor": clear,
@@ -320,9 +338,11 @@ def _contradictions(pieces: list, window: SeriesWindow) -> int:
         surv: dict = {}
         for group in _reaching(by_reach, slot):
             for piece in group:
-                word = _word_at(piece, slot)
+                gens, shifted = piece.template
+                word = _word(gens, slot)
                 if all(mode_allowed(*g) for g in word):
-                    accumulate(surv, word, _coeff_at(piece, word))
+                    accumulate(surv, word, _coeff_at(piece, word) if shifted
+                               else piece.coeff)
         if len(surv) == 1 and all(k in (L, LSTAR) and p == 0 and r == c
                                   for (k, r, c, p) in next(iter(surv))):
             count += 1
@@ -414,20 +434,20 @@ def load_reference_relations() -> dict:
 
 
 def _emit_poly_pair(lhs: RatExpr, rhs: RatExpr, window: SeriesWindow):
-    """Mode slots of lhs(z1,z2) X(z1) X(z2) - rhs(z1,z2) X(z2) X(z1)."""
+    """Mode slots of lhs(z1,z2) X(z1) X(z2) - rhs(z1,z2) X(z2) X(z1), a
+    word the tuple of its generators' modes."""
+    span = window.span
     slots: dict = {}
-    for sign, poly, order in ((+1, lhs, (0, 1)), (-1, rhs, (1, 0))):
+    for sign, poly, swapped in ((+1, lhs, False), (-1, rhs, True)):
         if poly.den != _ONE_TERMS:
             raise ExpansionError("a reference relation side has a "
                                  "denominator")
         for a, b, terms in _z_split(poly.num):
             sc = RatExpr.from_laurent(poly_scale(terms, sign, mono()))
-            for m, k in window.slots((None, None)):
-                p1, p2 = m + a, k + b
-                pair = [(0 if order == (0, 1) else 1, p1),
-                        (1 if order == (0, 1) else 0, p2)]
-                word = tuple(("X", p) for _, p in sorted(pair))
-                accumulate(slots.setdefault((m, k), {}), word, sc)
+            for m in span:
+                for k in span:
+                    word = (k + b, m + a) if swapped else (m + a, k + b)
+                    accumulate(slots.setdefault((m, k), {}), word, sc)
     return {s: d for s, d in slots.items() if d}
 
 
@@ -445,15 +465,17 @@ def _proportional(em: dict, rm: dict) -> bool:
 
 
 def _erase_kind(wm: dict) -> dict:
-    return {tuple(("X", p) for (_k, _r, _c, p) in w): c
-            for w, c in wm.items()}
+    """An engine word map keyed, as the reference's, by mode tuples."""
+    return {tuple([g[3] for g in w]): c for w, c in wm.items()}
 
 
 def drinfeld_compare(window: SeriesWindow, R: RMatrix) -> dict:
     """Coefficient-by-coefficient comparison of the scalar instance's
     cleared exchange relations against the reference current relations
     (positive current = Phi, negative current = Phistar); a slot matches
-    when its two word maps are proportional."""
+    when its two word maps, both keyed by mode tuples, are proportional.
+    Every engine word of a scalar relation has the same kind, row and
+    column, so dropping them keeps the words apart and in order."""
     if R.n != 1:
         raise DomainError("the reference comparison is scalar only")
     rs = RewriteSystem(R, "double")

@@ -675,12 +675,16 @@ def _trial_cancel(t: dict, fac: dict) -> tuple:
 
 def _cut(x: "RatExpr", fac: dict) -> tuple:
     """``_trial_cancel`` of x's numerator by the factors ``fac``, memoized
-    in ``_CUTS`` by x's serial and the factor set: product-memo misses
-    repeat an operand against the same few denominators."""
-    key = (x.key, frozenset(fac.items()))
-    out = _CUTS.get(key)
+    in ``_CUTS`` by the factor set and then x's serial: product-memo misses
+    repeat an operand against the same few denominators, so the table
+    holds one key object per distinct factor set."""
+    fs = frozenset(fac.items())
+    cuts = _CUTS.get(fs)
+    if cuts is None:
+        cuts = _CUTS[fs] = {}
+    out = cuts.get(x.key)
     if out is None:
-        out = _CUTS[key] = _trial_cancel(x.num, fac)
+        out = cuts[x.key] = _trial_cancel(x.num, fac)
     return out
 
 
@@ -965,8 +969,9 @@ def _cancel(t: dict, den: dict):
 # sum: a hit needs no test of its operands.  Substitutions repeat as well:
 # every coproduct puts the same charge map into the same few coefficients,
 # and ``_SUBSTS`` maps an operand's serial and the map's (variable,
-# monomial) items to the image, and ``_CUTS`` (``_cut``) a product
-# operand's serial and a factor set to its trial division.  The factored
+# monomial) items to the image, and ``_CUTS`` (``_cut``) a factor set to
+# a map from a product operand's serial to its trial division by those
+# factors, so that each distinct factor set is one key.  The factored
 # flag is part of a value, so a product of a factored operand stays
 # factored.  Sharing is sound because no RatExpr or term map is mutated
 # once built; RatExpr refuses every attribute write.  ``reset_memo``

@@ -196,6 +196,38 @@ def test_drinfeld_compare_q_cubed_control():
     assert not rep["match"]
 
 
+# The full ``drinfeld_compare`` results, taken before the comparison keyed
+# its words by mode tuples: the q^6 control of the benchmark (which pins
+# only a digest of it), a q^4 control, and example1 at window 8.  Every
+# slot of a control's window mismatches.
+
+def _compare_result(lim: int, mismatched: bool) -> dict:
+    span = range(-lim, lim + 1)
+    bad = [(m, k) for m in span for k in span] if mismatched else []
+    return {"pairs": [{"relation": rid, "reference": ref,
+                       "slots": len(span) ** 2, "mismatched_slots": bad}
+                      for rid, ref in (("PhiPhi", "xplus"),
+                                       ("PhistarPhistar", "xminus"))],
+            "match": not mismatched}
+
+
+def _q_power_matrix(k: int) -> RMatrix:
+    return RMatrix(1, "x", {(1, 1, 1, 1):
+                            parse_expr(f"(x - q^{k})/(x*q^{k} - 1)")})
+
+
+@pytest.mark.parametrize("R, window, want", [
+    pytest.param(_q_power_matrix(6), (5, 1), _compare_result(4, True),
+                 id="q6-w5-1"),
+    pytest.param(_q_power_matrix(4), (4, 1), _compare_result(3, True),
+                 id="q4-w4-1"),
+    pytest.param(get_instance("example1"), (8, 1), _compare_result(7, False),
+                 id="example1-w8-1"),
+])
+def test_drinfeld_compare_results_are_pinned(R, window, want):
+    assert drinfeld_compare(SeriesWindow(*window), R) == want
+
+
 def test_drinfeld_compare_rejects_matrix_instance():
     with pytest.raises(DomainError):
         drinfeld_compare(SeriesWindow(3, 1), get_instance("example2-n2"))
@@ -346,6 +378,42 @@ def _matrix(name):
     if name == "sl3":
         return RMatrix(3, "x", _jimbo_entries(3), name="sl3")
     return get_instance(name)
+
+
+# -- every slot map against the per-slot emitter ------------------------------
+#
+# ``mode_expand_relation`` walks each piece's reach from its template; the
+# emitter above builds each slot's word and coefficient from the term
+# itself.  With the entry's clearing factor, the two must give the same map
+# at every slot, for every relation of the double flavor: ``PhiPhistar``
+# carries formal deltas and q-shifted arguments, and ``ll-star=literal``
+# toggles the kinds of a side.
+
+@pytest.mark.parametrize("name, toggles, window", [
+    pytest.param(name, toggles, window,
+                 id="%s-w%d-%d" % (case_id, *window))
+    for window in [(3, 1), (5, 2)]
+    for name, toggles, case_id in [
+        ("example1", None, "example1"),
+        ("example2-n2", None, "n2"),
+        ("example2-n2", LITERAL_LL_STAR, "n2-ll-star-literal"),
+        ("six-vertex", None, "six-vertex"),
+        ("integer-content", None, "integer-content"),
+    ]
+])
+def test_slot_maps_match_per_slot_emitter(name, toggles, window):
+    rs = RewriteSystem(_matrix(name), "double", toggles)
+    w = SeriesWindow(*window)
+    for rid in FLAVOR_RELATIONS["double"]:
+        entries = mode_expand_relation(rs, rid, w)
+        for entry, (idx, lhs, rhs) in zip(entries, relation_sides(rs, rid),
+                                          strict=True):
+            want: dict = {}
+            _emit_element(lhs, w, entry["clearing_factor"], +1, want, {})
+            _emit_element(rhs, w, entry["clearing_factor"], -1, want, {})
+            assert entry["indices"] == idx
+            assert entry["slots"] == {s: d for s, d in want.items() if d}, \
+                (rid, idx)
 
 
 @pytest.mark.parametrize("name, flavor, toggles, window", [
