@@ -226,25 +226,6 @@ class Element:
     def __neg__(self) -> "Element":
         return Element(self.nlegs, {k: -c for k, c in self.terms.items()})
 
-    def scale(self, coeff: RatExpr) -> "Element":
-        if coeff.is_zero():
-            return Element(self.nlegs)
-        return Element(self.nlegs,
-                       {k: c * coeff for k, c in self.terms.items()})
-
-    # -- multiplication (legwise concatenation, no normal ordering) ---------
-
-    def __mul__(self, other: "Element") -> "Element":
-        self._check_compat(other)
-        out: dict = {}
-        for (fa, da, la), ca in self.terms.items():
-            for (fb, db, lb), cb in other.terms.items():
-                flag = fa or fb
-                deltas = tuple(sorted(da + db))
-                legs = tuple(wa + wb for wa, wb in zip(la, lb))
-                accumulate(out, (flag, deltas, legs), ca * cb)
-        return Element(self.nlegs, out)
-
     def __repr__(self):
         return f"Element(nlegs={self.nlegs}, terms={len(self.terms)})"
 

@@ -2,8 +2,8 @@
 machine-readable reports.
 
 Subcommands: check-r, verify-hopf, verify-modes, normal-order.  Exit code
-0 when every selected check passes, 1 when a check fails, 2 on parse or
-configuration errors.
+0 when every selected check passes, 1 when a check fails, 2 on parse,
+configuration or file errors.
 """
 
 from __future__ import annotations
@@ -301,15 +301,29 @@ def _load(args):
     return R, name, flags, toggles
 
 
-def _emit(report: VerificationReport, args) -> int:
+def _run(args) -> int:
+    """The subcommand of parsed arguments; its exit code."""
+    R, name, flags, toggles = _load(args)
+    if args.command == "normal-order":
+        rs = RewriteSystem(R, args.flavor, toggles)
+        e = parse_element(args.element, n=R.n)
+        sys.stdout.write(format_element(delta_normalize(normal_order(e, rs)))
+                         + "\n")
+        return 0
+    report = VerificationReport(instance=name, toggles=toggles.as_dict())
+    report.flags.extend(flags)
+    if args.command == "check-r":
+        _plan_check_r(R, toggles, report)
+    elif args.command == "verify-hopf":
+        _plan_verify_hopf(R, args.flavor, toggles, report)
+    elif args.command == "verify-modes":
+        window = SeriesWindow(args.window, args.margin)
+        _plan_verify_modes(R, args.flavor, toggles, window, report,
+                           is_example1=(args.instance == "example1"))
     sys.stdout.write(report.text_summary())
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json(include_timings=args.timings))
-        except OSError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json(include_timings=args.timings))
     return report.exit_code()
 
 
@@ -351,39 +365,11 @@ def main(argv=None) -> int:
     p4.add_argument("element", help="element expression (see README)")
 
     args = parser.parse_args(argv)
-
     try:
-        R, name, flags, toggles = _load(args)
+        return _run(args)
     except (RhopfError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-    if args.command == "normal-order":
-        try:
-            rs = RewriteSystem(R, args.flavor, toggles)
-            e = parse_element(args.element, n=R.n)
-            out = delta_normalize(normal_order(e, rs))
-            sys.stdout.write(format_element(out) + "\n")
-            return 0
-        except RhopfError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
-
-    report = VerificationReport(instance=name, toggles=toggles.as_dict())
-    report.flags.extend(flags)
-    try:
-        if args.command == "check-r":
-            _plan_check_r(R, toggles, report)
-        elif args.command == "verify-hopf":
-            _plan_verify_hopf(R, args.flavor, toggles, report)
-        elif args.command == "verify-modes":
-            window = SeriesWindow(args.window, args.margin)
-            _plan_verify_modes(R, args.flavor, toggles, window, report,
-                               is_example1=(args.instance == "example1"))
-    except RhopfError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return _emit(report, args)
 
 
 if __name__ == "__main__":

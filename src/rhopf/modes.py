@@ -146,16 +146,13 @@ class _Piece:
         return self._template
 
 
-# Run-scoped memos of mode expansion, keyed by the coefficient's serial
-# (``RatExpr.key``, never reused) and the clearing factor's terms: only a
-# few coefficient values occur across a relation's free-index tuples (on
-# ``example2-n3`` at window 5, 774 cleared coefficients over 39 distinct
-# (coefficient, clearing factor) pairs).  ``_CLEARED`` holds the integer
-# content and z-split of a cleared coefficient, and ``_SHAPES`` the piece
-# shapes of one, further keyed by which template variables carry a
-# generator, the delta's q-power (None without a delta), the side's sign
-# and the window.
-_CLEARED: dict = run_memo({})
+# Piece shapes, memoized for the run (``_shapes``) by the coefficient's
+# serial (``RatExpr.key``, never reused), the clearing factor's terms,
+# which template variables carry a generator, the delta's q-power (None
+# without a delta), the side's sign and the window: only a few coefficient
+# values occur across a relation's free-index tuples (on ``example2-n3`` at
+# window 5, 774 cleared coefficients over 39 distinct (coefficient,
+# clearing factor) pairs), and a miss clears and splits its coefficient.
 _SHAPES: dict = run_memo({})
 
 
@@ -171,16 +168,12 @@ def _shapes(coeff: RatExpr, clear: dict, ckey: frozenset, carried: tuple,
     out = _SHAPES.get(key)
     if out is not None:
         return out
-    split = _CLEARED.get((coeff.key, ckey))
-    if split is None:
-        cleared, den = clear_denominator(coeff, clear)
-        split = _CLEARED[coeff.key, ckey] = (den, _z_split(cleared))
-    den, groups = split
+    cleared, den = clear_denominator(coeff, clear)
     # delta((z1/z2) q) = sum_nu z1^nu z2^-nu q^nu
     dchoices = [(0, 0)] if dq is None else [
         (nu, mono_pow(dq, nu)) for nu in range(-window.N, window.N + 1)]
     out = []
-    for a, b, terms in groups:
+    for a, b, terms in _z_split(cleared):
         for nu, dmono in dchoices:
             exps = (a + nu, b - nu)
             reach = tuple(None if c else -x for c, x in zip(carried, exps))
@@ -196,7 +189,10 @@ def _pieces(e, window: SeriesWindow, clear: dict, ckey: frozenset,
     """The pieces of ``sign * clear * e`` that reach some window slot:
     each term's word and kinds paired with the shapes of its coefficient
     (``_shapes``), which terms with the same coefficient, variables and
-    delta share across the free-index tuples of a run."""
+    delta share across the free-index tuples of a run.  A delta-free word
+    carries both z1 and z2, so each of its pieces reaches every slot;
+    any other delta-free word, and a generator over another variable,
+    is an ``ExpansionError``."""
     out = []
     for (flag, deltas, legs), coeff in e.terms.items():
         if flag:
@@ -207,12 +203,16 @@ def _pieces(e, window: SeriesWindow, clear: dict, ckey: frozenset,
         gvars = {g.arg.var for g in word}
         if len(gvars) < len(word):
             raise ExpansionError("two occurrences share a spectral variable")
+        if gvars - {_Z1, _Z2}:
+            raise ExpansionError("generator outside the template variables")
         dq = None
         if deltas:
             d = deltas[0]
             if {d.avar, d.bvar} - {_Z1, _Z2}:
                 raise ExpansionError("delta outside the template variables")
             dq = d.q
+        elif len(gvars) < 2:
+            raise ExpansionError("a delta-free word must carry z1 and z2")
         kinds = tuple(sorted(g.kind for g in word))
         carried = (_Z1 in gvars, _Z2 in gvars)
         out.extend(_Piece(word, kinds, shape) for shape in _shapes(
@@ -287,38 +287,6 @@ def _reaching(by_reach: dict, slot: tuple):
             yield hit
 
 
-def _kind_counts(lp: list, rp: list, window: SeriesWindow) -> tuple:
-    """(slots with a delta-free lhs piece, those where both sides' sets of
-    generator-kind tuples differ), cancelling pieces included.  A slot
-    outside every row and column that some row, column or cell reach
-    pins has each side's whole-window kind set, so those slots are
-    counted by multiplication and only the pinned rows and columns are
-    visited."""
-    sides = []
-    for pieces in (lp, rp):
-        kinds: dict = {}
-        for piece in pieces:
-            if not piece.delta:
-                kinds.setdefault(piece.reach, set()).add(piece.kinds)
-        sides.append(kinds)
-    rows = {r[0] for side in sides for r in side if r[0] is not None}
-    cols = {r[1] for side in sides for r in side if r[1] is not None}
-    span = window.span
-    lw, rw = (side.get((None, None)) for side in sides)
-    generic = (len(span) - len(rows)) * (len(span) - len(cols))
-    checked = generic if lw else 0
-    mismatches = generic if lw and rw and lw != rw else 0
-    pinned = [(m, k) for m in rows for k in span]
-    pinned += [(m, k) for k in cols for m in span if m not in rows]
-    for slot in pinned:
-        lk, rk = (set().union(*_reaching(side, slot)) for side in sides)
-        if lk:
-            checked += 1
-            if rk and lk != rk:
-                mismatches += 1
-    return checked, mismatches
-
-
 def _contradictions(pieces: list, window: SeriesWindow) -> int:
     """Slots where, with triangularity imposed, one word survives and it is
     a product of diagonal L/Lstar zero modes.  A piece's word has every
@@ -353,7 +321,11 @@ def mode_counts(lhs, rhs, window: SeriesWindow) -> tuple:
     """(slots checked, kind mismatches, contradictions) of one relation
     entry lhs = rhs; see ``check_mode_consistency``."""
     _, lp, rp = _expand(lhs, rhs, window)
-    return (*_kind_counts(lp, rp, window), _contradictions(lp + rp, window))
+    lk, rk = ({piece.kinds for piece in pieces if not piece.delta}
+              for pieces in (lp, rp))
+    checked = len(window.span) ** 2 if lk else 0
+    mismatches = checked if rk and lk != rk else 0
+    return checked, mismatches, _contradictions(lp + rp, window)
 
 
 def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
@@ -372,13 +344,15 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     "slot coordinate plus exponent", so no slot's word map is built for
     (b) and (c).  A piece pairs its term's word with a shape that every
     free-index tuple with the same coefficient, clearing factor, carried
-    variables, delta and side shares for the run (``_shapes``): each
-    coefficient is cleared and split once per clearing factor, and each
-    piece coefficient computed at most once per shape.  The kind sets of
+    variables, delta and side shares for the run (``_shapes``): a
+    coefficient is cleared and split, and a piece coefficient computed,
+    at most once per shape.  The kind sets of
     (b) depend only on which pieces reach a slot, never on coefficients,
-    so they are read from the pieces' reach classes (whole window, one
-    row, one column, one cell): slots outside the pinned rows and
-    columns are counted by multiplication.
+    and every delta-free piece reaches every slot (``_pieces`` refuses a
+    delta-free word without both z1 and z2), so each side has one kind
+    set for the whole window: all slots are checked when the lhs has a
+    delta-free piece, and all mismatch when the rhs has one too and the
+    two sets differ.
     A surviving word of (c) has every mode zero, which a piece's word
     has only at slot -(its exponents); the word maps are summed exactly,
     and filtered, at those candidate slots alone, and only there are

@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DomainError, SingularError
-from .symfield import (RatExpr, S, VAR_INDEX, _R1, denominator_lcm, mono,
-                       sum_fractions)
-
-_R0 = RatExpr.from_int(0)
+from .symfield import (RatExpr, S, VAR_INDEX, _R0, _R1, denominator_lcm,
+                       mono, sum_fractions)
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,6 @@ class RMatrix:
                 raise DomainError(
                     f"entry {key} depends on variables other than "
                     f"{self.var} and q")
-
-    def entry(self, i, j, k, l) -> RatExpr:
-        return self.entries.get((i, j, k, l), _R0)
 
     def at(self, arg: tuple) -> dict:
         """Entries with the spectral variable replaced by a monomial."""

@@ -763,10 +763,6 @@ class RatExpr:
         return cls.from_laurent({mono(**{name: power}): 1})
 
     @classmethod
-    def from_mono(cls, m: tuple, coeff: int = 1) -> "RatExpr":
-        return cls.from_laurent({m: coeff} if coeff else {})
-
-    @classmethod
     def from_laurent(cls, terms: dict, n: int = 1) -> "RatExpr":
         """terms / n for a Laurent term map and a positive integer n.  Over
         1 the term map is already canonical; otherwise the constructor
@@ -779,9 +775,6 @@ class RatExpr:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def is_one(self) -> bool:
-        return self.num == _ONE_TERMS and self.den == _ONE_TERMS
 
     def variables(self) -> set:
         return variables(self.num) | variables(self.den)
@@ -975,7 +968,8 @@ def _cancel(t: dict, den: dict):
 # flag is part of a value, so a product of a factored operand stays
 # factored.  Sharing is sound because no RatExpr or term map is mutated
 # once built; RatExpr refuses every attribute write.  ``reset_memo``
-# empties the five tables and puts back ``_R1``, the shared constant 1.
+# empties the five tables and puts back ``_R0`` and ``_R1``, the shared
+# constants 0 and 1.
 _VALUES: dict = run_memo({})
 _SERIALS = itertools.count()
 _PRODUCTS: dict = run_memo({})
@@ -991,17 +985,21 @@ def _value_hash(num: dict, den: dict, factored: bool) -> int:
 
 def reset_memo():
     """Empty every run-scoped memo (``run_memo``), so that a run starts
-    cold whatever ran before it in the process; put back ``_R1``, the one
-    object for 1 that other modules bound at import, and zero
-    ``SUM_GCD_FALLBACKS``.  Serial numbers are not reused."""
+    cold whatever ran before it in the process; put back ``_R0`` and
+    ``_R1``, the objects for 0 and 1 that other modules bound at import,
+    and zero ``SUM_GCD_FALLBACKS``.  Serial numbers are not reused."""
     global SUM_GCD_FALLBACKS
     for memo in _RUN_MEMOS:
         (memo.clear if isinstance(memo, dict) else memo.cache_clear)()
-    _VALUES[_value_hash(_R1.num, _R1.den, True)] = (_R1,)
+    for x in (_R0, _R1):
+        h = _value_hash(x.num, x.den, True)
+        _VALUES[h] = _VALUES.get(h, ()) + (x,)
     SUM_GCD_FALLBACKS = 0
 
 
-# the constant 1, which other modules import; ``reset_memo`` keeps it
+# the constants 0 and 1, which other modules import; ``reset_memo`` keeps
+# them
+_R0 = RatExpr.from_int(0)
 _R1 = RatExpr.from_int(1)
 
 

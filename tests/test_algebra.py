@@ -94,34 +94,11 @@ def test_kind_error_for_flavor_p():
         normal_order(e, rs)
 
 
-# -- multiplication ----------------------------------------------------------
+# -- linear structure --------------------------------------------------------
 
-def test_multiply_unit():
-    a = Element.word((_phi(1, Z1),))
-    assert a * Element.unit() == a
-    assert Element.unit() * a == a
-
-
-def test_multiply_concatenates_and_scales():
-    f = parse_expr("q^2")
-    g = parse_expr("z1 + 1")
-    a = Element.word((_phi(1, Z1),)).scale(f)
-    b = Element.word((_l(1, 1, Z2),)).scale(g)
-    out = a * b
-    assert out == Element.word((_phi(1, Z1), _l(1, 1, Z2))).scale(f * g)
-
-
-def test_multiply_two_legs():
-    a = Element.word((_phi(1, Z1),), nlegs=2, leg=0)
-    b = Element(2, {("", (), ((_l(1, 1, Z2),), (_phi(1, Z2),))): R1})
-    out = a * b
-    key = ("", (), ((_phi(1, Z1), _l(1, 1, Z2)), (_phi(1, Z2),)))
-    assert out == Element(2, {key: R1})
-
-
-def test_multiply_shape_error():
+def test_add_shape_error():
     with pytest.raises(ShapeError):
-        Element.unit(1) * Element.unit(2)
+        Element.unit(1) + Element.unit(2)
 
 
 # -- normal ordering and contraction -----------------------------------------

@@ -205,7 +205,7 @@ def test_parse_rspec_matches_builtin():
 
 def test_parse_rspec_identity_entry():
     R, _ = parse_rspec("n=1; var=x; R[1,1;1,1]=1")
-    assert R.entries[(1, 1, 1, 1)].is_one()
+    assert R.entries[(1, 1, 1, 1)] == 1
 
 
 def test_parse_rspec_example2_shape():
@@ -442,9 +442,9 @@ def test_each_run_starts_with_a_cold_memo(monkeypatch, capsys):
 
 def test_each_mode_run_starts_with_cold_mode_tables(monkeypatch, capsys):
     """A ``verify-modes`` run clears every coefficient an earlier run in
-    the same process cleared: a cleared split (``modes._CLEARED``) that
+    the same process cleared: a piece shape (``modes._SHAPES``) that
     outlived a run would spare the second run ``clear_denominator``
-    calls, which every split missed takes."""
+    calls, which every shape missed takes."""
     calls = []
     clear_denominator = modes.clear_denominator
 

@@ -7,13 +7,13 @@ from pathlib import Path
 import pytest
 
 from rhopf import modes
-from rhopf.algebra import (FLAVOR_RELATIONS, L, LSTAR, PHI, PHISTAR, ArgShift,
-                           DeltaFactor, Element, GenOcc, RewriteSystem,
-                           Toggles, relation_sides)
+from rhopf.algebra import (FLAVOR_RELATIONS, L, LSTAR, PHI, PHISTAR,
+                           TOGGLE_NAMES, ArgShift, DeltaFactor, Element,
+                           GenOcc, RewriteSystem, Toggles, relation_sides)
 from rhopf.cli import parse_rspec
 from rhopf.errors import DomainError, ExpansionError
 from rhopf.expr import parse_expr
-from rhopf.instances import get_instance
+from rhopf.instances import INSTANCE_NAMES, get_instance
 from rhopf.kernels import mono_pow
 from rhopf.modes import (SeriesWindow, check_mode_consistency,
                          drinfeld_compare, load_reference_relations,
@@ -23,7 +23,7 @@ from rhopf.symfield import (RatExpr, X, Z, accumulate, mono,
                             mono_from_pairs, mono_items, poly_lcm)
 from test_nondiagonal import _jimbo_entries
 
-_Z1, _Z2 = Z[0], Z[1]
+_Z1, _Z2, _Z3 = Z[0], Z[1], Z[2]
 _R1 = RatExpr.from_int(1)
 
 
@@ -272,7 +272,7 @@ def _emit_element(e, window: SeriesWindow, clear: dict,
             if {d.avar, d.bvar} - {_Z1, _Z2}:
                 raise ExpansionError("delta outside the template variables")
             # delta((z1/z2) q) = sum_nu z1^nu z2^-nu q^nu
-            dchoices = [(nu, RatExpr.from_mono(mono_pow(d.q, nu)))
+            dchoices = [(nu, RatExpr.from_laurent({mono_pow(d.q, nu): 1}))
                         for nu in range(-window.N, window.N + 1)]
         kinds = tuple(sorted(g.kind for g in word))
         for a, b, sc in _split_z(coeff * cf):
@@ -290,8 +290,8 @@ def _emit_element(e, window: SeriesWindow, clear: dict,
                         wkey.append((g.kind, g.row, g.col, p))
                         if g.arg.q:
                             # G(z q): mode p picks up q^-p
-                            mult = mult * RatExpr.from_mono(
-                                mono_pow(g.arg.q, -p))
+                            mult = mult * RatExpr.from_laurent(
+                                {mono_pow(g.arg.q, -p): 1})
                     accumulate(out.setdefault((m, k), {}), tuple(wkey), mult)
                     if not deltas:
                         kindsets.setdefault((m, k), set()).add(kinds)
@@ -497,11 +497,11 @@ def test_consistency_rows_are_pinned(name, toggle, n, margin):
     assert rep["consistent"] == all(row[-1] for row in rows)
 
 
-# -- the run-scoped mode tables against the uncached expansion ---------------
+# -- the run-scoped shape table against the uncached expansion ---------------
 #
 # A table that stores nothing makes every lookup of ``_shapes`` miss, so
 # the same code computes each piece from its own coefficient.  One warm
-# pass over several systems and windows, with the tables kept throughout,
+# pass over several systems and windows, with the table kept throughout,
 # must give the same pieces: a key that left out the window, the side's
 # sign, the clearing factor, the delta's q-power or the carried variables
 # would hand a piece a shape made for another.  No relation of the built-in
@@ -549,15 +549,33 @@ def test_memoized_pieces_equal_uncached_ones(monkeypatch):
                                     ("integer-content", None))]
     inputs.append([(_delta_side("z1 - q*z2"), _delta_side("q - 1"))])
     windows = [SeriesWindow(3, 1), SeriesWindow(5, 2)]
-    monkeypatch.setattr(modes, "_CLEARED", _Forgetful())
     monkeypatch.setattr(modes, "_SHAPES", _Forgetful())
     uncached = [_piece_rows(entries, w) for entries in inputs for w in windows]
-    monkeypatch.setattr(modes, "_CLEARED", {})
     monkeypatch.setattr(modes, "_SHAPES", {})
     warm = [_piece_rows(entries, w) for entries in inputs for w in windows]
     assert warm == uncached
     # the tables were read: far fewer shapes were made than pieces
     assert 0 < len(modes._SHAPES) < sum(map(len, itertools.chain(*warm))) / 4
+
+
+# Every delta-free term of a relation side is a word of one generator over
+# z1 and one over z2, so each of its pieces reaches the whole window and a
+# side has one kind set (``mode_counts``).  Checked on the relation sides
+# of every built-in instance and of the six-vertex matrix, under each
+# flavor, with no toggle and with each literal toggle.
+
+@pytest.mark.parametrize("name", [*INSTANCE_NAMES, "six-vertex"])
+def test_delta_free_relation_words_carry_z1_and_z2(name):
+    for flavor, toggle in itertools.product(
+            ("particle", "extended", "double"), (None, *TOGGLE_NAMES)):
+        toggles = Toggles.from_dict({toggle: "literal"}) if toggle else None
+        rs = RewriteSystem(_matrix(name), flavor, toggles)
+        for rid in FLAVOR_RELATIONS[flavor]:
+            for idx, lhs, rhs in relation_sides(rs, rid):
+                for (_, deltas, legs) in [*lhs.terms, *rhs.terms]:
+                    if not deltas:
+                        assert sorted(g.arg.var for g in legs[0]) == \
+                            [_Z1, _Z2], (flavor, toggle, rid, idx)
 
 
 def _side(*terms):
@@ -572,32 +590,30 @@ def _side(*terms):
 
 
 _BOTH = ((L, 1, 1, _Z1), (LSTAR, 1, 1, _Z2))  # reaches the whole window
-_ROW = ((LSTAR, 1, 1, _Z2),)  # a z1 power pins the row
-_COL = ((L, 1, 1, _Z1),)  # a z2 power pins the column
-_CELL = ()  # both powers pin the cell
 
 
-@pytest.mark.parametrize("lhs, rhs", [
-    # only the lhs has a whole-window piece; the rhs's row, column and
-    # cell reaches cross it and each other
-    ([("1", _BOTH), ("z2^2", _COL), ("z1*z2^-1", _CELL)],
-     [("z1^-1", _ROW), ("z2", _COL), ("z1*z2^2", _CELL), ("z1^2", _ROW)]),
-    # only the rhs has one
-    ([("z1^-1", _ROW), ("z2^-2", _COL), ("q*z1^2*z2", _CELL)],
-     [("1", _BOTH), ("z1", _ROW), ("z2^-2", _CELL)]),
-    # both, with different kinds, and reaches pinned on both sides
-    ([("1", _BOTH), ("z1^3", _ROW), ("z2", _COL)],
-     [("1", ((PHI, 1, 0, _Z1), (L, 1, 1, _Z2))), ("z2^-1", _COL),
-      ("z1^-1*z2", _CELL)]),
-    # both, with the same kinds, so only pinned slots can mismatch
-    ([("1", _BOTH), ("z1^-2*z2^2", _CELL)],
-     [("q", _BOTH), ("z1", _ROW), ("z2^3", _COL)]),
-], ids=["lhs-whole", "rhs-whole", "different-wholes", "same-wholes"])
-def test_reach_classes_count_as_the_per_slot_expansion(lhs, rhs):
-    lhs, rhs = _side(*lhs), _side(*rhs)
+@pytest.mark.parametrize("word", [
+    ((LSTAR, 1, 1, _Z2),),  # no z1: it would reach one row
+    ((L, 1, 1, _Z1),),  # no z2: one column
+    (),  # neither: one cell
+    ((L, 1, 1, _Z1), (LSTAR, 1, 1, _Z3)),  # z3 has no slot coordinate
+], ids=["row", "column", "cell", "z3"])
+def test_delta_free_word_without_z1_and_z2_is_refused(word):
+    lhs, rhs = _side(("1", _BOTH), ("z1", word)), _side(("q", _BOTH))
     w = SeriesWindow(4, 1)
-    checked, mismatched, bad = per_slot_counts(lhs, rhs, w)
-    assert mode_counts(lhs, rhs, w) == (checked, mismatched, len(bad))
+    with pytest.raises(ExpansionError):
+        mode_counts(lhs, rhs, w)
+    with pytest.raises(ExpansionError):
+        mode_counts(rhs, lhs, w)
+
+
+def test_generator_outside_z1_and_z2_is_refused():
+    """A generator over z3 has no slot coordinate, with a delta too."""
+    side = _side(("1", _BOTH)) + Element.word(
+        (GenOcc(L, 1, 1, ArgShift(_Z3)),), coeff=parse_expr("q"),
+        deltas=(DeltaFactor(_Z1, _Z2, mono()),))
+    with pytest.raises(ExpansionError):
+        mode_counts(side, _side(("1", _BOTH)), SeriesWindow(3, 1))
 
 
 def _zero_mode_word(coeff: str) -> Element:

@@ -47,7 +47,7 @@ def sixv():
 
 
 def test_sixvertex_is_nonsymmetric(sixv):
-    assert sixv.entry(1, 2, 2, 1) != sixv.entry(2, 1, 1, 2)
+    assert sixv.entries[1, 2, 2, 1] != sixv.entries[2, 1, 1, 2]
 
 
 def test_sixvertex_conditions_discriminate_middle_argument(sixv):

@@ -30,7 +30,7 @@ def conv_mul(p, q):
 def test_inverse_pair_is_one():
     r1 = parse_expr("(x - q^2)/(x*q^2 - 1)")
     r1inv = parse_expr("(x*q^2 - 1)/(x - q^2)")
-    assert (r1 * r1inv).is_one()
+    assert r1 * r1inv == 1
 
 
 def test_q_identity_collapses():
@@ -48,7 +48,7 @@ def test_unitarity_product_via_convolution_oracle():
 
     r1 = parse_expr("(x - q^2)/(x*q^2 - 1)")
     r1_inv_arg = r1.subs_monomial({sf.X: sf.mono(x=-1)})
-    assert (r1 * r1_inv_arg).is_one()
+    assert r1 * r1_inv_arg == 1
     # the substituted factor canonicalizes to (1 - q^2 x)/(q^2 - x)
     assert r1_inv_arg == parse_expr("(1 - q^2*x)/(q^2 - x)")
 
@@ -768,7 +768,7 @@ def test_reset_memo_empties_the_run_scoped_caches():
     """A sum over factored denominators fills the factor and expansion
     caches, a product and a substitution fill their memos, and
     ``reset_memo`` leaves every registered memo, of any module, empty but
-    the value table, which holds the shared constant 1 alone."""
+    the value table, which holds the shared constants 0 and 1 alone."""
     sf.reset_memo()
     total = (_over("z1", ("z1 - q*z2", 1), ("s^4 - 1", 1))
              + _over("1", ("s^2 + 1", 2)))
@@ -781,19 +781,22 @@ def test_reset_memo_empties_the_run_scoped_caches():
     sf.reset_memo()
     assert [memo for memo in sf._RUN_MEMOS
             if memo is not sf._VALUES and _memo_size(memo)] == []
-    assert list(sf._VALUES.values()) == [(sf._R1,)]
+    assert list(sf._VALUES.values()) == [(sf._R0,), (sf._R1,)]
 
 
 def test_the_constant_one_outlives_reset_memo():
-    """The constant 1 that ``algebra``, ``elemio`` and ``rmatrix`` bound
-    at import is the run's one object for 1 after ``reset_memo``, so
-    products with 1 are memoized once."""
+    """The constants 1 and 0 that ``algebra``, ``elemio`` and ``rmatrix``
+    bound at import are the run's one objects for 1 and 0 after
+    ``reset_memo``: products with 1 are memoized once, and a zero built
+    by the constructor, a sum or a product is the constant 0."""
     for _ in range(2):
         sf.reset_memo()
         assert RatExpr.from_int(1) is sf._R1
         assert algebra._R1 is elemio._R1 is rmatrix._R1 is sf._R1
         assert RatExpr({0: 3}, {0: 3}) is sf._R1
+        assert RatExpr.from_int(0) is rmatrix._R0 is sf._R0
         x = _over("z1", ("s^2 + 1", 1))
+        assert RatExpr({}, {0: 3}) is x - x is x * 0 is sf._R0
         before = len(sf._PRODUCTS)
         assert x * RatExpr.from_int(1) is x * sf._R1
         assert len(sf._PRODUCTS) == before + 1

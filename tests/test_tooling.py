@@ -12,6 +12,7 @@ from rhopf import symfield
 from rhopf.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rhopf"
+BENCH = Path(__file__).resolve().parents[1] / "verdictbench"
 
 
 def unused_imports(source: str) -> list:
@@ -174,6 +175,63 @@ def test_no_dead_helpers():
     assert dead_helpers(sources) == []
 
 
+def unread_public_members(sources: dict, readers: dict) -> list:
+    """(module, "Class.name") of every public method or property of a
+    module-level class of ``sources`` that no code of ``sources`` or
+    ``readers`` reads as an attribute outside its own definition; both map
+    module names to their text.  Methods are reached as attributes
+    (``obj.name``, ``Class.name``), so a bare name of the same spelling,
+    such as a parameter, is no read."""
+    def reads(node):
+        return [sub.attr for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Load)]
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read = Counter(name for tree in [*trees.values(), *map(
+        ast.parse, readers.values())] for name in reads(tree))
+    out = []
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and \
+                        not node.name.startswith("_") and \
+                        read[node.name] == reads(node).count(node.name):
+                    out.append((mod, f"{cls.name}.{node.name}"))
+    return sorted(out)
+
+
+def test_unread_public_members_finds_what_is_never_read():
+    sources = {
+        "a": ("class C:\n"
+              "    def used(self):\n        return 0\n"
+              "    def recursive(self):\n        return self.recursive()\n"
+              "    @property\n    def dead(self):\n        return 0\n"
+              "    @classmethod\n    def make(cls):\n        return cls()\n"
+              "    def shadowed(self, named):\n        return named\n"
+              "    def _private(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\n"
+              "def named(shadowed):\n    return shadowed\n"),
+    }
+    readers = {"b": "from a import C\nC.make().used()\n"}
+    assert unread_public_members(sources, readers) == [
+        ("a", "C.dead"), ("a", "C.recursive"), ("a", "C.shadowed")]
+
+
+# Public members that only tests read, kept as independent oracles.
+ORACLES = {("symfield", "RatExpr.cross_equal")}
+
+
+def test_no_unread_public_members():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    readers = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(BENCH.glob("*.py"))}
+    found = unread_public_members(sources, readers)
+    assert [member for member in found if member not in ORACLES] == []
+
+
 def unread_parameters(source: str) -> list:
     """(function, parameter) of every parameter of a function, method or
     lambda that its body never reads; ``self`` and ``cls`` aside.  A
@@ -287,9 +345,10 @@ def test_module_caches_finds_every_module_level_cache():
 # flatter a benchmark that repeats runs in one process.
 INPUT_FREE = {"_cyclotomic", "charge_shift"}
 # The entries a cold start leaves in a run-scoped table: the value table
-# keeps the constant 1 (``symfield._R1``), which other modules bind at
-# import, so that it stays the one object for 1.
-KEPT = {"_VALUES": 1}
+# keeps the constants 0 and 1 (``symfield._R0``, ``symfield._R1``), which
+# other modules bind at import, so that they stay the one objects for 0
+# and 1.
+KEPT = {"_VALUES": 2}
 
 
 def _size(cache) -> int:
@@ -304,8 +363,7 @@ def test_module_caches_are_input_free_or_start_cold(tmp_path, capsys):
     assert {(mod, name) for mod, name in caches if name[1:].isupper()} >= {
         ("symfield", "_VALUES"), ("symfield", "_PRODUCTS"),
         ("symfield", "_SUMS"), ("symfield", "_SUBSTS"),
-        ("symfield", "_CUTS"), ("expr", "_TEXTS"),
-        ("modes", "_CLEARED"), ("modes", "_SHAPES")}
+        ("symfield", "_CUTS"), ("expr", "_TEXTS"), ("modes", "_SHAPES")}
     scoped = {f"{mod}.{name}": (importlib.import_module(f"rhopf.{mod}"),
                                 name, KEPT.get(name, 0))
               for mod, name in sorted(caches) if name not in INPUT_FREE}
