@@ -40,8 +40,9 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (BudgetError, DomainError, KindError, ShapeError,
-                     SingularError)
+from .errors import (BudgetError, DomainError, ExponentError, KindError,
+                     ShapeError, SingularError)
+from .expr import format_ratexpr
 from .rmatrix import RMatrix, contract, entries_at, table
 from .kernels import mono_mul
 from .symfield import (NVARS, RatExpr, U, Z, _R1, accumulate, mono,
@@ -437,12 +438,17 @@ class RewriteSystem:
     # -- cached entry evaluation -------------------------------------------
 
     def _matrix_at(self, name: str, argm: int) -> dict:
+        """A pole of an entry at ``argm`` is a ``SingularError`` naming the
+        argument; an exponent out of range stays an ``ExponentError``."""
         try:
             return entries_at(self.tables[name].entries, self.R.var, argm)
+        except ExponentError:
+            raise
         except DomainError as exc:
+            arg = format_ratexpr(RatExpr.from_laurent({argm: 1}))
             raise SingularError(
                 f"R-matrix entry singular at the symbolic argument "
-                f"{argm}") from exc
+                f"{arg}") from exc
 
     def r_at(self, argm: int) -> dict:
         return self.matrix_at("R", argm)

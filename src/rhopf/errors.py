@@ -10,6 +10,10 @@ class DomainError(RhopfError):
     denominator depending on a disallowed variable, ...)."""
 
 
+class ExponentError(DomainError):
+    """A monomial exponent left the packed range [-2^30, 2^30)."""
+
+
 class ParseError(RhopfError):
     """Syntax error in an expression, element or R-matrix spec file."""
 

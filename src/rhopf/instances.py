@@ -33,7 +33,7 @@ def _diagonal_example(n: int, name: str) -> RMatrix:
     return RMatrix(n, "x", entries, name=name)
 
 
-def _build(name: str) -> RMatrix:
+def get_instance(name: str) -> RMatrix:
     if name == "example1":
         return RMatrix(1, "x", {(1, 1, 1, 1): parse_expr(_F_MAIN)},
                        name=name)
@@ -56,10 +56,6 @@ INSTANCE_NAMES = ("example1", "example2-n2", "example2-n3", "identity",
                   "broken-nonunitary")
 
 PASSING_INSTANCES = ("example1", "example2-n2", "example2-n3", "identity")
-
-
-def get_instance(name: str) -> RMatrix:
-    return _build(name)
 
 
 def instance_flags(name: str) -> list:

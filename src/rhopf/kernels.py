@@ -21,7 +21,7 @@ that builds a monomial checks its result so (``mono_mul``, ``mono_inv``,
 ``poly_mul``, ``poly_scale``, and in ``symfield`` the constructors, the
 substitutions, the xi-adic expansion and the long division);
 ``mono_pow`` works by checked doubling.  A violation raises
-``DomainError``: an exponent is never wrapped into a neighbouring field.
+``ExponentError``: an exponent is never wrapped into a neighbouring field.
 
 A polynomial is a dict mapping monomials to (arbitrary-precision) integer
 coefficients, with no zero coefficients.  These functions are the hot
@@ -29,7 +29,7 @@ inner loop of the whole engine.  Only this module and ``symfield`` know
 the encoding; everything else builds monomials through ``symfield``.
 """
 
-from .errors import DomainError
+from .errors import ExponentError
 
 NFIELDS = 15
 FIELD_BITS = 32
@@ -42,7 +42,7 @@ TOPS = Q << 1
 def overflow():
     """Raise the typed error for a monomial whose exponents leave the
     bound."""
-    raise DomainError("monomial exponent out of range [-2^30, 2^30)")
+    raise ExponentError("monomial exponent out of range [-2^30, 2^30)")
 
 
 def mono_mul(a: int, b: int) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (FLAVOR_RELATIONS, L, LSTAR, RewriteSystem,
                       relation_residual, relation_sides)
@@ -77,73 +78,19 @@ def _z_split(terms: dict) -> list:
     return [(a, b, sub) for (a, b), sub in sorted(groups.items())]
 
 
-class _Shape:
+class _Shape(NamedTuple):
     """What a piece takes from its coefficient, clearing factor, delta,
     side and window, not from its word: the exponents (a, b) of
     c z1^a z2^b relative to the slot (at slot (m, k) a generator over z1
     has mode m + a, one over z2 mode k + b), the reach (per variable None
     for a variable carrying a generator, the whole window, else the one
-    slot coordinate -exponent), whether it comes from a term with a formal
-    delta, and the coefficient c (signed, cleared, delta power included).
-    Every term with the same shape key shares the object, so c is computed
-    on its first read, once per shape: the mode counts read few of them."""
+    slot coordinate -exponent) and the coefficient c (signed, cleared,
+    delta power included).  Every term with the same shape key shares the
+    object (``_shapes``)."""
 
-    __slots__ = ("exps", "reach", "delta", "_terms", "_den", "_scale",
-                 "_coeff")
-
-    def __init__(self, exps, reach, delta, terms, den, scale):
-        self.exps = exps  # (a, b)
-        self.reach = reach
-        self.delta = delta  # from a term with a formal delta
-        self._terms = terms  # z-group of the cleared numerator
-        self._den = den  # integer denominator of the cleared coefficient
-        self._scale = scale  # (sign, q-power of the delta)
-        self._coeff = None
-
-    @property
-    def coeff(self) -> RatExpr:
-        if self._coeff is None:
-            self._coeff = RatExpr.from_laurent(
-                poly_scale(self._terms, *self._scale), self._den)
-        return self._coeff
-
-
-class _Piece:
-    """One piece of a term of a relation side: the term's word and its
-    sorted generator kinds, paired with a shared ``_Shape``."""
-
-    __slots__ = ("word", "kinds", "exps", "reach", "delta", "shape",
-                 "_template")
-
-    def __init__(self, word, kinds, shape):
-        self.word = word  # GenOcc templates
-        self.kinds = kinds
-        self.exps = shape.exps
-        self.reach = shape.reach
-        self.delta = shape.delta
-        self.shape = shape
-        self._template = None
-
-    @property
-    def coeff(self) -> RatExpr:
-        return self.shape.coeff
-
-    @property
-    def template(self) -> tuple:
-        """(gens, shifted), built on first read: per generator its kind,
-        row, column, the slot coordinate it reads (0 for z1, 1 for z2)
-        and that variable's exponent, so that its mode at slot s is
-        s[axis] + exponent (``_word``); and whether any generator's
-        argument carries a q-power, the only case in which a mode word's
-        coefficient is not the piece's (``_coeff_at``)."""
-        if self._template is None:
-            gens = []
-            for g in self.word:
-                axis = _AXES[g.arg.var]
-                gens.append((g.kind, g.row, g.col, axis, self.exps[axis]))
-            self._template = (tuple(gens),
-                              any(g.arg.q for g in self.word))
-        return self._template
+    exps: tuple  # (a, b)
+    reach: tuple
+    coeff: RatExpr
 
 
 # Piece shapes, memoized for the run (``_shapes``) by the coefficient's
@@ -152,7 +99,8 @@ class _Piece:
 # without a delta), the side's sign and the window: only a few coefficient
 # values occur across a relation's free-index tuples (on ``example2-n3`` at
 # window 5, 774 cleared coefficients over 39 distinct (coefficient,
-# clearing factor) pairs), and a miss clears and splits its coefficient.
+# clearing factor) pairs), and a miss clears and splits its coefficient
+# and computes the coefficient of each shape it builds.
 _SHAPES: dict = run_memo({})
 
 
@@ -178,8 +126,8 @@ def _shapes(coeff: RatExpr, clear: dict, ckey: frozenset, carried: tuple,
             exps = (a + nu, b - nu)
             reach = tuple(None if c else -x for c, x in zip(carried, exps))
             if all(r is None or abs(r) <= window.lim for r in reach):
-                out.append(_Shape(exps, reach, dq is not None, terms, den,
-                                  (sign, dmono)))
+                out.append(_Shape(exps, reach, RatExpr.from_laurent(
+                    poly_scale(terms, sign, dmono), den)))
     out = _SHAPES[key] = tuple(out)
     return out
 
@@ -187,7 +135,7 @@ def _shapes(coeff: RatExpr, clear: dict, ckey: frozenset, carried: tuple,
 def _pieces(e, window: SeriesWindow, clear: dict, ckey: frozenset,
             sign: int) -> list:
     """The pieces of ``sign * clear * e`` that reach some window slot:
-    each term's word and kinds paired with the shapes of its coefficient
+    each term's word paired with each shape of its coefficient
     (``_shapes``), which terms with the same coefficient, variables and
     delta share across the free-index tuples of a run.  A delta-free word
     carries both z1 and z2, so each of its pieces reaches every slot;
@@ -213,9 +161,8 @@ def _pieces(e, window: SeriesWindow, clear: dict, ckey: frozenset,
             dq = d.q
         elif len(gvars) < 2:
             raise ExpansionError("a delta-free word must carry z1 and z2")
-        kinds = tuple(sorted(g.kind for g in word))
         carried = (_Z1 in gvars, _Z2 in gvars)
-        out.extend(_Piece(word, kinds, shape) for shape in _shapes(
+        out.extend((word, shape) for shape in _shapes(
             coeff, clear, ckey, carried, dq, sign, window))
     return out
 
@@ -229,6 +176,21 @@ def _expand(lhs, rhs, window: SeriesWindow):
             _pieces(rhs, window, clear, ckey, -1))
 
 
+def _template(word: tuple, shape: _Shape) -> tuple:
+    """(gens, shifts) of the piece (word, shape): per generator its kind,
+    row, column, the slot coordinate it reads (0 for z1, 1 for z2) and
+    that variable's exponent, so that its mode at slot s is s[axis] +
+    exponent (``_word``); and the q-powers of the generators' arguments,
+    empty when none carries one, the only case in which a mode word's
+    coefficient is the shape's (``_coeff_at``)."""
+    gens = []
+    for g in word:
+        axis = _AXES[g.arg.var]
+        gens.append((g.kind, g.row, g.col, axis, shape.exps[axis]))
+    shifts = tuple(g.arg.q for g in word)
+    return tuple(gens), shifts if any(shifts) else ()
+
+
 def _word(gens: tuple, slot: tuple) -> tuple:
     """The mode word of a piece template's generators at a slot: (kind,
     row, col, mode) per generator, its mode the slot coordinate it reads
@@ -236,14 +198,14 @@ def _word(gens: tuple, slot: tuple) -> tuple:
     return tuple([(k, r, c, slot[axis] + e) for k, r, c, axis, e in gens])
 
 
-def _coeff_at(piece: _Piece, word: tuple) -> RatExpr:
-    """The coefficient of a shifted piece's mode word: G(z q) at mode p
-    picks up q^-p."""
+def _coeff_at(coeff: RatExpr, shifts: tuple, word: tuple) -> RatExpr:
+    """The coefficient of a shifted piece's mode word, the q-powers of its
+    generators' arguments ``shifts``: G(z q) at mode p picks up q^-p."""
     qm = mono()
-    for g, (_k, _r, _c, p) in zip(piece.word, word):
-        if g.arg.q:
-            qm = mono_mul(qm, mono_pow(g.arg.q, -p))
-    return piece.coeff.mul_mono(qm) if qm else piece.coeff
+    for q, (_k, _r, _c, p) in zip(shifts, word):
+        if q:
+            qm = mono_mul(qm, mono_pow(q, -p))
+    return coeff.mul_mono(qm) if qm else coeff
 
 
 def mode_expand_relation(rs: RewriteSystem, relation_id: str,
@@ -259,16 +221,17 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     for idx, lhs, rhs in relation_sides(rs, relation_id):
         clear, lp, rp = _expand(lhs, rhs, window)
         slots: dict = {}
-        for piece in lp + rp:
-            gens, shifted = piece.template
-            coeff = piece.coeff
-            r1, r2 = piece.reach
+        for word, shape in lp + rp:
+            gens, shifts = _template(word, shape)
+            coeff = shape.coeff
+            r1, r2 = shape.reach
             for m in span if r1 is None else (r1,):
                 for k in span if r2 is None else (r2,):
                     slot = (m, k)
-                    word = _word(gens, slot)
-                    accumulate(slots.setdefault(slot, {}), word,
-                               _coeff_at(piece, word) if shifted else coeff)
+                    mword = _word(gens, slot)
+                    accumulate(slots.setdefault(slot, {}), mword,
+                               _coeff_at(coeff, shifts, mword) if shifts
+                               else coeff)
         out.append({
             "indices": idx,
             "clearing_factor": clear,
@@ -277,40 +240,34 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     return out
 
 
-def _reaching(by_reach: dict, slot: tuple):
-    """The entries of a reach-keyed map that reach the slot (m, k): the
-    whole window, row m, column k and the cell itself."""
-    m, k = slot
-    for reach in ((None, None), (m, None), (None, k), (m, k)):
-        hit = by_reach.get(reach)
-        if hit is not None:
-            yield hit
-
-
 def _contradictions(pieces: list, window: SeriesWindow) -> int:
     """Slots where, with triangularity imposed, one word survives and it is
     a product of diagonal L/Lstar zero modes.  A piece's word has every
     mode zero only at slot -(its exponents), so only those slots of pieces
-    with diagonal L/Lstar templates are summed, over the pieces that reach
-    them; no other coefficient is read."""
-    candidates = {tuple(-x for x in piece.exps) for piece in pieces
-                  if all(g.kind in (L, LSTAR) and g.row == g.col
-                         for g in piece.word)}
+    with diagonal L/Lstar words are summed, over the pieces that reach
+    them (the whole window, the slot's row, its column or the slot
+    itself); an entry with no such slot inside the window reads no
+    template and no coefficient."""
+    candidates = {(-a, -b) for word, ((a, b), _, _) in pieces
+                  if max(abs(a), abs(b)) <= window.lim
+                  and all(g.kind in (L, LSTAR) and g.row == g.col
+                          for g in word)}
+    if not candidates:
+        return 0
     by_reach: dict = {}
-    for piece in pieces:
-        by_reach.setdefault(piece.reach, []).append(piece)
+    for word, shape in pieces:
+        by_reach.setdefault(shape.reach, []).append(
+            (*_template(word, shape), shape.coeff))
     count = 0
     for slot in candidates:
-        if max(map(abs, slot)) > window.lim:
-            continue
+        m, k = slot
         surv: dict = {}
-        for group in _reaching(by_reach, slot):
-            for piece in group:
-                gens, shifted = piece.template
-                word = _word(gens, slot)
-                if all(mode_allowed(*g) for g in word):
-                    accumulate(surv, word, _coeff_at(piece, word) if shifted
-                               else piece.coeff)
+        for reach in ((None, None), (m, None), (None, k), slot):
+            for gens, shifts, coeff in by_reach.get(reach, ()):
+                mword = _word(gens, slot)
+                if all(mode_allowed(*g) for g in mword):
+                    accumulate(surv, mword, _coeff_at(coeff, shifts, mword)
+                               if shifts else coeff)
         if len(surv) == 1 and all(k in (L, LSTAR) and p == 0 and r == c
                                   for (k, r, c, p) in next(iter(surv))):
             count += 1
@@ -321,8 +278,9 @@ def mode_counts(lhs, rhs, window: SeriesWindow) -> tuple:
     """(slots checked, kind mismatches, contradictions) of one relation
     entry lhs = rhs; see ``check_mode_consistency``."""
     _, lp, rp = _expand(lhs, rhs, window)
-    lk, rk = ({piece.kinds for piece in pieces if not piece.delta}
-              for pieces in (lp, rp))
+    lk, rk = ({tuple(sorted(g.kind for g in legs[0]))
+               for _, deltas, legs in side.terms if not deltas}
+              for side in (lhs, rhs))
     checked = len(window.span) ** 2 if lk else 0
     mismatches = checked if rk and lk != rk else 0
     return checked, mismatches, _contradictions(lp + rp, window)
@@ -340,25 +298,25 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     surviving zero-mode product forced to vanish.
 
     Each side is expanded once, relative to the slot (``_pieces``): a
-    piece's mode word at any slot is its generator templates with modes
-    "slot coordinate plus exponent", so no slot's word map is built for
-    (b) and (c).  A piece pairs its term's word with a shape that every
-    free-index tuple with the same coefficient, clearing factor, carried
-    variables, delta and side shares for the run (``_shapes``): a
-    coefficient is cleared and split, and a piece coefficient computed,
-    at most once per shape.  The kind sets of
-    (b) depend only on which pieces reach a slot, never on coefficients,
-    and every delta-free piece reaches every slot (``_pieces`` refuses a
-    delta-free word without both z1 and z2), so each side has one kind
-    set for the whole window: all slots are checked when the lhs has a
-    delta-free piece, and all mismatch when the rhs has one too and the
-    two sets differ.
+    piece is a pair (word, shape), and its mode word at any slot is its
+    generator templates with modes "slot coordinate plus exponent"
+    (``_template``), so no slot's word map is built for (b) and (c).
+    Every free-index tuple with the same coefficient, clearing factor,
+    carried variables, delta and side shares a shape for the run
+    (``_shapes``): a coefficient is cleared and split, and each shape's
+    coefficient computed, once per shape.  The kind sets of (b) depend
+    only on which pieces reach a slot, never on coefficients, and every
+    delta-free term has pieces and each of them reaches every slot
+    (``_pieces`` refuses a delta-free word without both z1 and z2), so a
+    side has one kind set for the whole window, read from its delta-free
+    terms: all slots are checked when the lhs has a delta-free term, and
+    all mismatch when the rhs has one too and the two sets differ.
     A surviving word of (c) has every mode zero, which a piece's word
     has only at slot -(its exponents); the word maps are summed exactly,
-    and filtered, at those candidate slots alone, and only there are
-    coefficients computed.  The counts are therefore those of the full
-    per-slot expansion.  Each relation's sides are built once and serve
-    (a) as well."""
+    and filtered, at those candidate slots alone, and an entry with no
+    candidate slot in the window reads no template.  The counts are
+    therefore those of the full per-slot expansion.  Each relation's
+    sides are built once and serve (a) as well."""
     report = {"relations": [], "consistent": True}
     for rid in FLAVOR_RELATIONS[rs.flavor]:
         sides = [(lhs, rhs) for _, lhs, rhs in relation_sides(rs, rid)]

@@ -120,7 +120,6 @@ def _eliminate(mat, invert: bool):
 class ClearedRMatrix:
     """R' = f * R with f the minimal pole-clearing polynomial."""
 
-    base: RMatrix
     f: dict  # term map
     rprime: dict = field(repr=False)  # (i,j,k,l) -> RatExpr
 
@@ -233,4 +232,4 @@ def clear_poles(R: RMatrix) -> ClearedRMatrix:
     f = denominator_lcm(R.entries.values())
     fr = RatExpr(f)
     rprime = {key: v * fr for key, v in R.entries.items()}
-    return ClearedRMatrix(base=R, f=f, rprime=rprime)
+    return ClearedRMatrix(f=f, rprime=rprime)

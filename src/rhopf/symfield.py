@@ -17,7 +17,7 @@ is the lexicographic order above.  Read with the bias Q (2^30 per field),
 a field is the unsigned digit e + 2^30.  Every exponent lies in
 [-2^30, 2^30); the kernels check it where they build a monomial, and here
 ``mono_from_pairs``, ``subs_mono``, ``_xi_adic`` and ``divexact`` do,
-with ``DomainError`` on a violation.  Only this module and ``kernels``
+with ``ExponentError`` on a violation.  Only this module and ``kernels``
 know the format: other modules build monomials with ``mono``,
 ``mono_from_pairs`` and ``q_power``, multiply them with
 ``kernels.mono_mul``, and read them with ``mono_items``.
@@ -54,7 +54,7 @@ import itertools
 from math import gcd as int_gcd, isqrt, prod
 
 from . import kernels
-from .errors import DomainError
+from .errors import DomainError, ExponentError
 from .kernels import BIAS, FIELD_BITS, FIELD_MASK, Q, TOPS, mono_inv
 
 VARS = ("s", "u1", "u2", "u3", "x",
@@ -109,8 +109,8 @@ def mono_from_pairs(pairs) -> int:
     m = 0
     for v, e in pairs:
         if not -BIAS <= e < BIAS:
-            raise DomainError(f"exponent {e} of {VARS[v]} out of range "
-                              f"[-2^30, 2^30)")
+            raise ExponentError(f"exponent {e} of {VARS[v]} out of range "
+                                f"[-2^30, 2^30)")
         m += e << _SHIFT[v]
         if (m + Q) & TOPS:
             kernels.overflow()

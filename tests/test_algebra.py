@@ -308,8 +308,11 @@ def test_singular_argument_raises():
     # entry at exactly q^2, a pole of (x q^2 - 1)/(x - q^2)
     e = Element.word((_phi(1, Z1, q_power(2, 0, 0, 0)),
                       _l(1, 1, Z1, q_power(-2, 1, 0, 0))))
-    with pytest.raises(SingularError):
+    with pytest.raises(SingularError) as exc:
         normal_order(e, rs)
+    # the argument is named as field text, not as a packed monomial
+    assert str(exc.value) == ("R-matrix entry singular at the symbolic "
+                              "argument q^2")
 
 
 def test_term_measure_components():

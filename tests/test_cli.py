@@ -706,6 +706,24 @@ def test_cli_normal_order_non_spectral_argument_exits_2(capsys):
         assert main(["normal-order", "--instance", "example1", text]) == 2
 
 
+def test_cli_normal_order_pole_names_the_argument(capsys):
+    code = main(["normal-order", "--instance", "example1", "--flavor",
+                 "extended", "Phi[1](z1*q[2,0,0,0]) L[1,1](z1*q[-2,1,0,0])"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: R-matrix entry singular at the symbolic argument q^2\n")
+
+
+def test_cli_normal_order_exponent_overflow_is_no_pole(capsys):
+    """An argument whose q-power leaves the exponent bound when the entry
+    is evaluated is an exponent error, not a singular entry."""
+    code = main(["normal-order", "--instance", "example1",
+                 "Phi[1](z2*q[1073741823,0,0,0]) Phi[1](z1)"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: monomial exponent out of range [-2^30, 2^30)\n")
+
+
 def test_cli_verify_hopf_particle_flavor_is_a_usage_error(capsys):
     # the particle algebra has no coproduct: the coproduct of Phi needs L
     with pytest.raises(SystemExit) as exc:

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from rhopf import modes
-from rhopf.algebra import (FLAVOR_RELATIONS, L, LSTAR, PHI, PHISTAR,
-                           TOGGLE_NAMES, ArgShift, DeltaFactor, Element,
-                           GenOcc, RewriteSystem, Toggles, relation_sides)
+from rhopf.algebra import (FLAG_CONTRADICTORY, FLAVOR_RELATIONS, L, LSTAR,
+                           PHI, PHISTAR, TOGGLE_NAMES, ArgShift, DeltaFactor,
+                           Element, GenOcc, RewriteSystem, Toggles,
+                           relation_sides)
 from rhopf.cli import parse_rspec
 from rhopf.errors import DomainError, ExpansionError
 from rhopf.expr import parse_expr
@@ -536,8 +537,8 @@ def _piece_rows(entries: list, window: SeriesWindow) -> list:
     rows = []
     for lhs, rhs in entries:
         _, lp, rp = modes._expand(lhs, rhs, window)
-        rows.append([(p.word, p.kinds, p.exps, p.reach, p.delta, p.coeff)
-                     for p in lp + rp])
+        rows.append([(word, shape.exps, shape.reach, shape.coeff)
+                     for word, shape in lp + rp])
     return rows
 
 
@@ -614,6 +615,36 @@ def test_generator_outside_z1_and_z2_is_refused():
         deltas=(DeltaFactor(_Z1, _Z2, mono()),))
     with pytest.raises(ExpansionError):
         mode_counts(side, _side(("1", _BOTH)), SeriesWindow(3, 1))
+
+
+def _term(gens, deltas=(), flag=""):
+    """q * the word of (kind, row, col, spectral variable) generators, as
+    a one-term side with the given deltas and flag."""
+    word = tuple(GenOcc(k, r, c, ArgShift(v)) for k, r, c, v in gens)
+    return Element(1, {(flag, deltas, (word,)): parse_expr("q")})
+
+
+_D12 = DeltaFactor(_Z1, _Z2, mono())
+
+
+# Each term passes every other refusal of ``_pieces``, so each case needs
+# its own, and the message tells which one fired.
+@pytest.mark.parametrize("term, message", [
+    (_term(_BOTH, flag=FLAG_CONTRADICTORY), "flagged"),
+    (_term(_BOTH[:1], (_D12, DeltaFactor(_Z1, _Z2, mono(s=2)))),
+     "multiple formal deltas"),
+    (_term(((L, 1, 1, _Z1), (LSTAR, 1, 1, _Z1)), (_D12,)),
+     "share a spectral variable"),
+    (_term(_BOTH[:1], (DeltaFactor(_Z1, _Z3, mono()),)),
+     "delta outside the template variables"),
+], ids=["flagged", "two-deltas", "shared-variable", "delta-over-z3"])
+def test_unexpandable_term_is_refused(term, message):
+    lhs, rhs = _side(("1", _BOTH)) + term, _side(("q", _BOTH))
+    w = SeriesWindow(3, 1)
+    with pytest.raises(ExpansionError, match=message):
+        mode_counts(lhs, rhs, w)
+    with pytest.raises(ExpansionError, match=message):
+        mode_counts(rhs, lhs, w)
 
 
 def _zero_mode_word(coeff: str) -> Element:

@@ -97,9 +97,10 @@ def test_clear_poles_scalar():
 
 
 def test_clear_poles_identity():
-    cleared = clear_poles(get_instance("identity"))
+    R = get_instance("identity")
+    cleared = clear_poles(R)
     assert RatExpr(cleared.f) == 1
-    assert cleared.rprime == cleared.base.entries
+    assert cleared.rprime == R.entries
 
 
 def test_clear_poles_n2_lcm():

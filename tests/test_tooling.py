@@ -175,13 +175,26 @@ def test_no_dead_helpers():
     assert dead_helpers(sources) == []
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether a class derives from ``NamedTuple`` or is decorated with
+    ``dataclass`` (also called, or reached as ``dataclasses.dataclass``)."""
+    def name(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return node.attr if isinstance(node, ast.Attribute) else \
+            getattr(node, "id", None)
+    return "NamedTuple" in map(name, cls.bases) or \
+        "dataclass" in map(name, cls.decorator_list)
+
+
 def unread_public_members(sources: dict, readers: dict) -> list:
     """(module, "Class.name") of every public method or property of a
-    module-level class of ``sources`` that no code of ``sources`` or
+    module-level class of ``sources``, and every annotated field of one
+    that is a NamedTuple or a dataclass, that no code of ``sources`` or
     ``readers`` reads as an attribute outside its own definition; both map
-    module names to their text.  Methods are reached as attributes
+    module names to their text.  Members are reached as attributes
     (``obj.name``, ``Class.name``), so a bare name of the same spelling,
-    such as a parameter, is no read."""
+    such as a parameter or a keyword argument, is no read."""
     def reads(node):
         return [sub.attr for sub in ast.walk(node)
                 if isinstance(sub, ast.Attribute)
@@ -194,11 +207,18 @@ def unread_public_members(sources: dict, readers: dict) -> list:
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
+            record = _is_record(cls)
             for node in cls.body:
-                if isinstance(node, ast.FunctionDef) and \
-                        not node.name.startswith("_") and \
-                        read[node.name] == reads(node).count(node.name):
-                    out.append((mod, f"{cls.name}.{node.name}"))
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif record and isinstance(node, ast.AnnAssign) and \
+                        isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_") and \
+                        read[name] == reads(node).count(name):
+                    out.append((mod, f"{cls.name}.{name}"))
     return sorted(out)
 
 
@@ -217,6 +237,29 @@ def test_unread_public_members_finds_what_is_never_read():
     readers = {"b": "from a import C\nC.make().used()\n"}
     assert unread_public_members(sources, readers) == [
         ("a", "C.dead"), ("a", "C.recursive"), ("a", "C.shadowed")]
+
+
+def test_unread_public_members_finds_unread_record_fields():
+    sources = {
+        "a": ("import dataclasses\n"
+              "from dataclasses import dataclass\n"
+              "from typing import NamedTuple\n"
+              "class P(NamedTuple):\n"
+              "    used: int\n    dead: int\n    _private: int\n"
+              "@dataclass(frozen=True)\n"
+              "class D:\n"
+              "    kept: int\n    unread: int = 0\n"
+              "@dataclasses.dataclass\n"
+              "class E:\n"
+              "    lost: int\n"
+              "class Plain:\n"
+              "    annotated: int\n"
+              "def make(unread):\n"
+              "    return P(used=1, dead=2, _private=3), D(1, unread)\n"),
+    }
+    readers = {"b": "from a import make\np, d = make(0)\np.used, d.kept\n"}
+    assert unread_public_members(sources, readers) == [
+        ("a", "D.unread"), ("a", "E.lost"), ("a", "P.dead")]
 
 
 # Public members that only tests read, kept as independent oracles.
