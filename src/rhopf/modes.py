@@ -132,17 +132,15 @@ def _shapes(coeff: RatExpr, clear: dict, ckey: frozenset, carried: tuple,
     return out
 
 
-def _pieces(e, window: SeriesWindow, clear: dict, ckey: frozenset,
-            sign: int) -> list:
-    """The pieces of ``sign * clear * e`` that reach some window slot:
-    each term's word paired with each shape of its coefficient
-    (``_shapes``), which terms with the same coefficient, variables and
-    delta share across the free-index tuples of a run.  A delta-free word
-    carries both z1 and z2, so each of its pieces reaches every slot;
-    any other delta-free word, and a generator over another variable,
-    is an ``ExpansionError``."""
+def _read(side) -> list:
+    """[(word, carried, dq, coefficient)] of the terms of ``side``: each
+    term's word, whether the template variables z1, z2 carry a generator,
+    the q-power of its delta (None for none) and its coefficient.  A
+    delta-free word carries both z1 and z2, so each of its pieces reaches
+    every slot; any other delta-free word, and a generator over another
+    variable, is an ``ExpansionError``."""
     out = []
-    for (flag, deltas, legs), coeff in e.terms.items():
+    for (flag, deltas, legs), coeff in side.terms.items():
         if flag:
             raise ExpansionError(f"cannot expand a term flagged {flag!r}")
         if len(deltas) > 1:
@@ -161,19 +159,32 @@ def _pieces(e, window: SeriesWindow, clear: dict, ckey: frozenset,
             dq = d.q
         elif len(gvars) < 2:
             raise ExpansionError("a delta-free word must carry z1 and z2")
-        carried = (_Z1 in gvars, _Z2 in gvars)
+        out.append((word, (_Z1 in gvars, _Z2 in gvars), dq, coeff))
+    return out
+
+
+def _pieces(terms: list, window: SeriesWindow, clear: dict, ckey: frozenset,
+            sign: int) -> list:
+    """The pieces of ``sign * clear`` times the read terms (``_read``)
+    that reach some window slot: each term's word paired with each shape
+    of its coefficient (``_shapes``), which terms with the same
+    coefficient, variables and delta share across the free-index tuples
+    of a run."""
+    out = []
+    for word, carried, dq, coeff in terms:
         out.extend((word, shape) for shape in _shapes(
             coeff, clear, ckey, carried, dq, sign, window))
     return out
 
 
-def _expand(lhs, rhs, window: SeriesWindow):
-    """(clearing factor, lhs pieces, rhs pieces) of lhs = rhs: the factor
-    is the lcm of the coefficient denominators, and the rhs is negated."""
-    clear = denominator_lcm([*lhs.terms.values(), *rhs.terms.values()])
+def _expand(lterms: list, rterms: list, window: SeriesWindow):
+    """(clearing factor, lhs pieces, rhs pieces) of lhs = rhs from their
+    read terms (``_read``): the factor is the lcm of the coefficient
+    denominators, and the rhs is negated."""
+    clear = denominator_lcm([t[3] for t in lterms + rterms])
     ckey = frozenset(clear.items())
-    return (clear, _pieces(lhs, window, clear, ckey, +1),
-            _pieces(rhs, window, clear, ckey, -1))
+    return (clear, _pieces(lterms, window, clear, ckey, +1),
+            _pieces(rterms, window, clear, ckey, -1))
 
 
 def _template(word: tuple, shape: _Shape) -> tuple:
@@ -219,7 +230,7 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     span = window.span
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
-        clear, lp, rp = _expand(lhs, rhs, window)
+        clear, lp, rp = _expand(_read(lhs), _read(rhs), window)
         slots: dict = {}
         for word, shape in lp + rp:
             gens, shifts = _template(word, shape)
@@ -240,6 +251,12 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     return out
 
 
+def _diagonal(word: tuple) -> bool:
+    """Whether every generator of ``word`` is a diagonal L or Lstar, the
+    only words whose zero-mode product can be a contradiction."""
+    return all(g.kind in (L, LSTAR) and g.row == g.col for g in word)
+
+
 def _contradictions(pieces: list, window: SeriesWindow) -> int:
     """Slots where, with triangularity imposed, one word survives and it is
     a product of diagonal L/Lstar zero modes.  A piece's word has every
@@ -249,9 +266,7 @@ def _contradictions(pieces: list, window: SeriesWindow) -> int:
     itself); an entry with no such slot inside the window reads no
     template and no coefficient."""
     candidates = {(-a, -b) for word, ((a, b), _, _) in pieces
-                  if max(abs(a), abs(b)) <= window.lim
-                  and all(g.kind in (L, LSTAR) and g.row == g.col
-                          for g in word)}
+                  if max(abs(a), abs(b)) <= window.lim and _diagonal(word)}
     if not candidates:
         return 0
     by_reach: dict = {}
@@ -277,12 +292,15 @@ def _contradictions(pieces: list, window: SeriesWindow) -> int:
 def mode_counts(lhs, rhs, window: SeriesWindow) -> tuple:
     """(slots checked, kind mismatches, contradictions) of one relation
     entry lhs = rhs; see ``check_mode_consistency``."""
-    _, lp, rp = _expand(lhs, rhs, window)
-    lk, rk = ({tuple(sorted(g.kind for g in legs[0]))
-               for _, deltas, legs in side.terms if not deltas}
-              for side in (lhs, rhs))
+    lterms, rterms = _read(lhs), _read(rhs)
+    lk, rk = ({tuple(sorted(g.kind for g in word))
+               for word, _, dq, _ in terms if dq is None}
+              for terms in (lterms, rterms))
     checked = len(window.span) ** 2 if lk else 0
     mismatches = checked if rk and lk != rk else 0
+    if not any(_diagonal(t[0]) for t in lterms + rterms):
+        return checked, mismatches, 0
+    _, lp, rp = _expand(lterms, rterms, window)
     return checked, mismatches, _contradictions(lp + rp, window)
 
 
@@ -297,26 +315,29 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     (c) with triangularity imposed, no slot degenerates to a single
     surviving zero-mode product forced to vanish.
 
-    Each side is expanded once, relative to the slot (``_pieces``): a
-    piece is a pair (word, shape), and its mode word at any slot is its
+    Every term is read once (``_read``), and its refusals fire before
+    anything is counted.  The kind sets of (b) depend only on which
+    pieces reach a slot, never on coefficients, and every delta-free term
+    has pieces and each of them reaches every slot (``_read`` refuses a
+    delta-free word without both z1 and z2), so a side has one kind set
+    for the whole window, read from its delta-free terms: all slots are
+    checked when the lhs has a delta-free term, and all mismatch when the
+    rhs has one too and the two sets differ.  A surviving word of (c) is
+    the mode word of a piece, whose word is its term's, so only an entry
+    with a term of diagonal L/Lstar generators, on either side, can hold
+    one; any other entry builds no clearing factor and no shape.  An
+    entry that can is expanded once, relative to the slot (``_pieces``):
+    a piece is a pair (word, shape), and its mode word at any slot is its
     generator templates with modes "slot coordinate plus exponent"
-    (``_template``), so no slot's word map is built for (b) and (c).
-    Every free-index tuple with the same coefficient, clearing factor,
-    carried variables, delta and side shares a shape for the run
-    (``_shapes``): a coefficient is cleared and split, and each shape's
-    coefficient computed, once per shape.  The kind sets of (b) depend
-    only on which pieces reach a slot, never on coefficients, and every
-    delta-free term has pieces and each of them reaches every slot
-    (``_pieces`` refuses a delta-free word without both z1 and z2), so a
-    side has one kind set for the whole window, read from its delta-free
-    terms: all slots are checked when the lhs has a delta-free term, and
-    all mismatch when the rhs has one too and the two sets differ.
-    A surviving word of (c) has every mode zero, which a piece's word
-    has only at slot -(its exponents); the word maps are summed exactly,
-    and filtered, at those candidate slots alone, and an entry with no
-    candidate slot in the window reads no template.  The counts are
-    therefore those of the full per-slot expansion.  Each relation's
-    sides are built once and serve (a) as well."""
+    (``_template``), so no slot's word map is built.  Every free-index
+    tuple with the same coefficient, clearing factor, carried variables,
+    delta and side shares a shape for the run (``_shapes``).  A surviving
+    word has every mode zero, which a piece's word has only at slot
+    -(its exponents); the word maps are summed exactly, and filtered, at
+    those candidate slots alone, and an entry with no candidate slot in
+    the window reads no template.  The counts are therefore those of the
+    full per-slot expansion.  Each relation's sides are built once and
+    serve (a) as well."""
     report = {"relations": [], "consistent": True}
     for rid in FLAVOR_RELATIONS[rs.flavor]:
         sides = [(lhs, rhs) for _, lhs, rhs in relation_sides(rs, rid)]
@@ -383,6 +404,13 @@ def _emit_poly_pair(lhs: RatExpr, rhs: RatExpr, window: SeriesWindow):
     return {s: d for s, d in slots.items() if d}
 
 
+# Proportionality verdicts, memoized for the run (``_proportional``) by
+# the leading pair's serials and the set of the coefficient pairs' serials,
+# which fix the verdict: most slots of the comparison repeat a few
+# coefficient pairs, and a miss makes two products per non-leading word.
+_PROPORTIONAL: dict = run_memo({})
+
+
 def _proportional(em: dict, rm: dict) -> bool:
     """Whether two word maps agree up to a common nonzero factor: the same
     words, and every coefficient cross-multiplied against the leading
@@ -393,7 +421,12 @@ def _proportional(em: dict, rm: dict) -> bool:
         return True
     first = min(em)
     ef, rf = em[first], rm[first]
-    return all(em[w] * rf == rm[w] * ef for w in em if w != first)
+    key = (ef.key, rf.key, frozenset([(em[w].key, rm[w].key) for w in em]))
+    out = _PROPORTIONAL.get(key)
+    if out is None:
+        out = _PROPORTIONAL[key] = all(em[w] * rf == rm[w] * ef
+                                       for w in em if w != first)
+    return out
 
 
 def _erase_kind(wm: dict) -> dict:

@@ -536,7 +536,8 @@ def _entries(rs: RewriteSystem) -> list:
 def _piece_rows(entries: list, window: SeriesWindow) -> list:
     rows = []
     for lhs, rhs in entries:
-        _, lp, rp = modes._expand(lhs, rhs, window)
+        _, lp, rp = modes._expand(modes._read(lhs), modes._read(rhs),
+                                  window)
         rows.append([(word, shape.exps, shape.reach, shape.coeff)
                      for word, shape in lp + rp])
     return rows
@@ -590,7 +591,28 @@ def _side(*terms):
     return out
 
 
+def _term(gens, deltas=(), flag=""):
+    """q * the word of (kind, row, col, spectral variable) generators, as
+    a one-term side with the given deltas and flag."""
+    word = tuple(GenOcc(k, r, c, ArgShift(v)) for k, r, c, v in gens)
+    return Element(1, {(flag, deltas, (word,)): parse_expr("q")})
+
+
 _BOTH = ((L, 1, 1, _Z1), (LSTAR, 1, 1, _Z2))  # reaches the whole window
+
+
+def _off(gens: tuple) -> tuple:
+    """The generators with L[1,1] made L[1,2] and Lstar[1,1] Lstar[2,1]:
+    no word of them is diagonal, so an entry of them only reaches the
+    early return of ``mode_counts``."""
+    return tuple((k, *{L: (1, 2), LSTAR: (2, 1)}[k], v) for k, _, _, v in gens)
+
+
+# Each refusal is checked beside a diagonal companion, which sends the
+# entry on to the expansion, and beside an off-diagonal one with the bad
+# term off-diagonal too, which shows that the refusal fires before the
+# early return for an entry that cannot hold a contradiction.
+_VARIANTS = (lambda gens: gens, _off)
 
 
 @pytest.mark.parametrize("word", [
@@ -600,58 +622,55 @@ _BOTH = ((L, 1, 1, _Z1), (LSTAR, 1, 1, _Z2))  # reaches the whole window
     ((L, 1, 1, _Z1), (LSTAR, 1, 1, _Z3)),  # z3 has no slot coordinate
 ], ids=["row", "column", "cell", "z3"])
 def test_delta_free_word_without_z1_and_z2_is_refused(word):
-    lhs, rhs = _side(("1", _BOTH), ("z1", word)), _side(("q", _BOTH))
     w = SeriesWindow(4, 1)
-    with pytest.raises(ExpansionError):
-        mode_counts(lhs, rhs, w)
-    with pytest.raises(ExpansionError):
-        mode_counts(rhs, lhs, w)
+    for gens in _VARIANTS:
+        lhs = _side(("1", gens(_BOTH)), ("z1", gens(word)))
+        rhs = _side(("q", gens(_BOTH)))
+        with pytest.raises(ExpansionError):
+            mode_counts(lhs, rhs, w)
+        with pytest.raises(ExpansionError):
+            mode_counts(rhs, lhs, w)
 
 
 def test_generator_outside_z1_and_z2_is_refused():
     """A generator over z3 has no slot coordinate, with a delta too."""
-    side = _side(("1", _BOTH)) + Element.word(
-        (GenOcc(L, 1, 1, ArgShift(_Z3)),), coeff=parse_expr("q"),
-        deltas=(DeltaFactor(_Z1, _Z2, mono()),))
-    with pytest.raises(ExpansionError):
-        mode_counts(side, _side(("1", _BOTH)), SeriesWindow(3, 1))
-
-
-def _term(gens, deltas=(), flag=""):
-    """q * the word of (kind, row, col, spectral variable) generators, as
-    a one-term side with the given deltas and flag."""
-    word = tuple(GenOcc(k, r, c, ArgShift(v)) for k, r, c, v in gens)
-    return Element(1, {(flag, deltas, (word,)): parse_expr("q")})
+    for gens in _VARIANTS:
+        side = _side(("1", gens(_BOTH))) + _term(
+            gens(((L, 1, 1, _Z3),)), (DeltaFactor(_Z1, _Z2, mono()),))
+        with pytest.raises(ExpansionError, match="generator outside"):
+            mode_counts(side, _side(("1", gens(_BOTH))), SeriesWindow(3, 1))
 
 
 _D12 = DeltaFactor(_Z1, _Z2, mono())
 
 
-# Each term passes every other refusal of ``_pieces``, so each case needs
+# Each term passes every other refusal of ``_read``, so each case needs
 # its own, and the message tells which one fired.
-@pytest.mark.parametrize("term, message", [
-    (_term(_BOTH, flag=FLAG_CONTRADICTORY), "flagged"),
-    (_term(_BOTH[:1], (_D12, DeltaFactor(_Z1, _Z2, mono(s=2)))),
+@pytest.mark.parametrize("word, deltas, flag, message", [
+    (_BOTH, (), FLAG_CONTRADICTORY, "flagged"),
+    (_BOTH[:1], (_D12, DeltaFactor(_Z1, _Z2, mono(s=2))), "",
      "multiple formal deltas"),
-    (_term(((L, 1, 1, _Z1), (LSTAR, 1, 1, _Z1)), (_D12,)),
+    (((L, 1, 1, _Z1), (LSTAR, 1, 1, _Z1)), (_D12,), "",
      "share a spectral variable"),
-    (_term(_BOTH[:1], (DeltaFactor(_Z1, _Z3, mono()),)),
+    (_BOTH[:1], (DeltaFactor(_Z1, _Z3, mono()),), "",
      "delta outside the template variables"),
 ], ids=["flagged", "two-deltas", "shared-variable", "delta-over-z3"])
-def test_unexpandable_term_is_refused(term, message):
-    lhs, rhs = _side(("1", _BOTH)) + term, _side(("q", _BOTH))
+def test_unexpandable_term_is_refused(word, deltas, flag, message):
     w = SeriesWindow(3, 1)
-    with pytest.raises(ExpansionError, match=message):
-        mode_counts(lhs, rhs, w)
-    with pytest.raises(ExpansionError, match=message):
-        mode_counts(rhs, lhs, w)
+    for gens in _VARIANTS:
+        lhs = _side(("1", gens(_BOTH))) + _term(gens(word), deltas, flag)
+        rhs = _side(("q", gens(_BOTH)))
+        with pytest.raises(ExpansionError, match=message):
+            mode_counts(lhs, rhs, w)
+        with pytest.raises(ExpansionError, match=message):
+            mode_counts(rhs, lhs, w)
 
 
-def _zero_mode_word(coeff: str) -> Element:
-    """coeff * L[1,1](z1) LStar[1,1](z2)."""
-    return Element.word((GenOcc(L, 1, 1, ArgShift(_Z1)),
-                         GenOcc(LSTAR, 1, 1, ArgShift(_Z2))),
-                        coeff=parse_expr(coeff))
+def _zero_mode_word(text: str) -> Element:
+    """zero * L[1,1](z1) LStar[1,1](z2) + off * L[1,2](z1) LStar[2,1](z2)
+    for ``text`` "zero" or "zero | off"."""
+    zero, _, off = text.partition("|")
+    return _side((zero, _BOTH), (off or "0", _off(_BOTH)))
 
 
 @pytest.mark.parametrize("lhs, rhs, slots", [
@@ -663,6 +682,10 @@ def _zero_mode_word(coeff: str) -> Element:
     ("z1", "q*z1", [(-1, 0)]),
     ("z1", "z1", []),
     ("z1^4", "0", []),  # its zero-mode slot (-4, 0) is outside the window
+    ("0 | 1", "1", [(0, 0)]),  # the zero-mode word only on the rhs
+    # beside an off-diagonal word, whose L[1,2] zero mode triangularity
+    # drops
+    ("1 | 1", "0", [(0, 0)]),
 ])
 def test_zero_mode_contradictions(lhs, rhs, slots):
     lhs, rhs = _zero_mode_word(lhs), _zero_mode_word(rhs)
@@ -670,3 +693,24 @@ def test_zero_mode_contradictions(lhs, rhs, slots):
     checked, mismatched, bad = per_slot_counts(lhs, rhs, w)
     assert (checked, mismatched, bad) == (49, 0, slots)
     assert mode_counts(lhs, rhs, w) == (checked, mismatched, len(bad))
+
+
+# Only an entry with a term of diagonal L/Lstar generators can hold a
+# contradiction, so only those are expanded by ``mode_counts``; their
+# number on the double flavor depends neither on the window nor on the
+# instance's coefficients.
+@pytest.mark.parametrize("name, expanded", [
+    ("example1", 4), ("example2-n2", 14), ("example2-n3", 30)])
+def test_only_entries_with_diagonal_words_are_expanded(name, expanded,
+                                                       monkeypatch):
+    calls = []
+
+    def counted(lterms, rterms, window):
+        calls.append(None)
+        return expand(lterms, rterms, window)
+
+    expand = modes._expand
+    monkeypatch.setattr(modes, "_expand", counted)
+    rep = check_mode_consistency(_rs(name), SeriesWindow(5, 1))
+    assert len(calls) == expanded
+    assert rep["consistent"]

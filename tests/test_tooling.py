@@ -419,15 +419,17 @@ def test_module_caches_are_input_free_or_start_cold(tmp_path, capsys):
     assert not any(getattr(importlib.import_module(f"rhopf.{mod}"), name) is m
                    for mod, name in caches if name in INPUT_FREE
                    for m in registry)
-    # a failing run with residuals of each kind warms every run-scoped
-    # cache: the Hopf checks fill the engine's, the mode checks the mode
-    # layer's
+    # a failing run with residuals of each kind, and a scalar run whose
+    # reference comparison reads the proportionality memo, warm every
+    # run-scoped cache: the Hopf checks fill the engine's, the mode checks
+    # the mode layer's
     warm = set()
-    for argv in (["verify-hopf", "--instance", "example2-n2", "--toggle",
-                  "ll-star=literal"],
-                 ["verify-modes", "--instance", "example2-n2", "--toggle",
-                  "ll-star=literal"]):
-        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 1
+    for argv, code in ((["verify-hopf", "--instance", "example2-n2",
+                         "--toggle", "ll-star=literal"], 1),
+                       (["verify-modes", "--instance", "example2-n2",
+                         "--toggle", "ll-star=literal"], 1),
+                       (["verify-modes", "--instance", "example1"], 0)):
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == code
         warm |= {name for name, (mod, attr, kept) in scoped.items()
                  if _size(getattr(mod, attr)) > kept}
     assert sorted(set(scoped) - warm) == []
