@@ -219,6 +219,25 @@ def _coeff_at(coeff: RatExpr, shifts: tuple, word: tuple) -> RatExpr:
     return coeff.mul_mono(qm) if qm else coeff
 
 
+def _slot_diagonals(window: SeriesWindow) -> list:
+    """(m0, k0, n) per diagonal m - k = u of the window, u from -2 lim to
+    2 lim: its first slot (m0, k0) = (max(-lim, u - lim), m0 - u) and its
+    length n, the diagonal's slots being (m0 + t, k0 + t) for t < n."""
+    lim = window.lim
+    out = []
+    for u in range(-2 * lim, 2 * lim + 1):
+        m0 = max(-lim, u - lim)
+        out.append((m0, m0 - u, 2 * lim + 1 - abs(u)))
+    return out
+
+
+def _raised(wm: dict, t: int) -> dict:
+    """The word map ``wm`` of delta-free words, each a pair of (kind, row,
+    col, mode) generators (``_read``), with every mode raised by t."""
+    return {((k1, r1, c1, p1 + t), (k2, r2, c2, p2 + t)): x
+            for ((k1, r1, c1, p1), (k2, r2, c2, p2)), x in wm.items()}
+
+
 def mode_expand_relation(rs: RewriteSystem, relation_id: str,
                          window: SeriesWindow) -> list:
     """Quadratic mode relations of one defining relation.
@@ -226,23 +245,47 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     Returns a list of entries, one per free-index tuple, each a dict with
     ``slots`` (slot -> residual word map; zero map means the slot holds
     identically) and the clearing factor used.
+
+    A piece that reaches the whole window and has no q-shifted argument
+    is shift-free: moving from slot (m, k) to (m + t, k + t) adds t to
+    both slot coordinates, so to every generator's mode, whichever
+    variable it reads, and leaves its coefficient the shape's.  Raising
+    every mode by t is injective on words, so the shift-free pieces are
+    summed once per diagonal, at its first slot (``_slot_diagonals``),
+    and the sum is copied along the diagonal with every mode raised.  The
+    other pieces, pinned to a row, a column or a cell by a delta, or
+    q-shifted, are then walked over their reach slot by slot.
     """
     span = window.span
+    diagonals = _slot_diagonals(window)
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
         clear, lp, rp = _expand(_read(lhs), _read(rhs), window)
-        slots: dict = {}
+        free, pinned = [], []
         for word, shape in lp + rp:
             gens, shifts = _template(word, shape)
-            coeff = shape.coeff
+            if shifts or shape.reach != (None, None):
+                pinned.append((gens, shifts, shape))
+            else:
+                free.append((gens, shape.coeff))
+        slots: dict = {}
+        for m0, k0, n in diagonals:
+            first: dict = {}
+            for gens, coeff in free:
+                accumulate(first, _word(gens, (m0, k0)), coeff)
+            if first:
+                slots[m0, k0] = first
+                for t in range(1, n):
+                    slots[m0 + t, k0 + t] = _raised(first, t)
+        for gens, shifts, shape in pinned:
             r1, r2 = shape.reach
             for m in span if r1 is None else (r1,):
                 for k in span if r2 is None else (r2,):
                     slot = (m, k)
                     mword = _word(gens, slot)
                     accumulate(slots.setdefault(slot, {}), mword,
-                               _coeff_at(coeff, shifts, mword) if shifts
-                               else coeff)
+                               _coeff_at(shape.coeff, shifts, mword)
+                               if shifts else shape.coeff)
         out.append({
             "indices": idx,
             "clearing_factor": clear,
@@ -386,29 +429,20 @@ def load_reference_relations() -> dict:
     return out
 
 
-def _emit_poly_pair(lhs: RatExpr, rhs: RatExpr, window: SeriesWindow):
-    """Mode slots of lhs(z1,z2) X(z1) X(z2) - rhs(z1,z2) X(z2) X(z1), a
-    word the tuple of its generators' modes."""
-    span = window.span
-    slots: dict = {}
+def _emit_poly_pair(lhs: RatExpr, rhs: RatExpr, slots: list) -> dict:
+    """Word maps of lhs(z1,z2) X(z1) X(z2) - rhs(z1,z2) X(z2) X(z1) at the
+    given slots, a word the tuple of its generators' modes."""
+    out: dict = {}
     for sign, poly, swapped in ((+1, lhs, False), (-1, rhs, True)):
         if poly.den != _ONE_TERMS:
             raise ExpansionError("a reference relation side has a "
                                  "denominator")
         for a, b, terms in _z_split(poly.num):
             sc = RatExpr.from_laurent(poly_scale(terms, sign, mono()))
-            for m in span:
-                for k in span:
-                    word = (k + b, m + a) if swapped else (m + a, k + b)
-                    accumulate(slots.setdefault((m, k), {}), word, sc)
-    return {s: d for s, d in slots.items() if d}
-
-
-# Proportionality verdicts, memoized for the run (``_proportional``) by
-# the leading pair's serials and the set of the coefficient pairs' serials,
-# which fix the verdict: most slots of the comparison repeat a few
-# coefficient pairs, and a miss makes two products per non-leading word.
-_PROPORTIONAL: dict = run_memo({})
+            for m, k in slots:
+                word = (k + b, m + a) if swapped else (m + a, k + b)
+                accumulate(out.setdefault((m, k), {}), word, sc)
+    return {s: d for s, d in out.items() if d}
 
 
 def _proportional(em: dict, rm: dict) -> bool:
@@ -421,12 +455,7 @@ def _proportional(em: dict, rm: dict) -> bool:
         return True
     first = min(em)
     ef, rf = em[first], rm[first]
-    key = (ef.key, rf.key, frozenset([(em[w].key, rm[w].key) for w in em]))
-    out = _PROPORTIONAL.get(key)
-    if out is None:
-        out = _PROPORTIONAL[key] = all(em[w] * rf == rm[w] * ef
-                                       for w in em if w != first)
-    return out
+    return all(em[w] * rf == rm[w] * ef for w in em if w != first)
 
 
 def _erase_kind(wm: dict) -> dict:
@@ -440,25 +469,47 @@ def drinfeld_compare(window: SeriesWindow, R: RMatrix) -> dict:
     (positive current = Phi, negative current = Phistar); a slot matches
     when its two word maps, both keyed by mode tuples, are proportional.
     Every engine word of a scalar relation has the same kind, row and
-    column, so dropping them keeps the words apart and in order."""
+    column, so dropping them keeps the words apart and in order.
+
+    Both rows are delta-free and unshifted, which is checked first (an
+    ``ExpansionError`` otherwise), and so is the reference: every piece
+    of either side is shift-free (``mode_expand_relation``), and a slot's
+    maps are those of its diagonal's first slot with every mode raised
+    by the same t.  That keeps sums, cancellations, the leading word and
+    the proportionality verdict, so each diagonal is decided at its first
+    slot alone: its slots count when the maps there are not both empty,
+    and all mismatch when those maps do."""
     if R.n != 1:
         raise DomainError("the reference comparison is scalar only")
     rs = RewriteSystem(R, "double")
     refs = load_reference_relations()
+    diagonals = _slot_diagonals(window)
+    firsts = [(m0, k0) for m0, k0, _ in diagonals]
     report = {"pairs": [], "match": True}
     for rid, refname in (("PhiPhi", "xplus"), ("PhistarPhistar", "xminus")):
+        for _, lhs, rhs in relation_sides(rs, rid):
+            for _, deltas, legs in [*lhs.terms, *rhs.terms]:
+                if deltas or any(g.arg.q for g in legs[0]):
+                    raise ExpansionError(
+                        f"{rid} has a delta or a q-shifted argument: its "
+                        "slots differ along a diagonal")
         engine = mode_expand_relation(rs, rid, window)[0]["slots"]
-        ref = _emit_poly_pair(*refs[refname], window)
+        ref = _emit_poly_pair(*refs[refname], firsts)
+        slots = 0
         mismatched = []
-        for slot in sorted(set(engine) | set(ref)):
-            if not _proportional(_erase_kind(engine.get(slot, {})),
-                                 ref.get(slot, {})):
-                mismatched.append(slot)
+        for m0, k0, n in diagonals:
+            first = (m0, k0)
+            if first not in engine and first not in ref:
+                continue
+            slots += n
+            if not _proportional(_erase_kind(engine.get(first, {})),
+                                 ref.get(first, {})):
+                mismatched.extend((m0 + t, k0 + t) for t in range(n))
         report["pairs"].append({
             "relation": rid,
             "reference": refname,
-            "slots": len(set(engine) | set(ref)),
-            "mismatched_slots": mismatched,
+            "slots": slots,
+            "mismatched_slots": sorted(mismatched),
         })
         if mismatched:
             report["match"] = False

@@ -595,6 +595,30 @@ def test_verify_modes_reports_are_pinned(args, code, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# The six-vertex matrix with R[1,2;1,2] alone times q^2, a one-sided
+# scaling (R[2,1;2,1] is not divided by q^2).  It breaks the Yang-Baxter
+# equation and unitarity, which check-r and verify-hopf see; verify-modes,
+# quadratic in the generators, assumes check-r passes and does not.
+ONE_SIDED_SPEC = Path(SIXVERTEX_SPEC).read_text().replace(
+    "R[1,2;1,2] = q*(x - 1)", "R[1,2;1,2] = q^3*(x - 1)")
+
+
+@pytest.mark.parametrize("command, fails", [
+    ("check-r", {"ybe-middle-prod", "ybe-middle-ratio", "unitarity"}),
+    ("verify-hopf", {"braid-consistency", "build-rules"}),
+    ("verify-modes", set()),
+], ids=["check-r", "verify-hopf", "verify-modes"])
+def test_verify_modes_passes_a_one_sided_scaling(command, fails, tmp_path):
+    assert "q^3" in ONE_SIDED_SPEC
+    spec = tmp_path / "one-sided.spec"
+    spec.write_text(ONE_SIDED_SPEC)
+    out = tmp_path / "report.json"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == \
+        (1 if fails else 0)
+    checks = json.loads(out.read_text())["checks"]
+    assert {c["check_id"] for c in checks if c["status"] == "fail"} == fails
+
+
 # A 1x1 entry whose reduced denominator keeps the integer content 2,
 # which the primitive clearing factor leaves out: (toggles, exit code,
 # sha256 of the byte-stable ``verify-modes`` report).

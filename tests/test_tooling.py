@@ -419,10 +419,9 @@ def test_module_caches_are_input_free_or_start_cold(tmp_path, capsys):
     assert not any(getattr(importlib.import_module(f"rhopf.{mod}"), name) is m
                    for mod, name in caches if name in INPUT_FREE
                    for m in registry)
-    # a failing run with residuals of each kind, and a scalar run whose
-    # reference comparison reads the proportionality memo, warm every
-    # run-scoped cache: the Hopf checks fill the engine's, the mode checks
-    # the mode layer's
+    # a failing run with residuals of each kind, and a scalar run that
+    # also runs the reference comparison, warm every run-scoped cache: the
+    # Hopf checks fill the engine's, the mode checks the mode layer's
     warm = set()
     for argv, code in ((["verify-hopf", "--instance", "example2-n2",
                          "--toggle", "ll-star=literal"], 1),
