@@ -221,7 +221,7 @@ def _q_power_matrix(k: int) -> RMatrix:
                             parse_expr(f"(x - q^{k})/(x*q^{k} - 1)")})
 
 
-_OFF_DIAGONAL = RMatrix(1, "x", {(1, 1, 1, 1):
+_DIAGONAL_MATCH = RMatrix(1, "x", {(1, 1, 1, 1):
                                  parse_expr("(x - 2*q^2)/(x*q^2 - 2)")})
 
 
@@ -232,10 +232,10 @@ _OFF_DIAGONAL = RMatrix(1, "x", {(1, 1, 1, 1):
                  _compare_result(3, lambda m, k: True), id="q4-w4-1"),
     pytest.param(get_instance("example1"), (8, 1),
                  _compare_result(7, lambda m, k: False), id="example1-w8-1"),
-    pytest.param(_OFF_DIAGONAL, (5, 1), _compare_result(4, int.__ne__),
-                 id="off-diagonal-w5-1"),
-    pytest.param(_OFF_DIAGONAL, (3, 0), _compare_result(3, int.__ne__),
-                 id="off-diagonal-w3-0"),
+    pytest.param(_DIAGONAL_MATCH, (5, 1), _compare_result(4, int.__ne__),
+                 id="diagonal-match-w5-1"),
+    pytest.param(_DIAGONAL_MATCH, (3, 0), _compare_result(3, int.__ne__),
+                 id="diagonal-match-w3-0"),
 ])
 def test_drinfeld_compare_results_are_pinned(R, window, want):
     assert drinfeld_compare(SeriesWindow(*window), R) == want
@@ -258,7 +258,7 @@ _SCALAR_GRID = {
     "example1": get_instance("example1"),
     "q4": _q_power_matrix(4),
     "q6": _q_power_matrix(6),
-    "off-diagonal": _OFF_DIAGONAL,
+    "diagonal-match": _DIAGONAL_MATCH,
     **{name: RMatrix(1, "x", {(1, 1, 1, 1): parse_expr(text)})
        for name, text in (("pole-at-minus", "(3*x - q^2)/(q^2*x + 1)"),
                           ("content-2", "(x - q^2)/(2*x*q^2 - 2)"),
