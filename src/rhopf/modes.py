@@ -132,14 +132,23 @@ def _shapes(coeff: RatExpr, clear: dict, ckey: frozenset, carried: tuple,
     return out
 
 
-def _read(side) -> list:
-    """[(word, carried, dq, coefficient)] of the terms of ``side``: each
-    term's word, whether the template variables z1, z2 carry a generator,
-    the q-power of its delta (None for none) and its coefficient.  A
-    delta-free word carries both z1 and z2, so each of its pieces reaches
-    every slot; any other delta-free word, and a generator over another
-    variable, is an ``ExpansionError``."""
-    out = []
+def _diagonal(word: tuple) -> bool:
+    """Whether every generator of ``word`` is a diagonal L or Lstar, the
+    only words whose zero-mode product can be a contradiction."""
+    return all(g.kind in (L, LSTAR) and g.row == g.col for g in word)
+
+
+def _read(side) -> tuple:
+    """(terms, kinds, diagonal) of ``side``, from one scan of its terms:
+    terms is [(word, carried, dq, coefficient)], each term's word, whether
+    the template variables z1, z2 carry a generator, the q-power of its
+    delta (None for none) and its coefficient; kinds is the set of sorted
+    generator kinds of its delta-free words; diagonal tells whether a word
+    is all diagonal L/Lstar (``_diagonal``).  A delta-free word carries
+    both z1 and z2, so each of its pieces reaches every slot; any other
+    delta-free word, and a generator over another variable, is an
+    ``ExpansionError``."""
+    terms, kinds, diagonal = [], set(), False
     for (flag, deltas, legs), coeff in side.terms.items():
         if flag:
             raise ExpansionError(f"cannot expand a term flagged {flag!r}")
@@ -159,8 +168,11 @@ def _read(side) -> list:
             dq = d.q
         elif len(gvars) < 2:
             raise ExpansionError("a delta-free word must carry z1 and z2")
-        out.append((word, (_Z1 in gvars, _Z2 in gvars), dq, coeff))
-    return out
+        else:
+            kinds.add(tuple(sorted(g.kind for g in word)))
+        diagonal = diagonal or _diagonal(word)
+        terms.append((word, (_Z1 in gvars, _Z2 in gvars), dq, coeff))
+    return terms, kinds, diagonal
 
 
 def _pieces(terms: list, window: SeriesWindow, clear: dict, ckey: frozenset,
@@ -231,20 +243,15 @@ def _slot_diagonals(window: SeriesWindow) -> list:
     return out
 
 
-def _raised(wm: dict, t: int) -> dict:
-    """The word map ``wm`` of delta-free words, each a pair of (kind, row,
-    col, mode) generators (``_read``), with every mode raised by t."""
-    return {((k1, r1, c1, p1 + t), (k2, r2, c2, p2 + t)): x
-            for ((k1, r1, c1, p1), (k2, r2, c2, p2)), x in wm.items()}
-
-
 def mode_expand_relation(rs: RewriteSystem, relation_id: str,
                          window: SeriesWindow) -> list:
     """Quadratic mode relations of one defining relation.
 
     Returns a list of entries, one per free-index tuple, each a dict with
-    ``slots`` (slot -> residual word map; zero map means the slot holds
-    identically) and the clearing factor used.
+    ``indices``, the ``clearing_factor`` used, ``diagonals``, ``cells``
+    and ``shift_free``.  The residual word map at a slot (zero map: the
+    slot holds identically) is its diagonal's map with every mode raised
+    by the slot's step along the diagonal, plus its cell's map.
 
     A piece that reaches the whole window and has no q-shifted argument
     is shift-free: moving from slot (m, k) to (m + t, k + t) adds t to
@@ -252,15 +259,21 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     variable it reads, and leaves its coefficient the shape's.  Raising
     every mode by t is injective on words, so the shift-free pieces are
     summed once per diagonal, at its first slot (``_slot_diagonals``),
-    and the sum is copied along the diagonal with every mode raised.  The
-    other pieces, pinned to a row, a column or a cell by a delta, or
-    q-shifted, are then walked over their reach slot by slot.
+    and nothing is copied along it: ``diagonals`` maps each first slot
+    (m0, k0) whose sum is nonzero to (n, word map), n the diagonal's
+    length, its slots (m0 + t, k0 + t) for t < n.  The other pieces,
+    pinned to a row, a column or a cell by a delta, or q-shifted, are
+    walked over their reach slot by slot into ``cells``, slot -> word
+    map, nonzero maps only (``PhiPhistar``'s deltas and bracket).
+    ``shift_free`` tells whether every read term is delta-free and
+    unshifted, judged from the terms, not from which pieces reach the
+    window; then ``cells`` is empty.
     """
     span = window.span
-    diagonals = _slot_diagonals(window)
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
-        clear, lp, rp = _expand(_read(lhs), _read(rhs), window)
+        lterms, rterms = _read(lhs)[0], _read(rhs)[0]
+        clear, lp, rp = _expand(lterms, rterms, window)
         free, pinned = [], []
         for word, shape in lp + rp:
             gens, shifts = _template(word, shape)
@@ -268,36 +281,33 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
                 pinned.append((gens, shifts, shape))
             else:
                 free.append((gens, shape.coeff))
-        slots: dict = {}
-        for m0, k0, n in diagonals:
+        diagonals: dict = {}
+        for m0, k0, n in _slot_diagonals(window):
             first: dict = {}
             for gens, coeff in free:
                 accumulate(first, _word(gens, (m0, k0)), coeff)
             if first:
-                slots[m0, k0] = first
-                for t in range(1, n):
-                    slots[m0 + t, k0 + t] = _raised(first, t)
+                diagonals[m0, k0] = (n, first)
+        cells: dict = {}
         for gens, shifts, shape in pinned:
             r1, r2 = shape.reach
             for m in span if r1 is None else (r1,):
                 for k in span if r2 is None else (r2,):
                     slot = (m, k)
                     mword = _word(gens, slot)
-                    accumulate(slots.setdefault(slot, {}), mword,
+                    accumulate(cells.setdefault(slot, {}), mword,
                                _coeff_at(shape.coeff, shifts, mword)
                                if shifts else shape.coeff)
         out.append({
             "indices": idx,
             "clearing_factor": clear,
-            "slots": {s: d for s, d in slots.items() if d},
+            "diagonals": diagonals,
+            "cells": {s: d for s, d in cells.items() if d},
+            "shift_free": not any(
+                dq is not None or any(g.arg.q for g in word)
+                for word, _, dq, _ in lterms + rterms),
         })
     return out
-
-
-def _diagonal(word: tuple) -> bool:
-    """Whether every generator of ``word`` is a diagonal L or Lstar, the
-    only words whose zero-mode product can be a contradiction."""
-    return all(g.kind in (L, LSTAR) and g.row == g.col for g in word)
 
 
 def _contradictions(pieces: list, window: SeriesWindow) -> int:
@@ -334,14 +344,14 @@ def _contradictions(pieces: list, window: SeriesWindow) -> int:
 
 def mode_counts(lhs, rhs, window: SeriesWindow) -> tuple:
     """(slots checked, kind mismatches, contradictions) of one relation
-    entry lhs = rhs; see ``check_mode_consistency``."""
-    lterms, rterms = _read(lhs), _read(rhs)
-    lk, rk = ({tuple(sorted(g.kind for g in word))
-               for word, _, dq, _ in terms if dq is None}
-              for terms in (lterms, rterms))
+    entry lhs = rhs; see ``check_mode_consistency``.  One scan of each
+    side (``_read``), the lhs first, raises its refusals and reads its
+    kind set and whether it has a diagonal L/Lstar word."""
+    lterms, lk, ldiag = _read(lhs)
+    rterms, rk, rdiag = _read(rhs)
     checked = len(window.span) ** 2 if lk else 0
     mismatches = checked if rk and lk != rk else 0
-    if not any(_diagonal(t[0]) for t in lterms + rterms):
+    if not (ldiag or rdiag):
         return checked, mismatches, 0
     _, lp, rp = _expand(lterms, rterms, window)
     return checked, mismatches, _contradictions(lp + rp, window)
@@ -471,14 +481,16 @@ def drinfeld_compare(window: SeriesWindow, R: RMatrix) -> dict:
     Every engine word of a scalar relation has the same kind, row and
     column, so dropping them keeps the words apart and in order.
 
-    Both rows are delta-free and unshifted, which is checked first (an
-    ``ExpansionError`` otherwise), and so is the reference: every piece
-    of either side is shift-free (``mode_expand_relation``), and a slot's
+    Both rows must be delta-free and unshifted, judged from their read
+    terms (``shift_free``; an ``ExpansionError`` otherwise), and so is the
+    reference: every piece of either side is shift-free, and a slot's
     maps are those of its diagonal's first slot with every mode raised
     by the same t.  That keeps sums, cancellations, the leading word and
     the proportionality verdict, so each diagonal is decided at its first
-    slot alone: its slots count when the maps there are not both empty,
-    and all mismatch when those maps do."""
+    slot alone, from the per-diagonal maps of ``mode_expand_relation``
+    and the reference emitted there: its slots count when the maps there
+    are not both empty, and all mismatch when those maps do.  The work
+    is linear in the window's width."""
     if R.n != 1:
         raise DomainError("the reference comparison is scalar only")
     rs = RewriteSystem(R, "double")
@@ -487,13 +499,12 @@ def drinfeld_compare(window: SeriesWindow, R: RMatrix) -> dict:
     firsts = [(m0, k0) for m0, k0, _ in diagonals]
     report = {"pairs": [], "match": True}
     for rid, refname in (("PhiPhi", "xplus"), ("PhistarPhistar", "xminus")):
-        for _, lhs, rhs in relation_sides(rs, rid):
-            for _, deltas, legs in [*lhs.terms, *rhs.terms]:
-                if deltas or any(g.arg.q for g in legs[0]):
-                    raise ExpansionError(
-                        f"{rid} has a delta or a q-shifted argument: its "
-                        "slots differ along a diagonal")
-        engine = mode_expand_relation(rs, rid, window)[0]["slots"]
+        entries = mode_expand_relation(rs, rid, window)
+        if not all(entry["shift_free"] for entry in entries):
+            raise ExpansionError(
+                f"{rid} has a delta or a q-shifted argument: its slots "
+                "differ along a diagonal")
+        engine = entries[0]["diagonals"]
         ref = _emit_poly_pair(*refs[refname], firsts)
         slots = 0
         mismatched = []
@@ -502,8 +513,8 @@ def drinfeld_compare(window: SeriesWindow, R: RMatrix) -> dict:
             if first not in engine and first not in ref:
                 continue
             slots += n
-            if not _proportional(_erase_kind(engine.get(first, {})),
-                                 ref.get(first, {})):
+            _, em = engine.get(first, (n, {}))
+            if not _proportional(_erase_kind(em), ref.get(first, {})):
                 mismatched.extend((m0 + t, k0 + t) for t in range(n))
         report["pairs"].append({
             "relation": rid,

@@ -32,6 +32,25 @@ def _rs(name="example1", flavor="double", toggles=None):
     return RewriteSystem(get_instance(name), flavor, toggles)
 
 
+def slot_maps(entry: dict, window: SeriesWindow) -> dict:
+    """Every nonzero slot map of a ``mode_expand_relation`` entry: at the
+    t-th slot of a diagonal its map with every mode raised by t, plus the
+    slot's cell.  Each diagonal runs from the window's lower edge to its
+    upper edge."""
+    lim = window.lim
+    out: dict = {}
+    for (m0, k0), (n, wm) in entry["diagonals"].items():
+        assert min(m0, k0) == -lim and max(m0, k0) + n - 1 == lim
+        for t in range(n):
+            out[m0 + t, k0 + t] = {
+                tuple((kind, r, col, p + t) for kind, r, col, p in word): c
+                for word, c in wm.items()}
+    for slot, wm in entry["cells"].items():
+        for word, c in wm.items():
+            accumulate(out.setdefault(slot, {}), word, c)
+    return {s: d for s, d in out.items() if d}
+
+
 # -- brute-force oracle -------------------------------------------------------
 #
 # A two-variable polynomial p(z1, z2) times the double current series
@@ -64,6 +83,7 @@ def test_phi_phi_slots_match_series_oracle():
     rs = _rs()
     w = SeriesWindow(4, 1)
     entry = mode_expand_relation(rs, "PhiPhi", w)[0]
+    slots = slot_maps(entry, w)
     assert RatExpr(entry["clearing_factor"]) == parse_expr("q^2*z1 - z2") \
         or RatExpr(entry["clearing_factor"]) == parse_expr("z2 - q^2*z1")
     # oracle polynomials: clearing factor times each side's coefficient
@@ -71,7 +91,7 @@ def test_phi_phi_slots_match_series_oracle():
         {X: mono(z1=1, z2=-1)}) * RatExpr(entry["clearing_factor"])
     rhs_poly = RatExpr(entry["clearing_factor"])
     for (m, k) in [(0, 0), (1, -1), (-2, 3), (2, 2)]:
-        got = entry["slots"].get((m, k), {})
+        got = slots.get((m, k), {})
         want = series_slot_oracle(lhs_poly, (("X", "z1"), ("X", "z2")),
                                   w, m, k)
         rhs = series_slot_oracle(rhs_poly, (("X", "z2"), ("X", "z1")),
@@ -90,7 +110,7 @@ def test_identity_instance_modes_commute():
     w = SeriesWindow(3, 1)
     for entry in mode_expand_relation(rs, "PhiPhi", w):
         i, j = entry["indices"]
-        for (m, k), wm in entry["slots"].items():
+        for (m, k), wm in slot_maps(entry, w).items():
             assert len(wm) == 2
             a = wm.get(((PHI, i, 0, m), (PHI, j, 0, k)))
             b = wm.get(((PHI, j, 0, k), (PHI, i, 0, m)))
@@ -104,14 +124,14 @@ def test_identity_instance_modes_commute():
 def test_cross_bracket_modes_scalar():
     rs = _rs()
     w = SeriesWindow(3, 1)
-    entry = mode_expand_relation(rs, "PhiPhistar", w)[0]
+    slots = slot_maps(mode_expand_relation(rs, "PhiPhistar", w)[0], w)
     # (q - q^-1) [Phi_m, Phistar_k] = q^((m-k)c/2) lstar[m+k]
     #                                 - q^((k-m)c/2) l[m+k];
     # the clearing factor is q^2 - 1, leaving the bracket side scaled by
     # q^2 - 1 and the single-mode side by q
     q = parse_expr("q")
     for (m, k) in [(0, 0), (1, 0), (-1, 2)]:
-        wm = entry["slots"][(m, k)]
+        wm = slots[(m, k)]
         assert wm[((PHI, 1, 0, m), (PHISTAR, 1, 0, k))] == \
             parse_expr("q^2 - 1")
         assert wm[((PHISTAR, 1, 0, k), (PHI, 1, 0, m))] == \
@@ -249,10 +269,11 @@ def test_drinfeld_compare_rejects_matrix_instance():
 # -- every drinfeld_compare verdict against a per-slot comparison -----------
 #
 # ``drinfeld_compare`` decides each diagonal m - k at its first slot.  The
-# oracle decides every slot: the engine maps of ``mode_expand_relation``,
-# the reference emitted slot by slot here, and a cross-multiplication with
-# no memo.  (x - 2 q^2)/(x q^2 - 2) matches on m = k alone, so a verdict
-# read off another slot's map, or off another line of slots, fails it.
+# oracle decides every slot: the engine maps of ``mode_expand_relation``
+# expanded to every slot (``slot_maps``), the reference emitted slot by
+# slot here, and a cross-multiplication with no memo.  (x - 2 q^2)/(x q^2
+# - 2) matches on m = k alone, so a verdict read off another slot's map,
+# or off another line of slots, fails it.
 
 _SCALAR_GRID = {
     "example1": get_instance("example1"),
@@ -291,7 +312,8 @@ def _per_slot_compare(window: SeriesWindow, R: RMatrix) -> dict:
     refs = load_reference_relations()
     report = {"pairs": [], "match": True}
     for rid, refname in (("PhiPhi", "xplus"), ("PhistarPhistar", "xminus")):
-        engine = mode_expand_relation(rs, rid, window)[0]["slots"]
+        engine = slot_maps(mode_expand_relation(rs, rid, window)[0],
+                           window)
         slots, bad = 0, []
         for m, k in itertools.product(window.span, repeat=2):
             em = {tuple(g[3] for g in w): c
@@ -308,7 +330,8 @@ def _per_slot_compare(window: SeriesWindow, R: RMatrix) -> dict:
 
 
 @pytest.mark.parametrize("window", [(1, 0), (2, 1), (3, 0), (4, 2), (5, 1),
-                                    (8, 1)], ids=lambda w: "w%d-%d" % w)
+                                    (8, 1), (16, 1), (32, 3)],
+                         ids=lambda w: "w%d-%d" % w)
 @pytest.mark.parametrize("name", list(_SCALAR_GRID))
 def test_drinfeld_compare_matches_per_slot_comparison(name, window):
     w = SeriesWindow(*window)
@@ -319,7 +342,8 @@ def test_drinfeld_compare_matches_per_slot_comparison(name, window):
 # ``drinfeld_compare`` reads a diagonal off one slot only because every
 # compared term is delta-free and unshifted.  A row with a delta term or a
 # q-shifted argument, both of which ``mode_expand_relation`` expands, is
-# refused before anything is compared.
+# refused before anything is compared.  The refusal reads the row's terms,
+# so a delta term none of whose pieces reaches the window is refused too.
 
 def _shifted_word() -> Element:
     """Phi(z1 q) Phi(z2): mode p of the first generator picks up q^-p."""
@@ -331,7 +355,9 @@ def _shifted_word() -> Element:
 @pytest.mark.parametrize("extra", [
     lambda: _term(((PHI, 1, 0, _Z1),), (_D12,)),
     _shifted_word,
-], ids=["delta", "q-shifted"])
+    # no piece of it reaches the window: refused by its term alone
+    lambda: Element(1, {("", (_D12,), ((),)): parse_expr("z1^100")}),
+], ids=["delta", "q-shifted", "delta-outside-the-window"])
 def test_drinfeld_compare_refuses_a_row_that_varies_along_a_diagonal(
         extra, monkeypatch):
     def sides(rs, rid):
@@ -341,7 +367,7 @@ def test_drinfeld_compare_refuses_a_row_that_varies_along_a_diagonal(
     monkeypatch.setattr(modes, "relation_sides", sides)
     w = SeriesWindow(3, 1)
     rs = RewriteSystem(get_instance("example1"), "double")
-    assert mode_expand_relation(rs, "PhiPhi", w)[0]["slots"]
+    assert slot_maps(mode_expand_relation(rs, "PhiPhi", w)[0], w)
     with pytest.raises(ExpansionError, match="delta or a q-shifted"):
         drinfeld_compare(w, get_instance("example1"))
 
@@ -513,14 +539,25 @@ def _matrix(name):
 
 # -- every slot map against the per-slot emitter ------------------------------
 #
-# ``mode_expand_relation`` walks each piece's reach from its template; the
-# emitter above builds each slot's word and coefficient from the term
-# itself.  With the entry's clearing factor, the two must give the same map
-# at every slot, for every relation of the double flavor: ``PhiPhistar``
-# carries formal deltas and q-shifted arguments, which are walked slot by
-# slot while every other piece is copied along its diagonal, and
+# ``mode_expand_relation`` stores one map per diagonal, at its first slot,
+# and the cells of its pinned or q-shifted pieces; the emitter above builds
+# each slot's word and coefficient from the term itself.  With the entry's
+# clearing factor, the per-diagonal form expanded slot by slot
+# (``slot_maps``) must give the emitter's map at every slot, for every
+# relation of the double flavor: ``PhiPhistar`` carries formal deltas and
+# q-shifted arguments, whose cells are added slot by slot, and
 # ``ll-star=literal`` toggles the kinds of a side.  Window (1, 0) is the
-# smallest and (8, 1) the benchmark's largest.
+# smallest, (8, 1) the benchmark's largest, and (16, 1) and (32, 3) are
+# wider than any run of the benchmark.  The emitter takes about 1.3 s per
+# 2 x 2 matrix at (16, 1) and 5 s at (32, 3), so the wide windows run on
+# ``example1`` and, at (16, 1), on the six-vertex matrix, whose every
+# relation has off-diagonal words and whose bracket has cells.
+
+def _shift_free(lhs, rhs) -> bool:
+    """Whether no term of lhs = rhs has a delta or a q-shifted argument."""
+    return not any(deltas or any(g.arg.q for g in legs[0])
+                   for _, deltas, legs in [*lhs.terms, *rhs.terms])
+
 
 @pytest.mark.parametrize("name, toggles, window", [
     pytest.param(name, toggles, window,
@@ -533,6 +570,10 @@ def _matrix(name):
         ("six-vertex", None, "six-vertex"),
         ("integer-content", None, "integer-content"),
     ]
+] + [
+    pytest.param(name, None, window, id="%s-w%d-%d" % (name, *window))
+    for name, window in [("example1", (16, 1)), ("six-vertex", (16, 1)),
+                         ("example1", (32, 3))]
 ])
 def test_slot_maps_match_per_slot_emitter(name, toggles, window):
     rs = RewriteSystem(_matrix(name), "double", toggles)
@@ -545,8 +586,24 @@ def test_slot_maps_match_per_slot_emitter(name, toggles, window):
             _emit_element(lhs, w, entry["clearing_factor"], +1, want, {})
             _emit_element(rhs, w, entry["clearing_factor"], -1, want, {})
             assert entry["indices"] == idx
-            assert entry["slots"] == {s: d for s, d in want.items() if d}, \
-                (rid, idx)
+            assert slot_maps(entry, w) == \
+                {s: d for s, d in want.items() if d}, (rid, idx)
+            assert entry["shift_free"] == _shift_free(lhs, rhs), (rid, idx)
+            assert not (entry["shift_free"] and entry["cells"]), (rid, idx)
+
+
+# A scalar exchange row holds one map per diagonal, 4 lim + 1 at most, and
+# no cell: nothing is copied along a diagonal, so the row's size grows with
+# the window's width, not with its area (225 slot maps at window (8, 1) and
+# 3,969 at (32, 1) when every slot held its own).
+
+@pytest.mark.parametrize("window", [(8, 1), (32, 1)],
+                         ids=lambda w: "w%d-%d" % w)
+def test_exchange_row_holds_one_map_per_diagonal(window):
+    w = SeriesWindow(*window)
+    entries = mode_expand_relation(_rs(), "PhiPhi", w)
+    maps = sum(len(e["diagonals"]) + len(e["cells"]) for e in entries)
+    assert 0 < maps <= 4 * w.lim + 1
 
 
 @pytest.mark.parametrize("name, flavor, toggles, window", [
@@ -668,8 +725,8 @@ def _entries(rs: RewriteSystem) -> list:
 def _piece_rows(entries: list, window: SeriesWindow) -> list:
     rows = []
     for lhs, rhs in entries:
-        _, lp, rp = modes._expand(modes._read(lhs), modes._read(rhs),
-                                  window)
+        _, lp, rp = modes._expand(modes._read(lhs)[0],
+                                  modes._read(rhs)[0], window)
         rows.append([(word, shape.exps, shape.reach, shape.coeff)
                      for word, shape in lp + rp])
     return rows
@@ -710,6 +767,39 @@ def test_delta_free_relation_words_carry_z1_and_z2(name):
                     if not deltas:
                         assert sorted(g.arg.var for g in legs[0]) == \
                             [_Z1, _Z2], (flavor, toggle, rid, idx)
+
+
+# ``mode_counts`` reads each side once, and that scan gives its terms, its
+# kind set and whether it has a diagonal L/Lstar word.  The reference below
+# reads the terms, then scans them again for each of the other two, as
+# ``mode_counts`` did before; both must give the same counts on every
+# relation entry.
+
+def _three_scan_counts(lhs, rhs, window: SeriesWindow) -> tuple:
+    lterms, rterms = modes._read(lhs)[0], modes._read(rhs)[0]
+    lk, rk = ({tuple(sorted(g.kind for g in word))
+               for word, _, dq, _ in terms if dq is None}
+              for terms in (lterms, rterms))
+    checked = len(window.span) ** 2 if lk else 0
+    mismatches = checked if rk and lk != rk else 0
+    if not any(all(g.kind in (L, LSTAR) and g.row == g.col for g in word)
+               for word, _, _, _ in lterms + rterms):
+        return checked, mismatches, 0
+    _, lp, rp = modes._expand(lterms, rterms, window)
+    return checked, mismatches, modes._contradictions(lp + rp, window)
+
+
+@pytest.mark.parametrize("name", [*INSTANCE_NAMES, "six-vertex"])
+def test_one_scan_counts_match_three_scans(name):
+    w = SeriesWindow(5, 1)
+    for flavor, toggle in itertools.product(
+            ("particle", "extended", "double"), (None, *TOGGLE_NAMES)):
+        toggles = Toggles.from_dict({toggle: "literal"}) if toggle else None
+        rs = RewriteSystem(_matrix(name), flavor, toggles)
+        for rid in FLAVOR_RELATIONS[flavor]:
+            for idx, lhs, rhs in relation_sides(rs, rid):
+                assert mode_counts(lhs, rhs, w) == \
+                    _three_scan_counts(lhs, rhs, w), (flavor, toggle, rid, idx)
 
 
 def _side(*terms):

@@ -170,9 +170,7 @@ def test_dead_helpers_finds_private_methods_and_constants():
 
 
 def test_no_dead_helpers():
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))}
-    assert dead_helpers(sources) == []
+    assert dead_helpers(_texts(SRC)) == []
 
 
 def _is_record(cls: ast.ClassDef) -> bool:
@@ -262,17 +260,80 @@ def test_unread_public_members_finds_unread_record_fields():
         ("a", "D.unread"), ("a", "E.lost"), ("a", "P.dead")]
 
 
-# Public members that only tests read, kept as independent oracles.
-ORACLES = {("symfield", "RatExpr.cross_equal")}
+# Public members and module-level definitions that only tests read, kept
+# as independent oracles.
+ORACLES = {("symfield", "RatExpr.cross_equal"), ("algebra", "term_measure")}
+
+
+def _texts(directory: Path) -> dict:
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(directory.glob("*.py"))}
 
 
 def test_no_unread_public_members():
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))}
-    readers = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(BENCH.glob("*.py"))}
-    found = unread_public_members(sources, readers)
+    found = unread_public_members(_texts(SRC), _texts(BENCH))
     assert [member for member in found if member not in ORACLES] == []
+
+
+def unread_definitions(sources: dict, readers: dict) -> list:
+    """(module, name) of every module-level function and class of
+    ``sources``, public or private, that no code of ``sources`` or
+    ``readers`` reads outside its own definition; both map module names to
+    their text.  A bare name, an attribute and an imported name count as
+    reads, and so does each part of a string that is a dotted identifier
+    path, the name a patch target or a ``getattr`` gives."""
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute) and \
+                    isinstance(sub.ctx, ast.Load):
+                yield sub.attr
+            elif isinstance(sub, ast.ImportFrom):
+                yield from (alias.name for alias in sub.names)
+            elif isinstance(sub, ast.Constant) and \
+                    isinstance(sub.value, str) and \
+                    all(part.isidentifier() for part in sub.value.split(".")):
+                yield from sub.value.split(".")
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read = Counter(name for tree in [*trees.values(), *map(
+        ast.parse, readers.values())] for name in reads(tree))
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    not node.name.startswith("__") and \
+                    read[node.name] == list(reads(node)).count(node.name):
+                out.append((mod, node.name))
+    return sorted(out)
+
+
+def test_unread_definitions_finds_what_is_never_read():
+    sources = {
+        "a": ("def used():\n    pass\n"
+              "def dead():\n    return used()\n"
+              "def _private_dead():\n    pass\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Dead:\n    def method(self):\n        return Dead\n"
+              "def by_name():\n    pass\n"
+              "def by_attribute():\n    pass\n"
+              "def __getattr__(name):\n    pass\n"
+              "def named():\n    return 'named is a word'\n"),
+        "b": ("from .a import used\n"
+              "def helper():\n    return 0\n"
+              "def caller():\n    return helper()\n"),
+    }
+    readers = {"c": ("import a, b\n"
+                     "TARGETS = [('a', 'by_name'), ('b', 'caller.x')]\n"
+                     "a.by_attribute()\n")}
+    assert unread_definitions(sources, readers) == [
+        ("a", "Dead"), ("a", "_private_dead"), ("a", "dead"), ("a", "named"),
+        ("a", "recursive")]
+
+
+def test_no_unread_definitions():
+    found = unread_definitions(_texts(SRC), _texts(BENCH))
+    assert [name for name in found if name not in ORACLES] == []
 
 
 def unread_parameters(source: str) -> list:
