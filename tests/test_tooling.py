@@ -103,30 +103,35 @@ def _private_definitions(tree):
                         yield sub.id, node
 
 
+def _reads(node):
+    """The names read under ``node``: a bare name, an attribute, an
+    imported name (the unused-import check makes the importer read it),
+    and each part of a string that is a dotted identifier path, the name
+    a patch target or a ``getattr`` gives."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and all(part.isidentifier() for part in sub.value.split(".")):
+            yield from sub.value.split(".")
+
+
 def dead_helpers(sources: dict) -> list:
     """(module, name) of every private module-level function, class or
     constant, and of every private method, that no code of the package
-    reads outside its own definition; ``sources`` maps module names to
-    their text.  A name read as an attribute (``module._helper``,
-    ``self._method``) or imported (the unused-import check makes the
-    importer read it) counts as read."""
+    reads outside its own definition (``_reads``); ``sources`` maps module
+    names to their text."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-
-    def reads(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute) and \
-                    isinstance(sub.ctx, ast.Load):
-                yield sub.attr
-            elif isinstance(sub, ast.ImportFrom):
-                yield from (alias.name for alias in sub.names)
-    read = Counter(name for tree in trees.values() for name in reads(tree))
+    read = Counter(name for tree in trees.values() for name in _reads(tree))
     out = []
     for mod, tree in trees.items():
         for qualname, node in _private_definitions(tree):
             name = qualname.rpartition(".")[2]
-            if read[name] == list(reads(node)).count(name):
+            if read[name] == list(_reads(node)).count(name):
                 out.append((mod, qualname))
     return sorted(out)
 
@@ -278,32 +283,17 @@ def test_no_unread_public_members():
 def unread_definitions(sources: dict, readers: dict) -> list:
     """(module, name) of every module-level function and class of
     ``sources``, public or private, that no code of ``sources`` or
-    ``readers`` reads outside its own definition; both map module names to
-    their text.  A bare name, an attribute and an imported name count as
-    reads, and so does each part of a string that is a dotted identifier
-    path, the name a patch target or a ``getattr`` gives."""
-    def reads(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute) and \
-                    isinstance(sub.ctx, ast.Load):
-                yield sub.attr
-            elif isinstance(sub, ast.ImportFrom):
-                yield from (alias.name for alias in sub.names)
-            elif isinstance(sub, ast.Constant) and \
-                    isinstance(sub.value, str) and \
-                    all(part.isidentifier() for part in sub.value.split(".")):
-                yield from sub.value.split(".")
+    ``readers`` reads outside its own definition (``_reads``); both map
+    module names to their text."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     read = Counter(name for tree in [*trees.values(), *map(
-        ast.parse, readers.values())] for name in reads(tree))
+        ast.parse, readers.values())] for name in _reads(tree))
     out = []
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
                     not node.name.startswith("__") and \
-                    read[node.name] == list(reads(node)).count(node.name):
+                    read[node.name] == list(_reads(node)).count(node.name):
                 out.append((mod, node.name))
     return sorted(out)
 
