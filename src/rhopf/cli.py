@@ -271,6 +271,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--toggle", action="append", default=[],
                    metavar="NAME=VALUE",
                    help="convention toggle, VALUE in {corrected, literal}")
+
+
+def _add_report(p: argparse.ArgumentParser):
+    """The report options, for the commands that write a report."""
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--timings", action="store_true",
                    help="include wall times in the JSON report (off by "
@@ -340,10 +344,12 @@ def main(argv=None) -> int:
     p1 = sub.add_parser("check-r", help="Yang-Baxter (both middle-argument "
                         "conventions), unitarity, pole clearing")
     _add_common(p1)
+    _add_report(p1)
 
     p2 = sub.add_parser("verify-hopf", help="braid consistency, relation "
                         "homomorphism checks, Hopf axioms")
     _add_common(p2)
+    _add_report(p2)
     p2.add_argument("--flavor", default="double",
                     choices=("extended", "double"),
                     help="the particle flavor has no coproduct: the "
@@ -352,6 +358,7 @@ def main(argv=None) -> int:
     p3 = sub.add_parser("verify-modes", help="mode-level consistency and "
                         "the scalar reference comparison")
     _add_common(p3)
+    _add_report(p3)
     p3.add_argument("--flavor", default="double",
                     choices=("particle", "extended", "double"))
     p3.add_argument("--window", type=int, default=5, metavar="N")

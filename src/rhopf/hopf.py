@@ -26,7 +26,7 @@ import itertools
 from typing import NamedTuple
 
 from .algebra import (MAX_LEGS, Element, GenOcc, L, LINV, LSTAR, LSTARINV,
-                      PHI, PHISTAR, RewriteSystem, VECTOR_KINDS, _z,
+                      PHI, PHISTAR, RewriteSystem, VECTOR_KINDS, _occ, _z,
                       charge_shift, delta_normalize, normal_order,
                       relation_residual, subs_term, toggled)
 from .errors import ShapeError, UnsupportedRule
@@ -168,8 +168,7 @@ class HopfTables:
             env = {"i": g.row, "j": g.col, "m": m}
             legs = [()] * nlegs
             for f, letters, a in factors:
-                col = env[letters[1]] if len(letters) == 2 else 0
-                legs[f.leg] += (GenOcc(f.kind, env[letters[0]], col, a),)
+                legs[f.leg] += (_occ((f.kind, letters, a), env),)
             out.append((row.sign, tuple(legs)))
         return tuple(out)
 

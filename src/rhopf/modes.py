@@ -134,21 +134,24 @@ def _shapes(coeff: RatExpr, clear: dict, ckey: frozenset, carried: tuple,
 
 def _diagonal(word: tuple) -> bool:
     """Whether every generator of ``word`` is a diagonal L or Lstar, the
-    only words whose zero-mode product can be a contradiction."""
-    return all(g.kind in (L, LSTAR) and g.row == g.col for g in word)
+    only words whose zero-mode product can be a contradiction; a generator
+    is any tuple that starts (kind, row, col): an occurrence, a piece's
+    template or a mode word's entry."""
+    return all(g[0] in (L, LSTAR) and g[1] == g[2] for g in word)
 
 
 def _read(side) -> tuple:
-    """(terms, kinds, diagonal) of ``side``, from one scan of its terms:
-    terms is [(word, carried, dq, coefficient)], each term's word, whether
-    the template variables z1, z2 carry a generator, the q-power of its
-    delta (None for none) and its coefficient; kinds is the set of sorted
-    generator kinds of its delta-free words; diagonal tells whether a word
-    is all diagonal L/Lstar (``_diagonal``).  A delta-free word carries
+    """(terms, kinds, diagonal, shifted) of ``side``, from one scan of its
+    terms: terms is [(word, carried, dq, coefficient)], each term's word,
+    whether the template variables z1, z2 carry a generator, the q-power
+    of its delta (None for none) and its coefficient; kinds is the set of
+    sorted generator kinds of its delta-free words; diagonal tells whether
+    a word is all diagonal L/Lstar (``_diagonal``), and shifted whether a
+    term has a delta or a q-shifted argument.  A delta-free word carries
     both z1 and z2, so each of its pieces reaches every slot; any other
     delta-free word, and a generator over another variable, is an
     ``ExpansionError``."""
-    terms, kinds, diagonal = [], set(), False
+    terms, kinds, diagonal, shifted = [], set(), False, False
     for (flag, deltas, legs), coeff in side.terms.items():
         if flag:
             raise ExpansionError(f"cannot expand a term flagged {flag!r}")
@@ -171,47 +174,36 @@ def _read(side) -> tuple:
         else:
             kinds.add(tuple(sorted(g.kind for g in word)))
         diagonal = diagonal or _diagonal(word)
+        shifted = shifted or bool(deltas) or any(g.arg.q for g in word)
         terms.append((word, (_Z1 in gvars, _Z2 in gvars), dq, coeff))
-    return terms, kinds, diagonal
-
-
-def _pieces(terms: list, window: SeriesWindow, clear: dict, ckey: frozenset,
-            sign: int) -> list:
-    """The pieces of ``sign * clear`` times the read terms (``_read``)
-    that reach some window slot: each term's word paired with each shape
-    of its coefficient (``_shapes``), which terms with the same
-    coefficient, variables and delta share across the free-index tuples
-    of a run."""
-    out = []
-    for word, carried, dq, coeff in terms:
-        out.extend((word, shape) for shape in _shapes(
-            coeff, clear, ckey, carried, dq, sign, window))
-    return out
+    return terms, kinds, diagonal, shifted
 
 
 def _expand(lterms: list, rterms: list, window: SeriesWindow):
-    """(clearing factor, lhs pieces, rhs pieces) of lhs = rhs from their
-    read terms (``_read``): the factor is the lcm of the coefficient
-    denominators, and the rhs is negated."""
-    clear = denominator_lcm([t[3] for t in lterms + rterms])
-    ckey = frozenset(clear.items())
-    return (clear, _pieces(lterms, window, clear, ckey, +1),
-            _pieces(rterms, window, clear, ckey, -1))
-
-
-def _template(word: tuple, shape: _Shape) -> tuple:
-    """(gens, shifts) of the piece (word, shape): per generator its kind,
+    """(clearing factor, pieces) of lhs = rhs from their read terms
+    (``_read``): the factor is the lcm of the coefficient denominators,
+    and the pieces are those of the factor times lhs - rhs that reach some
+    window slot, each term's word with each of its shapes (``_shapes``),
+    read as (gens, shifts, shape).  gens holds per generator its kind,
     row, column, the slot coordinate it reads (0 for z1, 1 for z2) and
     that variable's exponent, so that its mode at slot s is s[axis] +
-    exponent (``_word``); and the q-powers of the generators' arguments,
-    empty when none carries one, the only case in which a mode word's
-    coefficient is the shape's (``_coeff_at``)."""
-    gens = []
-    for g in word:
-        axis = _AXES[g.arg.var]
-        gens.append((g.kind, g.row, g.col, axis, shape.exps[axis]))
-    shifts = tuple(g.arg.q for g in word)
-    return tuple(gens), shifts if any(shifts) else ()
+    exponent (``_word``); shifts holds the q-powers of the generators'
+    arguments, empty when none carries one, the only case in which a mode
+    word's coefficient is the shape's (``_coeff_at``)."""
+    clear = denominator_lcm([t[3] for t in lterms + rterms])
+    ckey = frozenset(clear.items())
+    pieces = []
+    for sign, terms in ((+1, lterms), (-1, rterms)):
+        for word, carried, dq, coeff in terms:
+            axes = [(g.kind, g.row, g.col, _AXES[g.arg.var]) for g in word]
+            shifts = tuple(g.arg.q for g in word)
+            shifts = shifts if any(shifts) else ()
+            for shape in _shapes(coeff, clear, ckey, carried, dq, sign,
+                                 window):
+                gens = tuple([(k, r, c, x, shape.exps[x])
+                              for k, r, c, x in axes])
+                pieces.append((gens, shifts, shape))
+    return clear, pieces
 
 
 def _word(gens: tuple, slot: tuple) -> tuple:
@@ -229,6 +221,21 @@ def _coeff_at(coeff: RatExpr, shifts: tuple, word: tuple) -> RatExpr:
         if q:
             qm = mono_mul(qm, mono_pow(q, -p))
     return coeff.mul_mono(qm) if qm else coeff
+
+
+def _slot_map(pieces: list, slot: tuple) -> dict:
+    """The word map at ``slot`` of the pieces (``_expand``) whose reach
+    covers it: the whole window, the slot's row, its column or the slot
+    itself; nonzero coefficients only."""
+    m, k = slot
+    out: dict = {}
+    for gens, shifts, shape in pieces:
+        r1, r2 = shape.reach
+        if (r1 is None or r1 == m) and (r2 is None or r2 == k):
+            word = _word(gens, slot)
+            accumulate(out, word, _coeff_at(shape.coeff, shifts, word)
+                       if shifts else shape.coeff)
+    return out
 
 
 def _slot_diagonals(window: SeriesWindow) -> list:
@@ -263,49 +270,36 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     (m0, k0) whose sum is nonzero to (n, word map), n the diagonal's
     length, its slots (m0 + t, k0 + t) for t < n.  The other pieces,
     pinned to a row, a column or a cell by a delta, or q-shifted, are
-    walked over their reach slot by slot into ``cells``, slot -> word
-    map, nonzero maps only (``PhiPhistar``'s deltas and bracket).
-    ``shift_free`` tells whether every read term is delta-free and
-    unshifted, judged from the terms, not from which pieces reach the
-    window; then ``cells`` is empty.
+    summed slot by slot into ``cells``, slot -> word map, nonzero maps
+    only (``PhiPhistar``'s deltas and bracket).  Both sums are
+    ``_slot_map``'s.  ``shift_free`` tells whether every read term is
+    delta-free and unshifted, judged from the terms (``_read``), not from
+    which pieces reach the window; then ``cells`` is empty.
     """
     span = window.span
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
-        lterms, rterms = _read(lhs)[0], _read(rhs)[0]
-        clear, lp, rp = _expand(lterms, rterms, window)
+        lterms, _, _, lshifted = _read(lhs)
+        rterms, _, _, rshifted = _read(rhs)
+        clear, pieces = _expand(lterms, rterms, window)
         free, pinned = [], []
-        for word, shape in lp + rp:
-            gens, shifts = _template(word, shape)
-            if shifts or shape.reach != (None, None):
-                pinned.append((gens, shifts, shape))
-            else:
-                free.append((gens, shape.coeff))
+        for piece in pieces:
+            _, shifts, shape = piece
+            (pinned if shifts or shape.reach != (None, None)
+             else free).append(piece)
         diagonals: dict = {}
         for m0, k0, n in _slot_diagonals(window):
-            first: dict = {}
-            for gens, coeff in free:
-                accumulate(first, _word(gens, (m0, k0)), coeff)
+            first = _slot_map(free, (m0, k0))
             if first:
                 diagonals[m0, k0] = (n, first)
-        cells: dict = {}
-        for gens, shifts, shape in pinned:
-            r1, r2 = shape.reach
-            for m in span if r1 is None else (r1,):
-                for k in span if r2 is None else (r2,):
-                    slot = (m, k)
-                    mword = _word(gens, slot)
-                    accumulate(cells.setdefault(slot, {}), mword,
-                               _coeff_at(shape.coeff, shifts, mword)
-                               if shifts else shape.coeff)
+        cells = {(m, k): _slot_map(pinned, (m, k))
+                 for m in span for k in span} if pinned else {}
         out.append({
             "indices": idx,
             "clearing_factor": clear,
             "diagonals": diagonals,
             "cells": {s: d for s, d in cells.items() if d},
-            "shift_free": not any(
-                dq is not None or any(g.arg.q for g in word)
-                for word, _, dq, _ in lterms + rterms),
+            "shift_free": not (lshifted or rshifted),
         })
     return out
 
@@ -314,30 +308,15 @@ def _contradictions(pieces: list, window: SeriesWindow) -> int:
     """Slots where, with triangularity imposed, one word survives and it is
     a product of diagonal L/Lstar zero modes.  A piece's word has every
     mode zero only at slot -(its exponents), so only those slots of pieces
-    with diagonal L/Lstar words are summed, over the pieces that reach
-    them (the whole window, the slot's row, its column or the slot
-    itself); an entry with no such slot inside the window reads no
-    template and no coefficient."""
-    candidates = {(-a, -b) for word, ((a, b), _, _) in pieces
-                  if max(abs(a), abs(b)) <= window.lim and _diagonal(word)}
-    if not candidates:
-        return 0
-    by_reach: dict = {}
-    for word, shape in pieces:
-        by_reach.setdefault(shape.reach, []).append(
-            (*_template(word, shape), shape.coeff))
+    with diagonal L/Lstar words are summed (``_slot_map``) and filtered
+    word by word, which gives the map of the filtered pieces."""
     count = 0
-    for slot in candidates:
-        m, k = slot
-        surv: dict = {}
-        for reach in ((None, None), (m, None), (None, k), slot):
-            for gens, shifts, coeff in by_reach.get(reach, ()):
-                mword = _word(gens, slot)
-                if all(mode_allowed(*g) for g in mword):
-                    accumulate(surv, mword, _coeff_at(coeff, shifts, mword)
-                               if shifts else coeff)
-        if len(surv) == 1 and all(k in (L, LSTAR) and p == 0 and r == c
-                                  for (k, r, c, p) in next(iter(surv))):
+    for slot in {(-a, -b) for gens, _, ((a, b), _, _) in pieces
+                 if max(abs(a), abs(b)) <= window.lim and _diagonal(gens)}:
+        surv = [w for w in _slot_map(pieces, slot)
+                if all(mode_allowed(*g) for g in w)]
+        if len(surv) == 1 and _diagonal(surv[0]) and \
+                not any(g[3] for g in surv[0]):
             count += 1
     return count
 
@@ -347,14 +326,14 @@ def mode_counts(lhs, rhs, window: SeriesWindow) -> tuple:
     entry lhs = rhs; see ``check_mode_consistency``.  One scan of each
     side (``_read``), the lhs first, raises its refusals and reads its
     kind set and whether it has a diagonal L/Lstar word."""
-    lterms, lk, ldiag = _read(lhs)
-    rterms, rk, rdiag = _read(rhs)
+    lterms, lk, ldiag, _ = _read(lhs)
+    rterms, rk, rdiag, _ = _read(rhs)
     checked = len(window.span) ** 2 if lk else 0
     mismatches = checked if rk and lk != rk else 0
     if not (ldiag or rdiag):
         return checked, mismatches, 0
-    _, lp, rp = _expand(lterms, rterms, window)
-    return checked, mismatches, _contradictions(lp + rp, window)
+    return checked, mismatches, _contradictions(
+        _expand(lterms, rterms, window)[1], window)
 
 
 def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
@@ -379,18 +358,14 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     the mode word of a piece, whose word is its term's, so only an entry
     with a term of diagonal L/Lstar generators, on either side, can hold
     one; any other entry builds no clearing factor and no shape.  An
-    entry that can is expanded once, relative to the slot (``_pieces``):
-    a piece is a pair (word, shape), and its mode word at any slot is its
-    generator templates with modes "slot coordinate plus exponent"
-    (``_template``), so no slot's word map is built.  Every free-index
-    tuple with the same coefficient, clearing factor, carried variables,
-    delta and side shares a shape for the run (``_shapes``).  A surviving
-    word has every mode zero, which a piece's word has only at slot
-    -(its exponents); the word maps are summed exactly, and filtered, at
-    those candidate slots alone, and an entry with no candidate slot in
-    the window reads no template.  The counts are therefore those of the
-    full per-slot expansion.  Each relation's sides are built once and
-    serve (a) as well."""
+    entry that can is expanded once, relative to the slot (``_expand``),
+    and every free-index tuple with the same coefficient, clearing factor,
+    carried variables, delta and side shares a shape for the run
+    (``_shapes``).  A surviving word has every mode zero, which a piece's
+    word has only at slot -(its exponents); the word maps are summed
+    exactly (``_slot_map``), and filtered, at those candidate slots alone.
+    The counts are therefore those of the full per-slot expansion.  Each
+    relation's sides are built once and serve (a) as well."""
     report = {"relations": [], "consistent": True}
     for rid in FLAVOR_RELATIONS[rs.flavor]:
         sides = [(lhs, rhs) for _, lhs, rhs in relation_sides(rs, rid)]

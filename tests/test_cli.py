@@ -465,6 +465,26 @@ def test_each_mode_run_starts_with_cold_mode_tables(monkeypatch, capsys):
     assert counts[0] == counts[1] > 0
 
 
+def test_relations_self_normalize_fails_on_a_wrong_inverse(tmp_path,
+                                                          monkeypatch):
+    """R taken for its own inverse puts wrong rules in the rewrite system:
+    relations-self-normalize fails, from the first L L relation on, and so
+    does every homomorphism check but hom-PhiPhistar; the braid check and
+    the axioms pass."""
+    monkeypatch.setattr(rmatrix.RMatrix, "inverse_entries",
+                        lambda self: dict(self.entries))
+    out = tmp_path / "report.json"
+    assert main(["verify-hopf", "--instance", "example2-n2",
+                 "--out", str(out)]) == 1
+    by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [cid for cid, c in by_id.items() if c["status"] == "fail"] == [
+        "relations-self-normalize", "hom-PhiPhi", "hom-PhiL", "hom-LL",
+        "hom-LstarLstar", "hom-LLstar", "hom-PhistarPhistar",
+        "hom-PhistarLstar", "hom-PhistarL", "hom-PhiLstar"]
+    assert by_id["relations-self-normalize"]["residual"].startswith(
+        "LL(1, 1, 1, 1): ")
+
+
 def test_verify_hopf_literal_toggle_fails(tmp_path):
     code = main(["verify-hopf", "--instance", "example1",
                  "--toggle", "cross-bracket=literal",
@@ -757,6 +777,32 @@ def test_cli_verify_hopf_particle_flavor_is_a_usage_error(capsys):
     assert "invalid choice: 'particle'" in capsys.readouterr().err
     assert main(["normal-order", "--instance", "example1", "--flavor",
                  "particle", "Phi[1](z2) Phi[1](z1)"]) == 0
+
+
+@pytest.mark.parametrize("option", [["--out", "r.json"], ["--timings"]],
+                         ids=["out", "timings"])
+def test_cli_normal_order_report_options_are_usage_errors(option, tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    """``normal-order`` prints its result and writes no report, so the
+    report options are no options of it."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["normal-order", "--instance", "example1", *option,
+              "Phi[1](z2) Phi[1](z1)"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_normal_order_prints_the_flags_of_its_terms(capsys):
+    """A delta whose two variables agree, at a q-power other than 1, is
+    contradictory: the term keeps it and its flag, which the printed
+    element names after its terms."""
+    assert main(["normal-order", "--instance", "example1",
+                 "delta(z1/z1*q[2,0,0,0]) Phi[1](z1)"]) == 0
+    assert capsys.readouterr().out == (
+        "delta(z1/z1*q[2,0,0,0]) Phi[1](z1)   [flags: contradictory-delta]\n")
 
 
 def test_cli_deep_nesting_exits_2(tmp_path, capsys):

@@ -725,10 +725,10 @@ def _entries(rs: RewriteSystem) -> list:
 def _piece_rows(entries: list, window: SeriesWindow) -> list:
     rows = []
     for lhs, rhs in entries:
-        _, lp, rp = modes._expand(modes._read(lhs)[0],
+        _, pieces = modes._expand(modes._read(lhs)[0],
                                   modes._read(rhs)[0], window)
-        rows.append([(word, shape.exps, shape.reach, shape.coeff)
-                     for word, shape in lp + rp])
+        rows.append([(gens, shifts, shape.exps, shape.reach, shape.coeff)
+                     for gens, shifts, shape in pieces])
     return rows
 
 
@@ -785,8 +785,8 @@ def _three_scan_counts(lhs, rhs, window: SeriesWindow) -> tuple:
     if not any(all(g.kind in (L, LSTAR) and g.row == g.col for g in word)
                for word, _, _, _ in lterms + rterms):
         return checked, mismatches, 0
-    _, lp, rp = modes._expand(lterms, rterms, window)
-    return checked, mismatches, modes._contradictions(lp + rp, window)
+    _, pieces = modes._expand(lterms, rterms, window)
+    return checked, mismatches, modes._contradictions(pieces, window)
 
 
 @pytest.mark.parametrize("name", [*INSTANCE_NAMES, "six-vertex"])

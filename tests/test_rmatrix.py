@@ -4,6 +4,7 @@ import pytest
 
 from rhopf import rmatrix
 from rhopf.algebra import RewriteSystem
+from rhopf.cli import main
 from rhopf.errors import SingularError
 from rhopf.expr import parse_expr
 from rhopf.instances import PASSING_INSTANCES, get_instance
@@ -171,3 +172,18 @@ def test_inverse_entries_roundtrip_nondiagonal():
     rinv, r = table(inv), table(R.entries)
     chain = [(*rinv, "ab", "cd"), (*r, "cd", "ef")]
     assert _residual(2, "ab", (chain, "ef"), ([], "ab")) == {}
+
+
+def test_flip_matrix_swaps_a_pivot_row(tmp_path):
+    """The flip R[i,j;j,i] = 1 of n = 2 has a zero where the elimination
+    first looks for the pivot of the second column, so a row swap is taken
+    and flips the determinant's sign: det = -1, and the flip is its own
+    inverse.  It is a unitary Yang-Baxter matrix, so ``check-r`` passes."""
+    one = RatExpr.from_int(1)
+    R = RMatrix(2, "x", {(i, j, j, i): one for i in (1, 2) for j in (1, 2)})
+    assert R.determinant() == -one
+    assert R.inverse_entries() == R.entries
+    spec = tmp_path / "flip.rspec"
+    spec.write_text("n=2; var=x\n" + "".join(
+        f"R[{i},{j};{j},{i}] = 1\n" for i in (1, 2) for j in (1, 2)))
+    assert main(["check-r", "--spec", str(spec)]) == 0

@@ -445,6 +445,10 @@ def test_divexact_integer_long_division():
 
 @_ORACLE
 @given(_ordinary_with_common_factor())
+# primitive degrees 5 and 3, a gap of 2, which takes the subresultant's
+# delta > 1 update of h; the gcd is 2x + 4
+@example((parse_expr("(x^4 + 1)*(2*x + 4)").num,
+          parse_expr("(x^2 + 3)*(6*x + 12)").num))
 def test_poly_gcd_subresultant_fallback(pq):
     """With GCDHEU giving up every time, the subresultant fallback gives
     the same gcd."""
