@@ -410,7 +410,8 @@ class RewriteSystem:
     * ``pieces(g1, g2, leg)``: the (coeff, extra_deltas, occs) that
       replace g1 g2 on leg ``leg``;
     * ``word_data(word)``: a leg word's ``word_measure`` and the position
-      of its leftmost reducible pair, or None;
+      of its leftmost reducible pair, or None; a generator of a kind
+      outside the flavor is a ``KindError``;
     * ``differences(relation_id)``: the (free indices, lhs - rhs) pairs
       of a defining relation, from ``relation_sides``, which the
       self-normalization and the homomorphism checks both read.
@@ -490,6 +491,9 @@ class RewriteSystem:
                      for idx, lhs, rhs in relation_sides(self, relation_id))
 
     def _word_data(self, word: tuple) -> tuple:
+        for g in word:
+            if g.kind not in FLAVOR_KINDS[self.flavor]:
+                raise KindError(f"kind {g.kind} not in flavor {self.flavor}")
         pos = next((p for p, (g1, g2) in enumerate(zip(word, word[1:]))
                     if _reducible(g1, g2, self)), None)
         return word_measure(word), pos
@@ -705,8 +709,10 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
     """Deterministic normal form by term-local reduction: every term is
     rewritten at its leftmost reducible pair until none is left.  Since
     every rule is term-local, the order in which pending terms are taken
-    does not change the result.  A term with a reducible pair is pending:
-    pending terms are taken from a heap in order of decreasing
+    does not change the result.  Input and rewritten terms enter alike
+    (``take_in``): a new term gets a list of contributions and its heap
+    entry; a taken term leaves the map.  A term with a reducible pair is
+    pending: pending terms are taken from a heap in order of decreasing
     ``term_measure``.  Under the corrected readings every rule strictly
     decreases it, so a term is taken after every contribution to it has
     arrived, and is rewritten once, or never when it cancels to zero; the
@@ -718,33 +724,32 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
     heap would take them.  A term keeps its contributions unsummed, and
     ``sum_fractions`` adds them once: most of these sums end at zero, and
     a zero sum costs no division.  ``max_steps`` bounds the number of
-    rule applications."""
-    allowed = rs.allowed_kinds()
-    for (_, _, legs) in e.terms:
-        for word in legs:
-            for g in word:
-                if g.kind not in allowed:
-                    raise KindError(
-                        f"kind {g.kind} not in flavor {rs.flavor}")
-    # pending and normal-form terms: their contributions, and their heap
-    # entries
-    pending: dict = {}
+    rule applications.  An input generator outside the flavor is a
+    ``KindError`` of ``word_data``, raised before any rule applies."""
+    parts: dict = {}  # the contributions of each term not yet taken
     heap: list = []
-    finished: dict = {}
-    entries: list = []
-    for key, coeff in e.terms.items():
+    entries: list = []  # the heap entries of the normal-form terms
+
+    def take_in(key, c):
+        # add c to the contributions of key; a new key's heap entry
+        contributions = parts.get(key)
+        if contributions is not None:
+            contributions.append(c)
+            return None
+        parts[key] = [c]
         entry = _heap_entry(key, rs)
         if entry[2] is None:
-            finished[key] = [coeff]
             entries.append(entry)
         else:
-            pending[key] = [coeff]
-            heap.append(entry)
-    heapq.heapify(heap)
+            heapq.heappush(heap, entry)
+        return entry
+
+    for key, coeff in e.terms.items():
+        take_in(key, coeff)
     steps = 0
     while heap:
         neg, key, redex = heapq.heappop(heap)
-        coeff = sum_fractions(pending.pop(key))
+        coeff = sum_fractions(parts.pop(key))
         if coeff.is_zero():
             continue
         steps += 1
@@ -753,25 +758,13 @@ def normal_order(e: Element, rs: RewriteSystem, trace=None,
                 f"normal_order exceeded its budget of {max_steps} steps")
         before = tuple(-m for m in neg) if trace is not None else None
         for nkey, rcoeff in rewrite_term(key, rs, *redex):
-            c = coeff if rcoeff is _R1 else coeff * rcoeff
-            parts = pending.get(nkey) or finished.get(nkey)
-            if parts is None:
-                entry = _heap_entry(nkey, rs)
-                if entry[2] is None:
-                    finished[nkey] = [c]
-                    entries.append(entry)
-                else:
-                    pending[nkey] = [c]
-                    heapq.heappush(heap, entry)
-            else:
-                parts.append(c)
-                entry = None
+            entry = take_in(nkey, coeff if rcoeff is _R1 else coeff * rcoeff)
             if trace is not None:
                 entry = entry or _heap_entry(nkey, rs)
                 trace.append((before, tuple(-m for m in entry[0])))
     out: dict = {}
     for _, key, _ in sorted(entries):
-        coeff = sum_fractions(finished[key])
+        coeff = sum_fractions(parts[key])
         if not coeff.is_zero():
             out[key] = coeff
     return Element(e.nlegs, out)
@@ -842,17 +835,17 @@ def relation_sides(rs: RewriteSystem, relation_id: str):
         yield idx, lhs, rhs
 
 
-def relation_residual(rs: RewriteSystem, diff: Element) -> Element:
-    """Normal-ordered, delta-normalized lhs - rhs (``diff``) of a
-    relation: zero when the rule table holds the relation lhs = rhs."""
-    return delta_normalize(normal_order(diff, rs))
+def normal_form(rs: RewriteSystem, e: Element) -> Element:
+    """``e`` normal-ordered, then delta-normalized: zero for the lhs - rhs
+    of a relation when the rule table holds the relation lhs = rhs."""
+    return delta_normalize(normal_order(e, rs))
 
 
 def relation_self_residual(rs: RewriteSystem, relation_id: str):
-    """``relation_residual`` for every free index of the named relation,
-    read from ``rs.differences``; a sound rule table returns all-zero
-    elements."""
-    return [(idx, relation_residual(rs, diff))
+    """``normal_form`` of lhs - rhs for every free index of the named
+    relation, read from ``rs.differences``; a sound rule table returns
+    all-zero elements."""
+    return [(idx, normal_form(rs, diff))
             for idx, diff in rs.differences(relation_id)]
 
 

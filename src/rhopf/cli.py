@@ -14,8 +14,7 @@ import sys
 import time
 
 from .algebra import (FLAVOR_RELATIONS, RewriteSystem, Toggles,
-                      braid_consistency, delta_normalize, normal_order,
-                      relation_self_residual)
+                      braid_consistency, normal_form, relation_self_residual)
 from .elemio import format_element, parse_element
 from .errors import DomainError, ParseError, RhopfError
 from .expr import _format_poly, format_ratexpr, parse_expr
@@ -311,8 +310,7 @@ def _run(args) -> int:
     if args.command == "normal-order":
         rs = RewriteSystem(R, args.flavor, toggles)
         e = parse_element(args.element, n=R.n)
-        sys.stdout.write(format_element(delta_normalize(normal_order(e, rs)))
-                         + "\n")
+        sys.stdout.write(format_element(normal_form(rs, e)) + "\n")
         return 0
     report = VerificationReport(instance=name, toggles=toggles.as_dict())
     report.flags.extend(flags)
@@ -371,7 +369,13 @@ def main(argv=None) -> int:
                     choices=("particle", "extended", "double"))
     p4.add_argument("element", help="element expression (see README)")
 
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # an unknown option's value may have been read as a positional
+        # argument, which leaves that argument's own text unrecognized:
+        # name the options alone when there are any
+        named = [a for a in extra if a.startswith("-")] or extra
+        parser.error(f"unrecognized arguments: {' '.join(named)}")
     try:
         return _run(args)
     except (RhopfError, OSError) as exc:

@@ -109,11 +109,12 @@ def parse_element(text: str, nlegs: int = None, n: int = None) -> Element:
         return Element.zero(nlegs or 1)
     out = None
     while True:
+        first = tz.peek()
         coeff, deltas, legs = _term(tz, n)
         if nlegs is None:
             nlegs = len(legs)
         if len(legs) != nlegs:
-            tz.error(f"expected {nlegs} tensor legs")
+            tz.error(f"expected {nlegs} tensor legs", first)
         term = Element(nlegs, {("", deltas, legs): coeff * sign}
                        if not coeff.is_zero() else {})
         out = term if out is None else out + term

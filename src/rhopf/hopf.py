@@ -27,8 +27,7 @@ from typing import NamedTuple
 
 from .algebra import (MAX_LEGS, Element, GenOcc, L, LINV, LSTAR, LSTARINV,
                       PHI, PHISTAR, RewriteSystem, VECTOR_KINDS, _occ, _z,
-                      charge_shift, delta_normalize, normal_order,
-                      relation_residual, subs_term, toggled)
+                      charge_shift, normal_form, subs_term, toggled)
 from .errors import ShapeError, UnsupportedRule
 from .kernels import mono_mul
 from .symfield import (RatExpr, U, accumulate, mono_from_pairs, support,
@@ -274,11 +273,8 @@ def check_antipode(tables: HopfTables, gen: Element):
     target = Element(1, {(flag, deltas, ((),)): c
                          for (flag, deltas, _), c in eps.terms.items()})
     d = coproduct(gen, tables, 0)
-    return tuple(
-        delta_normalize(normal_order(
-            merge_legs(antipode_apply(d, tables, leg), 0) - target,
-            tables.rs))
-        for leg in (0, 1))
+    merged = (merge_legs(antipode_apply(d, tables, leg), 0) for leg in (0, 1))
+    return tuple(normal_form(tables.rs, m - target) for m in merged)
 
 
 def check_hom_on_relation(rs: RewriteSystem, tables: HopfTables,
@@ -286,7 +282,7 @@ def check_hom_on_relation(rs: RewriteSystem, tables: HopfTables,
     """Delta(LHS) - Delta(RHS) for a defining relation, normal ordered and
     delta normalized; list of (free indices, residual Element).  LHS - RHS
     is read from ``rs.differences``."""
-    return [(idx, relation_residual(rs, coproduct(diff, tables, 0)))
+    return [(idx, normal_form(rs, coproduct(diff, tables, 0)))
             for idx, diff in rs.differences(relation_id)]
 
 

@@ -55,8 +55,6 @@ def get_instance(name: str) -> RMatrix:
 INSTANCE_NAMES = ("example1", "example2-n2", "example2-n3", "identity",
                   "broken-nonunitary")
 
-PASSING_INSTANCES = ("example1", "example2-n2", "example2-n3", "identity")
-
 
 def instance_flags(name: str) -> list:
     """Convention notes surfaced in reports."""

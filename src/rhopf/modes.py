@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import (FLAVOR_RELATIONS, L, LSTAR, RewriteSystem,
-                      relation_residual, relation_sides)
+                      normal_form, relation_sides)
 from .errors import DomainError, ExpansionError
 from .expr import parse_expr
 from .kernels import mono_mul, mono_pow, poly_scale
@@ -369,7 +369,7 @@ def check_mode_consistency(rs: RewriteSystem, window: SeriesWindow) -> dict:
     report = {"relations": [], "consistent": True}
     for rid in FLAVOR_RELATIONS[rs.flavor]:
         sides = [(lhs, rhs) for _, lhs, rhs in relation_sides(rs, rid)]
-        residuals = [relation_residual(rs, lhs - rhs) for lhs, rhs in sides]
+        residuals = [normal_form(rs, lhs - rhs) for lhs, rhs in sides]
         current_zero = all(r.is_zero() for r in residuals)
         slots_checked = kind_mismatches = contradictions = 0
         for lhs, rhs in sides:

@@ -16,11 +16,15 @@ from rhopf.cli import main
 from rhopf.errors import SingularError
 from rhopf.expr import parse_expr
 from rhopf.hopf import HopfTables, check_axioms, check_hom_on_relation
-from rhopf.instances import PASSING_INSTANCES, get_instance
+from rhopf.instances import get_instance
 from rhopf.modes import SeriesWindow, drinfeld_compare
 from rhopf.rmatrix import RMatrix, clear_poles, unitarity_residual, \
     ybe_residual
 from rhopf.symfield import RatExpr, Z, q_power
+
+# the built-in instances that satisfy every R-matrix condition; the fifth,
+# broken-nonunitary, fails unitarity on purpose
+PASSING_INSTANCES = ("example1", "example2-n2", "example2-n3", "identity")
 
 
 def _report(criterion, ok, elapsed, budget):

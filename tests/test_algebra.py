@@ -12,7 +12,8 @@ from rhopf.algebra import (ArgShift, DeltaFactor, Element, GenOcc, L, LINV,
                            LSTAR, LSTARINV, PHI, PHISTAR, RewriteSystem,
                            VECTOR_KINDS, braid_consistency, delta_normalize,
                            make_delta, normal_order,
-                           relation_self_residual, term_measure, FLAVOR_RELATIONS)
+                           relation_self_residual, relation_sides,
+                           term_measure, FLAVOR_RELATIONS)
 from rhopf.cli import main
 from rhopf.elemio import parse_element
 from rhopf.errors import BudgetError, KindError, RhopfError, ShapeError
@@ -92,6 +93,14 @@ def test_kind_error_for_flavor_p():
     e = Element.word((_phi(1, Z1), _l(1, 1, Z2)))
     with pytest.raises(KindError):
         normal_order(e, rs)
+
+
+def test_unknown_flavor_and_relation_are_kind_errors():
+    with pytest.raises(KindError, match="unknown flavor 'bogus'"):
+        RewriteSystem(get_instance("example1"), "bogus")
+    rs = _scalar_rs("double")
+    with pytest.raises(KindError, match="unknown relation 'Bogus'"):
+        next(relation_sides(rs, "Bogus"))
 
 
 # -- linear structure --------------------------------------------------------

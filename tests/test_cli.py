@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhopf import algebra, hopf, modes, rmatrix, symfield
+from rhopf import algebra, modes, rmatrix, symfield
 from rhopf.algebra import (ALL_KINDS, VECTOR_KINDS, ArgShift, DeltaFactor,
                            Element, GenOcc, L, LINV, LSTAR, PHI,
                            RewriteSystem, normal_order)
@@ -161,6 +161,24 @@ def test_element_unknown_kind_is_named(capsys):
                  "Lstar[1,1](z1)"]) == 2
     assert capsys.readouterr().err == (
         "error: unknown generator kind 'Lstar' (line 1, col 1)\n")
+
+
+def test_element_leg_count_error_points_at_the_term(capsys):
+    """A term whose leg count differs from the first term's is reported
+    where that term starts, its coefficient included, not where it
+    ends."""
+    for text, nlegs, pos in (
+            ("Phi[1](z1) (x) 1 + Phi[1](z1)", 2, (1, 20)),
+            ("Phi[1](z1) (x) 1 - {q} * Phi[1](z1) (x) 1 (x) 1", 2, (1, 20)),
+            ("Phi[1](z1)\n + 1 (x) Phi[1](z1)", 1, (2, 4))):
+        with pytest.raises(ParseError) as err:
+            parse_element(text)
+        assert str(err.value).startswith(f"expected {nlegs} tensor legs")
+        assert (err.value.line, err.value.col) == pos
+    assert main(["normal-order", "--instance", "example1",
+                 "Phi[1](z1) (x) 1 + Phi[1](z1)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: expected 2 tensor legs (line 1, col 20)\n")
 
 
 def test_element_unclosed_coefficient_ends_where_its_sum_does():
@@ -389,7 +407,6 @@ def test_runs_in_one_process_take_the_same_rewrite_steps(tmp_path,
         return inner(e, rs, steps, **kw)
 
     monkeypatch.setattr(algebra, "normal_order", traced)
-    monkeypatch.setattr(hopf, "normal_order", traced)
     reports, runs = [], []
     for name in ("a.json", "b.json"):
         steps.clear()
@@ -521,6 +538,17 @@ def test_cli_malformed_spec_exits_2(tmp_path):
     spec = tmp_path / "bad.spec"
     spec.write_text("n=1; var=x; R[1,1;1,1] = (")
     assert main(["check-r", "--spec", str(spec)]) == 2
+
+
+def test_cli_spec_without_header_exits_2(tmp_path, capsys):
+    """A spec file with neither a header nor an entry names the missing
+    header, at the start of the file."""
+    spec = tmp_path / "blank.spec"
+    for text in ("", "name=blank\n"):
+        spec.write_text(text)
+        assert main(["check-r", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "error: missing n= or var= header (line 1, col 1)\n")
 
 
 def test_cli_spec_exponent_past_the_bound_exits_2(tmp_path, capsys):
@@ -785,14 +813,34 @@ def test_cli_normal_order_report_options_are_usage_errors(option, tmp_path,
                                                           monkeypatch,
                                                           capsys):
     """``normal-order`` prints its result and writes no report, so the
-    report options are no options of it."""
+    report options are no options of it.  The error names the option
+    alone: the value of ``--out`` is read as the element, which leaves
+    the element's own text over, but that text is no option."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["normal-order", "--instance", "example1", *option,
               "Phi[1](z2) Phi[1](z1)"])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: unrecognized arguments: {option[0]}\n")
+    assert "Phi" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["check-r", "--instance", "example1", "--nope"], "--nope"),
+    (["normal-order", "--instance", "example1", "--bogus=3",
+      "Phi[1](z1)"], "--bogus=3"),
+    (["normal-order", "--instance", "example1", "Phi[1](z1)", "extra"],
+     "extra")], ids=["check-r", "option", "positional"])
+def test_cli_unknown_arguments_are_usage_errors(argv, named, capsys):
+    """Every unknown option is a usage error that names it; with no option
+    among the unknown arguments, the error names them all."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {named}\n")
 
 
 def test_cli_normal_order_prints_the_flags_of_its_terms(capsys):

@@ -64,6 +64,19 @@ def test_coproduct_leg_limit():
         coproduct(d, tb, 0)
 
 
+def test_leg_out_of_range_is_a_shape_error():
+    """The coproduct of a one-leg element has no leg 1 to split, and the
+    last leg has no next leg to merge with."""
+    rs, tb = _setup()
+    gen = _gen(L, 1, 1)
+    with pytest.raises(ShapeError, match="no leg 1"):
+        coproduct(gen, tb, 1)
+    d = coproduct(gen, tb, 0)
+    with pytest.raises(ShapeError, match="cannot merge at leg 1"):
+        merge_legs(d, 1)
+    assert merge_legs(d, 0).nlegs == 1
+
+
 def test_counit_axioms_scalar_phi_and_l():
     rs, tb = _setup()
     for gen in (_gen(PHI, 1), _gen(L, 1, 1)):

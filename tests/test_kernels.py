@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rhopf import kernels, symfield as sf
-from rhopf.errors import DomainError
+from rhopf.errors import DomainError, ExponentError
 from rhopf.symfield import RatExpr
 
 
@@ -242,6 +242,22 @@ def test_powers_match_the_reference(m, e):
     else:
         with pytest.raises(DomainError):
             kernels.mono_pow(_enc(m), e)
+
+
+def test_exponent_bound_of_inverse_and_repeated_variable():
+    """-2^30 is in the bound, but its negative is not: the inverse of
+    x^(-2^30) is an ExponentError.  A variable repeated in
+    ``mono_from_pairs`` adds its exponents, and a sum past the bound is
+    one too, although every exponent given lies in it."""
+    low = sf.mono_from_pairs(((0, -2 ** 30),))
+    with pytest.raises(ExponentError):
+        kernels.mono_inv(low)
+    top = sf.mono_from_pairs(((0, 2 ** 30 - 1),))
+    assert kernels.mono_inv(top) == sf.mono_from_pairs(((0, 1 - 2 ** 30),))
+    with pytest.raises(ExponentError):
+        sf.mono_from_pairs(((0, 2 ** 30 - 1), (0, 1)))
+    assert sf.mono_from_pairs(((0, 2 ** 30 - 1), (0, -1))) == \
+        sf.mono_from_pairs(((0, 2 ** 30 - 2),))
 
 
 def test_exponent_past_the_bound_raises():

@@ -7,10 +7,11 @@ from rhopf.algebra import RewriteSystem
 from rhopf.cli import main
 from rhopf.errors import SingularError
 from rhopf.expr import parse_expr
-from rhopf.instances import PASSING_INSTANCES, get_instance
+from rhopf.instances import get_instance
 from rhopf.rmatrix import (RMatrix, _residual, clear_poles, table,
                            unitarity_residual, ybe_residual)
 from rhopf.symfield import RatExpr, VAR_INDEX, X, mono, variables
+from test_acceptance import PASSING_INSTANCES
 
 
 def test_ybe_identity_is_zero():
