@@ -79,10 +79,22 @@ def test_no_function_local_imports():
     assert found == []
 
 
+def _constants(node):
+    """The constants (upper-case names, leading underscores aside) that a
+    module-level statement binds by assignment."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target])
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and sub.id.lstrip("_").isupper():
+                    yield sub.id
+
+
 def _private_definitions(tree):
     """(name, node) of every private module-level function, class and
-    constant (an upper-case name bound at module level) of a module, and
-    ("Class.name", node) of every private method of its classes."""
+    constant (``_constants``) of a module, and ("Class.name", node) of
+    every private method of its classes."""
     def private(name):
         return name.startswith("_") and not name.startswith("__")
     for node in tree.body:
@@ -93,14 +105,8 @@ def _private_definitions(tree):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and private(sub.name):
                     yield f"{node.name}.{sub.name}", sub
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            for target in targets:
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Name) and private(sub.id) and \
-                            sub.id[1:].isupper():
-                        yield sub.id, node
+        yield from ((name, node) for name in _constants(node)
+                    if private(name))
 
 
 def _reads(node):
@@ -282,20 +288,13 @@ def test_no_unread_public_members():
 
 def _module_definitions(tree):
     """(name, node) of every module-level function and class, public or
-    private, and of every public constant (an upper-case name bound at
-    module level)."""
+    private, and of every public constant (``_constants``)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
                 not node.name.startswith("__"):
             yield node.name, node
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            for target in targets:
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Name) and sub.id.isupper() and \
-                            not sub.id.startswith("_"):
-                        yield sub.id, node
+        yield from ((name, node) for name in _constants(node)
+                    if not name.startswith("_"))
 
 
 def unread_definitions(sources: dict, readers: dict) -> list:
