@@ -141,17 +141,16 @@ def _diagonal(word: tuple) -> bool:
 
 
 def _read(side) -> tuple:
-    """(terms, kinds, diagonal, shifted) of ``side``, from one scan of its
-    terms: terms is [(word, carried, dq, coefficient)], each term's word,
-    whether the template variables z1, z2 carry a generator, the q-power
-    of its delta (None for none) and its coefficient; kinds is the set of
-    sorted generator kinds of its delta-free words; diagonal tells whether
-    a word is all diagonal L/Lstar (``_diagonal``), and shifted whether a
-    term has a delta or a q-shifted argument.  A delta-free word carries
+    """(terms, kinds, diagonal) of ``side``, from one scan of its terms:
+    terms is [(word, carried, dq, coefficient)], each term's word, whether
+    the template variables z1, z2 carry a generator, the q-power of its
+    delta (None for none) and its coefficient; kinds is the set of sorted
+    generator kinds of its delta-free words, and diagonal tells whether a
+    word is all diagonal L/Lstar (``_diagonal``).  A delta-free word carries
     both z1 and z2, so each of its pieces reaches every slot; any other
     delta-free word, and a generator over another variable, is an
     ``ExpansionError``."""
-    terms, kinds, diagonal, shifted = [], set(), False, False
+    terms, kinds, diagonal = [], set(), False
     for (flag, deltas, legs), coeff in side.terms.items():
         if flag:
             raise ExpansionError(f"cannot expand a term flagged {flag!r}")
@@ -174,9 +173,8 @@ def _read(side) -> tuple:
         else:
             kinds.add(tuple(sorted(g.kind for g in word)))
         diagonal = diagonal or _diagonal(word)
-        shifted = shifted or bool(deltas) or any(g.arg.q for g in word)
         terms.append((word, (_Z1 in gvars, _Z2 in gvars), dq, coeff))
-    return terms, kinds, diagonal, shifted
+    return terms, kinds, diagonal
 
 
 def _expand(lterms: list, rterms: list, window: SeriesWindow):
@@ -279,8 +277,7 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
     span = window.span
     out = []
     for idx, lhs, rhs in relation_sides(rs, relation_id):
-        lterms, _, _, lshifted = _read(lhs)
-        rterms, _, _, rshifted = _read(rhs)
+        lterms, rterms = _read(lhs)[0], _read(rhs)[0]
         clear, pieces = _expand(lterms, rterms, window)
         free, pinned = [], []
         for piece in pieces:
@@ -299,7 +296,9 @@ def mode_expand_relation(rs: RewriteSystem, relation_id: str,
             "clearing_factor": clear,
             "diagonals": diagonals,
             "cells": {s: d for s, d in cells.items() if d},
-            "shift_free": not (lshifted or rshifted),
+            "shift_free": not any(
+                dq is not None or any(g.arg.q for g in word)
+                for word, _, dq, _ in lterms + rterms),
         })
     return out
 
@@ -326,8 +325,8 @@ def mode_counts(lhs, rhs, window: SeriesWindow) -> tuple:
     entry lhs = rhs; see ``check_mode_consistency``.  One scan of each
     side (``_read``), the lhs first, raises its refusals and reads its
     kind set and whether it has a diagonal L/Lstar word."""
-    lterms, lk, ldiag, _ = _read(lhs)
-    rterms, rk, rdiag, _ = _read(rhs)
+    lterms, lk, ldiag = _read(lhs)
+    rterms, rk, rdiag = _read(rhs)
     checked = len(window.span) ** 2 if lk else 0
     mismatches = checked if rk and lk != rk else 0
     if not (ldiag or rdiag):
@@ -431,13 +430,11 @@ def _emit_poly_pair(lhs: RatExpr, rhs: RatExpr, slots: list) -> dict:
 
 
 def _proportional(em: dict, rm: dict) -> bool:
-    """Whether two word maps agree up to a common nonzero factor: the same
-    words, and every coefficient cross-multiplied against the leading
-    word's equal."""
+    """Whether two nonempty word maps agree up to a common nonzero factor:
+    the same words, and every coefficient cross-multiplied against the
+    leading word's equal."""
     if em.keys() != rm.keys():
         return False
-    if not em:
-        return True
     first = min(em)
     ef, rf = em[first], rm[first]
     return all(em[w] * rf == rm[w] * ef for w in em if w != first)

@@ -37,6 +37,10 @@ def test_s_is_sqrt_q():
     assert parse_expr("s*s") == parse_expr("q")
 
 
+def test_scan_stops_at_trailing_whitespace_it_does_not_tokenize():
+    assert parse_expr("x\n") == parse_expr("x")
+
+
 def test_error_reports_location():
     with pytest.raises(ParseError) as err:
         parse_expr("x +\n z1 * foo")

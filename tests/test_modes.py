@@ -204,6 +204,12 @@ def test_reference_file_parses():
     assert rhs == parse_expr("q^2*z1 - z2")
 
 
+def test_reference_side_with_a_denominator_is_refused():
+    with pytest.raises(ExpansionError, match="has a denominator"):
+        modes._emit_poly_pair(parse_expr("z1/(z1 - z2)"), parse_expr("z2"),
+                              [(0, 0)])
+
+
 def test_drinfeld_compare_windows():
     R = get_instance("example1")
     assert drinfeld_compare(SeriesWindow(5, 1), R)["match"]

@@ -5,7 +5,7 @@ import pytest
 from rhopf import rmatrix
 from rhopf.algebra import RewriteSystem
 from rhopf.cli import main
-from rhopf.errors import SingularError
+from rhopf.errors import DomainError, SingularError
 from rhopf.expr import parse_expr
 from rhopf.instances import get_instance
 from rhopf.rmatrix import (RMatrix, _residual, clear_poles, table,
@@ -127,6 +127,13 @@ def test_singular_matrix_rejected():
     with pytest.raises(SingularError) as err:
         unitarity_residual(R)
     assert str(err.value) == "R is singular; unitarity is ill-posed"
+
+
+def test_bad_index_and_middle_convention_are_domain_errors():
+    with pytest.raises(DomainError, match="out of range"):
+        RMatrix(1, "x", {(1, 1, 1, 2): parse_expr("1")})
+    with pytest.raises(DomainError, match="unknown middle-argument"):
+        ybe_residual(get_instance("identity"), "bogus")
 
 
 @pytest.mark.parametrize("flavor, calls", [("extended", [True]),

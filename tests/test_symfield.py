@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rhopf import algebra, elemio, kernels, rmatrix, symfield as sf
-from rhopf.errors import DomainError
+from rhopf.errors import DomainError, ExponentError
 from rhopf.expr import parse_expr
 from rhopf.symfield import RatExpr
 
@@ -441,6 +441,22 @@ def test_divexact_integer_long_division():
         sf.divexact(parse_expr("2*x + 1").num, {sf.mono(): 2})
     with pytest.raises(DomainError):
         sf.divexact(x_sq, parse_expr("x - 2").num)
+    with pytest.raises(DomainError, match="division by zero polynomial"):
+        sf.divexact(x_sq, {})
+    assert sf.divexact({}, x_sq) == {}
+    # the quotient s^(2^30 - 3) times s^5 leaves the exponent range
+    with pytest.raises(ExponentError):
+        sf.divexact({sf.mono(x=1, s=2**30 - 3): 1}, parse_expr("x + s^5").num)
+
+
+def test_field_guards_and_integer_operands():
+    x = parse_expr("x + 1")
+    assert x ** 0 == 1
+    assert x / 2 == parse_expr("(x + 1)/2")
+    with pytest.raises(DomainError, match="inverse of zero"):
+        RatExpr.from_int(0).inverse()
+    with pytest.raises(DomainError, match="unknown variable 'bogus'"):
+        sf.mono(bogus=1)
 
 
 @_ORACLE

@@ -91,22 +91,35 @@ def _constants(node):
                     yield sub.id
 
 
-def _private_definitions(tree):
-    """(name, node) of every private module-level function, class and
-    constant (``_constants``) of a module, and ("Class.name", node) of
-    every private method of its classes."""
-    def private(name):
-        return name.startswith("_") and not name.startswith("__")
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether a class derives from ``NamedTuple`` or is decorated with
+    ``dataclass`` (also called, or reached as ``dataclasses.dataclass``)."""
+    def name(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return node.attr if isinstance(node, ast.Attribute) else \
+            getattr(node, "id", None)
+    return "NamedTuple" in map(name, cls.bases) or \
+        "dataclass" in map(name, cls.decorator_list)
+
+
+def _definitions(tree):
+    """(name, node) of every module-level function, class and constant
+    (``_constants``) of a module, and ("Class.name", node) of every method
+    or property of its classes and every annotated field of one that is a
+    NamedTuple or a dataclass."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                private(node.name):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        yield from ((name, node) for name in _constants(node))
         if isinstance(node, ast.ClassDef):
+            record = _is_record(node)
             for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and private(sub.name):
+                if isinstance(sub, ast.FunctionDef):
                     yield f"{node.name}.{sub.name}", sub
-        yield from ((name, node) for name in _constants(node)
-                    if private(name))
+                elif record and isinstance(sub, ast.AnnAssign) and \
+                        isinstance(sub.target, ast.Name):
+                    yield f"{node.name}.{sub.target.id}", sub
 
 
 def _reads(node):
@@ -126,18 +139,38 @@ def _reads(node):
             yield from sub.value.split(".")
 
 
-def dead_helpers(sources: dict) -> list:
-    """(module, name) of every private module-level function, class or
-    constant, and of every private method, that no code of the package
-    reads outside its own definition (``_reads``); ``sources`` maps module
-    names to their text."""
+def _attribute_reads(node):
+    """The attributes read under ``node`` (``obj.name``, ``Class.name``):
+    a member is reached so, and a bare name of its spelling, such as a
+    parameter or a keyword argument, is no read of it."""
+    return (sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def unread(sources: dict, readers: dict) -> list:
+    """(module, name) of every definition of ``sources`` (``_definitions``)
+    that nothing reads outside its own definition; both map module names
+    to their text.  A private name must be read (``_reads``) in
+    ``sources``, a public module-level one in ``sources`` or ``readers``,
+    and a public member as an attribute (``_attribute_reads``) in either.
+    A constant that a function rebinds (``global X; X += 1``) is written
+    there, not read; a dunder name is never reported."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    read = Counter(name for tree in trees.values() for name in _reads(tree))
+    wide = [*trees.values(), *map(ast.parse, readers.values())]
+    inner = Counter(name for tree in trees.values() for name in _reads(tree))
+    outer = Counter(name for tree in wide for name in _reads(tree))
+    attributes = Counter(name for tree in wide
+                         for name in _attribute_reads(tree))
     out = []
     for mod, tree in trees.items():
-        for qualname, node in _private_definitions(tree):
-            name = qualname.rpartition(".")[2]
-            if read[name] == list(_reads(node)).count(name):
+        for qualname, node in _definitions(tree):
+            member, _, name = qualname.rpartition(".")
+            if name.startswith("__"):
+                continue
+            reads, read = ((_reads, inner) if name.startswith("_") else
+                           (_attribute_reads, attributes) if member else
+                           (_reads, outer))
+            if read[name] == list(reads(node)).count(name):
                 out.append((mod, qualname))
     return sorted(out)
 
@@ -156,7 +189,9 @@ def test_dead_helpers_finds_what_is_never_read():
               "from . import a\n"
               "def f():\n    return _Imported, a._by_attribute()\n"),
     }
-    assert dead_helpers(sources) == [("a", "_dead"), ("a", "_recursive")]
+    readers = {"c": "import a, b\nb.f(), a._dead()\n"}
+    assert unread(sources, readers) == [("a", "_dead"), ("a", "_recursive"),
+                                        ("a", "public")]
 
 
 def test_dead_helpers_finds_private_methods_and_constants():
@@ -174,61 +209,12 @@ def test_dead_helpers_finds_private_methods_and_constants():
               "    def __len__(self):\n        return 0\n"
               "    def public(self):\n        pass\n"),
         "b": ("from .a import C\n"
-              "def f():\n    return C()._by_attribute()\n"),
+              "def f():\n    return C()._by_attribute(), C.public\n"),
     }
-    assert dead_helpers(sources) == [("a", "C._dead"), ("a", "C._recursive"),
-                                     ("a", "_PAIR_B"), ("a", "_UNREAD")]
-
-
-def test_no_dead_helpers():
-    assert dead_helpers(_texts(SRC)) == []
-
-
-def _is_record(cls: ast.ClassDef) -> bool:
-    """Whether a class derives from ``NamedTuple`` or is decorated with
-    ``dataclass`` (also called, or reached as ``dataclasses.dataclass``)."""
-    def name(node):
-        if isinstance(node, ast.Call):
-            node = node.func
-        return node.attr if isinstance(node, ast.Attribute) else \
-            getattr(node, "id", None)
-    return "NamedTuple" in map(name, cls.bases) or \
-        "dataclass" in map(name, cls.decorator_list)
-
-
-def unread_public_members(sources: dict, readers: dict) -> list:
-    """(module, "Class.name") of every public method or property of a
-    module-level class of ``sources``, and every annotated field of one
-    that is a NamedTuple or a dataclass, that no code of ``sources`` or
-    ``readers`` reads as an attribute outside its own definition; both map
-    module names to their text.  Members are reached as attributes
-    (``obj.name``, ``Class.name``), so a bare name of the same spelling,
-    such as a parameter or a keyword argument, is no read."""
-    def reads(node):
-        return [sub.attr for sub in ast.walk(node)
-                if isinstance(sub, ast.Attribute)
-                and isinstance(sub.ctx, ast.Load)]
-    trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    read = Counter(name for tree in [*trees.values(), *map(
-        ast.parse, readers.values())] for name in reads(tree))
-    out = []
-    for mod, tree in trees.items():
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            record = _is_record(cls)
-            for node in cls.body:
-                if isinstance(node, ast.FunctionDef):
-                    name = node.name
-                elif record and isinstance(node, ast.AnnAssign) and \
-                        isinstance(node.target, ast.Name):
-                    name = node.target.id
-                else:
-                    continue
-                if not name.startswith("_") and \
-                        read[name] == reads(node).count(name):
-                    out.append((mod, f"{cls.name}.{name}"))
-    return sorted(out)
+    readers = {"c": "from b import f\n"}
+    assert unread(sources, readers) == [
+        ("a", "C._dead"), ("a", "C._recursive"), ("a", "_PAIR_B"),
+        ("a", "_UNREAD")]
 
 
 def test_unread_public_members_finds_what_is_never_read():
@@ -244,8 +230,9 @@ def test_unread_public_members_finds_what_is_never_read():
               "def named(shadowed):\n    return shadowed\n"),
     }
     readers = {"b": "from a import C\nC.make().used()\n"}
-    assert unread_public_members(sources, readers) == [
-        ("a", "C.dead"), ("a", "C.recursive"), ("a", "C.shadowed")]
+    assert unread(sources, readers) == [
+        ("a", "C._private"), ("a", "C.dead"), ("a", "C.recursive"),
+        ("a", "C.shadowed")]
 
 
 def test_unread_public_members_finds_unread_record_fields():
@@ -267,52 +254,9 @@ def test_unread_public_members_finds_unread_record_fields():
               "    return P(used=1, dead=2, _private=3), D(1, unread)\n"),
     }
     readers = {"b": "from a import make\np, d = make(0)\np.used, d.kept\n"}
-    assert unread_public_members(sources, readers) == [
-        ("a", "D.unread"), ("a", "E.lost"), ("a", "P.dead")]
-
-
-# Public members and module-level definitions that only tests read, kept
-# as independent oracles.
-ORACLES = {("symfield", "RatExpr.cross_equal"), ("algebra", "term_measure")}
-
-
-def _texts(directory: Path) -> dict:
-    return {path.stem: path.read_text(encoding="utf-8")
-            for path in sorted(directory.glob("*.py"))}
-
-
-def test_no_unread_public_members():
-    found = unread_public_members(_texts(SRC), _texts(BENCH))
-    assert [member for member in found if member not in ORACLES] == []
-
-
-def _module_definitions(tree):
-    """(name, node) of every module-level function and class, public or
-    private, and of every public constant (``_constants``)."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                not node.name.startswith("__"):
-            yield node.name, node
-        yield from ((name, node) for name in _constants(node)
-                    if not name.startswith("_"))
-
-
-def unread_definitions(sources: dict, readers: dict) -> list:
-    """(module, name) of every module-level function, class and public
-    constant of ``sources`` (``_module_definitions``) that no code of
-    ``sources`` or ``readers`` reads outside its own definition
-    (``_reads``); both map module names to their text.  A constant that
-    a function rebinds (``global X; X += 1``) is written there, not
-    read."""
-    trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    read = Counter(name for tree in [*trees.values(), *map(
-        ast.parse, readers.values())] for name in _reads(tree))
-    out = []
-    for mod, tree in trees.items():
-        for name, node in _module_definitions(tree):
-            if read[name] == list(_reads(node)).count(name):
-                out.append((mod, name))
-    return sorted(out)
+    assert unread(sources, readers) == [
+        ("a", "D.unread"), ("a", "E"), ("a", "E.lost"), ("a", "P._private"),
+        ("a", "P.dead"), ("a", "Plain")]
 
 
 def test_unread_definitions_finds_what_is_never_read():
@@ -333,9 +277,9 @@ def test_unread_definitions_finds_what_is_never_read():
     readers = {"c": ("import a, b\n"
                      "TARGETS = [('a', 'by_name'), ('b', 'caller.x')]\n"
                      "a.by_attribute()\n")}
-    assert unread_definitions(sources, readers) == [
-        ("a", "Dead"), ("a", "_private_dead"), ("a", "dead"), ("a", "named"),
-        ("a", "recursive")]
+    assert unread(sources, readers) == [
+        ("a", "Dead"), ("a", "Dead.method"), ("a", "_private_dead"),
+        ("a", "dead"), ("a", "named"), ("a", "recursive")]
 
 
 def test_unread_definitions_finds_unread_public_constants():
@@ -352,20 +296,25 @@ def test_unread_definitions_finds_unread_public_constants():
         "b": "from .a import bump\nbump()\n",
     }
     readers = {"c": "import a\nprint(a.NAMES)\n"}
-    assert unread_definitions(sources, readers) == [
-        ("a", "COUNT"), ("a", "DEPTH"), ("a", "PASSING")]
+    assert unread(sources, readers) == [
+        ("a", "COUNT"), ("a", "DEPTH"), ("a", "PASSING"), ("a", "_PRIVATE")]
 
 
-# Module-level constants that the package writes and only tests read: the
-# count of sums that fell back from the gcd of their denominators, which
-# tests read to see which path a sum took.
-TEST_PROBES = {("symfield", "SUM_GCD_FALLBACKS")}
+def _texts(directory: Path) -> dict:
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(directory.glob("*.py"))}
+
+
+# Definitions that only tests read: two independent oracles, and the count
+# of sums that fell back from the gcd of their denominators, which tests
+# read to see which path a sum took.  Equality keeps the list from going
+# stale when the package starts reading one of them.
+TEST_ONLY = [("algebra", "term_measure"), ("symfield", "RatExpr.cross_equal"),
+             ("symfield", "SUM_GCD_FALLBACKS")]
 
 
 def test_no_unread_definitions():
-    found = unread_definitions(_texts(SRC), _texts(BENCH))
-    assert [name for name in found
-            if name not in ORACLES | TEST_PROBES] == []
+    assert unread(_texts(SRC), _texts(BENCH)) == TEST_ONLY
 
 
 def unread_parameters(source: str) -> list:
