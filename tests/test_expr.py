@@ -37,7 +37,7 @@ def test_s_is_sqrt_q():
     assert parse_expr("s*s") == parse_expr("q")
 
 
-def test_scan_stops_at_trailing_whitespace_it_does_not_tokenize():
+def test_trailing_newline_is_whitespace():
     assert parse_expr("x\n") == parse_expr("x")
 
 

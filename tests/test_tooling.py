@@ -144,7 +144,8 @@ def _attribute_reads(node):
     a member is reached so, and a bare name of its spelling, such as a
     parameter or a keyword argument, is no read of it."""
     return (sub.attr for sub in ast.walk(node)
-            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load))
 
 
 def unread(sources: dict, readers: dict) -> list:
