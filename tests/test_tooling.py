@@ -148,6 +148,13 @@ def _attribute_reads(node):
             and isinstance(sub.ctx, ast.Load))
 
 
+def _scope(qualname: str) -> str:
+    """Where ``unread`` looks for reads of a definition: "private" (a
+    leading underscore), "member" (a public member) or "module"."""
+    member, _, name = qualname.rpartition(".")
+    return "private" if name[0] == "_" else "member" if member else "module"
+
+
 def unread(sources: dict, readers: dict) -> list:
     """(module, name) of every definition of ``sources`` (``_definitions``)
     that nothing reads outside its own definition; both map module names
@@ -165,12 +172,12 @@ def unread(sources: dict, readers: dict) -> list:
     out = []
     for mod, tree in trees.items():
         for qualname, node in _definitions(tree):
-            member, _, name = qualname.rpartition(".")
+            name = qualname.rpartition(".")[2]
             if name.startswith("__"):
                 continue
-            reads, read = ((_reads, inner) if name.startswith("_") else
-                           (_attribute_reads, attributes) if member else
-                           (_reads, outer))
+            reads, read = {"private": (_reads, inner),
+                           "member": (_attribute_reads, attributes),
+                           "module": (_reads, outer)}[_scope(qualname)]
             if read[name] == list(reads(node)).count(name):
                 out.append((mod, qualname))
     return sorted(out)
@@ -306,16 +313,31 @@ def _texts(directory: Path) -> dict:
             for path in sorted(directory.glob("*.py"))}
 
 
-# Definitions that only tests read: two independent oracles, and the count
-# of sums that fell back from the gcd of their denominators, which tests
-# read to see which path a sum took.  Equality keeps the list from going
-# stale when the package starts reading one of them.
-TEST_ONLY = [("algebra", "term_measure"), ("symfield", "RatExpr.cross_equal"),
-             ("symfield", "SUM_GCD_FALLBACKS")]
+# Definitions that only tests read, by ``_scope``: two independent oracles,
+# and the count of sums that fell back from the gcd of their denominators,
+# which tests read to see which path a sum took.  Equality keeps the list
+# from going stale when the package starts reading one of them.
+TEST_ONLY = {"private": [],
+             "member": [("symfield", "RatExpr.cross_equal")],
+             "module": [("algebra", "term_measure"),
+                        ("symfield", "SUM_GCD_FALLBACKS")]}
+
+
+def _gate(scope: str):
+    assert [found for found in unread(_texts(SRC), _texts(BENCH))
+            if _scope(found[1]) == scope] == TEST_ONLY[scope]
+
+
+def test_no_dead_helpers():
+    _gate("private")
+
+
+def test_no_unread_public_members():
+    _gate("member")
 
 
 def test_no_unread_definitions():
-    assert unread(_texts(SRC), _texts(BENCH)) == TEST_ONLY
+    _gate("module")
 
 
 def unread_parameters(source: str) -> list:
