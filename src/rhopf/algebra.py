@@ -178,10 +178,6 @@ class Element:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nlegs: int = 1) -> "Element":
-        return cls(nlegs)
-
-    @classmethod
     def unit(cls, nlegs: int = 1, coeff: RatExpr = _R1) -> "Element":
         key = (FLAG_NONE, (), ((),) * nlegs)
         if coeff.is_zero():
@@ -189,14 +185,9 @@ class Element:
         return cls(nlegs, {key: coeff})
 
     @classmethod
-    def word(cls, occs, nlegs: int = 1, leg: int = 0,
-             coeff: RatExpr = _R1, deltas=()) -> "Element":
-        legs = [()] * nlegs
-        legs[leg] = tuple(occs)
-        key = (FLAG_NONE, tuple(sorted(deltas)), tuple(legs))
-        if coeff.is_zero():
-            return cls(nlegs)
-        return cls(nlegs, {key: coeff})
+    def word(cls, occs) -> "Element":
+        """The one-leg word ``occs`` with coefficient 1."""
+        return cls(1, {(FLAG_NONE, (), (tuple(occs),)): _R1})
 
     # -- basic structure ----------------------------------------------------
 

@@ -19,7 +19,7 @@ from .elemio import format_element, parse_element
 from .errors import DomainError, ParseError, RhopfError
 from .expr import _format_poly, format_ratexpr, parse_expr
 from .hopf import AXIOMS, HopfTables, check_axioms, check_hom_on_relation
-from .instances import INSTANCE_NAMES, get_instance, instance_flags
+from .instances import INSTANCES, get_instance
 from .modes import SeriesWindow, check_mode_consistency, drinfeld_compare
 from .rmatrix import RMatrix, clear_poles, unitarity_residual, ybe_residual
 from .report import FAIL, PASS, SKIPPED, CheckResult, VerificationReport
@@ -130,15 +130,19 @@ def parse_rspec(text: str):
 # residual formatting
 # ---------------------------------------------------------------------------
 
-def _fmt_map_residual(res: dict, limit: int = 8) -> str:
+# the entries of a map residual that a report prints
+_SHOWN = 8
+
+
+def _fmt_map_residual(res: dict) -> str:
     bits = []
-    for key in sorted(res)[:limit]:
+    for key in sorted(res)[:_SHOWN]:
         tin, tout = key
         bits.append(f"[{','.join(map(str, tin))} -> "
                     f"{','.join(map(str, tout))}] "
                     f"{format_ratexpr(res[key])}")
-    if len(res) > limit:
-        bits.append(f"... {len(res) - limit} more entries")
+    if len(res) > _SHOWN:
+        bits.append(f"... {len(res) - _SHOWN} more entries")
     return "; ".join(bits)
 
 
@@ -264,7 +268,7 @@ def _plan_verify_modes(R: RMatrix, flavor: str, toggles: Toggles,
 
 def _add_common(p: argparse.ArgumentParser):
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--instance", choices=INSTANCE_NAMES,
+    src.add_argument("--instance", choices=INSTANCES,
                      help="built-in R-matrix instance")
     src.add_argument("--spec", help="R-matrix spec file")
     p.add_argument("--toggle", action="append", default=[],
@@ -285,7 +289,7 @@ def _load(args):
     if args.instance:
         R = get_instance(args.instance)
         name = args.instance
-        flags = instance_flags(args.instance)
+        flags = INSTANCES[args.instance][1]
     else:
         with open(args.spec, encoding="utf-8") as fh:
             try:

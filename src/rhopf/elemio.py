@@ -68,54 +68,40 @@ def _fmt_occ(kind, row, col, var, h) -> str:
 def format_element(e: Element) -> str:
     if e.is_zero():
         return "0"
-    bits = []
+    out = ""
     for (flag, deltas, legs), coeff in sorted(
             (_text_key(key), c) for key, c in e.terms.items()):
         factors = [f"delta({VARS[a]}/{_fmt_arg(b, h)})"
                    for a, b, h in deltas]
-        leg_txt = []
-        for word in legs:
-            leg_txt.append(" ".join(_fmt_occ(*g) for g in word) or "1")
-        factors.append(" (x) ".join(leg_txt))
+        factors.append(" (x) ".join(
+            " ".join(_fmt_occ(*g) for g in word) or "1" for word in legs))
         body = " ".join(factors)
-        if coeff == 1:
-            txt = body
-        elif coeff == -1:
-            txt = f"- {body}"
-            bits.append(txt)
-            continue
-        else:
-            txt = f"{{{format_ratexpr(coeff)}}} * {body}"
-        bits.append(txt)
-    out = ""
-    for i, txt in enumerate(bits):
-        if txt.startswith("- "):
-            out += (" - " if i else "-") + txt[2:]
-        else:
-            out += (" + " if i else "") + txt
+        joiner = " + " if out else ""
+        if coeff == -1:
+            joiner = " - " if out else "-"
+        elif coeff != 1:
+            body = f"{{{format_ratexpr(coeff)}}} * {body}"
+        out += joiner + body
     if any(flag for (flag, _, _) in e.terms):
         flags = sorted({flag for (flag, _, _) in e.terms if flag})
         out += "   [flags: " + ", ".join(flags) + "]"
     return out
 
 
-def parse_element(text: str, nlegs: int = None, n: int = None) -> Element:
-    """Parse the element grammar; the leg count is inferred from the first
-    term unless given.  With ``n``, every generator index must lie in
-    1..n."""
+def parse_element(text: str, n: int = None) -> Element:
+    """Parse the element grammar; every term has the leg count of the
+    first.  With ``n``, every generator index must lie in 1..n."""
     tz = _Tokenizer(text, (1, 1))
     sign = -1 if tz.eat("-") else 1
     if tz.text[tz.peek()[2]:].strip() == "0":
-        return Element.zero(nlegs or 1)
+        return Element(1)
     out = None
     while True:
         first = tz.peek()
         coeff, deltas, legs = _term(tz, n)
-        if nlegs is None:
-            nlegs = len(legs)
-        if len(legs) != nlegs:
-            tz.error(f"expected {nlegs} tensor legs", first)
-        term = Element(nlegs, {("", deltas, legs): coeff * sign}
+        if out is not None and len(legs) != out.nlegs:
+            tz.error(f"expected {out.nlegs} tensor legs", first)
+        term = Element(len(legs), {("", deltas, legs): coeff * sign}
                        if not coeff.is_zero() else {})
         out = term if out is None else out + term
         if tz.eat("+"):

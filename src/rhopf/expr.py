@@ -9,9 +9,10 @@ q^(c_t/2).  The printer emits text that re-parses to an equal RatExpr.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .symfield import _ONE_TERMS, RatExpr, S, VARS, mono_items, run_memo
 
 _IDENTS = set(VARS) | {"q"}
@@ -128,10 +129,26 @@ def _parse_atom(tz: _Tokenizer) -> RatExpr:
     tz.error("expected integer, identifier or '('")
 
 
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
+
+
+def _operate(tz: _Tokenizer, op: tuple, a, b) -> RatExpr:
+    """``a op b`` for the operator token ``op``; a field error, such as a
+    division by zero or an exponent out of range, is a parse error at
+    the operator."""
+    try:
+        return _OPERATORS[op[0]](a, b)
+    except DomainError as exc:
+        raise ParseError(str(exc), *locate(tz.text, op[2], tz.origin)) \
+            from exc
+
+
 def _parse_factor(tz: _Tokenizer) -> RatExpr:
     base = _parse_atom(tz)
-    if tz.eat("^"):
-        return base ** _parse_exponent(tz)
+    if tz.peek()[0] == "^":
+        op = tz.next()
+        return _operate(tz, op, base, _parse_exponent(tz))
     return base
 
 
@@ -148,18 +165,16 @@ def _parse_unary(tz: _Tokenizer) -> RatExpr:
 def _parse_term(tz: _Tokenizer) -> RatExpr:
     out = _parse_unary(tz)
     while tz.peek()[0] in ("*", "/"):
-        op = tz.next()[0]
-        rhs = _parse_unary(tz)
-        out = out * rhs if op == "*" else out / rhs
+        op = tz.next()
+        out = _operate(tz, op, out, _parse_unary(tz))
     return out
 
 
 def _parse_sum(tz: _Tokenizer) -> RatExpr:
     out = _parse_term(tz)
     while tz.peek()[0] in ("+", "-"):
-        op = tz.next()[0]
-        rhs = _parse_term(tz)
-        out = out + rhs if op == "+" else out - rhs
+        op = tz.next()
+        out = _operate(tz, op, out, _parse_term(tz))
     return out
 
 

@@ -295,7 +295,7 @@ def check_axioms(tables: HopfTables, axioms=AXIOMS):
     kinds, which have no antipode row."""
     results = []
     for axiom in axioms:
-        # looked up at call time, so a rebound module global is the one run
+        # looked up at call time, so a rebound module attribute is the one run
         check = globals()[f"check_{axiom}"]
         for label, gen in generator_list(tables.rs, axiom != "antipode"):
             nterms = sum(len(r.terms) for r in check(tables, gen))

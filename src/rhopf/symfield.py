@@ -597,11 +597,6 @@ def _fac_sub(fac: dict, cut: dict) -> dict:
     return out
 
 
-# Sums that took ``poly_gcd`` because an operand's denominator is not
-# factored; ``reset_memo`` zeroes it.
-SUM_GCD_FALLBACKS = 0
-
-
 def _expand(fac: dict) -> dict:
     """The canonical denominator with factorization ``fac``."""
     return _expansion(frozenset(fac.items())) if fac else _ONE_TERMS
@@ -816,10 +811,10 @@ class RatExpr:
     def __sub__(self, other):
         return self + -other
 
-    def mul_mono(self, m: int, sign: int = 1) -> "RatExpr":
-        """The product with the signed monomial sign * m, which stays
-        canonical: a denominator has no monomial factor."""
-        return RatExpr._canonical(kernels.poly_scale(self.num, sign, m),
+    def mul_mono(self, m: int) -> "RatExpr":
+        """The product with the monomial m, which stays canonical: a
+        denominator has no monomial factor."""
+        return RatExpr._canonical(kernels.poly_scale(self.num, 1, m),
                                   self.den, self.fac)
 
     def __neg__(self):
@@ -890,11 +885,6 @@ class RatExpr:
                     and self.den == _ONE_TERMS)
         return (isinstance(other, RatExpr)
                 and self.num == other.num and self.den == other.den)
-
-    def cross_equal(self, other: "RatExpr") -> bool:
-        """Equality by cross-multiplication (must agree with ``==``)."""
-        return (kernels.poly_mul(self.num, other.den)
-                == kernels.poly_mul(other.num, self.den))
 
     def __repr__(self):
         return f"RatExpr({self.num!r}, {self.den!r})"
@@ -986,15 +976,13 @@ def _value_hash(num: dict, den: dict, factored: bool) -> int:
 def reset_memo():
     """Empty every run-scoped memo (``run_memo``), so that a run starts
     cold whatever ran before it in the process; put back ``_R0`` and
-    ``_R1``, the objects for 0 and 1 that other modules bound at import,
-    and zero ``SUM_GCD_FALLBACKS``.  Serial numbers are not reused."""
-    global SUM_GCD_FALLBACKS
+    ``_R1``, the objects for 0 and 1 that other modules bound at import.
+    Serial numbers are not reused."""
     for memo in _RUN_MEMOS:
         (memo.clear if isinstance(memo, dict) else memo.cache_clear)()
     for x in (_R0, _R1):
         h = _value_hash(x.num, x.den, True)
         _VALUES[h] = _VALUES.get(h, ()) + (x,)
-    SUM_GCD_FALLBACKS = 0
 
 
 # the constants 0 and 1, which other modules import; ``reset_memo`` keeps
@@ -1062,9 +1050,7 @@ def sum_fractions(coeffs: list) -> RatExpr:
     factored, the sum memo (``_SUMS``), and on a miss one ``_lcm_sum``
     over all of them; otherwise the pairwise ``+`` from the left, and for
     two operands a/b and c/d the constructor's reduction of
-    (a*d + c*b) / (b*d), a sum counted in ``SUM_GCD_FALLBACKS`` unless a
-    denominator is 1."""
-    global SUM_GCD_FALLBACKS
+    (a*d + c*b) / (b*d), the one ``kernels.poly_add`` of the package."""
     if len(coeffs) == 1:
         return coeffs[0]
     if all(c.fac is not None for c in coeffs):
@@ -1076,8 +1062,6 @@ def sum_fractions(coeffs: list) -> RatExpr:
     if len(coeffs) > 2:
         return sum(coeffs[1:], coeffs[0])
     (a, b), (c, d) = ((x.num, x.den) for x in coeffs)
-    if b != _ONE_TERMS and d != _ONE_TERMS:
-        SUM_GCD_FALLBACKS += 1
     return RatExpr(kernels.poly_add(kernels.poly_mul(a, d),
                                     kernels.poly_mul(c, b)),
                    kernels.poly_mul(b, d))

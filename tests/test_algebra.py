@@ -48,8 +48,8 @@ def test_phi_phi_rule_scalar():
     rs = _scalar_rs("particle")
     e = Element.word((_phi(1, Z2), _phi(1, Z1)))
     out = normal_order(e, rs)
-    expected = Element.word((_phi(1, Z1), _phi(1, Z2)),
-                            coeff=parse_expr("(z1 - q^2*z2)/(q^2*z1 - z2)"))
+    expected = Element(1, {("", (), ((_phi(1, Z1), _phi(1, Z2)),)):
+                           parse_expr("(z1 - q^2*z2)/(q^2*z1 - z2)")})
     assert out == expected
 
 
@@ -61,7 +61,7 @@ def test_phi_l_rule_scalar():
     # q^(c/2) is the charge variable u1
     coeff = parse_expr("(x*q^2 - 1)/(x - q^2)").subs_monomial(
         {X: mono(z1=1, z2=-1, u1=1)})
-    expected = Element.word((_l(1, 1, Z2), _phi(1, Z1)), coeff=coeff)
+    expected = Element(1, {("", (), ((_l(1, 1, Z2), _phi(1, Z1)),)): coeff})
     assert out == expected
 
 
@@ -73,11 +73,10 @@ def test_phi_phistar_rule_scalar_delta_terms():
     swap = Element.word((_phistar(1, Z2), _phi(1, Z1)))
     d1 = DeltaFactor(Z1, Z2, q_power(0, -2, 0, 0))
     d2 = DeltaFactor(Z1, Z2, q_power(0, 2, 0, 0))
-    t1 = Element.word((GenOcc(LSTAR, 1, 1,
-                              ArgShift(Z2, q_power(0, 1, 0, 0))),),
-                      coeff=qf, deltas=(d1,))
-    t2 = Element.word((GenOcc(L, 1, 1, ArgShift(Z1, q_power(0, 1, 0, 0))),),
-                      coeff=-qf, deltas=(d2,))
+    t1 = Element(1, {("", (d1,), ((GenOcc(
+        LSTAR, 1, 1, ArgShift(Z2, q_power(0, 1, 0, 0))),),)): qf})
+    t2 = Element(1, {("", (d2,), ((GenOcc(
+        L, 1, 1, ArgShift(Z1, q_power(0, 1, 0, 0))),),)): -qf})
     assert out == swap + t1 + t2
 
 
@@ -124,7 +123,7 @@ def test_inverse_contraction_n2():
     arg = ArgShift(Z1)
     for i in (1, 2):
         for j in (1, 2):
-            e = Element.zero()
+            e = Element(1)
             for k in (1, 2):
                 e = e + Element.word((GenOcc(LINV, i, k, arg),
                                       GenOcc(L, k, j, arg)))
@@ -166,13 +165,11 @@ def test_delta_absorbs_ratio_prefactor():
 
 def test_delta_rewrites_argument_to_support():
     d = DeltaFactor(Z1, Z2, q_power(0, -2, 0, 0))  # delta((z1/z2) q^-c)
-    stay = Element.word((GenOcc(LSTAR, 1, 1,
-                                ArgShift(Z2, q_power(0, 1, 0, 0))),),
-                        deltas=(d,))
+    stay = Element(1, {("", (d,), ((GenOcc(
+        LSTAR, 1, 1, ArgShift(Z2, q_power(0, 1, 0, 0))),),)): R1})
     assert delta_normalize(stay) == stay
-    move = Element.word((GenOcc(LSTAR, 1, 1,
-                                ArgShift(Z1, q_power(0, -1, 0, 0))),),
-                        deltas=(d,))
+    move = Element(1, {("", (d,), ((GenOcc(
+        LSTAR, 1, 1, ArgShift(Z1, q_power(0, -1, 0, 0))),),)): R1})
     assert delta_normalize(move) == stay
 
 

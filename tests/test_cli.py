@@ -15,10 +15,11 @@ from rhopf.algebra import (ALL_KINDS, VECTOR_KINDS, ArgShift, DeltaFactor,
                            RewriteSystem, normal_order)
 from rhopf.cli import main, parse_rspec
 from rhopf.elemio import format_element, parse_element
-from rhopf.errors import ParseError
+from rhopf.errors import DomainError, ParseError
 from rhopf.expr import MAX_DEPTH, parse_expr
 from rhopf.instances import get_instance
 from rhopf.symfield import VAR_INDEX, RatExpr, Z, mono, q_power
+from test_symfield import fallback_sums
 
 Z1, Z2 = Z[0], Z[1]
 
@@ -26,7 +27,7 @@ Z1, Z2 = Z[0], Z[1]
 # -- element text -------------------------------------------------------------
 
 def _round_trip(e):
-    return parse_element(format_element(e), nlegs=e.nlegs)
+    return parse_element(format_element(e))
 
 
 def test_element_round_trip_simple():
@@ -36,11 +37,11 @@ def test_element_round_trip_simple():
 
 def test_element_round_trip_with_coeff_shift_delta():
     d = DeltaFactor(Z1, Z2, q_power(0, -2, 0, 0))
-    e = Element.word((GenOcc(LSTAR, 1, 2, ArgShift(Z2, q_power(0, 1, 0, 0))),),
-                     coeff=parse_expr("q/(q^2-1)"), deltas=(d,))
-    e = e + Element.word((GenOcc(PHI, 2, 0, ArgShift(Z1, q_power(1, 0, 0, 0))),
-                          GenOcc(L, 1, 1, ArgShift(Z2))),
-                         coeff=parse_expr("-3"))
+    lstar = GenOcc(LSTAR, 1, 2, ArgShift(Z2, q_power(0, 1, 0, 0)))
+    e = Element(1, {
+        ("", (d,), ((lstar,),)): parse_expr("q/(q^2-1)"),
+        ("", (), ((GenOcc(PHI, 2, 0, ArgShift(Z1, q_power(1, 0, 0, 0))),
+                   GenOcc(L, 1, 1, ArgShift(Z2))),)): parse_expr("-3")})
     assert _round_trip(e) == e
 
 
@@ -202,7 +203,7 @@ def test_normal_ordered_output_reparses():
     rs = RewriteSystem(get_instance("example1"), "double")
     e = parse_element("Phi[1](z1) PhiStar[1](z2)")
     out = normal_order(e, rs)
-    assert parse_element(format_element(out), nlegs=1) == out
+    assert parse_element(format_element(out)) == out
 
 
 # -- spec files ---------------------------------------------------------------
@@ -563,6 +564,34 @@ def test_cli_spec_exponent_past_the_bound_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("(x - q^2)/(x*q^2 - 1) + 1/0", "division by zero (line 2, col 39)"),
+    ("(x^2000000000 - q^2)/(x*q^2 - 1)",
+     "monomial exponent out of range [-2^30, 2^30) (line 2, col 16)"),
+    # the lcm of the sum multiplies x^(2^30 - 1) by x - 1
+    ("x^1073741823 + 1/(x - 1)",
+     "monomial exponent out of range [-2^30, 2^30) (line 2, col 27)"),
+], ids=["division", "power", "sum"])
+def test_cli_spec_field_error_names_its_operator(entry, message, tmp_path,
+                                                 capsys):
+    """A field error raised by an operator of a spec entry is a parse error
+    at that operator, caused by the field error."""
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"n=1; var=x\nR[1,1;1,1] = {entry}\n")
+    assert main(["check-r", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ParseError) as err:
+        parse_rspec(spec.read_text())
+    assert isinstance(err.value.__cause__, DomainError)
+
+
+def test_cli_normal_order_coefficient_error_names_its_operator(capsys):
+    assert main(["normal-order", "--instance", "example1",
+                 "{(x - x)^-1} * Phi[1](z1)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: inverse of zero (line 1, col 9)\n")
+
+
 def test_cli_spec_unknown_variable_exits_2(tmp_path, capsys):
     """var= takes a spectral variable only: s (= q^(1/2)) and u1
     (= q^(c_1/2)) are field constants, so example1's unitary matrix
@@ -612,8 +641,9 @@ def test_unfactored_denominator_end_to_end(command, tmp_path):
     spec = tmp_path / "trinomial.spec"
     spec.write_text(TRINOMIAL_SPEC)
     out = tmp_path / "report.json"
-    assert main([command, "--spec", str(spec), "--out", str(out)]) == 0
-    assert symfield.SUM_GCD_FALLBACKS > 0
+    with fallback_sums() as spy:
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 0
+    assert spy.call_count > 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == TRINOMIAL_DIGESTS[command])
 

@@ -105,10 +105,9 @@ def test_antipode_qc_inverts_charge():
 
 def _one_leg_antipode(first, second, n):
     """-sum_m first(m) second(m), m = 1..n: the one-leg antipode form."""
-    out = Element.zero()
+    out = Element(1)
     for m in range(1, n + 1):
-        out = out + Element.word((first(m), second(m)),
-                                 coeff=RatExpr.from_int(-1))
+        out = out - Element.word((first(m), second(m)))
     return out
 
 

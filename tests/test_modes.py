@@ -14,7 +14,7 @@ from rhopf.algebra import (FLAG_CONTRADICTORY, FLAVOR_RELATIONS, L, LSTAR,
 from rhopf.cli import parse_rspec
 from rhopf.errors import DomainError, ExpansionError
 from rhopf.expr import parse_expr
-from rhopf.instances import INSTANCE_NAMES, get_instance
+from rhopf.instances import INSTANCES, get_instance
 from rhopf.kernels import mono_pow
 from rhopf.modes import (SeriesWindow, check_mode_consistency,
                          drinfeld_compare, load_reference_relations,
@@ -355,7 +355,7 @@ def _shifted_word() -> Element:
     """Phi(z1 q) Phi(z2): mode p of the first generator picks up q^-p."""
     word = (GenOcc(PHI, 1, 0, ArgShift(_Z1, mono(s=2))),
             GenOcc(PHI, 1, 0, ArgShift(_Z2)))
-    return Element.word(word, coeff=parse_expr("q"))
+    return Element(1, {("", (), (word,)): parse_expr("q")})
 
 
 @pytest.mark.parametrize("extra", [
@@ -717,9 +717,9 @@ def _delta_side(coeff: str) -> Element:
     two carried variables."""
     out = Element(1)
     for var, dq in ((_Z1, mono()), (_Z1, mono(s=2)), (_Z2, mono(s=2))):
-        out = out + Element.word((GenOcc(L, 1, 1, ArgShift(var)),),
-                                 coeff=parse_expr(coeff),
-                                 deltas=(DeltaFactor(_Z1, _Z2, dq),))
+        key = ("", (DeltaFactor(_Z1, _Z2, dq),),
+               ((GenOcc(L, 1, 1, ArgShift(var)),),))
+        out = out + Element(1, {key: parse_expr(coeff)})
     return out
 
 
@@ -761,7 +761,7 @@ def test_memoized_pieces_equal_uncached_ones(monkeypatch):
 # of every built-in instance and of the six-vertex matrix, under each
 # flavor, with no toggle and with each literal toggle.
 
-@pytest.mark.parametrize("name", [*INSTANCE_NAMES, "six-vertex"])
+@pytest.mark.parametrize("name", [*INSTANCES, "six-vertex"])
 def test_delta_free_relation_words_carry_z1_and_z2(name):
     for flavor, toggle in itertools.product(
             ("particle", "extended", "double"), (None, *TOGGLE_NAMES)):
@@ -795,7 +795,7 @@ def _three_scan_counts(lhs, rhs, window: SeriesWindow) -> tuple:
     return checked, mismatches, modes._contradictions(pieces, window)
 
 
-@pytest.mark.parametrize("name", [*INSTANCE_NAMES, "six-vertex"])
+@pytest.mark.parametrize("name", [*INSTANCES, "six-vertex"])
 def test_one_scan_counts_match_three_scans(name):
     w = SeriesWindow(5, 1)
     for flavor, toggle in itertools.product(
@@ -813,9 +813,8 @@ def _side(*terms):
     terms, a generator (kind, row, col, spectral variable)."""
     out = Element(1)
     for coeff, gens in terms:
-        out = out + Element.word(
-            tuple(GenOcc(k, r, c, ArgShift(v)) for k, r, c, v in gens),
-            coeff=parse_expr(coeff))
+        word = tuple(GenOcc(k, r, c, ArgShift(v)) for k, r, c, v in gens)
+        out = out + Element(1, {("", (), (word,)): parse_expr(coeff)})
     return out
 
 

@@ -31,6 +31,7 @@ from rhopf.hopf import (HopfTables, check_axioms, check_hom_on_relation,
 from rhopf.instances import get_instance
 from rhopf.rmatrix import RMatrix, unitarity_residual, ybe_residual
 from rhopf.symfield import RatExpr, accumulate, q_power
+from test_symfield import fallback_sums
 
 
 @pytest.fixture(scope="module")
@@ -151,26 +152,28 @@ def test_sixvertex_braid(sixv):
 
 def test_sixvertex_full_double_verification(sixv):
     symfield.reset_memo()
-    rs = RewriteSystem(sixv, "double")
-    tables = HopfTables(rs)
-    for rid in FLAVOR_RELATIONS["double"]:
-        assert all(r.is_zero()
-                   for _, r in relation_self_residual(rs, rid)), rid
-        assert all(r.is_zero()
-                   for _, r in check_hom_on_relation(rs, tables, rid)), rid
-    for check_id, nterms in check_axioms(tables):
-        assert nterms == 0, check_id
+    with fallback_sums() as spy:
+        rs = RewriteSystem(sixv, "double")
+        tables = HopfTables(rs)
+        for rid in FLAVOR_RELATIONS["double"]:
+            assert all(r.is_zero()
+                       for _, r in relation_self_residual(rs, rid)), rid
+            assert all(r.is_zero() for _, r in
+                       check_hom_on_relation(rs, tables, rid)), rid
+        for check_id, nterms in check_axioms(tables):
+            assert nterms == 0, check_id
     # every denominator met is a product of split binomials, so no sum
-    # fell back to poly_gcd
-    assert symfield.SUM_GCD_FALLBACKS == 0
+    # fell back to the constructor
+    assert spy.call_count == 0
 
 
 def test_literal_ll_star_sums_take_no_gcd():
     """The example2-n2 negative control fails as documented, and its sums
     all cancel over factored denominators."""
-    assert main(["verify-hopf", "--instance", "example2-n2",
-                 "--toggle", "ll-star=literal"]) == 1
-    assert symfield.SUM_GCD_FALLBACKS == 0
+    with fallback_sums() as spy:
+        assert main(["verify-hopf", "--instance", "example2-n2",
+                     "--toggle", "ll-star=literal"]) == 1
+    assert spy.call_count == 0
 
 
 # The relations whose oriented rule inverts the contraction on its
@@ -199,7 +202,7 @@ def test_solved_rules_invert_the_contraction(name, toggles, sixv):
     for rid, solved in SOLVED_SIDE.items():
         for idx, lhs, rhs in relation_sides(rs, rid):
             sides = (lhs, rhs)
-            out = Element.zero()
+            out = Element(1)
             for key, coeff in sides[solved].terms.items():
                 for nkey, rcoeff in rewrite_term(key, rs, 0, 0):
                     out = out + Element(1, {nkey: coeff * rcoeff})
@@ -346,10 +349,11 @@ def test_deferred_sums_agree_with_the_pairwise_engine(toggles, sixv):
     """On the six-vertex matrix, ``normal_order`` (each pending term's
     contributions summed once, when it is taken) gives the reference
     engine's terms, in the same order and after the same rule
-    applications: on the coproducts of both sides of every relation and of
-    their difference, whose residuals are nonzero only under
-    ``ll-star=literal``, and on the coproduct of a word that holds L LStar
-    behind two LInv, where the literal rule brings taken terms back."""
+    applications, traced or not: on the coproducts of both sides of every
+    relation and of their difference, whose residuals are nonzero only
+    under ``ll-star=literal``, and on the coproduct of a word that holds
+    L LStar behind two LInv, where the literal rule brings taken terms
+    back."""
     rs = RewriteSystem(sixv, "double", toggles)
     tables = HopfTables(rs)
     word = parse_element(
@@ -362,9 +366,12 @@ def test_deferred_sums_agree_with_the_pairwise_engine(toggles, sixv):
     for e, difference in inputs:
         delta = coproduct(e, tables, 0)
         trace, want_trace = [], []
-        got = normal_order(delta, rs, trace=trace)
+        got = normal_order(delta, rs, trace)
         want, came_back = _pairwise_normal_order(delta, rs, want_trace)
         assert list(got.terms.items()) == list(want.terms.items()), e
+        # the traced branch returns the untraced result, term order too
+        untraced = normal_order(delta, rs)
+        assert list(untraced.terms.items()) == list(got.terms.items()), e
         assert trace == want_trace, e
         back += came_back
         nonzero += difference and not got.is_zero()

@@ -313,14 +313,16 @@ def _texts(directory: Path) -> dict:
             for path in sorted(directory.glob("*.py"))}
 
 
-# Definitions that only tests read, by ``_scope``: two independent oracles,
-# and the count of sums that fell back from the gcd of their denominators,
-# which tests read to see which path a sum took.  Equality keeps the list
-# from going stale when the package starts reading one of them.
-TEST_ONLY = {"private": [],
-             "member": [("symfield", "RatExpr.cross_equal")],
-             "module": [("algebra", "term_measure"),
-                        ("symfield", "SUM_GCD_FALLBACKS")]}
+# What only tests use: by ``_scope``, the definitions that only tests read,
+# an independent oracle; under "parameter" (``unpassed``), the step budget
+# of ``normal_order``, which only tests lower, and its trace list, which
+# the benchmark's tracer passes through a forwarding call that name
+# matching cannot see.  Equality keeps the list from going stale when the
+# package starts reading or passing one of them.
+TEST_ONLY = {"private": [], "member": [],
+             "module": [("algebra", "term_measure")],
+             "parameter": [("algebra", "normal_order.max_steps"),
+                           ("algebra", "normal_order.trace")]}
 
 
 def _gate(scope: str):
@@ -338,6 +340,112 @@ def test_no_unread_public_members():
 
 def test_no_unread_definitions():
     _gate("module")
+
+
+def _callee(call: ast.Call):
+    """The name a call reaches its function by: ``f(...)`` or
+    ``obj.f(...)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+
+
+def _defaulted(fn: ast.FunctionDef):
+    """(parameter, position in a call) of every parameter of ``fn`` that
+    has a default; the position does not count ``self`` or ``cls``, and is
+    None for a keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    yield from ((a.arg, i - skip) for i, a in enumerate(positional)
+                if i >= first)
+    yield from ((a.arg, None) for a, default in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                if default is not None)
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    """Whether ``call`` may pass ``param``: by keyword or through a
+    ``**`` forward, and a positional parameter by position or through a
+    ``*`` forward."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed(sources: dict, callers: dict) -> list:
+    """(module, "function.parameter") of every parameter with a default of
+    a function or method of ``sources`` (``_definitions``) that no call in
+    ``sources`` or ``callers`` passes (``_passes``); both map module names
+    to their text.  A call is matched by the name it reaches the function
+    by (``_callee``): its own, and for ``__init__`` and ``__new__`` also
+    that of their class."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    calls = [node for tree in [*trees.values(), *map(ast.parse,
+                                                     callers.values())]
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    out = []
+    for mod, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            owner, _, name = qualname.rpartition(".")
+            names = {name, owner} if name in ("__init__", "__new__") \
+                else {name}
+            mine = [call for call in calls if _callee(call) in names]
+            out.extend((mod, f"{qualname}.{param}")
+                       for param, position in _defaulted(node)
+                       if not any(_passes(call, param, position)
+                                  for call in mine))
+    return sorted(out)
+
+
+def test_unpassed_finds_parameters_no_call_passes():
+    sources = {
+        "a": ("def f(x, by_position=1, by_keyword=2, never=3):\n"
+              "    return x\n"
+              "def forwarded(x, *, through=4):\n    return x\n"
+              "def forward(*args, **kw):\n"
+              "    return forwarded(*args, **kw)\n"
+              "class C:\n"
+              "    def __init__(self, x, made=5):\n        self.x = x\n"
+              "    def method(self, x, scaled=6):\n        return x\n"),
+    }
+    callers = {"b": ("from a import C, f, forward\n"
+                     "f(0, 1, by_keyword=2), forward(0, through=3)\n"
+                     "C(0, 1).method(0, 2)\n"
+                     "other(never=3)\n")}
+    assert unpassed(sources, callers) == [("a", "f.never")]
+
+
+def test_no_unpassed_parameters():
+    assert unpassed(_texts(SRC), _texts(BENCH)) == TEST_ONLY["parameter"]
+
+
+def global_statements(source: str) -> list:
+    """Line of every ``global`` statement: run state lives in the memos
+    that ``symfield.run_memo`` registers, which ``reset_memo`` empties."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global)]
+
+
+def test_global_statements_finds_every_global():
+    source = ("COUNT = 0\n"
+              "def bump():\n    global COUNT\n    COUNT += 1\n"
+              "class C:\n    def m(self):\n        def inner():\n"
+              "            global A, B\n"
+              "def enclosing():\n    x = 0\n    def g():\n"
+              "        nonlocal x\n")
+    assert global_statements(source) == [3, 8]
+
+
+def test_no_global_statements():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in global_statements(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def unread_parameters(source: str) -> list:
